@@ -10,7 +10,6 @@ into the exact operator; otherwise they turn into numeric evaluators.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -116,12 +115,6 @@ def model2_potential(block_size: int, A, B) -> AngularPotential:
 
 def is_symbolic_potential(pot) -> bool:
     return isinstance(pot, (Zero, Constant))
-
-
-def potential_depth(pot) -> int:
-    if isinstance(pot, Hierarchy):
-        return len(pot.levels)
-    return 0
 
 
 # -- model specification -------------------------------------------------------
@@ -504,7 +497,3 @@ def spec_from_json(obj: dict) -> ModelSpec:
         e = obj.get("eta", "symbolic")
         kwargs["eta"] = "eta" if e == "symbolic" else Fraction(str(e))
     return ModelSpec(family, part, tuple(pots), **kwargs)
-
-
-def spec_from_json_text(text: str) -> ModelSpec:
-    return spec_from_json(json.loads(text))

@@ -14,6 +14,7 @@ normal form; the outcome is exact.  Three expectation kinds appear:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -1370,14 +1371,17 @@ class _Parser:
         if tok[0].isdigit():
             try:
                 return Scalar(Fraction(tok))
-            except ValueError as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise RelationSyntaxError(f"bad rational {tok!r}") from exc
         # name, possibly indexed
         indices = []
         if self.peek() == "[":
             self.take()
             while True:
-                indices.append(int(self.take()))
+                index = self.take()
+                if not index.isdigit():
+                    raise RelationSyntaxError(f"bad index {index!r} on {tok!r}")
+                indices.append(int(index))
                 if self.peek() == ",":
                     self.take()
                     continue
@@ -1416,7 +1420,7 @@ def parse_relation_line(line: str, param_names=()) -> Relation | None:
         expr = sub(lhs, rhs)
     if parser.peek() is not None:
         raise RelationSyntaxError(f"trailing tokens near {parser.peek()!r}")
-    return Relation(name or f"user-{abs(hash(line)) % 10**8}", expr)
+    return Relation(name or f"user-{hashlib.sha256(line.encode()).hexdigest()[:8]}", expr)
 
 
 def parse_relation_file(text: str, param_names=()) -> list[Relation]:

@@ -22,7 +22,9 @@ complete.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
+from operator import add, le, neg, sub
 
 from .errors import ContextMismatchError, UndeclaredParameterError
 
@@ -31,15 +33,20 @@ F1 = Fraction(1)
 
 
 def _mono_add(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _mono_sub(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _mono_divides(d: tuple, m: tuple) -> bool:
-    return all(x <= y for x, y in zip(d, m))
+    return all(map(le, d, m))
+
+
+def _deglex_heap_key(m: tuple) -> tuple:
+    """Min-heap entry that pops monomials in descending deglex order."""
+    return (-sum(m), tuple(map(neg, m)), m)
 
 
 def _deglex(m: tuple):
@@ -168,28 +175,60 @@ class Poly:
         return m, self.terms[m]
 
     def exact_div(self, d: "Poly"):
-        """Quotient self/d when the division is exact, else None."""
+        """Quotient self/d when the division is exact, else None.
+
+        The quotient's terms are inserted in descending deglex order, so
+        ``list(q.terms)`` is the same for every caller and every run.  The
+        remainder's monomials sit in a max-heap beside the remainder dict:
+        each step pops the leading monomial instead of rescanning, so a
+        division costs one heap operation per remainder term, besides the
+        ``len(d) - 1`` coefficient updates of each step.  A one-term divisor
+        takes a single pass that shifts every exponent.  Division stops with
+        None at the first leading monomial that ``d``'s leading monomial
+        does not divide.
+        """
         if self.is_zero():
             return self
         if d.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         dm, dc = d.leading()
+        # atoms have unit coefficients: skip dividing by dc == 1, and
+        # subtract rc * (c2 / dc) == q * c2 without a product when c2 == dc
+        unit = dc == 1
+        if len(d.terms) == 1:
+            out = {}
+            for m, c in self.terms.items():
+                if not _mono_divides(dm, m):
+                    return None
+                out[_mono_sub(m, dm)] = c if unit else c / dc
+            return Poly(self.n, {m: out[m] for m in sorted(out, key=_deglex, reverse=True)})
+        rest = [(m2, None if c2 == dc else c2 / dc) for m2, c2 in d.terms.items() if m2 != dm]
         rem = dict(self.terms)
-        out: dict = {}
-        while rem:
-            rm = max(rem, key=_deglex)
+        heap = [_deglex_heap_key(m) for m in rem]
+        heapify(heap)
+        out = {}
+        while heap:
+            rm = heappop(heap)[2]
+            rc = rem.pop(rm, None)
+            if rc is None:
+                continue  # cancelled after it was pushed
             if not _mono_divides(dm, rm):
                 return None
-            q = rem[rm] / dc
             qm = _mono_sub(rm, dm)
-            out[qm] = out.get(qm, F0) + q
-            for m2, c2 in d.terms.items():
+            out[qm] = rc if unit else rc / dc
+            for m2, ratio in rest:
+                t = rc if ratio is None else rc * ratio
                 mm = _mono_add(qm, m2)
-                nc = rem.get(mm, F0) - q * c2
-                if nc:
-                    rem[mm] = nc
+                old = rem.get(mm)
+                if old is None:
+                    rem[mm] = -t
+                    heappush(heap, _deglex_heap_key(mm))
                 else:
-                    rem.pop(mm, None)
+                    nc = old - t
+                    if nc:
+                        rem[mm] = nc
+                    else:
+                        del rem[mm]
         return Poly(self.n, out)
 
     def substitute_slot(self, slot: int, value: Fraction) -> "Poly":

@@ -1,10 +1,14 @@
 """CLI behavior: exit codes, reports, schema validation, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import blocksep
 from blocksep.cli import build_catalog, load_config, main, run_verify
 from blocksep.errors import ConfigError
 from blocksep.models import oscillator_spec
@@ -188,3 +192,36 @@ def test_relation_file_flow(runner, tmp_path):
     bad.write_text("oops: [Z[2], \n")
     res2 = runner.invoke(main, ["verify", "--relation-file", str(bad), "--blocks", "2,2"])
     assert res2.exit_code == 2
+
+
+@pytest.mark.parametrize("line, message", [("H[x] == 0", "bad index"),
+                                           ("1/0 == 0", "bad rational")])
+def test_relation_file_bad_token_exit_two(runner, tmp_path, line, message):
+    bad = tmp_path / "bad.rel"
+    bad.write_text(f"ok: [Z[2], Hsum[2]]\n{line}\n")
+    res = runner.invoke(main, ["verify", "--relation-file", str(bad), "--blocks", "2,2"])
+    assert res.exit_code == 2
+    assert f"line 2: {message}" in res.output
+
+
+def test_unnamed_relation_report_independent_of_hash_seed(tmp_path):
+    rel = tmp_path / "user.rel"
+    rel.write_text("[Z[2], Hsum[2]]\nG[1,2] == T[1]\n")
+    out = tmp_path / "rep.json"
+    src = os.path.dirname(os.path.dirname(blocksep.__file__))
+    docs, stdouts = [], []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        res = subprocess.run(
+            [sys.executable, "-m", "blocksep.cli", "verify", "--relation-file", str(rel),
+             "--blocks", "2,2", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        doc = json.loads(out.read_text())
+        doc.pop("runtime_info")
+        docs.append(doc)
+        stdouts.append(res.stdout)
+    assert docs[0] == docs[1]
+    assert stdouts[0] == stdouts[1]
+    assert all(item["name"].startswith("user-") for item in docs[0]["items"])
