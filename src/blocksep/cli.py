@@ -8,6 +8,7 @@ failure path), 2 on usage or configuration errors.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -158,7 +159,8 @@ def run_verify(config: dict) -> VerificationReport:
     except InapplicableRelationError as exc:
         raise ConfigError(str(exc)) from exc
 
-    jobs = int(config.get("jobs", 1))
+    # more workers than cores or relations only cost start-up: fork starts them all at once
+    jobs = max(1, min(int(config.get("jobs", 1)), os.cpu_count() or 1, len(rs.relations)))
     if mode in ("symbolic", "both"):
         if jobs > 1 and not hasattr(rs.env, "env_for"):
             model_json = spec_to_json(spec) if spec is not None else None
@@ -366,6 +368,9 @@ def _run_relation_file(config) -> VerificationReport:
     report = VerificationReport(config=_echo_config(config, spec))
     for rel in rels:
         oc = verify_relation(rel, env)
+        if oc.status == "inapplicable":
+            # a user line the model cannot evaluate (unknown integral, no constants) is a typo
+            raise ConfigError(f"relation {rel.name}: {oc.note}")
         doc = oc.to_json()
         report.add(
             ReportItem(doc["name"], "relation", "symbolic", doc["status"], doc["passed"],

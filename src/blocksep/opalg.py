@@ -98,14 +98,6 @@ class DiffOp:
             return DiffOp(self.ctx, {})
         return DiffOp(self.ctx, {a: cc.scale(c) for a, cc in self.terms.items()})
 
-    def scale_coeff(self, c: Coefficient) -> "DiffOp":
-        out = {}
-        for a, cc in self.terms.items():
-            nc = cc.mul(c)
-            if not nc.is_zero():
-                out[a] = nc
-        return DiffOp(self.ctx, out)
-
     # -- composition --------------------------------------------------------
 
     def mul(self, other: "DiffOp") -> "DiffOp":

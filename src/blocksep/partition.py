@@ -53,12 +53,6 @@ class Partition:
         """0-based coordinate indices of block i (0-based)."""
         return range(self.offsets[i], self.offsets[i + 1])
 
-    def block_of(self, coord: int) -> int:
-        for i in range(self.N):
-            if coord < self.offsets[i + 1]:
-                return i
-        raise IndexError(coord)
-
 
 def make_partition(block_sizes) -> Partition:
     return Partition(tuple(block_sizes))

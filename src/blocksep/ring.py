@@ -134,11 +134,6 @@ class Poly:
                     out.pop(m, None)
         return Poly(self.n, out)
 
-    def mul_mono(self, mono: tuple, coeff: Fraction) -> "Poly":
-        if coeff == 0:
-            return Poly.zero(self.n)
-        return Poly(self.n, {_mono_add(m, mono): c * coeff for m, c in self.terms.items()})
-
     def pow(self, e: int) -> "Poly":
         out = Poly.const(self.n, 1)
         base = self
@@ -382,13 +377,6 @@ class Context:
 
     def radical_poly(self, k: int) -> Poly:
         return Poly.var(self.nvars, self.radicals[k].slot)
-
-    def radical_for(self, support) -> Radical:
-        support = frozenset(support)
-        for r in self.radicals:
-            if r.support == support:
-                return r
-        raise KeyError(f"no radical registered for support {sorted(support)}")
 
     def sum_of_squares(self, indices) -> Poly:
         terms = {}

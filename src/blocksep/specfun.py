@@ -113,14 +113,6 @@ def x1_jacobi_coefficients(n: int, alpha: Fraction, beta: Fraction) -> tuple:
                 out[i + j] += ai * bj
         return out
 
-    def padd(a, b):
-        out = [Fraction(0)] * max(len(a), len(b))
-        for i, ai in enumerate(a):
-            out[i] += ai
-        for j, bj in enumerate(b):
-            out[j] += bj
-        return out
-
     def pscale(a, c):
         return [x * c for x in a]
 

@@ -33,9 +33,13 @@ SpectrumQuery = EigenfunctionSpec
 
 
 def _square_free(n: int):
-    """n = s^2 * m with m square free; returns (s, m)."""
+    """n = s^2 * m with m square free; returns (s, m).
+
+    Trial division stops once d^3 exceeds the cofactor, whose prime factors
+    are then at least d: at most two, so it is square free or a prime squared.
+    """
     s, m, d = 1, 1, 2
-    while d * d <= n:
+    while d * d * d <= n:
         e = 0
         while n % d == 0:
             n //= d
@@ -44,27 +48,37 @@ def _square_free(n: int):
         if e % 2:
             m *= d
         d += 1
+    if n > 1 and (r := math.isqrt(n)) * r == n:
+        return s * r, m
     return s, m * n
 
 
 class SqrtSum:
-    """Exact value sum_m c_m sqrt(m) with square-free integer radicands."""
+    """Exact value sum_m c_m sqrt(m) with square-free integer radicands.
+
+    Invariant: the keys of ``terms`` are always square free.  Only the
+    constructor and :meth:`sqrt_of` factor radicands; ``add`` and ``scale``
+    combine terms that already are square free and never factor again.
+    """
 
     def __init__(self, terms: dict | None = None):
         self.terms: dict = {}
         for m, c in (terms or {}).items():
-            self._accumulate(int(m), Fraction(c))
+            s, mm = _square_free(int(m))
+            self._accumulate(mm, Fraction(c) * s)
+
+    @staticmethod
+    def _of_square_free(terms: dict) -> "SqrtSum":
+        out = SqrtSum()
+        out.terms = terms
+        return out
 
     def _accumulate(self, m: int, c: Fraction):
-        if c == 0:
-            return
-        s, mm = _square_free(m)
-        c = c * s
-        cur = self.terms.get(mm, Fraction(0)) + c
+        cur = self.terms.get(m, Fraction(0)) + c
         if cur:
-            self.terms[mm] = cur
+            self.terms[m] = cur
         else:
-            self.terms.pop(mm, None)
+            self.terms.pop(m, None)
 
     @staticmethod
     def rational(c) -> "SqrtSum":
@@ -72,23 +86,26 @@ class SqrtSum:
 
     @staticmethod
     def sqrt_of(value: Fraction) -> "SqrtSum":
-        """sqrt(p/q) = sqrt(p q) / q, exact."""
+        """sqrt(p/q) = sqrt(p q) / q, exact; p and q are coprime, so they
+        are factored apart and their square-free parts multiply."""
         value = Fraction(value)
         if value < 0:
             raise InadmissibleParametersError(f"negative radicand {value}")
         if value == 0:
             return SqrtSum()
-        return SqrtSum({value.numerator * value.denominator: Fraction(1, value.denominator)})
+        sp, mp = _square_free(value.numerator)
+        sq, mq = _square_free(value.denominator)
+        return SqrtSum._of_square_free({mp * mq: Fraction(sp * sq, value.denominator)})
 
     def add(self, other: "SqrtSum") -> "SqrtSum":
-        out = SqrtSum(dict(self.terms))
+        out = SqrtSum._of_square_free(dict(self.terms))
         for m, c in other.terms.items():
             out._accumulate(m, c)
         return out
 
     def scale(self, c) -> "SqrtSum":
         c = Fraction(c)
-        return SqrtSum({m: v * c for m, v in self.terms.items()})
+        return SqrtSum._of_square_free({m: v * c for m, v in self.terms.items()} if c else {})
 
     def sub(self, other: "SqrtSum") -> "SqrtSum":
         return self.add(other.scale(-1))
@@ -185,46 +202,50 @@ def _lambda_chain_numeric(pot: Hierarchy, d: int, angular) -> float:
     return alpha
 
 
-# -- oscillator spectra ------------------------------------------------------------
-
-
-def _oscillator_gamma_exact(q: SpectrumQuery, i: int) -> SqrtSum:
-    part = q.model.partition
-    d = part.block_sizes[i]
+def _half_root(q: SpectrumQuery, i: int) -> SqrtSum:
+    """sqrt(1 + 4 lambda + (d-1)(d-3)) / 2 for block i, exactly: gamma for
+    the Coulomb family, gamma - 1/2 for the oscillator."""
+    d = q.model.partition.block_sizes[i]
     lam = lambda_chain(q._potential(i), d, q.angular[i])
     if not isinstance(lam, Fraction):
         lam = Fraction(lam).limit_denominator(10**12)
     disc = 1 + 4 * lam + (d - 1) * (d - 3)
     if disc < 0:
         raise InadmissibleParametersError(f"negative discriminant in block {i + 1}")
-    return SqrtSum.rational(Fraction(1, 2)).add(SqrtSum.sqrt_of(disc).scale(Fraction(1, 2)))
+    return SqrtSum.sqrt_of(disc).scale(Fraction(1, 2))
+
+
+# -- oscillator spectra ------------------------------------------------------------
+
+
+def _oscillator_energies(q: SpectrumQuery) -> tuple:
+    """(paper, oracle) in units of omega, from one gamma per block."""
+    if q.model.family != OSCILLATOR:
+        raise InvalidPartitionError("oscillator formula needs an oscillator model")
+    part = q.model.partition
+    paper = SqrtSum.rational(2 * sum(q.radial) + Fraction(part.N, 2))
+    oracle = SqrtSum.rational(sum(4 * k + 1 for k in q.radial))
+    for i in range(part.N):
+        gamma = SqrtSum.rational(Fraction(1, 2)).add(_half_root(q, i))
+        paper = paper.add(gamma)
+        oracle = oracle.add(gamma.scale(2))
+    return paper, oracle
 
 
 def oscillator_energy_paper(q: SpectrumQuery) -> SqrtSum:
     """Printed closed formula, in units of omega: 2 sum k + sum gamma + N/2."""
-    if q.model.family != OSCILLATOR:
-        raise InvalidPartitionError("oscillator formula needs an oscillator model")
-    part = q.model.partition
-    out = SqrtSum.rational(2 * sum(q.radial) + Fraction(part.N, 2))
-    for i in range(part.N):
-        out = out.add(_oscillator_gamma_exact(q, i))
-    return out
+    return _oscillator_energies(q)[0]
 
 
 def oscillator_energy_oracle(q: SpectrumQuery) -> SqrtSum:
     """Eigenfunction/eigensolver value, in units of omega: sum (4k + 2 gamma + 1)."""
-    if q.model.family != OSCILLATOR:
-        raise InvalidPartitionError("oscillator formula needs an oscillator model")
-    part = q.model.partition
-    out = SqrtSum.rational(sum(4 * k + 1 for k in q.radial))
-    for i in range(part.N):
-        out = out.add(_oscillator_gamma_exact(q, i).scale(2))
-    return out
+    return _oscillator_energies(q)[1]
 
 
 def paper_oracle_ratio_is_half(q: SpectrumQuery) -> bool:
     """paper = oracle / 2, exactly, for every admissible query."""
-    return oscillator_energy_paper(q).scale(2).sub(oscillator_energy_oracle(q)).is_zero()
+    paper, oracle = _oscillator_energies(q)
+    return paper.scale(2).sub(oracle).is_zero()
 
 
 def omega_value(model: ModelSpec) -> float:
@@ -256,70 +277,57 @@ class SpectrumResult:
 
 def oscillator_spectrum_row(q: SpectrumQuery) -> SpectrumResult:
     omega = omega_value(q.model)
-    paper = oscillator_energy_paper(q)
-    oracle = oscillator_energy_oracle(q)
+    paper, oracle = _oscillator_energies(q)
     return SpectrumResult(
         labels={"k": list(q.radial), "l": [a if isinstance(a, int) else list(a) for a in q.angular]},
         paper_value=float(paper) * omega,
         oracle_value=float(oracle) * omega,
         ratio_oracle_over_paper=float(oracle) / float(paper),
-        exact_ratio_2=paper_oracle_ratio_is_half(q),
+        exact_ratio_2=paper.scale(2).sub(oracle).is_zero(),
     )
 
 
 # -- coulomb spectra ------------------------------------------------------------------
 
 
-def _coulomb_gamma_exact(q: SpectrumQuery, j: int) -> SqrtSum:
+def _coulomb_exact(q: SpectrumQuery) -> tuple:
+    """(kappa, printed denominator, whether 2 (N_r + kappa) equals it), exactly,
+    from one gamma per block: kappa = 2 sum J + N - 1/2 + sum gamma and the
+    denominator is 2 N_r + 4 sum J + 2N - 1 + 2 sum gamma."""
     part = q.model.partition
-    d = part.block_sizes[j]
-    lam = lambda_chain(q._potential(j), d, q.angular[j])
-    if not isinstance(lam, Fraction):
-        lam = Fraction(lam).limit_denominator(10**12)
-    lam = lam + Fraction((d - 1) * (d - 3), 4)
-    disc = 1 + 4 * lam
-    if disc < 0:
-        raise InadmissibleParametersError(f"negative discriminant in block {j + 1}")
-    return SqrtSum.sqrt_of(disc).scale(Fraction(1, 2))
-
-
-def coulomb_denominator(q: SpectrumQuery) -> SqrtSum:
-    """2 N_r + 4 sum J + 2N - 1 + 2 sum gamma, exactly."""
-    part = q.model.partition
-    out = SqrtSum.rational(2 * q.radial[0] + 4 * sum(q.hyper_J) + 2 * part.N - 1)
+    kappa = SqrtSum.rational(2 * sum(q.hyper_J) + part.N - Fraction(1, 2))
+    den = SqrtSum.rational(2 * q.radial[0] + 4 * sum(q.hyper_J) + 2 * part.N - 1)
     for j in range(part.N):
-        out = out.add(_coulomb_gamma_exact(q, j).scale(2))
-    return out
-
-
-def coulomb_kappa_exact(q: SpectrumQuery) -> SqrtSum:
-    part = q.model.partition
-    out = SqrtSum.rational(2 * sum(q.hyper_J) + part.N - Fraction(1, 2))
-    for j in range(part.N):
-        out = out.add(_coulomb_gamma_exact(q, j))
-    return out
+        gamma = _half_root(q, j)
+        kappa, den = kappa.add(gamma), den.add(gamma.scale(2))
+    return kappa, den, kappa.add(SqrtSum.rational(q.radial[0])).scale(2).sub(den).is_zero()
 
 
 def coulomb_denominator_identity(q: SpectrumQuery) -> bool:
     """2 (N_r + kappa) equals the printed denominator, exactly."""
-    lhs = coulomb_kappa_exact(q).add(SqrtSum.rational(q.radial[0])).scale(2)
-    return lhs.sub(coulomb_denominator(q)).is_zero()
+    return _coulomb_exact(q)[2]
 
 
-def coulomb_energy(q: SpectrumQuery) -> float:
+def _coulomb_energies(q: SpectrumQuery) -> tuple:
+    """(printed energy, oracle energy, denominator identity holds)."""
     if q.model.family != COULOMB:
         raise InvalidPartitionError("coulomb formula needs a coulomb model")
     if isinstance(q.model.eta, str):
         raise InadmissibleParametersError("numeric eta required")
-    den = float(coulomb_denominator(q))
+    kappa, den, identity = _coulomb_exact(q)
+    den = float(den)
     if den == 0:
         raise InadmissibleParametersError("zero spectral denominator")
-    return -float(q.model.eta) ** 2 / den**2
+    eta2 = float(q.model.eta) ** 2
+    return -eta2 / den**2, -eta2 / (4.0 * (q.radial[0] + float(kappa)) ** 2), identity
+
+
+def coulomb_energy(q: SpectrumQuery) -> float:
+    return _coulomb_energies(q)[0]
 
 
 def coulomb_spectrum_row(q: SpectrumQuery) -> SpectrumResult:
-    value = coulomb_energy(q)
-    oracle = -float(q.model.eta) ** 2 / (4.0 * (q.radial[0] + float(coulomb_kappa_exact(q))) ** 2)
+    value, oracle, identity = _coulomb_energies(q)
     return SpectrumResult(
         labels={
             "N_r": q.radial[0],
@@ -329,5 +337,5 @@ def coulomb_spectrum_row(q: SpectrumQuery) -> SpectrumResult:
         paper_value=value,
         oracle_value=oracle,
         ratio_oracle_over_paper=oracle / value,
-        exact_ratio_2=coulomb_denominator_identity(q),
+        exact_ratio_2=identity,
     )

@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import blocksep
+from blocksep import cli
 from blocksep.cli import build_catalog, load_config, main, run_verify
 from blocksep.errors import ConfigError
 from blocksep.models import oscillator_spec
@@ -124,6 +125,35 @@ def test_parallel_jobs_match_serial():
     assert items_s == items_p
 
 
+@pytest.mark.parametrize("jobs, expect", [(10**6, [3]), (2, [2]), (1, []), (0, []), (-5, [])])
+def test_jobs_clamped_to_cpus_and_relations(monkeypatch, jobs, expect):
+    """No worker process starts: the pool is a stub that runs the work here."""
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_WORKER_STATE", {})
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    config = {"command": "verify", "catalog": "oscillator-algebra", "blocks": [1, 1],
+              "mode": "symbolic", "jobs": jobs}
+    report = run_verify(config)
+    assert len(report.items) == 3
+    assert started == expect
+
+
 def test_spectrum_command_row_count(runner):
     res = runner.invoke(
         main, ["spectrum", "--family", "oscillator", "--blocks", "1,1",
@@ -202,6 +232,16 @@ def test_relation_file_bad_token_exit_two(runner, tmp_path, line, message):
     res = runner.invoke(main, ["verify", "--relation-file", str(bad), "--blocks", "2,2"])
     assert res.exit_code == 2
     assert f"line 2: {message}" in res.output
+
+
+@pytest.mark.parametrize("line, message", [("Q[1] == 0", "Q integrals belong to the coulomb family"),
+                                           ("H[9] == 0", "H index 9 out of [1,2]")])
+def test_relation_file_unknown_integral_exit_two(runner, tmp_path, line, message):
+    bad = tmp_path / "bad.rel"
+    bad.write_text(f"ok: [Z[2], Hsum[2]]\ntypo: {line}\n")
+    res = runner.invoke(main, ["verify", "--relation-file", str(bad), "--blocks", "2,2"])
+    assert res.exit_code == 2
+    assert f"relation typo: {message}" in res.output
 
 
 def test_unnamed_relation_report_independent_of_hash_seed(tmp_path):

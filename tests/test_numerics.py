@@ -17,6 +17,7 @@ from blocksep.numerics import (
     Eigensolve1DProblem,
     FDScheme,
     ProbeFunction,
+    _ring_eigenvalues,
     apply_numeric,
     central_weights,
     eigensolve_1d,
@@ -209,3 +210,17 @@ def test_periodic_eigensolver_free_circle():
     expect = [0.0, 1.0, 1.0, 4.0, 4.0]
     for v, e in zip(vals, expect):
         assert v == pytest.approx(e, abs=1e-6)
+
+
+@pytest.mark.parametrize("M", [10, 11])
+def test_ring_band_matches_dense_ring(M):
+    """The permuted band matrix has the dense periodic matrix's spectrum."""
+    h = 2 * math.pi / M
+    phi = h * np.arange(M)
+    V = 1 + np.cos(phi) + 0.3 * np.sin(3 * phi) + 0.1 * phi
+    dense = np.diag(2.0 / h**2 + V)
+    idx = np.arange(M)
+    dense[idx, (idx + 1) % M] = -1.0 / h**2
+    dense[idx, (idx - 1) % M] = -1.0 / h**2
+    np.testing.assert_allclose(_ring_eigenvalues(V, h, M), np.linalg.eigvalsh(dense),
+                               rtol=0, atol=1e-9)

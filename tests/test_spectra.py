@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from blocksep.models import (
     model2_potential,
     oscillator_spec,
 )
+from blocksep import spectra
 from blocksep.numerics import Eigensolve1DProblem, eigensolve_1d
 from blocksep.specfun import EigenfunctionSpec
 from blocksep.spectra import (
@@ -163,3 +165,51 @@ def test_negative_discriminant_raises():
     q = EigenfunctionSpec(spec, angular=(0, 0), radial=(0, 0))
     with pytest.raises(InadmissibleParametersError):
         oscillator_energy_paper(q)
+
+
+def test_square_free_matches_brute_force():
+    limit = 10**5
+    root = [1] * limit  # largest s with s^2 dividing n
+    for s in range(2, math.isqrt(limit) + 1):
+        for n in range(s * s, limit, s * s):
+            root[n] = s
+    for n in range(1, limit):
+        assert spectra._square_free(n) == (root[n], n // root[n] ** 2), n
+    p, q, r = 10007, 999983, 1000003
+    for n, expect in ((p * p, (p, 1)), (q * q, (q, 1)), (p * q, (1, p * q)), (q * r, (1, q * r)),
+                      (p * p * q, (p, q)), (q * q * p, (q, p)), (r * r * q, (r, q)),
+                      (10009 * p * q, (1, 10009 * p * q)), (4 * 9 * q * q * r, (6 * q, r))):
+        assert spectra._square_free(n) == expect, n
+
+
+def test_sqrt_of_float_derived_fraction_is_fast():
+    x = 2.718281828459045
+    start = time.perf_counter()
+    root = SqrtSum.sqrt_of(Fraction(x).limit_denominator(10**12))
+    assert time.perf_counter() - start < 1.0
+    assert float(root) == pytest.approx(math.sqrt(x), rel=1e-12)
+
+
+def test_add_and_scale_do_not_factor(monkeypatch):
+    three = SqrtSum.rational(3)
+    a = SqrtSum.sqrt_of(Fraction(8)).add(three)
+    b = SqrtSum.sqrt_of(Fraction(1, 2))
+    calls = []
+    original = spectra._square_free
+    monkeypatch.setattr(spectra, "_square_free", lambda n: calls.append(n) or original(n))
+    assert a.add(b.scale(-4)) == three
+    assert a.sub(a).is_zero() and a.scale(0).is_zero()
+    assert a.scale(Fraction(1, 2)).terms == {2: Fraction(1), 1: Fraction(3, 2)}
+    assert calls == []
+
+
+def test_spectrum_row_solves_each_block_once(monkeypatch):
+    spec = oscillator_spec([3, 1], (Hierarchy((Zero(), Constant(Fraction(2)))), Zero()), omega2=1)
+    q = EigenfunctionSpec(spec, angular=((0, 1), 0), radial=(0, 0))
+    calls = []
+    original = spectra.lambda_chain
+    monkeypatch.setattr(spectra, "lambda_chain",
+                        lambda pot, d, angular: calls.append(d) or original(pot, d, angular))
+    row = spectra.oscillator_spectrum_row(q)
+    assert sorted(calls) == [1, 3]
+    assert row.exact_ratio_2
