@@ -28,8 +28,9 @@ from .models import (
 )
 from .numerics import FDScheme, relation_residual_numeric
 from .report import ReportItem, VerificationReport, serialize
-from . import relations as rel_mod
 from .relations import (
+    OperatorEnv,
+    RelationOutcome,
     RelationSet,
     catalog_coulomb,
     catalog_coulomb_commutativity,
@@ -43,9 +44,11 @@ from .relations import (
     catalog_oscillator_algebra,
     catalog_oscillator_commutativity,
     catalog_proposition_A,
+    over,
     parse_relation_file,
+    settle_groups,
     verify_relation,
-    verify_relation_set,
+    verify_symbolic,
 )
 
 OSC_CATALOGS = {
@@ -105,13 +108,10 @@ def build_catalog(catalog: str, spec: ModelSpec | None) -> RelationSet:
     if catalog == "gauge":
         if spec is None:
             raise ConfigError("gauge catalog needs --blocks")
-        sets = [
-            catalog_gauge_identities(spec, l) for l in range(2, spec.partition.N + 1)
-        ]
-        if len(sets) == 1:
-            return sets[0]
-        groups = {s.env: list(s.relations) for s in sets}
-        return rel_mod._MultiEnv(groups).as_relation_set("gauge")
+        levels = range(2, spec.partition.N + 1)
+        return RelationSet(
+            "gauge", tuple(p for l in levels for p in catalog_gauge_identities(spec, l).pairs)
+        )
     if catalog in OSC_CATALOGS:
         return OSC_CATALOGS[catalog](spec)
     if catalog in COUL_CATALOGS:
@@ -138,10 +138,13 @@ def _worker_init(catalog, model_json):
 
 
 def _worker_verify(index: int):
-    rs = _WORKER_STATE["rs"]
-    rel = rs.relations[index]
-    env = rs.env.env_for(rel.name) if hasattr(rs.env, "env_for") else rs.env
-    return verify_relation(rel, env)
+    return verify_relation(*_WORKER_STATE["rs"].pairs[index])
+
+
+def _symbolic_item(oc: RelationOutcome) -> ReportItem:
+    return ReportItem(oc.name, "relation", "symbolic", oc.status, oc.passed,
+                      expectation=oc.expectation, group=oc.group, note=oc.note,
+                      residual=oc.to_json().get("residual"))
 
 
 def run_verify(config: dict) -> VerificationReport:
@@ -156,50 +159,23 @@ def run_verify(config: dict) -> VerificationReport:
     report = VerificationReport(config=_echo_config(config, spec))
     try:
         rs = build_catalog(catalog, spec)
-    except InapplicableRelationError as exc:
+    except BlocksepError as exc:
+        # a model the catalog cannot be built over (N too small, index out of range)
         raise ConfigError(str(exc)) from exc
 
     # more workers than cores or relations only cost start-up: fork starts them all at once
-    jobs = max(1, min(int(config.get("jobs", 1)), os.cpu_count() or 1, len(rs.relations)))
+    jobs = max(1, min(int(config.get("jobs", 1)), os.cpu_count() or 1, len(rs.pairs)))
     if mode in ("symbolic", "both"):
-        if jobs > 1 and not hasattr(rs.env, "env_for"):
+        if jobs > 1:
             model_json = spec_to_json(spec) if spec is not None else None
             with ProcessPoolExecutor(
                 max_workers=jobs, initializer=_worker_init, initargs=(catalog, model_json)
             ) as pool:
-                outcomes = list(pool.map(_worker_verify, range(len(rs.relations))))
-            groups: dict = {}
-            for oc in outcomes:
-                if oc.group:
-                    groups.setdefault(oc.group, []).append(oc)
-            for members in groups.values():
-                any_zero = any(m.status == "zero" for m in members)
-                verdict = (
-                    "group: at least one reading reduces to zero"
-                    if any_zero
-                    else "group: no reading reduces to zero; candidate source typo"
-                )
-                for m in members:
-                    if m.expectation == "record":
-                        m.passed = True
-                        m.note = f"{m.note}; {verdict}" if m.note else verdict
+                outcomes = settle_groups(list(pool.map(_worker_verify, range(len(rs.pairs)))))
         else:
-            outcomes = verify_relation_set(rs)
+            outcomes = verify_symbolic(rs)
         for oc in outcomes:
-            doc = oc.to_json()
-            report.add(
-                ReportItem(
-                    name=doc["name"],
-                    kind="relation",
-                    mode="symbolic",
-                    status=doc["status"],
-                    passed=doc["passed"],
-                    expectation=doc.get("expectation") or oc.expectation,
-                    group=doc.get("group"),
-                    note=doc.get("note", ""),
-                    residual=doc.get("residual"),
-                )
-            )
+            report.add(_symbolic_item(oc))
     if mode in ("numeric", "both"):
         if spec is None:
             raise ConfigError("numeric mode needs a model (catalog with --blocks)")
@@ -211,13 +187,17 @@ def run_verify(config: dict) -> VerificationReport:
         )
         tol = float(config.get("tol", 1e-5))
         seed = int(config.get("seed", 20240801))
-        for rel in rs.relations:
+        for rel, env in rs.pairs:
             if rel.expectation == "record":
                 continue
             try:
+                if env.spec is None:
+                    raise InapplicableRelationError(
+                        f"numeric mode needs a model; {env.label} is an operator table"
+                    )
                 stats = relation_residual_numeric(
                     rel,
-                    spec,
+                    env.spec,
                     params,
                     probes=int(config.get("probes", 5)),
                     points_per_probe=int(config.get("points", 10)),
@@ -344,8 +324,6 @@ def verify(catalog, blocks, mode, seed, tol, out_path, jobs, config_path, relati
 
 
 def _run_relation_file(config) -> VerificationReport:
-    from .relations import OperatorEnv
-
     blocks = config.get("blocks")
     model_json = config.get("model")
     if model_json is None and blocks is None:
@@ -364,18 +342,13 @@ def _run_relation_file(config) -> VerificationReport:
         rels = parse_relation_file(text, param_names=spec.param_names())
     except RelationSyntaxError as exc:
         raise ConfigError(str(exc)) from exc
-    env = OperatorEnv.for_model(spec)
     report = VerificationReport(config=_echo_config(config, spec))
-    for rel in rels:
-        oc = verify_relation(rel, env)
+    rs = RelationSet("relation-file", over(OperatorEnv.for_model(spec), rels))
+    for oc in verify_symbolic(rs):
         if oc.status == "inapplicable":
             # a user line the model cannot evaluate (unknown integral, no constants) is a typo
-            raise ConfigError(f"relation {rel.name}: {oc.note}")
-        doc = oc.to_json()
-        report.add(
-            ReportItem(doc["name"], "relation", "symbolic", doc["status"], doc["passed"],
-                       expectation=oc.expectation, note=doc.get("note", ""),
-                       residual=doc.get("residual")))
+            raise ConfigError(f"relation {oc.name}: {oc.note}")
+        report.add(_symbolic_item(oc))
     return report
 
 

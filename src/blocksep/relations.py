@@ -136,9 +136,16 @@ class Relation:
 @dataclass
 class RelationSet:
     name: str
-    relations: tuple
-    env: "OperatorEnv"
-    requirements: str = ""
+    pairs: tuple  # (Relation, OperatorEnv) in report order
+
+    @property
+    def relations(self) -> tuple:
+        return tuple(rel for rel, _ in self.pairs)
+
+
+def over(env: "OperatorEnv", rels) -> tuple:
+    """Pair every relation with the one environment it is evaluated in."""
+    return tuple((rel, env) for rel in rels)
 
 
 # -- evaluation environment ------------------------------------------------------
@@ -147,12 +154,13 @@ class RelationSet:
 class OperatorEnv:
     """Resolves integral names and structural constants over one context."""
 
-    def __init__(self, ctx: Context, resolver, constants=None, label: str = ""):
+    def __init__(self, ctx: Context, resolver, constants=None, label: str = "", spec=None):
         self.ctx = ctx
         self._resolver = resolver
         self._constants = constants
         self._cache: dict = {}
         self.label = label
+        self.spec = spec  # the model behind the operators; None for a table env
 
     @staticmethod
     def for_model(spec: ModelSpec, extra_params=()) -> "OperatorEnv":
@@ -162,7 +170,8 @@ class OperatorEnv:
             return build_integral(name, spec, ctx).symbolic(spec)
 
         consts = structural_constants(spec) if spec.partition.N >= 2 else None
-        return OperatorEnv(ctx, resolve, consts, label=f"{spec.family}{spec.partition.block_sizes}")
+        label = f"{spec.family}{spec.partition.block_sizes}"
+        return OperatorEnv(ctx, resolve, consts, label=label, spec=spec)
 
     @staticmethod
     def from_table(ctx: Context, table: dict, label: str = "") -> "OperatorEnv":
@@ -287,17 +296,18 @@ def verify_relation(rel: Relation, env: OperatorEnv) -> RelationOutcome:
 
 
 def verify_symbolic(rs: RelationSet) -> list[RelationOutcome]:
-    """Run every relation; then settle reading groups.
+    """Run every relation in its own environment; then settle reading groups."""
+    return settle_groups([verify_relation(rel, env) for rel, env in rs.pairs])
 
-    Record-class items pass once their outcome is on file; the group note
-    states whether any constructible reading reduced to zero.
-    """
-    outcomes = [verify_relation(rel, rs.env) for rel in rs.relations]
+
+def settle_groups(outcomes: list) -> list:
+    """Record-class items pass once their outcome is on file; the group note
+    states whether any constructible reading reduced to zero."""
     groups: dict = {}
     for oc in outcomes:
         if oc.group:
             groups.setdefault(oc.group, []).append(oc)
-    for gname, members in groups.items():
+    for members in groups.values():
         any_zero = any(m.status == "zero" for m in members)
         verdict = (
             "group: at least one reading reduces to zero"
@@ -459,7 +469,7 @@ def catalog_proposition_A(include_negative: bool = False) -> RelationSet:
                 note="constant +1 injected; must not reduce to zero",
             )
         )
-    return RelationSet("proposition-A", tuple(rels), env, requirements="none")
+    return RelationSet("proposition-A", over(env, rels))
 
 
 # -- catalog: oscillator family -----------------------------------------------------
@@ -582,26 +592,19 @@ def catalog_oscillator(spec: ModelSpec, include_commutativity: bool = True) -> R
         rels.extend(oscillator_quadratic_relations(spec, l))
     if include_commutativity:
         rels.extend(oscillator_commutativity_relations(spec))
-    return RelationSet("oscillator", tuple(rels), env, requirements="oscillator, N >= 2")
+    return RelationSet("oscillator", over(env, rels))
 
 
 def catalog_oscillator_algebra(spec: ModelSpec) -> RelationSet:
-    return RelationSet(
-        "oscillator-algebra",
-        tuple(
-            r
-            for l in range(2, spec.partition.N + 1)
-            for r in oscillator_quadratic_relations(spec, l)
-        ),
-        OperatorEnv.for_model(spec),
-    )
+    rels = [
+        r for l in range(2, spec.partition.N + 1) for r in oscillator_quadratic_relations(spec, l)
+    ]
+    return RelationSet("oscillator-algebra", over(OperatorEnv.for_model(spec), rels))
+
 
 def catalog_oscillator_commutativity(spec: ModelSpec) -> RelationSet:
-    return RelationSet(
-        "oscillator-commutativity",
-        tuple(oscillator_commutativity_relations(spec)),
-        OperatorEnv.for_model(spec),
-    )
+    rels = oscillator_commutativity_relations(spec)
+    return RelationSet("oscillator-commutativity", over(OperatorEnv.for_model(spec), rels))
 
 
 # -- catalog: gauge reduction ---------------------------------------------------------
@@ -721,7 +724,7 @@ def catalog_gauge_identities(spec: ModelSpec, l: int) -> RelationSet:
         Relation(f"{tag}-match-3", sub(rhs3_prop, rhs3_quad),
                  note="seed RHS equals block-algebra RHS term by term"),
     )
-    return RelationSet(f"gauge-l{l}", rels, env, requirements="oscillator, 2 <= l <= N")
+    return RelationSet(tag, over(env, rels))
 
 
 # -- catalog: coulomb family ------------------------------------------------------------
@@ -825,7 +828,7 @@ def correction_closed_form(spec: ModelSpec, env: OperatorEnv, j: int, literal: b
     return out
 
 
-def catalog_coulomb_yx(spec: ModelSpec) -> RelationSet:
+def catalog_coulomb_yx(spec: ModelSpec, env: OperatorEnv | None = None) -> RelationSet:
     part = spec.partition
     if spec.family != COULOMB:
         raise InapplicableRelationError("yx catalog needs a coulomb model")
@@ -833,7 +836,7 @@ def catalog_coulomb_yx(spec: ModelSpec) -> RelationSet:
         raise InapplicableRelationError("yx catalog needs N >= 2")
     if not spec.is_symbolic():
         raise InapplicableRelationError("symbolic yx catalog needs zero/constant potentials")
-    env = OperatorEnv.for_model(spec)
+    env = env or OperatorEnv.for_model(spec)
     rels = list(coulomb_yx_relations(spec))
     D = part.D
     for j in range(D - part.block_sizes[-1] + 1, D):
@@ -882,7 +885,7 @@ def catalog_coulomb_yx(spec: ModelSpec) -> RelationSet:
                 note="reading with x_j d_j in the dilation bracket",
             )
         )
-    return RelationSet("coulomb-yx", tuple(rels), env, requirements="coulomb, N >= 2")
+    return RelationSet("coulomb-yx", over(env, rels))
 
 
 def _as_tree(diffop: DiffOp) -> Fixed:
@@ -905,7 +908,7 @@ def catalog_coulomb_erratum_wrong(spec: ModelSpec) -> RelationSet:
     rels = tuple(
         r for r in coulomb_yx_relations(spec, j, erratum_wrong=True) if r.name.endswith("-3")
     )
-    return RelationSet("coulomb-erratum-wrong", rels, env, requirements="coulomb, N >= 2")
+    return RelationSet("coulomb-erratum-wrong", over(env, rels))
 
 
 def _central_diagnoser(atom_trees: dict):
@@ -1145,11 +1148,8 @@ def coulomb_commutativity_relations(spec: ModelSpec):
 
 
 def catalog_coulomb_commutativity(spec: ModelSpec) -> RelationSet:
-    return RelationSet(
-        "coulomb-commutativity",
-        tuple(coulomb_commutativity_relations(spec)),
-        OperatorEnv.for_model(spec),
-    )
+    rels = coulomb_commutativity_relations(spec)
+    return RelationSet("coulomb-commutativity", over(OperatorEnv.for_model(spec), rels))
 
 
 def catalog_coulomb_zy(spec: ModelSpec) -> RelationSet:
@@ -1158,7 +1158,7 @@ def catalog_coulomb_zy(spec: ModelSpec) -> RelationSet:
     rels = []
     for p in range(2, spec.partition.N):
         rels.extend(coulomb_zy_relations(spec, p))
-    return RelationSet("coulomb-zy", tuple(rels), OperatorEnv.for_model(spec))
+    return RelationSet("coulomb-zy", over(OperatorEnv.for_model(spec), rels))
 
 
 def catalog_coulomb_sj(spec: ModelSpec) -> RelationSet:
@@ -1168,15 +1168,13 @@ def catalog_coulomb_sj(spec: ModelSpec) -> RelationSet:
     rels = []
     for p in range(part.offsets[part.N - 1] + 1, part.D):
         rels.extend(coulomb_sj_relations(spec, p))
-    return RelationSet("coulomb-sj", tuple(rels), OperatorEnv.for_model(spec))
+    return RelationSet("coulomb-sj", over(OperatorEnv.for_model(spec), rels))
 
 
 def catalog_coulomb(spec: ModelSpec) -> RelationSet:
-    """Umbrella: every applicable coulomb catalog."""
-    rels = []
+    """Umbrella: every applicable coulomb catalog, all in one environment."""
     env = OperatorEnv.for_model(spec)
-    yx = catalog_coulomb_yx(spec)
-    rels.extend(yx.relations)
+    rels = list(catalog_coulomb_yx(spec, env).relations)
     rels.extend(coulomb_commutativity_relations(spec))
     if spec.partition.N >= 3:
         for p in range(2, spec.partition.N):
@@ -1185,7 +1183,7 @@ def catalog_coulomb(spec: ModelSpec) -> RelationSet:
     if part.D - part.offsets[part.N - 1] >= 2:
         for p in range(part.offsets[part.N - 1] + 1, part.D):
             rels.extend(coulomb_sj_relations(spec, p))
-    return RelationSet("coulomb", tuple(rels), yx.env)
+    return RelationSet("coulomb", over(env, rels))
 
 
 def catalog_negative_controls(spec: ModelSpec | None = None) -> RelationSet:
@@ -1195,67 +1193,10 @@ def catalog_negative_controls(spec: ModelSpec | None = None) -> RelationSet:
     if spec is None:
         spec = oscillator_spec([2, 2])
     prop = catalog_proposition_A(include_negative=True)
-    rels = [r for r in prop.relations if r.expectation == "nonzero"]
-    osc_env = OperatorEnv.for_model(spec)
-    osc_rels = [
-        r
-        for r in oscillator_quadratic_relations(spec, 2, perturb_8_to_7=True)
-        if r.expectation == "nonzero"
-    ]
-    combined = _MultiEnv({prop.env: rels, osc_env: osc_rels})
-    return combined.as_relation_set("negative-controls")
-
-
-class _MultiEnv:
-    """Pairs relations with their own environments inside one set."""
-
-    def __init__(self, groups: dict):
-        self.groups = groups
-
-    def as_relation_set(self, name: str) -> RelationSet:
-        rels = []
-        env_map = {}
-        for env, items in self.groups.items():
-            for r in items:
-                rels.append(r)
-                env_map[r.name] = env
-        rs = RelationSet(name, tuple(rels), _DispatchEnv(env_map))
-        return rs
-
-
-class _DispatchEnv:
-    def __init__(self, env_map: dict):
-        self.env_map = env_map
-
-    def env_for(self, rel_name: str) -> OperatorEnv:
-        return self.env_map[rel_name]
-
-
-def verify_relation_set(rs: RelationSet) -> list[RelationOutcome]:
-    if isinstance(rs.env, _DispatchEnv):
-        outcomes = [verify_relation(r, rs.env.env_for(r.name)) for r in rs.relations]
-        return outcomes
-    return verify_symbolic(rs)
-
-
-# -- catalog manifest --------------------------------------------------------------
-
-
-def catalog_manifest() -> dict:
-    """Displayed identity groups per catalog family (manifest test anchor)."""
-    return {
-        "proposition-A": 3,  # one display with three relations
-        "oscillator-commutativity": 3,  # three commutativity displays
-        "oscillator-algebra": 3,  # one display with three relations
-        "gauge": 3,  # three reduced-operator displays
-        "coulomb-commutativity": 1,
-        "coulomb-yx": 3,
-        "coulomb-yx-conjugated": 3,
-        "coulomb-correction-form": 1,
-        "coulomb-sigma-covariance": 3,
-        "coulomb-zy": 2,
-        "coulomb-sj": 2,
-    }
+    osc_rels = oscillator_quadratic_relations(spec, 2, perturb_8_to_7=True)
+    pairs = prop.pairs + over(OperatorEnv.for_model(spec), osc_rels)
+    controls = tuple(p for p in pairs if p[0].expectation == "nonzero")
+    return RelationSet("negative-controls", controls)
 
 
 # -- relation file grammar -----------------------------------------------------------

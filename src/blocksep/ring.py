@@ -53,6 +53,11 @@ def _deglex(m: tuple):
     return (sum(m), m)
 
 
+def _terms_desc(p: "Poly") -> list:
+    """The terms of ``p`` in descending deglex order; a key that orders polynomials."""
+    return sorted(p.terms.items(), key=lambda t: _deglex(t[0]), reverse=True)
+
+
 class Poly:
     """Immutable sparse polynomial with Fraction coefficients.
 
@@ -693,10 +698,14 @@ class Coefficient:
         num = ctx.poly_text(self.num)
         if not self.den:
             return num
+        # atoms by their polynomials, not by their ids: ids follow registration order,
+        # which differs between processes
+        den = [(ctx.atom_by_id(aid).poly, e) for aid, e in self.den]
+        den.sort(key=lambda pe: _terms_desc(pe[0]), reverse=True)
         bits = []
-        for aid, e in self.den:
-            at = ctx.poly_text(ctx.atom_by_id(aid).poly)
-            at = at if len(ctx.atom_by_id(aid).poly.terms) == 1 else f"({at})"
+        for poly, e in den:
+            at = ctx.poly_text(poly)
+            at = at if len(poly.terms) == 1 else f"({at})"
             bits.append(at if e == 1 else f"{at}^{e}")
         return f"({num}) / [{'*'.join(bits)}]"
 

@@ -314,6 +314,8 @@ def _coulomb_energies(q: SpectrumQuery) -> tuple:
         raise InvalidPartitionError("coulomb formula needs a coulomb model")
     if isinstance(q.model.eta, str):
         raise InadmissibleParametersError("numeric eta required")
+    if q.model.eta <= 0:
+        raise InadmissibleParametersError("eta must be positive")
     kappa, den, identity = _coulomb_exact(q)
     den = float(den)
     if den == 0:

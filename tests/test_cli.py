@@ -115,9 +115,14 @@ def test_mode_both_carries_both_item_sets(runner, tmp_path):
     assert modes == {"symbolic", "numeric"}
 
 
-def test_parallel_jobs_match_serial():
-    config = {"command": "verify", "catalog": "oscillator-algebra", "blocks": [1, 1],
-              "mode": "symbolic"}
+@pytest.mark.parametrize("catalog, blocks", [
+    pytest.param("oscillator-algebra", [1, 1], id="oscillator-algebra"),
+    pytest.param("gauge", [1, 1, 1], id="gauge"),  # one table env per level
+    pytest.param("negative-controls", [2, 2], id="negative-controls"),  # table and model envs
+    pytest.param("coulomb-zy", [1, 1, 1], id="coulomb-zy"),  # reading groups; two-atom denominators
+])
+def test_parallel_jobs_match_serial(catalog, blocks):
+    config = {"command": "verify", "catalog": catalog, "blocks": blocks, "mode": "symbolic"}
     serial = run_verify(dict(config))
     parallel = run_verify(dict(config) | {"jobs": 2})
     items_s = [i.to_json() for i in serial.items]
@@ -152,6 +157,56 @@ def test_jobs_clamped_to_cpus_and_relations(monkeypatch, jobs, expect):
     report = run_verify(config)
     assert len(report.items) == 3
     assert started == expect
+
+
+def test_gauge_numeric_reports_table_envs_inapplicable(runner, tmp_path):
+    out = tmp_path / "gauge.json"
+    res = runner.invoke(main, ["verify", "--catalog", "gauge", "--blocks", "1,1,1",
+                               "--mode", "numeric", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    items = json.loads(out.read_text())["items"]
+    assert len(items) == 8
+    for item in items:
+        level = item["name"].split("-")[1]  # gauge-l2-seed-2 -> l2
+        assert item["status"] == "inapplicable" and item["passed"] is None
+        assert f"gauge-{level} is an operator table" in item["note"]
+
+
+def test_negative_controls_numeric_notes_the_table_env(runner, tmp_path):
+    out = tmp_path / "neg.json"
+    res = runner.invoke(main, ["verify", "--catalog", "negative-controls", "--blocks", "1,1",
+                               "--mode", "numeric", "--out", str(out)])
+    assert res.exit_code == 1, res.output  # the block-model control fires as designed
+    items = {i["name"]: i for i in json.loads(out.read_text())["items"]}
+    prop = items["prop-A-3-negative"]
+    assert prop["status"] == "inapplicable"
+    assert prop["note"] == "numeric mode needs a model; proposition-A is an operator table"
+    assert items["osc-alg-l2-ZY-negative[numeric]"]["status"] == "residual"
+
+
+@pytest.mark.parametrize("catalog", ["coulomb", "coulomb-yx"])
+def test_coulomb_catalog_on_one_dimensional_blocks_exit_two(runner, catalog):
+    res = runner.invoke(main, ["verify", "--catalog", catalog, "--blocks", "1,1"])
+    assert res.exit_code == 2
+    assert "config error: S index 1 out of [2,1]" in res.output
+
+
+@pytest.mark.parametrize("catalog", cli.CATALOG_NAMES)
+@pytest.mark.parametrize("mode", ["symbolic", "numeric"])
+def test_exit_contract_every_catalog(runner, catalog, mode):
+    """Every catalog in every mode ends with exit 0, 1 or 2 and no traceback."""
+    blocks = [] if catalog == "proposition-A" else ["--blocks", "1,1"]
+    res = runner.invoke(main, ["verify", "--catalog", catalog, "--mode", mode] + blocks)
+    assert res.exit_code in (0, 1, 2), res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
+
+
+@pytest.mark.parametrize("eta", ["0", "-1"])
+def test_spectrum_coulomb_needs_positive_eta(runner, eta):
+    res = runner.invoke(main, ["spectrum", "--family", "coulomb", "--blocks", "2,2",
+                               "--eta", eta])
+    assert res.exit_code == 2
+    assert "config error: eta must be positive" in res.output
 
 
 def test_spectrum_command_row_count(runner):

@@ -11,7 +11,6 @@ from blocksep.relations import (
     catalog_coulomb_yx,
     catalog_coulomb_zy,
     catalog_gauge_identities,
-    catalog_manifest,
     catalog_negative_controls,
     catalog_oscillator,
     catalog_oscillator_algebra,
@@ -19,7 +18,6 @@ from blocksep.relations import (
     eval_node,
     parse_relation_file,
     parse_relation_line,
-    verify_relation_set,
     verify_symbolic,
 )
 
@@ -54,7 +52,7 @@ def test_oscillator_full_catalog_2_2():
 
 def test_oscillator_negative_control():
     rs = catalog_negative_controls(oscillator_spec([2, 2]))
-    ocs = verify_relation_set(rs)
+    ocs = verify_symbolic(rs)
     assert ocs
     for o in ocs:
         assert o.status == "residual" and o.passed, o.name
@@ -167,16 +165,6 @@ def test_catalog_requirements():
         catalog_coulomb_zy(coulomb_spec([2, 2]))  # needs N >= 3
     with pytest.raises(InapplicableRelationError):
         catalog_coulomb_sj(coulomb_spec([2, 1]))  # needs d_N >= 2
-
-
-def test_catalog_manifest_counts():
-    manifest = catalog_manifest()
-    assert manifest["proposition-A"] == 3
-    assert manifest["oscillator-algebra"] == 3
-    assert manifest["coulomb-yx"] == 3
-    assert manifest["coulomb-zy"] == 2
-    assert manifest["coulomb-sj"] == 2
-    assert sum(manifest.values()) == 27
 
 
 # -- relation-file grammar -------------------------------------------------------
