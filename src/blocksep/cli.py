@@ -38,7 +38,7 @@ from .relations import (
     catalog_coulomb_sj,
     catalog_coulomb_yx,
     catalog_coulomb_zy,
-    catalog_gauge_identities,
+    catalog_gauge,
     catalog_negative_controls,
     catalog_oscillator,
     catalog_oscillator_algebra,
@@ -51,24 +51,21 @@ from .relations import (
     verify_symbolic,
 )
 
-OSC_CATALOGS = {
+CATALOGS = {
+    "proposition-A": lambda spec: catalog_proposition_A(),
+    "gauge": catalog_gauge,
+    "negative-controls": catalog_negative_controls,
     "oscillator": catalog_oscillator,
     "oscillator-algebra": catalog_oscillator_algebra,
     "oscillator-commutativity": catalog_oscillator_commutativity,
-}
-COUL_CATALOGS = {
     "coulomb": catalog_coulomb,
-    "coulomb-yx": catalog_coulomb_yx,
-    "coulomb-zy": catalog_coulomb_zy,
-    "coulomb-sj": catalog_coulomb_sj,
     "coulomb-commutativity": catalog_coulomb_commutativity,
     "coulomb-erratum-wrong": catalog_coulomb_erratum_wrong,
+    "coulomb-sj": catalog_coulomb_sj,
+    "coulomb-yx": catalog_coulomb_yx,
+    "coulomb-zy": catalog_coulomb_zy,
 }
-CATALOG_NAMES = (
-    ["proposition-A", "gauge", "negative-controls"]
-    + sorted(OSC_CATALOGS)
-    + sorted(COUL_CATALOGS)
-)
+CATALOG_NAMES = list(CATALOGS)
 
 DEFAULT_NUMERIC_PARAMS = {"w2": 1.0, "eta": 2.0}
 
@@ -93,7 +90,7 @@ def _model_for_catalog(catalog: str, blocks, model_json):
     from .errors import InvalidPartitionError
 
     try:
-        if catalog in COUL_CATALOGS:
+        if catalog.startswith("coulomb"):
             return coulomb_spec(blocks)
         return oscillator_spec(blocks)
     except InvalidPartitionError as exc:
@@ -101,29 +98,14 @@ def _model_for_catalog(catalog: str, blocks, model_json):
 
 
 def build_catalog(catalog: str, spec: ModelSpec | None) -> RelationSet:
-    if catalog == "proposition-A":
-        return catalog_proposition_A()
-    if catalog == "negative-controls":
-        return catalog_negative_controls(spec)
-    if catalog == "gauge":
-        if spec is None:
-            raise ConfigError("gauge catalog needs --blocks")
-        levels = range(2, spec.partition.N + 1)
-        return RelationSet(
-            "gauge", tuple(p for l in levels for p in catalog_gauge_identities(spec, l).pairs)
-        )
-    if catalog in OSC_CATALOGS:
-        return OSC_CATALOGS[catalog](spec)
-    if catalog in COUL_CATALOGS:
-        return COUL_CATALOGS[catalog](spec)
-    raise ConfigError(f"unknown catalog {catalog!r}; known: {', '.join(CATALOG_NAMES)}")
+    if catalog not in CATALOGS:
+        raise ConfigError(f"unknown catalog {catalog!r}; known: {', '.join(CATALOG_NAMES)}")
+    return CATALOGS[catalog](spec)
 
 
-def _numeric_params_for(spec: ModelSpec | None) -> dict:
+def _numeric_params_for(spec: ModelSpec) -> dict:
     params = dict(DEFAULT_NUMERIC_PARAMS)
-    if spec is None:
-        return params
-    for i, name in enumerate(spec.param_names()):
+    for name in spec.param_names():
         if name.startswith("beta") or name.startswith("alpha"):
             params.setdefault(name, float(name[-1]) if name[-1].isdigit() else 1.0)
     return params
@@ -162,6 +144,8 @@ def run_verify(config: dict) -> VerificationReport:
     except BlocksepError as exc:
         # a model the catalog cannot be built over (N too small, index out of range)
         raise ConfigError(str(exc)) from exc
+    if not rs.pairs:
+        raise ConfigError(f"catalog {catalog!r} has no relations on this model")
 
     # more workers than cores or relations only cost start-up: fork starts them all at once
     jobs = max(1, min(int(config.get("jobs", 1)), os.cpu_count() or 1, len(rs.pairs)))
@@ -174,12 +158,11 @@ def run_verify(config: dict) -> VerificationReport:
                 outcomes = settle_groups(list(pool.map(_worker_verify, range(len(rs.pairs)))))
         else:
             outcomes = verify_symbolic(rs)
+        if all(oc.status == "inapplicable" for oc in outcomes):
+            raise ConfigError(f"catalog {catalog!r} has no relation this model can evaluate")
         for oc in outcomes:
             report.add(_symbolic_item(oc))
     if mode in ("numeric", "both"):
-        if spec is None:
-            raise ConfigError("numeric mode needs a model (catalog with --blocks)")
-        params = dict(config.get("params") or _numeric_params_for(spec))
         scheme = FDScheme(
             order=int(config.get("fd_order", 8)),
             h=float(config.get("fd_step", 1e-2)),
@@ -198,7 +181,7 @@ def run_verify(config: dict) -> VerificationReport:
                 stats = relation_residual_numeric(
                     rel,
                     env.spec,
-                    params,
+                    dict(config.get("params") or _numeric_params_for(env.spec)),
                     probes=int(config.get("probes", 5)),
                     points_per_probe=int(config.get("points", 10)),
                     seed=seed,

@@ -34,9 +34,11 @@ from .errors import InvalidIntegralError
 from .models import (
     COULOMB,
     OSCILLATOR,
+    Hierarchy,
     ModelSpec,
     PotentialTerm,
     RawOperator,
+    Zero,
     block_norm_poly,
     build_hamiltonian_raw,
     block_hamiltonian_raw,
@@ -180,10 +182,20 @@ def build_integral(name: IntegralName, spec: ModelSpec, ctx: Context) -> RawOper
             raise InvalidIntegralError(f"G[{i},{j}] needs j in [{lo + 1},{hi}]")
         idx = range(lo - 1, j)  # 0-based coordinates lo..j
         base = angular_momentum_squared_sum(ctx, idx)
+        if i - 1 >= spec.potential_blocks:
+            return RawOperator(base, ())
+        if j < hi:
+            # the sub-chain lo..j sees only the potential levels inside it: a
+            # zero or constant potential is the outermost level, outside it
+            pot = spec.potentials[i - 1]
+            if not isinstance(pot, Hierarchy):
+                return RawOperator(base, ())
+            if not all(isinstance(level, Zero) for level in pot.levels[j - lo :]):
+                raise InvalidIntegralError(
+                    f"G[{i},{j}] needs block {i}'s potential levels outside the sub-chain to vanish"
+                )
         mult = Coefficient.from_poly(ctx, ctx.sum_of_squares(idx)).neg()
-        if i - 1 < spec.potential_blocks:
-            return RawOperator(base, (_pot_coef(ctx, spec, i - 1, mult),))
-        return RawOperator(base, ())
+        return RawOperator(base, (_pot_coef(ctx, spec, i - 1, mult),))
 
     if kind == "Z":
         l = name.i

@@ -76,7 +76,6 @@ def central_weights(m: int, order: int) -> tuple:
 class FDScheme:
     order: int = 8
     h: float = 1e-2
-    richardson: bool = False
     extended: bool = False  # x86 extended precision for deep nested pipelines
 
     def __post_init__(self):
@@ -255,20 +254,11 @@ def apply_numeric(op, f, x, scheme: FDScheme = FDScheme(), spec: ModelSpec | Non
     """sum_a c_a(x) (d^a f)(x) via central differences at one point."""
     params = params or {}
     nop = op if isinstance(op, NumericOperator) else compile_operator(op, spec, params, scheme)
-
-    def value_at(h):
-        radius = nop.margin
-        coords = _axis_coords(x, h, radius, len(x), scheme.dtype)
-        values = f(np.broadcast_arrays(*coords))
-        out = apply_on_grid(nop, values, x, h, radius, scheme)
-        return float(out.reshape(-1)[0])
-
-    v = value_at(scheme.h)
-    if scheme.richardson:
-        v2 = value_at(scheme.h / 2)
-        p = 2**scheme.order
-        return (p * v2 - v) / (p - 1)
-    return v
+    radius = nop.margin
+    coords = _axis_coords(x, scheme.h, radius, len(x), scheme.dtype)
+    values = f(np.broadcast_arrays(*coords))
+    out = apply_on_grid(nop, values, x, scheme.h, radius, scheme)
+    return float(out.reshape(-1)[0])
 
 
 # -- numeric relation evaluation ----------------------------------------------------------

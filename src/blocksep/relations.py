@@ -22,11 +22,13 @@ from .errors import InapplicableRelationError, InvalidIntegralError, RelationSyn
 from .integrals import (
     IntegralName,
     build_integral,
+    conjugate_by_transposition,
+    enumerate_integrals,
     name_from_string,
     structural_constants,
 )
-from .models import COULOMB, OSCILLATOR, ModelSpec, operator_context
-from .opalg import DiffOp
+from .models import COULOMB, OSCILLATOR, ModelSpec, operator_context, oscillator_spec
+from .opalg import DiffOp, angular_momentum, euler_operator, laplacian
 from .ring import Coefficient, Context
 
 
@@ -387,79 +389,72 @@ def decompose_residual(residual: DiffOp, basis: dict):
 # -- catalog: two-coordinate seed system ------------------------------------------
 
 
+def _singular(ctx: Context, g, k: int) -> Coefficient:
+    """g / x_k^2 for a polynomial g."""
+    return Coefficient.from_poly(ctx, g).div_poly(ctx.x(k, 2))
+
+
+def _seed_env(ctx: Context, g1, g2, label: str) -> OperatorEnv:
+    """Planar singular oscillator H = H1 + H2 over the two coordinates of ctx:
+    H_k = -d_k^2 + w2 x_k^2 + g_k / x_k^2 for polynomials g1, g2, with
+    Z = L^2 - (g1/x^2 + g2/y^2)(x^2 + y^2) and Y = [Z, H2]."""
+    w2 = ctx.param("w2")
+    f1, f2 = _singular(ctx, g1, 0), _singular(ctx, g2, 1)
+    H1, H2 = (
+        DiffOp.partial(ctx, k, 2)
+        .neg()
+        .add(DiffOp.from_poly(ctx, w2.mul(ctx.x(k, 2))))
+        .add(DiffOp.from_coefficient(ctx, f))
+        for k, f in ((0, f1), (1, f2))
+    )
+    L = angular_momentum(ctx, 0, 1)
+    Z = L.mul(L).sub(DiffOp.from_coefficient(ctx, f1.add(f2).mul_poly(ctx.sum_of_squares([0, 1]))))
+    table = {"H": H1.add(H2), "H1": H1, "H2": H2, "Z": Z, "Y": Z.commutator(H2)}
+    return OperatorEnv.from_table(ctx, table, label=label)
+
+
 def proposition_env() -> OperatorEnv:
     """Planar singular oscillator with parameters g1, g2 and w2 = omega^2."""
     ctx = Context(("x", "y"), ("g1", "g2", "w2"))
-    x2 = ctx.x(0, 2)
-    y2 = ctx.x(1, 2)
-    w2 = ctx.param("w2")
-    g1 = Coefficient.from_poly(ctx, ctx.param("g1")).div_poly(x2)
-    g2 = Coefficient.from_poly(ctx, ctx.param("g2")).div_poly(y2)
-    H1 = (
-        DiffOp.partial(ctx, 0, 2)
-        .neg()
-        .add(DiffOp.from_poly(ctx, w2.mul(x2)))
-        .add(DiffOp.from_coefficient(ctx, g1))
-    )
-    H2 = (
-        DiffOp.partial(ctx, 1, 2)
-        .neg()
-        .add(DiffOp.from_poly(ctx, w2.mul(y2)))
-        .add(DiffOp.from_coefficient(ctx, g2))
-    )
-    from .opalg import angular_momentum
-
-    L = angular_momentum(ctx, 0, 1)
-    pot = g1.add(g2).mul_poly(x2.add(y2))
-    Z = L.mul(L).sub(DiffOp.from_coefficient(ctx, pot))
-    table = {
-        "H": H1.add(H2),
-        "H1": H1,
-        "H2": H2,
-        "Z": Z,
-        "Y": Z.commutator(H2),
-    }
-    return OperatorEnv.from_table(ctx, table, label="proposition-A")
+    return _seed_env(ctx, ctx.param("g1"), ctx.param("g2"), "proposition-A")
 
 
-def catalog_proposition_A(include_negative: bool = False) -> RelationSet:
-    env = proposition_env()
-    g1, g2, w2 = par("g1"), par("g2"), par("w2")
-    rel1 = Relation(
-        "prop-A-1-def",
-        sub(comm(op("Z"), op("H2")), op("Y")),
-        note="defining relation for Y",
-    )
+def _seed_rhs(g1, g2, w2) -> tuple:
+    """Right-hand sides of [Z,Y] and [H2,Y] in the seed algebra, over trees
+    g1, g2, w2 for the singular couplings and omega^2."""
     rhs2 = add(
         mul(num(8), op("Z"), op("H")),
         neg(mul(num(8), acomm(op("Z"), op("H2")))),
         mul(num(8), add(g1, neg(g2), num(1)), op("H")),
         neg(mul(num(16), op("H2"))),
     )
-    rel2 = Relation("prop-A-2", sub(comm(op("Z"), op("Y")), rhs2))
     rhs3 = add(
         neg(mul(num(8), op("H"), op("H2"))),
         mul(num(8), op("H2"), op("H2")),
         neg(mul(num(16), w2, op("Z"))),
         neg(mul(num(8), w2, add(mul(num(2), g1), mul(num(2), g2), num(-1)))),
     )
-    rel3 = Relation("prop-A-3", sub(comm(op("H2"), op("Y")), rhs3))
-    # alternative display of Z: r^2 Laplacian - Euler^2 form
-    env_ctx = env.ctx
-    from .opalg import euler_operator, laplacian
+    return rhs2, rhs3
 
-    r2 = env_ctx.sum_of_squares([0, 1])
-    E = euler_operator(env_ctx, [0, 1])
-    alt = DiffOp.from_poly(env_ctx, r2).mul(laplacian(env_ctx, [0, 1])).sub(E.mul(E))
-    g1c = Coefficient.from_poly(env_ctx, env_ctx.param("g1")).div_poly(env_ctx.x(0, 2))
-    g2c = Coefficient.from_poly(env_ctx, env_ctx.param("g2")).div_poly(env_ctx.x(1, 2))
-    alt = alt.sub(DiffOp.from_coefficient(env_ctx, g1c.add(g2c).mul_poly(r2)))
-    zform = Relation(
-        "prop-A-Z-second-form",
-        sub(op("Z"), _as_tree(alt)),
-        note="the two printed forms of Z coincide",
-    )
-    rels = [rel1, rel2, rel3, zform]
+
+def catalog_proposition_A(include_negative: bool = False) -> RelationSet:
+    env = proposition_env()
+    rhs2, rhs3 = _seed_rhs(par("g1"), par("g2"), par("w2"))
+    # second printed form of Z: r^2 Laplacian - Euler^2 - (g1/x^2 + g2/y^2) r^2
+    ctx = env.ctx
+    r2 = ctx.sum_of_squares([0, 1])
+    E = euler_operator(ctx, [0, 1])
+    pot = _singular(ctx, ctx.param("g1"), 0).add(_singular(ctx, ctx.param("g2"), 1)).mul_poly(r2)
+    alt = DiffOp.from_poly(ctx, r2).mul(laplacian(ctx, [0, 1])).sub(E.mul(E))
+    alt = alt.sub(DiffOp.from_coefficient(ctx, pot))
+    rels = [
+        Relation("prop-A-1-def", sub(comm(op("Z"), op("H2")), op("Y")),
+                 note="defining relation for Y"),
+        Relation("prop-A-2", sub(comm(op("Z"), op("Y")), rhs2)),
+        Relation("prop-A-3", sub(comm(op("H2"), op("Y")), rhs3)),
+        Relation("prop-A-Z-second-form", sub(op("Z"), Fixed(alt)),
+                 note="the two printed forms of Z coincide"),
+    ]
     if include_negative:
         rels.append(
             Relation(
@@ -479,46 +474,32 @@ def _hsum(l: int):
     return op(f"Hsum[{l}]")
 
 
-def oscillator_quadratic_relations(spec: ModelSpec, l: int, perturb_8_to_7: bool = False):
-    """The three relations of the block quadratic algebra at level l."""
-    part = spec.partition
-    if spec.family != OSCILLATOR:
-        raise InapplicableRelationError("quadratic algebra catalog needs an oscillator model")
-    if not 2 <= l <= part.N:
-        raise InapplicableRelationError(f"level l={l} needs 2 <= l <= N={part.N}")
-    Dl = part.offsets[l]
-    Dlm1 = part.offsets[l - 1]
-    dl = part.block_sizes[l - 1]
-    cDl = Fraction(Dl - 2, 1) ** 2 / 4
-    Zl_shift = sub(op(f"Z[{l}]"), num(cDl))
-    Yl = comm(op(f"Z[{l}]"), op(f"H[{l}]"))
-    w2 = par(spec.omega2) if isinstance(spec.omega2, str) else num(spec.omega2)
-    eight = num(7 if perturb_8_to_7 else 8)
+def _block_rhs(Z, Hsum, Hl, Zprev, Tl, w2, Dlm1: int, dl: int, eight: int) -> tuple:
+    """Right-hand sides of [Z_l,Y_l] and [H_l,Y_l] as printed for the block
+    algebra at level l, over trees for the shifted Z_l - (D_l-2)^2/4, H_1+..+H_l,
+    H_l, Z_{l-1}, T_l and omega^2; ``eight`` is the leading coefficient of the
+    first display (7 for the negative control)."""
     rhs2 = add(
-        mul(eight, Zl_shift, _hsum(l)),
-        neg(mul(num(8), acomm(Zl_shift, op(f"H[{l}]")))),
+        mul(num(eight), Z, Hsum),
+        neg(mul(num(8), acomm(Z, Hl))),
         mul(
             num(8),
-            add(
-                neg(op(f"Z[{l - 1}]")),
-                op(f"T[{l}]"),
-                num(Fraction((Dlm1 - 2) ** 2, 4) - Fraction((dl - 2) ** 2, 4) + 1),
-            ),
-            _hsum(l),
+            add(neg(Zprev), Tl, num(Fraction((Dlm1 - 2) ** 2, 4) - Fraction((dl - 2) ** 2, 4) + 1)),
+            Hsum,
         ),
-        neg(mul(num(16), op(f"H[{l}]"))),
+        neg(mul(num(16), Hl)),
     )
     rhs3 = add(
-        neg(mul(num(8), _hsum(l), op(f"H[{l}]"))),
-        mul(num(8), op(f"H[{l}]"), op(f"H[{l}]")),
-        neg(mul(num(16), w2, Zl_shift)),
+        neg(mul(num(8), Hsum, Hl)),
+        mul(num(8), Hl, Hl),
+        neg(mul(num(16), w2, Z)),
         neg(
             mul(
                 num(8),
                 w2,
                 add(
-                    mul(num(-2), op(f"Z[{l - 1}]")),
-                    mul(num(-2), op(f"T[{l}]")),
+                    mul(num(-2), Zprev),
+                    mul(num(-2), Tl),
                     num(
                         Fraction((Dlm1 - 1) * (Dlm1 - 3), 2)
                         + Fraction((dl - 1) * (dl - 3), 2)
@@ -528,20 +509,43 @@ def oscillator_quadratic_relations(spec: ModelSpec, l: int, perturb_8_to_7: bool
             )
         ),
     )
+    return rhs2, rhs3
+
+
+def oscillator_quadratic_relations(spec: ModelSpec, l: int, perturb_8_to_7: bool = False):
+    """The three relations of the block quadratic algebra at level l."""
+    part = spec.partition
+    if spec.family != OSCILLATOR:
+        raise InapplicableRelationError("quadratic algebra catalog needs an oscillator model")
+    if not 2 <= l <= part.N:
+        raise InapplicableRelationError(f"level l={l} needs 2 <= l <= N={part.N}")
+    Zl, Hl = op(f"Z[{l}]"), op(f"H[{l}]")
+    Yl = comm(Zl, Hl)
+    w2 = par(spec.omega2) if isinstance(spec.omega2, str) else num(spec.omega2)
+    rhs2, rhs3 = _block_rhs(
+        sub(Zl, num(Fraction(part.offsets[l] - 2, 1) ** 2 / 4)),
+        _hsum(l),
+        Hl,
+        op(f"Z[{l - 1}]"),
+        op(f"T[{l}]"),
+        w2,
+        part.offsets[l - 1],
+        part.block_sizes[l - 1],
+        7 if perturb_8_to_7 else 8,
+    )
     suffix = "-negative" if perturb_8_to_7 else ""
     tag = f"osc-alg-l{l}"
     rels = [
-        Relation(f"{tag}-def{suffix}", sub(comm(op(f"Z[{l}]"), op(f"H[{l}]")), Yl),
-                 note="defining relation for Y_l"),
+        Relation(f"{tag}-def{suffix}", sub(comm(Zl, Hl), Yl), note="defining relation for Y_l"),
         Relation(
             f"{tag}-ZY{suffix}",
-            sub(comm(op(f"Z[{l}]"), Yl), rhs2),
+            sub(comm(Zl, Yl), rhs2),
             expectation="nonzero" if perturb_8_to_7 else "zero",
             note="coefficient 8 perturbed to 7" if perturb_8_to_7 else "",
         ),
     ]
     if not perturb_8_to_7:
-        rels.append(Relation(f"{tag}-HY", sub(comm(op(f"H[{l}]"), Yl), rhs3)))
+        rels.append(Relation(f"{tag}-HY", sub(comm(Hl, Yl), rhs3)))
     return rels
 
 
@@ -585,20 +589,18 @@ def oscillator_commutativity_relations(spec: ModelSpec):
     return rels
 
 
-def catalog_oscillator(spec: ModelSpec, include_commutativity: bool = True) -> RelationSet:
-    env = OperatorEnv.for_model(spec)
-    rels = []
-    for l in range(2, spec.partition.N + 1):
-        rels.extend(oscillator_quadratic_relations(spec, l))
-    if include_commutativity:
-        rels.extend(oscillator_commutativity_relations(spec))
-    return RelationSet("oscillator", over(env, rels))
+def _algebra_relations(spec: ModelSpec) -> list:
+    levels = range(2, spec.partition.N + 1)
+    return [r for l in levels for r in oscillator_quadratic_relations(spec, l)]
+
+
+def catalog_oscillator(spec: ModelSpec) -> RelationSet:
+    rels = _algebra_relations(spec) + oscillator_commutativity_relations(spec)
+    return RelationSet("oscillator", over(OperatorEnv.for_model(spec), rels))
 
 
 def catalog_oscillator_algebra(spec: ModelSpec) -> RelationSet:
-    rels = [
-        r for l in range(2, spec.partition.N + 1) for r in oscillator_quadratic_relations(spec, l)
-    ]
+    rels = _algebra_relations(spec)
     return RelationSet("oscillator-algebra", over(OperatorEnv.for_model(spec), rels))
 
 
@@ -610,121 +612,44 @@ def catalog_oscillator_commutativity(spec: ModelSpec) -> RelationSet:
 # -- catalog: gauge reduction ---------------------------------------------------------
 
 
-def gauge_env(spec: ModelSpec, l: int) -> OperatorEnv:
-    """Two-radius picture at level l with central elements as parameters zc, tc."""
-    part = spec.partition
-    Dlm1 = part.offsets[l - 1]
-    dl = part.block_sizes[l - 1]
-    ctx = Context(("rp", "rl"), ("zc", "tc", "w2"))
-    rp2 = ctx.x(0, 2)
-    rl2 = ctx.x(1, 2)
-    w2 = ctx.param("w2")
-    G1 = ctx.const_poly(Fraction((Dlm1 - 1) * (Dlm1 - 3), 4)).sub(ctx.param("zc"))
-    G2 = ctx.const_poly(Fraction((dl - 1) * (dl - 3), 4)).sub(ctx.param("tc"))
-    g1c = Coefficient.from_poly(ctx, G1).div_poly(rp2)
-    g2c = Coefficient.from_poly(ctx, G2).div_poly(rl2)
-    H2p = (
-        DiffOp.partial(ctx, 1, 2)
-        .neg()
-        .add(DiffOp.from_poly(ctx, w2.mul(rl2)))
-        .add(DiffOp.from_coefficient(ctx, g2c))
-    )
-    H1p = (
-        DiffOp.partial(ctx, 0, 2)
-        .neg()
-        .add(DiffOp.from_poly(ctx, w2.mul(rp2)))
-        .add(DiffOp.from_coefficient(ctx, g1c))
-    )
-    from .opalg import euler_operator, laplacian
-
-    r2 = rp2.add(rl2)
-    E = euler_operator(ctx, [0, 1])
-    ZA = DiffOp.from_poly(ctx, r2).mul(laplacian(ctx, [0, 1])).sub(E.mul(E))
-    ZA = ZA.sub(DiffOp.from_coefficient(ctx, g1c.add(g2c).mul_poly(r2)))
-    table = {
-        "H": H1p.add(H2p),
-        "H1": H1p,
-        "H2": H2p,
-        "Z": ZA,
-        "Y": ZA.commutator(H2p),
-    }
-    return OperatorEnv.from_table(ctx, table, label=f"gauge-l{l}")
-
-
 def catalog_gauge_identities(spec: ModelSpec, l: int) -> RelationSet:
-    """Seed relations under central-element substitution match the block
-    algebra coefficients identically (criterion: parameter-level identity)."""
+    """The seed algebra over the two radii of level l (of blocks 1..l-1 and
+    of block l), with the central elements Z_{l-1} and T_l as parameters zc,
+    tc, reproduces the printed block algebra coefficients identically."""
     part = spec.partition
     if spec.family != OSCILLATOR:
         raise InapplicableRelationError("gauge catalog needs an oscillator model")
     if not 2 <= l <= part.N:
         raise InapplicableRelationError(f"gauge level l={l} out of range")
-    env = gauge_env(spec, l)
-    Dl = part.offsets[l]
     Dlm1 = part.offsets[l - 1]
     dl = part.block_sizes[l - 1]
-    zc, tc, w2 = par("zc"), par("tc"), par("w2")
-    G1 = add(neg(zc), num(Fraction((Dlm1 - 1) * (Dlm1 - 3), 4)))
-    G2 = add(neg(tc), num(Fraction((dl - 1) * (dl - 3), 4)))
-    # seed relations with substituted central parameters
-    rhs2_prop = add(
-        mul(num(8), op("Z"), op("H")),
-        neg(mul(num(8), acomm(op("Z"), op("H2")))),
-        mul(num(8), add(G1, neg(G2), num(1)), op("H")),
-        neg(mul(num(16), op("H2"))),
-    )
-    rhs3_prop = add(
-        neg(mul(num(8), op("H"), op("H2"))),
-        mul(num(8), op("H2"), op("H2")),
-        neg(mul(num(16), w2, op("Z"))),
-        neg(mul(num(8), w2, add(mul(num(2), G1), mul(num(2), G2), num(-1)))),
-    )
-    # block-algebra coefficients written over the same reduced operators:
-    # Z_l' = Z + (D_l-2)^2/4, Z_{l-1} -> zc, T_l -> tc, Hsum -> H, H_l -> H2
-    rhs2_quad = add(
-        mul(num(8), op("Z"), op("H")),
-        neg(mul(num(8), acomm(op("Z"), op("H2")))),
-        mul(
-            num(8),
-            add(
-                neg(zc),
-                tc,
-                num(Fraction((Dlm1 - 2) ** 2, 4) - Fraction((dl - 2) ** 2, 4) + 1),
-            ),
-            op("H"),
-        ),
-        neg(mul(num(16), op("H2"))),
-    )
-    rhs3_quad = add(
-        neg(mul(num(8), op("H"), op("H2"))),
-        mul(num(8), op("H2"), op("H2")),
-        neg(mul(num(16), w2, op("Z"))),
-        neg(
-            mul(
-                num(8),
-                w2,
-                add(
-                    mul(num(-2), zc),
-                    mul(num(-2), tc),
-                    num(
-                        Fraction((Dlm1 - 1) * (Dlm1 - 3), 2)
-                        + Fraction((dl - 1) * (dl - 3), 2)
-                        - 1
-                    ),
-                ),
-            )
-        ),
-    )
+    g1 = Fraction((Dlm1 - 1) * (Dlm1 - 3), 4)
+    g2 = Fraction((dl - 1) * (dl - 3), 4)
+    ctx = Context(("rp", "rl"), ("zc", "tc", "w2"))
     tag = f"gauge-l{l}"
+    env = _seed_env(
+        ctx, ctx.const_poly(g1).sub(ctx.param("zc")), ctx.const_poly(g2).sub(ctx.param("tc")), tag
+    )
+    zc, tc, w2 = par("zc"), par("tc"), par("w2")
+    seed2, seed3 = _seed_rhs(add(neg(zc), num(g1)), add(neg(tc), num(g2)), w2)
+    # Z_l - (D_l-2)^2/4 -> Z, Hsum[l] -> H, H_l -> H2, Z_{l-1} -> zc, T_l -> tc
+    block2, block3 = _block_rhs(op("Z"), op("H"), op("H2"), zc, tc, w2, Dlm1, dl, 8)
     rels = (
-        Relation(f"{tag}-seed-2", sub(comm(op("Z"), op("Y")), rhs2_prop)),
-        Relation(f"{tag}-seed-3", sub(comm(op("H2"), op("Y")), rhs3_prop)),
-        Relation(f"{tag}-match-2", sub(rhs2_prop, rhs2_quad),
+        Relation(f"{tag}-seed-2", sub(comm(op("Z"), op("Y")), seed2)),
+        Relation(f"{tag}-seed-3", sub(comm(op("H2"), op("Y")), seed3)),
+        Relation(f"{tag}-match-2", sub(seed2, block2),
                  note="seed RHS equals block-algebra RHS term by term"),
-        Relation(f"{tag}-match-3", sub(rhs3_prop, rhs3_quad),
+        Relation(f"{tag}-match-3", sub(seed3, block3),
                  note="seed RHS equals block-algebra RHS term by term"),
     )
     return RelationSet(tag, over(env, rels))
+
+
+def catalog_gauge(spec: ModelSpec) -> RelationSet:
+    """The gauge identities of every level l = 2..N."""
+    levels = range(2, spec.partition.N + 1)
+    pairs = tuple(p for l in levels for p in catalog_gauge_identities(spec, l).pairs)
+    return RelationSet("gauge", pairs)
 
 
 # -- catalog: coulomb family ------------------------------------------------------------
@@ -796,8 +721,6 @@ def correction_closed_form(spec: ModelSpec, env: OperatorEnv, j: int, literal: b
     part = spec.partition
     D = part.D
     ctx = env.ctx
-    from .opalg import euler_operator, laplacian
-
     r2m = ctx.sum_of_squares(range(D)).sub(ctx.x(j - 1, 2))
     lap = laplacian(ctx, range(D)).sub(DiffOp.partial(ctx, j - 1, 2))
     E = euler_operator(ctx, range(D))
@@ -872,7 +795,7 @@ def catalog_coulomb_yx(spec: ModelSpec, env: OperatorEnv | None = None) -> Relat
         rels.append(
             Relation(
                 f"{grp}-printed",
-                _as_tree(sS.sub(printed)),
+                Fixed(sS.sub(printed)),
                 expectation="record",
                 group=grp,
                 note="display with a bare d_j in the dilation bracket",
@@ -881,20 +804,14 @@ def catalog_coulomb_yx(spec: ModelSpec, env: OperatorEnv | None = None) -> Relat
         rels.append(
             Relation(
                 f"{grp}-emended",
-                _as_tree(sS.sub(emended)),
+                Fixed(sS.sub(emended)),
                 note="reading with x_j d_j in the dilation bracket",
             )
         )
     return RelationSet("coulomb-yx", over(env, rels))
 
 
-def _as_tree(diffop: DiffOp) -> Fixed:
-    return Fixed(diffop)
-
-
 def _conjugated(spec: ModelSpec, env: OperatorEnv, name: str, j: int) -> Fixed:
-    from .integrals import conjugate_by_transposition
-
     raw = build_integral(name_from_string(name), spec, env.ctx)
     return Fixed(conjugate_by_transposition(raw, j, spec, env.ctx).symbolic(spec))
 
@@ -1140,8 +1057,6 @@ def coulomb_commutativity_relations(spec: ModelSpec):
             rels.append(Relation(f"coul-comm-[J[{k}],Y[{ll}]]", comm(op(f"J[{k}]"), op(f"Y[{ll}]"))))
     for i in zrange:
         rels.append(Relation(f"coul-comm-[Y[1],Z[{i}]]", comm(op("Y[1]"), op(f"Z[{i}]"))))
-    from .integrals import enumerate_integrals
-
     for name in enumerate_integrals(spec):
         rels.append(Relation(f"coul-comm-[Hcoul,{name}]", comm(op("Hcoul"), OpRef(name))))
     return rels
@@ -1152,44 +1067,43 @@ def catalog_coulomb_commutativity(spec: ModelSpec) -> RelationSet:
     return RelationSet("coulomb-commutativity", over(OperatorEnv.for_model(spec), rels))
 
 
+def _zy_relations(spec: ModelSpec) -> list:
+    return [r for p in range(2, spec.partition.N) for r in coulomb_zy_relations(spec, p)]
+
+
+def _sj_relations(spec: ModelSpec) -> list:
+    part = spec.partition
+    ps = range(part.offsets[part.N - 1] + 1, part.D)
+    return [r for p in ps for r in coulomb_sj_relations(spec, p)]
+
+
 def catalog_coulomb_zy(spec: ModelSpec) -> RelationSet:
     if spec.partition.N < 3:
         raise InapplicableRelationError("zy catalog needs N >= 3")
-    rels = []
-    for p in range(2, spec.partition.N):
-        rels.extend(coulomb_zy_relations(spec, p))
-    return RelationSet("coulomb-zy", over(OperatorEnv.for_model(spec), rels))
+    return RelationSet("coulomb-zy", over(OperatorEnv.for_model(spec), _zy_relations(spec)))
 
 
 def catalog_coulomb_sj(spec: ModelSpec) -> RelationSet:
     part = spec.partition
     if part.D - part.offsets[part.N - 1] < 2:
         raise InapplicableRelationError("sj catalog needs d_N >= 2")
-    rels = []
-    for p in range(part.offsets[part.N - 1] + 1, part.D):
-        rels.extend(coulomb_sj_relations(spec, p))
-    return RelationSet("coulomb-sj", over(OperatorEnv.for_model(spec), rels))
+    return RelationSet("coulomb-sj", over(OperatorEnv.for_model(spec), _sj_relations(spec)))
 
 
 def catalog_coulomb(spec: ModelSpec) -> RelationSet:
     """Umbrella: every applicable coulomb catalog, all in one environment."""
     env = OperatorEnv.for_model(spec)
-    rels = list(catalog_coulomb_yx(spec, env).relations)
-    rels.extend(coulomb_commutativity_relations(spec))
-    if spec.partition.N >= 3:
-        for p in range(2, spec.partition.N):
-            rels.extend(coulomb_zy_relations(spec, p))
-    part = spec.partition
-    if part.D - part.offsets[part.N - 1] >= 2:
-        for p in range(part.offsets[part.N - 1] + 1, part.D):
-            rels.extend(coulomb_sj_relations(spec, p))
+    rels = (
+        list(catalog_coulomb_yx(spec, env).relations)
+        + coulomb_commutativity_relations(spec)
+        + _zy_relations(spec)
+        + _sj_relations(spec)
+    )
     return RelationSet("coulomb", over(env, rels))
 
 
 def catalog_negative_controls(spec: ModelSpec | None = None) -> RelationSet:
     """Controls that must be flagged nonzero: perturbed seed and block algebra."""
-    from .models import oscillator_spec
-
     if spec is None:
         spec = oscillator_spec([2, 2])
     prop = catalog_proposition_A(include_negative=True)

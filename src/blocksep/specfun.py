@@ -350,7 +350,7 @@ def coulomb_gamma(es: EigenfunctionSpec, j: int) -> float:
 
 def oscillator_energy(es: EigenfunctionSpec) -> float:
     """Eigenvalue of the assembled oscillator eigenfunction."""
-    omega = _omega(es.model)
+    omega = omega_value(es.model)
     return sum(
         omega * (4 * k + 2 * oscillator_gamma(es, i) + 1) for i, k in enumerate(es.radial)
     )
@@ -373,9 +373,9 @@ def coulomb_energy_value(es: EigenfunctionSpec) -> float:
     return -(eta**2) / (4.0 * (N_r + kappa) ** 2)
 
 
-def _omega(model: ModelSpec) -> float:
+def omega_value(model: ModelSpec) -> float:
     if isinstance(model.omega2, str):
-        raise InadmissibleParametersError("eigenfunction work needs a numeric omega^2")
+        raise InadmissibleParametersError("numeric omega^2 required")
     w2 = float(model.omega2)
     if w2 <= 0:
         raise InadmissibleParametersError("omega^2 must be positive")
@@ -441,7 +441,7 @@ def assemble_eigenfunction(es: EigenfunctionSpec):
     model = es.model
     part = model.partition
     if model.family == OSCILLATOR:
-        omega = _omega(model)
+        omega = omega_value(model)
         gammas = [oscillator_gamma(es, i) for i in range(part.N)]
 
         def psi(coords):

@@ -27,7 +27,7 @@ from .models import (
     ModelSpec,
     Zero,
 )
-from .specfun import EigenfunctionSpec
+from .specfun import EigenfunctionSpec, omega_value
 
 SpectrumQuery = EigenfunctionSpec
 
@@ -246,15 +246,6 @@ def paper_oracle_ratio_is_half(q: SpectrumQuery) -> bool:
     """paper = oracle / 2, exactly, for every admissible query."""
     paper, oracle = _oscillator_energies(q)
     return paper.scale(2).sub(oracle).is_zero()
-
-
-def omega_value(model: ModelSpec) -> float:
-    if isinstance(model.omega2, str):
-        raise InadmissibleParametersError("numeric omega^2 required")
-    w2 = float(model.omega2)
-    if w2 <= 0:
-        raise InadmissibleParametersError("omega^2 must be positive")
-    return math.sqrt(w2)
 
 
 @dataclass

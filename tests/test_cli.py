@@ -320,3 +320,30 @@ def test_unnamed_relation_report_independent_of_hash_seed(tmp_path):
     assert docs[0] == docs[1]
     assert stdouts[0] == stdouts[1]
     assert all(item["name"].startswith("user-") for item in docs[0]["items"])
+
+
+def test_negative_controls_numeric_without_blocks_uses_the_default_model(runner, tmp_path):
+    out = tmp_path / "neg.json"
+    config = tmp_path / "few-samples.json"
+    config.write_text(json.dumps({"probes": 1, "points": 2}))  # the 2,2 model is slow to sample
+    res = runner.invoke(main, ["verify", "--catalog", "negative-controls", "--mode", "numeric",
+                               "--config", str(config), "--out", str(out)])
+    assert res.exit_code == 1, res.output  # the block-model control fires as designed
+    items = {i["name"]: i for i in json.loads(out.read_text())["items"]}
+    assert items["prop-A-3-negative"]["status"] == "inapplicable"
+    flagged = items["osc-alg-l2-ZY-negative[numeric]"]
+    assert flagged["status"] == "residual" and flagged["passed"] is True
+
+
+@pytest.mark.parametrize("catalog", cli.CATALOG_NAMES)
+def test_one_block_sweep(runner, tmp_path, catalog):
+    """On a single block every catalog either checks something and passes or
+    is a configuration error; none passes on nothing."""
+    out = tmp_path / "report.json"
+    blocks = [] if catalog == "proposition-A" else ["--blocks", "3"]
+    res = runner.invoke(main, ["verify", "--catalog", catalog, "--out", str(out)] + blocks)
+    assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
+    assert res.exit_code in ((1, 2) if catalog == "negative-controls" else (0, 2)), res.output
+    if res.exit_code == 0:
+        items = json.loads(out.read_text())["items"]
+        assert any(item["status"] != "inapplicable" for item in items)

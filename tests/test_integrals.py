@@ -14,8 +14,12 @@ from blocksep.integrals import (
     structural_constants,
 )
 from blocksep.models import (
+    Constant,
+    Hierarchy,
+    Zero,
     build_hamiltonian,
     coulomb_spec,
+    model2_potential,
     operator_context,
     oscillator_spec,
 )
@@ -165,3 +169,23 @@ def test_sigma_S_closed_form():
     g1 = Coefficient.from_poly(ctx, ctx.param("alpha1")).div_poly(ctx.sum_of_squares([0, 1]))
     expect = expect.sub(DiffOp.from_coefficient(ctx, g1.mul_poly(r2_minus)))
     assert got == expect
+
+
+def test_inner_G_on_a_three_block_sees_no_constant_potential():
+    """A constant potential sits on the outermost level of the block, outside
+    the sub-chain of G[1,2], so G[1,2] is the bare partial Casimir."""
+    spec = oscillator_spec([3])
+    ctx = operator_context(spec)
+    G = sym("G[1,2]", spec, ctx)
+    assert G == angular_momentum_squared_sum(ctx, [0, 1])
+    for other in ("H[1]", "T[1]"):
+        assert G.commutator(sym(other, spec, ctx)).is_zero(), other
+
+
+def test_inner_G_on_hierarchy_potentials():
+    inner = oscillator_spec([3], (model2_potential(3, 5, 1),), omega2=1)
+    raw = build_integral(name_from_string("G[1,2]"), inner, operator_context(inner))
+    assert len(raw.attachments) == 1  # the innermost level lies inside the sub-chain
+    outer = oscillator_spec([3], (Hierarchy((Zero(), Constant(Fraction(2)))),), omega2=1)
+    with pytest.raises(InvalidIntegralError, match="outside the sub-chain"):
+        build_integral(name_from_string("G[1,2]"), outer, operator_context(outer))

@@ -83,16 +83,6 @@ def test_fd_convergence_order():
         assert abs(measured - order) < 0.5, (order, measured)
 
 
-def test_richardson_improves():
-    f = lambda cs: np.sin(cs[0])
-    ctx = Context(("x1",))
-    d1 = DiffOp.partial(ctx, 0)
-    plain = apply_numeric(d1, f, (0.5,), FDScheme(order=4, h=0.1))
-    rich = apply_numeric(d1, f, (0.5,), FDScheme(order=4, h=0.1, richardson=True))
-    exact = math.cos(0.5)
-    assert abs(rich - exact) < abs(plain - exact)
-
-
 def test_probe_function_seeded():
     p1 = ProbeFunction.from_seed(3, 11, 0)
     p2 = ProbeFunction.from_seed(3, 11, 0)

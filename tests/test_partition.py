@@ -1,20 +1,9 @@
-"""Partition construction and coordinate chain round trips."""
-
-import math
-import random
+"""Partition construction."""
 
 import pytest
 
-from blocksep.errors import InvalidPartitionError, SingularPointError
-from blocksep.partition import (
-    from_block_spherical,
-    from_block_spherical_exact,
-    from_hyperspherical,
-    make_partition,
-    to_block_spherical,
-    to_block_spherical_exact,
-    to_hyperspherical,
-)
+from blocksep.errors import InvalidPartitionError
+from blocksep.partition import make_partition
 
 
 def test_make_partition_basic():
@@ -31,120 +20,3 @@ def test_make_partition_rejects_bad_blocks():
         make_partition([])
     with pytest.raises(InvalidPartitionError):
         make_partition([2, -1])
-
-
-def test_axis_points_single_block():
-    p = make_partition([2])
-    bp = to_block_spherical((0.0, 1.0), p)
-    assert bp.radii == (1.0,)
-    assert bp.angles[0][0] == pytest.approx(0.0)
-    assert from_block_spherical(bp, p) == pytest.approx((0.0, 1.0))
-
-
-def test_axis_points_two_blocks():
-    p = make_partition([2, 2])
-    bp = to_block_spherical((1.0, 0.0, 0.0, 1.0), p)
-    assert bp.radii == (1.0, 1.0)
-    assert bp.angles[0][0] == pytest.approx(math.pi / 2)
-    assert bp.angles[1][0] == pytest.approx(0.0)
-
-
-def test_from_block_spherical_trivials():
-    p = make_partition([2])
-    from blocksep.partition import BlockSphericalPoint
-
-    bp = BlockSphericalPoint((2.0,), ((math.pi / 2,),), (1,))
-    assert from_block_spherical(bp, p) == pytest.approx((2.0, 0.0))
-
-
-def test_block_round_trip_3d():
-    p = make_partition([3])
-    x = (1.0, 1.0, 1.0)
-    bp = to_block_spherical(x, p)
-    assert bp.radii[0] == pytest.approx(math.sqrt(3))
-    back = from_block_spherical(bp, p)
-    assert max(abs(a - b) for a, b in zip(back, x)) < 1e-12
-
-
-def test_round_trip_randomized():
-    rng = random.Random(42)
-    parts = [make_partition(s) for s in ([2, 2], [3, 1], [1, 2, 3], [4], [1, 1])]
-    for _ in range(200):
-        p = rng.choice(parts)
-        x = tuple(rng.uniform(-2, 2) for _ in range(p.D))
-        if any(
-            math.sqrt(sum(x[k] ** 2 for k in p.block_range(i))) < 1e-3
-            for i in range(p.N)
-        ):
-            continue
-        bp = to_block_spherical(x, p)
-        back = from_block_spherical(bp, p)
-        scale = max(1.0, max(abs(v) for v in x))
-        assert max(abs(a - b) for a, b in zip(back, x)) < 1e-12 * scale
-        # angle branches respected
-        for i in range(p.N):
-            ang = bp.angles[i]
-            if ang:
-                assert 0 <= ang[0] < 2 * math.pi
-                for a in ang[1:]:
-                    assert 0 <= a <= math.pi
-
-
-def test_norm_preservation():
-    rng = random.Random(7)
-    p = make_partition([2, 3])
-    for _ in range(50):
-        x = tuple(rng.uniform(0.1, 2) for _ in range(p.D))
-        bp = to_block_spherical(x, p)
-        hp = to_hyperspherical(bp.radii)
-        n_cart = math.sqrt(sum(v * v for v in x))
-        n_blocks = math.sqrt(sum(r * r for r in bp.radii))
-        assert abs(n_cart - n_blocks) < 1e-14 * n_cart
-        assert abs(hp.r - n_cart) < 1e-14 * n_cart
-
-
-def test_hyperspherical_examples():
-    hp = to_hyperspherical((1.0, 1.0))
-    assert hp.r == pytest.approx(math.sqrt(2))
-    assert hp.thetas[0] == pytest.approx(math.pi / 4)
-    # steep ratio still round-trips to relative 1e-10
-    hp2 = to_hyperspherical((1e-4, 5.0))
-    back = from_hyperspherical(hp2, 2)
-    assert abs(back[0] - 1e-4) / 1e-4 < 1e-10
-    assert abs(back[1] - 5.0) / 5.0 < 1e-10
-    hp3 = to_hyperspherical((1.0, 1.0, 1.0))
-    assert hp3.r == pytest.approx(math.sqrt(3))
-    back3 = from_hyperspherical(hp3, 3)
-    assert max(abs(b - 1.0) for b in back3) < 1e-12
-
-
-def test_hyperspherical_rejects_zero():
-    with pytest.raises(SingularPointError):
-        to_hyperspherical((0.0, 0.0))
-    with pytest.raises(SingularPointError):
-        to_hyperspherical((1.0, -1.0))
-
-
-def test_zero_block_radius_rejected():
-    p = make_partition([2, 1])
-    with pytest.raises(SingularPointError):
-        to_block_spherical((0.0, 0.0, 1.0), p)
-
-
-def test_angle_count_matches_dimension():
-    for sizes in ([2, 2], [1, 2, 3], [5], [1, 1, 1]):
-        p = make_partition(sizes)
-        x = tuple(0.5 + 0.1 * k for k in range(p.D))
-        bp = to_block_spherical(x, p)
-        assert sum(len(a) for a in bp.angles) == p.D - p.N
-
-
-def test_exact_axis_round_trip():
-    p = make_partition([3, 1])
-    pts = [(0, 2, 0, -1), (1, 0, 0, 3), (0, 0, -5, 1)]
-    for pt in pts:
-        radii, angles, signs = to_block_spherical_exact(pt, p)
-        back = from_block_spherical_exact(radii, angles, signs, p)
-        assert back == tuple(pt)
-    with pytest.raises(SingularPointError):
-        to_block_spherical_exact((1, 1, 0, 1), p)
