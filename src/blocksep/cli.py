@@ -349,8 +349,7 @@ def spectrum(family, blocks, kmax, lmax, nrmax, jmax, omega2, eta, out_path):
     """Tabulate closed-form energies against the eigenfunction oracle."""
     import itertools
 
-    from .specfun import EigenfunctionSpec
-    from .spectra import coulomb_spectrum_row, oscillator_spectrum_row
+    from .spectra import EigenfunctionSpec, coulomb_spectrum_row, oscillator_spectrum_row
 
     try:
         sizes = _parse_blocks(blocks)
@@ -432,7 +431,7 @@ def _spectrum_table(rows, family) -> str:
 @click.option("--omega2", type=str, default="1")
 @click.option("--eta", type=str, default="2")
 @click.option("--tol", type=float, default=1e-6)
-@click.option("--points", "points_per_check", type=int, default=10)
+@click.option("--points", "points_per_check", type=click.IntRange(min=1), default=10)
 @click.option("--seed", type=int, default=20240801)
 @click.option("--out", "out_path", type=str, default=None)
 def eigencheck(family, blocks, quantum, potentials, omega2, eta, tol,
@@ -442,12 +441,8 @@ def eigencheck(family, blocks, quantum, potentials, omega2, eta, tol,
 
     from .models import build_hamiltonian, operator_context
     from .numerics import apply_numeric, model_point_guards, sample_points
-    from .specfun import (
-        EigenfunctionSpec,
-        assemble_eigenfunction,
-        coulomb_energy_value,
-        oscillator_energy,
-    )
+    from .specfun import assemble_eigenfunction, coulomb_energy_value, oscillator_energy
+    from .spectra import EigenfunctionSpec
 
     try:
         sizes = _parse_blocks(blocks)
@@ -471,13 +466,14 @@ def eigencheck(family, blocks, quantum, potentials, omega2, eta, tol,
             radial=tuple(qn["radial"]),
             hyper_J=tuple(qn.get("hyper_J", ())),
         )
+        psi = assemble_eigenfunction(es)
+        expect = oscillator_energy(es) if family == OSCILLATOR else coulomb_energy_value(es)
     except (BlocksepError, ValueError, KeyError, json.JSONDecodeError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     config = {"command": "eigencheck", "family": family, "blocks": sizes,
               "quantum": qn, "tol": tol, "seed": seed}
     report = VerificationReport(config=config)
-    psi = assemble_eigenfunction(es)
     scheme = FDScheme(h=4e-3)
     extent = 5 * scheme.h
     rng = np.random.default_rng(seed)
@@ -492,9 +488,6 @@ def eigencheck(family, blocks, quantum, potentials, omega2, eta, tol,
         vals.append(hv / pv)
     arr = np.array(vals)
     spread = float(arr.std() / abs(arr.mean()))
-    expect = (
-        oscillator_energy(es) if family == OSCILLATOR else coulomb_energy_value(es)
-    )
     agree = abs(float(arr.mean()) - expect) / max(1.0, abs(expect))
     ok = spread <= tol and agree <= 10 * tol
     report.add(ReportItem(

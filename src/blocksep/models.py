@@ -113,6 +113,18 @@ def model2_potential(block_size: int, A, B) -> AngularPotential:
     return Hierarchy((Model2F11(A, B),) + tuple(Zero() for _ in range(block_size - 2)))
 
 
+def is_model2_tower(pot) -> bool:
+    """Whether pot has the shape model2_potential builds: Model2F11
+    innermost, Zero above.  The closed-form spectra and eigenfunctions of a
+    trigonometric block hold for this shape only."""
+    return (
+        isinstance(pot, Hierarchy)
+        and bool(pot.levels)
+        and isinstance(pot.levels[0], Model2F11)
+        and all(isinstance(l, Zero) for l in pot.levels[1:])
+    )
+
+
 def is_symbolic_potential(pot) -> bool:
     return isinstance(pot, (Zero, Constant))
 
@@ -426,9 +438,7 @@ def _pot_to_json(pot):
         v = pot.value
         return {"kind": "constant", "value": "symbolic" if isinstance(v, str) else str(v)}
     if isinstance(pot, Hierarchy):
-        if len(pot.levels) >= 1 and isinstance(pot.levels[0], Model2F11) and all(
-            isinstance(l, Zero) for l in pot.levels[1:]
-        ):
+        if is_model2_tower(pot):
             return {
                 "kind": "model2",
                 "A": str(pot.levels[0].A),

@@ -9,26 +9,29 @@ equation for the trigonometric potential, with the closed-form eigenvalue
 primitive with a positive leading entry.  Eigenfunctions are assembled as
 plain callables on Cartesian coordinates; all downstream checks are
 normalization independent (operator residuals and ratios).
+
+Every spectral number the assembly uses (gamma, kappa, the tower roots and
+the energies) is float() of an exact value from :mod:`spectra`, which also
+defines :class:`EigenfunctionSpec`; this module re-exports it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import InadmissibleParametersError
-from .models import (
-    COULOMB,
-    OSCILLATOR,
-    Constant,
-    Hierarchy,
-    Model2F11,
-    ModelSpec,
-    Zero,
+from .models import OSCILLATOR, Hierarchy, is_model2_tower
+from .spectra import (
+    EigenfunctionSpec,
+    _coulomb_energies,
+    block_gammas,
+    omega_value,
+    oscillator_energy_oracle,
+    trig_roots,
 )
 
 
@@ -238,154 +241,17 @@ def model2_angular_factor(A: Fraction, B: Fraction, J1: int):
     return h_of_s
 
 
-# -- eigenfunction specification -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EigenfunctionSpec:
-    """Quantum numbers for one closed-form eigenfunction.
-
-    angular[i] is an int (harmonic degree l_i) for zero/constant blocks and a
-    tuple of non-negative ints (J_1..J_{d_i-1}) for a trigonometric block.
-    radial holds the per-block oscillator numbers k_i, or (N_r,) for the
-    Coulomb family; hyper_J holds the Coulomb inter-block numbers.
-    """
-
-    model: ModelSpec
-    angular: tuple
-    radial: tuple
-    hyper_J: tuple = ()
-
-    def __post_init__(self):
-        part = self.model.partition
-        if len(self.angular) != part.N:
-            raise InadmissibleParametersError(f"need {part.N} angular entries")
-        fam = self.model.family
-        if fam == OSCILLATOR and len(self.radial) != part.N:
-            raise InadmissibleParametersError(f"need {part.N} radial numbers")
-        if fam == COULOMB:
-            if len(self.radial) != 1:
-                raise InadmissibleParametersError("coulomb radial numbers are (N_r,)")
-            if len(self.hyper_J) != part.N - 1:
-                raise InadmissibleParametersError(f"need {part.N - 1} inter-block numbers")
-        for v in self.radial + self.hyper_J:
-            if not isinstance(v, int) or v < 0:
-                raise InadmissibleParametersError("quantum numbers are non-negative integers")
-        for i, a in enumerate(self.angular):
-            d = part.block_sizes[i]
-            pot = self._potential(i)
-            if isinstance(pot, Hierarchy):
-                if not isinstance(a, tuple) or len(a) != d - 1:
-                    raise InadmissibleParametersError(
-                        f"block {i + 1} needs a tuple of {d - 1} angular numbers"
-                    )
-                if not all(isinstance(v, int) and v >= 0 for v in a):
-                    raise InadmissibleParametersError("angular numbers are non-negative ints")
-            else:
-                if not isinstance(a, int) or a < 0:
-                    raise InadmissibleParametersError("harmonic degree must be a non-negative int")
-                if d == 1 and a != 0:
-                    raise InadmissibleParametersError("size-1 blocks admit only l = 0")
-
-    def _potential(self, i: int):
-        if i < len(self.model.potentials):
-            return self.model.potentials[i]
-        return Zero()
-
-
-def _constant_value(pot) -> float:
-    if isinstance(pot, Zero):
-        return 0.0
-    if isinstance(pot, Constant):
-        if isinstance(pot.value, str):
-            raise InadmissibleParametersError(
-                f"eigenfunction assembly needs a numeric value for {pot.value!r}"
-            )
-        return float(pot.value)
-    raise InadmissibleParametersError(f"unsupported potential {pot!r}")
-
-
-def block_lambda(es: EigenfunctionSpec, i: int) -> float:
-    """Angular eigenvalue of block i: [-L^2 + f_i] on the block factor.
-
-    The Coulomb family adds its (d_i-1)(d_i-3)/4 curvature shift separately.
-    """
-    part = es.model.partition
-    d = part.block_sizes[i]
-    pot = es._potential(i)
-    a = es.angular[i]
-    if isinstance(pot, Hierarchy):
-        lvl = pot.levels[0]
-        if not isinstance(lvl, Model2F11):
-            raise InadmissibleParametersError(
-                "closed-form eigenfunctions need a trigonometric innermost level"
-            )
-        A = float(lvl.A)
-        J1 = a[0]
-        total_J = sum(a)
-        return (2 * total_J + (d - 2) / 2.0 + A + J1) ** 2 - (d - 2) ** 2 / 4.0
-    return a * (a + d - 2) + _constant_value(pot)
-
-
-def _coulomb_lambda(es: EigenfunctionSpec, i: int) -> float:
-    part = es.model.partition
-    d = part.block_sizes[i]
-    return block_lambda(es, i) + (d - 1) * (d - 3) / 4.0
-
-
-def oscillator_gamma(es: EigenfunctionSpec, i: int) -> float:
-    d = es.model.partition.block_sizes[i]
-    disc = 1 + 4 * block_lambda(es, i) + (d - 1) * (d - 3)
-    if disc < 0:
-        raise InadmissibleParametersError(f"negative discriminant in block {i + 1}")
-    return 0.5 * (1 + math.sqrt(disc))
-
-
-def coulomb_gamma(es: EigenfunctionSpec, j: int) -> float:
-    disc = 1 + 4 * _coulomb_lambda(es, j)
-    if disc < 0:
-        raise InadmissibleParametersError(f"negative discriminant in block {j + 1}")
-    return math.sqrt(disc) / 2.0
+# -- energies ---------------------------------------------------------------------------
 
 
 def oscillator_energy(es: EigenfunctionSpec) -> float:
     """Eigenvalue of the assembled oscillator eigenfunction."""
-    omega = omega_value(es.model)
-    return sum(
-        omega * (4 * k + 2 * oscillator_gamma(es, i) + 1) for i, k in enumerate(es.radial)
-    )
-
-
-def coulomb_kappa(es: EigenfunctionSpec) -> float:
-    N = es.model.partition.N
-    return (
-        2 * sum(es.hyper_J)
-        + N
-        - 0.5
-        + sum(coulomb_gamma(es, j) for j in range(N))
-    )
+    return float(oscillator_energy_oracle(es)) * omega_value(es.model)
 
 
 def coulomb_energy_value(es: EigenfunctionSpec) -> float:
-    eta = _eta(es.model)
-    kappa = coulomb_kappa(es)
-    N_r = es.radial[0]
-    return -(eta**2) / (4.0 * (N_r + kappa) ** 2)
-
-
-def omega_value(model: ModelSpec) -> float:
-    if isinstance(model.omega2, str):
-        raise InadmissibleParametersError("numeric omega^2 required")
-    w2 = float(model.omega2)
-    if w2 <= 0:
-        raise InadmissibleParametersError("omega^2 must be positive")
-    return math.sqrt(w2)
-
-
-def _eta(model: ModelSpec) -> float:
-    if isinstance(model.eta, str):
-        raise InadmissibleParametersError("eigenfunction work needs a numeric eta")
-    return float(model.eta)
+    """Eigenvalue of the assembled Coulomb eigenfunction."""
+    return _coulomb_energies(es)[1]
 
 
 # -- assembly ---------------------------------------------------------------------------
@@ -414,21 +280,18 @@ def _zonal_harmonic(d: int, l: int, ys):
     return jacobi(l, a, a, c)
 
 
-def _model2_block_factor(es: EigenfunctionSpec, i: int, ys):
-    """Angular factor for a trigonometric block: h(phi_1) times the tower."""
-    pot = es._potential(i)
-    lvl = pot.levels[0]
-    Js = es.angular[i]
-    A = Fraction(lvl.A)
+def _model2_block_factor(lvl, Js, ys):
+    """Angular factor for a trigonometric block: h(phi_1) times the tower,
+    whose angle phi_a has Jacobi parameter r_{a-1} (spectra.trig_roots)."""
     d = len(ys)
     s = _block_subnorms(ys)
     h = model2_angular_factor(lvl.A, lvl.B, Js[0])
     sin_phi1 = ys[0] / s[1 if d > 1 else 0]
     s3 = 3 * sin_phi1 - 4 * sin_phi1**3
     out = h(s3)
-    AJ = float(A) + Js[0]
+    roots = [float(r) for r in trig_roots(lvl.A, Js)]
     for a in range(2, d):  # angles phi_2..phi_{d-1}
-        c_prev = sum(Js[:a - 1]) + (a - 2) / 2.0 + AJ
+        c_prev = roots[a - 2]
         sin_pa = s[a - 1] / s[a]
         cos_pa = ys[a] / s[a]
         out = out * sin_pa ** (c_prev + 0.5 - (a - 1) / 2.0)
@@ -436,13 +299,24 @@ def _model2_block_factor(es: EigenfunctionSpec, i: int, ys):
     return out
 
 
+def _block_angular_factor(es: EigenfunctionSpec, i: int, ys):
+    pot = es._potential(i)
+    if isinstance(pot, Hierarchy):
+        return _model2_block_factor(pot.levels[0], es.angular[i], ys)
+    return _zonal_harmonic(len(ys), es.angular[i], ys)
+
+
 def assemble_eigenfunction(es: EigenfunctionSpec):
     """Callable scalar field Psi(x) for the closed-form eigenfunction."""
     model = es.model
     part = model.partition
+    if any(isinstance(p, Hierarchy) and not is_model2_tower(p) for p in model.potentials):
+        raise InadmissibleParametersError(
+            "closed-form eigenfunctions need a trigonometric innermost level and Zero above"
+        )
+    gammas = [float(g) for g in block_gammas(es)]
     if model.family == OSCILLATOR:
         omega = omega_value(model)
-        gammas = [oscillator_gamma(es, i) for i in range(part.N)]
 
         def psi(coords):
             coords = [np.asarray(c, dtype=float) for c in coords]
@@ -456,22 +330,13 @@ def assemble_eigenfunction(es: EigenfunctionSpec):
                 k = es.radial[i]
                 out = out * r ** (g - (d - 1) / 2.0) * np.exp(-omega * r2 / 2.0)
                 out = out * laguerre(k, g - 0.5, omega * r2)
-                pot = es._potential(i)
-                if isinstance(pot, Hierarchy):
-                    out = out * _model2_block_factor(es, i, ys)
-                else:
-                    out = out * _zonal_harmonic(d, es.angular[i], ys)
+                out = out * _block_angular_factor(es, i, ys)
             return out
 
         return psi
 
     # coulomb family
-    eta = _eta(model)
-    gammas = [coulomb_gamma(es, j) for j in range(part.N)]
-    kappa = coulomb_kappa(es)
-    E = coulomb_energy_value(es)
-    if E >= 0:
-        raise InadmissibleParametersError("bound states need E < 0")
+    _, E, _, kappa = _coulomb_energies(es)
     sqrtE = math.sqrt(-E)
     N = part.N
     N_r = es.radial[0]
@@ -489,11 +354,7 @@ def assemble_eigenfunction(es: EigenfunctionSpec):
             r = np.sqrt(sum(y * y for y in ys))
             radii.append(r)
             out = out * r ** (-(d - 1) / 2.0)
-            pot = es._potential(i)
-            if isinstance(pot, Hierarchy):
-                out = out * _model2_block_factor(es, i, ys)
-            else:
-                out = out * _zonal_harmonic(d, es.angular[i], ys)
+            out = out * _block_angular_factor(es, i, ys)
         t = _block_subnorms(radii)
         r_full = t[-1]
         out = out * r_full ** (-(N - 1) / 2.0)

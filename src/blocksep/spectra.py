@@ -1,4 +1,11 @@
-"""Closed-form spectra, their exact radical identities, and oracles.
+"""Eigenfunction quantum numbers and the exact spectral chain.
+
+The paper's spectra come from one separation-of-variables chain: quantum
+numbers give each block's angular eigenvalue lambda, lambda gives gamma, the
+gammas give kappa (Coulomb), and those give the energy.  This module writes
+that chain once, exactly: :func:`lambda_chain`, :func:`trig_roots`,
+:func:`block_gammas` and the energy functions below; the eigenfunction
+assembly in :mod:`specfun` takes every number it needs from here.
 
 Energies are reported in two forms: the printed closed formula and the
 oracle value carried by the assembled eigenfunctions (equivalently the
@@ -14,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -26,10 +34,69 @@ from .models import (
     Model2F11,
     ModelSpec,
     Zero,
+    is_model2_tower,
 )
-from .specfun import EigenfunctionSpec, omega_value
 
-SpectrumQuery = EigenfunctionSpec
+
+@dataclass(frozen=True)
+class EigenfunctionSpec:
+    """Quantum numbers for one closed-form eigenfunction.
+
+    angular[i] is an int (harmonic degree l_i) for zero/constant blocks and a
+    tuple of non-negative ints (J_1..J_{d_i-1}) for a trigonometric block.
+    radial holds the per-block oscillator numbers k_i, or (N_r,) for the
+    Coulomb family; hyper_J holds the Coulomb inter-block numbers.
+    """
+
+    model: ModelSpec
+    angular: tuple
+    radial: tuple
+    hyper_J: tuple = ()
+
+    def __post_init__(self):
+        part = self.model.partition
+        if len(self.angular) != part.N:
+            raise InadmissibleParametersError(f"need {part.N} angular entries")
+        fam = self.model.family
+        if fam == OSCILLATOR and len(self.radial) != part.N:
+            raise InadmissibleParametersError(f"need {part.N} radial numbers")
+        if fam == COULOMB:
+            if len(self.radial) != 1:
+                raise InadmissibleParametersError("coulomb radial numbers are (N_r,)")
+            if len(self.hyper_J) != part.N - 1:
+                raise InadmissibleParametersError(f"need {part.N - 1} inter-block numbers")
+        for v in self.radial + self.hyper_J:
+            if not isinstance(v, int) or v < 0:
+                raise InadmissibleParametersError("quantum numbers are non-negative integers")
+        for i, a in enumerate(self.angular):
+            d = part.block_sizes[i]
+            pot = self._potential(i)
+            if isinstance(pot, Hierarchy):
+                if not isinstance(a, tuple) or len(a) != d - 1:
+                    raise InadmissibleParametersError(
+                        f"block {i + 1} needs a tuple of {d - 1} angular numbers"
+                    )
+                if not all(isinstance(v, int) and v >= 0 for v in a):
+                    raise InadmissibleParametersError("angular numbers are non-negative ints")
+            else:
+                if not isinstance(a, int) or a < 0:
+                    raise InadmissibleParametersError("harmonic degree must be a non-negative int")
+                if d == 1 and a != 0:
+                    raise InadmissibleParametersError("size-1 blocks admit only l = 0")
+
+    def _potential(self, i: int):
+        if i < len(self.model.potentials):
+            return self.model.potentials[i]
+        return Zero()
+
+
+def omega_value(model: ModelSpec) -> float:
+    if isinstance(model.omega2, str):
+        raise InadmissibleParametersError("numeric omega^2 required")
+    w2 = float(model.omega2)
+    if w2 <= 0:
+        raise InadmissibleParametersError("omega^2 must be positive")
+    return math.sqrt(w2)
 
 
 def _square_free(n: int):
@@ -163,13 +230,18 @@ def lambda_chain(pot, d: int, angular):
         raise InadmissibleParametersError(f"unsupported potential {pot!r}")
     if not isinstance(angular, tuple) or len(angular) != d - 1:
         raise InadmissibleParametersError(f"need {d - 1} per-level numbers")
-    lvl0 = pot.levels[0]
-    if isinstance(lvl0, Model2F11) and all(isinstance(l, Zero) for l in pot.levels[1:]):
-        A = Fraction(lvl0.A)
-        J1 = angular[0]
-        tot = sum(angular)
-        return (2 * tot + Fraction(d - 2, 2) + A + J1) ** 2 - Fraction((d - 2) ** 2, 4)
+    if is_model2_tower(pot):
+        return trig_roots(pot.levels[0].A, angular)[-1] ** 2 - Fraction((d - 2) ** 2, 4)
     return _lambda_chain_numeric(pot, d, angular)
+
+
+def trig_roots(A, Js) -> list:
+    """Exact roots r_j = 2 (J_1 + .. + J_j) + (j - 1)/2 + A + J_1, j = 1..d-1,
+    of the trigonometric tower on a block of size d = len(Js) + 1: level j
+    has eigenvalue r_j^2 - (j - 1)^2/4, and r_{j-1} is the Jacobi parameter
+    of the angle above it."""
+    base = Fraction(A) + Js[0]
+    return [2 * total + Fraction(j, 2) + base for j, total in enumerate(accumulate(Js))]
 
 
 def _lambda_chain_numeric(pot: Hierarchy, d: int, angular) -> float:
@@ -202,7 +274,7 @@ def _lambda_chain_numeric(pot: Hierarchy, d: int, angular) -> float:
     return alpha
 
 
-def _half_root(q: SpectrumQuery, i: int) -> SqrtSum:
+def _half_root(q: EigenfunctionSpec, i: int) -> SqrtSum:
     """sqrt(1 + 4 lambda + (d-1)(d-3)) / 2 for block i, exactly: gamma for
     the Coulomb family, gamma - 1/2 for the oscillator."""
     d = q.model.partition.block_sizes[i]
@@ -215,34 +287,42 @@ def _half_root(q: SpectrumQuery, i: int) -> SqrtSum:
     return SqrtSum.sqrt_of(disc).scale(Fraction(1, 2))
 
 
+def block_gammas(q: EigenfunctionSpec) -> list:
+    """gamma of every block, exactly: 1/2 plus the half root for the
+    oscillator, the half root alone for the Coulomb family."""
+    roots = [_half_root(q, i) for i in range(q.model.partition.N)]
+    if q.model.family == OSCILLATOR:
+        return [SqrtSum.rational(Fraction(1, 2)).add(r) for r in roots]
+    return roots
+
+
 # -- oscillator spectra ------------------------------------------------------------
 
 
-def _oscillator_energies(q: SpectrumQuery) -> tuple:
+def _oscillator_energies(q: EigenfunctionSpec) -> tuple:
     """(paper, oracle) in units of omega, from one gamma per block."""
     if q.model.family != OSCILLATOR:
         raise InvalidPartitionError("oscillator formula needs an oscillator model")
     part = q.model.partition
     paper = SqrtSum.rational(2 * sum(q.radial) + Fraction(part.N, 2))
     oracle = SqrtSum.rational(sum(4 * k + 1 for k in q.radial))
-    for i in range(part.N):
-        gamma = SqrtSum.rational(Fraction(1, 2)).add(_half_root(q, i))
+    for gamma in block_gammas(q):
         paper = paper.add(gamma)
         oracle = oracle.add(gamma.scale(2))
     return paper, oracle
 
 
-def oscillator_energy_paper(q: SpectrumQuery) -> SqrtSum:
+def oscillator_energy_paper(q: EigenfunctionSpec) -> SqrtSum:
     """Printed closed formula, in units of omega: 2 sum k + sum gamma + N/2."""
     return _oscillator_energies(q)[0]
 
 
-def oscillator_energy_oracle(q: SpectrumQuery) -> SqrtSum:
+def oscillator_energy_oracle(q: EigenfunctionSpec) -> SqrtSum:
     """Eigenfunction/eigensolver value, in units of omega: sum (4k + 2 gamma + 1)."""
     return _oscillator_energies(q)[1]
 
 
-def paper_oracle_ratio_is_half(q: SpectrumQuery) -> bool:
+def paper_oracle_ratio_is_half(q: EigenfunctionSpec) -> bool:
     """paper = oracle / 2, exactly, for every admissible query."""
     paper, oracle = _oscillator_energies(q)
     return paper.scale(2).sub(oracle).is_zero()
@@ -266,7 +346,7 @@ class SpectrumResult:
         }
 
 
-def oscillator_spectrum_row(q: SpectrumQuery) -> SpectrumResult:
+def oscillator_spectrum_row(q: EigenfunctionSpec) -> SpectrumResult:
     omega = omega_value(q.model)
     paper, oracle = _oscillator_energies(q)
     return SpectrumResult(
@@ -281,26 +361,25 @@ def oscillator_spectrum_row(q: SpectrumQuery) -> SpectrumResult:
 # -- coulomb spectra ------------------------------------------------------------------
 
 
-def _coulomb_exact(q: SpectrumQuery) -> tuple:
+def _coulomb_exact(q: EigenfunctionSpec) -> tuple:
     """(kappa, printed denominator, whether 2 (N_r + kappa) equals it), exactly,
     from one gamma per block: kappa = 2 sum J + N - 1/2 + sum gamma and the
     denominator is 2 N_r + 4 sum J + 2N - 1 + 2 sum gamma."""
     part = q.model.partition
     kappa = SqrtSum.rational(2 * sum(q.hyper_J) + part.N - Fraction(1, 2))
     den = SqrtSum.rational(2 * q.radial[0] + 4 * sum(q.hyper_J) + 2 * part.N - 1)
-    for j in range(part.N):
-        gamma = _half_root(q, j)
+    for gamma in block_gammas(q):
         kappa, den = kappa.add(gamma), den.add(gamma.scale(2))
     return kappa, den, kappa.add(SqrtSum.rational(q.radial[0])).scale(2).sub(den).is_zero()
 
 
-def coulomb_denominator_identity(q: SpectrumQuery) -> bool:
+def coulomb_denominator_identity(q: EigenfunctionSpec) -> bool:
     """2 (N_r + kappa) equals the printed denominator, exactly."""
     return _coulomb_exact(q)[2]
 
 
-def _coulomb_energies(q: SpectrumQuery) -> tuple:
-    """(printed energy, oracle energy, denominator identity holds)."""
+def _coulomb_energies(q: EigenfunctionSpec) -> tuple:
+    """(printed energy, oracle energy, denominator identity holds, kappa)."""
     if q.model.family != COULOMB:
         raise InvalidPartitionError("coulomb formula needs a coulomb model")
     if isinstance(q.model.eta, str):
@@ -312,15 +391,16 @@ def _coulomb_energies(q: SpectrumQuery) -> tuple:
     if den == 0:
         raise InadmissibleParametersError("zero spectral denominator")
     eta2 = float(q.model.eta) ** 2
-    return -eta2 / den**2, -eta2 / (4.0 * (q.radial[0] + float(kappa)) ** 2), identity
+    kappa = float(kappa)
+    return -eta2 / den**2, -eta2 / (4.0 * (q.radial[0] + kappa) ** 2), identity, kappa
 
 
-def coulomb_energy(q: SpectrumQuery) -> float:
+def coulomb_energy(q: EigenfunctionSpec) -> float:
     return _coulomb_energies(q)[0]
 
 
-def coulomb_spectrum_row(q: SpectrumQuery) -> SpectrumResult:
-    value, oracle, identity = _coulomb_energies(q)
+def coulomb_spectrum_row(q: EigenfunctionSpec) -> SpectrumResult:
+    value, oracle, identity, _ = _coulomb_energies(q)
     return SpectrumResult(
         labels={
             "N_r": q.radial[0],

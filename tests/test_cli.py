@@ -245,13 +245,47 @@ def test_eigencheck_command(runner):
     assert "spread" in res.output
 
 
-def test_eigencheck_bad_quantum_exit_two(runner):
-    res = runner.invoke(
-        main,
-        ["eigencheck", "--family", "oscillator", "--blocks", "2,2",
-         "--quantum", '{"angular": [1]}'],
-    )
-    assert res.exit_code == 2
+_OSC_GROUND = '{"angular": [0, 0], "radial": [0, 0]}'
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["--family", "oscillator", "--blocks", "2,2", "--quantum", '{"angular": [1]}'],
+                 id="missing-radial"),
+    pytest.param(["--family", "oscillator", "--blocks", "3",
+                  "--quantum", '{"angular": [[0, 0]], "radial": [0]}', "--potentials",
+                  '[{"kind": "hierarchy", "levels": [{"kind": "zero"},'
+                  ' {"kind": "constant", "value": "2"}]}]'],
+                 id="zero-innermost-hierarchy"),
+    pytest.param(["--family", "oscillator", "--blocks", "3",
+                  "--quantum", '{"angular": [[1, 0]], "radial": [0]}', "--potentials",
+                  '[{"kind": "hierarchy", "levels": [{"kind": "model2", "A": "4", "B": "1"},'
+                  ' {"kind": "constant", "value": "5"}]}]'],
+                 id="model2-under-a-constant"),
+    pytest.param(["--family", "oscillator", "--blocks", "2,2", "--quantum", _OSC_GROUND,
+                  "--omega2", "-1"], id="negative-omega2"),
+    pytest.param(["--family", "coulomb", "--blocks", "2,2",
+                  "--quantum", '{"angular": [0, 0], "radial": [0], "hyper_J": [0]}',
+                  "--eta", "0"], id="zero-eta"),
+    pytest.param(["--family", "oscillator", "--blocks", "2,2", "--quantum", _OSC_GROUND,
+                  "--potentials", '[{"kind": "constant", "value": "-10"}, {"kind": "zero"}]'],
+                 id="negative-discriminant"),
+    pytest.param(["--family", "oscillator", "--blocks", "2,2", "--quantum", _OSC_GROUND,
+                  "--potentials", '[{"kind": "constant"}, {"kind": "zero"}]'],
+                 id="symbolic-constant"),
+])
+def test_eigencheck_bad_quantum_exit_two(runner, args):
+    res = runner.invoke(main, ["eigencheck"] + args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), repr(res.exception)
+    assert "config error:" in res.output
+
+
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_eigencheck_points_must_be_positive(runner, points):
+    res = runner.invoke(main, ["eigencheck", "--family", "oscillator", "--blocks", "2,2",
+                               "--quantum", _OSC_GROUND, "--points", points])
+    assert res.exit_code == 2, res.output
+    assert "--points" in res.output
 
 
 def test_build_catalog_gauge_all_levels():

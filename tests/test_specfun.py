@@ -10,6 +10,8 @@ from scipy.special import eval_genlaguerre, eval_jacobi, roots_genlaguerre, root
 from blocksep.errors import InadmissibleParametersError
 from blocksep.models import (
     Constant,
+    Hierarchy,
+    Model2F11,
     Zero,
     coulomb_spec,
     model2_potential,
@@ -22,14 +24,19 @@ from blocksep.specfun import (
     EigenfunctionSpec,
     assemble_eigenfunction,
     coulomb_energy_value,
-    coulomb_gamma,
     jacobi,
     laguerre,
     model2_angular_factor,
     oscillator_energy,
-    oscillator_gamma,
     x1_jacobi,
     x1_jacobi_coefficients,
+)
+from blocksep.spectra import (
+    SqrtSum,
+    block_gammas,
+    coulomb_spectrum_row,
+    lambda_chain,
+    oscillator_spectrum_row,
 )
 
 
@@ -166,19 +173,33 @@ def test_model1_oscillator_2_2_residual():
     assert mean == pytest.approx(oscillator_energy(es), rel=1e-8)
 
 
-def test_model2_oscillator_2_1_residual():
-    spec = oscillator_spec([2, 1], (model2_potential(2, 4, 1), Zero()), omega2=1)
-    es = EigenfunctionSpec(spec, angular=((1,), 0), radial=(0, 0))
-    mean, spread = _h_over_psi_stats(spec, es, numeric=True)
+@pytest.mark.parametrize("es, energy, rel", [
+    # gamma_1 = 15/2, gamma_2 = 1
+    pytest.param(EigenfunctionSpec(oscillator_spec([2, 1], (model2_potential(2, 4, 1), Zero()),
+                                                   omega2=1), angular=((1,), 0), radial=(0, 0)),
+                 19.0, 1e-8, id="osc-2,1"),
+    # the tower angle phi_2 has Jacobi parameter r_1 = A + 3 J_1: gamma = 8, then 13
+    pytest.param(EigenfunctionSpec(oscillator_spec([3], (model2_potential(3, 4, 1),), omega2=1),
+                                   angular=((1, 0),), radial=(1,)),
+                 21.0, 1e-8, id="osc-3-J10"),
+    pytest.param(EigenfunctionSpec(oscillator_spec([3], (model2_potential(3, 4, 1),), omega2=1),
+                                   angular=((2, 1),), radial=(1,)),
+                 31.0, 1e-8, id="osc-3-J21"),
+    # kappa = 13: E = -eta^2 / (4 (N_r + kappa)^2)
+    pytest.param(EigenfunctionSpec(coulomb_spec([3, 2], (model2_potential(3, 4, 1),), eta=2),
+                                   angular=((1, 1), 0), radial=(1,), hyper_J=(1,)),
+                 -1.0 / 196.0, 1e-7, id="coul-3,2"),
+])
+def test_model2_oscillator_2_1_residual(es, energy, rel):
+    mean, spread = _h_over_psi_stats(es.model, es, numeric=True)
     assert spread < 1e-6
-    assert mean == pytest.approx(19.0, rel=1e-8)  # gamma_1 = 15/2, gamma_2 = 1
+    assert mean == pytest.approx(energy, rel=rel)
 
 
 def test_coulomb_2_2_residual_and_energy():
     spec = coulomb_spec([2, 2], (Constant(Fraction(1)),), eta=2)
     es = EigenfunctionSpec(spec, angular=(0, 0), radial=(0,), hyper_J=(0,))
-    assert coulomb_gamma(es, 0) == pytest.approx(1.0)
-    assert coulomb_gamma(es, 1) == pytest.approx(0.0)
+    assert block_gammas(es) == [SqrtSum.rational(1), SqrtSum()]
     assert coulomb_energy_value(es) == pytest.approx(-4.0 / 25.0)
     mean, spread = _h_over_psi_stats(spec, es)
     assert spread < 1e-6
@@ -198,8 +219,7 @@ def test_coulomb_theta_equation_eigenvalues():
     eigenvalues kappa_i^2 - (i-1)^2/4."""
     spec = coulomb_spec([2, 2], (Constant(Fraction(1)),), eta=2)
     es = EigenfunctionSpec(spec, angular=(0, 0), radial=(0,), hyper_J=(1,))
-    g1 = coulomb_gamma(es, 0)
-    g2 = coulomb_gamma(es, 1)
+    g1, g2 = (float(g) for g in block_gammas(es))
     J1 = es.hyper_J[0]
     kappa0 = g1
     kappa1 = 2 * J1 + 1 + g1 + g2
@@ -233,7 +253,7 @@ def test_admissibility_errors():
     bad = oscillator_spec([2, 1], (Constant(Fraction(-10)), Zero()), omega2=1)
     es = EigenfunctionSpec(bad, angular=(0, 0), radial=(0, 0))
     with pytest.raises(InadmissibleParametersError):
-        oscillator_gamma(es, 0)  # discriminant 1 + 4(-10) - 1 < 0
+        block_gammas(es)  # discriminant 1 + 4(-10) - 1 < 0
 
 
 def test_symbolic_parameters_rejected_for_eigenfunctions():
@@ -241,3 +261,36 @@ def test_symbolic_parameters_rejected_for_eigenfunctions():
     es = EigenfunctionSpec(spec, angular=(0, 0), radial=(0, 0))
     with pytest.raises(InadmissibleParametersError):
         oscillator_energy(es)
+
+
+def test_closed_form_needs_a_model2_tower():
+    """Constants above a trigonometric innermost level have no closed form:
+    assembly refuses, while the lambda chain still solves them numerically."""
+    pot = Hierarchy((Model2F11(4, 1), Constant(Fraction(5))))
+    spec = oscillator_spec([3], (pot,), omega2=1)
+    es = EigenfunctionSpec(spec, angular=((1, 0),), radial=(0,))
+    with pytest.raises(InadmissibleParametersError):
+        assemble_eigenfunction(es)
+    assert lambda_chain(pot, 3, (1, 0)) == pytest.approx(61.0, rel=1e-6)
+
+
+_OSC_CONSTANTS = oscillator_spec([2, 2], (Constant(Fraction(1)), Constant(Fraction(2))), omega2=1)
+_OSC_TOWER = oscillator_spec([3], (model2_potential(3, 4, 1),), omega2=1)
+_COUL_CONSTANT = coulomb_spec([2, 2], (Constant(Fraction(1)),), eta=2)
+
+
+@pytest.mark.parametrize("es", [
+    *(EigenfunctionSpec(_OSC_CONSTANTS, angular=(l1, l2), radial=(k1, 0))
+      for l1 in (0, 1) for l2 in (0, 2) for k1 in (0, 1)),
+    *(EigenfunctionSpec(_OSC_TOWER, angular=(Js,), radial=(k,))
+      for Js in ((0, 0), (1, 0), (2, 1)) for k in (0, 1)),
+    *(EigenfunctionSpec(_COUL_CONSTANT, angular=(l1, 0), radial=(nr,), hyper_J=(j,))
+      for l1 in (0, 1) for nr in (0, 1) for j in (0, 1)),
+], ids=lambda es: f"{es.model.family}-{es.model.partition.block_sizes}-"
+                  f"{es.angular}-{es.radial}-{es.hyper_J}")
+def test_eigenfunction_energy_is_the_spectrum_oracle_value(es):
+    """The eigenfunctions' energy and the spectrum row come from one exact chain."""
+    if es.model.family == "oscillator":
+        assert oscillator_energy(es) == oscillator_spectrum_row(es).oracle_value
+    else:
+        assert coulomb_energy_value(es) == coulomb_spectrum_row(es).oracle_value
