@@ -8,6 +8,7 @@ failure path), 2 on usage or configuration errors.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -15,7 +16,8 @@ from fractions import Fraction
 
 import click
 
-from .errors import BlocksepError, ConfigError, InapplicableRelationError
+from .errors import (BlocksepError, ConfigError, InapplicableRelationError,
+                     InvalidPartitionError, RelationSyntaxError)
 from .models import (
     COULOMB,
     OSCILLATOR,
@@ -30,7 +32,6 @@ from .numerics import FDScheme, relation_residual_numeric
 from .report import ReportItem, VerificationReport, serialize
 from .relations import (
     OperatorEnv,
-    RelationOutcome,
     RelationSet,
     catalog_coulomb,
     catalog_coulomb_commutativity,
@@ -87,8 +88,6 @@ def _model_for_catalog(catalog: str, blocks, model_json):
         return None
     if blocks is None:
         raise ConfigError(f"catalog {catalog!r} needs --blocks or a config model")
-    from .errors import InvalidPartitionError
-
     try:
         if catalog.startswith("coulomb"):
             return coulomb_spec(blocks)
@@ -123,12 +122,6 @@ def _worker_verify(index: int):
     return verify_relation(*_WORKER_STATE["rs"].pairs[index])
 
 
-def _symbolic_item(oc: RelationOutcome) -> ReportItem:
-    return ReportItem(oc.name, "relation", "symbolic", oc.status, oc.passed,
-                      expectation=oc.expectation, group=oc.group, note=oc.note,
-                      residual=oc.to_json().get("residual"))
-
-
 def run_verify(config: dict) -> VerificationReport:
     catalog = config.get("catalog")
     if not catalog:
@@ -155,13 +148,12 @@ def run_verify(config: dict) -> VerificationReport:
             with ProcessPoolExecutor(
                 max_workers=jobs, initializer=_worker_init, initargs=(catalog, model_json)
             ) as pool:
-                outcomes = settle_groups(list(pool.map(_worker_verify, range(len(rs.pairs)))))
+                items = settle_groups(list(pool.map(_worker_verify, range(len(rs.pairs)))))
         else:
-            outcomes = verify_symbolic(rs)
-        if all(oc.status == "inapplicable" for oc in outcomes):
+            items = verify_symbolic(rs)
+        if all(item.status == "inapplicable" for item in items):
             raise ConfigError(f"catalog {catalog!r} has no relation this model can evaluate")
-        for oc in outcomes:
-            report.add(_symbolic_item(oc))
+        report.items.extend(items)
     if mode in ("numeric", "both"):
         scheme = FDScheme(
             order=int(config.get("fd_order", 8)),
@@ -221,9 +213,18 @@ def _echo_config(config: dict, spec: ModelSpec | None) -> dict:
 
 KNOWN_CONFIG_KEYS = {
     "command", "catalog", "blocks", "mode", "seed", "tol", "out", "jobs", "model",
-    "probes", "points", "fd_order", "fd_step", "params", "relation_file",
-    "family", "kmax", "lmax", "nrmax", "jmax", "omega2", "eta", "potentials",
-    "quantum", "points_per_check",
+    "probes", "points", "fd_order", "fd_step", "params", "relation_file", "family",
+}
+
+# the numbers verify reads: their type, the values it accepts and that rule in words
+CONFIG_NUMBERS = {
+    "seed": (int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)"),
+    "tol": (float, lambda v: 0 < v < math.inf, "a positive finite number"),
+    "fd_step": (float, lambda v: 0 < v < math.inf, "a positive finite number"),
+    "fd_order": (int, lambda v: v in (4, 6, 8), "4, 6 or 8"),
+    "probes": (int, lambda v: v >= 1, "a positive integer"),
+    "points": (int, lambda v: v >= 1, "a positive integer"),
+    "jobs": (int, lambda v: True, "an integer"),
 }
 
 
@@ -241,12 +242,13 @@ def load_config(path: str | None, overrides: dict) -> dict:
     for k, v in overrides.items():
         if v is not None:
             config[k] = v
-    if "seed" in config:
-        seed = int(config["seed"])
-        if not 0 <= seed < 2**64:
-            raise ConfigError("seed must fit in 64 bits")
-    if "tol" in config and float(config["tol"]) <= 0:
-        raise ConfigError("tolerances must be positive")
+    for key, (kind, accepts, rule) in CONFIG_NUMBERS.items():
+        try:
+            ok = key not in config or accepts(kind(config[key]))
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ConfigError(f"{key} must be {rule}, not {config[key]!r}")
     return config
 
 
@@ -319,19 +321,17 @@ def _run_relation_file(config) -> VerificationReport:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(str(exc)) from exc
-    from .errors import RelationSyntaxError
-
     try:
         rels = parse_relation_file(text, param_names=spec.param_names())
     except RelationSyntaxError as exc:
         raise ConfigError(str(exc)) from exc
     report = VerificationReport(config=_echo_config(config, spec))
     rs = RelationSet("relation-file", over(OperatorEnv.for_model(spec), rels))
-    for oc in verify_symbolic(rs):
-        if oc.status == "inapplicable":
+    for item in verify_symbolic(rs):
+        if item.status == "inapplicable":
             # a user line the model cannot evaluate (unknown integral, no constants) is a typo
-            raise ConfigError(f"relation {oc.name}: {oc.note}")
-        report.add(_symbolic_item(oc))
+            raise ConfigError(f"relation {item.name}: {item.note}")
+        report.add(item)
     return report
 
 

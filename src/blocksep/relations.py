@@ -14,6 +14,7 @@ normal form; the outcome is exact.  Three expectation kinds appear:
 
 from __future__ import annotations
 
+import ast
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +30,7 @@ from .integrals import (
 )
 from .models import COULOMB, OSCILLATOR, ModelSpec, operator_context, oscillator_spec
 from .opalg import DiffOp, angular_momentum, euler_operator, laplacian
+from .report import ReportItem
 from .ring import Coefficient, Context
 
 
@@ -232,83 +234,39 @@ def eval_node(node, env: OperatorEnv) -> DiffOp:
 # -- verification -----------------------------------------------------------------
 
 
-@dataclass
-class RelationOutcome:
-    name: str
-    status: str  # zero | residual | inapplicable
-    expectation: str
-    group: str | None
-    passed: bool | None
-    residual_terms: int = 0
-    residual_order: int = 0
-    leading: str = ""
-    note: str = ""
-
-    def to_json(self) -> dict:
-        out = {
-            "name": self.name,
-            "kind": "relation",
-            "mode": "symbolic",
-            "status": self.status,
-            "expectation": self.expectation,
-            "passed": self.passed,
-        }
-        if self.group:
-            out["group"] = self.group
-        if self.status == "residual":
-            out["residual"] = {
-                "terms": self.residual_terms,
-                "order": self.residual_order,
-                "leading": self.leading,
-            }
-        if self.note:
-            out["note"] = self.note
-        return out
-
-
-def verify_relation(rel: Relation, env: OperatorEnv) -> RelationOutcome:
+def verify_relation(rel: Relation, env: OperatorEnv) -> ReportItem:
+    item = ReportItem(rel.name, "relation", "symbolic", "zero", None,
+                      expectation=rel.expectation, group=rel.group, note=rel.note)
     try:
         residual = eval_node(rel.expr, env)
     except (InvalidIntegralError, InapplicableRelationError) as exc:
-        return RelationOutcome(
-            rel.name, "inapplicable", rel.expectation, rel.group, None, note=str(exc)
-        )
+        item.status, item.note = "inapplicable", str(exc)
+        return item
     if residual.is_zero():
-        passed = rel.expectation != "nonzero"
-        return RelationOutcome(rel.name, "zero", rel.expectation, rel.group, passed, note=rel.note)
-    lead_lines = residual.to_text().splitlines()
-    leading = "; ".join(lead_lines[:2])
-    passed = rel.expectation == "nonzero" if rel.expectation != "record" else None
-    note = rel.note
-    if rel.diagnose is not None:
-        diag = rel.diagnose(residual, env)
-        if diag:
-            note = f"{note}; {diag}" if note else diag
-    return RelationOutcome(
-        rel.name,
-        "residual",
-        rel.expectation,
-        rel.group,
-        passed,
-        residual_terms=residual.term_count(),
-        residual_order=residual.order(),
-        leading=leading,
-        note=note,
-    )
+        item.passed = rel.expectation != "nonzero"
+        return item
+    item.status = "residual"
+    item.passed = rel.expectation == "nonzero" if rel.expectation != "record" else None
+    item.residual = {"terms": residual.term_count(), "order": residual.order(),
+                     "leading": "; ".join(residual.to_text().splitlines()[:2])}
+    diag = rel.diagnose(residual, env) if rel.diagnose is not None else ""
+    if diag:
+        item.note = f"{item.note}; {diag}" if item.note else diag
+    return item
 
 
-def verify_symbolic(rs: RelationSet) -> list[RelationOutcome]:
+def verify_symbolic(rs: RelationSet) -> list[ReportItem]:
     """Run every relation in its own environment; then settle reading groups."""
     return settle_groups([verify_relation(rel, env) for rel, env in rs.pairs])
 
 
-def settle_groups(outcomes: list) -> list:
+def settle_groups(items: list) -> list:
     """Record-class items pass once their outcome is on file; the group note
     states whether any constructible reading reduced to zero."""
     groups: dict = {}
-    for oc in outcomes:
-        if oc.group:
-            groups.setdefault(oc.group, []).append(oc)
+    for item in items:
+        if item.group:
+            groups.setdefault(item.group, []).append(item)
     for members in groups.values():
         any_zero = any(m.status == "zero" for m in members)
         verdict = (
@@ -320,7 +278,7 @@ def settle_groups(outcomes: list) -> list:
             if m.expectation == "record":
                 m.passed = True
                 m.note = f"{m.note}; {verdict}" if m.note else verdict
-    return outcomes
+    return items
 
 
 # -- exact residual decomposition (diagnostic) ---------------------------------------
@@ -1115,146 +1073,105 @@ def catalog_negative_controls(spec: ModelSpec | None = None) -> RelationSet:
 
 # -- relation file grammar -----------------------------------------------------------
 #
-#   file     := line*
-#   line     := [name ":"] expr ["==" expr]      (comments start with "#")
-#   expr     := term (("+"|"-") term)*
-#   term     := factor ("*" factor)*
-#   factor   := rational | integral | param | "[" expr "," expr "]"
-#             | "{" expr "," expr "}" | "(" expr ")" | "-" factor
+# A line is ``[name ":"] expr ["==" expr]``; "#" starts a comment.  Python's own
+# expression parser reads ``expr``, which must stay inside this subset of Python
+# expression syntax:
 #
-# Integral tokens follow the CLI syntax (H[1], G[1,2], sigmaS[3], Hcoul, ...).
-# Nc[p], Mc[p], Uc[p] denote the structural constants.
+#   [a, b]   commutator              {a, b}   anticommutator
+#   a + b    a - b    -a    a * b    (a)      sums, negation, products, grouping
+#   a / n    division by a decimal integer literal n, so 3/4 is a rational
+#   n        a decimal integer literal
+#   name     name[i]    name[i, j]   an integral (H[1], G[1,2], sigmaS[3], Hcoul, ...),
+#            a parameter of the model, or a structural constant Nc[p], Mc[p], Uc[p];
+#            indices are decimal integer literals
+#
+# Every other syntax, and nesting deeper than MAX_NESTING, is a RelationSyntaxError.
+
+MAX_NESTING = 100
+_CONSTANTS = ("Nc", "Mc", "Uc")
 
 
-_TOKEN_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+def _relation_tree(body: str, param_names) -> object:
+    """The relation tree of one line's expression (LHS - RHS for an equation)."""
+    if not body.isascii():
+        raise RelationSyntaxError("non-ASCII character")
+    try:
+        top = ast.parse(body, mode="eval").body
+    except SyntaxError as exc:
+        raise RelationSyntaxError(f"{exc.msg} at column {exc.offset}") from None
+    except (ValueError, RecursionError, MemoryError):
+        raise RelationSyntaxError("expression too long or too deeply nested to parse") from None
+    params = set(param_names)
 
+    def shown(node) -> str:
+        """The node's source text for an error message, clipped to 40 characters."""
+        text = ast.get_source_segment(body, node)
+        return repr(text if len(text) <= 40 else text[:37] + "...")
 
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "[]{}(),+-*":
-            tokens.append(ch)
-            i += 1
-            continue
-        if ch == "=" and text[i : i + 2] == "==":
-            tokens.append("==")
-            i += 2
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] == "/"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-            continue
-        if ch in _TOKEN_CHARS:
-            j = i
-            while j < len(text) and text[j] in _TOKEN_CHARS:
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-            continue
-        raise RelationSyntaxError(f"unexpected character {ch!r}")
-    return tokens
+    def integer(node) -> int | None:
+        """The value of a decimal integer literal; None for any other node."""
+        decimal = isinstance(node, ast.Constant) and type(node.value) is int
+        return node.value if decimal and ast.get_source_segment(body, node).isdigit() else None
 
+    def chain(node, ops) -> list:
+        """[(operator, operand), ...] of a left-nested chain, leftmost first."""
+        links = []
+        while isinstance(node, ast.BinOp) and isinstance(node.op, ops):
+            links.append((node.op, node.right))
+            node = node.left
+        return [(None, node)] + links[::-1]
 
-class _Parser:
-    def __init__(self, tokens, param_names):
-        self.tokens = tokens
-        self.pos = 0
-        self.param_names = set(param_names)
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expect=None):
-        tok = self.peek()
-        if tok is None:
-            raise RelationSyntaxError("unexpected end of input")
-        if expect is not None and tok != expect:
-            raise RelationSyntaxError(f"expected {expect!r}, got {tok!r}")
-        self.pos += 1
-        return tok
-
-    def parse_expr(self):
-        terms = [self.parse_term()]
-        while self.peek() in ("+", "-"):
-            sign = self.take()
-            t = self.parse_term()
-            terms.append(t if sign == "+" else neg(t))
-        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
-
-    def parse_term(self):
-        factors = [self.parse_factor()]
-        while self.peek() == "*":
-            self.take()
-            factors.append(self.parse_factor())
-        return factors[0] if len(factors) == 1 else Prod(tuple(factors))
-
-    def parse_factor(self):
-        tok = self.peek()
-        if tok == "-":
-            self.take()
-            return neg(self.parse_factor())
-        if tok == "(":
-            self.take()
-            e = self.parse_expr()
-            self.take(")")
-            return e
-        if tok == "[":
-            self.take()
-            a = self.parse_expr()
-            self.take(",")
-            b = self.parse_expr()
-            self.take("]")
-            return Comm(a, b)
-        if tok == "{":
-            self.take()
-            a = self.parse_expr()
-            self.take(",")
-            b = self.parse_expr()
-            self.take("}")
-            return Acomm(a, b)
-        if tok is None:
-            raise RelationSyntaxError("unexpected end of input")
-        self.take()
-        if tok[0].isdigit():
-            try:
-                return Scalar(Fraction(tok))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise RelationSyntaxError(f"bad rational {tok!r}") from exc
-        # name, possibly indexed
-        indices = []
-        if self.peek() == "[":
-            self.take()
-            while True:
-                index = self.take()
-                if not index.isdigit():
-                    raise RelationSyntaxError(f"bad index {index!r} on {tok!r}")
-                indices.append(int(index))
-                if self.peek() == ",":
-                    self.take()
+    def convert(node, depth: int):
+        if depth > MAX_NESTING:
+            raise RelationSyntaxError(f"expression nested deeper than {MAX_NESTING} levels")
+        depth += 1
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+            terms = ((op_, convert(t, depth)) for op_, t in chain(node, (ast.Add, ast.Sub)))
+            return Sum(tuple(neg(t) if isinstance(op_, ast.Sub) else t for op_, t in terms))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
+            factors = []
+            for op_, f in chain(node, (ast.Mult, ast.Div)):
+                if not isinstance(op_, ast.Div):
+                    factors.append(convert(f, depth))
                     continue
-                break
-            self.take("]")
-        if tok in ("Nc", "Mc", "Uc"):
-            if len(indices) != 1:
-                raise RelationSyntaxError(f"{tok} needs one index")
-            return ConstRef(tok[0], indices[0])
-        if not indices:
-            if tok in self.param_names:
-                return ParamRef(tok)
-            return OpRef(IntegralName(tok))
-        if len(indices) == 1:
-            return OpRef(IntegralName(tok, indices[0]))
-        if len(indices) == 2:
-            return OpRef(IntegralName(tok, indices[0], indices[1]))
-        raise RelationSyntaxError(f"too many indices on {tok!r}")
+                n = integer(f)
+                if n is None:
+                    raise RelationSyntaxError(f"division by {shown(f)}, not an integer")
+                if n == 0:
+                    raise RelationSyntaxError(f"bad rational {shown(node)}")
+                last = factors.pop() if isinstance(factors[-1], Scalar) else num(1)
+                factors.append(Scalar(last.value / n))
+            return factors[0] if len(factors) == 1 else Prod(tuple(factors))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return neg(convert(node.operand, depth))
+        if isinstance(node, (ast.List, ast.Set)) and len(node.elts) == 2:
+            a, b = (convert(e, depth) for e in node.elts)
+            return Comm(a, b) if isinstance(node, ast.List) else Acomm(a, b)
+        if integer(node) is not None:
+            return num(node.value)
+        if isinstance(node, ast.Name) and node.id in params:
+            return ParamRef(node.id)
+        if isinstance(node, ast.Name):
+            name, indices = node.id, ()
+        elif isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name):
+            name, index = node.value.id, node.slice
+            indices = index.elts if isinstance(index, ast.Tuple) and index.elts else (index,)
+        else:
+            raise RelationSyntaxError(f"unsupported syntax {shown(node)}")
+        for i in indices:
+            if integer(i) is None:
+                raise RelationSyntaxError(f"bad index {shown(i)} on {name!r}")
+        if name in _CONSTANTS and len(indices) == 1:
+            return ConstRef(name[0], indices[0].value)
+        if name in _CONSTANTS or len(indices) > 2:
+            raise RelationSyntaxError(f"wrong number of indices on {name!r}")
+        return OpRef(IntegralName(name, *(i.value for i in indices)))
+
+    if not isinstance(top, ast.Compare):
+        return convert(top, 0)
+    if len(top.ops) != 1 or not isinstance(top.ops[0], ast.Eq):
+        raise RelationSyntaxError("one '==' at most, and no other comparison")
+    return sub(convert(top.left, 0), convert(top.comparators[0], 0))
 
 
 def parse_relation_line(line: str, param_names=()) -> Relation | None:
@@ -1265,16 +1182,7 @@ def parse_relation_line(line: str, param_names=()) -> Relation | None:
     if ":" in body:
         name, body = body.split(":", 1)
         name = name.strip()
-    tokens = _tokenize(body)
-    parser = _Parser(tokens, param_names)
-    lhs = parser.parse_expr()
-    expr = lhs
-    if parser.peek() == "==":
-        parser.take()
-        rhs = parser.parse_expr()
-        expr = sub(lhs, rhs)
-    if parser.peek() is not None:
-        raise RelationSyntaxError(f"trailing tokens near {parser.peek()!r}")
+    expr = _relation_tree(body.strip(), param_names)
     return Relation(name or f"user-{hashlib.sha256(line.encode()).hexdigest()[:8]}", expr)
 
 

@@ -392,18 +392,6 @@ class Context:
 
     # -- denominator atoms --------------------------------------------------
 
-    def atom(self, poly: Poly) -> Atom:
-        """Register (or fetch) a canonical denominator atom.
-
-        Returns the atom and the leftover scalar is the caller's problem:
-        pass a polynomial equal to a rational multiple of the atom and use
-        :meth:`atom_and_scale` to recover the multiplier.
-        """
-        a, scale = self.atom_and_scale(poly)
-        if scale != 1:
-            raise ValueError("atom polynomial is not normalized; use atom_and_scale")
-        return a
-
     def atom_and_scale(self, poly: Poly):
         """Canonicalize ``poly`` = scale * atom with atom primitive-integer."""
         if poly.is_zero():

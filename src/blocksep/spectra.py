@@ -250,6 +250,9 @@ def _lambda_chain_numeric(pot: Hierarchy, d: int, angular) -> float:
 
     lvl0 = pot.levels[0]
     m = angular[0]
+    # above a trigonometric level the tower (the closed form, the assembled psi)
+    # counts only the even states of each angle: the k-th is eigenvalue 2k
+    stride = 2 if isinstance(lvl0, Model2F11) else 1
     if isinstance(lvl0, Model2F11):
         alpha = float((Fraction(lvl0.A) + 3 * m) ** 2)
     elif isinstance(lvl0, (Zero, Constant)):
@@ -268,9 +271,9 @@ def _lambda_chain_numeric(pot: Hierarchy, d: int, angular) -> float:
         vals = eigensolve_weighted_polar(
             lambda t, c=c, a=alpha: c + a / np.sin(t) ** 2,
             weight_power=j - 1,
-            n_eigenvalues=k + 1,
+            n_eigenvalues=stride * k + 1,
         )
-        alpha = vals[k]
+        alpha = vals[stride * k]
     return alpha
 
 

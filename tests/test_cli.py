@@ -77,6 +77,20 @@ def test_config_validation():
         load_config(None, {"tol": -1.0})
 
 
+@pytest.mark.parametrize("values", [
+    {"probes": 0}, {"points": 0}, {"fd_order": 5}, {"fd_step": 0}, {"tol": "x"},
+    {"jobs": "two"}, {"kmax": 3},
+])
+def test_bad_config_values_exit_two(runner, tmp_path, values):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(values))
+    res = runner.invoke(main, ["verify", "--catalog", "oscillator-algebra", "--blocks", "1,1",
+                               "--mode", "numeric", "--config", str(config)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "config error:" in res.output
+
+
 def test_report_determinism():
     config = {"command": "verify", "catalog": "oscillator-algebra", "blocks": [1, 2],
               "mode": "symbolic", "seed": 7}
@@ -331,6 +345,22 @@ def test_relation_file_unknown_integral_exit_two(runner, tmp_path, line, message
     res = runner.invoke(main, ["verify", "--relation-file", str(bad), "--blocks", "2,2"])
     assert res.exit_code == 2
     assert f"relation typo: {message}" in res.output
+
+
+@pytest.mark.parametrize("line", ["-" * 3000 + "H[1]", "(" * 3000 + "H[1]" + ")" * 3000],
+                         ids=["3000-minus", "3000-parens"])
+def test_relation_file_deep_nesting_exit_two(tmp_path, line):
+    deep = tmp_path / "deep.rel"
+    deep.write_text(line + "\n")
+    src = os.path.dirname(os.path.dirname(blocksep.__file__))
+    res = subprocess.run(
+        [sys.executable, "-m", "blocksep.cli", "verify", "--relation-file", str(deep),
+         "--blocks", "2,2"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("config error: line 1:")
+    assert "Traceback" not in res.stderr and len(res.stderr) < 200
 
 
 def test_unnamed_relation_report_independent_of_hash_seed(tmp_path):

@@ -3,8 +3,10 @@
 import pytest
 
 from blocksep.errors import InapplicableRelationError, RelationSyntaxError
+from blocksep.integrals import name_from_string
 from blocksep.models import coulomb_spec, oscillator_spec
 from blocksep.relations import (
+    MAX_NESTING,
     OperatorEnv,
     catalog_coulomb_erratum_wrong,
     catalog_coulomb_sj,
@@ -220,6 +222,31 @@ def test_parse_errors():
         parse_relation_line("bad: T[1] $ T[1]")
     with pytest.raises(RelationSyntaxError):
         parse_relation_file("x: (T[1]\n")
+
+
+@pytest.mark.parametrize("line", [
+    "0x10", "0.5*H[1]", "True", "H[1]**2", "H[1] @ H[2]", "a == b == c", "G[1,2,3]",
+    "Nc[1,2]", "[H[1]]", "f(x)",
+])
+def test_parse_rejects_python_outside_the_grammar(line):
+    with pytest.raises(RelationSyntaxError):
+        parse_relation_line(line)
+
+
+def test_parse_division_by_an_integer_anywhere():
+    env = OperatorEnv.for_model(oscillator_spec([1, 1]))
+    for line in ("H[1]/2 - 1/2*H[1]", "1/2/3 - 1/6", "-(T[1] + H[1])/4 + T[1]/4 + 1/4*H[1]"):
+        assert eval_node(parse_relation_line(line).expr, env).is_zero(), line
+    with pytest.raises(RelationSyntaxError, match="not an integer"):
+        parse_relation_line("H[1]/H[2]")
+
+
+def test_parse_nesting_bound():
+    env = OperatorEnv.for_model(oscillator_spec([1, 1]))
+    deepest = parse_relation_line("-" * MAX_NESTING + "H[1]")
+    assert eval_node(deepest.expr, env) == env.operator(name_from_string("H[1]"))
+    with pytest.raises(RelationSyntaxError, match=f"deeper than {MAX_NESTING}"):
+        parse_relation_line("-" * (MAX_NESTING + 1) + "H[1]")
 
 
 def test_nonzero_user_relation_reports_residual():

@@ -274,6 +274,18 @@ def test_closed_form_needs_a_model2_tower():
     assert lambda_chain(pot, 3, (1, 0)) == pytest.approx(61.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("d, Js, expect", [
+    (3, (0, 1), 42), (3, (1, 1), 90), (3, (2, 1), 156), (3, (0, 2), 72), (4, (1, 1, 1), 143),
+])
+def test_lambda_chain_counts_even_states_above_a_tower(d, Js, expect):
+    """Constant(0) above a trigonometric level is the Zero() tower: the numeric
+    chain takes the k-th even state of each angle, as the closed form does."""
+    zero_above = Hierarchy((Model2F11(4, 1),) + (Zero(),) * (d - 2))
+    constant_above = Hierarchy((Model2F11(4, 1),) + (Constant(Fraction(0)),) * (d - 2))
+    assert lambda_chain(zero_above, d, Js) == expect
+    assert lambda_chain(constant_above, d, Js) == pytest.approx(expect, rel=1e-6)
+
+
 _OSC_CONSTANTS = oscillator_spec([2, 2], (Constant(Fraction(1)), Constant(Fraction(2))), omega2=1)
 _OSC_TOWER = oscillator_spec([3], (model2_potential(3, 4, 1),), omega2=1)
 _COUL_CONSTANT = coulomb_spec([2, 2], (Constant(Fraction(1)),), eta=2)
