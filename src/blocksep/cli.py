@@ -16,8 +16,7 @@ from fractions import Fraction
 
 import click
 
-from .errors import (BlocksepError, ConfigError, InapplicableRelationError,
-                     InvalidPartitionError, RelationSyntaxError)
+from .errors import BlocksepError, ConfigError, InapplicableRelationError, RelationSyntaxError
 from .models import (
     COULOMB,
     OSCILLATOR,
@@ -81,19 +80,24 @@ def _parse_blocks(text: str):
     return sizes
 
 
+def _config_model(build, arg) -> ModelSpec:
+    """``build(arg)`` for a model described by the config; a bad description
+    (malformed JSON values, an invalid partition) is a config error."""
+    try:
+        return build(arg)
+    except (BlocksepError, ArithmeticError, AttributeError, LookupError, TypeError,
+            ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _model_for_catalog(catalog: str, blocks, model_json):
     if model_json is not None:
-        return spec_from_json(model_json)
+        return _config_model(spec_from_json, model_json)
     if catalog in ("proposition-A", "negative-controls") and blocks is None:
         return None
     if blocks is None:
         raise ConfigError(f"catalog {catalog!r} needs --blocks or a config model")
-    try:
-        if catalog.startswith("coulomb"):
-            return coulomb_spec(blocks)
-        return oscillator_spec(blocks)
-    except InvalidPartitionError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _config_model(coulomb_spec if catalog.startswith("coulomb") else oscillator_spec, blocks)
 
 
 def build_catalog(catalog: str, spec: ModelSpec | None) -> RelationSet:
@@ -313,9 +317,11 @@ def _run_relation_file(config) -> VerificationReport:
     model_json = config.get("model")
     if model_json is None and blocks is None:
         raise ConfigError("relation files need --blocks or a config model")
-    spec = spec_from_json(model_json) if model_json else (
-        coulomb_spec(blocks) if config.get("family") == COULOMB else oscillator_spec(blocks)
-    )
+    if model_json:
+        spec = _config_model(spec_from_json, model_json)
+    else:
+        spec = _config_model(coulomb_spec if config.get("family") == COULOMB else oscillator_spec,
+                             blocks)
     try:
         with open(config["relation_file"]) as fh:
             text = fh.read()

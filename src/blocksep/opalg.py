@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .ring import Coefficient, Context, Poly, _mono_add, _deglex
+from .ring import Coefficient, Context, Poly, _deglex, _mono_add, den_product
 
 
 def _submonomials(alpha: tuple):
@@ -104,7 +104,6 @@ class DiffOp:
         """Operator composition self then other, i.e. self o other."""
         self.ctx.check_same(other.ctx)
         ctx = self.ctx
-        out: dict = {}
         deriv_cache: dict = {}
 
         def iter_deriv(beta, delta):
@@ -122,6 +121,9 @@ class DiffOp:
             deriv_cache[key] = got
             return got
 
+        # output key -> {summed denominator: unnormalized numerator}; each key
+        # is normalized once, after every Leibniz term has been collected
+        sums: dict = {}
         for alpha, ca in self.terms.items():
             for beta in other.terms:
                 for gamma in _submonomials(alpha):
@@ -129,19 +131,16 @@ class DiffOp:
                     dcb = iter_deriv(beta, delta)
                     if dcb.is_zero():
                         continue
-                    coef = ca.mul(dcb)
-                    b = _multi_binom(alpha, gamma)
-                    if b != 1:
-                        coef = coef.scale(b)
-                    if coef.is_zero():
-                        continue
-                    key = _mono_add(gamma, beta)
-                    cur = out.get(key)
-                    nc = coef if cur is None else cur.add(coef)
-                    if nc.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = nc
+                    num = ca.num.mul(dcb.num).scale(_multi_binom(alpha, gamma))
+                    den = den_product(ca.den, dcb.den)
+                    buckets = sums.setdefault(_mono_add(gamma, beta), {})
+                    cur = buckets.get(den)
+                    buckets[den] = num if cur is None else cur.add(num)
+        out = {}
+        for key, buckets in sums.items():
+            c = Coefficient.sum_over_dens(ctx, buckets.items())
+            if not c.is_zero():
+                out[key] = c
         return DiffOp(ctx, out)
 
     def commutator(self, other: "DiffOp") -> "DiffOp":

@@ -163,6 +163,7 @@ class OperatorEnv:
         self._resolver = resolver
         self._constants = constants
         self._cache: dict = {}
+        self.brackets: dict = {}  # Comm/Acomm node -> its value here; nodes are frozen
         self.label = label
         self.spec = spec  # the model behind the operators; None for a table env
 
@@ -224,10 +225,13 @@ def eval_node(node, env: OperatorEnv) -> DiffOp:
             cur = eval_node(f, env)
             out = cur if out is None else out.mul(cur)
         return out if out is not None else DiffOp.scalar(ctx, 1)
-    if isinstance(node, Comm):
-        return eval_node(node.a, env).commutator(eval_node(node.b, env))
-    if isinstance(node, Acomm):
-        return eval_node(node.a, env).anticommutator(eval_node(node.b, env))
+    if isinstance(node, (Comm, Acomm)):
+        got = env.brackets.get(node)
+        if got is None:
+            a, b = eval_node(node.a, env), eval_node(node.b, env)
+            got = a.commutator(b) if isinstance(node, Comm) else a.anticommutator(b)
+            env.brackets[node] = got
+        return got
     raise TypeError(f"unknown relation node {node!r}")
 
 
@@ -306,7 +310,8 @@ def flatten_operators(ops: list) -> list:
             c = o.terms.get(alpha)
             if c is None:
                 continue
-            scaled = c.num.mul(c._den_poly_parts(target))
+            cofactor = o.ctx.den_cofactor(c.den, target)
+            scaled = c.num if cofactor is None else c.num.mul(cofactor)
             for mono, val in scaled.terms.items():
                 vec[(alpha, mono)] = val
     return vectors
@@ -328,7 +333,8 @@ def decompose_residual(residual: DiffOp, basis: dict):
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
+        inv = Fraction(1, pv)  # rows hold ints: v / pv would be a float
+        rows[r] = [v * inv for v in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]

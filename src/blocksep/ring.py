@@ -17,6 +17,13 @@ Denominators are never factored: they only ever arise as products of the
 atoms the callers divide by (single coordinates and block norms), which
 are irreducible over Q, so cancellation by repeated exact division is
 complete.
+
+Rational numbers are held as ``int`` when integral and as ``Fraction``
+only otherwise, so the inner loops run on machine-backed integers.  Every
+entry point (constructors, scaling, division, substitution) brings its
+values to that form.  ``int / int`` is a float, so no division between two
+plain integers appears here: exact quotients go through :func:`_div` or
+``Fraction(a, b)``.
 """
 
 from __future__ import annotations
@@ -28,8 +35,22 @@ from operator import add, le, neg, sub
 
 from .errors import ContextMismatchError, UndeclaredParameterError
 
-F0 = Fraction(0)
-F1 = Fraction(1)
+
+def _exact(c):
+    """The exact rational ``c`` as an int when integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _div(a, b):
+    """The exact quotient a / b of two rationals, in the form of :func:`_exact`."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _exact(Fraction(a) / b)
 
 
 def _mono_add(a: tuple, b: tuple) -> tuple:
@@ -53,16 +74,30 @@ def _deglex(m: tuple):
     return (sum(m), m)
 
 
+def den_product(a: tuple, b: tuple) -> tuple:
+    """The sorted (atom id, exponent) tuple of the product of two denominators."""
+    if not a:
+        return b
+    if not b:
+        return a
+    exps = dict(a)
+    for aid, e in b:
+        exps[aid] = exps.get(aid, 0) + e
+    return tuple(sorted(exps.items()))
+
+
 def _terms_desc(p: "Poly") -> list:
     """The terms of ``p`` in descending deglex order; a key that orders polynomials."""
     return sorted(p.terms.items(), key=lambda t: _deglex(t[0]), reverse=True)
 
 
 class Poly:
-    """Immutable sparse polynomial with Fraction coefficients.
+    """Immutable sparse polynomial with exact rational coefficients.
 
-    Exponent vectors run over a fixed slot space; the surrounding context
-    decides which slots are coordinates, parameters, or radicals.
+    A coefficient is an ``int`` when it is integral and a ``Fraction`` only
+    otherwise; no zero coefficient is stored.  Exponent vectors run over a
+    fixed slot space; the surrounding context decides which slots are
+    coordinates, parameters, or radicals.
     """
 
     __slots__ = ("n", "terms", "_hash")
@@ -78,13 +113,13 @@ class Poly:
 
     @staticmethod
     def const(n: int, c) -> "Poly":
-        c = Fraction(c)
+        c = _exact(c)
         return Poly(n, {} if c == 0 else {(0,) * n: c})
 
     @staticmethod
     def var(n: int, slot: int, exp: int = 1) -> "Poly":
         mono = tuple(exp if i == slot else 0 for i in range(n))
-        return Poly(n, {mono: F1})
+        return Poly(n, {mono: 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -92,9 +127,9 @@ class Poly:
     def is_const(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and sum(next(iter(self.terms))) == 0)
 
-    def const_value(self) -> Fraction:
+    def const_value(self):
         if not self.terms:
-            return F0
+            return 0
         return self.terms[(0,) * self.n]
 
     def add(self, other: "Poly") -> "Poly":
@@ -104,9 +139,9 @@ class Poly:
             return other
         out = dict(self.terms)
         for m, c in other.terms.items():
-            nc = out.get(m, F0) + c
+            nc = out.get(m, 0) + c
             if nc:
-                out[m] = nc
+                out[m] = nc if type(nc) is int else _exact(nc)
             else:
                 out.pop(m, None)
         return Poly(self.n, out)
@@ -118,12 +153,12 @@ class Poly:
         return self.add(other.neg())
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
+        c = _exact(c)
         if c == 0:
             return Poly.zero(self.n)
         if c == 1:
             return self
-        return Poly(self.n, {m: cc * c for m, cc in self.terms.items()})
+        return Poly(self.n, {m: _exact(cc * c) for m, cc in self.terms.items()})
 
     def mul(self, other: "Poly") -> "Poly":
         if not self.terms or not other.terms:
@@ -132,11 +167,14 @@ class Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_add(m1, m2)
-                nc = out.get(m, F0) + c1 * c2
+                nc = out.get(m, 0) + c1 * c2
                 if nc:
                     out[m] = nc
                 else:
                     out.pop(m, None)
+        for m, c in out.items():
+            if type(c) is not int:
+                out[m] = _exact(c)
         return Poly(self.n, out)
 
     def pow(self, e: int) -> "Poly":
@@ -156,9 +194,9 @@ class Poly:
             e = m[slot]
             if e:
                 m2 = tuple(v - 1 if i == slot else v for i, v in enumerate(m))
-                nc = out.get(m2, F0) + c * e
+                nc = out.get(m2, 0) + c * e
                 if nc:
-                    out[m2] = nc
+                    out[m2] = nc if type(nc) is int else _exact(nc)
                 else:
                     out.pop(m2, None)
         return Poly(self.n, out)
@@ -200,9 +238,9 @@ class Poly:
             for m, c in self.terms.items():
                 if not _mono_divides(dm, m):
                     return None
-                out[_mono_sub(m, dm)] = c if unit else c / dc
+                out[_mono_sub(m, dm)] = c if unit else _div(c, dc)
             return Poly(self.n, {m: out[m] for m in sorted(out, key=_deglex, reverse=True)})
-        rest = [(m2, None if c2 == dc else c2 / dc) for m2, c2 in d.terms.items() if m2 != dm]
+        rest = [(m2, None if c2 == dc else _div(c2, dc)) for m2, c2 in d.terms.items() if m2 != dm]
         rem = dict(self.terms)
         heap = [_deglex_heap_key(m) for m in rem]
         heapify(heap)
@@ -215,7 +253,7 @@ class Poly:
             if not _mono_divides(dm, rm):
                 return None
             qm = _mono_sub(rm, dm)
-            out[qm] = rc if unit else rc / dc
+            out[qm] = (rc if type(rc) is int else _exact(rc)) if unit else _div(rc, dc)
             for m2, ratio in rest:
                 t = rc if ratio is None else rc * ratio
                 mm = _mono_add(qm, m2)
@@ -231,7 +269,8 @@ class Poly:
                         del rem[mm]
         return Poly(self.n, out)
 
-    def substitute_slot(self, slot: int, value: Fraction) -> "Poly":
+    def substitute_slot(self, slot: int, value) -> "Poly":
+        value = _exact(value)
         out: dict = {}
         for m, c in self.terms.items():
             e = m[slot]
@@ -239,9 +278,9 @@ class Poly:
                 c = c * value**e
                 m = tuple(0 if i == slot else v for i, v in enumerate(m))
             if c:
-                nc = out.get(m, F0) + c
+                nc = out.get(m, 0) + c
                 if nc:
-                    out[m] = nc
+                    out[m] = _exact(nc)
                 else:
                     out.pop(m, None)
         return Poly(self.n, out)
@@ -267,11 +306,12 @@ class Poly:
         num_gcd = 0
         for c in self.terms.values():
             num_gcd = gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
-        scale = Fraction(den_lcm, num_gcd)
         _, lead = self.leading()
         if lead < 0:
-            scale = -scale
-        return self.scale(scale)
+            num_gcd = -num_gcd
+        # each numerator times den_lcm / its denominator is a multiple of num_gcd
+        return Poly(self.n, {m: c.numerator * (den_lcm // c.denominator) // num_gcd
+                             for m, c in self.terms.items()})
 
     def key(self):
         if self._hash is None:
@@ -347,7 +387,7 @@ class Context:
             terms = {}
             for i in sorted(support):
                 mono = tuple(2 if k == i else 0 for k in range(self.nvars))
-                terms[mono] = F1
+                terms[mono] = 1
             square = Poly(self.nvars, terms)
             key = square.key()
             if key in seen_squares:
@@ -387,7 +427,7 @@ class Context:
         terms = {}
         for i in indices:
             mono = tuple(2 if k == i else 0 for k in range(self.nvars))
-            terms[mono] = F1
+            terms[mono] = 1
         return Poly(self.nvars, terms)
 
     # -- denominator atoms --------------------------------------------------
@@ -402,7 +442,7 @@ class Context:
         norm = poly.normalized_integer()
         # scale * norm == poly
         m, c = norm.leading()
-        scale = poly.terms[m] / c
+        scale = _div(poly.terms[m], c)
         key = norm.key()
         a = self._atoms.get(key)
         if a is None:
@@ -438,6 +478,18 @@ class Context:
             return c, factors
         a, scale = self.atom_and_scale(poly)
         return scale, {a.aid: 1}
+
+    def den_cofactor(self, den, target: dict):
+        """prod atom^(target[aid] - exp in den), which brings ``den`` to
+        ``target``; None when that product is 1."""
+        own = dict(den)
+        out = None
+        for aid, e in target.items():
+            diff = e - own.get(aid, 0)
+            if diff:
+                p = self.atom_by_id(aid).pow(diff)
+                out = p if out is None else out.mul(p)
+        return out
 
     # -- normalization helpers ----------------------------------------------
 
@@ -548,17 +600,26 @@ class Coefficient:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def _den_poly_parts(self, target: dict) -> Poly:
-        """Polynomial prod atom^(target[aid] - own exp) used for common dens."""
-        ctx = self.ctx
-        own = dict(self.den)
-        out = None
-        for aid, e in target.items():
-            diff = e - own.get(aid, 0)
-            if diff:
-                p = ctx.atom_by_id(aid).pow(diff)
-                out = p if out is None else out.mul(p)
-        return out if out is not None else ctx.const_poly(1)
+    @staticmethod
+    def sum_over_dens(ctx: Context, parts) -> "Coefficient":
+        """Normal form of the sum of num / prod(atom^e) over a collection of
+        (den, num) pairs.
+
+        Each numerator is brought to the least common denominator and the
+        sum is normalized once.
+        """
+        target: dict = {}
+        for den, _ in parts:
+            for aid, e in den:
+                if e > target.get(aid, 0):
+                    target[aid] = e
+        total = None
+        for den, num in parts:
+            cofactor = ctx.den_cofactor(den, target)
+            if cofactor is not None:
+                num = num.mul(cofactor)
+            total = num if total is None else total.add(num)
+        return Coefficient.make(ctx, total, target)
 
     def add(self, other: "Coefficient") -> "Coefficient":
         self.ctx.check_same(other.ctx)
@@ -566,15 +627,7 @@ class Coefficient:
             return other
         if other.is_zero():
             return self
-        target: dict = {}
-        for aid, e in self.den:
-            target[aid] = max(target.get(aid, 0), e)
-        for aid, e in other.den:
-            target[aid] = max(target.get(aid, 0), e)
-        num = self.num.mul(self._den_poly_parts(target)).add(
-            other.num.mul(other._den_poly_parts(target))
-        )
-        return Coefficient.make(self.ctx, num, target)
+        return Coefficient.sum_over_dens(self.ctx, ((self.den, self.num), (other.den, other.num)))
 
     def neg(self) -> "Coefficient":
         return Coefficient(self.ctx, self.num.neg(), self.den)
@@ -586,13 +639,10 @@ class Coefficient:
         self.ctx.check_same(other.ctx)
         if self.is_zero() or other.is_zero():
             return Coefficient(self.ctx, self.ctx.zero_poly(), ())
-        den: dict = dict(self.den)
-        for aid, e in other.den:
-            den[aid] = den.get(aid, 0) + e
-        return Coefficient.make(self.ctx, self.num.mul(other.num), den)
+        return Coefficient.make(self.ctx, self.num.mul(other.num), den_product(self.den, other.den))
 
     def scale(self, c) -> "Coefficient":
-        c = Fraction(c)
+        c = _exact(c)
         if c == 0:
             return Coefficient(self.ctx, self.ctx.zero_poly(), ())
         return Coefficient(self.ctx, self.num.scale(c), self.den)
@@ -606,7 +656,7 @@ class Coefficient:
         den = dict(self.den)
         for aid, e in factors.items():
             den[aid] = den.get(aid, 0) + e
-        return Coefficient.make(self.ctx, self.num.scale(1 / scale), den)
+        return Coefficient.make(self.ctx, self.num.scale(_div(1, scale)), den)
 
     def deriv(self, i: int) -> "Coefficient":
         """Derivative with respect to coordinate i, radical-aware."""
@@ -627,7 +677,7 @@ class Coefficient:
             sscale, sfactors = ctx.den_factors(r.square)
             for aid, e in sfactors.items():
                 den[aid] = den.get(aid, 0) + e
-            parts.append(Coefficient.make(ctx, num.scale(1 / sscale), den))
+            parts.append(Coefficient.make(ctx, num.scale(_div(1, sscale)), den))
         for aid, e in self.den:
             ad = ctx.atom_by_id(aid).derivs[i]
             if ad.is_zero():
@@ -649,7 +699,7 @@ class Coefficient:
             slot = ctx._param_slots.get(name)
             if slot is None:
                 raise UndeclaredParameterError(f"parameter {name!r} not declared")
-            num = num.substitute_slot(slot, Fraction(value))
+            num = num.substitute_slot(slot, value)
         return Coefficient.make(ctx, num, dict(self.den))
 
     def eval_numeric(self, coord_values, param_values: dict):

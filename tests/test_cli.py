@@ -91,6 +91,24 @@ def test_bad_config_values_exit_two(runner, tmp_path, values):
     assert "config error:" in res.output
 
 
+@pytest.mark.parametrize("config, args", [
+    ({"catalog": "oscillator-algebra",
+      "model": {"family": "oscillator", "blocks": [2, 1], "omega2": "w2"}}, []),
+    ({"catalog": "oscillator-algebra", "model": {"family": "oscillator", "blocks": "x"}}, []),
+    ({}, ["--blocks", "0,2", "--relation-file", "REL"]),
+], ids=["omega2-not-a-number", "blocks-not-a-list", "relation-file-bad-blocks"])
+def test_bad_model_exit_two(runner, tmp_path, config, args):
+    rel = tmp_path / "user.rel"
+    rel.write_text("check-1: [Z[2], Hsum[2]]\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    args = [str(rel) if a == "REL" else a for a in args]
+    res = runner.invoke(main, ["verify", "--config", str(cfg), *args])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "config error:" in res.output
+
+
 def test_report_determinism():
     config = {"command": "verify", "catalog": "oscillator-algebra", "blocks": [1, 2],
               "mode": "symbolic", "seed": 7}
@@ -134,6 +152,7 @@ def test_mode_both_carries_both_item_sets(runner, tmp_path):
     pytest.param("gauge", [1, 1, 1], id="gauge"),  # one table env per level
     pytest.param("negative-controls", [2, 2], id="negative-controls"),  # table and model envs
     pytest.param("coulomb-zy", [1, 1, 1], id="coulomb-zy"),  # reading groups; two-atom denominators
+    pytest.param("oscillator", [2, 2], id="oscillator"),  # brackets shared between relations
 ])
 def test_parallel_jobs_match_serial(catalog, blocks):
     config = {"command": "verify", "catalog": catalog, "blocks": blocks, "mode": "symbolic"}

@@ -1,5 +1,7 @@
 """Differential operator algebra: normal ordering, commutators, properties."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -136,6 +138,8 @@ def _random_op(ctx, rng, nterms=3, with_radical=False):
         c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         if c == 0:
             continue
+        if c.denominator == 1:
+            c = c.numerator  # stored as an int, as the ring stores integral values
         from blocksep.ring import Poly
 
         coef = Coefficient.make(ctx, Poly(ctx.nvars, {tuple(mono): c}))
@@ -183,6 +187,100 @@ def test_product_against_application_oracle():
         lhs = a.mul(b).apply_coefficient(g)
         rhs = a.apply_coefficient(b.apply_coefficient(g))
         assert lhs == rhs
+
+
+def _reference_mul(a, b):
+    """Leibniz product normalized term by term: each term through Coefficient
+    mul and scale, each output key accumulated with Coefficient.add.  Also
+    says whether some key cancelled to zero along the way."""
+    out = {}
+    cancelled = False
+    for alpha, ca in a.terms.items():
+        for beta, cb in b.terms.items():
+            for gamma in itertools.product(*(range(k + 1) for k in alpha)):
+                dcb = cb
+                for i, (k, g) in enumerate(zip(alpha, gamma)):
+                    for _ in range(k - g):
+                        dcb = dcb.deriv(i)
+                binom = 1
+                for k, g in zip(alpha, gamma):
+                    binom *= math.comb(k, g)
+                coef = ca.mul(dcb).scale(binom)
+                if coef.is_zero():
+                    continue
+                key = tuple(g + e for g, e in zip(gamma, beta))
+                total = out[key].add(coef) if key in out else coef
+                if total.is_zero():
+                    del out[key]
+                    cancelled = True
+                else:
+                    out[key] = total
+    return DiffOp(a.ctx, out), cancelled
+
+
+def test_product_against_termwise_reference():
+    """Collecting each key's numerators and normalizing once gives the same
+    normal form as normalizing every Leibniz term; keys that cancel vanish."""
+    ctx = Context(("x1", "x2", "x3"), radical_squares=[("r", {0, 1, 2})])
+    rng = random.Random(8128)
+    d1_minus_d2 = DiffOp.partial(ctx, 0).sub(DiffOp.partial(ctx, 1))
+    x1_plus_x2 = DiffOp.from_poly(ctx, ctx.x(0).add(ctx.x(1)))
+    cancelling = 0
+    for case in range(200):
+        a = _random_op(ctx, rng, with_radical=case % 3 == 0)
+        b = _random_op(ctx, rng, with_radical=case % 2 == 0)
+        if case % 4 == 0:
+            # (d1 - d2) o (x1 + x2 + terms with derivatives) cancels at key 0
+            b = DiffOp(ctx, {k: c for k, c in b.terms.items() if any(k)}).add(x1_plus_x2)
+            a = a.add(d1_minus_d2) if case % 8 == 0 else d1_minus_d2
+        got = a.mul(b)
+        want, cancelled = _reference_mul(a, b)
+        cancelling += cancelled
+        assert got == want, case
+        for c in got.terms.values():
+            assert not c.is_zero()
+            assert all(type(v) is int or v.denominator != 1 for v in c.num.terms.values())
+    assert cancelling >= 25  # every case % 8 == 4 cancels at key 0
+
+
+def _to_sympy(sp, coef, xs, r):
+    """A Coefficient as a sympy expression; the radical slot becomes r."""
+    ctx = coef.ctx
+
+    def poly(p):
+        return sum(sp.Rational(c.numerator, c.denominator)
+                   * sp.Mul(*(v**e for v, e in zip((*xs, r), m)))
+                   for m, c in p.terms.items())
+
+    den = sp.Mul(*(poly(ctx.atom_by_id(aid).poly) ** e for aid, e in coef.den))
+    return poly(coef.num) / den
+
+
+def _apply_sympy(sp, op, expr, xs, r):
+    total = 0
+    for alpha, c in op.terms.items():
+        d = expr
+        for x, e in zip(xs, alpha):
+            if e:
+                d = sp.diff(d, x, e)
+        total += _to_sympy(sp, c, xs, r) * d
+    return total
+
+
+def test_product_against_sympy_on_a_generic_function():
+    """nf(a o b) f == a(b(f)) for an undetermined f(x1, x2), with r = |x|."""
+    sp = pytest.importorskip("sympy")
+    ctx = Context(("x1", "x2"), radical_squares=[("r", {0, 1})])
+    xs = sp.symbols("x1 x2", positive=True)
+    r = sp.sqrt(xs[0] ** 2 + xs[1] ** 2)
+    f = sp.Function("f")(*xs)
+    rng = random.Random(4242)
+    for case in range(10):
+        a = _random_op(ctx, rng, with_radical=True)
+        b = _random_op(ctx, rng, with_radical=case % 2 == 0)
+        lhs = _apply_sympy(sp, a.mul(b), f, xs, r)
+        rhs = _apply_sympy(sp, a, _apply_sympy(sp, b, f, xs, r), xs, r)
+        assert sp.simplify(lhs - rhs) == 0, case
 
 
 def test_formal_transpose_involution(ctx3):

@@ -16,8 +16,11 @@ from blocksep.relations import (
     catalog_negative_controls,
     catalog_oscillator,
     catalog_oscillator_algebra,
+    acomm,
     catalog_proposition_A,
+    comm,
     eval_node,
+    op,
     parse_relation_file,
     parse_relation_line,
     verify_symbolic,
@@ -255,3 +258,44 @@ def test_nonzero_user_relation_reports_residual():
     rel = parse_relation_line("n: [T[1], H[1]] + 1")
     res = eval_node(rel.expr, env)
     assert not res.is_zero()
+
+
+def test_decompose_residual_non_unit_pivot_is_exact():
+    """Integer rows with a pivot of 3 give exact thirds, never floats."""
+    from fractions import Fraction
+
+    from blocksep.opalg import DiffOp
+    from blocksep.relations import decompose_residual
+    from blocksep.ring import Context
+
+    ctx = Context(("x1", "x2"))
+    x1, x2 = ctx.x(0), ctx.x(1)
+    residual = DiffOp.from_poly(ctx, x1.scale(2).add(x2.scale(5)))
+    basis = {"A": DiffOp.from_poly(ctx, x1.scale(3)), "B": DiffOp.from_poly(ctx, x2.scale(-6))}
+    sol = decompose_residual(residual, basis)
+    assert sol == {"A": Fraction(2, 3), "B": Fraction(-5, 6)}
+    assert all(isinstance(v, Fraction) for v in sol.values())
+
+
+def test_equal_brackets_share_one_memo_entry():
+    env = OperatorEnv.for_model(oscillator_spec([2, 2]))
+    first = comm(op("Z[2]"), op("H[1]"))
+    second = comm(op("Z[2]"), op("H[1]"))  # built apart, equal as frozen nodes
+    assert first is not second
+    got = eval_node(first, env)
+    assert eval_node(second, env) is got
+    assert len(env.brackets) == 1
+    eval_node(acomm(op("Z[2]"), op("H[1]")), env)
+    assert len(env.brackets) == 2
+
+
+def test_warm_memo_matches_a_cold_env():
+    spec = oscillator_spec([2, 2])
+    rels = catalog_oscillator(spec).relations
+    warm = OperatorEnv.for_model(spec)
+    for rel in rels:
+        eval_node(rel.expr, warm)
+    assert warm.brackets
+    for rel in rels:
+        cold = OperatorEnv.for_model(spec)
+        assert eval_node(rel.expr, warm).to_text() == eval_node(rel.expr, cold).to_text(), rel.name

@@ -4,7 +4,8 @@ Polynomials run over four coordinates, one parameter and one radical slot;
 divisors are shaped like the denominator atoms the ring divides by: single
 coordinates and sums of two to four squared coordinates, here also scaled
 or weighted by rationals so that the divisor's coefficients are not always
-one.
+one.  The exactness properties at the end feed every ring operation a mix
+of int and Fraction coefficients and check that no float appears.
 """
 
 from fractions import Fraction
@@ -14,7 +15,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from blocksep.ring import Poly  # noqa: E402
+from blocksep.ring import Coefficient, Context, Poly  # noqa: E402
 
 NX = 4
 N = NX + 2  # coordinates, one parameter, one radical
@@ -39,7 +40,7 @@ def quadratic_exact_div(p: Poly, d: Poly):
         rm = max(rem, key=deglex)
         if not all(a <= b for a, b in zip(dm, rm)):
             return None
-        q = rem[rm] / dc
+        q = Fraction(rem[rm]) / dc
         qm = tuple(a - b for a, b in zip(rm, dm))
         out[qm] = out.get(qm, Fraction(0)) + q
         for m2, c2 in d.terms.items():
@@ -105,3 +106,85 @@ def test_exact_div_matches_quadratic_reference(p, d, multiple):
         assert got is None
     else:
         assert list(got.terms.items()) == list(want.terms.items())
+
+
+# -- exactness: int and Fraction coefficients never meet a float -------------------
+
+# mixed coefficients in the stored form: int when integral, Fraction otherwise
+mixed_coefficients = st.one_of(st.integers(-9, 9).filter(bool), coefficients).map(
+    lambda c: c if isinstance(c, int) or c.denominator != 1 else c.numerator
+)
+mixed_polys = st.dictionaries(monomials, mixed_coefficients, min_size=1, max_size=8).map(
+    lambda terms: Poly(N, terms)
+)
+
+
+def stored_form(p: Poly) -> bool:
+    """No zero, no float; an int when integral and a Fraction only otherwise."""
+    return all(
+        c and (type(c) is int or (type(c) is Fraction and c.denominator != 1))
+        for c in p.terms.values()
+    )
+
+
+def as_fractions(p: Poly) -> Poly:
+    return Poly(p.n, {m: Fraction(c) for m, c in p.terms.items()})
+
+
+POLY_OPS = {
+    "add": lambda p, q, d, c: p.add(q),
+    "mul": lambda p, q, d, c: p.mul(q),
+    "scale": lambda p, q, d, c: p.scale(c),
+    "exact_div": lambda p, q, d, c: p.mul(d).exact_div(d),
+    "exact_div_fails": lambda p, q, d, c: p.exact_div(d) or Poly.zero(N),
+    "normalized_integer": lambda p, q, d, c: p.normalized_integer(),
+    "substitute_slot": lambda p, q, d, c: p.substitute_slot(NX, c),
+}
+
+
+@PROPERTY
+@hypothesis.given(st.sampled_from(sorted(POLY_OPS)), mixed_polys, mixed_polys, atoms(),
+                  mixed_coefficients)
+def test_poly_ops_stay_exact(name, p, q, d, c):
+    op = POLY_OPS[name]
+    got = op(p, q, d, c)
+    assert stored_form(got)
+    assert got == op(as_fractions(p), as_fractions(q), as_fractions(d), Fraction(c))
+
+
+def _coefficient_context():
+    ctx = Context(tuple(f"x{i + 1}" for i in range(NX)), ("a",), [("r", {0, 1})])
+    atoms = [ctx.atom_and_scale(p)[0].aid
+             for p in (ctx.x(0), ctx.x(2), ctx.sum_of_squares({0, 1}), ctx.sum_of_squares({1, 2, 3}))]
+    return ctx, atoms
+
+
+CTX, ATOM_IDS = _coefficient_context()
+
+# divisors of div_poly: a scaled coordinate or a scaled sum of squares
+divisors = st.one_of(
+    st.tuples(mixed_coefficients, st.integers(0, NX - 1)).map(
+        lambda t: CTX.x(t[1]).scale(t[0])),
+    st.tuples(mixed_coefficients, st.sets(st.integers(0, NX - 1), min_size=2)).map(
+        lambda t: CTX.sum_of_squares(t[1]).scale(t[0])),
+)
+dens = st.lists(st.integers(0, 2), min_size=len(ATOM_IDS), max_size=len(ATOM_IDS)).map(
+    lambda es: tuple((aid, e) for aid, e in zip(ATOM_IDS, es) if e)
+)
+
+COEFFICIENT_OPS = {
+    "make": lambda p, den, d, i: Coefficient.make(CTX, p, den),
+    "div_poly": lambda p, den, d, i: Coefficient.make(CTX, p, den).div_poly(d),
+    "deriv": lambda p, den, d, i: Coefficient.make(CTX, p, den).deriv(i),
+}
+
+
+@PROPERTY
+@hypothesis.given(st.sampled_from(sorted(COEFFICIENT_OPS)), mixed_polys, dens, divisors,
+                  st.integers(0, NX - 1))
+def test_coefficient_ops_stay_exact(name, p, den, d, i):
+    op = COEFFICIENT_OPS[name]
+    got = op(p, den, d, i)
+    assert stored_form(got.num)
+    want = op(as_fractions(p), den, as_fractions(d), i)
+    assert (got.num, got.den) == (want.num, want.den)
