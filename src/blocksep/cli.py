@@ -106,6 +106,13 @@ def build_catalog(catalog: str, spec: ModelSpec | None) -> RelationSet:
     return CATALOGS[catalog](spec)
 
 
+def _mode(config: dict) -> str:
+    mode = config.get("mode", "symbolic")
+    if mode not in ("symbolic", "numeric", "both"):
+        raise ConfigError(f"unknown mode {mode!r}")
+    return mode
+
+
 def _numeric_params_for(spec: ModelSpec) -> dict:
     params = dict(DEFAULT_NUMERIC_PARAMS)
     for name in spec.param_names():
@@ -132,9 +139,7 @@ def run_verify(config: dict) -> VerificationReport:
         raise ConfigError("verify needs a catalog name")
     blocks = config.get("blocks")
     spec = _model_for_catalog(catalog, blocks, config.get("model"))
-    mode = config.get("mode", "symbolic")
-    if mode not in ("symbolic", "numeric", "both"):
-        raise ConfigError(f"unknown mode {mode!r}")
+    mode = _mode(config)
     report = VerificationReport(config=_echo_config(config, spec))
     try:
         rs = build_catalog(catalog, spec)
@@ -159,53 +164,62 @@ def run_verify(config: dict) -> VerificationReport:
             raise ConfigError(f"catalog {catalog!r} has no relation this model can evaluate")
         report.items.extend(items)
     if mode in ("numeric", "both"):
-        scheme = FDScheme(
-            order=int(config.get("fd_order", 8)),
-            h=float(config.get("fd_step", 1e-2)),
-            extended=True,
-        )
-        tol = float(config.get("tol", 1e-5))
-        seed = int(config.get("seed", 20240801))
-        for rel, env in rs.pairs:
-            if rel.expectation == "record":
-                continue
-            try:
-                if env.spec is None:
-                    raise InapplicableRelationError(
-                        f"numeric mode needs a model; {env.label} is an operator table"
-                    )
-                stats = relation_residual_numeric(
-                    rel,
-                    env.spec,
-                    dict(config.get("params") or _numeric_params_for(env.spec)),
-                    probes=int(config.get("probes", 5)),
-                    points_per_probe=int(config.get("points", 10)),
-                    seed=seed,
-                    scheme=scheme,
-                )
-            except BlocksepError as exc:
-                report.add(
-                    ReportItem(rel.name, "relation", "numeric", "inapplicable", None,
-                               expectation=rel.expectation, note=str(exc)))
-                continue
-            if rel.expectation == "nonzero":
-                ok = stats.max_relative > 1e-2
-                status = "residual" if ok else "zero"
-            else:
-                ok = stats.max_relative <= tol
-                status = "zero" if ok else "residual"
-            report.add(
-                ReportItem(
-                    name=f"{rel.name}[numeric]",
-                    kind="relation",
-                    mode="numeric",
-                    status=status,
-                    passed=ok,
-                    expectation=rel.expectation,
-                    residual=stats.to_json(),
-                )
-            )
+        report.items.extend(_verify_numeric(rs, config))
     return report
+
+
+def _verify_numeric(rs: RelationSet, config: dict) -> list:
+    """Numeric residual items for every relation of ``rs`` that is not a record."""
+    scheme = FDScheme(
+        order=int(config.get("fd_order", 8)),
+        h=float(config.get("fd_step", 1e-2)),
+        extended=True,
+    )
+    tol = float(config.get("tol", 1e-5))
+    seed = int(config.get("seed", 20240801))
+    items = []
+    for rel, env in rs.pairs:
+        if rel.expectation == "record":
+            continue
+        try:
+            if env.spec is None:
+                raise InapplicableRelationError(
+                    f"numeric mode needs a model; {env.label} is an operator table"
+                )
+            stats = relation_residual_numeric(
+                rel,
+                env.spec,
+                dict(config.get("params") or _numeric_params_for(env.spec)),
+                probes=int(config.get("probes", 5)),
+                points_per_probe=int(config.get("points", 10)),
+                seed=seed,
+                scheme=scheme,
+            )
+        except ConfigError as exc:
+            raise ConfigError(f"fd_step {scheme.h:g} is too large for {rel.name}: {exc}") from exc
+        except BlocksepError as exc:
+            items.append(
+                ReportItem(rel.name, "relation", "numeric", "inapplicable", None,
+                           expectation=rel.expectation, note=str(exc)))
+            continue
+        if rel.expectation == "nonzero":
+            ok = stats.max_relative > 1e-2
+            status = "residual" if ok else "zero"
+        else:
+            ok = stats.max_relative <= tol
+            status = "zero" if ok else "residual"
+        items.append(
+            ReportItem(
+                name=f"{rel.name}[numeric]",
+                kind="relation",
+                mode="numeric",
+                status=status,
+                passed=ok,
+                expectation=rel.expectation,
+                residual=stats.to_json(),
+            )
+        )
+    return items
 
 
 def _echo_config(config: dict, spec: ModelSpec | None) -> dict:
@@ -331,9 +345,13 @@ def _run_relation_file(config) -> VerificationReport:
         rels = parse_relation_file(text, param_names=spec.param_names())
     except RelationSyntaxError as exc:
         raise ConfigError(str(exc)) from exc
+    mode = _mode(config)
     report = VerificationReport(config=_echo_config(config, spec))
     rs = RelationSet("relation-file", over(OperatorEnv.for_model(spec), rels))
-    for item in verify_symbolic(rs):
+    items = verify_symbolic(rs) if mode in ("symbolic", "both") else []
+    if mode in ("numeric", "both"):
+        items += _verify_numeric(rs, config)
+    for item in items:
         if item.status == "inapplicable":
             # a user line the model cannot evaluate (unknown integral, no constants) is a typo
             raise ConfigError(f"relation {item.name}: {item.note}")

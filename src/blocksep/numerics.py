@@ -3,8 +3,14 @@
 Operators act on scalar fields through central-difference stencils composed
 axis by axis on a local tensor grid around the evaluation point, so nested
 applications (commutators, operator products) reuse the same probe values.
-Residuals are normalized by the largest intermediate magnitude to absorb the
-cancellation inherent in double commutators of fourth-order products.
+Evaluation is demand-driven: a relation's residual needs only the center
+value of its tree, and each subtree and each operator term gets only the
+grid points its parent's result needs, that result's radius plus the stencil
+margin it consumes.  Stencils and coefficient products act point by point,
+so no value depends on how far the grid around it extends, and the cropping
+changes no bit of any result.  Residuals are normalized by the largest
+intermediate magnitude to absorb the cancellation inherent in double
+commutators of fourth-order products.
 """
 
 from __future__ import annotations
@@ -16,7 +22,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import OracleUnconvergedError, SingularPointError
+from .errors import (
+    ConfigError,
+    OracleUnconvergedError,
+    SingularPointError,
+    UndeclaredParameterError,
+)
 from .models import ModelSpec, RawOperator, potential_cartesian_evaluator
 from .relations import (
     Acomm,
@@ -198,31 +209,40 @@ def _stencil_axis(values: np.ndarray, axis: int, m: int, h: float, scheme: FDSch
     if m == 0:
         return values
     s, w = central_weights(m, scheme.order)
-    n = values.shape[axis]
-    length = n - 2 * s
-    out = None
+    length = values.shape[axis] - 2 * s
+    out = tmp = None
     for j, wj in enumerate(w):
         if wj == 0.0:
             continue
         sl = [slice(None)] * values.ndim
         sl[axis] = slice(j, j + length)
-        piece = values[tuple(sl)] * wj
-        out = piece if out is None else out + piece
-    return out / h**m
+        if out is None:
+            out = values[tuple(sl)] * wj
+            tmp = np.empty_like(out)
+        else:
+            np.multiply(values[tuple(sl)], wj, out=tmp)
+            out += tmp
+    out /= h**m
+    return out
 
 
-def _crop(values: np.ndarray, target_half: int):
-    cur = (values.shape[0] - 1) // 2
-    if cur == target_half:
+def _crop(values: np.ndarray, radius: int, halves) -> np.ndarray:
+    """Central box of a radius-``radius`` grid with the given half width per
+    axis; the array itself when nothing is cropped, which ``eval_tree_on_grid``
+    then recognises as an input it has already applied an operator to."""
+    if all(r == radius for r in halves):
         return values
-    d = cur - target_half
-    sl = tuple(slice(d, values.shape[k] - d) for k in range(values.ndim))
-    return values[sl]
+    return values[tuple(slice(radius - r, radius + r + 1) for r in halves)]
 
 
 def apply_on_grid(nop: NumericOperator, values: np.ndarray, x0, h: float, radius: int,
                   scheme: FDScheme) -> np.ndarray:
-    """Apply operator to grid samples; output radius shrinks by nop.margin."""
+    """Apply an operator to samples on the grid x0 + h*[-radius, radius]^dim.
+
+    The output has radius ``radius - nop.margin``.  Each term differentiates
+    only the samples that output needs: the input is cropped, axis by axis,
+    to the output radius plus the term's stencil half width on that axis.
+    """
     dim = values.ndim
     r_out = radius - nop.margin
     if r_out < 0:
@@ -230,19 +250,10 @@ def apply_on_grid(nop: NumericOperator, values: np.ndarray, x0, h: float, radius
     coords = _axis_coords(x0, h, r_out, dim, values.dtype.type)
     total = np.zeros((2 * r_out + 1,) * dim, dtype=values.dtype)
     for term in nop.terms:
-        arr = values
-        cur = [radius] * dim
+        arr = _crop(values, radius, [r_out + scheme.half_width(m) for m in term.alpha])
         for axis, m in enumerate(term.alpha):
-            if m:
-                arr = _stencil_axis(arr, axis, m, h, scheme)
-                cur[axis] -= scheme.half_width(m)
-        # symmetric crop per axis down to r_out
-        sl = []
-        for axis in range(dim):
-            d = cur[axis] - r_out
-            sl.append(slice(d, arr.shape[axis] - d) if d else slice(None))
-        arr = arr[tuple(sl)]
-        total = total + term.coef_fn(coords) * arr
+            arr = _stencil_axis(arr, axis, m, h, scheme)
+        total += term.coef_fn(coords) * arr
     return total
 
 
@@ -278,6 +289,7 @@ class NumericEnv:
         self._build = build_integral
         self._consts = structural_constants(spec) if spec.partition.N >= 2 else None
         self._cache: dict = {}
+        self._nodes: dict = {}
 
     def operator(self, name) -> NumericOperator:
         key = str(name)
@@ -289,101 +301,103 @@ class NumericEnv:
     def constant(self, kind: str, p: int) -> float:
         return float({"N": self._consts.N, "M": self._consts.M, "U": self._consts.U}[kind](p))
 
-    def scalar_value(self, node) -> float:
+    def compiled(self, node) -> tuple:
+        """(margin, scalar, operator) of a tree node, worked out once per env.
+
+        ``margin`` is the stencil half width the node consumes when applied
+        to a field; ``scalar`` is the value of a node without operators and
+        None otherwise; ``operator`` is the compiled operator of an OpRef or
+        Fixed leaf and None otherwise."""
+        got = self._nodes.get(id(node))
+        if got is None:  # storing the node keeps its id from being reused
+            got = self._nodes[id(node)] = (node, *self._compile_node(node))
+        return got[1:]
+
+    def _compile_node(self, node) -> tuple:
+        if isinstance(node, (OpRef, Fixed)):
+            nop = (self.operator(node.name) if isinstance(node, OpRef)
+                   else compile_operator(node.diffop, self.spec, self.params, self.scheme))
+            return nop.margin, None, nop
         if isinstance(node, Scalar):
-            return float(node.value)
+            return 0, float(node.value), None
         if isinstance(node, ParamRef):
-            return float(self.params[node.name])
+            if node.name not in self.params:
+                raise UndeclaredParameterError(f"no numeric value bound for {node.name!r}")
+            return 0, float(self.params[node.name]), None
         if isinstance(node, ConstRef):
-            return self.constant(node.kind, node.p)
+            return 0, self.constant(node.kind, node.p), None
+        if isinstance(node, (Comm, Acomm)):
+            return self.compiled(node.a)[0] + self.compiled(node.b)[0], None, None
+        if not isinstance(node, (Sum, Prod)):
+            raise TypeError(f"unknown node {node!r}")
+        parts = [self.compiled(t) for t in (node.terms if isinstance(node, Sum) else node.factors)]
+        if any(scalar is None for _, scalar, _ in parts):
+            margins = [margin for margin, _, _ in parts]
+            return (max(margins) if isinstance(node, Sum) else sum(margins)), None, None
         if isinstance(node, Sum):
-            return sum(self.scalar_value(t) for t in node.terms)
-        if isinstance(node, Prod):
-            out = 1.0
-            for f in node.factors:
-                out *= self.scalar_value(f)
-            return out
-        raise TypeError(f"not a scalar node: {node!r}")
+            return 0, sum(scalar for _, scalar, _ in parts), None
+        value = 1.0
+        for _, scalar, _ in parts:
+            value *= scalar
+        return 0, value, None
 
 
-def _is_scalar_node(node) -> bool:
-    if isinstance(node, (Scalar, ParamRef, ConstRef)):
-        return True
-    if isinstance(node, Sum):
-        return all(_is_scalar_node(t) for t in node.terms)
-    if isinstance(node, Prod):
-        return all(_is_scalar_node(f) for f in node.factors)
-    return False
+def eval_tree_on_grid(node, env: NumericEnv, values, x0, h, radius, scheme, magnitudes: list,
+                      applied: dict | None = None):
+    """Apply the tree (as an operator) to samples of a field on the grid
+    x0 + h*[-radius, radius]^dim; returns the result and its radius, which is
+    ``radius`` minus the node's margin.
 
-
-def tree_margin(node, env: NumericEnv) -> int:
-    """Total stencil margin a tree consumes when applied to a field."""
-    if _is_scalar_node(node):
-        return 0
-    if isinstance(node, OpRef):
-        return env.operator(node.name).margin
-    if isinstance(node, Fixed):
-        return compile_operator(node.diffop, env.spec, env.params, env.scheme).margin
-    if isinstance(node, Sum):
-        return max(tree_margin(t, env) for t in node.terms)
-    if isinstance(node, Prod):
-        return sum(tree_margin(f, env) for f in node.factors)
-    if isinstance(node, (Comm, Acomm)):
-        return tree_margin(node.a, env) + tree_margin(node.b, env)
-    raise TypeError(f"unknown node {node!r}")
-
-
-def eval_tree_on_grid(node, env: NumericEnv, values, x0, h, radius, scheme, magnitudes: list):
-    """Apply the tree (as an operator) to grid samples of a field."""
+    A Sum hands each term only the samples within the Sum's output radius
+    plus that term's margin, and ``apply_on_grid`` crops before it
+    differentiates, so no subtree computes a point its parent discards.  An
+    operator applied again to the same array, as the inner and outer
+    commutator of [Z, [Z, H]] both apply Z to the field, is read from
+    ``applied``, which one top-level call shares with all its recursive
+    calls; results are therefore shared, and no caller writes into one.  The
+    center value of every operator leaf and product is appended to
+    ``magnitudes``.
+    """
 
     def record(arr):
         center = arr.reshape(-1)[arr.size // 2]
         magnitudes.append(abs(float(center)))
         return arr
 
-    if isinstance(node, OpRef):
-        nop = env.operator(node.name)
-        out = apply_on_grid(nop, values, x0, h, radius, scheme)
-        return record(out), radius - nop.margin
-    if isinstance(node, Fixed):
-        nop = compile_operator(node.diffop, env.spec, env.params, env.scheme)
-        out = apply_on_grid(nop, values, x0, h, radius, scheme)
-        return record(out), radius - nop.margin
-    if _is_scalar_node(node):
-        return values * env.scalar_value(node), radius
+    applied = {} if applied is None else applied
+    margin, scalar, nop = env.compiled(node)
+    if nop is not None:
+        key = (id(nop), id(values))
+        if key not in applied:  # storing the input keeps its id from being reused
+            applied[key] = values, apply_on_grid(nop, values, x0, h, radius, scheme)
+        return record(applied[key][1]), radius - margin
+    if scalar is not None:
+        return values * scalar, radius
+    target = radius - margin
     if isinstance(node, Sum):
-        parts = []
-        min_rad = radius
+        total = np.zeros((2 * target + 1,) * values.ndim, dtype=values.dtype)
         for t in node.terms:
-            arr, rad = eval_tree_on_grid(t, env, values, x0, h, radius, scheme, magnitudes)
-            parts.append((arr, rad))
-            min_rad = min(min_rad, rad)
-        total = np.zeros((2 * min_rad + 1,) * values.ndim, dtype=values.dtype)
-        for arr, rad in parts:
-            total = total + _crop(arr, min_rad)
-        return total, min_rad
+            rad = target + env.compiled(t)[0]
+            arr, _ = eval_tree_on_grid(t, env, _crop(values, radius, [rad] * values.ndim),
+                                       x0, h, rad, scheme, magnitudes, applied)
+            total += arr
+        return total, target
     if isinstance(node, Prod):
-        scalars = [f for f in node.factors if _is_scalar_node(f)]
-        ops = [f for f in node.factors if not _is_scalar_node(f)]
         arr, rad = values, radius
-        for f in reversed(ops):
-            arr, rad = eval_tree_on_grid(f, env, arr, x0, h, rad, scheme, magnitudes)
-        for s in scalars:
-            arr = arr * env.scalar_value(s)
+        for f in reversed(node.factors):
+            if env.compiled(f)[1] is None:
+                arr, rad = eval_tree_on_grid(f, env, arr, x0, h, rad, scheme, magnitudes, applied)
+        for f in node.factors:
+            factor = env.compiled(f)[1]
+            if factor is not None:
+                arr = arr * factor
         return record(arr), rad
-    if isinstance(node, (Comm, Acomm)):
-        sign = -1.0 if isinstance(node, Comm) else 1.0
-        ab, rad1 = eval_tree_on_grid(
-            node.b, env, values, x0, h, radius, scheme, magnitudes
-        )
-        ab, rad1 = eval_tree_on_grid(node.a, env, ab, x0, h, rad1, scheme, magnitudes)
-        ba, rad2 = eval_tree_on_grid(
-            node.a, env, values, x0, h, radius, scheme, magnitudes
-        )
-        ba, rad2 = eval_tree_on_grid(node.b, env, ba, x0, h, rad2, scheme, magnitudes)
-        rad = min(rad1, rad2)
-        return _crop(ab, rad) + sign * _crop(ba, rad), rad
-    raise TypeError(f"unknown node {node!r}")
+    sign = -1.0 if isinstance(node, Comm) else 1.0
+    ab, rad = eval_tree_on_grid(node.b, env, values, x0, h, radius, scheme, magnitudes, applied)
+    ab, _ = eval_tree_on_grid(node.a, env, ab, x0, h, rad, scheme, magnitudes, applied)
+    ba, rad = eval_tree_on_grid(node.a, env, values, x0, h, radius, scheme, magnitudes, applied)
+    ba, _ = eval_tree_on_grid(node.b, env, ba, x0, h, rad, scheme, magnitudes, applied)
+    return ab + sign * ba, target
 
 
 @dataclass
@@ -439,8 +453,13 @@ def sample_points(spec: ModelSpec, count: int, rng, delta: float = 0.05,
                   margin_extent: float = 0.2, guards=()):
     """Seeded admissible points: every coordinate bounded away from zero by
     delta plus the local grid extent, with random signs; rejection sampling
-    keeps the stream deterministic for a fixed generator state."""
+    keeps the stream deterministic for a fixed generator state.  Magnitudes
+    stay below 1.45, so an extent of 1.45 - delta - 0.05 or more is a
+    ConfigError."""
     lo = max(0.35, delta + margin_extent + 0.05)
+    if lo >= 1.45:
+        raise ConfigError(f"a grid of extent {margin_extent:g} needs coordinate magnitudes "
+                          f"in [{lo:g}, 1.45), which is empty")
     D = spec.partition.D
     points = []
     attempts = 0
@@ -465,7 +484,7 @@ def relation_residual_numeric(rel: Relation, spec: ModelSpec, params: dict,
     magnitude across the tree evaluation); reported are max and median.
     """
     env = NumericEnv(spec, params, scheme)
-    margin = tree_margin(rel.expr, env)
+    margin = env.compiled(rel.expr)[0]
     rng = np.random.default_rng(seed)
     D = spec.partition.D
     rels = []
@@ -478,7 +497,7 @@ def relation_residual_numeric(rel: Relation, spec: ModelSpec, params: dict,
         for qi in range(points_per_probe):
             x = pts[pi * points_per_probe + qi]
             coords = _axis_coords(x, scheme.h, margin, D, dtype)
-            values = probe(np.broadcast_arrays(*coords))
+            values = probe(coords)  # broadcasts the axes: same values, fewer operations
             mags: list = []
             out, rad = eval_tree_on_grid(
                 rel.expr, env, values, x, scheme.h, margin, scheme, mags

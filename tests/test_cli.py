@@ -91,6 +91,19 @@ def test_bad_config_values_exit_two(runner, tmp_path, values):
     assert "config error:" in res.output
 
 
+def test_fd_step_too_large_for_the_sampling_box_exit_two(runner, tmp_path):
+    """A grid wider than the sampling box admits is a config error naming fd_step."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"catalog": "oscillator-algebra", "blocks": [2, 1],
+                                  "mode": "numeric", "fd_step": 0.2, "probes": 1,
+                                  "points": 2}))
+    res = runner.invoke(main, ["verify", "--config", str(config)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "config error:" in res.output
+    assert "fd_step 0.2" in res.output
+
+
 @pytest.mark.parametrize("config, args", [
     ({"catalog": "oscillator-algebra",
       "model": {"family": "oscillator", "blocks": [2, 1], "omega2": "w2"}}, []),
@@ -344,6 +357,40 @@ def test_relation_file_flow(runner, tmp_path):
     bad.write_text("oops: [Z[2], \n")
     res2 = runner.invoke(main, ["verify", "--relation-file", str(bad), "--blocks", "2,2"])
     assert res2.exit_code == 2
+
+
+@pytest.mark.parametrize("mode, expect", [
+    ("numeric", {"check-1[numeric]", "check-2[numeric]"}),
+    ("both", {"check-1", "check-2", "check-1[numeric]", "check-2[numeric]"}),
+])
+def test_relation_file_honours_numeric_mode(runner, tmp_path, mode, expect):
+    rel = tmp_path / "user.rel"
+    rel.write_text("check-1: [Z[2], Hsum[2]]\ncheck-2: G[1,2] == T[1]\n")
+    out = tmp_path / "rep.json"
+    res = runner.invoke(
+        main, ["verify", "--relation-file", str(rel), "--blocks", "2,2", "--mode", mode,
+               "--seed", "3", "--out", str(out)]
+    )
+    assert res.exit_code == 0, res.output
+    doc = json.loads(out.read_text())
+    validate_report(doc)
+    assert {i["name"] for i in doc["items"]} == expect
+    for item in doc["items"]:
+        if item["mode"] == "numeric":
+            assert item["residual"]["max_relative"] <= 1e-5
+
+
+def test_relation_file_numeric_unbound_parameter_exit_two(runner, tmp_path):
+    """A parameter the numeric params leave unbound is a config error, not a traceback."""
+    rel = tmp_path / "user.rel"
+    rel.write_text("c1: [Z[2], T[1]] - w2*T[1] + w2*T[1]\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"beta1": 1.0}, "probes": 1, "points": 1}))
+    res = runner.invoke(main, ["verify", "--relation-file", str(rel), "--blocks", "2,2",
+                               "--mode", "numeric", "--config", str(cfg)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "no numeric value bound for 'w2'" in res.output
 
 
 @pytest.mark.parametrize("line, message", [("H[x] == 0", "bad index"),

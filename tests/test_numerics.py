@@ -172,6 +172,88 @@ def test_perturbed_relation_flags_large_residual():
     assert st.max_relative > 1e-2
 
 
+def _model2_grid(radius, scheme, seed=3):
+    """The criterion 7 model, its oscillator-algebra relations, and probe samples
+    on the grid of the given radius around an admissible point."""
+    from blocksep.numerics import _axis_coords
+
+    spec = oscillator_spec([2, 1], (model2_potential(2, 4, 1), Zero()))
+    rels = oscillator_quadratic_relations(spec, 2)
+    x = sample_points(spec, 1, np.random.default_rng(seed), margin_extent=0.2)[0]
+    coords = _axis_coords(x, scheme.h, radius, spec.partition.D, scheme.dtype)
+    values = ProbeFunction.from_seed(spec.partition.D, seed)(np.broadcast_arrays(*coords))
+    return spec, rels, x, values
+
+
+@pytest.mark.parametrize("extended", [False, True])
+@pytest.mark.parametrize("R", [0, 3])
+def test_apply_on_grid_is_exact_on_a_larger_grid(extended, R):
+    """Cropping before differentiating changes no bit: the output of radius R
+    equals the cropped output of a grid of radius R + k."""
+    from blocksep.numerics import NumericEnv, _crop, apply_on_grid
+    from blocksep.integrals import name_from_string
+
+    scheme = FDScheme(extended=extended)
+    big_radius = R + 4 + 2  # every operator below has margin 4
+    spec, _, x, big = _model2_grid(big_radius, scheme)
+    env = NumericEnv(spec, {"w2": 1.0}, scheme)
+    for name in ("Z[2]", "H[2]", "Hsum[2]"):
+        nop = env.operator(name_from_string(name))
+        m = nop.margin
+        assert m == 4
+        want = apply_on_grid(nop, _crop(big, big_radius, [R + m] * 3), x, scheme.h, R + m, scheme)
+        for k in (1, 2):
+            values = _crop(big, big_radius, [R + m + k] * 3)
+            got = apply_on_grid(nop, values, x, scheme.h, R + m + k, scheme)
+            assert np.array_equal(_crop(got, R + k, [R] * 3), want), (name, k)
+
+
+def test_eval_tree_on_grid_is_exact_on_a_larger_grid():
+    """The center value and every recorded magnitude of a relation tree are
+    the same, bit for bit, when the tree is evaluated from a larger grid."""
+    from blocksep.numerics import NumericEnv, _crop, eval_tree_on_grid
+
+    scheme = FDScheme(extended=True)
+    spec, rels, x, big = _model2_grid(12 + 3, scheme)
+    rel = next(r for r in rels if r.name == "osc-alg-l2-ZY")
+    env = NumericEnv(spec, {"w2": 1.0}, scheme)
+    margin = env.compiled(rel.expr)[0]
+    assert margin == 12
+    results = []
+    for radius in (margin, margin + 1, margin + 3):
+        mags: list = []
+        values = _crop(big, 15, [radius] * 3)
+        out, rad = eval_tree_on_grid(rel.expr, env, values, x, scheme.h, radius, scheme, mags)
+        assert rad == radius - margin and out.shape == (2 * rad + 1,) * 3
+        results.append((out.reshape(-1)[out.size // 2], mags))
+    assert all(center == results[0][0] for center, _ in results)
+    assert all(mags == results[0][1] for _, mags in results)
+    assert len(results[0][1]) > 10
+
+
+def test_fixed_node_compiled_once_per_relation(monkeypatch):
+    """A Fixed leaf is compiled once per residual evaluation, not at every point."""
+    from blocksep import numerics
+    from blocksep.integrals import name_from_string
+    from blocksep.relations import Fixed, OperatorEnv, OpRef, Prod, Relation, Scalar, Sum
+
+    spec = oscillator_spec([2, 2], (Constant(1), Constant(2)), omega2=1)
+    name = name_from_string("Z[2]")
+    fixed = Fixed(OperatorEnv.for_model(spec).operator(name))
+    rel = Relation("Z-minus-fixed-Z", Sum((OpRef(name), Prod((Scalar(-1), fixed)))))
+    compiled = []
+    real = numerics.compile_operator
+
+    def counting(op, *args):
+        compiled.append(op)
+        return real(op, *args)
+
+    monkeypatch.setattr(numerics, "compile_operator", counting)
+    st = relation_residual_numeric(rel, spec, {}, probes=2, points_per_probe=3, seed=5)
+    assert st.samples == 6 and st.max_relative < 1e-12
+    assert sum(1 for op in compiled if op is fixed.diffop) == 1
+
+
 def test_eigensolver_calibration():
     for c, gamma in ((0.0, 1.0), (2.0, 2.0), (15.0 / 4.0, 2.5)):
         prob = Eigensolve1DProblem(lambda r, c=c: r**2 + c / r**2, L=14.0, n_eigenvalues=4)
