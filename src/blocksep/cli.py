@@ -186,10 +186,12 @@ def _verify_numeric(rs: RelationSet, config: dict) -> list:
                 raise InapplicableRelationError(
                     f"numeric mode needs a model; {env.label} is an operator table"
                 )
+            params = _numeric_params_for(env.spec)
+            params.update(config.get("params") or {})
             stats = relation_residual_numeric(
                 rel,
                 env.spec,
-                dict(config.get("params") or _numeric_params_for(env.spec)),
+                params,
                 probes=int(config.get("probes", 5)),
                 points_per_probe=int(config.get("points", 10)),
                 seed=seed,
@@ -289,7 +291,8 @@ def main():
 
 
 @main.command()
-@click.option("--catalog", type=str, default=None, help="catalog name or 'file:PATH'")
+@click.option("--catalog", type=str, default=None,
+              help="catalog name; user relations go through --relation-file")
 @click.option("--blocks", type=str, default=None, help="comma-separated block sizes")
 @click.option("--mode", type=click.Choice(["symbolic", "numeric", "both"]), default=None)
 @click.option("--seed", type=int, default=None)

@@ -270,33 +270,6 @@ class DiffOp:
         return f"DiffOp({n} terms, order {self.order()})"
 
 
-# -- module-level operation helpers (spec surface) -----------------------------
-
-
-def add(a: DiffOp, b: DiffOp) -> DiffOp:
-    return a.add(b)
-
-
-def mul(a: DiffOp, b: DiffOp) -> DiffOp:
-    return a.mul(b)
-
-
-def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
-    return a.commutator(b)
-
-
-def anticommutator(a: DiffOp, b: DiffOp) -> DiffOp:
-    return a.anticommutator(b)
-
-
-def is_zero(a: DiffOp) -> bool:
-    return a.is_zero()
-
-
-def substitute_params(a: DiffOp, bindings: dict) -> DiffOp:
-    return a.substitute_params(bindings)
-
-
 # -- common geometric operators ------------------------------------------------
 
 

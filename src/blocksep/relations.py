@@ -31,7 +31,7 @@ from .integrals import (
 from .models import COULOMB, OSCILLATOR, ModelSpec, operator_context, oscillator_spec
 from .opalg import DiffOp, angular_momentum, euler_operator, laplacian
 from .report import ReportItem
-from .ring import Coefficient, Context
+from .ring import Coefficient, Context, row_reduce
 
 
 # -- expression trees -----------------------------------------------------------
@@ -324,30 +324,11 @@ def decompose_residual(residual: DiffOp, basis: dict):
     rvec, bvecs = vecs[0], vecs[1:]
     keys = sorted(set().union(rvec, *bvecs)) if bvecs else sorted(rvec)
     rows = [[bv.get(k, Fraction(0)) for bv in bvecs] + [rvec.get(k, Fraction(0))] for k in keys]
-    ncols = len(names)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        inv = Fraction(1, pv)  # rows hold ints: v / pv would be a float
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][ncols] != 0:
-            return None
-    sol = {n: Fraction(0) for n in names}
-    for i, c in enumerate(pivots):
-        sol[names[c]] = rows[i][ncols]
-    return {k: v for k, v in sol.items() if v != 0}
+    pivots = row_reduce(rows, len(names))
+    if any(row[-1] != 0 for row in rows[len(pivots):]):
+        return None
+    sol = {names[c]: row[-1] for c, row in zip(pivots, rows)}
+    return {n: sol[n] for n in names if sol.get(n, 0) != 0}
 
 
 # -- catalog: two-coordinate seed system ------------------------------------------

@@ -86,6 +86,33 @@ def den_product(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(exps.items()))
 
 
+def row_reduce(rows: list, ncols: int) -> list:
+    """Gauss–Jordan elimination of ``rows`` in place over the first ``ncols``
+    columns; returns the pivot columns, in order.
+
+    Each column's pivot is the first nonzero entry at or below the current
+    row, swapped up and scaled to one by ``Fraction(1, pv)`` (``v / pv`` on
+    two ints would be a float); every other row is then cleared in that
+    column.  Entries past ``ncols`` (a right-hand side) ride along.
+    """
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = Fraction(1, rows[r][c])
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
 def _terms_desc(p: "Poly") -> list:
     """The terms of ``p`` in descending deglex order; a key that orders polynomials."""
     return sorted(p.terms.items(), key=lambda t: _deglex(t[0]), reverse=True)

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import InadmissibleParametersError
 from .models import OSCILLATOR, Hierarchy, is_model2_tower
+from .ring import Poly, row_reduce
 from .spectra import (
     EigenfunctionSpec,
     _coulomb_energies,
@@ -81,18 +82,14 @@ def chebyshev_t(n: int, x):
 # -- exceptional family -------------------------------------------------------------
 
 
-def _x1_params(alpha: Fraction, beta: Fraction):
-    A = Fraction(3, 2) * (alpha + beta + 1)
-    B = Fraction(3, 2) * (beta - alpha)
-    return A, B
-
-
 @lru_cache(maxsize=None)
 def x1_jacobi_coefficients(n: int, alpha: Fraction, beta: Fraction) -> tuple:
     """Exact coefficient vector (c_0..c_n) of the degree-n exceptional polynomial.
 
-    Solves the nullspace of the polynomial identity obtained from the angular
-    equation in s = sin(3 phi) with eigenvalue (A + 3(n-1))^2.
+    With A = 3(alpha+beta+1)/2, B = 3(beta-alpha)/2, delta = 2A-3-2Bs and
+    u = (2B - (2A+3)s)/3, the angular equation in s = sin(3 phi) with
+    eigenvalue E = (A + 3(n-1))^2 is the identity a2 Q'' + a1 Q' + a0 Q = 0
+    below.  Column m of the linear system is that identity applied to s^m.
     """
     if n < 1:
         raise InadmissibleParametersError("the exceptional family starts at degree 1")
@@ -102,102 +99,44 @@ def x1_jacobi_coefficients(n: int, alpha: Fraction, beta: Fraction) -> tuple:
         raise InadmissibleParametersError("need alpha, beta > -1")
     if alpha == beta:
         raise InadmissibleParametersError("need alpha != beta (B would vanish)")
-    A, B = _x1_params(alpha, beta)
-    J = n - 1
-    E = (A + 3 * J) ** 2
+    A = Fraction(3, 2) * (alpha + beta + 1)
+    B = Fraction(3, 2) * (beta - alpha)
+    E = (A + 3 * (n - 1)) ** 2
 
-    # polynomial helpers over Fraction coefficient lists (index = power of s)
-    def pmul(a, b):
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return out
-
-    def pscale(a, c):
-        return [x * c for x in a]
-
-    delta = [2 * A - 3, -2 * B]
-    one_m_s2 = [Fraction(1), Fraction(0), Fraction(-1)]
-    u = [Fraction(2, 3) * B, -Fraction(1, 3) * (2 * A + 3)]
-    delta2 = pmul(delta, delta)
-
-    # rows: coefficient of s^k in the identity; cols: c_0..c_n
-    rows = {}
-
-    def add_contrib(poly_in_s, col, shift):
-        # poly_in_s multiplies s^shift * c_col
-        for k, v in enumerate(poly_in_s):
-            if v == 0:
-                continue
-            rows.setdefault(k + shift, {})
-            rows[k + shift][col] = rows[k + shift].get(col, Fraction(0)) + v
-
+    s = Poly.var(1, 0)
+    delta = Poly.const(1, 2 * A - 3).sub(s.scale(2 * B))
+    delta2 = delta.mul(delta)
+    one_m_s2 = Poly.const(1, 1).sub(s.mul(s))
+    u = Poly.const(1, 2 * B / 3).sub(s.scale((2 * A + 3) / 3))
+    a2 = one_m_s2.mul(delta2)
+    a1 = one_m_s2.mul(delta).scale(4 * B).add(u.mul(delta2))
+    a0 = (
+        one_m_s2.scale(8 * B * B)
+        .add(u.mul(delta).scale(2 * B))
+        .add(delta2.scale((E - A * A) / 9))
+        .add(delta.scale(-2 * (2 * A - 3)))
+        .add(Poly.const(1, 2 * ((2 * A - 3) ** 2 - 4 * B * B)))
+    )
+    columns = []
     for m in range(n + 1):
-        # Q'' term: m(m-1) s^(m-2)
-        if m >= 2:
-            add_contrib(pscale(pmul(one_m_s2, delta2), m * (m - 1)), m, m - 2)
-        # 4B Q' delta (1-s^2)
-        if m >= 1:
-            add_contrib(pscale(pmul(one_m_s2, delta), 4 * B * m), m, m - 1)
-        # 8B^2 Q (1-s^2)
-        add_contrib(pscale(one_m_s2, 8 * B * B), m, m)
-        # u * (Q' delta^2 + 2B Q delta)
-        if m >= 1:
-            add_contrib(pscale(pmul(u, delta2), m), m, m - 1)
-        add_contrib(pscale(pmul(u, delta), 2 * B), m, m)
-        # (E - A^2)/9 Q delta^2
-        add_contrib(pscale(delta2, Fraction(E - A * A, 9)), m, m)
-        # -2(2A-3) Q delta
-        add_contrib(pscale(delta, -2 * (2 * A - 3)), m, m)
-        # +2((2A-3)^2 - 4B^2) Q
-        add_contrib([2 * ((2 * A - 3) ** 2 - 4 * B * B)], m, m)
+        q = Poly.var(1, 0, m)
+        dq = q.deriv_slot(0)
+        columns.append(a2.mul(dq.deriv_slot(0)).add(a1.mul(dq)).add(a0.mul(q)).terms)
 
-    # assemble and find the nullspace by Gaussian elimination
-    keys = sorted(rows)
-    mat = [[rows[k].get(c, Fraction(0)) for c in range(n + 1)] for k in keys]
-    ncols = n + 1
-    r = 0
-    pivots = []
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [v / pv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    rows = [[col.get(k, 0) for col in columns] for k in sorted(set().union(*columns))]
+    pivots = row_reduce(rows, n + 1)
+    free = [c for c in range(n + 1) if c not in pivots]
     if len(free) != 1:
         raise InadmissibleParametersError(
             f"no unique degree-{n} polynomial eigenfunction for alpha={alpha}, beta={beta}"
         )
-    fc = free[0]
-    coeffs = [Fraction(0)] * ncols
-    coeffs[fc] = Fraction(1)
-    for i, c in enumerate(pivots):
-        coeffs[c] = -mat[i][fc]
-    if coeffs[n] == 0:
+    q = Poly.var(1, 0, free[0])
+    for c, row in zip(pivots, rows):
+        q = q.sub(Poly.var(1, 0, c).scale(row[free[0]]))
+    if (n,) not in q.terms:
         raise InadmissibleParametersError("nullspace vector has degree below n")
-    # primitive integer normalization, positive leading coefficient
-    den = 1
-    for v in coeffs:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    ints = [v * den for v in coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v.numerator))
-    ints = [v / g for v in ints]
-    if ints[n] < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    q = q.normalized_integer()  # primitive integers, positive leading coefficient
+    return tuple(q.terms.get((m,), 0) for m in range(n + 1))
 
 
 def x1_jacobi(n: int, alpha, beta, x):

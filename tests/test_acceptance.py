@@ -232,7 +232,7 @@ def test_criterion_10_exceptional_layer():
 
 
 def test_criterion_11_engine_properties():
-    from blocksep.opalg import DiffOp, angular_momentum, commutator
+    from blocksep.opalg import DiffOp, angular_momentum
     from blocksep.ring import Coefficient, Context, Poly
 
     ok = True
@@ -280,7 +280,7 @@ def test_criterion_11_engine_properties():
             for c in range(4):
                 if len({a, b, c}) < 3:
                     continue
-                got = commutator(angular_momentum(ctx4, a, b), angular_momentum(ctx4, b, c))
+                got = angular_momentum(ctx4, a, b).commutator(angular_momentum(ctx4, b, c))
                 if not got == angular_momentum(ctx4, a, c):
                     ok = False
     # FD convergence order on an analytic probe

@@ -380,17 +380,26 @@ def test_relation_file_honours_numeric_mode(runner, tmp_path, mode, expect):
             assert item["residual"]["max_relative"] <= 1e-5
 
 
-def test_relation_file_numeric_unbound_parameter_exit_two(runner, tmp_path):
-    """A parameter the numeric params leave unbound is a config error, not a traceback."""
+@pytest.mark.parametrize("args, expect", [
+    (["--catalog", "oscillator-algebra", "--blocks", "2,1"],
+     {"osc-alg-l2-def[numeric]", "osc-alg-l2-ZY[numeric]", "osc-alg-l2-HY[numeric]"}),
+    (["--relation-file", "REL", "--blocks", "2,2"], {"c1[numeric]"}),
+], ids=["catalog", "relation-file"])
+def test_numeric_config_params_extend_the_defaults(runner, tmp_path, args, expect):
+    """Config params override the model's default values key by key; w2 keeps its default."""
     rel = tmp_path / "user.rel"
     rel.write_text("c1: [Z[2], T[1]] - w2*T[1] + w2*T[1]\n")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"params": {"beta1": 1.0}, "probes": 1, "points": 1}))
-    res = runner.invoke(main, ["verify", "--relation-file", str(rel), "--blocks", "2,2",
-                               "--mode", "numeric", "--config", str(cfg)])
-    assert res.exit_code == 2, res.output
-    assert isinstance(res.exception, SystemExit)
-    assert "no numeric value bound for 'w2'" in res.output
+    out = tmp_path / "report.json"
+    args = [str(rel) if a == "REL" else a for a in args]
+    res = runner.invoke(main, ["verify", *args, "--mode", "numeric", "--config", str(cfg),
+                               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    doc = json.loads(out.read_text())
+    assert {i["name"] for i in doc["items"]} == expect
+    assert all(i["mode"] == "numeric" and i["status"] == "zero" for i in doc["items"])
+    assert doc["config"]["params"] == {"beta1": 1.0}
 
 
 @pytest.mark.parametrize("line, message", [("H[x] == 0", "bad index"),

@@ -12,7 +12,6 @@ from blocksep.opalg import (
     DiffOp,
     angular_momentum,
     angular_momentum_squared_sum,
-    commutator,
     laplacian,
 )
 from blocksep.ring import Coefficient, Context
@@ -73,16 +72,14 @@ def test_partial_of_radical(ctx2r):
 
 def test_so3_closure(ctx3):
     """[L_12, L_23] = L_13 and the full closure over index triples."""
-    got = commutator(angular_momentum(ctx3, 0, 1), angular_momentum(ctx3, 1, 2))
+    got = angular_momentum(ctx3, 0, 1).commutator(angular_momentum(ctx3, 1, 2))
     assert got == angular_momentum(ctx3, 0, 2)
     for a in range(3):
         for b in range(3):
             for c in range(3):
                 if len({a, b, c}) < 3:
                     continue
-                got = commutator(
-                    angular_momentum(ctx3, a, b), angular_momentum(ctx3, b, c)
-                )
+                got = angular_momentum(ctx3, a, b).commutator(angular_momentum(ctx3, b, c))
                 assert got == angular_momentum(ctx3, a, c)
 
 

@@ -1,5 +1,7 @@
 """Relation catalogs, the exact verifier, and the relation-file grammar."""
 
+from fractions import Fraction
+
 import pytest
 
 from blocksep.errors import InapplicableRelationError, RelationSyntaxError
@@ -145,8 +147,6 @@ def test_coulomb_umbrella_catalog():
 
 def test_parameter_substitution_commutes_with_construction():
     """Binding beta_i after building equals building with rational values."""
-    from fractions import Fraction
-
     from blocksep.models import Constant
     from blocksep.relations import eval_node, op
 
@@ -260,20 +260,30 @@ def test_nonzero_user_relation_reports_residual():
     assert not res.is_zero()
 
 
-def test_decompose_residual_non_unit_pivot_is_exact():
-    """Integer rows with a pivot of 3 give exact thirds, never floats."""
-    from fractions import Fraction
-
+@pytest.mark.parametrize("residual, basis, expect", [
+    ({"x1": 2, "x2": 5}, {"A": {"x1": 3}, "B": {"x2": -6}},
+     {"A": Fraction(2, 3), "B": Fraction(-5, 6)}),
+    # B = 2 A is dependent: pivots run in column order, so A and C carry the residual
+    ({"x1": 1, "x2": 1}, {"A": {"x1": 1}, "B": {"x1": 2}, "C": {"x2": 1}},
+     {"A": Fraction(1), "C": Fraction(1)}),
+], ids=["pivot-3", "dependent-basis"])
+def test_decompose_residual_non_unit_pivot_is_exact(residual, basis, expect):
+    """Exact Fraction coefficients, never floats; a dependent basis keeps column-order pivots."""
     from blocksep.opalg import DiffOp
     from blocksep.relations import decompose_residual
     from blocksep.ring import Context
 
     ctx = Context(("x1", "x2"))
-    x1, x2 = ctx.x(0), ctx.x(1)
-    residual = DiffOp.from_poly(ctx, x1.scale(2).add(x2.scale(5)))
-    basis = {"A": DiffOp.from_poly(ctx, x1.scale(3)), "B": DiffOp.from_poly(ctx, x2.scale(-6))}
-    sol = decompose_residual(residual, basis)
-    assert sol == {"A": Fraction(2, 3), "B": Fraction(-5, 6)}
+
+    def linear(coeffs):
+        out = ctx.zero_poly()
+        for name, c in coeffs.items():
+            out = out.add(ctx.x(ctx.var_names.index(name)).scale(c))
+        return DiffOp.from_poly(ctx, out)
+
+    sol = decompose_residual(linear(residual), {k: linear(v) for k, v in basis.items()})
+    assert sol == expect
+    assert list(sol) == list(expect)
     assert all(isinstance(v, Fraction) for v in sol.values())
 
 

@@ -1,4 +1,5 @@
-"""Property tests for ``Poly.exact_div`` against the plain quadratic division.
+"""Property tests for ``Poly.exact_div`` against the plain quadratic division,
+and for ``row_reduce`` against the elimination loop it replaced.
 
 Polynomials run over four coordinates, one parameter and one radical slot;
 divisors are shaped like the denominator atoms the ring divides by: single
@@ -15,7 +16,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from blocksep.ring import Coefficient, Context, Poly  # noqa: E402
+from blocksep.ring import Coefficient, Context, Poly, row_reduce  # noqa: E402
 
 NX = 4
 N = NX + 2  # coordinates, one parameter, one radical
@@ -188,3 +189,58 @@ def test_coefficient_ops_stay_exact(name, p, den, d, i):
     assert stored_form(got.num)
     want = op(as_fractions(p), den, as_fractions(d), i)
     assert (got.num, got.den) == (want.num, want.den)
+
+
+# -- row_reduce: one exact Gauss-Jordan for residual decomposition and the X1 nullspace
+
+
+def reference_row_reduce(rows, ncols):
+    """The elimination loop of ``decompose_residual`` before ``row_reduce``."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        inv = Fraction(1, pv)
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+@st.composite
+def matrices(draw):
+    """Up to 8 rows over 1-5 columns plus maybe a right-hand side; some rows
+    combine earlier ones (rank deficiency) and some columns are all zero."""
+    ncols = draw(st.integers(1, 5))
+    width = ncols + draw(st.integers(0, 1))
+    zero_columns = draw(st.sets(st.integers(0, width - 1), max_size=2))
+    entries = st.one_of(st.just(0), mixed_coefficients)
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        if len(rows) >= 2 and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            f, g = draw(mixed_coefficients), draw(mixed_coefficients)
+            rows.append([f * x + g * y for x, y in zip(a, b)])
+        else:
+            rows.append([0 if c in zero_columns else draw(entries) for c in range(width)])
+    return rows, ncols
+
+
+@PROPERTY
+@hypothesis.given(matrices())
+def test_row_reduce_matches_reference(case):
+    rows, ncols = case
+    want = [list(row) for row in rows]
+    want_pivots = reference_row_reduce(want, ncols)
+    got = [list(row) for row in rows]
+    assert row_reduce(got, ncols) == want_pivots
+    assert got == want
+    assert not any(isinstance(v, float) for row in got for v in row)

@@ -81,6 +81,10 @@ def test_x1_degree_and_uniqueness():
     for n in (1, 2, 3, 4):
         coeffs = x1_jacobi_coefficients(n, alpha, beta)
         assert len(coeffs) == n + 1 and coeffs[-1] > 0
+    # primitive integer vectors with a positive leading entry
+    assert x1_jacobi_coefficients(1, alpha, beta) == (-11, 2)
+    assert x1_jacobi_coefficients(2, alpha, beta) == (22, -89, 22)
+    assert x1_jacobi_coefficients(3, alpha, beta) == (43, 54, -246, 68)
     v = x1_jacobi(1, alpha, beta, Fraction(1, 2))
     assert isinstance(v, Fraction)
 
