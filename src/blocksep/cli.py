@@ -7,21 +7,20 @@ failure path), 2 on usage or configuration errors.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 import click
 
-from .errors import BlocksepError, ConfigError, InapplicableRelationError, RelationSyntaxError
+from .errors import BlocksepError, ConfigError, InapplicableRelationError
 from .models import (
     COULOMB,
     OSCILLATOR,
     ModelSpec,
-    Zero,
     coulomb_spec,
     oscillator_spec,
     spec_from_json,
@@ -80,24 +79,46 @@ def _parse_blocks(text: str):
     return sizes
 
 
-def _config_model(build, arg) -> ModelSpec:
-    """``build(arg)`` for a model described by the config; a bad description
-    (malformed JSON values, an invalid partition) is a config error."""
+def _from_input(build, *args):
+    """``build(*args)`` on values the user gave; any error in turning them into
+    a model or a query (malformed JSON, a value of the wrong type, an invalid
+    partition) is a config error."""
     try:
-        return build(arg)
+        return build(*args)
     except (BlocksepError, ArithmeticError, AttributeError, LookupError, TypeError,
             ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _model_for_catalog(catalog: str, blocks, model_json):
-    if model_json is not None:
-        return _config_model(spec_from_json, model_json)
-    if catalog in ("proposition-A", "negative-controls") and blocks is None:
-        return None
-    if blocks is None:
-        raise ConfigError(f"catalog {catalog!r} needs --blocks or a config model")
-    return _config_model(coulomb_spec if catalog.startswith("coulomb") else oscillator_spec, blocks)
+def _command_model(family: str, blocks: str, potentials: str | None, omega2: str,
+                   eta: str) -> ModelSpec:
+    """The model of a ``spectrum`` or ``eigencheck`` command line; ``potentials``
+    is JSON text, and every potential is zero without it."""
+    sizes = _parse_blocks(blocks)
+    pots = [{"kind": "zero"}] * (len(sizes) - (family == COULOMB))
+    if potentials:
+        pots = _from_input(json.loads, potentials)
+    doc = {"family": family, "blocks": sizes, "potentials": pots, "omega2": omega2, "eta": eta}
+    return _from_input(spec_from_json, doc)
+
+
+def _source(config: dict) -> str:
+    path = config.get("relation_file")
+    return f"relation file {path!r}" if path else f"catalog {config['catalog']!r}"
+
+
+def _verify_model(config: dict) -> ModelSpec | None:
+    """The config ``model``, else the ``--blocks`` model of the catalog's family
+    (of ``family`` for a relation file); None for a model-free catalog."""
+    if config.get("model") is not None:
+        return _from_input(spec_from_json, config["model"])
+    path, catalog = config.get("relation_file"), config.get("catalog")
+    if config.get("blocks") is None:
+        if not path and catalog in ("proposition-A", "negative-controls"):
+            return None
+        raise ConfigError(f"{_source(config)} needs --blocks or a config model")
+    coulomb = config.get("family") == COULOMB if path else catalog.startswith(COULOMB)
+    return _from_input(coulomb_spec if coulomb else oscillator_spec, config["blocks"])
 
 
 def build_catalog(catalog: str, spec: ModelSpec | None) -> RelationSet:
@@ -106,11 +127,19 @@ def build_catalog(catalog: str, spec: ModelSpec | None) -> RelationSet:
     return CATALOGS[catalog](spec)
 
 
-def _mode(config: dict) -> str:
-    mode = config.get("mode", "symbolic")
-    if mode not in ("symbolic", "numeric", "both"):
-        raise ConfigError(f"unknown mode {mode!r}")
-    return mode
+def _relation_set(config: dict, spec: ModelSpec | None) -> RelationSet:
+    """The relations of the run: the config's relation file over the model's
+    environment, or else its catalog over ``spec``."""
+    try:
+        path = config.get("relation_file")
+        if not path:
+            return build_catalog(config["catalog"], spec)
+        with open(path) as fh:
+            rels = parse_relation_file(fh.read(), param_names=spec.param_names())
+        return RelationSet("relation-file", over(OperatorEnv.for_model(spec), rels))
+    except (OSError, UnicodeError, BlocksepError) as exc:
+        # an unreadable file, a malformed line, a catalog the model cannot carry
+        raise ConfigError(str(exc)) from exc
 
 
 def _numeric_params_for(spec: ModelSpec) -> dict:
@@ -124,9 +153,8 @@ def _numeric_params_for(spec: ModelSpec) -> dict:
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(catalog, model_json):
-    spec = spec_from_json(model_json) if model_json else None
-    _WORKER_STATE["rs"] = build_catalog(catalog, spec)
+def _worker_init(config: dict):
+    _WORKER_STATE["rs"] = _relation_set(config, _verify_model(config))
 
 
 def _worker_verify(index: int):
@@ -134,37 +162,35 @@ def _worker_verify(index: int):
 
 
 def run_verify(config: dict) -> VerificationReport:
-    catalog = config.get("catalog")
-    if not catalog:
-        raise ConfigError("verify needs a catalog name")
-    blocks = config.get("blocks")
-    spec = _model_for_catalog(catalog, blocks, config.get("model"))
-    mode = _mode(config)
+    """Verify the config's catalog or relation file in its mode."""
+    if not (config.get("catalog") or config.get("relation_file")):
+        raise ConfigError("verify needs a catalog name or a relation file")
+    spec = _verify_model(config)
+    mode = config.get("mode", "symbolic")
     report = VerificationReport(config=_echo_config(config, spec))
-    try:
-        rs = build_catalog(catalog, spec)
-    except BlocksepError as exc:
-        # a model the catalog cannot be built over (N too small, index out of range)
-        raise ConfigError(str(exc)) from exc
+    rs = _relation_set(config, spec)
     if not rs.pairs:
-        raise ConfigError(f"catalog {catalog!r} has no relations on this model")
+        raise ConfigError(f"{_source(config)} has no relations on this model")
 
     # more workers than cores or relations only cost start-up: fork starts them all at once
     jobs = max(1, min(int(config.get("jobs", 1)), os.cpu_count() or 1, len(rs.pairs)))
     if mode in ("symbolic", "both"):
         if jobs > 1:
-            model_json = spec_to_json(spec) if spec is not None else None
-            with ProcessPoolExecutor(
-                max_workers=jobs, initializer=_worker_init, initargs=(catalog, model_json)
-            ) as pool:
+            with ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init,
+                                     initargs=(config,)) as pool:
                 items = settle_groups(list(pool.map(_worker_verify, range(len(rs.pairs)))))
         else:
             items = verify_symbolic(rs)
-        if all(item.status == "inapplicable" for item in items):
-            raise ConfigError(f"catalog {catalog!r} has no relation this model can evaluate")
         report.items.extend(items)
     if mode in ("numeric", "both"):
         report.items.extend(_verify_numeric(rs, config))
+    unevaluated = [item for item in report.items if item.status == "inapplicable"]
+    if unevaluated and config.get("relation_file"):
+        # a user line the model cannot evaluate (unknown integral, no constants) is a typo
+        raise ConfigError(f"relation {unevaluated[0].name}: {unevaluated[0].note}")
+    if mode != "numeric" and all(item.status == "inapplicable"
+                                 for item in report.items if item.mode == "symbolic"):
+        raise ConfigError(f"{_source(config)} has no relation this model can evaluate")
     return report
 
 
@@ -231,20 +257,27 @@ def _echo_config(config: dict, spec: ModelSpec | None) -> dict:
     return out
 
 
-KNOWN_CONFIG_KEYS = {
-    "command", "catalog", "blocks", "mode", "seed", "tol", "out", "jobs", "model",
-    "probes", "points", "fd_order", "fd_step", "params", "relation_file", "family",
-}
+MODES = ("symbolic", "numeric", "both")
 
-# the numbers verify reads: their type, the values it accepts and that rule in words
-CONFIG_NUMBERS = {
-    "seed": (int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)"),
-    "tol": (float, lambda v: 0 < v < math.inf, "a positive finite number"),
-    "fd_step": (float, lambda v: 0 < v < math.inf, "a positive finite number"),
-    "fd_order": (int, lambda v: v in (4, 6, 8), "4, 6 or 8"),
-    "probes": (int, lambda v: v >= 1, "a positive integer"),
-    "points": (int, lambda v: v >= 1, "a positive integer"),
-    "jobs": (int, lambda v: True, "an integer"),
+# every config field: a test of its value and that rule in words; a test that
+# raises (a number that does not convert) rejects the value too
+CONFIG_FIELDS = {
+    **{key: (lambda v: isinstance(v, str), "a string")
+       for key in ("command", "catalog", "relation_file", "out")},
+    "family": (lambda v: v in (OSCILLATOR, COULOMB), f"{OSCILLATOR} or {COULOMB}"),
+    "mode": (lambda v: v in MODES, "symbolic, numeric or both"),
+    "blocks": (lambda v: isinstance(v, list), "a list of block sizes"),
+    "model": (lambda v: isinstance(v, dict), "a model object"),
+    "params": (lambda v: isinstance(v, dict) and all(
+        type(x) in (int, float) and math.isfinite(x) for x in v.values()),
+        "an object of finite numbers"),
+    "seed": (lambda v: 0 <= int(v) < 2**64, "an integer in [0, 2**64)"),
+    "tol": (lambda v: 0 < float(v) < math.inf, "a positive finite number"),
+    "fd_step": (lambda v: 0 < float(v) < math.inf, "a positive finite number"),
+    "fd_order": (lambda v: int(v) in (4, 6, 8), "4, 6 or 8"),
+    "probes": (lambda v: int(v) >= 1, "a positive integer"),
+    "points": (lambda v: int(v) >= 1, "a positive integer"),
+    "jobs": (lambda v: isinstance(int(v), int), "an integer"),
 }
 
 
@@ -254,35 +287,47 @@ def load_config(path: str | None, overrides: dict) -> dict:
         try:
             with open(path) as fh:
                 config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-        unknown = set(config) - KNOWN_CONFIG_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        if not isinstance(config, dict):
+            raise ConfigError(f"config {path!r} is not a JSON object")
     for k, v in overrides.items():
         if v is not None:
             config[k] = v
-    for key, (kind, accepts, rule) in CONFIG_NUMBERS.items():
+    unknown = set(config) - set(CONFIG_FIELDS)
+    if unknown:
+        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    for key, value in config.items():
+        accepts, rule = CONFIG_FIELDS[key]
         try:
-            ok = key not in config or accepts(kind(config[key]))
+            ok = accepts(value)
         except (TypeError, ValueError, OverflowError):
             ok = False
         if not ok:
-            raise ConfigError(f"{key} must be {rule}, not {config[key]!r}")
+            raise ConfigError(f"{key} must be {rule}, not {value!r}")
     return config
 
 
-def _finish(report: VerificationReport, out_path: str | None, quiet: bool = False) -> int:
-    doc = serialize(report)
+def _fail(exc: Exception):
+    """Exit 2 on a usage or configuration error."""
+    click.echo(f"config error: {exc}", err=True)
+    sys.exit(2)
+
+
+def _finish(report: VerificationReport, out_path: str | None, quiet: bool = False):
+    """Write the report to ``out_path`` and its summary next to it, then exit
+    with the report's code."""
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(doc)
-        summary_path = out_path.rsplit(".", 1)[0] + ".txt"
-        with open(summary_path, "w") as fh:
-            fh.write(report.to_text() + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(serialize(report))
+            with open(os.path.splitext(out_path)[0] + ".txt", "w") as fh:
+                fh.write(report.to_text() + "\n")
+        except OSError as exc:
+            _fail(exc)
     if not quiet:
         click.echo(report.to_text())
-    return report.exit_code()
+    sys.exit(report.exit_code())
 
 
 @click.group()
@@ -294,7 +339,7 @@ def main():
 @click.option("--catalog", type=str, default=None,
               help="catalog name; user relations go through --relation-file")
 @click.option("--blocks", type=str, default=None, help="comma-separated block sizes")
-@click.option("--mode", type=click.Choice(["symbolic", "numeric", "both"]), default=None)
+@click.option("--mode", type=click.Choice(MODES), default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--tol", type=float, default=None)
 @click.option("--out", "out_path", type=str, default=None)
@@ -319,47 +364,10 @@ def verify(catalog, blocks, mode, seed, tol, out_path, jobs, config_path, relati
             },
         )
         config["command"] = "verify"
-        if config.get("relation_file"):
-            report = _run_relation_file(config)
-        else:
-            report = run_verify(config)
+        report = run_verify(config)
     except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    sys.exit(_finish(report, config.get("out")))
-
-
-def _run_relation_file(config) -> VerificationReport:
-    blocks = config.get("blocks")
-    model_json = config.get("model")
-    if model_json is None and blocks is None:
-        raise ConfigError("relation files need --blocks or a config model")
-    if model_json:
-        spec = _config_model(spec_from_json, model_json)
-    else:
-        spec = _config_model(coulomb_spec if config.get("family") == COULOMB else oscillator_spec,
-                             blocks)
-    try:
-        with open(config["relation_file"]) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
-        rels = parse_relation_file(text, param_names=spec.param_names())
-    except RelationSyntaxError as exc:
-        raise ConfigError(str(exc)) from exc
-    mode = _mode(config)
-    report = VerificationReport(config=_echo_config(config, spec))
-    rs = RelationSet("relation-file", over(OperatorEnv.for_model(spec), rels))
-    items = verify_symbolic(rs) if mode in ("symbolic", "both") else []
-    if mode in ("numeric", "both"):
-        items += _verify_numeric(rs, config)
-    for item in items:
-        if item.status == "inapplicable":
-            # a user line the model cannot evaluate (unknown integral, no constants) is a typo
-            raise ConfigError(f"relation {item.name}: {item.note}")
-        report.add(item)
-    return report
+        _fail(exc)
+    _finish(report, config.get("out"))
 
 
 @main.command()
@@ -374,63 +382,36 @@ def _run_relation_file(config) -> VerificationReport:
 @click.option("--out", "out_path", type=str, default=None)
 def spectrum(family, blocks, kmax, lmax, nrmax, jmax, omega2, eta, out_path):
     """Tabulate closed-form energies against the eigenfunction oracle."""
-    import itertools
-
     from .spectra import EigenfunctionSpec, coulomb_spectrum_row, oscillator_spectrum_row
 
     try:
-        sizes = _parse_blocks(blocks)
+        spec = _command_model(family, blocks, None, omega2, eta)
+        sizes = list(spec.partition.block_sizes)
+        report = VerificationReport(config={
+            "command": "spectrum", "family": family, "blocks": sizes,
+            "kmax": kmax, "lmax": lmax, "nrmax": nrmax, "jmax": jmax})
+        # (label, radial numbers, inter-block numbers) of each row, before its l
         if family == OSCILLATOR:
-            spec = oscillator_spec(
-                sizes, tuple(Zero() for _ in sizes), omega2=Fraction(omega2)
-            )
+            queries = [(f"osc-spectrum k={list(ks)}", ks, ())
+                       for ks in itertools.product(range(kmax + 1), repeat=len(sizes))
+                       if sum(ks) <= kmax]
         else:
-            spec = coulomb_spec(
-                sizes, tuple(Zero() for _ in sizes[:-1]), eta=Fraction(eta)
-            )
-    except (BlocksepError, ValueError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    config = {"command": "spectrum", "family": family, "blocks": sizes,
-              "kmax": kmax, "lmax": lmax, "nrmax": nrmax, "jmax": jmax}
-    report = VerificationReport(config=config)
-    rows = []
-    part = spec.partition
-    try:
-        if family == OSCILLATOR:
-            lranges = [range(0, (lmax if d > 1 else 0) + 1) for d in sizes]
-            for ks in itertools.product(range(kmax + 1), repeat=part.N):
-                if sum(ks) > kmax:
-                    continue
-                for ls in itertools.product(*lranges):
-                    q = EigenfunctionSpec(spec, angular=tuple(ls), radial=tuple(ks))
-                    row = oscillator_spectrum_row(q)
-                    rows.append(row)
-                    report.add(ReportItem(
-                        name=f"osc-spectrum k={list(ks)} l={list(ls)}",
-                        kind="spectrum", mode="numeric",
-                        status="ok" if row.exact_ratio_2 else "fail",
-                        passed=row.exact_ratio_2, data=row.to_json()))
-        else:
-            lranges = [range(0, (lmax if d > 1 else 0) + 1) for d in sizes]
-            for nr in range(nrmax + 1):
-                for js in itertools.product(range(jmax + 1), repeat=part.N - 1):
-                    for ls in itertools.product(*lranges):
-                        q = EigenfunctionSpec(
-                            spec, angular=tuple(ls), radial=(nr,), hyper_J=tuple(js)
-                        )
-                        row = coulomb_spectrum_row(q)
-                        rows.append(row)
-                        report.add(ReportItem(
-                            name=f"coul-spectrum Nr={nr} J={list(js)} l={list(ls)}",
-                            kind="spectrum", mode="numeric",
-                            status="ok" if row.exact_ratio_2 else "fail",
-                            passed=row.exact_ratio_2, data=row.to_json()))
+            queries = [(f"coul-spectrum Nr={nr} J={list(js)}", (nr,), js) for nr in range(nrmax + 1)
+                       for js in itertools.product(range(jmax + 1), repeat=len(sizes) - 1)]
+        row_of = oscillator_spectrum_row if family == OSCILLATOR else coulomb_spectrum_row
+        lranges = [range((lmax if d > 1 else 0) + 1) for d in sizes]
+        rows = []
+        for (label, radial, hyper_J), ls in itertools.product(queries, itertools.product(*lranges)):
+            row = row_of(EigenfunctionSpec(spec, angular=ls, radial=radial, hyper_J=hyper_J))
+            rows.append(row)
+            report.add(ReportItem(
+                name=f"{label} l={list(ls)}", kind="spectrum", mode="numeric",
+                status="ok" if row.exact_ratio_2 else "fail",
+                passed=row.exact_ratio_2, data=row.to_json()))
     except BlocksepError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
+        _fail(exc)
     click.echo(_spectrum_table(rows, family))
-    sys.exit(_finish(report, out_path, quiet=True))
+    _finish(report, out_path, quiet=True)
 
 
 def _spectrum_table(rows, family) -> str:
@@ -471,41 +452,28 @@ def eigencheck(family, blocks, quantum, potentials, omega2, eta, tol,
     from .specfun import assemble_eigenfunction, coulomb_energy_value, oscillator_energy
     from .spectra import EigenfunctionSpec
 
-    try:
-        sizes = _parse_blocks(blocks)
-        qn = json.loads(quantum)
-        model_doc = {"family": family, "blocks": sizes}
-        if potentials:
-            model_doc["potentials"] = json.loads(potentials)
-        else:
-            model_doc["potentials"] = [{"kind": "zero"}] * (
-                len(sizes) if family == OSCILLATOR else len(sizes) - 1
-            )
-        if family == OSCILLATOR:
-            model_doc["omega2"] = omega2
-        else:
-            model_doc["eta"] = eta
-        spec = spec_from_json(model_doc)
-        angular = tuple(tuple(a) if isinstance(a, list) else a for a in qn["angular"])
-        es = EigenfunctionSpec(
-            spec,
-            angular=angular,
-            radial=tuple(qn["radial"]),
-            hyper_J=tuple(qn.get("hyper_J", ())),
-        )
-        psi = assemble_eigenfunction(es)
-        expect = oscillator_energy(es) if family == OSCILLATOR else coulomb_energy_value(es)
-    except (BlocksepError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    config = {"command": "eigencheck", "family": family, "blocks": sizes,
-              "quantum": qn, "tol": tol, "seed": seed}
-    report = VerificationReport(config=config)
     scheme = FDScheme(h=4e-3)
     extent = 5 * scheme.h
-    rng = np.random.default_rng(seed)
-    pts = sample_points(spec, points_per_check, rng, margin_extent=extent,
-                        guards=model_point_guards(spec, extent))
+    try:
+        load_config(None, {"tol": tol, "seed": seed})
+        spec = _command_model(family, blocks, potentials, omega2, eta)
+        qn = _from_input(json.loads, quantum)
+        es = _from_input(lambda: EigenfunctionSpec(
+            spec,
+            angular=tuple(tuple(a) if isinstance(a, list) else a for a in qn["angular"]),
+            radial=tuple(qn["radial"]),
+            hyper_J=tuple(qn.get("hyper_J", ())),
+        ))
+        psi = assemble_eigenfunction(es)
+        expect = oscillator_energy(es) if family == OSCILLATOR else coulomb_energy_value(es)
+        sizes = list(spec.partition.block_sizes)
+        report = VerificationReport(config={"command": "eigencheck", "family": family,
+                                            "blocks": sizes, "quantum": qn, "tol": tol,
+                                            "seed": seed})
+        pts = sample_points(spec, points_per_check, np.random.default_rng(seed),
+                            margin_extent=extent, guards=model_point_guards(spec, extent))
+    except BlocksepError as exc:
+        _fail(exc)
     ctx = operator_context(spec)
     H = build_hamiltonian(spec, ctx, mode="symbolic" if spec.is_symbolic() else "numeric")
     vals = []
@@ -524,7 +492,7 @@ def eigencheck(family, blocks, quantum, potentials, omega2, eta, tol,
               "closed_form": expect, "points": len(vals)}))
     click.echo(f"H psi / psi: mean {arr.mean():.10f}, spread {spread:.3e}, "
                f"closed form {expect:.10f}")
-    sys.exit(_finish(report, out_path, quiet=True))
+    _finish(report, out_path, quiet=True)
 
 
 if __name__ == "__main__":

@@ -90,13 +90,22 @@ class EigenfunctionSpec:
         return Zero()
 
 
+def _positive_float(value, name: str, power: int = 1) -> float:
+    """``float(value) ** power`` for a model value that must be numeric and
+    positive, with a positive float result."""
+    if isinstance(value, str):
+        raise InadmissibleParametersError(f"numeric {name} required")
+    try:
+        x = float(value) ** power
+    except OverflowError as exc:
+        raise InadmissibleParametersError(f"{name} is beyond the float range") from exc
+    if value <= 0 or x <= 0:
+        raise InadmissibleParametersError(f"{name} must be positive")
+    return x
+
+
 def omega_value(model: ModelSpec) -> float:
-    if isinstance(model.omega2, str):
-        raise InadmissibleParametersError("numeric omega^2 required")
-    w2 = float(model.omega2)
-    if w2 <= 0:
-        raise InadmissibleParametersError("omega^2 must be positive")
-    return math.sqrt(w2)
+    return math.sqrt(_positive_float(model.omega2, "omega^2"))
 
 
 def _square_free(n: int):
@@ -385,15 +394,11 @@ def _coulomb_energies(q: EigenfunctionSpec) -> tuple:
     """(printed energy, oracle energy, denominator identity holds, kappa)."""
     if q.model.family != COULOMB:
         raise InvalidPartitionError("coulomb formula needs a coulomb model")
-    if isinstance(q.model.eta, str):
-        raise InadmissibleParametersError("numeric eta required")
-    if q.model.eta <= 0:
-        raise InadmissibleParametersError("eta must be positive")
+    eta2 = _positive_float(q.model.eta, "eta", power=2)
     kappa, den, identity = _coulomb_exact(q)
     den = float(den)
     if den == 0:
         raise InadmissibleParametersError("zero spectral denominator")
-    eta2 = float(q.model.eta) ** 2
     kappa = float(kappa)
     return -eta2 / den**2, -eta2 / (4.0 * (q.radial[0] + kappa) ** 2), identity, kappa
 

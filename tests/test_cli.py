@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, reports, schema validation, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -70,6 +71,16 @@ def test_config_file_unknown_field_rejected(tmp_path):
         load_config(str(p), {})
 
 
+@pytest.mark.parametrize("doc", ["5", "null", '["catalog"]'])
+def test_config_file_not_an_object_exit_two(runner, tmp_path, doc):
+    config = tmp_path / "cfg.json"
+    config.write_text(doc)
+    res = runner.invoke(main, ["verify", "--config", str(config)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), repr(res.exception)
+    assert "config error:" in res.output
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         load_config(None, {"seed": 2**65})
@@ -80,12 +91,16 @@ def test_config_validation():
 @pytest.mark.parametrize("values", [
     {"probes": 0}, {"points": 0}, {"fd_order": 5}, {"fd_step": 0}, {"tol": "x"},
     {"jobs": "two"}, {"kmax": 3},
+    {"catalog": 5}, {"catalog": ["oscillator"]}, {"params": {"w2": "x"}},
+    {"params": {"w2": True}}, {"params": {"w2": math.nan}}, {"params": [1]},
+    {"out": 7}, {"relation_file": 3}, {"family": "bogus"}, {"mode": "fast"},
 ])
 def test_bad_config_values_exit_two(runner, tmp_path, values):
+    """Each value comes from the config file alone: no flag overrides it."""
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps(values))
-    res = runner.invoke(main, ["verify", "--catalog", "oscillator-algebra", "--blocks", "1,1",
-                               "--mode", "numeric", "--config", str(config)])
+    config.write_text(json.dumps({"catalog": "oscillator-algebra", "blocks": [1, 1],
+                                  "mode": "numeric", "probes": 1, "points": 1} | values))
+    res = runner.invoke(main, ["verify", "--config", str(config)])
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
     assert "config error:" in res.output
@@ -160,15 +175,23 @@ def test_mode_both_carries_both_item_sets(runner, tmp_path):
     assert modes == {"symbolic", "numeric"}
 
 
-@pytest.mark.parametrize("catalog, blocks", [
-    pytest.param("oscillator-algebra", [1, 1], id="oscillator-algebra"),
-    pytest.param("gauge", [1, 1, 1], id="gauge"),  # one table env per level
-    pytest.param("negative-controls", [2, 2], id="negative-controls"),  # table and model envs
-    pytest.param("coulomb-zy", [1, 1, 1], id="coulomb-zy"),  # reading groups; two-atom denominators
-    pytest.param("oscillator", [2, 2], id="oscillator"),  # brackets shared between relations
+@pytest.mark.parametrize("source, blocks", [
+    pytest.param({"catalog": "oscillator-algebra"}, [1, 1], id="oscillator-algebra"),
+    pytest.param({"catalog": "gauge"}, [1, 1, 1], id="gauge"),  # one table env per level
+    # table and model envs
+    pytest.param({"catalog": "negative-controls"}, [2, 2], id="negative-controls"),
+    # reading groups; two-atom denominators
+    pytest.param({"catalog": "coulomb-zy"}, [1, 1, 1], id="coulomb-zy"),
+    # brackets shared between relations
+    pytest.param({"catalog": "oscillator"}, [2, 2], id="oscillator"),
+    # workers read the file again
+    pytest.param({"relation_file": "REL"}, [2, 2], id="relation-file"),
 ])
-def test_parallel_jobs_match_serial(catalog, blocks):
-    config = {"command": "verify", "catalog": catalog, "blocks": blocks, "mode": "symbolic"}
+def test_parallel_jobs_match_serial(tmp_path, source, blocks):
+    rel = tmp_path / "user.rel"
+    rel.write_text("check-1: [Z[2], Hsum[2]]\ncheck-2: G[1,2] == T[1]\n")
+    source = {k: str(rel) if v == "REL" else v for k, v in source.items()}
+    config = {"command": "verify", "blocks": blocks, "mode": "symbolic"} | source
     serial = run_verify(dict(config))
     parallel = run_verify(dict(config) | {"jobs": 2})
     items_s = [i.to_json() for i in serial.items]
@@ -255,6 +278,20 @@ def test_spectrum_coulomb_needs_positive_eta(runner, eta):
     assert "config error: eta must be positive" in res.output
 
 
+@pytest.mark.parametrize("family, flag, value", [
+    ("oscillator", "--omega2", "1/0"),
+    ("oscillator", "--omega2", "1e400"),
+    ("coulomb", "--eta", "1e400"),
+    ("coulomb", "--eta", "1e200"),  # eta fits a float but its square does not
+    ("coulomb", "--eta", "1e-200"),  # its square underflows to 0
+])
+def test_spectrum_model_value_out_of_range_exit_two(runner, family, flag, value):
+    res = runner.invoke(main, ["spectrum", "--family", family, "--blocks", "2,2", flag, value])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), repr(res.exception)
+    assert "config error:" in res.output
+
+
 def test_spectrum_command_row_count(runner):
     res = runner.invoke(
         main, ["spectrum", "--family", "oscillator", "--blocks", "1,1",
@@ -318,6 +355,25 @@ _OSC_GROUND = '{"angular": [0, 0], "radial": [0, 0]}'
     pytest.param(["--family", "oscillator", "--blocks", "2,2", "--quantum", _OSC_GROUND,
                   "--potentials", '[{"kind": "constant"}, {"kind": "zero"}]'],
                  id="symbolic-constant"),
+    pytest.param(["--family", "oscillator", "--blocks", "2,2",
+                  "--quantum", '{"angular": 5, "radial": [0, 0]}'], id="angular-not-a-list"),
+    pytest.param(["--family", "oscillator", "--blocks", "2,2", "--quantum", "[1]"],
+                 id="quantum-not-an-object"),
+    pytest.param(["--family", "oscillator", "--blocks", "2,2", "--quantum", _OSC_GROUND,
+                  "--potentials", '{"kind": "zero"}'], id="potentials-not-a-list"),
+    pytest.param(["--family", "oscillator", "--blocks", "2,2", "--quantum", _OSC_GROUND,
+                  "--potentials", "[1, 2]"], id="potential-not-an-object"),
+    pytest.param(["--family", "oscillator", "--blocks", "2,2", "--quantum", _OSC_GROUND,
+                  "--seed", "-1"], id="negative-seed"),
+    pytest.param(["--family", "oscillator", "--blocks", "2,2", "--quantum", _OSC_GROUND,
+                  "--tol", "nan"], id="nan-tol"),
+    pytest.param(["--family", "oscillator", "--blocks", "2",
+                  "--quantum", '{"angular": [[0]], "radial": [0]}', "--potentials",
+                  '[{"kind": "model2", "A": "3/2", "B": "1/100"}]'],
+                 id="sampling-always-rejects"),
+    pytest.param(["--family", "coulomb", "--blocks", "2,2",
+                  "--quantum", '{"angular": [0, 0], "radial": [0], "hyper_J": [0]}',
+                  "--eta", "1e400"], id="eta-beyond-float"),
 ])
 def test_eigencheck_bad_quantum_exit_two(runner, args):
     res = runner.invoke(main, ["eigencheck"] + args)
@@ -357,6 +413,16 @@ def test_relation_file_flow(runner, tmp_path):
     bad.write_text("oops: [Z[2], \n")
     res2 = runner.invoke(main, ["verify", "--relation-file", str(bad), "--blocks", "2,2"])
     assert res2.exit_code == 2
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n"], ids=["empty", "comment-only"])
+def test_empty_relation_file_exit_two(runner, tmp_path, text):
+    """A file with no relation checks nothing, like a catalog with none."""
+    rel = tmp_path / "empty.rel"
+    rel.write_text(text)
+    res = runner.invoke(main, ["verify", "--relation-file", str(rel), "--blocks", "2,2"])
+    assert res.exit_code == 2, res.output
+    assert "config error:" in res.output and "has no relations" in res.output
 
 
 @pytest.mark.parametrize("mode, expect", [
@@ -486,3 +552,26 @@ def test_one_block_sweep(runner, tmp_path, catalog):
     if res.exit_code == 0:
         items = json.loads(out.read_text())["items"]
         assert any(item["status"] != "inapplicable" for item in items)
+
+
+def test_summary_written_next_to_out(runner, tmp_path):
+    """The summary replaces only the report's extension, not a dot in a directory."""
+    out = tmp_path / "results.v2" / "report"
+    out.parent.mkdir()
+    res = runner.invoke(main, ["verify", "--catalog", "proposition-A", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert out.exists() and (tmp_path / "results.v2" / "report.txt").exists()
+    assert not (tmp_path / "results.txt").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--catalog", "proposition-A"],
+    ["spectrum", "--family", "oscillator", "--blocks", "1", "--kmax", "0"],
+    ["eigencheck", "--family", "oscillator", "--blocks", "2,2", "--quantum", _OSC_GROUND,
+     "--points", "1"],
+], ids=["verify", "spectrum", "eigencheck"])
+def test_out_in_missing_directory_exit_two(runner, tmp_path, args):
+    res = runner.invoke(main, args + ["--out", str(tmp_path / "missing" / "report.json")])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), repr(res.exception)
+    assert "config error:" in res.output
