@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import click
 
-from .errors import BlocksepError, ConfigError, InapplicableRelationError
+from .errors import BlocksepError, ConfigError
 from .models import (
     COULOMB,
     OSCILLATOR,
@@ -26,7 +26,7 @@ from .models import (
     spec_from_json,
     spec_to_json,
 )
-from .numerics import FDScheme, relation_residual_numeric
+from .numerics import FDScheme, NumericEnv, relation_residual_numeric
 from .report import ReportItem, VerificationReport, serialize
 from .relations import (
     OperatorEnv,
@@ -65,9 +65,6 @@ CATALOGS = {
     "coulomb-zy": catalog_coulomb_zy,
 }
 CATALOG_NAMES = list(CATALOGS)
-
-DEFAULT_NUMERIC_PARAMS = {"w2": 1.0, "eta": 2.0}
-
 
 def _parse_blocks(text: str):
     try:
@@ -142,14 +139,6 @@ def _relation_set(config: dict, spec: ModelSpec | None) -> RelationSet:
         raise ConfigError(str(exc)) from exc
 
 
-def _numeric_params_for(spec: ModelSpec) -> dict:
-    params = dict(DEFAULT_NUMERIC_PARAMS)
-    for name in spec.param_names():
-        if name.startswith("beta") or name.startswith("alpha"):
-            params.setdefault(name, float(name[-1]) if name[-1].isdigit() else 1.0)
-    return params
-
-
 _WORKER_STATE: dict = {}
 
 
@@ -173,7 +162,7 @@ def run_verify(config: dict) -> VerificationReport:
         raise ConfigError(f"{_source(config)} has no relations on this model")
 
     # more workers than cores or relations only cost start-up: fork starts them all at once
-    jobs = max(1, min(int(config.get("jobs", 1)), os.cpu_count() or 1, len(rs.pairs)))
+    jobs = max(1, min(config.get("jobs", 1), os.cpu_count() or 1, len(rs.pairs)))
     if mode in ("symbolic", "both"):
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init,
@@ -184,6 +173,8 @@ def run_verify(config: dict) -> VerificationReport:
         report.items.extend(items)
     if mode in ("numeric", "both"):
         report.items.extend(_verify_numeric(rs, config))
+    if not report.items:
+        raise ConfigError(f"{_source(config)} has only record displays, which numeric mode skips")
     unevaluated = [item for item in report.items if item.status == "inapplicable"]
     if unevaluated and config.get("relation_file"):
         # a user line the model cannot evaluate (unknown integral, no constants) is a typo
@@ -196,32 +187,23 @@ def run_verify(config: dict) -> VerificationReport:
 
 def _verify_numeric(rs: RelationSet, config: dict) -> list:
     """Numeric residual items for every relation of ``rs`` that is not a record."""
-    scheme = FDScheme(
-        order=int(config.get("fd_order", 8)),
-        h=float(config.get("fd_step", 1e-2)),
-        extended=True,
-    )
-    tol = float(config.get("tol", 1e-5))
-    seed = int(config.get("seed", 20240801))
+    scheme = FDScheme(order=config.get("fd_order", 8), h=config.get("fd_step", 1e-2),
+                      extended=True)
+    tol = config.get("tol", 1e-5)
+    nenvs: dict = {}  # the numeric view of each OperatorEnv, built on first use
     items = []
     for rel, env in rs.pairs:
         if rel.expectation == "record":
             continue
         try:
-            if env.spec is None:
-                raise InapplicableRelationError(
-                    f"numeric mode needs a model; {env.label} is an operator table"
-                )
-            params = _numeric_params_for(env.spec)
-            params.update(config.get("params") or {})
+            if env not in nenvs:
+                nenvs[env] = NumericEnv(env, config.get("params") or {}, scheme)
             stats = relation_residual_numeric(
                 rel,
-                env.spec,
-                params,
-                probes=int(config.get("probes", 5)),
-                points_per_probe=int(config.get("points", 10)),
-                seed=seed,
-                scheme=scheme,
+                nenvs[env],
+                probes=config.get("probes", 5),
+                points_per_probe=config.get("points", 10),
+                seed=config.get("seed", 20240801),
             )
         except ConfigError as exc:
             raise ConfigError(f"fd_step {scheme.h:g} is too large for {rel.name}: {exc}") from exc
@@ -259,8 +241,16 @@ def _echo_config(config: dict, spec: ModelSpec | None) -> dict:
 
 MODES = ("symbolic", "numeric", "both")
 
+def _integer(v) -> bool:
+    return type(v) is int  # a JSON integer; neither true nor 2.0 is one
+
+
+def _finite(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
+
+
 # every config field: a test of its value and that rule in words; a test that
-# raises (a number that does not convert) rejects the value too
+# raises (an integer too large for a float) rejects the value too
 CONFIG_FIELDS = {
     **{key: (lambda v: isinstance(v, str), "a string")
        for key in ("command", "catalog", "relation_file", "out")},
@@ -268,16 +258,15 @@ CONFIG_FIELDS = {
     "mode": (lambda v: v in MODES, "symbolic, numeric or both"),
     "blocks": (lambda v: isinstance(v, list), "a list of block sizes"),
     "model": (lambda v: isinstance(v, dict), "a model object"),
-    "params": (lambda v: isinstance(v, dict) and all(
-        type(x) in (int, float) and math.isfinite(x) for x in v.values()),
-        "an object of finite numbers"),
-    "seed": (lambda v: 0 <= int(v) < 2**64, "an integer in [0, 2**64)"),
-    "tol": (lambda v: 0 < float(v) < math.inf, "a positive finite number"),
-    "fd_step": (lambda v: 0 < float(v) < math.inf, "a positive finite number"),
-    "fd_order": (lambda v: int(v) in (4, 6, 8), "4, 6 or 8"),
-    "probes": (lambda v: int(v) >= 1, "a positive integer"),
-    "points": (lambda v: int(v) >= 1, "a positive integer"),
-    "jobs": (lambda v: isinstance(int(v), int), "an integer"),
+    "params": (lambda v: isinstance(v, dict) and all(map(_finite, v.values())),
+               "an object of finite numbers"),
+    "seed": (lambda v: _integer(v) and 0 <= v < 2**64, "an integer in [0, 2**64)"),
+    "tol": (lambda v: _finite(v) and v > 0, "a positive finite number"),
+    "fd_step": (lambda v: _finite(v) and v > 0, "a positive finite number"),
+    "fd_order": (lambda v: _integer(v) and v in (4, 6, 8), "4, 6 or 8"),
+    "probes": (lambda v: _integer(v) and v >= 1, "a positive integer"),
+    "points": (lambda v: _integer(v) and v >= 1, "a positive integer"),
+    "jobs": (_integer, "an integer"),
 }
 
 
@@ -314,9 +303,10 @@ def _fail(exc: Exception):
     sys.exit(2)
 
 
-def _finish(report: VerificationReport, out_path: str | None, quiet: bool = False):
-    """Write the report to ``out_path`` and its summary next to it, then exit
-    with the report's code."""
+def _finish(report: VerificationReport, out_path: str | None, text: str | None = None):
+    """Write the report to ``out_path`` and its summary next to it, print
+    ``text`` (the summary by default), then exit with the report's code; so
+    exit 2 on an unwritable ``out_path`` prints no result."""
     if out_path:
         try:
             with open(out_path, "w") as fh:
@@ -325,8 +315,7 @@ def _finish(report: VerificationReport, out_path: str | None, quiet: bool = Fals
                 fh.write(report.to_text() + "\n")
         except OSError as exc:
             _fail(exc)
-    if not quiet:
-        click.echo(report.to_text())
+    click.echo(report.to_text() if text is None else text)
     sys.exit(report.exit_code())
 
 
@@ -410,8 +399,7 @@ def spectrum(family, blocks, kmax, lmax, nrmax, jmax, omega2, eta, out_path):
                 passed=row.exact_ratio_2, data=row.to_json()))
     except BlocksepError as exc:
         _fail(exc)
-    click.echo(_spectrum_table(rows, family))
-    _finish(report, out_path, quiet=True)
+    _finish(report, out_path, _spectrum_table(rows, family))
 
 
 def _spectrum_table(rows, family) -> str:
@@ -490,9 +478,8 @@ def eigencheck(family, blocks, quantum, potentials, omega2, eta, tol,
         kind="eigencheck", mode="numeric", status="ok" if ok else "fail", passed=ok,
         data={"mean": float(arr.mean()), "spread": spread,
               "closed_form": expect, "points": len(vals)}))
-    click.echo(f"H psi / psi: mean {arr.mean():.10f}, spread {spread:.3e}, "
-               f"closed form {expect:.10f}")
-    _finish(report, out_path, quiet=True)
+    _finish(report, out_path, f"H psi / psi: mean {arr.mean():.10f}, spread {spread:.3e}, "
+                              f"closed form {expect:.10f}")
 
 
 if __name__ == "__main__":

@@ -333,24 +333,3 @@ def enumerate_integrals(spec: ModelSpec) -> list[IntegralName]:
     names.extend(IntegralName("Y", p) for p in range(1, N))
     names.extend(IntegralName("J", p) for p in range(part.offsets[N - 1] + 1, D))
     return names
-
-
-def checked_aliases(spec: ModelSpec, ctx: Context) -> list[tuple[str, str, bool]]:
-    """Alias identities the displays assume, each reduced to is_zero."""
-    part = spec.partition
-    N, D = part.N, part.D
-    out = []
-
-    def check(lhs_name, rhs_name):
-        lhs = build_integral(name_from_string(lhs_name), spec, ctx).symbolic(spec)
-        rhs = build_integral(name_from_string(rhs_name), spec, ctx).symbolic(spec)
-        out.append((lhs_name, rhs_name, lhs.sub(rhs).is_zero()))
-
-    if spec.family == OSCILLATOR:
-        if part.block_sizes[0] >= 2:
-            check(f"G[1,{part.offsets[1]}]", "T[1]")
-        check("Z[1]", "T[1]")
-    else:
-        check(f"J[{part.offsets[N - 1] + 1}]", f"T[{N}]")
-        check(f"Z[{N}]", "Y[1]")
-    return out

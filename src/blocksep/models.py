@@ -202,15 +202,14 @@ def coulomb_spec(block_sizes, potentials=None, eta="eta") -> ModelSpec:
 # -- operator context ----------------------------------------------------------
 
 
-def operator_context(spec: ModelSpec, extra_params=()) -> Context:
+def operator_context(spec: ModelSpec) -> Context:
     """Cartesian context for a model: D coordinates, declared parameters,
     and the full-norm radical when the Coulomb term needs it."""
     names = tuple(f"x{i + 1}" for i in range(spec.partition.D))
-    params = spec.param_names() + tuple(p for p in extra_params if p not in spec.param_names())
     radicals = []
     if spec.family == COULOMB:
         radicals.append(("r", frozenset(range(spec.partition.D))))
-    return Context(names, params, radicals)
+    return Context(names, spec.param_names(), radicals)
 
 
 # -- raw operators with potential attachments -----------------------------------

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    InapplicableRelationError,
     OracleUnconvergedError,
     SingularPointError,
     UndeclaredParameterError,
@@ -34,6 +35,7 @@ from .relations import (
     Comm,
     ConstRef,
     Fixed,
+    OperatorEnv,
     OpRef,
     ParamRef,
     Prod,
@@ -276,30 +278,31 @@ def apply_numeric(op, f, x, scheme: FDScheme = FDScheme(), spec: ModelSpec | Non
 
 
 class NumericEnv:
-    """Numeric counterpart of OperatorEnv: integral names to grid operators."""
+    """Numeric view of a model's OperatorEnv: its integrals compiled to grid
+    operators at bound parameter values, its structural constants as floats."""
 
-    def __init__(self, spec: ModelSpec, params: dict, scheme: FDScheme):
-        from .integrals import build_integral, structural_constants
-        from .models import operator_context
-
-        self.spec = spec
-        self.params = dict(params)
+    def __init__(self, env: OperatorEnv, params: dict, scheme: FDScheme):
+        if env.spec is None:
+            raise InapplicableRelationError(
+                f"numeric mode needs a model; {env.label} is an operator table")
+        self.env = env
+        self.spec = env.spec
+        # parameters left unbound take defaults; ``params`` overrides them by name
+        self.params = {"w2": 1.0, "eta": 2.0}
+        for name in env.spec.param_names():
+            if name.startswith(("beta", "alpha")):
+                self.params[name] = float(name[-1]) if name[-1].isdigit() else 1.0
+        self.params.update(params)
         self.scheme = scheme
-        self.ctx = operator_context(spec)
-        self._build = build_integral
-        self._consts = structural_constants(spec) if spec.partition.N >= 2 else None
         self._cache: dict = {}
         self._nodes: dict = {}
 
     def operator(self, name) -> NumericOperator:
         key = str(name)
         if key not in self._cache:
-            raw = self._build(name, self.spec, self.ctx)
-            self._cache[key] = compile_operator(raw, self.spec, self.params, self.scheme)
+            self._cache[key] = compile_operator(self.env.raw(name), self.spec, self.params,
+                                                self.scheme)
         return self._cache[key]
-
-    def constant(self, kind: str, p: int) -> float:
-        return float({"N": self._consts.N, "M": self._consts.M, "U": self._consts.U}[kind](p))
 
     def compiled(self, node) -> tuple:
         """(margin, scalar, operator) of a tree node, worked out once per env.
@@ -325,7 +328,7 @@ class NumericEnv:
                 raise UndeclaredParameterError(f"no numeric value bound for {node.name!r}")
             return 0, float(self.params[node.name]), None
         if isinstance(node, ConstRef):
-            return 0, self.constant(node.kind, node.p), None
+            return 0, float(self.env.constant(node.kind, node.p)), None
         if isinstance(node, (Comm, Acomm)):
             return self.compiled(node.a)[0] + self.compiled(node.b)[0], None, None
         if not isinstance(node, (Sum, Prod)):
@@ -342,11 +345,11 @@ class NumericEnv:
         return 0, value, None
 
 
-def eval_tree_on_grid(node, env: NumericEnv, values, x0, h, radius, scheme, magnitudes: list,
+def eval_tree_on_grid(node, env: NumericEnv, values, x0, radius, magnitudes: list,
                       applied: dict | None = None):
     """Apply the tree (as an operator) to samples of a field on the grid
-    x0 + h*[-radius, radius]^dim; returns the result and its radius, which is
-    ``radius`` minus the node's margin.
+    x0 + h*[-radius, radius]^dim, with h the step of ``env.scheme``; returns
+    the result and its radius, which is ``radius`` minus the node's margin.
 
     A Sum hands each term only the samples within the Sum's output radius
     plus that term's margin, and ``apply_on_grid`` crops before it
@@ -369,7 +372,7 @@ def eval_tree_on_grid(node, env: NumericEnv, values, x0, h, radius, scheme, magn
     if nop is not None:
         key = (id(nop), id(values))
         if key not in applied:  # storing the input keeps its id from being reused
-            applied[key] = values, apply_on_grid(nop, values, x0, h, radius, scheme)
+            applied[key] = values, apply_on_grid(nop, values, x0, env.scheme.h, radius, env.scheme)
         return record(applied[key][1]), radius - margin
     if scalar is not None:
         return values * scalar, radius
@@ -379,24 +382,24 @@ def eval_tree_on_grid(node, env: NumericEnv, values, x0, h, radius, scheme, magn
         for t in node.terms:
             rad = target + env.compiled(t)[0]
             arr, _ = eval_tree_on_grid(t, env, _crop(values, radius, [rad] * values.ndim),
-                                       x0, h, rad, scheme, magnitudes, applied)
+                                       x0, rad, magnitudes, applied)
             total += arr
         return total, target
     if isinstance(node, Prod):
         arr, rad = values, radius
         for f in reversed(node.factors):
             if env.compiled(f)[1] is None:
-                arr, rad = eval_tree_on_grid(f, env, arr, x0, h, rad, scheme, magnitudes, applied)
+                arr, rad = eval_tree_on_grid(f, env, arr, x0, rad, magnitudes, applied)
         for f in node.factors:
             factor = env.compiled(f)[1]
             if factor is not None:
                 arr = arr * factor
         return record(arr), rad
     sign = -1.0 if isinstance(node, Comm) else 1.0
-    ab, rad = eval_tree_on_grid(node.b, env, values, x0, h, radius, scheme, magnitudes, applied)
-    ab, _ = eval_tree_on_grid(node.a, env, ab, x0, h, rad, scheme, magnitudes, applied)
-    ba, rad = eval_tree_on_grid(node.a, env, values, x0, h, radius, scheme, magnitudes, applied)
-    ba, _ = eval_tree_on_grid(node.b, env, ba, x0, h, rad, scheme, magnitudes, applied)
+    ab, rad = eval_tree_on_grid(node.b, env, values, x0, radius, magnitudes, applied)
+    ab, _ = eval_tree_on_grid(node.a, env, ab, x0, rad, magnitudes, applied)
+    ba, rad = eval_tree_on_grid(node.a, env, values, x0, radius, magnitudes, applied)
+    ba, _ = eval_tree_on_grid(node.b, env, ba, x0, rad, magnitudes, applied)
     return ab + sign * ba, target
 
 
@@ -475,15 +478,14 @@ def sample_points(spec: ModelSpec, count: int, rng, delta: float = 0.05,
     return points
 
 
-def relation_residual_numeric(rel: Relation, spec: ModelSpec, params: dict,
-                              probes: int = 5, points_per_probe: int = 10,
-                              seed: int = 20240801, scheme: FDScheme = FDScheme()) -> ResidualStats:
+def relation_residual_numeric(rel: Relation, env: NumericEnv, probes: int = 5,
+                              points_per_probe: int = 10, seed: int = 20240801) -> ResidualStats:
     """Evaluate (LHS - RHS) f at seeded probe/point pairs.
 
     The relative residual at a point is |value| / (1 + max intermediate
     magnitude across the tree evaluation); reported are max and median.
     """
-    env = NumericEnv(spec, params, scheme)
+    spec, scheme = env.spec, env.scheme
     margin = env.compiled(rel.expr)[0]
     rng = np.random.default_rng(seed)
     D = spec.partition.D
@@ -499,9 +501,7 @@ def relation_residual_numeric(rel: Relation, spec: ModelSpec, params: dict,
             coords = _axis_coords(x, scheme.h, margin, D, dtype)
             values = probe(coords)  # broadcasts the axes: same values, fewer operations
             mags: list = []
-            out, rad = eval_tree_on_grid(
-                rel.expr, env, values, x, scheme.h, margin, scheme, mags
-            )
+            out, _ = eval_tree_on_grid(rel.expr, env, values, x, margin, mags)
             center = float(out.reshape(-1)[out.size // 2])
             denom = 1.0 + (max(mags) if mags else 0.0)
             rels.append(abs(center) / denom)

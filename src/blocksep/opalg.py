@@ -68,10 +68,6 @@ class DiffOp:
         alpha = tuple(order if k == i else 0 for k in range(ctx.nx))
         return DiffOp(ctx, {alpha: Coefficient.const(ctx, 1)})
 
-    @staticmethod
-    def position(ctx: Context, i: int, exp: int = 1) -> "DiffOp":
-        return DiffOp.from_poly(ctx, ctx.x(i, exp))
-
     # -- linear structure ------------------------------------------------------
 
     def add(self, other: "DiffOp") -> "DiffOp":
@@ -148,12 +144,6 @@ class DiffOp:
 
     def anticommutator(self, other: "DiffOp") -> "DiffOp":
         return self.mul(other).add(other.mul(self))
-
-    def pow(self, e: int) -> "DiffOp":
-        out = DiffOp.scalar(self.ctx, 1)
-        for _ in range(e):
-            out = out.mul(self)
-        return out
 
     # -- predicates and transforms ----------------------------------------------
 

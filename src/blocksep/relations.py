@@ -28,7 +28,7 @@ from .integrals import (
     name_from_string,
     structural_constants,
 )
-from .models import COULOMB, OSCILLATOR, ModelSpec, operator_context, oscillator_spec
+from .models import COULOMB, OSCILLATOR, ModelSpec, RawOperator, operator_context, oscillator_spec
 from .opalg import DiffOp, angular_momentum, euler_operator, laplacian
 from .report import ReportItem
 from .ring import Coefficient, Context, row_reduce
@@ -156,44 +156,44 @@ def over(env: "OperatorEnv", rels) -> tuple:
 
 
 class OperatorEnv:
-    """Resolves integral names and structural constants over one context."""
+    """Resolves integral names and structural constants over one context: the
+    integrals of a model, or a fixed table of operators."""
 
-    def __init__(self, ctx: Context, resolver, constants=None, label: str = "", spec=None):
+    def __init__(self, ctx: Context, spec=None, constants=None, label: str = "", table=()):
         self.ctx = ctx
-        self._resolver = resolver
+        self.spec = spec  # the model behind the operators; None for a table env
         self._constants = constants
-        self._cache: dict = {}
+        self._cache: dict = dict(table)  # str(name) -> DiffOp
+        self._raw: dict = {}
         self.brackets: dict = {}  # Comm/Acomm node -> its value here; nodes are frozen
         self.label = label
-        self.spec = spec  # the model behind the operators; None for a table env
 
     @staticmethod
-    def for_model(spec: ModelSpec, extra_params=()) -> "OperatorEnv":
-        ctx = operator_context(spec, extra_params)
-
-        def resolve(name: IntegralName) -> DiffOp:
-            return build_integral(name, spec, ctx).symbolic(spec)
-
+    def for_model(spec: ModelSpec) -> "OperatorEnv":
         consts = structural_constants(spec) if spec.partition.N >= 2 else None
-        label = f"{spec.family}{spec.partition.block_sizes}"
-        return OperatorEnv(ctx, resolve, consts, label=label, spec=spec)
+        return OperatorEnv(operator_context(spec), spec, consts,
+                           f"{spec.family}{spec.partition.block_sizes}")
 
     @staticmethod
     def from_table(ctx: Context, table: dict, label: str = "") -> "OperatorEnv":
-        def resolve(name: IntegralName) -> DiffOp:
-            key = str(name)
-            if key not in table:
-                raise InvalidIntegralError(f"unknown operator {key!r} in {label or 'table env'}")
-            return table[key]
-
-        return OperatorEnv(ctx, resolve, None, label=label)
+        return OperatorEnv(ctx, label=label, table=table)
 
     def operator(self, name: IntegralName) -> DiffOp:
         key = str(name)
         got = self._cache.get(key)
         if got is None:
-            got = self._resolver(name)
-            self._cache[key] = got
+            if self.spec is None:
+                raise InvalidIntegralError(f"unknown operator {key!r} in {self.label or 'table env'}")
+            got = self._cache[key] = self.raw(name).symbolic(self.spec)
+        return got
+
+    def raw(self, name: IntegralName) -> RawOperator:
+        """The model's integral with its potentials still attached, built once
+        for the symbolic operator and the numeric one alike."""
+        key = str(name)
+        got = self._raw.get(key)
+        if got is None:
+            got = self._raw[key] = build_integral(name, self.spec, self.ctx)
         return got
 
     def constant(self, kind: str, p: int) -> Fraction:
@@ -713,21 +713,21 @@ def catalog_coulomb_yx(spec: ModelSpec, env: OperatorEnv | None = None) -> Relat
         rels.append(
             Relation(
                 f"coul-sigma-X[{j}]",
-                sub(_conjugated(spec, env, "X[%d]" % D, j), op(f"X[{j}]")),
+                sub(_conjugated(env, "X[%d]" % D, j), op(f"X[{j}]")),
                 note="transposition maps X[D] to X[j]",
             )
         )
     rels.append(
         Relation(
             "coul-sigma-Y1",
-            sub(_conjugated(spec, env, "Y[1]", D - part.block_sizes[-1] + 1), op("Y[1]")),
+            sub(_conjugated(env, "Y[1]", D - part.block_sizes[-1] + 1), op("Y[1]")),
             note="transposition fixes Y[1]",
         )
     )
     rels.append(
         Relation(
             "coul-sigma-H",
-            sub(_conjugated(spec, env, "Hcoul", D - part.block_sizes[-1] + 1), op("Hcoul")),
+            sub(_conjugated(env, "Hcoul", D - part.block_sizes[-1] + 1), op("Hcoul")),
             note="transposition fixes the Hamiltonian",
         )
     )
@@ -756,9 +756,9 @@ def catalog_coulomb_yx(spec: ModelSpec, env: OperatorEnv | None = None) -> Relat
     return RelationSet("coulomb-yx", over(env, rels))
 
 
-def _conjugated(spec: ModelSpec, env: OperatorEnv, name: str, j: int) -> Fixed:
-    raw = build_integral(name_from_string(name), spec, env.ctx)
-    return Fixed(conjugate_by_transposition(raw, j, spec, env.ctx).symbolic(spec))
+def _conjugated(env: OperatorEnv, name: str, j: int) -> Fixed:
+    raw = env.raw(name_from_string(name))
+    return Fixed(conjugate_by_transposition(raw, j, env.spec, env.ctx).symbolic(env.spec))
 
 
 def catalog_coulomb_erratum_wrong(spec: ModelSpec) -> RelationSet:

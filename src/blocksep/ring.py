@@ -204,16 +204,6 @@ class Poly:
                 out[m] = _exact(c)
         return Poly(self.n, out)
 
-    def pow(self, e: int) -> "Poly":
-        out = Poly.const(self.n, 1)
-        base = self
-        while e:
-            if e & 1:
-                out = out.mul(base)
-            base = base.mul(base) if e > 1 else base
-            e >>= 1
-        return out
-
     def deriv_slot(self, slot: int) -> "Poly":
         """Formal partial derivative treating every slot as independent."""
         out = {}

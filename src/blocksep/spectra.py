@@ -192,11 +192,6 @@ class SqrtSum:
     def is_rational(self) -> bool:
         return all(m == 1 for m in self.terms)
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("value is irrational")
-        return self.terms.get(1, Fraction(0))
-
     def __eq__(self, other):
         return isinstance(other, SqrtSum) and self.terms == other.terms
 

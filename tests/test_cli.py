@@ -94,6 +94,8 @@ def test_config_validation():
     {"catalog": 5}, {"catalog": ["oscillator"]}, {"params": {"w2": "x"}},
     {"params": {"w2": True}}, {"params": {"w2": math.nan}}, {"params": [1]},
     {"out": 7}, {"relation_file": 3}, {"family": "bogus"}, {"mode": "fast"},
+    # numbers of the wrong JSON type, which would run as 3, 1, 2 and 2
+    {"seed": 3.9}, {"probes": True}, {"points": "2"}, {"jobs": 2.7},
 ])
 def test_bad_config_values_exit_two(runner, tmp_path, values):
     """Each value comes from the config file alone: no flag overrides it."""
@@ -415,14 +417,29 @@ def test_relation_file_flow(runner, tmp_path):
     assert res2.exit_code == 2
 
 
-@pytest.mark.parametrize("text", ["", "# only a comment\n"], ids=["empty", "comment-only"])
-def test_empty_relation_file_exit_two(runner, tmp_path, text):
-    """A file with no relation checks nothing, like a catalog with none."""
-    rel = tmp_path / "empty.rel"
-    rel.write_text(text)
-    res = runner.invoke(main, ["verify", "--relation-file", str(rel), "--blocks", "2,2"])
+@pytest.mark.parametrize("text, args, message", [
+    pytest.param("", [], "has no relations", id="empty"),
+    pytest.param("# only a comment\n", [], "has no relations", id="comment-only"),
+    # every relation is a record display, which numeric mode skips
+    pytest.param(None, ["--catalog", "coulomb-sj", "--blocks", "3"], "only record displays",
+                 id="coulomb-sj-3-numeric"),
+    pytest.param(None, ["--catalog", "coulomb-sj", "--blocks", "2,2"], "only record displays",
+                 id="coulomb-sj-2,2-numeric"),
+    pytest.param(None, ["--catalog", "coulomb-zy", "--blocks", "1,1,1"], "only record displays",
+                 id="coulomb-zy-1,1,1-numeric"),
+])
+def test_run_that_checks_nothing_exit_two(runner, tmp_path, text, args, message):
+    """A relation file with no relation checks nothing, like a catalog with
+    none, and so does a numeric run of record displays only."""
+    if text is not None:
+        rel = tmp_path / "empty.rel"
+        rel.write_text(text)
+        args = ["--relation-file", str(rel), "--blocks", "2,2"]
+    else:
+        args = args + ["--mode", "numeric"]
+    res = runner.invoke(main, ["verify", *args])
     assert res.exit_code == 2, res.output
-    assert "config error:" in res.output and "has no relations" in res.output
+    assert "config error:" in res.output and message in res.output
 
 
 @pytest.mark.parametrize("mode, expect", [
@@ -478,14 +495,20 @@ def test_relation_file_bad_token_exit_two(runner, tmp_path, line, message):
     assert f"line 2: {message}" in res.output
 
 
-@pytest.mark.parametrize("line, message", [("Q[1] == 0", "Q integrals belong to the coulomb family"),
-                                           ("H[9] == 0", "H index 9 out of [1,2]")])
-def test_relation_file_unknown_integral_exit_two(runner, tmp_path, line, message):
+@pytest.mark.parametrize("line, args, message", [
+    ("Q[1] == 0", ["--blocks", "2,2"], "Q integrals belong to the coulomb family"),
+    ("H[9] == 0", ["--blocks", "2,2"], "H index 9 out of [1,2]"),
+    # a model of one block has no structural constants, in either mode
+    ("Nc[1] * H[1]", ["--blocks", "2"], "no structural constants"),
+    ("Nc[1] * H[1]", ["--blocks", "2", "--mode", "numeric"], "no structural constants"),
+])
+def test_relation_file_unknown_integral_exit_two(runner, tmp_path, line, args, message):
     bad = tmp_path / "bad.rel"
-    bad.write_text(f"ok: [Z[2], Hsum[2]]\ntypo: {line}\n")
-    res = runner.invoke(main, ["verify", "--relation-file", str(bad), "--blocks", "2,2"])
-    assert res.exit_code == 2
-    assert f"relation typo: {message}" in res.output
+    bad.write_text(f"ok: [H[1], T[1]]\ntypo: {line}\n")
+    res = runner.invoke(main, ["verify", "--relation-file", str(bad), *args])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), repr(res.exception)
+    assert f"config error: relation typo: {message}" in res.output
 
 
 @pytest.mark.parametrize("line", ["-" * 3000 + "H[1]", "(" * 3000 + "H[1]" + ")" * 3000],
@@ -574,4 +597,5 @@ def test_out_in_missing_directory_exit_two(runner, tmp_path, args):
     res = runner.invoke(main, args + ["--out", str(tmp_path / "missing" / "report.json")])
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit), repr(res.exception)
-    assert "config error:" in res.output
+    # exit 2 means nothing was produced: no summary, table or H psi / psi line
+    assert res.output.startswith("config error:") and len(res.output.splitlines()) == 1

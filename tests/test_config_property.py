@@ -16,6 +16,10 @@ from blocksep.errors import ConfigError  # noqa: E402
 PROPERTY = hypothesis.settings(derandomize=True, max_examples=300, deadline=None)
 
 
+def _json_integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _finite_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
@@ -32,13 +36,13 @@ README_RULES = {
     "blocks": lambda v: isinstance(v, list),
     "model": lambda v: isinstance(v, dict),
     "params": lambda v: isinstance(v, dict) and all(_finite_number(x) for x in v.values()),
-    "seed": lambda v: 0 <= int(v) <= 2**64 - 1,
-    "tol": lambda v: math.isfinite(float(v)) and float(v) > 0,
-    "fd_step": lambda v: math.isfinite(float(v)) and float(v) > 0,
-    "fd_order": lambda v: int(v) in {4, 6, 8},
-    "probes": lambda v: int(v) > 0,
-    "points": lambda v: int(v) > 0,
-    "jobs": lambda v: int(v) is not None,
+    "seed": lambda v: _json_integer(v) and 0 <= v <= 2**64 - 1,
+    "tol": lambda v: _finite_number(v) and v > 0,
+    "fd_step": lambda v: _finite_number(v) and v > 0,
+    "fd_order": lambda v: _json_integer(v) and v in {4, 6, 8},
+    "probes": lambda v: _json_integer(v) and v > 0,
+    "points": lambda v: _json_integer(v) and v > 0,
+    "jobs": _json_integer,
 }
 
 # values at the edges of the rules, tried on every field

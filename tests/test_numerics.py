@@ -16,6 +16,7 @@ from blocksep.models import (
 from blocksep.numerics import (
     Eigensolve1DProblem,
     FDScheme,
+    NumericEnv,
     ProbeFunction,
     _ring_eigenvalues,
     apply_numeric,
@@ -27,7 +28,7 @@ from blocksep.numerics import (
     sample_points,
 )
 from blocksep.opalg import DiffOp
-from blocksep.relations import oscillator_quadratic_relations, coulomb_yx_relations
+from blocksep.relations import OperatorEnv, oscillator_quadratic_relations, coulomb_yx_relations
 from blocksep.ring import Context
 
 
@@ -111,11 +112,9 @@ def test_symbolic_zero_implies_numeric_small():
     """Relations proved exactly zero stay below 1e-6 numerically."""
     spec = oscillator_spec([2, 2], (Constant(1), Constant(2)), omega2=1)
     rels = oscillator_quadratic_relations(spec, 2)
+    env = NumericEnv(OperatorEnv.for_model(spec), {}, FDScheme(extended=True))
     for rel in rels[1:]:
-        st = relation_residual_numeric(
-            rel, spec, {}, probes=2, points_per_probe=5, seed=5,
-            scheme=FDScheme(extended=True),
-        )
+        st = relation_residual_numeric(rel, env, probes=2, points_per_probe=5, seed=5)
         assert st.max_relative < 1e-6, (rel.name, st)
 
 
@@ -124,10 +123,8 @@ def test_coulomb_yx_numeric_agreement():
     spec = coulomb_spec([2, 2], (Constant(1),), eta=2)
     rels = coulomb_yx_relations(spec)
     rel2 = next(r for r in rels if r.name.endswith("-2"))
-    st = relation_residual_numeric(
-        rel2, spec, {}, probes=1, points_per_probe=3, seed=9,
-        scheme=FDScheme(extended=True),
-    )
+    env = NumericEnv(OperatorEnv.for_model(spec), {}, FDScheme(extended=True))
+    st = relation_residual_numeric(rel2, env, probes=1, points_per_probe=3, seed=9)
     assert st.max_relative < 1e-6
 
 
@@ -165,10 +162,8 @@ def test_perturbed_relation_flags_large_residual():
     spec = oscillator_spec([2, 2], (Constant(1), Constant(2)), omega2=1)
     bad = oscillator_quadratic_relations(spec, 2, perturb_8_to_7=True)
     rel = next(r for r in bad if r.expectation == "nonzero")
-    st = relation_residual_numeric(
-        rel, spec, {}, probes=2, points_per_probe=5, seed=5,
-        scheme=FDScheme(extended=True),
-    )
+    env = NumericEnv(OperatorEnv.for_model(spec), {}, FDScheme(extended=True))
+    st = relation_residual_numeric(rel, env, probes=2, points_per_probe=5, seed=5)
     assert st.max_relative > 1e-2
 
 
@@ -190,13 +185,13 @@ def _model2_grid(radius, scheme, seed=3):
 def test_apply_on_grid_is_exact_on_a_larger_grid(extended, R):
     """Cropping before differentiating changes no bit: the output of radius R
     equals the cropped output of a grid of radius R + k."""
-    from blocksep.numerics import NumericEnv, _crop, apply_on_grid
+    from blocksep.numerics import _crop, apply_on_grid
     from blocksep.integrals import name_from_string
 
     scheme = FDScheme(extended=extended)
     big_radius = R + 4 + 2  # every operator below has margin 4
     spec, _, x, big = _model2_grid(big_radius, scheme)
-    env = NumericEnv(spec, {"w2": 1.0}, scheme)
+    env = NumericEnv(OperatorEnv.for_model(spec), {"w2": 1.0}, scheme)
     for name in ("Z[2]", "H[2]", "Hsum[2]"):
         nop = env.operator(name_from_string(name))
         m = nop.margin
@@ -211,19 +206,19 @@ def test_apply_on_grid_is_exact_on_a_larger_grid(extended, R):
 def test_eval_tree_on_grid_is_exact_on_a_larger_grid():
     """The center value and every recorded magnitude of a relation tree are
     the same, bit for bit, when the tree is evaluated from a larger grid."""
-    from blocksep.numerics import NumericEnv, _crop, eval_tree_on_grid
+    from blocksep.numerics import _crop, eval_tree_on_grid
 
     scheme = FDScheme(extended=True)
     spec, rels, x, big = _model2_grid(12 + 3, scheme)
     rel = next(r for r in rels if r.name == "osc-alg-l2-ZY")
-    env = NumericEnv(spec, {"w2": 1.0}, scheme)
+    env = NumericEnv(OperatorEnv.for_model(spec), {"w2": 1.0}, scheme)
     margin = env.compiled(rel.expr)[0]
     assert margin == 12
     results = []
     for radius in (margin, margin + 1, margin + 3):
         mags: list = []
         values = _crop(big, 15, [radius] * 3)
-        out, rad = eval_tree_on_grid(rel.expr, env, values, x, scheme.h, radius, scheme, mags)
+        out, rad = eval_tree_on_grid(rel.expr, env, values, x, radius, mags)
         assert rad == radius - margin and out.shape == (2 * rad + 1,) * 3
         results.append((out.reshape(-1)[out.size // 2], mags))
     assert all(center == results[0][0] for center, _ in results)
@@ -235,11 +230,12 @@ def test_fixed_node_compiled_once_per_relation(monkeypatch):
     """A Fixed leaf is compiled once per residual evaluation, not at every point."""
     from blocksep import numerics
     from blocksep.integrals import name_from_string
-    from blocksep.relations import Fixed, OperatorEnv, OpRef, Prod, Relation, Scalar, Sum
+    from blocksep.relations import Fixed, OpRef, Prod, Relation, Scalar, Sum
 
     spec = oscillator_spec([2, 2], (Constant(1), Constant(2)), omega2=1)
     name = name_from_string("Z[2]")
-    fixed = Fixed(OperatorEnv.for_model(spec).operator(name))
+    env = OperatorEnv.for_model(spec)
+    fixed = Fixed(env.operator(name))
     rel = Relation("Z-minus-fixed-Z", Sum((OpRef(name), Prod((Scalar(-1), fixed)))))
     compiled = []
     real = numerics.compile_operator
@@ -249,9 +245,37 @@ def test_fixed_node_compiled_once_per_relation(monkeypatch):
         return real(op, *args)
 
     monkeypatch.setattr(numerics, "compile_operator", counting)
-    st = relation_residual_numeric(rel, spec, {}, probes=2, points_per_probe=3, seed=5)
+    st = relation_residual_numeric(rel, NumericEnv(env, {}, FDScheme()), probes=2,
+                                   points_per_probe=3, seed=5)
     assert st.samples == 6 and st.max_relative < 1e-12
     assert sum(1 for op in compiled if op is fixed.diffop) == 1
+
+
+def test_numeric_run_builds_and_compiles_each_integral_once(monkeypatch):
+    """Relations paired with one OperatorEnv share its numeric view: a numeric
+    run builds each named integral once and compiles that build once."""
+    from blocksep import numerics, relations
+    from blocksep.cli import run_verify
+    from blocksep.models import RawOperator
+
+    built, compiled = [], []
+    real_build, real_compile = relations.build_integral, numerics.compile_operator
+
+    def counting_build(name, *args):
+        built.append(real_build(name, *args))
+        return built[-1]
+
+    def counting_compile(op, *args):
+        compiled.append(op)
+        return real_compile(op, *args)
+
+    monkeypatch.setattr(relations, "build_integral", counting_build)
+    monkeypatch.setattr(numerics, "compile_operator", counting_compile)
+    report = run_verify({"catalog": "oscillator-algebra", "blocks": [2, 2], "mode": "numeric",
+                         "probes": 1, "points": 1})
+    assert len(report.items) == 3 and all(item.passed for item in report.items)
+    raws = [op for op in compiled if isinstance(op, RawOperator)]
+    assert len(built) >= 3 and [id(op) for op in raws] == [id(op) for op in built]
 
 
 def test_eigensolver_calibration():

@@ -29,7 +29,7 @@ def ctx2r():
 
 def test_weyl_relation(ctx3):
     d1 = DiffOp.partial(ctx3, 0)
-    x1 = DiffOp.position(ctx3, 0)
+    x1 = DiffOp.from_poly(ctx3, ctx3.x(0))
     prod = d1.mul(x1)
     expect = x1.mul(d1).add(DiffOp.scalar(ctx3, 1))
     assert prod == expect
@@ -38,7 +38,7 @@ def test_weyl_relation(ctx3):
 def test_add_cancels(ctx3):
     d1 = DiffOp.partial(ctx3, 0)
     assert d1.add(d1.neg()).is_zero()
-    t = DiffOp.position(ctx3, 0).mul(DiffOp.partial(ctx3, 1))
+    t = DiffOp.from_poly(ctx3, ctx3.x(0)).mul(DiffOp.partial(ctx3, 1))
     assert t.add(t) == t.scale(2)
 
 
@@ -52,7 +52,7 @@ def test_commutator_partial_x1sq(ctx3):
 def test_anticommutator(ctx3):
     """{d1, x1} = 2 x1 d1 + 1."""
     d1 = DiffOp.partial(ctx3, 0)
-    x1 = DiffOp.position(ctx3, 0)
+    x1 = DiffOp.from_poly(ctx3, ctx3.x(0))
     got = d1.anticommutator(x1)
     expect = x1.mul(d1).scale(2).add(DiffOp.scalar(ctx3, 1))
     assert got == expect
@@ -94,7 +94,7 @@ def test_L2_commutes_with_own_radius():
 
 def test_is_zero_examples(ctx3):
     d1 = DiffOp.partial(ctx3, 0)
-    x1 = DiffOp.position(ctx3, 0)
+    x1 = DiffOp.from_poly(ctx3, ctx3.x(0))
     one = DiffOp.scalar(ctx3, 1)
     assert d1.mul(x1).sub(x1.mul(d1)).sub(one).is_zero()
     assert not d1.mul(x1).sub(x1.mul(d1)).is_zero()

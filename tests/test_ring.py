@@ -22,7 +22,6 @@ def test_poly_basic_arithmetic():
     q = p.sub(p)
     assert q.is_zero()
     assert p.mul(Poly.const(n, 1)) == p
-    assert p.pow(2) == p.mul(p)
 
 
 def test_poly_exact_division():
@@ -40,8 +39,8 @@ def test_poly_derivative_and_eval():
     n = 2
     x = Poly.var(n, 0)
     y = Poly.var(n, 1)
-    p = x.pow(3).mul(y)  # x^3 y
-    assert p.deriv_slot(0) == x.pow(2).mul(y).scale(3)
+    p = x.mul(x).mul(x).mul(y)  # x^3 y
+    assert p.deriv_slot(0) == x.mul(x).mul(y).scale(3)
     assert p.eval_numeric([2.0, 5.0]) == 40.0
 
 
@@ -52,7 +51,7 @@ def test_radical_reduction_in_make(ctx2r):
     c = Coefficient.make(ctx, rho.mul(rho))
     assert c == Coefficient.from_poly(ctx, ctx.sum_of_squares([0, 1]))
     # rho^3 reduces to (x1^2+x2^2) * rho
-    c3 = Coefficient.make(ctx, rho.pow(3))
+    c3 = Coefficient.make(ctx, rho.mul(rho).mul(rho))
     assert c3 == Coefficient.make(ctx, ctx.sum_of_squares([0, 1]).mul(rho))
 
 

@@ -36,7 +36,7 @@ def test_sqrtsum_arithmetic():
     a = SqrtSum.sqrt_of(Fraction(8))  # 2 sqrt(2)
     assert a.terms == {2: Fraction(2)}
     b = SqrtSum.sqrt_of(Fraction(9))  # rational 3
-    assert b.is_rational() and b.rational_value() == 3
+    assert b.is_rational() and b == SqrtSum.rational(3)
     c = SqrtSum.sqrt_of(Fraction(1, 2))  # sqrt(2)/2
     assert a.add(c.scale(-4)).is_zero()
     assert float(SqrtSum.sqrt_of(Fraction(5))) == pytest.approx(math.sqrt(5))
