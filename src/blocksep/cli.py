@@ -435,7 +435,7 @@ def eigencheck(family, blocks, quantum, potentials, omega2, eta, tol,
     """Assemble a closed-form eigenfunction and check H psi / psi pointwise."""
     import numpy as np
 
-    from .models import build_hamiltonian, operator_context
+    from .models import build_hamiltonian_raw, operator_context
     from .numerics import apply_numeric, model_point_guards, sample_points
     from .specfun import assemble_eigenfunction, coulomb_energy_value, oscillator_energy
     from .spectra import EigenfunctionSpec
@@ -463,7 +463,9 @@ def eigencheck(family, blocks, quantum, potentials, omega2, eta, tol,
     except BlocksepError as exc:
         _fail(exc)
     ctx = operator_context(spec)
-    H = build_hamiltonian(spec, ctx, mode="symbolic" if spec.is_symbolic() else "numeric")
+    H = build_hamiltonian_raw(spec, ctx)
+    if spec.is_symbolic():
+        H = H.symbolic(spec)
     vals = []
     for x in pts:
         hv = apply_numeric(H, psi, x, scheme, spec=spec, params={})

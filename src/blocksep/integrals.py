@@ -18,11 +18,14 @@ Coulomb family adds:
     J[p]      trailing coordinate Casimir, p in [n_{N-1}+1, D-1]
     sigmaS[j] S[D-1] conjugated by the x_j <-> x_D transposition
 
-Boundary aliases honored by the builder: Z[1] = T[1], Y[N] = L^2_N, J[D] = 0,
-and for the Coulomb family Z[N] = Y[1].  Structural constants extend to the
-indices the relation displays need (Nc at p-1 = 1, Mc at p+1 = N, Uc and S
-one step below their declared ranges) via the same closed formulas with
-empty sums dropping out.
+Every integral but the Hamiltonians, X and sigmaS is one Casimir: L^2 over
+a coordinate chain minus r^2 of the chain times f_b / r_b^2 for the
+potential blocks it carries; at the end of their ranges this gives
+Y[N] = L^2_N and J[D] = 0.  Boundary aliases honored by the builder:
+Z[1] = T[1], and for the Coulomb family Z[N] = Y[1].  Structural constants
+extend to the indices the relation displays need (Nc at p-1 = 1, Mc at
+p+1 = N, Uc and S one step below their declared ranges) via the same closed
+formulas with empty sums dropping out.
 """
 
 from __future__ import annotations
@@ -39,9 +42,10 @@ from .models import (
     PotentialTerm,
     RawOperator,
     Zero,
-    block_norm_poly,
-    build_hamiltonian_raw,
     block_hamiltonian_raw,
+    build_hamiltonian_raw,
+    model_value,
+    potential_term,
 )
 from .opalg import DiffOp, angular_momentum, angular_momentum_squared_sum
 from .ring import Coefficient, Context
@@ -125,17 +129,12 @@ def structural_constants(spec: ModelSpec) -> StructuralConstants:
 # -- builders ---------------------------------------------------------------------
 
 
-def _pot_coef(ctx: Context, spec: ModelSpec, block: int, multiplier: Coefficient) -> PotentialTerm:
-    """Attachment multiplier * f_block / r_block^2."""
-    coef = multiplier.div_poly(block_norm_poly(ctx, spec, block))
-    return PotentialTerm(coef, block)
-
-
-def _sum_r2(ctx: Context, spec: ModelSpec, blocks):
-    idx = []
-    for b in blocks:
-        idx.extend(spec.partition.block_range(b))
-    return ctx.sum_of_squares(idx)
+def _casimir(ctx: Context, spec: ModelSpec, idx, blocks) -> RawOperator:
+    """L^2 over the coordinates idx minus r_idx^2 f_b / r_b^2 for each
+    potential block b in blocks."""
+    r2 = ctx.sum_of_squares(idx).neg()
+    atts = tuple(potential_term(ctx, spec, b, r2) for b in blocks if b < spec.potential_blocks)
+    return RawOperator(angular_momentum_squared_sum(ctx, idx), atts)
 
 
 def build_integral(name: IntegralName, spec: ModelSpec, ctx: Context) -> RawOperator:
@@ -143,7 +142,6 @@ def build_integral(name: IntegralName, spec: ModelSpec, ctx: Context) -> RawOper
     part = spec.partition
     N, D = part.N, part.D
     kind = name.kind
-    zero = RawOperator(DiffOp.zero(ctx), ())
 
     if kind == "Hfull" or (kind == "Hcoul" and spec.family == COULOMB):
         return build_hamiltonian_raw(spec, ctx)
@@ -152,7 +150,7 @@ def build_integral(name: IntegralName, spec: ModelSpec, ctx: Context) -> RawOper
         l = name.i
         if not 1 <= l <= N:
             raise InvalidIntegralError(f"Hsum index {l} out of [1,{N}]")
-        out = zero
+        out = RawOperator(DiffOp.zero(ctx), ())
         for b in range(l):
             out = out.plus(block_hamiltonian_raw(spec, ctx, b))
         return out
@@ -167,10 +165,7 @@ def build_integral(name: IntegralName, spec: ModelSpec, ctx: Context) -> RawOper
         i = name.i
         if not 1 <= i <= N:
             raise InvalidIntegralError(f"T index {i} out of [1,{N}]")
-        base = angular_momentum_squared_sum(ctx, part.block_range(i - 1))
-        if i - 1 < spec.potential_blocks:
-            return RawOperator(base, (PotentialTerm(Coefficient.const(ctx, -1), i - 1),))
-        return RawOperator(base, ())
+        return _casimir(ctx, spec, part.block_range(i - 1), (i - 1,))
 
     if kind == "G":
         i, j = name.i, name.j
@@ -180,22 +175,18 @@ def build_integral(name: IntegralName, spec: ModelSpec, ctx: Context) -> RawOper
         hi = part.offsets[i]  # 1-based last coordinate
         if not lo + 1 <= j <= hi:
             raise InvalidIntegralError(f"G[{i},{j}] needs j in [{lo + 1},{hi}]")
-        idx = range(lo - 1, j)  # 0-based coordinates lo..j
-        base = angular_momentum_squared_sum(ctx, idx)
-        if i - 1 >= spec.potential_blocks:
-            return RawOperator(base, ())
-        if j < hi:
+        blocks = (i - 1,)
+        if j < hi and i - 1 < spec.potential_blocks:
             # the sub-chain lo..j sees only the potential levels inside it: a
             # zero or constant potential is the outermost level, outside it
             pot = spec.potentials[i - 1]
             if not isinstance(pot, Hierarchy):
-                return RawOperator(base, ())
-            if not all(isinstance(level, Zero) for level in pot.levels[j - lo :]):
+                blocks = ()
+            elif not all(isinstance(level, Zero) for level in pot.levels[j - lo :]):
                 raise InvalidIntegralError(
                     f"G[{i},{j}] needs block {i}'s potential levels outside the sub-chain to vanish"
                 )
-        mult = Coefficient.from_poly(ctx, ctx.sum_of_squares(idx)).neg()
-        return RawOperator(base, (_pot_coef(ctx, spec, i - 1, mult),))
+        return _casimir(ctx, spec, range(lo - 1, j), blocks)
 
     if kind == "Z":
         l = name.i
@@ -209,13 +200,7 @@ def build_integral(name: IntegralName, spec: ModelSpec, ctx: Context) -> RawOper
                 return build_integral(IntegralName("Y", 1), spec, ctx)
             if not 2 <= l <= N - 1:
                 raise InvalidIntegralError(f"Z index {l} out of [2,{N - 1}]")
-        idx = range(0, part.offsets[l])
-        base = angular_momentum_squared_sum(ctx, idx)
-        mult = Coefficient.from_poly(ctx, _sum_r2(ctx, spec, range(l))).neg()
-        atts = tuple(
-            _pot_coef(ctx, spec, b, mult) for b in range(min(l, spec.potential_blocks))
-        )
-        return RawOperator(base, atts)
+        return _casimir(ctx, spec, range(0, part.offsets[l]), range(l))
 
     if spec.family != COULOMB:
         raise InvalidIntegralError(f"{kind} integrals belong to the coulomb family")
@@ -232,20 +217,11 @@ def build_integral(name: IntegralName, spec: ModelSpec, ctx: Context) -> RawOper
             L = angular_momentum(ctx, i0, a0)
             pa = DiffOp.partial(ctx, a0)
             base = base.add(L.anticommutator(pa))
-        rho = ctx.radical_poly(0)
-        S = ctx.sum_of_squares(range(D))
-        eta = (
-            Coefficient.from_poly(ctx, ctx.param(spec.eta))
-            if isinstance(spec.eta, str)
-            else Coefficient.const(ctx, Fraction(spec.eta))
-        )
-        base = base.add(
-            DiffOp.from_coefficient(
-                ctx, eta.mul(Coefficient.from_poly(ctx, ctx.x(i0).mul(rho)).div_poly(S))
-            )
-        )
-        mult = Coefficient.from_poly(ctx, ctx.x(i0)).scale(-2)
-        atts = tuple(_pot_coef(ctx, spec, b, mult) for b in range(N - 1))
+        eta_x_rho = model_value(ctx, spec.eta).mul(ctx.x(i0)).mul(ctx.radical_poly(0))
+        eta_term = Coefficient.from_poly(ctx, eta_x_rho).div_poly(ctx.sum_of_squares(range(D)))
+        base = base.add(DiffOp.from_coefficient(ctx, eta_term))
+        mult = ctx.x(i0).scale(-2)
+        atts = tuple(potential_term(ctx, spec, b, mult) for b in range(N - 1))
         return RawOperator(base, atts)
 
     if kind == "S":
@@ -254,31 +230,21 @@ def build_integral(name: IntegralName, spec: ModelSpec, ctx: Context) -> RawOper
         # formula one step lower, down to l = 2
         if not 2 <= l <= D - 1:
             raise InvalidIntegralError(f"S index {l} out of [2,{D - 1}]")
-        idx = range(0, l)
-        base = angular_momentum_squared_sum(ctx, idx)
-        mult = Coefficient.from_poly(ctx, ctx.sum_of_squares(idx)).neg()
-        atts = tuple(_pot_coef(ctx, spec, b, mult) for b in range(N - 1))
-        return RawOperator(base, atts)
+        return _casimir(ctx, spec, range(0, l), range(N - 1))
 
     if kind == "Y":
         p = name.i
-        if p == N:  # alias Y[N] = L^2_N
-            return RawOperator(angular_momentum_squared_sum(ctx, part.block_range(N - 1)), ())
-        if not 1 <= p <= N - 1:
+        # declared range [1, N-1]; at p = N the formula is L^2 of the last block
+        if not 1 <= p <= N:
             raise InvalidIntegralError(f"Y index {p} out of [1,{N - 1}]")
-        idx = range(part.offsets[p - 1], D)
-        base = angular_momentum_squared_sum(ctx, idx)
-        mult = Coefficient.from_poly(ctx, _sum_r2(ctx, spec, range(p - 1, N))).neg()
-        atts = tuple(_pot_coef(ctx, spec, b, mult) for b in range(p - 1, N - 1))
-        return RawOperator(base, atts)
+        return _casimir(ctx, spec, range(part.offsets[p - 1], D), range(p - 1, N - 1))
 
     if kind == "J":
         p = name.i
-        if p == D:  # alias J[D] = 0 (empty pair sum)
-            return zero
-        if not part.offsets[N - 1] + 1 <= p <= D - 1:
+        # declared range [n_{N-1}+1, D-1]; at p = D the pair sum is empty
+        if not part.offsets[N - 1] + 1 <= p <= D:
             raise InvalidIntegralError(f"J index {p} out of [{part.offsets[N - 1] + 1},{D - 1}]")
-        return RawOperator(angular_momentum_squared_sum(ctx, range(p - 1, D)), ())
+        return _casimir(ctx, spec, range(p - 1, D), ())
 
     if kind == "sigmaS":
         j = name.i

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .opalg import DiffOp, laplacian
 from .partition import Partition, make_partition
-from .ring import Coefficient, Context
+from .ring import Coefficient, Context, Poly
 
 
 # -- angular potential specifications -----------------------------------------
@@ -180,8 +180,9 @@ class ModelSpec:
         if self.family == COULOMB and isinstance(self.eta, str):
             names.append(self.eta)
         for pot in self.potentials:
-            if isinstance(pot, Constant) and isinstance(pot.value, str):
-                names.append(pot.value)
+            for level in pot.levels if isinstance(pot, Hierarchy) else (pot,):
+                if isinstance(level, Constant) and isinstance(level.value, str):
+                    names.append(level.value)
         return tuple(dict.fromkeys(names))
 
 
@@ -215,12 +216,24 @@ def operator_context(spec: ModelSpec) -> Context:
 # -- raw operators with potential attachments -----------------------------------
 
 
+def model_value(ctx: Context, v) -> Poly:
+    """A model value as an exact polynomial: the parameter for a name, the
+    constant for a rational."""
+    return ctx.param(v) if isinstance(v, str) else ctx.const_poly(v)
+
+
 @dataclass(frozen=True)
 class PotentialTerm:
     """Multiplication attachment coef(x) * f_block(angles of block)."""
 
     coef: Coefficient
     block: int  # 0-based block index
+
+
+def potential_term(ctx: Context, spec: ModelSpec, block: int, multiplier: Poly) -> PotentialTerm:
+    """The attachment multiplier * f_block / r_block^2."""
+    norm = ctx.sum_of_squares(spec.partition.block_range(block))
+    return PotentialTerm(Coefficient.from_poly(ctx, multiplier).div_poly(norm), block)
 
 
 @dataclass(frozen=True)
@@ -242,10 +255,7 @@ class RawOperator:
                 raise UnsupportedSymbolicPotentialError(
                     f"block {att.block + 1} potential {pot!r} has no exact Cartesian form"
                 )
-            if isinstance(pot.value, str):
-                coef = att.coef.mul(Coefficient.from_poly(ctx, ctx.param(pot.value)))
-            else:
-                coef = att.coef.scale(pot.value)
+            coef = att.coef.mul_poly(model_value(ctx, pot.value))
             out = out.add(DiffOp.from_coefficient(ctx, coef))
         return out
 
@@ -253,49 +263,38 @@ class RawOperator:
         return RawOperator(self.base.add(other.base), self.attachments + other.attachments)
 
 
-def block_norm_poly(ctx: Context, spec: ModelSpec, i: int):
-    return ctx.sum_of_squares(spec.partition.block_range(i))
-
-
-def build_potential_operator(spec: ModelSpec, i: int, ctx: Context) -> RawOperator:
-    """The multiplication operator f_i(angles) / r_i^2 for block i (0-based)."""
-    coef = Coefficient.const(ctx, 1).div_poly(block_norm_poly(ctx, spec, i))
-    return RawOperator(DiffOp.zero(ctx), (PotentialTerm(coef, i),))
+def _hamiltonian_raw(spec: ModelSpec, ctx: Context, idx, blocks) -> RawOperator:
+    """-laplacian over the coordinates idx, plus omega^2 r_idx^2 for the
+    oscillator, plus f_b / r_b^2 for each potential block b in blocks."""
+    base = laplacian(ctx, idx).neg()
+    if spec.family == OSCILLATOR:
+        r2 = ctx.sum_of_squares(idx)
+        base = base.add(DiffOp.from_poly(ctx, model_value(ctx, spec.omega2).mul(r2)))
+    one = ctx.const_poly(1)
+    atts = tuple(potential_term(ctx, spec, b, one) for b in blocks if b < spec.potential_blocks)
+    return RawOperator(base, atts)
 
 
 def build_hamiltonian_raw(spec: ModelSpec, ctx: Context) -> RawOperator:
-    part = spec.partition
-    base = laplacian(ctx, range(part.D)).neg()
-    if spec.family == OSCILLATOR:
-        r2 = ctx.sum_of_squares(range(part.D))
-        if isinstance(spec.omega2, str):
-            base = base.add(DiffOp.from_poly(ctx, ctx.param(spec.omega2).mul(r2)))
-        else:
-            base = base.add(DiffOp.from_poly(ctx, r2.scale(Fraction(spec.omega2))))
-    else:
-        rho = ctx.radical_poly(0)
-        S = ctx.sum_of_squares(range(part.D))
-        inv_r = Coefficient.from_poly(ctx, rho).div_poly(S)
-        eta = (
-            Coefficient.from_poly(ctx, ctx.param(spec.eta))
-            if isinstance(spec.eta, str)
-            else Coefficient.const(ctx, Fraction(spec.eta))
-        )
-        base = base.sub(DiffOp.from_coefficient(ctx, eta.mul(inv_r)))
-    atts = []
-    for i in range(spec.potential_blocks):
-        atts.extend(build_potential_operator(spec, i, ctx).attachments)
-    return RawOperator(base, tuple(atts))
+    D = spec.partition.D
+    H = _hamiltonian_raw(spec, ctx, range(D), range(spec.potential_blocks))
+    if spec.family == COULOMB:
+        eta_rho = model_value(ctx, spec.eta).mul(ctx.radical_poly(0))
+        coulomb = Coefficient.from_poly(ctx, eta_rho).div_poly(ctx.sum_of_squares(range(D)))
+        H = RawOperator(H.base.sub(DiffOp.from_coefficient(ctx, coulomb)), H.attachments)
+    return H
 
 
-def build_hamiltonian(spec: ModelSpec, ctx: Context | None = None, mode: str = "symbolic"):
-    """Full Hamiltonian as a DiffOp (symbolic mode) or RawOperator (numeric)."""
+def block_hamiltonian_raw(spec: ModelSpec, ctx: Context, i: int) -> RawOperator:
+    """H_i = -laplacian_i + omega^2 r_i^2 + f_i / r_i^2 (oscillator blocks)."""
+    return _hamiltonian_raw(spec, ctx, spec.partition.block_range(i), (i,))
+
+
+def build_hamiltonian(spec: ModelSpec, ctx: Context | None = None) -> DiffOp:
+    """The full Hamiltonian as an exact DiffOp; zero or constant potentials only."""
     if ctx is None:
         ctx = operator_context(spec)
-    raw = build_hamiltonian_raw(spec, ctx)
-    if mode == "symbolic":
-        return raw.symbolic(spec)
-    return raw
+    return build_hamiltonian_raw(spec, ctx).symbolic(spec)
 
 
 # -- numeric evaluation of angular potentials -----------------------------------
@@ -407,26 +406,6 @@ def potential_cartesian_evaluator(spec: ModelSpec, i: int, params: dict | None =
     return evaluate
 
 
-# -- invariants used by tests ---------------------------------------------------
-
-
-def block_hamiltonian_raw(spec: ModelSpec, ctx: Context, i: int) -> RawOperator:
-    """H_i = -laplacian_i + omega^2 r_i^2 + f_i / r_i^2 (oscillator blocks)."""
-    part = spec.partition
-    idx = list(part.block_range(i))
-    base = laplacian(ctx, idx).neg()
-    if spec.family == OSCILLATOR:
-        ri2 = ctx.sum_of_squares(idx)
-        if isinstance(spec.omega2, str):
-            base = base.add(DiffOp.from_poly(ctx, ctx.param(spec.omega2).mul(ri2)))
-        else:
-            base = base.add(DiffOp.from_poly(ctx, ri2.scale(Fraction(spec.omega2))))
-    atts = ()
-    if i < spec.potential_blocks:
-        atts = build_potential_operator(spec, i, ctx).attachments
-    return RawOperator(base, atts)
-
-
 # -- JSON round trip -------------------------------------------------------------
 
 
@@ -449,7 +428,9 @@ def _pot_to_json(pot):
     raise InvalidPartitionError(f"cannot serialize {pot!r}")
 
 
-def _pot_from_json(obj, block_size: int, default_name: str):
+def _pot_from_json(obj, block_size: int, default_name: str, level: bool = False):
+    """A block potential, or with ``level`` one level of a hierarchy: zero,
+    constant or a bare Model2F11."""
     kind = obj.get("kind")
     if kind == "zero":
         return Zero()
@@ -457,16 +438,12 @@ def _pot_from_json(obj, block_size: int, default_name: str):
         v = obj.get("value", "symbolic")
         return Constant(default_name if v == "symbolic" else Fraction(str(v)))
     if kind == "model2":
-        return model2_potential(block_size, Fraction(str(obj["A"])), Fraction(str(obj["B"])))
+        A, B = Fraction(str(obj["A"])), Fraction(str(obj["B"]))
+        return Model2F11(A, B) if level else model2_potential(block_size, A, B)
+    if level:
+        raise InvalidPartitionError(f"a hierarchy level is zero, constant or model2, not {kind!r}")
     if kind == "hierarchy":
-        levels = []
-        for j, lv in enumerate(obj["levels"]):
-            levels.append(_pot_from_json(lv, 2 if j == 0 else 1, default_name))
-        # inner entries deserialize as bare potentials; unwrap singleton hierarchies
-        flat = []
-        for lv in levels:
-            flat.append(lv.levels[0] if isinstance(lv, Hierarchy) else lv)
-        return Hierarchy(tuple(flat))
+        return Hierarchy(tuple(_pot_from_json(lv, 1, default_name, True) for lv in obj["levels"]))
     raise InvalidPartitionError(f"unknown potential kind {kind!r}")
 
 

@@ -28,7 +28,15 @@ from .integrals import (
     name_from_string,
     structural_constants,
 )
-from .models import COULOMB, OSCILLATOR, ModelSpec, RawOperator, operator_context, oscillator_spec
+from .models import (
+    COULOMB,
+    OSCILLATOR,
+    ModelSpec,
+    RawOperator,
+    operator_context,
+    oscillator_spec,
+    potential_term,
+)
 from .opalg import DiffOp, angular_momentum, euler_operator, laplacian
 from .report import ReportItem
 from .ring import Coefficient, Context, row_reduce
@@ -683,17 +691,8 @@ def correction_closed_form(spec: ModelSpec, env: OperatorEnv, j: int, literal: b
             )
         )
     out = DiffOp.from_poly(ctx, r2m).mul(lap).sub(E.mul(E)).sub(E.scale(D - 3))
-    pot = None
-    for b in range(part.N - 1):
-        c = Coefficient.const(ctx, 1).div_poly(ctx.sum_of_squares(part.block_range(b)))
-        if isinstance(spec.potentials[b].value, str):
-            c = c.mul(Coefficient.from_poly(ctx, ctx.param(spec.potentials[b].value)))
-        else:
-            c = c.scale(spec.potentials[b].value)
-        pot = c if pot is None else pot.add(c)
-    if pot is not None:
-        out = out.sub(DiffOp.from_coefficient(ctx, pot.mul_poly(r2m)))
-    return out
+    terms = tuple(potential_term(ctx, spec, b, r2m) for b in range(part.N - 1))
+    return out.sub(RawOperator(DiffOp.zero(ctx), terms).symbolic(spec))
 
 
 def catalog_coulomb_yx(spec: ModelSpec, env: OperatorEnv | None = None) -> RelationSet:

@@ -139,6 +139,56 @@ def test_bad_model_exit_two(runner, tmp_path, config, args):
     assert "config error:" in res.output
 
 
+@pytest.mark.parametrize("catalog", ["coulomb-yx", "coulomb"])
+def test_coulomb_catalog_with_a_zero_potential(runner, tmp_path, catalog):
+    """The closed-form correction of the yx displays folds a zero potential away."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"catalog": catalog, "model": {
+        "family": "coulomb", "blocks": [1, 2], "potentials": [{"kind": "zero"}], "eta": "2"}}))
+    out = tmp_path / "report.json"
+    res = runner.invoke(main, ["verify", "--config", str(cfg), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    items = json.loads(out.read_text())["items"]
+    assert items and all(i["passed"] for i in items)
+
+
+_CONST3 = {"kind": "constant", "value": "3"}
+
+
+@pytest.mark.parametrize("levels, message", [
+    ([{"kind": "hierarchy", "levels": [_CONST3, {"kind": "constant", "value": "5"}]},
+      {"kind": "zero"}], "a hierarchy level is zero, constant or model2, not 'hierarchy'"),
+    ([{"kind": "zero"}, {"kind": "model2", "A": "4", "B": "1"}],
+     "Model2F11 is only allowed at the innermost hierarchy level"),
+], ids=["nested-hierarchy", "model2-above-the-innermost-level"])
+def test_hierarchy_level_exit_two(runner, tmp_path, levels, message):
+    """Levels are parsed as levels: a nested hierarchy is not cut down to its first entry."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"catalog": "oscillator-commutativity", "model": {
+        "family": "oscillator", "blocks": [3, 1],
+        "potentials": [{"kind": "hierarchy", "levels": levels}, _CONST3]}}))
+    res = runner.invoke(main, ["verify", "--config", str(cfg)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), repr(res.exception)
+    assert f"config error: {message}" in res.output
+
+
+def test_symbolic_constant_inside_a_hierarchy_takes_its_default(runner, tmp_path):
+    """beta1 of a hierarchy level is a model parameter, so numeric mode binds its default."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"catalog": "oscillator-algebra", "mode": "numeric",
+                               "probes": 1, "points": 2, "model": {
+        "family": "oscillator", "blocks": [3, 1],
+        "potentials": [{"kind": "hierarchy", "levels": [{"kind": "zero"},
+                                                        {"kind": "constant"}]}, _CONST3]}}))
+    out = tmp_path / "report.json"
+    res = runner.invoke(main, ["verify", "--config", str(cfg), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    items = json.loads(out.read_text())["items"]
+    assert len(items) == 3
+    assert all(i["status"] == "zero" and i["passed"] for i in items)
+
+
 def test_report_determinism():
     config = {"command": "verify", "catalog": "oscillator-algebra", "blocks": [1, 2],
               "mode": "symbolic", "seed": 7}

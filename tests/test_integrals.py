@@ -73,6 +73,14 @@ def test_coulomb_J_bottom_is_block_L2():
     assert sym("Z[2]", spec, ctx) == sym("Y[1]", spec, ctx)
 
 
+def test_coulomb_Y_and_J_at_the_end_of_their_ranges():
+    """Y[N] = L^2_N and J[D] = 0 are the general formulas at p = N and p = D."""
+    spec = coulomb_spec([2, 2])
+    ctx = operator_context(spec)
+    assert sym("Y[2]", spec, ctx) == angular_momentum_squared_sum(ctx, [2, 3])
+    assert sym("J[4]", spec, ctx).is_zero()
+
+
 def test_integral_count_oscillator():
     for sizes in ([2, 2], [1, 1, 1], [3, 1, 2]):
         spec = oscillator_spec(sizes)
@@ -101,7 +109,7 @@ def test_index_range_errors():
             build_integral(name_from_string(bad), spec, ctx)
     cspec = coulomb_spec([2, 2])
     cctx = operator_context(cspec)
-    for bad in ("X[1]", "S[4]", "Y[3]", "J[2]"):
+    for bad in ("X[1]", "S[4]", "Y[0]", "Y[3]", "J[2]", "J[5]"):
         with pytest.raises(InvalidIntegralError):
             build_integral(name_from_string(bad), cspec, cctx)
 

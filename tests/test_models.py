@@ -17,15 +17,17 @@ from blocksep.models import (
     Hierarchy,
     Model2F11,
     Zero,
+    RawOperator,
     block_hamiltonian_raw,
     build_hamiltonian,
-    build_potential_operator,
+    build_hamiltonian_raw,
     coulomb_spec,
     eval_angular_potential,
     model2_potential,
     operator_context,
     oscillator_spec,
     potential_cartesian_evaluator,
+    potential_term,
     spec_from_json,
     spec_to_json,
 )
@@ -91,29 +93,34 @@ def test_hermiticity_formal_transpose():
         assert H.formal_transpose() == H
 
 
+def _potential_operator(spec, i, ctx):
+    """The multiplication operator f_i / r_i^2 of block i (0-based)."""
+    return RawOperator(DiffOp.zero(ctx), (potential_term(ctx, spec, i, ctx.const_poly(1)),))
+
+
 def test_potential_operator_forms():
     spec = oscillator_spec([2, 1], (Constant(Fraction(5)), Constant("beta2")))
     ctx = operator_context(spec)
-    op = build_potential_operator(spec, 0, ctx).symbolic(spec)
+    op = _potential_operator(spec, 0, ctx).symbolic(spec)
     expect = DiffOp.from_coefficient(
         ctx, Coefficient.const(ctx, 5).div_poly(ctx.sum_of_squares([0, 1]))
     )
     assert op == expect
-    op2 = build_potential_operator(spec, 1, ctx).symbolic(spec)
+    op2 = _potential_operator(spec, 1, ctx).symbolic(spec)
     expect2 = DiffOp.from_coefficient(
         ctx, Coefficient.from_poly(ctx, ctx.param("beta2")).div_poly(ctx.x(2, 2))
     )
     assert op2 == expect2
     zero_spec = oscillator_spec([2, 1], (Zero(), Zero()))
-    assert build_potential_operator(zero_spec, 0, ctx).symbolic(zero_spec).is_zero()
+    assert _potential_operator(zero_spec, 0, ctx).symbolic(zero_spec).is_zero()
 
 
 def test_model2_symbolic_mode_rejected():
     spec = oscillator_spec([2, 1], (model2_potential(2, 4, 1), Zero()))
     ctx = operator_context(spec)
     with pytest.raises(UnsupportedSymbolicPotentialError):
-        build_hamiltonian(spec, ctx, mode="symbolic")
-    raw = build_hamiltonian(spec, ctx, mode="numeric")
+        build_hamiltonian(spec, ctx)
+    raw = build_hamiltonian_raw(spec, ctx)
     assert raw.attachments
 
 

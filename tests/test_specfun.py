@@ -17,7 +17,7 @@ from blocksep.models import (
     model2_potential,
     operator_context,
     oscillator_spec,
-    build_hamiltonian,
+    build_hamiltonian_raw,
 )
 from blocksep.numerics import FDScheme, apply_numeric, model_point_guards, sample_points
 from blocksep.specfun import (
@@ -159,7 +159,9 @@ def _h_over_psi_stats(spec, es, n_points=10, seed=3, numeric=False):
     pts = sample_points(spec, n_points, rng, margin_extent=extent,
                         guards=model_point_guards(spec, extent))
     ctx = operator_context(spec)
-    H = build_hamiltonian(spec, ctx, mode="numeric" if numeric else "symbolic")
+    H = build_hamiltonian_raw(spec, ctx)
+    if not numeric:
+        H = H.symbolic(spec)
     vals = []
     for x in pts:
         hv = apply_numeric(H, psi, x, scheme, spec=spec, params={})
