@@ -29,20 +29,11 @@ from .models import (
 from .numerics import FDScheme, NumericEnv, relation_residual_numeric
 from .report import ReportItem, VerificationReport, serialize
 from .relations import (
+    CATALOG_NAMES,  # noqa: F401 - re-exported
     OperatorEnv,
     RelationSet,
-    catalog_coulomb,
-    catalog_coulomb_commutativity,
-    catalog_coulomb_erratum_wrong,
-    catalog_coulomb_sj,
-    catalog_coulomb_yx,
-    catalog_coulomb_zy,
-    catalog_gauge,
-    catalog_negative_controls,
-    catalog_oscillator,
-    catalog_oscillator_algebra,
-    catalog_oscillator_commutativity,
-    catalog_proposition_A,
+    build_catalog,
+    catalog_family,
     over,
     parse_relation_file,
     settle_groups,
@@ -50,21 +41,6 @@ from .relations import (
     verify_symbolic,
 )
 
-CATALOGS = {
-    "proposition-A": lambda spec: catalog_proposition_A(),
-    "gauge": catalog_gauge,
-    "negative-controls": catalog_negative_controls,
-    "oscillator": catalog_oscillator,
-    "oscillator-algebra": catalog_oscillator_algebra,
-    "oscillator-commutativity": catalog_oscillator_commutativity,
-    "coulomb": catalog_coulomb,
-    "coulomb-commutativity": catalog_coulomb_commutativity,
-    "coulomb-erratum-wrong": catalog_coulomb_erratum_wrong,
-    "coulomb-sj": catalog_coulomb_sj,
-    "coulomb-yx": catalog_coulomb_yx,
-    "coulomb-zy": catalog_coulomb_zy,
-}
-CATALOG_NAMES = list(CATALOGS)
 
 def _parse_blocks(text: str):
     try:
@@ -114,14 +90,8 @@ def _verify_model(config: dict) -> ModelSpec | None:
         if not path and catalog in ("proposition-A", "negative-controls"):
             return None
         raise ConfigError(f"{_source(config)} needs --blocks or a config model")
-    coulomb = config.get("family") == COULOMB if path else catalog.startswith(COULOMB)
-    return _from_input(coulomb_spec if coulomb else oscillator_spec, config["blocks"])
-
-
-def build_catalog(catalog: str, spec: ModelSpec | None) -> RelationSet:
-    if catalog not in CATALOGS:
-        raise ConfigError(f"unknown catalog {catalog!r}; known: {', '.join(CATALOG_NAMES)}")
-    return CATALOGS[catalog](spec)
+    family = config.get("family") if path else catalog_family(catalog)
+    return _from_input(coulomb_spec if family == COULOMB else oscillator_spec, config["blocks"])
 
 
 def _relation_set(config: dict, spec: ModelSpec | None) -> RelationSet:

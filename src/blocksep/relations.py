@@ -19,7 +19,8 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InapplicableRelationError, InvalidIntegralError, RelationSyntaxError
+from .errors import (ConfigError, InapplicableRelationError, InvalidIntegralError,
+                     RelationSyntaxError, UnsupportedSymbolicPotentialError)
 from .integrals import (
     IntegralName,
     build_integral,
@@ -251,7 +252,8 @@ def verify_relation(rel: Relation, env: OperatorEnv) -> ReportItem:
                       expectation=rel.expectation, group=rel.group, note=rel.note)
     try:
         residual = eval_node(rel.expr, env)
-    except (InvalidIntegralError, InapplicableRelationError) as exc:
+    except (InvalidIntegralError, InapplicableRelationError,
+            UnsupportedSymbolicPotentialError) as exc:
         item.status, item.note = "inapplicable", str(exc)
         return item
     if residual.is_zero():
@@ -468,8 +470,6 @@ def _block_rhs(Z, Hsum, Hl, Zprev, Tl, w2, Dlm1: int, dl: int, eight: int) -> tu
 def oscillator_quadratic_relations(spec: ModelSpec, l: int, perturb_8_to_7: bool = False):
     """The three relations of the block quadratic algebra at level l."""
     part = spec.partition
-    if spec.family != OSCILLATOR:
-        raise InapplicableRelationError("quadratic algebra catalog needs an oscillator model")
     if not 2 <= l <= part.N:
         raise InapplicableRelationError(f"level l={l} needs 2 <= l <= N={part.N}")
     Zl, Hl = op(f"Z[{l}]"), op(f"H[{l}]")
@@ -502,8 +502,8 @@ def oscillator_quadratic_relations(spec: ModelSpec, l: int, perturb_8_to_7: bool
     return rels
 
 
-def oscillator_commutativity_relations(spec: ModelSpec):
-    part = spec.partition
+def oscillator_commutativity_relations(env: OperatorEnv):
+    part = env.spec.partition
     N = part.N
     rels = []
 
@@ -542,24 +542,9 @@ def oscillator_commutativity_relations(spec: ModelSpec):
     return rels
 
 
-def _algebra_relations(spec: ModelSpec) -> list:
-    levels = range(2, spec.partition.N + 1)
-    return [r for l in levels for r in oscillator_quadratic_relations(spec, l)]
-
-
-def catalog_oscillator(spec: ModelSpec) -> RelationSet:
-    rels = _algebra_relations(spec) + oscillator_commutativity_relations(spec)
-    return RelationSet("oscillator", over(OperatorEnv.for_model(spec), rels))
-
-
-def catalog_oscillator_algebra(spec: ModelSpec) -> RelationSet:
-    rels = _algebra_relations(spec)
-    return RelationSet("oscillator-algebra", over(OperatorEnv.for_model(spec), rels))
-
-
-def catalog_oscillator_commutativity(spec: ModelSpec) -> RelationSet:
-    rels = oscillator_commutativity_relations(spec)
-    return RelationSet("oscillator-commutativity", over(OperatorEnv.for_model(spec), rels))
+def _algebra_relations(env: OperatorEnv) -> list:
+    levels = range(2, env.spec.partition.N + 1)
+    return [r for l in levels for r in oscillator_quadratic_relations(env.spec, l)]
 
 
 # -- catalog: gauge reduction ---------------------------------------------------------
@@ -570,8 +555,6 @@ def catalog_gauge_identities(spec: ModelSpec, l: int) -> RelationSet:
     of block l), with the central elements Z_{l-1} and T_l as parameters zc,
     tc, reproduces the printed block algebra coefficients identically."""
     part = spec.partition
-    if spec.family != OSCILLATOR:
-        raise InapplicableRelationError("gauge catalog needs an oscillator model")
     if not 2 <= l <= part.N:
         raise InapplicableRelationError(f"gauge level l={l} out of range")
     Dlm1 = part.offsets[l - 1]
@@ -695,16 +678,15 @@ def correction_closed_form(spec: ModelSpec, env: OperatorEnv, j: int, literal: b
     return out.sub(RawOperator(DiffOp.zero(ctx), terms).symbolic(spec))
 
 
-def catalog_coulomb_yx(spec: ModelSpec, env: OperatorEnv | None = None) -> RelationSet:
-    part = spec.partition
-    if spec.family != COULOMB:
-        raise InapplicableRelationError("yx catalog needs a coulomb model")
+def _yx_catalog(env: OperatorEnv) -> list:
+    """The X/W triples, the transposition claims and both readings of the
+    dilation form of the conjugated S."""
+    spec, part = env.spec, env.spec.partition
     if part.N < 2:
         raise InapplicableRelationError("yx catalog needs N >= 2")
     if not spec.is_symbolic():
         raise InapplicableRelationError("symbolic yx catalog needs zero/constant potentials")
-    env = env or OperatorEnv.for_model(spec)
-    rels = list(coulomb_yx_relations(spec))
+    rels = coulomb_yx_relations(spec)
     D = part.D
     for j in range(D - part.block_sizes[-1] + 1, D):
         rels.extend(coulomb_yx_relations(spec, j))
@@ -752,7 +734,7 @@ def catalog_coulomb_yx(spec: ModelSpec, env: OperatorEnv | None = None) -> Relat
                 note="reading with x_j d_j in the dilation bracket",
             )
         )
-    return RelationSet("coulomb-yx", over(env, rels))
+    return rels
 
 
 def _conjugated(env: OperatorEnv, name: str, j: int) -> Fixed:
@@ -760,16 +742,11 @@ def _conjugated(env: OperatorEnv, name: str, j: int) -> Fixed:
     return Fixed(conjugate_by_transposition(raw, j, env.spec, env.ctx).symbolic(env.spec))
 
 
-def catalog_coulomb_erratum_wrong(spec: ModelSpec) -> RelationSet:
-    if spec.family != COULOMB:
-        raise InapplicableRelationError("erratum catalog needs a coulomb model")
-    env = OperatorEnv.for_model(spec)
-    part = spec.partition
+def _erratum_relations(env: OperatorEnv) -> list:
+    part = env.spec.partition
     j = part.D - 1 if part.block_sizes[-1] >= 2 else part.D
-    rels = tuple(
-        r for r in coulomb_yx_relations(spec, j, erratum_wrong=True) if r.name.endswith("-3")
-    )
-    return RelationSet("coulomb-erratum-wrong", over(env, rels))
+    rels = coulomb_yx_relations(env.spec, j, erratum_wrong=True)
+    return [r for r in rels if r.name.endswith("-3")]
 
 
 def _central_diagnoser(atom_trees: dict):
@@ -794,6 +771,13 @@ def _central_diagnoser(atom_trees: dict):
         return f"residual = {body} over shifted central elements"
 
     return diagnose
+
+
+def _readings(group: str, lhs, readings, diagnose) -> list:
+    """The record relations lhs - rhs of one reading group, one for each
+    (name suffix, rhs, note) of ``readings``."""
+    return [Relation(group + suffix, sub(lhs, rhs), expectation="record", group=group,
+                     note=note, diagnose=diagnose) for suffix, rhs, note in readings]
 
 
 def coulomb_zy_relations(spec: ModelSpec, p: int):
@@ -834,14 +818,8 @@ def coulomb_zy_relations(spec: ModelSpec, p: int):
         mul(num(8), Zp, Yp1),
         mul(num(8), Zpm1, Yp1),
     )
-    rel1 = Relation(
-        f"coul-zy-p{p}-ZZY",
-        sub(comm(op(f"Z[{p}]"), inner), rhs1),
-        expectation="record",
-        group=f"coul-zy-p{p}-ZZY",
-        note="printed display",
-        diagnose=diagnose,
-    )
+    rels = _readings(f"coul-zy-p{p}-ZZY", comm(op(f"Z[{p}]"), inner),
+                     [("", rhs1, "printed display")], diagnose)
 
     def rhs2(second_line_target):
         return add(
@@ -860,25 +838,11 @@ def coulomb_zy_relations(spec: ModelSpec, p: int):
             neg(mul(num(8), Yp1, Yp)),
         )
 
-    grp2 = f"coul-zy-p{p}-YZY"
-    printed_target = sub(op("Y[1]"), sc("M", p))
-    rel2p = Relation(
-        f"{grp2}-printed",
-        sub(comm(op(f"Y[{p}]"), inner), rhs2(printed_target)),
-        expectation="record",
-        group=grp2,
-        note="printed second line ends with (Y_1 - M_p)",
-        diagnose=diagnose,
-    )
-    rel2e = Relation(
-        f"{grp2}-emended",
-        sub(comm(op(f"Y[{p}]"), inner), rhs2(Yp)),
-        expectation="record",
-        group=grp2,
-        note="reading with (Y_p - M_p) in the second line",
-        diagnose=diagnose,
-    )
-    return [rel1, rel2p, rel2e]
+    return rels + _readings(f"coul-zy-p{p}-YZY", comm(op(f"Y[{p}]"), inner), [
+        ("-printed", rhs2(sub(op("Y[1]"), sc("M", p))),
+         "printed second line ends with (Y_1 - M_p)"),
+        ("-emended", rhs2(Yp), "reading with (Y_p - M_p) in the second line"),
+    ], diagnose)
 
 
 def coulomb_sj_relations(spec: ModelSpec, p: int):
@@ -917,25 +881,12 @@ def coulomb_sj_relations(spec: ModelSpec, p: int):
             mul(num(8), z_term, Jp1),
         )
 
-    grp1 = f"coul-sj-p{p}-SSJ"
-    rels = [
-        Relation(
-            f"{grp1}-printed",
-            sub(comm(op(f"S[{p}]"), inner), rhs1(op(f"Y[{p + 1}]"), sub(op(f"Z[{p - 1}]"), sc("N", p - 1)))),
-            expectation="record",
-            group=grp1,
-            note="printed display mixes Y[p+1] and Z[p-1] into the coordinate chain",
-            diagnose=diagnose,
-        ),
-        Relation(
-            f"{grp1}-emended",
-            sub(comm(op(f"S[{p}]"), inner), rhs1(Jp1, Spm1)),
-            expectation="record",
-            group=grp1,
-            note="coordinate-chain reading: J[p+1] for Y[p+1], S[p-1]-U[p-1] for Z[p-1]-N[p-1]",
-            diagnose=diagnose,
-        ),
-    ]
+    rels = _readings(f"coul-sj-p{p}-SSJ", comm(op(f"S[{p}]"), inner), [
+        ("-printed", rhs1(op(f"Y[{p + 1}]"), sub(op(f"Z[{p - 1}]"), sc("N", p - 1))),
+         "printed display mixes Y[p+1] and Z[p-1] into the coordinate chain"),
+        ("-emended", rhs1(Jp1, Spm1),
+         "coordinate-chain reading: J[p+1] for Y[p+1], S[p-1]-U[p-1] for Z[p-1]-N[p-1]"),
+    ], diagnose)
 
     def rhs2(target):
         return add(
@@ -953,32 +904,14 @@ def coulomb_sj_relations(spec: ModelSpec, p: int):
             neg(mul(num(8), Jp1, Jp)),
         )
 
-    grp2 = f"coul-sj-p{p}-JSJ"
-    rels.append(
-        Relation(
-            f"{grp2}-printed",
-            sub(comm(Jp, inner), rhs2(sub(op(f"Y[{p}]"), sc("M", p)))),
-            expectation="record",
-            group=grp2,
-            note="printed display carries (Y_p - M_p)",
-            diagnose=diagnose,
-        )
-    )
-    rels.append(
-        Relation(
-            f"{grp2}-emended",
-            sub(comm(Jp, inner), rhs2(Jp)),
-            expectation="record",
-            group=grp2,
-            note="reading with J_p in place of (Y_p - M_p)",
-            diagnose=diagnose,
-        )
-    )
-    return rels
+    return rels + _readings(f"coul-sj-p{p}-JSJ", comm(Jp, inner), [
+        ("-printed", rhs2(sub(op(f"Y[{p}]"), sc("M", p))), "printed display carries (Y_p - M_p)"),
+        ("-emended", rhs2(Jp), "reading with J_p in place of (Y_p - M_p)"),
+    ], diagnose)
 
 
-def coulomb_commutativity_relations(spec: ModelSpec):
-    part = spec.partition
+def coulomb_commutativity_relations(env: OperatorEnv):
+    part = env.spec.partition
     N, D = part.N, part.D
     rels = []
     zrange = list(range(2, N))
@@ -1001,49 +934,19 @@ def coulomb_commutativity_relations(spec: ModelSpec):
             rels.append(Relation(f"coul-comm-[J[{k}],Y[{ll}]]", comm(op(f"J[{k}]"), op(f"Y[{ll}]"))))
     for i in zrange:
         rels.append(Relation(f"coul-comm-[Y[1],Z[{i}]]", comm(op("Y[1]"), op(f"Z[{i}]"))))
-    for name in enumerate_integrals(spec):
+    for name in enumerate_integrals(env.spec):
         rels.append(Relation(f"coul-comm-[Hcoul,{name}]", comm(op("Hcoul"), OpRef(name))))
     return rels
 
 
-def catalog_coulomb_commutativity(spec: ModelSpec) -> RelationSet:
-    rels = coulomb_commutativity_relations(spec)
-    return RelationSet("coulomb-commutativity", over(OperatorEnv.for_model(spec), rels))
+def _zy_relations(env: OperatorEnv) -> list:
+    return [r for p in range(2, env.spec.partition.N) for r in coulomb_zy_relations(env.spec, p)]
 
 
-def _zy_relations(spec: ModelSpec) -> list:
-    return [r for p in range(2, spec.partition.N) for r in coulomb_zy_relations(spec, p)]
-
-
-def _sj_relations(spec: ModelSpec) -> list:
-    part = spec.partition
+def _sj_relations(env: OperatorEnv) -> list:
+    part = env.spec.partition
     ps = range(part.offsets[part.N - 1] + 1, part.D)
-    return [r for p in ps for r in coulomb_sj_relations(spec, p)]
-
-
-def catalog_coulomb_zy(spec: ModelSpec) -> RelationSet:
-    if spec.partition.N < 3:
-        raise InapplicableRelationError("zy catalog needs N >= 3")
-    return RelationSet("coulomb-zy", over(OperatorEnv.for_model(spec), _zy_relations(spec)))
-
-
-def catalog_coulomb_sj(spec: ModelSpec) -> RelationSet:
-    part = spec.partition
-    if part.D - part.offsets[part.N - 1] < 2:
-        raise InapplicableRelationError("sj catalog needs d_N >= 2")
-    return RelationSet("coulomb-sj", over(OperatorEnv.for_model(spec), _sj_relations(spec)))
-
-
-def catalog_coulomb(spec: ModelSpec) -> RelationSet:
-    """Umbrella: every applicable coulomb catalog, all in one environment."""
-    env = OperatorEnv.for_model(spec)
-    rels = (
-        list(catalog_coulomb_yx(spec, env).relations)
-        + coulomb_commutativity_relations(spec)
-        + _zy_relations(spec)
-        + _sj_relations(spec)
-    )
-    return RelationSet("coulomb", over(env, rels))
+    return [r for p in ps for r in coulomb_sj_relations(env.spec, p)]
 
 
 def catalog_negative_controls(spec: ModelSpec | None = None) -> RelationSet:
@@ -1055,6 +958,48 @@ def catalog_negative_controls(spec: ModelSpec | None = None) -> RelationSet:
     pairs = prop.pairs + over(OperatorEnv.for_model(spec), osc_rels)
     controls = tuple(p for p in pairs if p[0].expectation == "nonzero")
     return RelationSet("negative-controls", controls)
+
+
+# -- every catalog by name --------------------------------------------------------------
+
+# A model catalog is its relation builders, env -> [Relation] in report order,
+# whose relations share one environment of the model; any other catalog is a
+# builder spec -> RelationSet that pairs its relations with environments of its own.
+CATALOGS = {
+    "proposition-A": lambda spec: catalog_proposition_A(),
+    "gauge": catalog_gauge,
+    "negative-controls": catalog_negative_controls,
+    "oscillator": (_algebra_relations, oscillator_commutativity_relations),
+    "oscillator-algebra": (_algebra_relations,),
+    "oscillator-commutativity": (oscillator_commutativity_relations,),
+    "coulomb": (_yx_catalog, coulomb_commutativity_relations, _zy_relations, _sj_relations),
+    "coulomb-commutativity": (coulomb_commutativity_relations,),
+    "coulomb-erratum-wrong": (_erratum_relations,),
+    "coulomb-sj": (_sj_relations,),
+    "coulomb-yx": (_yx_catalog,),
+    "coulomb-zy": (_zy_relations,),
+}
+CATALOG_NAMES = list(CATALOGS)
+
+
+def catalog_family(name: str) -> str:
+    """The model family a catalog is written for: coulomb for a coulomb* name."""
+    return COULOMB if name.startswith(COULOMB) else OSCILLATOR
+
+
+def build_catalog(name: str, spec: ModelSpec | None) -> RelationSet:
+    """The named catalog over ``spec``, which must be of the catalog's family
+    (``proposition-A`` has a model of its own and ignores it)."""
+    build = CATALOGS.get(name)
+    if build is None:
+        raise ConfigError(f"unknown catalog {name!r}; known: {', '.join(CATALOG_NAMES)}")
+    family = catalog_family(name)
+    if spec is not None and name != "proposition-A" and spec.family != family:
+        raise ConfigError(f"catalog {name!r} is written for the {family} family, not {spec.family}")
+    if callable(build):
+        return build(spec)
+    env = OperatorEnv.for_model(spec)
+    return RelationSet(name, over(env, [rel for make in build for rel in make(env)]))
 
 
 # -- relation file grammar -----------------------------------------------------------

@@ -31,13 +31,8 @@ from blocksep.numerics import (
 )
 from blocksep.relations import (
     OperatorEnv,
-    catalog_coulomb_erratum_wrong,
-    catalog_coulomb_sj,
-    catalog_coulomb_yx,
-    catalog_coulomb_zy,
+    build_catalog,
     catalog_gauge_identities,
-    catalog_oscillator_algebra,
-    catalog_oscillator_commutativity,
     catalog_proposition_A,
     oscillator_quadratic_relations,
     verify_symbolic,
@@ -67,7 +62,7 @@ def test_criterion_2_oscillator_quadratic_algebra():
     ok = True
     detail = []
     for sizes in ([1, 1], [1, 2], [2, 2], [1, 1, 1]):
-        rs = catalog_oscillator_algebra(oscillator_spec(sizes))
+        rs = build_catalog("oscillator-algebra", oscillator_spec(sizes))
         ocs = verify_symbolic(rs)
         good = all(o.status == "zero" for o in ocs)
         ok = ok and good
@@ -78,7 +73,7 @@ def test_criterion_2_oscillator_quadratic_algebra():
 def test_criterion_3_oscillator_commutativity():
     ok = True
     for sizes in ([2, 2], [1, 1, 1]):
-        rs = catalog_oscillator_commutativity(oscillator_spec(sizes))
+        rs = build_catalog("oscillator-commutativity", oscillator_spec(sizes))
         ok = ok and all(o.status == "zero" for o in verify_symbolic(rs))
     report_line(3, ok, "oscillator commutativity tables exact on [2,2] and [1,1,1]")
 
@@ -95,23 +90,23 @@ def test_criterion_4_gauge_reduction():
 @pytest.mark.slow
 def test_criterion_5_coulomb_yx_and_erratum():
     spec = coulomb_spec([2, 2])
-    ocs = {o.name: o for o in verify_symbolic(catalog_coulomb_yx(spec))}
+    ocs = {o.name: o for o in verify_symbolic(build_catalog("coulomb-yx", spec))}
     ok = all(
         ocs[f"coul-yx-j{j}-{k}"].status == "zero"
         for j in (3, 4)
         for k in ("1-def", "2", "3")
     )
     ok = ok and all(ocs[f"coul-correction-form-j{j}-emended"].status == "zero" for j in (3, 4))
-    err = verify_symbolic(catalog_coulomb_erratum_wrong(spec))
+    err = verify_symbolic(build_catalog("coulomb-erratum-wrong", spec))
     ok = ok and len(err) == 1 and err[0].status == "residual"
     report_line(5, ok, "X/W triple and conjugates exact on [2,2]; erratum control nonzero")
 
 
 def test_criterion_6_coulomb_double_commutators_recorded():
     ok = True
-    ocs1 = verify_symbolic(catalog_coulomb_zy(coulomb_spec([1, 1, 1])))
-    ocs2 = verify_symbolic(catalog_coulomb_zy(coulomb_spec([1, 1, 2])))
-    ocs3 = verify_symbolic(catalog_coulomb_sj(coulomb_spec([1, 1, 2])))
+    ocs1 = verify_symbolic(build_catalog("coulomb-zy", coulomb_spec([1, 1, 1])))
+    ocs2 = verify_symbolic(build_catalog("coulomb-zy", coulomb_spec([1, 1, 2])))
+    ocs3 = verify_symbolic(build_catalog("coulomb-sj", coulomb_spec([1, 1, 2])))
     for ocs in (ocs1, ocs2, ocs3):
         ok = ok and all(o.passed for o in ocs)
         # dual readings present and every constructible outcome diagnosed

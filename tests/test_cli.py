@@ -152,6 +152,44 @@ def test_coulomb_catalog_with_a_zero_potential(runner, tmp_path, catalog):
     assert items and all(i["passed"] for i in items)
 
 
+_OTHER_FAMILY = {
+    "coulomb": {"family": "oscillator", "blocks": [1, 2],
+                "potentials": [{"kind": "zero"}, {"kind": "zero"}]},
+    "oscillator": {"family": "coulomb", "blocks": [1, 2], "potentials": [{"kind": "zero"}],
+                   "eta": "2"},
+}
+
+
+@pytest.mark.parametrize("catalog", [c for c in cli.CATALOG_NAMES if c != "proposition-A"])
+def test_catalog_over_a_model_of_the_other_family_exit_two(runner, tmp_path, catalog):
+    """A catalog is written for one family; a model of the other is a config error."""
+    family = "coulomb" if catalog.startswith("coulomb") else "oscillator"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"catalog": catalog, "model": _OTHER_FAMILY[family]}))
+    res = runner.invoke(main, ["verify", "--config", str(cfg)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), repr(res.exception)
+    assert f"config error: catalog {catalog!r} is written for the {family} family" in res.output
+
+
+@pytest.mark.parametrize("mode, code", [("symbolic", 2), ("both", 2), ("numeric", 0)])
+def test_model2_potential_has_no_symbolic_run(runner, tmp_path, mode, code):
+    """A model2 potential has no exact form: symbolic items are inapplicable, so a
+    symbolic run evaluates nothing and exits 2; the numeric run is unaffected."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"catalog": "oscillator-algebra", "model": {
+        "family": "oscillator", "blocks": [2, 1],
+        "potentials": [{"kind": "model2", "A": "4", "B": "1"}, {"kind": "zero"}]}}))
+    res = runner.invoke(main, ["verify", "--config", str(cfg), "--mode", mode])
+    assert res.exit_code == code, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
+    if code == 2:
+        assert res.output == ("config error: catalog 'oscillator-algebra' has no relation "
+                              "this model can evaluate\n")
+    else:
+        assert "summary: 3/3 passed" in res.output
+
+
 _CONST3 = {"kind": "constant", "value": "3"}
 
 

@@ -1,9 +1,12 @@
-"""perfbench's layer hooks still find every package attribute they wrap.
+"""perfbench's layer hooks still find every package attribute they wrap, and
+the symbolic reports still match its golden digests.
 
 ``perfbench/layers.py`` wraps package functions and methods by name, so a
 rename under ``src/`` would otherwise break only a traced benchmark run
 (``run.py --trace 1``).  This installs the hooks, runs no workload, and
-restores them; it edits nothing under ``perfbench/``.
+restores them.  The golden digests are those ``perfbench/golden.py`` records,
+recomputed here and compared with ``perfbench/golden.json``.  Nothing under
+``perfbench/`` is edited.
 """
 
 import sys
@@ -13,6 +16,7 @@ import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 HOOKS = 23  # wrap_function / wrap_method calls that layers.install makes up front
+MODULES = ("layers", "tracer", "workloads")
 
 
 @pytest.fixture
@@ -21,18 +25,19 @@ def perfbench_modules(monkeypatch):
         pytest.skip("perfbench/ is not in this checkout")
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no __pycache__ under perfbench/
-    for name in ("layers", "tracer"):
+    for name in MODULES:
         monkeypatch.delitem(sys.modules, name, raising=False)
     import layers
     import tracer
+    import workloads
 
-    yield layers, tracer
-    for name in ("layers", "tracer"):
+    yield layers, tracer, workloads
+    for name in MODULES:
         sys.modules.pop(name, None)
 
 
 def test_layer_hooks_find_and_restore_every_attribute(perfbench_modules):
-    layers, tracer = perfbench_modules
+    layers, tracer, _ = perfbench_modules
     hooked = []  # (owner, attribute, original), one per wrap call
 
     class RecordingPatcher(tracer.Patcher):
@@ -55,3 +60,13 @@ def test_layer_hooks_find_and_restore_every_attribute(perfbench_modules):
         patcher.restore()  # raises if a wrapper is left anywhere in the package
     for owner, attr, original in hooked:
         assert vars(owner)[attr] is original, attr
+
+
+def test_symbolic_reports_match_the_golden_digests(perfbench_modules):
+    """Every symbolic report, runtime_info dropped, is byte-identical to the recorded one."""
+    workloads = perfbench_modules[2]
+    golden = workloads.load_golden()
+    entries = {**workloads.golden_entries("tiny"), **workloads.golden_entries("full")}
+    assert sorted(entries) == sorted(golden)
+    for key, entry in entries.items():
+        assert entry == golden[key], key

@@ -3,21 +3,18 @@
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
-from blocksep.errors import InapplicableRelationError, RelationSyntaxError
+from blocksep.cli import main
+from blocksep.errors import ConfigError, InapplicableRelationError, RelationSyntaxError
 from blocksep.integrals import name_from_string
 from blocksep.models import coulomb_spec, oscillator_spec
 from blocksep.relations import (
     MAX_NESTING,
     OperatorEnv,
-    catalog_coulomb_erratum_wrong,
-    catalog_coulomb_sj,
-    catalog_coulomb_yx,
-    catalog_coulomb_zy,
+    build_catalog,
     catalog_gauge_identities,
     catalog_negative_controls,
-    catalog_oscillator,
-    catalog_oscillator_algebra,
     acomm,
     catalog_proposition_A,
     comm,
@@ -46,12 +43,12 @@ def test_proposition_A_all_zero():
 
 def test_oscillator_algebra_minimal_partitions():
     for sizes in ([1, 1], [1, 2]):
-        rs = catalog_oscillator_algebra(oscillator_spec(sizes))
+        rs = build_catalog("oscillator-algebra", oscillator_spec(sizes))
         assert all(o.status == "zero" for o in verify_symbolic(rs))
 
 
 def test_oscillator_full_catalog_2_2():
-    rs = catalog_oscillator(oscillator_spec([2, 2]))
+    rs = build_catalog("oscillator", oscillator_spec([2, 2]))
     ocs = verify_symbolic(rs)
     assert all(o.passed for o in ocs)
     assert all(o.status == "zero" for o in ocs)
@@ -74,13 +71,13 @@ def test_gauge_identities_l2():
 def test_gauge_rejects_bad_level():
     with pytest.raises(InapplicableRelationError):
         catalog_gauge_identities(oscillator_spec([2, 2]), 5)
-    with pytest.raises(InapplicableRelationError):
-        catalog_gauge_identities(coulomb_spec([2, 2]), 2)
+    with pytest.raises(ConfigError, match="written for the oscillator family"):
+        build_catalog("gauge", coulomb_spec([2, 2]))
 
 
 @pytest.mark.slow
 def test_coulomb_yx_2_2():
-    rs = catalog_coulomb_yx(coulomb_spec([2, 2]))
+    rs = build_catalog("coulomb-yx", coulomb_spec([2, 2]))
     ocs = outcomes_by_name(verify_symbolic(rs))
     for j in (3, 4):
         for k in ("1-def", "2", "3"):
@@ -97,14 +94,14 @@ def test_coulomb_yx_2_2():
 
 @pytest.mark.slow
 def test_coulomb_erratum_control_2_2():
-    rs = catalog_coulomb_erratum_wrong(coulomb_spec([2, 2]))
+    rs = build_catalog("coulomb-erratum-wrong", coulomb_spec([2, 2]))
     ocs = verify_symbolic(rs)
     assert len(ocs) == 1
     assert ocs[0].status == "residual" and ocs[0].passed
 
 
 def test_coulomb_zy_recorded_with_diagnosis():
-    rs = catalog_coulomb_zy(coulomb_spec([1, 1, 1]))
+    rs = build_catalog("coulomb-zy", coulomb_spec([1, 1, 1]))
     ocs = verify_symbolic(rs)
     assert {o.name for o in ocs} == {
         "coul-zy-p2-ZZY",
@@ -118,7 +115,7 @@ def test_coulomb_zy_recorded_with_diagnosis():
 
 
 def test_coulomb_sj_recorded():
-    rs = catalog_coulomb_sj(coulomb_spec([1, 1, 2]))
+    rs = build_catalog("coulomb-sj", coulomb_spec([1, 1, 2]))
     ocs = outcomes_by_name(verify_symbolic(rs))
     assert ocs["coul-sj-p3-SSJ-printed"].status == "inapplicable"
     assert ocs["coul-sj-p3-SSJ-emended"].status == "residual"
@@ -126,18 +123,14 @@ def test_coulomb_sj_recorded():
 
 
 def test_coulomb_commutativity_catalog():
-    from blocksep.relations import catalog_coulomb_commutativity
-
-    rs = catalog_coulomb_commutativity(coulomb_spec([2, 2]))
+    rs = build_catalog("coulomb-commutativity", coulomb_spec([2, 2]))
     ocs = verify_symbolic(rs)
     assert ocs and all(o.status == "zero" for o in ocs)
 
 
 @pytest.mark.slow
 def test_coulomb_umbrella_catalog():
-    from blocksep.relations import catalog_coulomb
-
-    rs = catalog_coulomb(coulomb_spec([1, 1, 2]))
+    rs = build_catalog("coulomb", coulomb_spec([1, 1, 2]))
     ocs = verify_symbolic(rs)
     assert len(ocs) > 20
     assert all(o.passed is not False for o in ocs)
@@ -165,11 +158,28 @@ def test_parameter_substitution_commutes_with_construction():
         assert sym.to_text() == lifted.to_text()
 
 
-def test_catalog_requirements():
-    with pytest.raises(InapplicableRelationError):
-        catalog_coulomb_zy(coulomb_spec([2, 2]))  # needs N >= 3
-    with pytest.raises(InapplicableRelationError):
-        catalog_coulomb_sj(coulomb_spec([2, 1]))  # needs d_N >= 2
+@pytest.mark.parametrize("catalog, blocks", [
+    ("coulomb-zy", [2, 2]),  # Z/Y displays need N >= 3
+    ("coulomb-sj", [2, 1]),  # S/J displays need d_N >= 2
+])
+def test_catalog_requirements(catalog, blocks):
+    assert build_catalog(catalog, coulomb_spec(blocks)).pairs == ()
+    res = CliRunner().invoke(main, ["verify", "--catalog", catalog,
+                                    "--blocks", ",".join(map(str, blocks))])
+    assert res.exit_code == 2, res.output
+    assert f"config error: catalog {catalog!r} has no relations on this model" in res.output
+
+
+@pytest.mark.parametrize("umbrella, parts, spec", [
+    ("coulomb", ["coulomb-yx", "coulomb-commutativity", "coulomb-zy", "coulomb-sj"],
+     coulomb_spec([1, 1, 2])),
+    ("oscillator", ["oscillator-algebra", "oscillator-commutativity"], oscillator_spec([2, 2])),
+])
+def test_umbrella_catalog_joins_its_parts_in_one_env(umbrella, parts, spec):
+    rs = build_catalog(umbrella, spec)
+    assert [r.name for r in rs.relations] == [
+        r.name for part in parts for r in build_catalog(part, spec).relations]
+    assert len({id(env) for _, env in rs.pairs}) == 1
 
 
 # -- relation-file grammar -------------------------------------------------------
@@ -301,7 +311,7 @@ def test_equal_brackets_share_one_memo_entry():
 
 def test_warm_memo_matches_a_cold_env():
     spec = oscillator_spec([2, 2])
-    rels = catalog_oscillator(spec).relations
+    rels = build_catalog("oscillator", spec).relations
     warm = OperatorEnv.for_model(spec)
     for rel in rels:
         eval_node(rel.expr, warm)
