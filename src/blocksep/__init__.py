@@ -3,7 +3,7 @@ singular oscillator and Coulomb systems.
 
 The package builds the model Hamiltonians and all of their integrals of
 motion as normal-ordered differential operators with exact rational
-coefficients (extended by the norm radicals), reduces every cataloged
+coefficients (extended by the norm radical r = |x|), reduces every cataloged
 operator identity to normal form, and cross-checks spectra and closed-form
 eigenfunctions against finite-difference oracles.
 """

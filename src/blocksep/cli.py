@@ -83,9 +83,12 @@ def _source(config: dict) -> str:
 def _verify_model(config: dict) -> ModelSpec | None:
     """The config ``model``, else the ``--blocks`` model of the catalog's family
     (of ``family`` for a relation file); None for a model-free catalog."""
+    path, catalog = config.get("relation_file"), config.get("catalog")
+    given = config.get("model") is not None or config.get("blocks") is not None
+    if given and not path and catalog == "proposition-A":
+        raise ConfigError("proposition-A carries its own model")
     if config.get("model") is not None:
         return _from_input(spec_from_json, config["model"])
-    path, catalog = config.get("relation_file"), config.get("catalog")
     if config.get("blocks") is None:
         if not path and catalog in ("proposition-A", "negative-controls"):
             return None
@@ -141,18 +144,25 @@ def run_verify(config: dict) -> VerificationReport:
         else:
             items = verify_symbolic(rs)
         report.items.extend(items)
+        _check_evaluated(items, config)
+        # before the numeric pass, which cannot change this verdict
+        if all(item.status == "inapplicable" for item in items):
+            raise ConfigError(f"{_source(config)} has no relation this model can evaluate")
     if mode in ("numeric", "both"):
-        report.items.extend(_verify_numeric(rs, config))
+        items = _verify_numeric(rs, config)
+        report.items.extend(items)
+        _check_evaluated(items, config)
     if not report.items:
         raise ConfigError(f"{_source(config)} has only record displays, which numeric mode skips")
-    unevaluated = [item for item in report.items if item.status == "inapplicable"]
-    if unevaluated and config.get("relation_file"):
-        # a user line the model cannot evaluate (unknown integral, no constants) is a typo
-        raise ConfigError(f"relation {unevaluated[0].name}: {unevaluated[0].note}")
-    if mode != "numeric" and all(item.status == "inapplicable"
-                                 for item in report.items if item.mode == "symbolic"):
-        raise ConfigError(f"{_source(config)} has no relation this model can evaluate")
     return report
+
+
+def _check_evaluated(items: list, config: dict):
+    """A relation-file line the model cannot evaluate (unknown integral, no
+    constants) is a typo, so a config error; a catalog keeps such items."""
+    unevaluated = next((item for item in items if item.status == "inapplicable"), None)
+    if unevaluated is not None and config.get("relation_file"):
+        raise ConfigError(f"relation {unevaluated.name}: {unevaluated.note}")
 
 
 def _verify_numeric(rs: RelationSet, config: dict) -> list:

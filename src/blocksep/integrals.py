@@ -217,7 +217,7 @@ def build_integral(name: IntegralName, spec: ModelSpec, ctx: Context) -> RawOper
             L = angular_momentum(ctx, i0, a0)
             pa = DiffOp.partial(ctx, a0)
             base = base.add(L.anticommutator(pa))
-        eta_x_rho = model_value(ctx, spec.eta).mul(ctx.x(i0)).mul(ctx.radical_poly(0))
+        eta_x_rho = model_value(ctx, spec.eta).mul(ctx.x(i0)).mul(ctx.radical_poly())
         eta_term = Coefficient.from_poly(ctx, eta_x_rho).div_poly(ctx.sum_of_squares(range(D)))
         base = base.add(DiffOp.from_coefficient(ctx, eta_term))
         mult = ctx.x(i0).scale(-2)

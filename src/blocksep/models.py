@@ -207,10 +207,7 @@ def operator_context(spec: ModelSpec) -> Context:
     """Cartesian context for a model: D coordinates, declared parameters,
     and the full-norm radical when the Coulomb term needs it."""
     names = tuple(f"x{i + 1}" for i in range(spec.partition.D))
-    radicals = []
-    if spec.family == COULOMB:
-        radicals.append(("r", frozenset(range(spec.partition.D))))
-    return Context(names, spec.param_names(), radicals)
+    return Context(names, spec.param_names(), norm_radical=spec.family == COULOMB)
 
 
 # -- raw operators with potential attachments -----------------------------------
@@ -279,7 +276,7 @@ def build_hamiltonian_raw(spec: ModelSpec, ctx: Context) -> RawOperator:
     D = spec.partition.D
     H = _hamiltonian_raw(spec, ctx, range(D), range(spec.potential_blocks))
     if spec.family == COULOMB:
-        eta_rho = model_value(ctx, spec.eta).mul(ctx.radical_poly(0))
+        eta_rho = model_value(ctx, spec.eta).mul(ctx.radical_poly())
         coulomb = Coefficient.from_poly(ctx, eta_rho).div_poly(ctx.sum_of_squares(range(D)))
         H = RawOperator(H.base.sub(DiffOp.from_coefficient(ctx, coulomb)), H.attachments)
     return H

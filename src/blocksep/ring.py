@@ -1,13 +1,13 @@
 """Exact coefficient arithmetic for differential operators.
 
-Coefficients live in Q(params)(x_1..x_D)[rho_0, rho_1, ...] where each
-radical symbol rho_k satisfies rho_k^2 = S_k for a registered polynomial
-S_k over the coordinates (a sum of squares).  A coefficient is stored as
-a numerator polynomial over all slots (coordinates, parameters, radicals)
-divided by a product of registered irreducible denominator atoms, each an
-exact polynomial in the coordinates alone.  Normal form:
+Coefficients live in Q(params)(x_1..x_D)[r], where the one radical
+symbol r, when a context has it, is the norm r = |x| with
+r^2 = x_1^2 + ... + x_D^2.  A coefficient is stored as a numerator
+polynomial over all slots (coordinates, parameters, r) divided by a
+product of registered irreducible denominator atoms, each an exact
+polynomial in the coordinates alone.  Normal form:
 
-* every radical exponent is 0 or 1 in the numerator (rho^2 -> S),
+* the exponent of r is 0 or 1 in the numerator (r^2 -> |x|^2),
 * no denominator atom divides the numerator,
 * denominator atoms are primitive integer polynomials with positive
   leading coefficient, so the representation of a value is unique and
@@ -124,7 +124,7 @@ class Poly:
     A coefficient is an ``int`` when it is integral and a ``Fraction`` only
     otherwise; no zero coefficient is stored.  Exponent vectors run over a
     fixed slot space; the surrounding context decides which slots are
-    coordinates, parameters, or radicals.
+    coordinates, parameters, or the norm radical.
     """
 
     __slots__ = ("n", "terms", "_hash")
@@ -345,24 +345,6 @@ class Poly:
         return f"Poly({len(self.terms)} terms)"
 
 
-class Radical:
-    """A square-root symbol rho with rho^2 = S for a coordinate polynomial S."""
-
-    __slots__ = ("name", "slot", "square", "support", "_powers")
-
-    def __init__(self, name: str, slot: int, square: Poly, support: frozenset):
-        self.name = name
-        self.slot = slot
-        self.square = square
-        self.support = support
-        self._powers = [Poly.const(square.n, 1), square]
-
-    def square_pow(self, e: int) -> Poly:
-        while len(self._powers) <= e:
-            self._powers.append(self._powers[-1].mul(self.square))
-        return self._powers[e]
-
-
 class Atom:
     """Registered irreducible denominator polynomial."""
 
@@ -383,36 +365,21 @@ class Atom:
 class Context:
     """Slot layout and registries shared by all operators of a computation.
 
-    Slots are ordered coordinates, then parameters, then radicals.  Two
-    operators interoperate only if they share the same Context object.
+    Slots are ordered coordinates, then parameters, then (with
+    ``norm_radical``) the norm r = |x|, printed ``r``.  Two operators
+    interoperate only if they share the same Context object.
     """
 
-    def __init__(self, var_names, param_names=(), radical_squares=()):
-        """radical_squares: iterable of (name, coord index set) pairs; the
-        square is the sum of squared coordinates over the index set."""
+    def __init__(self, var_names, param_names=(), norm_radical=False):
         self.var_names = tuple(var_names)
         self.param_names = tuple(param_names)
         self.nx = len(self.var_names)
         self.np = len(self.param_names)
-        rad_specs = list(radical_squares)
-        self.nvars = self.nx + self.np + len(rad_specs)
-        self.radicals = []
-        seen_squares = {}
-        for name, support in rad_specs:
-            support = frozenset(support)
-            slot = self.nx + self.np + len(self.radicals)
-            terms = {}
-            for i in sorted(support):
-                mono = tuple(2 if k == i else 0 for k in range(self.nvars))
-                terms[mono] = 1
-            square = Poly(self.nvars, terms)
-            key = square.key()
-            if key in seen_squares:
-                raise ValueError(f"duplicate radical square for {name}")
-            seen_squares[key] = name
-            self.radicals.append(Radical(name, slot, square, support))
-        self.radicals = tuple(self.radicals)
-        self._rad_by_square = {r.square.key(): r for r in self.radicals}
+        self.nvars = self.nx + self.np + bool(norm_radical)
+        # the slot of r and the memoized powers (r^2)^e, or None without r
+        self.norm_slot = self.nvars - 1 if norm_radical else None
+        self._norm_powers = ([self.const_poly(1), self.sum_of_squares(range(self.nx))]
+                             if norm_radical else None)
         self._atoms: dict = {}
         self._atom_list: list = []
         self._param_slots = {p: self.nx + i for i, p in enumerate(self.param_names)}
@@ -437,8 +404,18 @@ class Context:
             raise UndeclaredParameterError(f"parameter {name!r} not declared") from None
         return Poly.var(self.nvars, slot)
 
-    def radical_poly(self, k: int) -> Poly:
-        return Poly.var(self.nvars, self.radicals[k].slot)
+    def radical_poly(self) -> Poly:
+        """The norm radical r."""
+        if self.norm_slot is None:
+            raise ValueError("context has no norm radical")
+        return Poly.var(self.nvars, self.norm_slot)
+
+    def norm_square(self, e: int = 1) -> Poly:
+        """(r^2)^e = (x_1^2 + ... + x_D^2)^e."""
+        powers = self._norm_powers
+        while len(powers) <= e:
+            powers.append(powers[-1].mul(powers[1]))
+        return powers[e]
 
     def sum_of_squares(self, indices) -> Poly:
         terms = {}
@@ -511,27 +488,16 @@ class Context:
     # -- normalization helpers ----------------------------------------------
 
     def reduce_radicals(self, p: Poly) -> Poly:
-        """Rewrite rho_k^e with e >= 2 using rho_k^2 = S_k."""
-        needs = False
-        for r in self.radicals:
-            if p.max_exp(r.slot) >= 2:
-                needs = True
-                break
-        if not needs:
+        """Rewrite r^e with e >= 2 using r^2 = |x|^2."""
+        s = self.norm_slot
+        if s is None or p.max_exp(s) < 2:
             return p
         total = Poly.zero(self.nvars)
         for m, c in p.terms.items():
-            piece = None
-            mono = list(m)
-            for r in self.radicals:
-                e = mono[r.slot]
-                if e >= 2:
-                    mono[r.slot] = e % 2
-                    sq = r.square_pow(e // 2)
-                    piece = sq if piece is None else piece.mul(sq)
-            base = Poly(self.nvars, {tuple(mono): c})
-            total = total.add(base if piece is None else base.mul(piece))
-        # squares can nest only through coordinates, so one pass suffices
+            e = m[s]
+            base = Poly(self.nvars, {m[:s] + (e % 2,): c})  # r is the last slot
+            total = total.add(base.mul(self.norm_square(e // 2)) if e >= 2 else base)
+        # |x|^2 has no r, so one pass suffices
         return total
 
     def check_same(self, other: "Context"):
@@ -545,7 +511,7 @@ class Context:
             return self.var_names[slot]
         if slot < self.nx + self.np:
             return self.param_names[slot - self.nx]
-        return self.radicals[slot - self.nx - self.np].name
+        return "r"
 
     def poly_text(self, p: Poly) -> str:
         if p.is_zero():
@@ -682,19 +648,13 @@ class Coefficient:
         p1 = self.num.deriv_slot(i)
         if not p1.is_zero():
             parts.append(Coefficient.make(ctx, p1, dict(self.den)))
-        for r in ctx.radicals:
-            if i not in r.support:
-                continue
-            sub = self.num.select_slot(r.slot, 1)
-            if sub.is_zero():
-                continue
-            # d rho/dx_i = x_i rho / S keeps radicals in the numerator
-            num = sub.mul(ctx.x(i))
+        sub = ctx.zero_poly() if ctx.norm_slot is None else self.num.select_slot(ctx.norm_slot, 1)
+        if not sub.is_zero():
+            # d r/dx_i = x_i r / |x|^2 keeps r in the numerator; |x|^2 has scale 1
             den = dict(self.den)
-            sscale, sfactors = ctx.den_factors(r.square)
-            for aid, e in sfactors.items():
+            for aid, e in ctx.den_factors(ctx.norm_square())[1].items():
                 den[aid] = den.get(aid, 0) + e
-            parts.append(Coefficient.make(ctx, num.scale(_div(1, sscale)), den))
+            parts.append(Coefficient.make(ctx, sub.mul(ctx.x(i)), den))
         for aid, e in self.den:
             ad = ctx.atom_by_id(aid).derivs[i]
             if ad.is_zero():
@@ -727,11 +687,8 @@ class Coefficient:
             if name not in param_values:
                 raise UndeclaredParameterError(f"no numeric value bound for {name!r}")
             values.append(param_values[name])
-        for r in ctx.radicals:
-            s = 0.0
-            for i in r.support:
-                s = s + coord_values[i] ** 2
-            values.append(s**0.5)
+        if ctx.norm_slot is not None:
+            values.append(sum(v**2 for v in coord_values) ** 0.5)
         num = self.num.eval_numeric(values)
         for aid, e in self.den:
             num = num / ctx.atom_by_id(aid).poly.eval_numeric(values) ** e

@@ -189,9 +189,6 @@ class SqrtSum:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_rational(self) -> bool:
-        return all(m == 1 for m in self.terms)
-
     def __eq__(self, other):
         return isinstance(other, SqrtSum) and self.terms == other.terms
 
@@ -319,20 +316,9 @@ def _oscillator_energies(q: EigenfunctionSpec) -> tuple:
     return paper, oracle
 
 
-def oscillator_energy_paper(q: EigenfunctionSpec) -> SqrtSum:
-    """Printed closed formula, in units of omega: 2 sum k + sum gamma + N/2."""
-    return _oscillator_energies(q)[0]
-
-
 def oscillator_energy_oracle(q: EigenfunctionSpec) -> SqrtSum:
     """Eigenfunction/eigensolver value, in units of omega: sum (4k + 2 gamma + 1)."""
     return _oscillator_energies(q)[1]
-
-
-def paper_oracle_ratio_is_half(q: EigenfunctionSpec) -> bool:
-    """paper = oracle / 2, exactly, for every admissible query."""
-    paper, oracle = _oscillator_energies(q)
-    return paper.scale(2).sub(oracle).is_zero()
 
 
 @dataclass
@@ -368,38 +354,25 @@ def oscillator_spectrum_row(q: EigenfunctionSpec) -> SpectrumResult:
 # -- coulomb spectra ------------------------------------------------------------------
 
 
-def _coulomb_exact(q: EigenfunctionSpec) -> tuple:
-    """(kappa, printed denominator, whether 2 (N_r + kappa) equals it), exactly,
-    from one gamma per block: kappa = 2 sum J + N - 1/2 + sum gamma and the
-    denominator is 2 N_r + 4 sum J + 2N - 1 + 2 sum gamma."""
+def _coulomb_energies(q: EigenfunctionSpec) -> tuple:
+    """(printed energy, oracle energy, denominator identity holds, kappa) from
+    one gamma per block: kappa = 2 sum J + N - 1/2 + sum gamma, the printed
+    denominator is 2 N_r + 4 sum J + 2N - 1 + 2 sum gamma, and the identity,
+    checked exactly, is that 2 (N_r + kappa) equals it."""
+    if q.model.family != COULOMB:
+        raise InvalidPartitionError("coulomb formula needs a coulomb model")
+    eta2 = _positive_float(q.model.eta, "eta", power=2)
     part = q.model.partition
     kappa = SqrtSum.rational(2 * sum(q.hyper_J) + part.N - Fraction(1, 2))
     den = SqrtSum.rational(2 * q.radial[0] + 4 * sum(q.hyper_J) + 2 * part.N - 1)
     for gamma in block_gammas(q):
         kappa, den = kappa.add(gamma), den.add(gamma.scale(2))
-    return kappa, den, kappa.add(SqrtSum.rational(q.radial[0])).scale(2).sub(den).is_zero()
-
-
-def coulomb_denominator_identity(q: EigenfunctionSpec) -> bool:
-    """2 (N_r + kappa) equals the printed denominator, exactly."""
-    return _coulomb_exact(q)[2]
-
-
-def _coulomb_energies(q: EigenfunctionSpec) -> tuple:
-    """(printed energy, oracle energy, denominator identity holds, kappa)."""
-    if q.model.family != COULOMB:
-        raise InvalidPartitionError("coulomb formula needs a coulomb model")
-    eta2 = _positive_float(q.model.eta, "eta", power=2)
-    kappa, den, identity = _coulomb_exact(q)
+    identity = kappa.add(SqrtSum.rational(q.radial[0])).scale(2).sub(den).is_zero()
     den = float(den)
     if den == 0:
         raise InadmissibleParametersError("zero spectral denominator")
     kappa = float(kappa)
     return -eta2 / den**2, -eta2 / (4.0 * (q.radial[0] + kappa) ** 2), identity, kappa
-
-
-def coulomb_energy(q: EigenfunctionSpec) -> float:
-    return _coulomb_energies(q)[0]
 
 
 def coulomb_spectrum_row(q: EigenfunctionSpec) -> SpectrumResult:

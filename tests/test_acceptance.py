@@ -38,11 +38,7 @@ from blocksep.relations import (
     verify_symbolic,
 )
 from blocksep.specfun import EigenfunctionSpec, assemble_eigenfunction, model2_angular_factor
-from blocksep.spectra import (
-    coulomb_denominator_identity,
-    paper_oracle_ratio_is_half,
-    oscillator_spectrum_row,
-)
+from blocksep.spectra import coulomb_spectrum_row, oscillator_spectrum_row
 
 
 def report_line(number: int, ok: bool, text: str):
@@ -164,7 +160,7 @@ def test_criterion_8_oscillator_spectrum_adjudication():
     spread = float(vals.std() / abs(vals.mean()))
     ok = ok and spread <= 1e-6
     row = oscillator_spectrum_row(es)
-    ok = ok and row.exact_ratio_2 and paper_oracle_ratio_is_half(es)
+    ok = ok and row.exact_ratio_2
     report_line(8, ok, f"eigensolver matches omega(4k+2gamma+1) at 1e-6; H psi/psi spread "
                        f"{spread:.1e}; printed/oracle ratio flagged exactly 2")
 
@@ -178,7 +174,7 @@ def test_criterion_9_coulomb_spectrum():
     for N_r in (0, 1):
         for J1 in (0, 1):
             es = EigenfunctionSpec(spec, angular=(0, 0), radial=(N_r,), hyper_J=(J1,))
-            ok = ok and coulomb_denominator_identity(es)
+            ok = ok and coulomb_spectrum_row(es).exact_ratio_2
             psi = assemble_eigenfunction(es)
             pts = sample_points(spec, 6, rng, margin_extent=5 * scheme.h)
             vals = np.array([
@@ -226,7 +222,7 @@ def test_criterion_11_engine_properties():
 
     ok = True
     # associativity and Jacobi, 200 randomized cases each (exact)
-    ctx = Context(("x1", "x2", "x3"), radical_squares=[("r", {0, 1, 2})])
+    ctx = Context(("x1", "x2", "x3"), norm_radical=True)
     rng = random.Random(20260809)
 
     def rand_op(with_rad=False):
@@ -239,7 +235,7 @@ def test_criterion_11_engine_properties():
             for _ in range(rng.randint(0, 2)):
                 mono[rng.randrange(3)] += 1
             if with_rad and rng.random() < 0.4:
-                mono[ctx.radicals[0].slot] += 1
+                mono[ctx.norm_slot] += 1
             c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
             if not c:
                 continue

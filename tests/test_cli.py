@@ -173,9 +173,15 @@ def test_catalog_over_a_model_of_the_other_family_exit_two(runner, tmp_path, cat
 
 
 @pytest.mark.parametrize("mode, code", [("symbolic", 2), ("both", 2), ("numeric", 0)])
-def test_model2_potential_has_no_symbolic_run(runner, tmp_path, mode, code):
+def test_model2_potential_has_no_symbolic_run(runner, tmp_path, monkeypatch, mode, code):
     """A model2 potential has no exact form: symbolic items are inapplicable, so a
-    symbolic run evaluates nothing and exits 2; the numeric run is unaffected."""
+    symbolic run evaluates nothing and exits 2, ``both`` before its numeric pass,
+    which could not change that verdict; the numeric run is unaffected."""
+    if mode == "both":
+        def no_numeric_pass(rs, config):
+            raise AssertionError("numeric pass ran")
+
+        monkeypatch.setattr(cli, "_verify_numeric", no_numeric_pass)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"catalog": "oscillator-algebra", "model": {
         "family": "oscillator", "blocks": [2, 1],
@@ -188,6 +194,22 @@ def test_model2_potential_has_no_symbolic_run(runner, tmp_path, mode, code):
                               "this model can evaluate\n")
     else:
         assert "summary: 3/3 passed" in res.output
+
+
+@pytest.mark.parametrize("config, args", [
+    ({"catalog": "proposition-A"}, ["--blocks", "2,2"]),
+    ({"catalog": "proposition-A", "model": {
+        "family": "coulomb", "blocks": [1, 2], "potentials": [{"kind": "zero"}], "eta": "2"}}, []),
+], ids=["blocks", "config-model"])
+def test_proposition_A_rejects_a_model(runner, tmp_path, config, args):
+    """proposition-A runs on its own operator table; a model given to it would be
+    echoed in the report without ever running, so it is a config error."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    res = runner.invoke(main, ["verify", "--config", str(cfg)] + args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), repr(res.exception)
+    assert res.output == "config error: proposition-A carries its own model\n"
 
 
 _CONST3 = {"kind": "constant", "value": "3"}

@@ -67,7 +67,7 @@ def test_coulomb_1_1_1():
     ctx = operator_context(spec)
     H = build_hamiltonian(spec, ctx)
     S = ctx.sum_of_squares(range(3))
-    inv_r = Coefficient.from_poly(ctx, ctx.radical_poly(0)).div_poly(S)
+    inv_r = Coefficient.from_poly(ctx, ctx.radical_poly()).div_poly(S)
     eta = Coefficient.from_poly(ctx, ctx.param("eta"))
     expect = laplacian(ctx, range(3)).neg().sub(DiffOp.from_coefficient(ctx, eta.mul(inv_r)))
     for i, name in enumerate(("alpha1", "alpha2")):

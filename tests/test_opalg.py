@@ -24,7 +24,7 @@ def ctx3():
 
 @pytest.fixture
 def ctx2r():
-    return Context(("x1", "x2"), radical_squares=[("r", {0, 1})])
+    return Context(("x1", "x2"), norm_radical=True)
 
 
 def test_weyl_relation(ctx3):
@@ -62,10 +62,10 @@ def test_partial_of_radical(ctx2r):
     """d1 o r = r d1 + x1 rho / S in normal order."""
     ctx = ctx2r
     d1 = DiffOp.partial(ctx, 0)
-    r = DiffOp.from_poly(ctx, ctx.radical_poly(0))
+    r = DiffOp.from_poly(ctx, ctx.radical_poly())
     prod = d1.mul(r)
     S = ctx.sum_of_squares([0, 1])
-    chain = Coefficient.from_poly(ctx, ctx.x(0).mul(ctx.radical_poly(0))).div_poly(S)
+    chain = Coefficient.from_poly(ctx, ctx.x(0).mul(ctx.radical_poly())).div_poly(S)
     expect = r.mul(d1).add(DiffOp.from_coefficient(ctx, chain))
     assert prod == expect
 
@@ -130,8 +130,8 @@ def _random_op(ctx, rng, nterms=3, with_radical=False):
         mono = [0] * ctx.nvars
         for _ in range(rng.randint(0, 2)):
             mono[rng.randrange(nx)] += 1
-        if with_radical and ctx.radicals and rng.random() < 0.4:
-            mono[ctx.radicals[0].slot] += 1
+        if with_radical and ctx.norm_slot is not None and rng.random() < 0.4:
+            mono[ctx.norm_slot] += 1
         c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         if c == 0:
             continue
@@ -147,7 +147,7 @@ def _random_op(ctx, rng, nterms=3, with_radical=False):
 
 
 def test_associativity_randomized():
-    ctx = Context(("x1", "x2", "x3"), radical_squares=[("r", {0, 1, 2})])
+    ctx = Context(("x1", "x2", "x3"), norm_radical=True)
     rng = random.Random(20240811)
     for case in range(200):
         a = _random_op(ctx, rng, with_radical=case % 3 == 0)
@@ -173,13 +173,13 @@ def test_jacobi_identity_randomized():
 
 def test_product_against_application_oracle():
     """Normal-ordered product agrees with nested application on scalar fields."""
-    ctx = Context(("x1", "x2"), radical_squares=[("r", {0, 1})])
+    ctx = Context(("x1", "x2"), norm_radical=True)
     rng = random.Random(555)
     for case in range(60):
         a = _random_op(ctx, rng, with_radical=case % 2 == 0)
         b = _random_op(ctx, rng, with_radical=case % 3 == 0)
         g = Coefficient.from_poly(
-            ctx, ctx.x(0, 2).add(ctx.x(1).scale(3)).add(ctx.radical_poly(0))
+            ctx, ctx.x(0, 2).add(ctx.x(1).scale(3)).add(ctx.radical_poly())
         )
         lhs = a.mul(b).apply_coefficient(g)
         rhs = a.apply_coefficient(b.apply_coefficient(g))
@@ -218,7 +218,7 @@ def _reference_mul(a, b):
 def test_product_against_termwise_reference():
     """Collecting each key's numerators and normalizing once gives the same
     normal form as normalizing every Leibniz term; keys that cancel vanish."""
-    ctx = Context(("x1", "x2", "x3"), radical_squares=[("r", {0, 1, 2})])
+    ctx = Context(("x1", "x2", "x3"), norm_radical=True)
     rng = random.Random(8128)
     d1_minus_d2 = DiffOp.partial(ctx, 0).sub(DiffOp.partial(ctx, 1))
     x1_plus_x2 = DiffOp.from_poly(ctx, ctx.x(0).add(ctx.x(1)))
@@ -264,15 +264,17 @@ def _apply_sympy(sp, op, expr, xs, r):
     return total
 
 
-def test_product_against_sympy_on_a_generic_function():
-    """nf(a o b) f == a(b(f)) for an undetermined f(x1, x2), with r = |x|."""
+@pytest.mark.parametrize("d, cases", [(2, 10), (3, 6)])
+def test_product_against_sympy_on_a_generic_function(d, cases):
+    """nf(a o b) f == a(b(f)) for an undetermined f(x1..xd), with r = |x|."""
     sp = pytest.importorskip("sympy")
-    ctx = Context(("x1", "x2"), radical_squares=[("r", {0, 1})])
-    xs = sp.symbols("x1 x2", positive=True)
-    r = sp.sqrt(xs[0] ** 2 + xs[1] ** 2)
+    names = tuple(f"x{i + 1}" for i in range(d))
+    ctx = Context(names, norm_radical=True)
+    xs = sp.symbols(names, positive=True)
+    r = sp.sqrt(sum(x**2 for x in xs))
     f = sp.Function("f")(*xs)
     rng = random.Random(4242)
-    for case in range(10):
+    for case in range(cases):
         a = _random_op(ctx, rng, with_radical=True)
         b = _random_op(ctx, rng, with_radical=case % 2 == 0)
         lhs = _apply_sympy(sp, a.mul(b), f, xs, r)
@@ -321,8 +323,8 @@ def test_to_text_golden():
 
 
 def test_to_text_golden_with_radical():
-    ctx = Context(("x1", "x2"), ("eta",), radical_squares=[("r", {0, 1})])
-    inv_r = Coefficient.from_poly(ctx, ctx.param("eta").mul(ctx.radical_poly(0))).div_poly(
+    ctx = Context(("x1", "x2"), ("eta",), norm_radical=True)
+    inv_r = Coefficient.from_poly(ctx, ctx.param("eta").mul(ctx.radical_poly())).div_poly(
         ctx.sum_of_squares([0, 1])
     )
     op = DiffOp.from_coefficient(ctx, inv_r).neg()

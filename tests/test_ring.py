@@ -11,7 +11,7 @@ from blocksep.ring import Coefficient, Context, Poly
 @pytest.fixture
 def ctx2r():
     """Two coordinates with the full radical r = sqrt(x1^2 + x2^2)."""
-    return Context(("x1", "x2"), ("beta",), radical_squares=[("r", {0, 1})])
+    return Context(("x1", "x2"), ("beta",), norm_radical=True)
 
 
 def test_poly_basic_arithmetic():
@@ -46,19 +46,33 @@ def test_poly_derivative_and_eval():
 
 def test_radical_reduction_in_make(ctx2r):
     ctx = ctx2r
-    rho = ctx.radical_poly(0)
-    # rho^2 reduces to x1^2 + x2^2
-    c = Coefficient.make(ctx, rho.mul(rho))
-    assert c == Coefficient.from_poly(ctx, ctx.sum_of_squares([0, 1]))
-    # rho^3 reduces to (x1^2+x2^2) * rho
-    c3 = Coefficient.make(ctx, rho.mul(rho).mul(rho))
-    assert c3 == Coefficient.make(ctx, ctx.sum_of_squares([0, 1]).mul(rho))
+    rho = ctx.radical_poly()
+    # rho^e reduces to (x1^2+x2^2)^(e // 2) rho^(e % 2)
+    S = ctx.sum_of_squares([0, 1])
+    for e in range(2, 8):
+        want = ctx.const_poly(1)
+        for _ in range(e // 2):
+            want = want.mul(S)
+        if e % 2:
+            want = want.mul(rho)
+        got = Coefficient.make(ctx, Poly.var(ctx.nvars, ctx.norm_slot, e))
+        assert got == Coefficient.from_poly(ctx, want), e
+
+
+def test_context_without_norm_radical():
+    """No r slot: make leaves every numerator as it is, and r cannot be asked for."""
+    ctx = Context(("x1", "x2"), ("beta",))
+    assert ctx.nvars == 3 and ctx.norm_slot is None
+    p = ctx.x(0, 3).mul(ctx.param("beta"))
+    assert ctx.reduce_radicals(p) is p
+    with pytest.raises(ValueError):
+        ctx.radical_poly()
 
 
 def test_one_over_r_plus_r_over_r2(ctx2r):
     """1/r + r/r^2 = 2/r after radical reduction, stored as 2 rho / S."""
     ctx = ctx2r
-    rho = ctx.radical_poly(0)
+    rho = ctx.radical_poly()
     S = ctx.sum_of_squares([0, 1])
     inv_r = Coefficient.from_poly(ctx, rho).div_poly(S)  # rho/S == 1/r
     r_over_r2 = Coefficient.from_poly(ctx, rho).div_poly(S)
@@ -93,10 +107,10 @@ def test_coefficient_add_common_denominator(ctx2r):
 def test_radical_derivative(ctx2r):
     """d/dx1 of r is x1 rho / S, i.e. x1 / r."""
     ctx = ctx2r
-    rho = Coefficient.from_poly(ctx, ctx.radical_poly(0))
+    rho = Coefficient.from_poly(ctx, ctx.radical_poly())
     d = rho.deriv(0)
     S = ctx.sum_of_squares([0, 1])
-    expect = Coefficient.from_poly(ctx, ctx.x(0).mul(ctx.radical_poly(0))).div_poly(S)
+    expect = Coefficient.from_poly(ctx, ctx.x(0).mul(ctx.radical_poly())).div_poly(S)
     assert d == expect
 
 
@@ -129,15 +143,19 @@ def test_param_substitution(ctx2r):
 
 def test_numeric_eval_with_radical(ctx2r):
     ctx = ctx2r
-    rho = Coefficient.from_poly(ctx, ctx.radical_poly(0))
+    rho = Coefficient.from_poly(ctx, ctx.radical_poly())
     val = rho.eval_numeric([3.0, 4.0], {"beta": 0.0})
     assert abs(val - 5.0) < 1e-14
+    # r is the norm over every coordinate
+    ctx3 = Context(("x1", "x2", "x3"), norm_radical=True)
+    r3 = Coefficient.from_poly(ctx3, ctx3.radical_poly())
+    assert r3.eval_numeric([1.0, 2.0, 2.0], {}) == 3.0
 
 
 def test_reduction_order_confluence(ctx2r):
     """Products of radicals normalize identically regardless of grouping."""
     ctx = ctx2r
-    rho = ctx.radical_poly(0)
+    rho = ctx.radical_poly()
     a = Coefficient.make(ctx, rho.mul(rho).mul(rho))
     b = Coefficient.make(ctx, rho).mul(Coefficient.make(ctx, rho.mul(rho)))
     c = Coefficient.make(ctx, rho.mul(rho)).mul(Coefficient.make(ctx, rho))

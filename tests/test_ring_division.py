@@ -1,7 +1,7 @@
 """Property tests for ``Poly.exact_div`` against the plain quadratic division,
 and for ``row_reduce`` against the elimination loop it replaced.
 
-Polynomials run over four coordinates, one parameter and one radical slot;
+Polynomials run over four coordinates, one parameter and the norm slot r;
 divisors are shaped like the denominator atoms the ring divides by: single
 coordinates and sums of two to four squared coordinates, here also scaled
 or weighted by rationals so that the divisor's coefficients are not always
@@ -19,7 +19,7 @@ st = hypothesis.strategies
 from blocksep.ring import Coefficient, Context, Poly, row_reduce  # noqa: E402
 
 NX = 4
-N = NX + 2  # coordinates, one parameter, one radical
+N = NX + 2  # coordinates, one parameter, the norm radical r
 MAX_EXP = (3, 3, 3, 3, 2, 1)
 
 PROPERTY = hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
@@ -154,7 +154,7 @@ def test_poly_ops_stay_exact(name, p, q, d, c):
 
 
 def _coefficient_context():
-    ctx = Context(tuple(f"x{i + 1}" for i in range(NX)), ("a",), [("r", {0, 1})])
+    ctx = Context(tuple(f"x{i + 1}" for i in range(NX)), ("a",), norm_radical=True)
     atoms = [ctx.atom_and_scale(p)[0].aid
              for p in (ctx.x(0), ctx.x(2), ctx.sum_of_squares({0, 1}), ctx.sum_of_squares({1, 2, 3}))]
     return ctx, atoms

@@ -21,14 +21,10 @@ from blocksep.numerics import Eigensolve1DProblem, eigensolve_1d
 from blocksep.specfun import EigenfunctionSpec
 from blocksep.spectra import (
     SqrtSum,
-    coulomb_denominator_identity,
-    coulomb_energy,
     coulomb_spectrum_row,
     lambda_chain,
     oscillator_energy_oracle,
-    oscillator_energy_paper,
     oscillator_spectrum_row,
-    paper_oracle_ratio_is_half,
 )
 
 
@@ -36,7 +32,7 @@ def test_sqrtsum_arithmetic():
     a = SqrtSum.sqrt_of(Fraction(8))  # 2 sqrt(2)
     assert a.terms == {2: Fraction(2)}
     b = SqrtSum.sqrt_of(Fraction(9))  # rational 3
-    assert b.is_rational() and b == SqrtSum.rational(3)
+    assert b == SqrtSum.rational(3)
     c = SqrtSum.sqrt_of(Fraction(1, 2))  # sqrt(2)/2
     assert a.add(c.scale(-4)).is_zero()
     assert float(SqrtSum.sqrt_of(Fraction(5))) == pytest.approx(math.sqrt(5))
@@ -65,15 +61,15 @@ def test_lambda_chain_numeric_matches_harmonics():
 def test_oscillator_energy_examples():
     spec = oscillator_spec([1, 1], (Zero(), Zero()), omega2=1)
     q = EigenfunctionSpec(spec, angular=(0, 0), radial=(0, 0))
-    assert float(oscillator_energy_paper(q)) == pytest.approx(3.0)
+    assert oscillator_spectrum_row(q).paper_value == pytest.approx(3.0)
     assert float(oscillator_energy_oracle(q)) == pytest.approx(6.0)
     q1 = EigenfunctionSpec(spec, angular=(0, 0), radial=(1, 0))
-    assert float(oscillator_energy_paper(q1)) == pytest.approx(5.0)
+    assert oscillator_spectrum_row(q1).paper_value == pytest.approx(5.0)
 
     spec22 = oscillator_spec([2, 2], (Zero(), Zero()), omega2=1)
     q22 = EigenfunctionSpec(spec22, angular=(0, 0), radial=(0, 0))
     # gamma_i = 1/2 at the boundary discriminant: paper 2, oracle 4
-    assert float(oscillator_energy_paper(q22)) == pytest.approx(2.0)
+    assert oscillator_spectrum_row(q22).paper_value == pytest.approx(2.0)
     assert float(oscillator_energy_oracle(q22)) == pytest.approx(4.0)
 
 
@@ -88,7 +84,6 @@ def test_ratio_paper_oracle_exactly_two():
             if spec.partition.block_sizes[0] == 1 and l1 != 0:
                 continue
             q = EigenfunctionSpec(spec, angular=(l1, 0), radial=(k1, k2))
-            assert paper_oracle_ratio_is_half(q)
             row = oscillator_spectrum_row(q)
             assert row.exact_ratio_2
             assert row.ratio_oracle_over_paper == pytest.approx(2.0)
@@ -133,8 +128,9 @@ def test_oracle_matches_eigensolver_per_block():
 def test_coulomb_hydrogen_degenerate_case():
     spec = coulomb_spec([3], (), eta=2)
     q = EigenfunctionSpec(spec, angular=(0,), radial=(0,), hyper_J=())
-    assert coulomb_energy(q) == pytest.approx(-1.0)
-    assert coulomb_denominator_identity(q)
+    row = coulomb_spectrum_row(q)
+    assert row.paper_value == pytest.approx(-1.0)
+    assert row.exact_ratio_2
 
 
 def test_coulomb_energies_and_identity_2_2():
@@ -143,12 +139,12 @@ def test_coulomb_energies_and_identity_2_2():
     for N_r in range(3):
         for J1 in range(2):
             q = EigenfunctionSpec(spec, angular=(0, 0), radial=(N_r,), hyper_J=(J1,))
-            assert coulomb_denominator_identity(q)
             row = coulomb_spectrum_row(q)
+            assert row.exact_ratio_2
             assert row.oracle_value == pytest.approx(row.paper_value, rel=1e-12)
-        val = coulomb_energy(
+        val = coulomb_spectrum_row(
             EigenfunctionSpec(spec, angular=(0, 0), radial=(N_r,), hyper_J=(0,))
-        )
+        ).paper_value
         if prev is not None:
             assert val > prev  # |E| decreases toward 0
         prev = val
@@ -157,14 +153,14 @@ def test_coulomb_energies_and_identity_2_2():
 def test_coulomb_example_energy_value():
     spec = coulomb_spec([2, 2], (Constant(Fraction(1)),), eta=2)
     q = EigenfunctionSpec(spec, angular=(0, 0), radial=(0,), hyper_J=(0,))
-    assert coulomb_energy(q) == pytest.approx(-4.0 / 25.0)
+    assert coulomb_spectrum_row(q).paper_value == pytest.approx(-4.0 / 25.0)
 
 
 def test_negative_discriminant_raises():
     spec = oscillator_spec([2, 1], (Constant(Fraction(-10)), Zero()), omega2=1)
     q = EigenfunctionSpec(spec, angular=(0, 0), radial=(0, 0))
     with pytest.raises(InadmissibleParametersError):
-        oscillator_energy_paper(q)
+        oscillator_energy_oracle(q)
 
 
 def test_square_free_matches_brute_force():
