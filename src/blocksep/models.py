@@ -5,12 +5,13 @@ family carries none on the last block).  Every operator of the catalog uses
 the block potentials only through multiplication terms C(x) * f_i(angles),
 so builders return a :class:`RawOperator` holding an exact derivative part
 plus such attachments.  With zero/constant potentials the attachments fold
-into the exact operator; otherwise they turn into numeric evaluators.
+into the exact operator; otherwise they turn into numeric evaluators of the
+block's Cartesian coordinates (:func:`potential_cartesian_evaluator`), which
+need no angles.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -295,48 +296,6 @@ def build_hamiltonian(spec: ModelSpec, ctx: Context | None = None) -> DiffOp:
 
 
 # -- numeric evaluation of angular potentials -----------------------------------
-
-
-def eval_angular_potential(pot, angles) -> float:
-    """Evaluate f_i at the given block angles via the nested recursion."""
-    if isinstance(pot, Zero):
-        return 0.0
-    if isinstance(pot, Constant):
-        if isinstance(pot.value, str):
-            raise UnsupportedSymbolicPotentialError(
-                f"symbolic constant {pot.value!r} has no numeric value"
-            )
-        return float(pot.value)
-    if isinstance(pot, Model2F11):
-        return pot.value_at_s(math.sin(3 * angles[0]))
-    if not isinstance(pot, Hierarchy):
-        raise UnsupportedSymbolicPotentialError(f"cannot evaluate {pot!r}")
-    if len(angles) != len(pot.levels):
-        raise InvalidPartitionError(
-            f"hierarchy depth {len(pot.levels)} needs {len(pot.levels)} angles"
-        )
-    value = _eval_level(pot.levels[0], angles[0])
-    for j in range(1, len(pot.levels)):
-        s = math.sin(angles[j])
-        if abs(s) < 1e-12 and value != 0.0:
-            raise EvaluationSingularityError(
-                f"sin(phi_{j + 1}) = 0 with nonzero inner potential"
-            )
-        inner = value / (s * s) if value != 0.0 else 0.0
-        value = _eval_level(pot.levels[j], angles[j]) + inner
-    return value
-
-
-def _eval_level(level, phi) -> float:
-    if isinstance(level, Zero):
-        return 0.0
-    if isinstance(level, Constant):
-        if isinstance(level.value, str):
-            raise UnsupportedSymbolicPotentialError(
-                f"symbolic constant {level.value!r} has no numeric value"
-            )
-        return float(level.value)
-    return level.value_at_s(math.sin(3 * phi))
 
 
 def potential_cartesian_evaluator(spec: ModelSpec, i: int, params: dict | None = None):

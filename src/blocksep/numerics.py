@@ -266,7 +266,7 @@ def apply_numeric(op, f, x, scheme: FDScheme = FDScheme(), spec: ModelSpec | Non
                   params: dict | None = None) -> float:
     """sum_a c_a(x) (d^a f)(x) via central differences at one point."""
     params = params or {}
-    nop = op if isinstance(op, NumericOperator) else compile_operator(op, spec, params, scheme)
+    nop = compile_operator(op, spec, params, scheme)
     radius = nop.margin
     coords = _axis_coords(x, scheme.h, radius, len(x), scheme.dtype)
     values = f(np.broadcast_arrays(*coords))

@@ -156,42 +156,6 @@ class DiffOp:
     def __hash__(self):
         return hash(frozenset((a, hash(c)) for a, c in self.terms.items()))
 
-    def substitute_params(self, bindings: dict) -> "DiffOp":
-        out = {}
-        for a, c in self.terms.items():
-            nc = c.substitute_params(bindings)
-            if not nc.is_zero():
-                out[a] = nc
-        return DiffOp(self.ctx, out)
-
-    def apply_coefficient(self, c: Coefficient) -> Coefficient:
-        """Act on a coefficient viewed as a scalar field: sum c_a d^a(c).
-
-        Independent of the Leibniz normal-ordering path, so it serves as an
-        exact oracle for products: nf(a o b) applied to g equals a(b(g)).
-        """
-        self.ctx.check_same(c.ctx)
-        out = Coefficient.const(self.ctx, 0)
-        for alpha, ca in self.terms.items():
-            cur = c
-            for i, e in enumerate(alpha):
-                for _ in range(e):
-                    cur = cur.deriv(i)
-            out = out.add(ca.mul(cur))
-        return out
-
-    def formal_transpose(self) -> "DiffOp":
-        """sum c_a d^a  ->  sum (-1)^|a| d^a o c_a, normal-ordered."""
-        ctx = self.ctx
-        out = DiffOp.zero(ctx)
-        for alpha, c in self.terms.items():
-            d = DiffOp(ctx, {alpha: Coefficient.const(ctx, 1)})
-            piece = d.mul(DiffOp.from_coefficient(ctx, c))
-            if sum(alpha) % 2:
-                piece = piece.neg()
-            out = out.add(piece)
-        return out
-
     def swap_coordinates(self, i: int, j: int) -> "DiffOp":
         """Conjugate by the transposition x_i <-> x_j (which fixes the norm r)."""
         ctx = self.ctx

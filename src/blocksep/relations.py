@@ -660,19 +660,7 @@ def correction_closed_form(spec: ModelSpec, env: OperatorEnv, j: int, literal: b
     r2m = ctx.sum_of_squares(range(D)).sub(ctx.x(j - 1, 2))
     lap = laplacian(ctx, range(D)).sub(DiffOp.partial(ctx, j - 1, 2))
     E = euler_operator(ctx, range(D))
-    if literal:
-        E = E.sub(DiffOp.partial(ctx, j - 1))
-    else:
-        E = E.sub(
-            DiffOp(
-                ctx,
-                {
-                    tuple(1 if k == j - 1 else 0 for k in range(D)): Coefficient.from_poly(
-                        ctx, ctx.x(j - 1)
-                    )
-                },
-            )
-        )
+    E = E.sub(DiffOp.partial(ctx, j - 1) if literal else euler_operator(ctx, [j - 1]))
     out = DiffOp.from_poly(ctx, r2m).mul(lap).sub(E.mul(E)).sub(E.scale(D - 3))
     terms = tuple(potential_term(ctx, spec, b, r2m) for b in range(part.N - 1))
     return out.sub(RawOperator(DiffOp.zero(ctx), terms).symbolic(spec))

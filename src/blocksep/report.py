@@ -1,4 +1,4 @@
-"""Verification report assembly, serialization, and schema validation.
+"""Verification report assembly and serialization.
 
 Reports are deterministic for a fixed config and seed: every volatile value
 (timestamp, wall clock) lives under the single ``runtime_info`` key, which
@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from importlib import resources
 
 from . import __version__
 
@@ -125,13 +124,3 @@ def serialize(report: VerificationReport, drop_runtime: bool = False) -> str:
         doc.pop("runtime_info", None)
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
-
-def schema() -> dict:
-    path = resources.files("blocksep").joinpath("schema/verification_report.schema.json")
-    return json.loads(path.read_text())
-
-
-def validate_report(doc: dict):
-    import jsonschema
-
-    jsonschema.validate(doc, schema())

@@ -286,22 +286,6 @@ class Poly:
                         del rem[mm]
         return Poly(self.n, out)
 
-    def substitute_slot(self, slot: int, value) -> "Poly":
-        value = _exact(value)
-        out: dict = {}
-        for m, c in self.terms.items():
-            e = m[slot]
-            if e:
-                c = c * value**e
-                m = tuple(0 if i == slot else v for i, v in enumerate(m))
-            if c:
-                nc = out.get(m, 0) + c
-                if nc:
-                    out[m] = _exact(nc)
-                else:
-                    out.pop(m, None)
-        return Poly(self.n, out)
-
     def eval_numeric(self, values):
         """Evaluate at numeric slot values (scalars or numpy arrays)."""
         total = 0.0
@@ -668,16 +652,6 @@ class Coefficient:
         for p in parts[1:]:
             out = out.add(p)
         return out
-
-    def substitute_params(self, bindings: dict) -> "Coefficient":
-        ctx = self.ctx
-        num = self.num
-        for name, value in bindings.items():
-            slot = ctx._param_slots.get(name)
-            if slot is None:
-                raise UndeclaredParameterError(f"parameter {name!r} not declared")
-            num = num.substitute_slot(slot, value)
-        return Coefficient.make(ctx, num, dict(self.den))
 
     def eval_numeric(self, coord_values, param_values: dict):
         """Evaluate at numeric coordinates (scalars or numpy arrays)."""

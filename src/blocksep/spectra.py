@@ -132,22 +132,14 @@ def _square_free(n: int):
 class SqrtSum:
     """Exact value sum_m c_m sqrt(m) with square-free integer radicands.
 
-    Invariant: the keys of ``terms`` are always square free.  Only the
-    constructor and :meth:`sqrt_of` factor radicands; ``add`` and ``scale``
-    combine terms that already are square free and never factor again.
+    Invariant: the keys of ``terms`` are square free and no value is zero.
+    The constructor stores ``terms`` as given; only :meth:`sqrt_of` factors
+    a radicand, and ``add`` and ``scale`` combine terms that already are
+    square free and never factor again.
     """
 
     def __init__(self, terms: dict | None = None):
-        self.terms: dict = {}
-        for m, c in (terms or {}).items():
-            s, mm = _square_free(int(m))
-            self._accumulate(mm, Fraction(c) * s)
-
-    @staticmethod
-    def _of_square_free(terms: dict) -> "SqrtSum":
-        out = SqrtSum()
-        out.terms = terms
-        return out
+        self.terms: dict = terms or {}
 
     def _accumulate(self, m: int, c: Fraction):
         cur = self.terms.get(m, Fraction(0)) + c
@@ -158,7 +150,7 @@ class SqrtSum:
 
     @staticmethod
     def rational(c) -> "SqrtSum":
-        return SqrtSum({1: Fraction(c)})
+        return SqrtSum({1: Fraction(c)} if c else {})
 
     @staticmethod
     def sqrt_of(value: Fraction) -> "SqrtSum":
@@ -171,17 +163,17 @@ class SqrtSum:
             return SqrtSum()
         sp, mp = _square_free(value.numerator)
         sq, mq = _square_free(value.denominator)
-        return SqrtSum._of_square_free({mp * mq: Fraction(sp * sq, value.denominator)})
+        return SqrtSum({mp * mq: Fraction(sp * sq, value.denominator)})
 
     def add(self, other: "SqrtSum") -> "SqrtSum":
-        out = SqrtSum._of_square_free(dict(self.terms))
+        out = SqrtSum(dict(self.terms))
         for m, c in other.terms.items():
             out._accumulate(m, c)
         return out
 
     def scale(self, c) -> "SqrtSum":
         c = Fraction(c)
-        return SqrtSum._of_square_free({m: v * c for m, v in self.terms.items()} if c else {})
+        return SqrtSum({m: v * c for m, v in self.terms.items()} if c else {})
 
     def sub(self, other: "SqrtSum") -> "SqrtSum":
         return self.add(other.scale(-1))

@@ -14,7 +14,8 @@ from blocksep import cli
 from blocksep.cli import build_catalog, load_config, main, run_verify
 from blocksep.errors import ConfigError
 from blocksep.models import oscillator_spec
-from blocksep.report import serialize, validate_report
+from blocksep.report import serialize
+from oracles import validate_report
 
 
 @pytest.fixture
@@ -635,6 +636,19 @@ def test_relation_file_deep_nesting_exit_two(tmp_path, line):
     assert res.returncode == 2, res.stderr
     assert res.stderr.startswith("config error: line 1:")
     assert "Traceback" not in res.stderr and len(res.stderr) < 200
+
+
+def test_verify_runs_without_test_extras():
+    """verify needs only the runtime dependencies pyproject.toml declares."""
+    code = ("import sys\n"
+            "sys.modules['jsonschema'] = sys.modules['hypothesis'] = None\n"
+            "from blocksep.cli import main\n"
+            "main(['verify', '--catalog', 'proposition-A'])\n")
+    src = os.path.dirname(os.path.dirname(blocksep.__file__))
+    res = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert "prop-A-2" in res.stdout
 
 
 def test_unnamed_relation_report_independent_of_hash_seed(tmp_path):

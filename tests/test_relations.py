@@ -24,6 +24,7 @@ from blocksep.relations import (
     parse_relation_line,
     verify_symbolic,
 )
+from oracles import substitute_params
 
 
 def outcomes_by_name(ocs):
@@ -150,8 +151,9 @@ def test_parameter_substitution_commutes_with_construction():
     )
     num_env = OperatorEnv.for_model(num_spec)
     for name in ("Z[2]", "T[1]", "Hfull"):
-        sym = eval_node(op(name), sym_env).substitute_params(
-            {"beta1": Fraction(3, 4), "beta2": Fraction(2), "w2": Fraction(1)}
+        sym = substitute_params(
+            eval_node(op(name), sym_env),
+            {"beta1": Fraction(3, 4), "beta2": Fraction(2), "w2": Fraction(1)},
         )
         # rebuild in the parameter-free context for comparison
         lifted = eval_node(op(name), num_env)

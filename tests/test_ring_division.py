@@ -139,7 +139,6 @@ POLY_OPS = {
     "exact_div": lambda p, q, d, c: p.mul(d).exact_div(d),
     "exact_div_fails": lambda p, q, d, c: p.exact_div(d) or Poly.zero(N),
     "normalized_integer": lambda p, q, d, c: p.normalized_integer(),
-    "substitute_slot": lambda p, q, d, c: p.substitute_slot(NX, c),
 }
 
 
