@@ -133,9 +133,9 @@ class SqrtSum:
     """Exact value sum_m c_m sqrt(m) with square-free integer radicands.
 
     Invariant: the keys of ``terms`` are square free and no value is zero.
-    The constructor stores ``terms`` as given; only :meth:`sqrt_of` factors
-    a radicand, and ``add`` and ``scale`` combine terms that already are
-    square free and never factor again.
+    The constructor stores ``terms`` as given, so a caller passes a fresh
+    dict that keeps the invariant; only :meth:`sqrt_of` factors a radicand,
+    and ``add`` and ``scale`` combine square-free terms without factoring.
     """
 
     def __init__(self, terms: dict | None = None):

@@ -1,7 +1,8 @@
 """Reference implementations the tests check blocksep against.
 
 Each oracle is written apart from the code it checks and uses only the
-public ring, operator and model API, so a fault in the Leibniz product, the
+public ring, operator and model API (``substitute_params`` also reads the
+context's parameter slots), so a fault in the Leibniz product, the
 Cartesian potential evaluator or the report writer does not also hide in
 its oracle.  None of this runs in production.
 """
@@ -51,7 +52,8 @@ def substitute_params(x, bindings: dict):
         return DiffOp(x.ctx, {a: c for a, c in terms.items() if not c.is_zero()})
     ctx, num = x.ctx, x.num
     for name, value in bindings.items():
-        slot = next(iter(ctx.param(name).terms)).index(1)  # raises on an undeclared name
+        ctx.param(name)  # raises UndeclaredParameterError on an undeclared name
+        slot = ctx._param_slots[name]
         out = ctx.zero_poly()
         for m, c in num.terms.items():
             rest = m[:slot] + (0,) + m[slot + 1:]

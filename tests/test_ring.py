@@ -128,15 +128,11 @@ def test_quotient_rule(ctx2r):
 
 def test_param_substitution(ctx2r):
     ctx = ctx2r
-    beta_over_x2 = Coefficient.from_poly(ctx, ctx.param("beta")).div_poly(
-        ctx.x(0).mul(ctx.x(0))
-    )
+    beta_over_x2 = Coefficient.from_poly(ctx, ctx.param("beta")).div_poly(ctx.x(0, 2))
     zero = substitute_params(beta_over_x2, {"beta": 0})
     assert zero.is_zero()
     threequarters = substitute_params(beta_over_x2, {"beta": Fraction(3, 4)})
-    expect = Coefficient.from_poly(ctx, ctx.const_poly(Fraction(3, 4))).div_poly(
-        ctx.x(0).mul(ctx.x(0))
-    )
+    expect = Coefficient.from_poly(ctx, ctx.const_poly(Fraction(3, 4))).div_poly(ctx.x(0, 2))
     assert threequarters == expect
     with pytest.raises(UndeclaredParameterError):
         substitute_params(beta_over_x2, {"nosuch": 1})
