@@ -416,7 +416,7 @@ def eigencheck(family, blocks, quantum, potentials, omega2, eta, tol,
     import numpy as np
 
     from .models import build_hamiltonian_raw, operator_context
-    from .numerics import apply_numeric, model_point_guards, sample_points
+    from .numerics import apply_numeric, compile_operator, model_point_guards, sample_points
     from .specfun import assemble_eigenfunction, coulomb_energy_value, oscillator_energy
     from .spectra import EigenfunctionSpec
 
@@ -446,9 +446,10 @@ def eigencheck(family, blocks, quantum, potentials, omega2, eta, tol,
     H = build_hamiltonian_raw(spec, ctx)
     if spec.is_symbolic():
         H = H.symbolic(spec)
+    H = compile_operator(H, spec, {}, scheme)
     vals = []
     for x in pts:
-        hv = apply_numeric(H, psi, x, scheme, spec=spec, params={})
+        hv = apply_numeric(H, psi, x, scheme)
         pv = float(psi([np.array(v) for v in x]))
         vals.append(hv / pv)
     arr = np.array(vals)

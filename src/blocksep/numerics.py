@@ -264,9 +264,9 @@ def apply_on_grid(nop: NumericOperator, values: np.ndarray, x0, h: float, radius
 
 def apply_numeric(op, f, x, scheme: FDScheme = FDScheme(), spec: ModelSpec | None = None,
                   params: dict | None = None) -> float:
-    """sum_a c_a(x) (d^a f)(x) via central differences at one point."""
-    params = params or {}
-    nop = compile_operator(op, spec, params, scheme)
+    """sum_a c_a(x) (d^a f)(x) via central differences at one point; ``op``
+    may be compiled once beforehand, with the same ``scheme``."""
+    nop = op if isinstance(op, NumericOperator) else compile_operator(op, spec, params or {}, scheme)
     radius = nop.margin
     coords = _axis_coords(x, scheme.h, radius, len(x), scheme.dtype)
     values = f(np.broadcast_arrays(*coords))

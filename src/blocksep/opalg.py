@@ -6,11 +6,17 @@ sum_alpha c_alpha(x) d^alpha with every coefficient to the left of every
 derivative.  Products are normal-ordered through the Leibniz rule; two
 operators are equal exactly when their maps coincide, so ``is_zero`` is a
 purely syntactic check.
+
+Normalization happens once per output key of a product, a bracket or a
+relation's ``Sum``: a :class:`LinearCombination` collects the unnormalized
+Leibniz numerators of every term, and ``DiffOp.compose`` builds a product,
+commutator or anticommutator in one such pass.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from .ring import Coefficient, Context, Poly, _deglex, _mono_add, den_product
@@ -96,54 +102,22 @@ class DiffOp:
 
     # -- composition --------------------------------------------------------
 
+    def compose(self, other: "DiffOp", sign: int = 0) -> "DiffOp":
+        """self o other + sign * other o self, each output key normalized once."""
+        acc = LinearCombination(self.ctx)
+        acc.add_product(self, other, skip_top=sign == -1)
+        if sign:
+            acc.add_product(other, self, sign, skip_top=sign == -1)
+        return acc.result()
+
     def mul(self, other: "DiffOp") -> "DiffOp":
-        """Operator composition self then other, i.e. self o other."""
-        self.ctx.check_same(other.ctx)
-        ctx = self.ctx
-        deriv_cache: dict = {}
-
-        def iter_deriv(beta, delta):
-            """d^delta applied to other's coefficient at key beta, memoized."""
-            key = (beta, delta)
-            got = deriv_cache.get(key)
-            if got is not None:
-                return got
-            if sum(delta) == 0:
-                got = other.terms[beta]
-            else:
-                i = next(k for k, v in enumerate(delta) if v)
-                prev = iter_deriv(beta, tuple(v - 1 if k == i else v for k, v in enumerate(delta)))
-                got = prev.deriv(i)
-            deriv_cache[key] = got
-            return got
-
-        # output key -> {summed denominator: unnormalized numerator}; each key
-        # is normalized once, after every Leibniz term has been collected
-        sums: dict = {}
-        for alpha, ca in self.terms.items():
-            for beta in other.terms:
-                for gamma in _submonomials(alpha):
-                    delta = tuple(a - g for a, g in zip(alpha, gamma))
-                    dcb = iter_deriv(beta, delta)
-                    if dcb.is_zero():
-                        continue
-                    num = ca.num.mul(dcb.num).scale(_multi_binom(alpha, gamma))
-                    den = den_product(ca.den, dcb.den)
-                    buckets = sums.setdefault(_mono_add(gamma, beta), {})
-                    cur = buckets.get(den)
-                    buckets[den] = num if cur is None else cur.add(num)
-        out = {}
-        for key, buckets in sums.items():
-            c = Coefficient.sum_over_dens(ctx, buckets.items())
-            if not c.is_zero():
-                out[key] = c
-        return DiffOp(ctx, out)
+        return self.compose(other)
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
-        return self.mul(other).sub(other.mul(self))
+        return self.compose(other, -1)
 
     def anticommutator(self, other: "DiffOp") -> "DiffOp":
-        return self.mul(other).add(other.mul(self))
+        return self.compose(other, 1)
 
     # -- predicates and transforms ----------------------------------------------
 
@@ -213,6 +187,60 @@ class DiffOp:
     def __repr__(self):
         n = len(self.terms)
         return f"DiffOp({n} terms, order {self.order()})"
+
+
+class LinearCombination:
+    """A sum of scaled operators and operator products, kept unnormalized:
+    output key -> {summed denominator: numerator}.  ``result`` normalizes each
+    output key once, after every term has been added."""
+
+    def __init__(self, ctx: Context):
+        self.ctx = ctx
+        self.sums: dict = {}
+
+    def _put(self, key: tuple, den: tuple, num: Poly):
+        buckets = self.sums.setdefault(key, {})
+        cur = buckets.get(den)
+        buckets[den] = num if cur is None else cur.add(num)
+
+    def add(self, op: "DiffOp", scale=1):
+        self.ctx.check_same(op.ctx)
+        for key, c in op.terms.items():
+            self._put(key, c.den, c.num.scale(scale))
+
+    def add_product(self, a: "DiffOp", b: "DiffOp", scale=1, skip_top: bool = False):
+        """Add scale * (a o b) by the Leibniz rule.  ``skip_top`` leaves out the
+        gamma = alpha terms a_alpha b_beta d^(alpha+beta), which cancel in a commutator."""
+        self.ctx.check_same(a.ctx)
+        self.ctx.check_same(b.ctx)
+
+        @cache
+        def iter_deriv(beta, delta):
+            """d^delta applied to b's coefficient at key beta."""
+            if not any(delta):
+                return b.terms[beta]
+            i = next(k for k, v in enumerate(delta) if v)
+            return iter_deriv(beta, delta[:i] + (delta[i] - 1,) + delta[i + 1:]).deriv(i)
+
+        for alpha, ca in a.terms.items():
+            for gamma in _submonomials(alpha):
+                if skip_top and gamma == alpha:
+                    continue
+                delta = tuple(x - g for x, g in zip(alpha, gamma))
+                num_a = ca.num.scale(scale * _multi_binom(alpha, gamma))
+                for beta in b.terms:
+                    dcb = iter_deriv(beta, delta)
+                    if not dcb.is_zero():
+                        self._put(_mono_add(gamma, beta), den_product(ca.den, dcb.den),
+                                  num_a.mul(dcb.num))
+
+    def result(self) -> "DiffOp":
+        out = {}
+        for key, buckets in self.sums.items():
+            c = Coefficient.sum_over_dens(self.ctx, buckets.items())
+            if not c.is_zero():
+                out[key] = c
+        return DiffOp(self.ctx, out)
 
 
 # -- common geometric operators ------------------------------------------------

@@ -18,6 +18,7 @@ import ast
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .errors import (ConfigError, InapplicableRelationError, InvalidIntegralError,
                      RelationSyntaxError, UnsupportedSymbolicPotentialError)
@@ -38,7 +39,7 @@ from .models import (
     oscillator_spec,
     potential_term,
 )
-from .opalg import DiffOp, angular_momentum, euler_operator, laplacian
+from .opalg import DiffOp, LinearCombination, angular_momentum, euler_operator, laplacian
 from .report import ReportItem
 from .ring import Coefficient, Context, row_reduce
 
@@ -223,17 +224,26 @@ def eval_node(node, env: OperatorEnv) -> DiffOp:
         return DiffOp.from_poly(ctx, ctx.param(node.name))
     if isinstance(node, ConstRef):
         return DiffOp.scalar(ctx, env.constant(node.kind, node.p))
-    if isinstance(node, Sum):
-        out = DiffOp.zero(ctx)
-        for t in node.terms:
-            out = out.add(eval_node(t, env))
-        return out
-    if isinstance(node, Prod):
-        out = None
-        for f in node.factors:
-            cur = eval_node(f, env)
-            out = cur if out is None else out.mul(cur)
-        return out if out is not None else DiffOp.scalar(ctx, 1)
+    if isinstance(node, (Sum, Prod)):
+        # one linear combination, each output key normalized once: rational
+        # factors fold into a scale, and a product's last step stays unnormalized
+        acc = LinearCombination(ctx)
+        for term in node.terms if isinstance(node, Sum) else (node,):
+            scale, ops = Fraction(1), []
+            for f in term.factors if isinstance(term, Prod) else (term,):
+                if isinstance(f, Scalar):
+                    scale *= f.value
+                elif isinstance(f, ConstRef):
+                    scale *= env.constant(f.kind, f.p)
+                else:
+                    ops.append(eval_node(f, env))
+            if scale == 0:
+                continue
+            if len(ops) < 2:
+                acc.add(ops[0] if ops else DiffOp.scalar(ctx, 1), scale)
+            else:
+                acc.add_product(reduce(DiffOp.mul, ops[:-1]), ops[-1], scale)
+        return acc.result()
     if isinstance(node, (Comm, Acomm)):
         got = env.brackets.get(node)
         if got is None:

@@ -1,12 +1,14 @@
 """Reference implementations the tests check blocksep against.
 
 Each oracle is written apart from the code it checks and uses only the
-public ring, operator and model API (``substitute_params`` also reads the
-context's parameter slots), so a fault in the Leibniz product, the
-Cartesian potential evaluator or the report writer does not also hide in
-its oracle.  None of this runs in production.
+public ring, operator, model and relation-tree API (``substitute_params``
+also reads the context's parameter slots), so a fault in the Leibniz
+product, the relation evaluator, the Cartesian potential evaluator or the
+report writer does not also hide in its oracle.  None of this runs in
+production.
 """
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -14,6 +16,8 @@ from importlib import resources
 
 from blocksep.models import Hierarchy, Model2F11, Zero
 from blocksep.opalg import DiffOp
+from blocksep.relations import (Acomm, Comm, ConstRef, Fixed, OpRef, ParamRef, Prod, Scalar,
+                                Sum)
 from blocksep.ring import Coefficient, Poly
 
 
@@ -32,6 +36,74 @@ def apply_coefficient(op: DiffOp, c: Coefficient) -> Coefficient:
                 cur = cur.deriv(i)
         out = out.add(ca.mul(cur))
     return out
+
+
+def termwise_product(a: DiffOp, b: DiffOp):
+    """Leibniz product a o b normalized term by term: each term through
+    Coefficient mul and scale, each output key accumulated with
+    Coefficient.add.  Also says whether some key cancelled to zero along
+    the way."""
+    out = {}
+    cancelled = False
+    for alpha, ca in a.terms.items():
+        for beta, cb in b.terms.items():
+            for gamma in itertools.product(*(range(k + 1) for k in alpha)):
+                dcb = cb
+                for i, (k, g) in enumerate(zip(alpha, gamma)):
+                    for _ in range(k - g):
+                        dcb = dcb.deriv(i)
+                binom = 1
+                for k, g in zip(alpha, gamma):
+                    binom *= math.comb(k, g)
+                coef = ca.mul(dcb).scale(binom)
+                if coef.is_zero():
+                    continue
+                key = tuple(g + e for g, e in zip(gamma, beta))
+                total = out[key].add(coef) if key in out else coef
+                if total.is_zero():
+                    del out[key]
+                    cancelled = True
+                else:
+                    out[key] = total
+    return DiffOp(a.ctx, out), cancelled
+
+
+def two_product_composition(a: DiffOp, b: DiffOp, sign: int) -> DiffOp:
+    """a o b + sign * b o a from two whole term-by-term products, added
+    after each is normalized."""
+    ab = termwise_product(a, b)[0]
+    return ab if sign == 0 else ab.add(termwise_product(b, a)[0].scale(sign))
+
+
+def eval_termwise(node, env) -> DiffOp:
+    """A relation tree folded one node at a time: every factor, product,
+    bracket and partial sum brought to normal form before the next step.
+    Brackets are two products and an add or subtract, never memoized."""
+    ctx = env.ctx
+    if isinstance(node, Fixed):
+        return node.diffop
+    if isinstance(node, OpRef):
+        return env.operator(node.name)
+    if isinstance(node, Scalar):
+        return DiffOp.scalar(ctx, node.value)
+    if isinstance(node, ParamRef):
+        return DiffOp.from_poly(ctx, ctx.param(node.name))
+    if isinstance(node, ConstRef):
+        return DiffOp.scalar(ctx, env.constant(node.kind, node.p))
+    if isinstance(node, Sum):
+        out = DiffOp.zero(ctx)
+        for t in node.terms:
+            out = out.add(eval_termwise(t, env))
+        return out
+    if isinstance(node, Prod):
+        out = DiffOp.scalar(ctx, 1)
+        for f in node.factors:
+            out = out.mul(eval_termwise(f, env))
+        return out
+    if isinstance(node, (Comm, Acomm)):
+        a, b = eval_termwise(node.a, env), eval_termwise(node.b, env)
+        return a.mul(b).sub(b.mul(a)) if isinstance(node, Comm) else a.mul(b).add(b.mul(a))
+    raise TypeError(f"unknown relation node {node!r}")
 
 
 def formal_transpose(op: DiffOp) -> DiffOp:

@@ -441,6 +441,24 @@ def test_eigencheck_command(runner):
     assert "spread" in res.output
 
 
+def test_eigencheck_compiles_its_hamiltonian_once(runner, monkeypatch):
+    """The Hamiltonian is compiled once per run, not once per sample point."""
+    from blocksep import numerics
+
+    compiled = []
+    real = numerics.compile_operator
+
+    def counting(op, *args):
+        compiled.append(op)
+        return real(op, *args)
+
+    monkeypatch.setattr(numerics, "compile_operator", counting)
+    res = runner.invoke(main, ["eigencheck", "--family", "oscillator", "--blocks", "2,2",
+                               "--quantum", _OSC_GROUND, "--points", "7"])
+    assert res.exit_code == 0, res.output
+    assert len(compiled) == 1
+
+
 _OSC_GROUND = '{"angular": [0, 0], "radial": [0, 0]}'
 
 

@@ -1,15 +1,14 @@
 """Property tests for the exact product over two and three coordinates,
 with and without the norm radical r: radical reduction in ``Coefficient.mul``; the Leibniz
 product of ``DiffOp`` against the application oracle, a term-by-term
-reference and sympy; associativity, the Jacobi identity and the formal
-transpose built from it.
+reference and sympy; ``DiffOp.compose`` (product, commutator and
+anticommutator) against two whole products and sympy; associativity, the
+Jacobi identity and the formal transpose built from it.
 
 It is its own module because a module-level ``importorskip`` would skip the
 other operator tests when hypothesis is missing.
 """
 
-import itertools
-import math
 from fractions import Fraction
 from functools import reduce
 
@@ -20,12 +19,13 @@ st = hypothesis.strategies
 
 from blocksep.opalg import DiffOp  # noqa: E402
 from blocksep.ring import Coefficient, Context, Poly  # noqa: E402
-from oracles import apply_coefficient, formal_transpose  # noqa: E402
+from oracles import (apply_coefficient, formal_transpose, termwise_product,  # noqa: E402
+                     two_product_composition)
 
 PROPERTY = hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
 
-R2, R3 = (Context(tuple(f"x{i + 1}" for i in range(nx)), norm_radical=True) for nx in (2, 3))
-PLAIN3 = Context(("x1", "x2", "x3"))
+R2, R3, PLAIN2, PLAIN3 = (Context(tuple(f"x{i + 1}" for i in range(nx)), norm_radical=radical)
+                          for radical in (True, False) for nx in (2, 3))
 contexts = st.sampled_from([R2, R3])
 
 coefficients = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 3))
@@ -90,35 +90,6 @@ def test_product_against_application_oracle(ctx, data):
     assert apply_coefficient(a.mul(b), g) == apply_coefficient(a, apply_coefficient(b, g))
 
 
-def _reference_mul(a, b):
-    """Leibniz product normalized term by term: each term through Coefficient
-    mul and scale, each output key accumulated with Coefficient.add.  Also
-    says whether some key cancelled to zero along the way."""
-    out = {}
-    cancelled = False
-    for alpha, ca in a.terms.items():
-        for beta, cb in b.terms.items():
-            for gamma in itertools.product(*(range(k + 1) for k in alpha)):
-                dcb = cb
-                for i, (k, g) in enumerate(zip(alpha, gamma)):
-                    for _ in range(k - g):
-                        dcb = dcb.deriv(i)
-                binom = 1
-                for k, g in zip(alpha, gamma):
-                    binom *= math.comb(k, g)
-                coef = ca.mul(dcb).scale(binom)
-                if coef.is_zero():
-                    continue
-                key = tuple(g + e for g, e in zip(gamma, beta))
-                total = out[key].add(coef) if key in out else coef
-                if total.is_zero():
-                    del out[key]
-                    cancelled = True
-                else:
-                    out[key] = total
-    return DiffOp(a.ctx, out), cancelled
-
-
 @hypothesis.settings(PROPERTY, max_examples=200)
 @hypothesis.given(st.data(), st.sampled_from(["random", "cancels", "random plus cancels"]))
 def test_product_against_termwise_reference(data, shape):
@@ -133,12 +104,26 @@ def test_product_against_termwise_reference(data, shape):
         b = b.add(DiffOp.from_poly(ctx, ctx.x(0).add(ctx.x(1))))
         a = d1_minus_d2 if shape == "cancels" else a.add(d1_minus_d2)
     got = a.mul(b)
-    want, cancelled = _reference_mul(a, b)
+    want, cancelled = termwise_product(a, b)
     assert got == want
     assert cancelled or shape != "cancels"
     for c in got.terms.values():
         assert not c.is_zero()
         assert all(type(v) is int or v.denominator != 1 for v in c.num.terms.values())
+
+
+@pytest.mark.parametrize("ctx", [R2, R3, PLAIN2, PLAIN3], ids=["2d-r", "3d-r", "2d", "3d"])
+@pytest.mark.parametrize("sign", [0, -1, 1])
+@PROPERTY
+@hypothesis.given(st.data())
+def test_compose_against_two_products(ctx, sign, data):
+    """a.compose(b, sign) == a o b + sign * b o a from two whole products; a
+    commutator has no term of order above ord a + ord b - 1."""
+    a, b = draw_operators(data, ctx, 2)
+    got = a.compose(b, sign)
+    assert got == two_product_composition(a, b, sign)
+    if sign == -1:
+        assert all(sum(k) <= a.order() + b.order() - 1 for k in got.terms)
 
 
 def _to_sympy(sp, coef, xs, r):
@@ -165,19 +150,36 @@ def _apply_sympy(sp, op, expr, xs, r):
     return total
 
 
+def _is_zero_sympy(sp, expr, r):
+    """Exact zero test: each power (|x|^2)^(k/2) becomes R^k, and the
+    numerator is reduced modulo R^2 - |x|^2.  r = |x| is irrational over
+    Q(x), so the remainder, of degree at most 1 in R, is 0 exactly when
+    ``expr`` is.  Much faster than ``expand(together(expr))`` on commutators."""
+    R = sp.Dummy("R", positive=True)
+    expr = expr.replace(lambda e: e.is_Pow and e.base == r.base and e.exp.q == 2,
+                        lambda e: R ** e.exp.p)
+    num, _ = sp.fraction(sp.together(expr))
+    return sp.rem(sp.expand(num), R**2 - r.base, R) == 0
+
+
 @pytest.mark.parametrize("ctx", [R2, R3], ids=["2d", "3d"])
+@pytest.mark.parametrize("sign", [0, -1, 1])
 @hypothesis.settings(PROPERTY, max_examples=10)
 @hypothesis.given(st.data())
-def test_product_against_sympy_on_a_generic_function(ctx, data):
-    """nf(a o b) f == a(b(f)) for an undetermined f(x1..xd), with r = |x|."""
+def test_product_against_sympy_on_a_generic_function(ctx, sign, data):
+    """nf(a o b + sign * b o a) f == a(b(f)) + sign * b(a(f)) for an
+    undetermined f(x1..xd), with r = |x|: the product, commutator and
+    anticommutator of ``compose``."""
     sp = pytest.importorskip("sympy")
     a, b = draw_operators(data, ctx, 2)
     xs = sp.symbols(ctx.var_names, positive=True)
     r = sp.sqrt(sum(x**2 for x in xs))
     f = sp.Function("f")(*xs)
-    lhs = _apply_sympy(sp, a.mul(b), f, xs, r)
+    lhs = _apply_sympy(sp, a.compose(b, sign), f, xs, r)
     rhs = _apply_sympy(sp, a, _apply_sympy(sp, b, f, xs, r), xs, r)
-    assert sp.expand(sp.together(lhs - rhs)) == 0
+    if sign:
+        rhs += sign * _apply_sympy(sp, b, _apply_sympy(sp, a, f, xs, r), xs, r)
+    assert _is_zero_sympy(sp, lhs - rhs, r)
 
 
 @hypothesis.settings(PROPERTY, max_examples=200)

@@ -6,7 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 from blocksep.cli import main
-from blocksep.errors import ConfigError, InapplicableRelationError, RelationSyntaxError
+from blocksep.errors import (BlocksepError, ConfigError, InapplicableRelationError,
+                             RelationSyntaxError)
 from blocksep.integrals import name_from_string
 from blocksep.models import coulomb_spec, oscillator_spec
 from blocksep.relations import (
@@ -24,7 +25,7 @@ from blocksep.relations import (
     parse_relation_line,
     verify_symbolic,
 )
-from oracles import substitute_params
+from oracles import eval_termwise, substitute_params
 
 
 def outcomes_by_name(ocs):
@@ -321,3 +322,40 @@ def test_warm_memo_matches_a_cold_env():
     for rel in rels:
         cold = OperatorEnv.for_model(spec)
         assert eval_node(rel.expr, warm).to_text() == eval_node(rel.expr, cold).to_text(), rel.name
+
+
+def _text_or_error(evaluate, node, env) -> str:
+    try:
+        return evaluate(node, env).to_text()
+    except BlocksepError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("catalog, spec", [
+    ("oscillator", oscillator_spec([2, 2])),
+    ("oscillator-algebra", oscillator_spec([2, 1])),
+    ("coulomb", coulomb_spec([1, 2])),
+], ids=["oscillator-2,2", "oscillator-algebra-2,1", "coulomb-1,2"])
+def test_fused_sum_matches_termwise_evaluation(catalog, spec):
+    """Normalizing each output key of a Sum once gives the normal form that
+    folding the tree one normalized node at a time gives."""
+    pairs = build_catalog(catalog, spec).pairs
+    assert pairs
+    for rel, env in pairs:
+        assert (_text_or_error(eval_node, rel.expr, env)
+                == _text_or_error(eval_termwise, rel.expr, env)), rel.name
+
+
+@pytest.mark.parametrize("spec, line", [
+    (oscillator_spec([2, 2]), "zero: 0*Z[2]*H[1] + 0*[Z[2], T[1]] + H[1]*0 - 0"),
+    (oscillator_spec([2, 2]), "three: T[1]*H[1]*Z[2] - 2*Z[2]*T[1]*H[1]/3 + w2*H[1]*3/4*T[1]"),
+    (oscillator_spec([2, 2]), "negs: -(-(-Z[2]*H[1])) + -[T[1], -Z[2]] - {H[1], -(-T[1])}"),
+    (oscillator_spec([2, 2]), "prod: 2*T[1]*-H[1]*3"),
+    (coulomb_spec([2, 2]), "consts: Mc[1]*Z[2]*H[1] - Nc[2]*[Z[2], H[1]]*Uc[3] + 3/4*Mc[1]"),
+], ids=["zero-factor", "three-factors", "nested-minus", "top-level-product", "constants"])
+def test_fused_sum_matches_termwise_evaluation_on_parsed_lines(spec, line):
+    env = OperatorEnv.for_model(spec)
+    rel = parse_relation_line(line, param_names=spec.param_names())
+    got = eval_node(rel.expr, env)
+    assert got.to_text() == eval_termwise(rel.expr, env).to_text()
+    assert got.is_zero() == line.startswith("zero")
