@@ -65,21 +65,6 @@ class IntegralName:
         return f"{self.kind}[{self.i}]"
 
 
-def name_from_string(text: str) -> IntegralName:
-    text = text.strip()
-    if "[" not in text:
-        return IntegralName(text)
-    kind, rest = text.split("[", 1)
-    if not rest.endswith("]"):
-        raise InvalidIntegralError(f"malformed integral name {text!r}")
-    parts = [p.strip() for p in rest[:-1].split(",")]
-    if len(parts) == 1:
-        return IntegralName(kind.strip(), int(parts[0]))
-    if len(parts) == 2:
-        return IntegralName(kind.strip(), int(parts[0]), int(parts[1]))
-    raise InvalidIntegralError(f"malformed integral name {text!r}")
-
-
 # -- structural constants --------------------------------------------------------
 
 

@@ -478,8 +478,8 @@ def sample_points(spec: ModelSpec, count: int, rng, delta: float = 0.05,
     return points
 
 
-def relation_residual_numeric(rel: Relation, env: NumericEnv, probes: int = 5,
-                              points_per_probe: int = 10, seed: int = 20240801) -> ResidualStats:
+def relation_residual_numeric(rel: Relation, env: NumericEnv, probes: int,
+                              points_per_probe: int, seed: int) -> ResidualStats:
     """Evaluate (LHS - RHS) f at seeded probe/point pairs.
 
     The relative residual at a point is |value| / (1 + max intermediate
@@ -571,13 +571,13 @@ def eigensolve_1d(problem: Eigensolve1DProblem) -> list:
     )
 
 
-def eigensolve_weighted_polar(potential, weight_power: int, n_eigenvalues: int = 4,
-                              M: int = 400, tol: float = 1e-6, max_doublings: int = 7) -> list:
+def eigensolve_weighted_polar(potential, weight_power: int, n_eigenvalues: int = 4) -> list:
     """Eigenvalues of -h'' - p cot(t) h' + V(t) h = a h on (0, pi).
 
     Cell-centered conservative discretization in the weight sin(t)^p keeps the
     natural boundary behavior at both ends (the weight flux vanishes), then a
-    similarity transform makes the matrix symmetric tridiagonal.
+    similarity transform makes the matrix symmetric tridiagonal.  Grids start
+    at 400 cells and double at most 7 times, to a relative change below 1e-6.
     """
     from scipy.linalg import eigvalsh_tridiagonal
 
@@ -593,8 +593,7 @@ def eigensolve_weighted_polar(potential, weight_power: int, n_eigenvalues: int =
         off = -w_half[1:-1] / (h**2 * np.sqrt(w[:-1] * w[1:]))
         return eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, n_eigenvalues - 1))
 
-    return _richardson(eigenvalues_at, M, tol, max_doublings,
-                       "weighted polar eigensolver did not converge")
+    return _richardson(eigenvalues_at, 400, 1e-6, 7, "weighted polar eigensolver did not converge")
 
 
 def _ring_eigenvalues(V: np.ndarray, h: float, k: int) -> np.ndarray:
@@ -611,15 +610,15 @@ def _ring_eigenvalues(V: np.ndarray, h: float, k: int) -> np.ndarray:
     return eigvals_banded(band, lower=True, select="i", select_range=(0, k - 1))
 
 
-def eigensolve_periodic(potential, n_eigenvalues: int = 6, M: int = 512, tol: float = 1e-6,
-                        max_doublings: int = 4) -> list:
+def eigensolve_periodic(potential, n_eigenvalues: int = 6) -> list:
     """Lowest eigenvalues of -u'' + V on the circle [0, 2 pi).
 
     The ring nodes are taken in the order 0, 1, M-1, 2, M-2, ...: nodes two
     places apart are then always ring neighbours, and the remaining two ring
     edges join places 0, 1 and M-2, M-1.  So the periodic matrix, permuted,
     is symmetric banded with bandwidth 2, for even and odd M, and the band
-    solver's reduction costs O(M^2) where a dense solve costs O(M^3).
+    solver's reduction costs O(M^2) where a dense solve costs O(M^3).  Grids
+    start at 512 nodes and double at most 4 times, to a relative change below 1e-6.
     """
 
     def eigenvalues_at(M):
@@ -627,5 +626,4 @@ def eigensolve_periodic(potential, n_eigenvalues: int = 6, M: int = 512, tol: fl
         V = np.asarray(potential(h * np.arange(M)), dtype=float)
         return _ring_eigenvalues(V, h, n_eigenvalues)
 
-    return _richardson(eigenvalues_at, M, tol, max_doublings,
-                       "periodic eigensolver did not converge")
+    return _richardson(eigenvalues_at, 512, 1e-6, 4, "periodic eigensolver did not converge")

@@ -27,7 +27,6 @@ from .integrals import (
     build_integral,
     conjugate_by_transposition,
     enumerate_integrals,
-    name_from_string,
     structural_constants,
 )
 from .models import (
@@ -97,8 +96,8 @@ class Fixed:
         self.diffop = diffop
 
 
-def op(text: str) -> OpRef:
-    return OpRef(name_from_string(text))
+def op(kind: str, *indices: int) -> OpRef:
+    return OpRef(IntegralName(kind, *indices))
 
 
 def num(v) -> Scalar:
@@ -402,7 +401,7 @@ def _seed_rhs(g1, g2, w2) -> tuple:
     return rhs2, rhs3
 
 
-def catalog_proposition_A(include_negative: bool = False) -> RelationSet:
+def catalog_proposition_A() -> RelationSet:
     env = proposition_env()
     rhs2, rhs3 = _seed_rhs(par("g1"), par("g2"), par("w2"))
     # second printed form of Z: r^2 Laplacian - Euler^2 - (g1/x^2 + g2/y^2) r^2
@@ -420,32 +419,29 @@ def catalog_proposition_A(include_negative: bool = False) -> RelationSet:
         Relation("prop-A-Z-second-form", sub(op("Z"), Fixed(alt)),
                  note="the two printed forms of Z coincide"),
     ]
-    if include_negative:
-        rels.append(
-            Relation(
-                "prop-A-3-negative",
-                add(sub(comm(op("H2"), op("Y")), rhs3), num(1)),
-                expectation="nonzero",
-                note="constant +1 injected; must not reduce to zero",
-            )
-        )
     return RelationSet("proposition-A", over(env, rels))
 
 
 # -- catalog: oscillator family -----------------------------------------------------
 
 
-def _hsum(l: int):
-    return op(f"Hsum[{l}]")
+def _integrals(spec: ModelSpec, kind: str) -> list:
+    """The ``kind`` integrals of ``spec`` over the index range that
+    ``enumerate_integrals`` declares for them, in its order."""
+    return [name for name in enumerate_integrals(spec) if name.kind == kind]
 
 
-def _block_rhs(Z, Hsum, Hl, Zprev, Tl, w2, Dlm1: int, dl: int, eight: int) -> tuple:
+def _zshift(spec: ModelSpec, l: int):
+    """Z_l - (D_l-2)^2/4, the shifted Casimir of level l."""
+    return sub(op("Z", l), num(Fraction(spec.partition.offsets[l] - 2, 1) ** 2 / 4))
+
+
+def _block_rhs(Z, Hsum, Hl, Zprev, Tl, w2, Dlm1: int, dl: int) -> tuple:
     """Right-hand sides of [Z_l,Y_l] and [H_l,Y_l] as printed for the block
     algebra at level l, over trees for the shifted Z_l - (D_l-2)^2/4, H_1+..+H_l,
-    H_l, Z_{l-1}, T_l and omega^2; ``eight`` is the leading coefficient of the
-    first display (7 for the negative control)."""
+    H_l, Z_{l-1}, T_l and omega^2."""
     rhs2 = add(
-        mul(num(eight), Z, Hsum),
+        mul(num(8), Z, Hsum),
         neg(mul(num(8), acomm(Z, Hl))),
         mul(
             num(8),
@@ -477,84 +473,47 @@ def _block_rhs(Z, Hsum, Hl, Zprev, Tl, w2, Dlm1: int, dl: int, eight: int) -> tu
     return rhs2, rhs3
 
 
-def oscillator_quadratic_relations(spec: ModelSpec, l: int, perturb_8_to_7: bool = False):
+def oscillator_quadratic_relations(spec: ModelSpec, l: int):
     """The three relations of the block quadratic algebra at level l."""
     part = spec.partition
     if not 2 <= l <= part.N:
         raise InapplicableRelationError(f"level l={l} needs 2 <= l <= N={part.N}")
-    Zl, Hl = op(f"Z[{l}]"), op(f"H[{l}]")
+    Zl, Hl = op("Z", l), op("H", l)
     Yl = comm(Zl, Hl)
     w2 = par(spec.omega2) if isinstance(spec.omega2, str) else num(spec.omega2)
-    rhs2, rhs3 = _block_rhs(
-        sub(Zl, num(Fraction(part.offsets[l] - 2, 1) ** 2 / 4)),
-        _hsum(l),
-        Hl,
-        op(f"Z[{l - 1}]"),
-        op(f"T[{l}]"),
-        w2,
-        part.offsets[l - 1],
-        part.block_sizes[l - 1],
-        7 if perturb_8_to_7 else 8,
-    )
-    suffix = "-negative" if perturb_8_to_7 else ""
+    rhs2, rhs3 = _block_rhs(_zshift(spec, l), op("Hsum", l), Hl, op("Z", l - 1), op("T", l), w2,
+                            part.offsets[l - 1], part.block_sizes[l - 1])
     tag = f"osc-alg-l{l}"
-    rels = [
-        Relation(f"{tag}-def{suffix}", sub(comm(Zl, Hl), Yl), note="defining relation for Y_l"),
-        Relation(
-            f"{tag}-ZY{suffix}",
-            sub(comm(Zl, Yl), rhs2),
-            expectation="nonzero" if perturb_8_to_7 else "zero",
-            note="coefficient 8 perturbed to 7" if perturb_8_to_7 else "",
-        ),
+    return [
+        Relation(f"{tag}-def", sub(comm(Zl, Hl), Yl), note="defining relation for Y_l"),
+        Relation(f"{tag}-ZY", sub(comm(Zl, Yl), rhs2)),
+        Relation(f"{tag}-HY", sub(comm(Hl, Yl), rhs3)),
     ]
-    if not perturb_8_to_7:
-        rels.append(Relation(f"{tag}-HY", sub(comm(Hl, Yl), rhs3)))
-    return rels
+
+
+def _commutators(tag: str, pairs) -> list:
+    """The relation [a, b] = 0, named ``tag-[a,b]``, of each pair of integral names."""
+    return [Relation(f"{tag}-[{a},{b}]", comm(OpRef(a), OpRef(b))) for a, b in pairs]
 
 
 def oscillator_commutativity_relations(env: OperatorEnv):
-    part = env.spec.partition
-    N = part.N
-    rels = []
-
-    def gnames():
-        for i in range(1, N + 1):
-            lo = part.offsets[i - 1] + 1
-            for j in range(lo + 1, part.offsets[i] + 1):
-                yield f"G[{i},{j}]"
-
-    gs = list(gnames())
-    for g in gs:
-        for k in range(1, N + 1):
-            rels.append(Relation(f"osc-comm-[{g},T[{k}]]", comm(op(g), op(f"T[{k}]"))))
-    for p in range(1, N + 1):
-        for q in range(1, N + 1):
-            rels.append(Relation(f"osc-comm-[T[{p}],H[{q}]]", comm(op(f"T[{p}]"), op(f"H[{q}]"))))
-    for m in range(1, N + 1):
-        for g in gs:
-            rels.append(Relation(f"osc-comm-[H[{m}],{g}]", comm(op(f"H[{m}]"), op(g))))
-    for a in range(len(gs)):
-        for b in range(a + 1, len(gs)):
-            rels.append(Relation(f"osc-comm-[{gs[a]},{gs[b]}]", comm(op(gs[a]), op(gs[b]))))
-    for i in range(2, N + 1):
-        for j in range(i + 1, N + 1):
-            rels.append(Relation(f"osc-comm-[Z[{i}],Z[{j}]]", comm(op(f"Z[{i}]"), op(f"Z[{j}]"))))
-    for m in range(2, N + 1):
-        for n in range(m + 1, N + 1):
-            rels.append(Relation(f"osc-comm-[Z[{m}],H[{n}]]", comm(op(f"Z[{m}]"), op(f"H[{n}]"))))
-    for l in range(2, N + 1):
-        rels.append(Relation(f"osc-comm-[Z[{l}],Hsum[{l}]]", comm(op(f"Z[{l}]"), _hsum(l))))
-        for g in gs:
-            rels.append(Relation(f"osc-comm-[Z[{l}],{g}]", comm(op(f"Z[{l}]"), op(g))))
-    for name in ("Hfull",):
-        for l in range(2, N + 1):
-            rels.append(Relation(f"osc-comm-[{name},Z[{l}]]", comm(op(name), op(f"Z[{l}]"))))
-    return rels
+    H, G, Z = (_integrals(env.spec, kind) for kind in ("H", "G", "Z"))
+    T = [IntegralName("T", h.i) for h in H]  # one T per block, as for H
+    pairs = [(g, t) for g in G for t in T]
+    pairs += [(t, h) for t in T for h in H]
+    pairs += [(h, g) for h in H for g in G]
+    pairs += [(a, b) for k, a in enumerate(G) for b in G[k + 1:]]
+    pairs += [(a, b) for k, a in enumerate(Z) for b in Z[k + 1:]]
+    pairs += [(z, h) for z in Z for h in H if h.i > z.i]
+    for z in Z:
+        pairs += [(z, IntegralName("Hsum", z.i))] + [(z, g) for g in G]
+    pairs += [(IntegralName("Hfull"), z) for z in Z]
+    return _commutators("osc-comm", pairs)
 
 
 def _algebra_relations(env: OperatorEnv) -> list:
-    levels = range(2, env.spec.partition.N + 1)
-    return [r for l in levels for r in oscillator_quadratic_relations(env.spec, l)]
+    spec = env.spec
+    return [r for z in _integrals(spec, "Z") for r in oscillator_quadratic_relations(spec, z.i)]
 
 
 # -- catalog: gauge reduction ---------------------------------------------------------
@@ -579,7 +538,7 @@ def catalog_gauge_identities(spec: ModelSpec, l: int) -> RelationSet:
     zc, tc, w2 = par("zc"), par("tc"), par("w2")
     seed2, seed3 = _seed_rhs(add(neg(zc), num(g1)), add(neg(tc), num(g2)), w2)
     # Z_l - (D_l-2)^2/4 -> Z, Hsum[l] -> H, H_l -> H2, Z_{l-1} -> zc, T_l -> tc
-    block2, block3 = _block_rhs(op("Z"), op("H"), op("H2"), zc, tc, w2, Dlm1, dl, 8)
+    block2, block3 = _block_rhs(op("Z"), op("H"), op("H2"), zc, tc, w2, Dlm1, dl)
     rels = (
         Relation(f"{tag}-seed-2", sub(comm(op("Z"), op("Y")), seed2)),
         Relation(f"{tag}-seed-3", sub(comm(op("H2"), op("Y")), seed3)),
@@ -593,7 +552,7 @@ def catalog_gauge_identities(spec: ModelSpec, l: int) -> RelationSet:
 
 def catalog_gauge(spec: ModelSpec) -> RelationSet:
     """The gauge identities of every level l = 2..N."""
-    levels = range(2, spec.partition.N + 1)
+    levels = (z.i for z in _integrals(spec, "Z"))
     pairs = tuple(p for l in levels for p in catalog_gauge_identities(spec, l).pairs)
     return RelationSet("gauge", pairs)
 
@@ -604,58 +563,37 @@ def catalog_gauge(spec: ModelSpec) -> RelationSet:
 def _tshift(spec: ModelSpec, p: int):
     """-T_p + (d_p-1)(d_p-3)/4, the central combination of block p."""
     dp = spec.partition.block_sizes[p - 1]
-    return add(neg(op(f"T[{p}]")), num(Fraction((dp - 1) * (dp - 3), 4)))
+    return add(neg(op("T", p)), num(Fraction((dp - 1) * (dp - 3), 4)))
 
 
-def coulomb_yx_relations(spec: ModelSpec, j: int | None = None, erratum_wrong: bool = False):
-    """The X/W triple; j = None means the un-conjugated display at j = D."""
+def _xw_display(spec: ModelSpec, j: int, sigma):
+    """[X_j, W] minus its printed right-hand side, W = [Y_1, X_j], with the
+    tree ``sigma`` in the slot of the conjugated S[D-1]."""
     part = spec.partition
     N, D = part.N, part.D
-    jj = D if j is None else j
-    X = op(f"X[{jj}]")
-    W = comm(op("Y[1]"), X)
+    X, Y1, H = op("X", j), op("Y", 1), op("Hcoul")
     eta = par(spec.eta) if isinstance(spec.eta, str) else num(spec.eta)
-    tag = f"coul-yx-j{jj}" + ("-erratum-wrong" if erratum_wrong else "")
-    rels = [
-        Relation(
-            f"{tag}-1-def",
-            sub(comm(op("Y[1]"), X), W),
-            note="defining relation for W",
-        ),
-        Relation(
-            f"{tag}-2",
-            sub(
-                comm(op("Y[1]"), W),
-                add(
-                    neg(mul(num(2), acomm(op("Y[1]"), X))),
-                    mul(num((D - 1) * (D - 3)), X),
-                ),
-            ),
-            expectation="zero",
-        ),
+    return sub(comm(X, comm(Y1, X)), add(
+        mul(num(2), X, X),
+        neg(mul(num(8), sub(sigma, sc("U", D - 1)), H)),
+        mul(num(16), sub(Y1, sc("M", 1)), H),
+        neg(mul(num(2 * (N + part.block_sizes[-1] - 2) ** 2), H)),
+        neg(mul(num(2), eta, eta)),
+    ))
+
+
+def coulomb_yx_relations(spec: ModelSpec, j: int):
+    """The X/W triple at X[j]; j = D is the un-conjugated display."""
+    D = spec.partition.D
+    X, Y1 = op("X", j), op("Y", 1)
+    W = comm(Y1, X)
+    tag = f"coul-yx-j{j}"
+    return [
+        Relation(f"{tag}-1-def", sub(comm(Y1, X), W), note="defining relation for W"),
+        Relation(f"{tag}-2", sub(comm(Y1, W), add(neg(mul(num(2), acomm(Y1, X))),
+                                                   mul(num((D - 1) * (D - 3)), X)))),
+        Relation(f"{tag}-3", _xw_display(spec, j, op("sigmaS", j))),
     ]
-    sigma_term = op(f"sigmaS[{jj}]") if not erratum_wrong else op(f"Z[{N - 1}]")
-    rel3 = Relation(
-        f"{tag}-3",
-        sub(
-            comm(X, W),
-            add(
-                mul(num(2), X, X),
-                neg(mul(num(8), sub(sigma_term, sc("U", D - 1)), op("Hcoul"))),
-                mul(num(16), sub(op("Y[1]"), sc("M", 1)), op("Hcoul")),
-                neg(mul(num(2 * (N + part.block_sizes[-1] - 2) ** 2), op("Hcoul"))),
-                neg(mul(num(2), eta, eta)),
-            ),
-        ),
-        expectation="nonzero" if erratum_wrong else "zero",
-        note=(
-            "substituting Z[N-1] for the conjugated S[D-1] (the corrected erratum) must fail"
-            if erratum_wrong
-            else ""
-        ),
-    )
-    rels.append(rel3)
-    return rels
 
 
 def correction_closed_form(spec: ModelSpec, env: OperatorEnv, j: int, literal: bool) -> DiffOp:
@@ -684,37 +622,23 @@ def _yx_catalog(env: OperatorEnv) -> list:
         raise InapplicableRelationError("yx catalog needs N >= 2")
     if not spec.is_symbolic():
         raise InapplicableRelationError("symbolic yx catalog needs zero/constant potentials")
-    rels = coulomb_yx_relations(spec)
-    D = part.D
-    for j in range(D - part.block_sizes[-1] + 1, D):
+    xs = [x.i for x in _integrals(spec, "X")]  # the last block's coordinates, up to D
+    D = xs[-1]
+    rels = coulomb_yx_relations(spec, D)
+    for j in xs[:-1]:
         rels.extend(coulomb_yx_relations(spec, j))
         # sigma covariance claims
-        rels.append(
-            Relation(
-                f"coul-sigma-X[{j}]",
-                sub(_conjugated(env, "X[%d]" % D, j), op(f"X[{j}]")),
-                note="transposition maps X[D] to X[j]",
-            )
-        )
-    rels.append(
-        Relation(
-            "coul-sigma-Y1",
-            sub(_conjugated(env, "Y[1]", D - part.block_sizes[-1] + 1), op("Y[1]")),
-            note="transposition fixes Y[1]",
-        )
-    )
-    rels.append(
-        Relation(
-            "coul-sigma-H",
-            sub(_conjugated(env, "Hcoul", D - part.block_sizes[-1] + 1), op("Hcoul")),
-            note="transposition fixes the Hamiltonian",
-        )
-    )
+        rels.append(_sigma_claim(env, f"coul-sigma-X[{j}]", IntegralName("X", D), j, op("X", j),
+                                 "transposition maps X[D] to X[j]"))
+    rels.append(_sigma_claim(env, "coul-sigma-Y1", IntegralName("Y", 1), xs[0], op("Y", 1),
+                             "transposition fixes Y[1]"))
+    rels.append(_sigma_claim(env, "coul-sigma-H", IntegralName("Hcoul"), xs[0], op("Hcoul"),
+                             "transposition fixes the Hamiltonian"))
     # closed dilation form of the conjugated S, printed and emended readings
-    for j in range(D - part.block_sizes[-1] + 1, D + 1):
+    for j in xs:
         printed = correction_closed_form(spec, env, j, literal=True)
         emended = correction_closed_form(spec, env, j, literal=False)
-        sS = env.operator(name_from_string(f"sigmaS[{j}]"))
+        sS = env.operator(IntegralName("sigmaS", j))
         grp = f"coul-correction-form-j{j}"
         rels.append(
             Relation(
@@ -735,16 +659,20 @@ def _yx_catalog(env: OperatorEnv) -> list:
     return rels
 
 
-def _conjugated(env: OperatorEnv, name: str, j: int) -> Fixed:
-    raw = env.raw(name_from_string(name))
-    return Fixed(conjugate_by_transposition(raw, j, env.spec, env.ctx).symbolic(env.spec))
+def _sigma_claim(env: OperatorEnv, label: str, name: IntegralName, j: int, image, note: str):
+    """The claim that the x_j <-> x_D transposition maps the integral ``name`` to ``image``."""
+    conjugated = conjugate_by_transposition(env.raw(name), j, env.spec, env.ctx).symbolic(env.spec)
+    return Relation(label, sub(Fixed(conjugated), image), note=note)
 
 
 def _erratum_relations(env: OperatorEnv) -> list:
+    """The third X/W display with Z[N-1], as the corrected erratum reads it,
+    in place of the conjugated S[D-1]."""
     part = env.spec.partition
     j = part.D - 1 if part.block_sizes[-1] >= 2 else part.D
-    rels = coulomb_yx_relations(env.spec, j, erratum_wrong=True)
-    return [r for r in rels if r.name.endswith("-3")]
+    note = "substituting Z[N-1] for the conjugated S[D-1] (the corrected erratum) must fail"
+    return [Relation(f"coul-yx-j{j}-erratum-wrong-3", _xw_display(env.spec, j, op("Z", part.N - 1)),
+                     expectation="nonzero", note=note)]
 
 
 def _central_diagnoser(atom_trees: dict):
@@ -785,13 +713,13 @@ def coulomb_zy_relations(spec: ModelSpec, p: int):
     dN = part.block_sizes[-1]
     if not 2 <= p <= N - 1:
         raise InapplicableRelationError(f"zy relations need 2 <= p <= N-1, got p={p}")
-    Zp = sub(op(f"Z[{p}]"), sc("N", p))
-    Zpm1 = sub(op(f"Z[{p - 1}]"), sc("N", p - 1))
-    Yp = sub(op(f"Y[{p}]"), sc("M", p))
-    Yp1 = sub(op(f"Y[{p + 1}]"), sc("M", p + 1))
-    Y1 = sub(op("Y[1]"), sc("M", 1))
+    Zp = sub(op("Z", p), sc("N", p))
+    Zpm1 = sub(op("Z", p - 1), sc("N", p - 1))
+    Yp = sub(op("Y", p), sc("M", p))
+    Yp1 = sub(op("Y", p + 1), sc("M", p + 1))
+    Y1 = sub(op("Y", 1), sc("M", 1))
     Ts = _tshift(spec, p)
-    inner = comm(op(f"Z[{p}]"), op(f"Y[{p}]"))
+    inner = comm(op("Z", p), op("Y", p))
     diagnose = _central_diagnoser(
         {"Zp": Zp, "Yp": Yp, "Y1": Y1, "Zm": Zpm1, "Yn": Yp1, "Ts": Ts, "1": num(1)}
     )
@@ -816,7 +744,7 @@ def coulomb_zy_relations(spec: ModelSpec, p: int):
         mul(num(8), Zp, Yp1),
         mul(num(8), Zpm1, Yp1),
     )
-    rels = _readings(f"coul-zy-p{p}-ZZY", comm(op(f"Z[{p}]"), inner),
+    rels = _readings(f"coul-zy-p{p}-ZZY", comm(op("Z", p), inner),
                      [("", rhs1, "printed display")], diagnose)
 
     def rhs2(second_line_target):
@@ -836,8 +764,8 @@ def coulomb_zy_relations(spec: ModelSpec, p: int):
             neg(mul(num(8), Yp1, Yp)),
         )
 
-    return rels + _readings(f"coul-zy-p{p}-YZY", comm(op(f"Y[{p}]"), inner), [
-        ("-printed", rhs2(sub(op("Y[1]"), sc("M", p))),
+    return rels + _readings(f"coul-zy-p{p}-YZY", comm(op("Y", p), inner), [
+        ("-printed", rhs2(sub(op("Y", 1), sc("M", p))),
          "printed second line ends with (Y_1 - M_p)"),
         ("-emended", rhs2(Yp), "reading with (Y_p - M_p) in the second line"),
     ], diagnose)
@@ -853,12 +781,12 @@ def coulomb_sj_relations(spec: ModelSpec, p: int):
             f"sj relations need n_(N-1)+1 <= p <= D-1, got p={p}"
         )
     q = p + N + dN - D
-    Sp = sub(op(f"S[{p}]"), sc("U", p))
-    Spm1 = sub(op(f"S[{p - 1}]"), sc("U", p - 1))
-    Jp = op(f"J[{p}]")
-    Jp1 = op(f"J[{p + 1}]")
-    Y1 = sub(op("Y[1]"), sc("M", 1))
-    inner = comm(op(f"S[{p}]"), op(f"J[{p}]"))
+    Sp = sub(op("S", p), sc("U", p))
+    Spm1 = sub(op("S", p - 1), sc("U", p - 1))
+    Jp = op("J", p)
+    Jp1 = op("J", p + 1)
+    Y1 = sub(op("Y", 1), sc("M", 1))
+    inner = comm(op("S", p), op("J", p))
     bracket = num((q - 3) * (N + dN - 1) - (q - 1) ** 2 + q + 3)
     diagnose = _central_diagnoser(
         {"Sp": Sp, "Jp": Jp, "Y1": Y1, "Sm": Spm1, "Jn": Jp1, "1": num(1)}
@@ -879,8 +807,8 @@ def coulomb_sj_relations(spec: ModelSpec, p: int):
             mul(num(8), z_term, Jp1),
         )
 
-    rels = _readings(f"coul-sj-p{p}-SSJ", comm(op(f"S[{p}]"), inner), [
-        ("-printed", rhs1(op(f"Y[{p + 1}]"), sub(op(f"Z[{p - 1}]"), sc("N", p - 1))),
+    rels = _readings(f"coul-sj-p{p}-SSJ", comm(op("S", p), inner), [
+        ("-printed", rhs1(op("Y", p + 1), sub(op("Z", p - 1), sc("N", p - 1))),
          "printed display mixes Y[p+1] and Z[p-1] into the coordinate chain"),
         ("-emended", rhs1(Jp1, Spm1),
          "coordinate-chain reading: J[p+1] for Y[p+1], S[p-1]-U[p-1] for Z[p-1]-N[p-1]"),
@@ -903,59 +831,49 @@ def coulomb_sj_relations(spec: ModelSpec, p: int):
         )
 
     return rels + _readings(f"coul-sj-p{p}-JSJ", comm(Jp, inner), [
-        ("-printed", rhs2(sub(op(f"Y[{p}]"), sc("M", p))), "printed display carries (Y_p - M_p)"),
+        ("-printed", rhs2(sub(op("Y", p), sc("M", p))), "printed display carries (Y_p - M_p)"),
         ("-emended", rhs2(Jp), "reading with J_p in place of (Y_p - M_p)"),
     ], diagnose)
 
 
 def coulomb_commutativity_relations(env: OperatorEnv):
-    part = env.spec.partition
-    N, D = part.N, part.D
-    rels = []
-    zrange = list(range(2, N))
-    srange = list(range(part.offsets[N - 1] + 1, D))
-    yrange = list(range(1, N))
-    jrange = srange
-    for a in zrange:
-        for b in zrange:
-            if a < b:
-                rels.append(Relation(f"coul-comm-[Z[{a}],Z[{b}]]", comm(op(f"Z[{a}]"), op(f"Z[{b}]"))))
-    for i in srange:
-        for jj in zrange:
-            rels.append(Relation(f"coul-comm-[S[{i}],Z[{jj}]]", comm(op(f"S[{i}]"), op(f"Z[{jj}]"))))
-    for a in yrange:
-        for b in yrange:
-            if a < b:
-                rels.append(Relation(f"coul-comm-[Y[{a}],Y[{b}]]", comm(op(f"Y[{a}]"), op(f"Y[{b}]"))))
-    for k in jrange:
-        for ll in yrange:
-            rels.append(Relation(f"coul-comm-[J[{k}],Y[{ll}]]", comm(op(f"J[{k}]"), op(f"Y[{ll}]"))))
-    for i in zrange:
-        rels.append(Relation(f"coul-comm-[Y[1],Z[{i}]]", comm(op("Y[1]"), op(f"Z[{i}]"))))
-    for name in enumerate_integrals(env.spec):
-        rels.append(Relation(f"coul-comm-[Hcoul,{name}]", comm(op("Hcoul"), OpRef(name))))
-    return rels
+    Z, S, Y, J = (_integrals(env.spec, kind) for kind in ("Z", "S", "Y", "J"))
+    pairs = [(a, b) for k, a in enumerate(Z) for b in Z[k + 1:]]
+    pairs += [(s, z) for s in S for z in Z]
+    pairs += [(a, b) for k, a in enumerate(Y) for b in Y[k + 1:]]
+    pairs += [(j, y) for j in J for y in Y]
+    pairs += [(IntegralName("Y", 1), z) for z in Z]
+    pairs += [(IntegralName("Hcoul"), name) for name in enumerate_integrals(env.spec)]
+    return _commutators("coul-comm", pairs)
 
 
 def _zy_relations(env: OperatorEnv) -> list:
-    return [r for p in range(2, env.spec.partition.N) for r in coulomb_zy_relations(env.spec, p)]
+    return [r for z in _integrals(env.spec, "Z") for r in coulomb_zy_relations(env.spec, z.i)]
 
 
 def _sj_relations(env: OperatorEnv) -> list:
-    part = env.spec.partition
-    ps = range(part.offsets[part.N - 1] + 1, part.D)
-    return [r for p in ps for r in coulomb_sj_relations(env.spec, p)]
+    return [r for s in _integrals(env.spec, "S") for r in coulomb_sj_relations(env.spec, s.i)]
+
+
+def _control(rel: Relation, delta, note: str) -> Relation:
+    """The negative control ``rel-negative``: ``rel`` perturbed by the tree
+    ``delta``, so that it must not reduce to zero."""
+    return Relation(f"{rel.name}-negative", add(rel.expr, delta), expectation="nonzero", note=note)
 
 
 def catalog_negative_controls(spec: ModelSpec | None = None) -> RelationSet:
-    """Controls that must be flagged nonzero: perturbed seed and block algebra."""
+    """Controls that must be flagged nonzero: the seed algebra's [H2, Y]
+    display plus 1, and the block algebra's [Z_2, Y_2] display with its
+    leading 8 perturbed to 7, which adds (Z_2 - (D_2-2)^2/4) Hsum[2]."""
     if spec is None:
         spec = oscillator_spec([2, 2])
-    prop = catalog_proposition_A(include_negative=True)
-    osc_rels = oscillator_quadratic_relations(spec, 2, perturb_8_to_7=True)
-    pairs = prop.pairs + over(OperatorEnv.for_model(spec), osc_rels)
-    controls = tuple(p for p in pairs if p[0].expectation == "nonzero")
-    return RelationSet("negative-controls", controls)
+    _, _, (prop3, prop_env), _ = catalog_proposition_A().pairs
+    _, zy, _ = oscillator_quadratic_relations(spec, 2)
+    return RelationSet("negative-controls", (
+        (_control(prop3, num(1), "constant +1 injected; must not reduce to zero"), prop_env),
+        (_control(zy, mul(_zshift(spec, 2), op("Hsum", 2)), "coefficient 8 perturbed to 7"),
+         OperatorEnv.for_model(spec)),
+    ))
 
 
 # -- every catalog by name --------------------------------------------------------------

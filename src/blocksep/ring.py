@@ -599,15 +599,6 @@ class Coefficient:
     def neg(self) -> "Coefficient":
         return Coefficient(self.ctx, self.num.neg(), self.den)
 
-    def sub(self, other: "Coefficient") -> "Coefficient":
-        return self.add(other.neg())
-
-    def mul(self, other: "Coefficient") -> "Coefficient":
-        self.ctx.check_same(other.ctx)
-        if self.is_zero() or other.is_zero():
-            return Coefficient(self.ctx, self.ctx.zero_poly(), ())
-        return Coefficient.make(self.ctx, self.num.mul(other.num), den_product(self.den, other.den))
-
     def scale(self, c) -> "Coefficient":
         c = _exact(c)
         if c == 0:
@@ -626,32 +617,25 @@ class Coefficient:
         return Coefficient.make(self.ctx, self.num.scale(_div(1, scale)), den)
 
     def deriv(self, i: int) -> "Coefficient":
-        """Derivative with respect to coordinate i, radical-aware."""
+        """Derivative with respect to coordinate i, radical-aware; its parts
+        are summed over one denominator and normalized once."""
         ctx = self.ctx
         parts = []
         p1 = self.num.deriv_slot(i)
         if not p1.is_zero():
-            parts.append(Coefficient.make(ctx, p1, dict(self.den)))
+            parts.append((self.den, p1))
         sub = ctx.zero_poly() if ctx.norm_slot is None else self.num.select_slot(ctx.norm_slot, 1)
         if not sub.is_zero():
             # d r/dx_i = x_i r / |x|^2 keeps r in the numerator; |x|^2 has scale 1
-            den = dict(self.den)
-            for aid, e in ctx.den_factors(ctx.norm_square())[1].items():
-                den[aid] = den.get(aid, 0) + e
-            parts.append(Coefficient.make(ctx, sub.mul(ctx.x(i)), den))
+            norm_den = tuple(ctx.den_factors(ctx.norm_square())[1].items())
+            parts.append((den_product(self.den, norm_den), sub.mul(ctx.x(i))))
         for aid, e in self.den:
             ad = ctx.atom_by_id(aid).derivs[i]
-            if ad.is_zero():
-                continue
-            den = dict(self.den)
-            den[aid] = e + 1
-            parts.append(Coefficient.make(ctx, self.num.mul(ad).scale(-e), den))
+            if not ad.is_zero():
+                parts.append((den_product(self.den, ((aid, 1),)), self.num.mul(ad).scale(-e)))
         if not parts:
             return Coefficient(ctx, ctx.zero_poly(), ())
-        out = parts[0]
-        for p in parts[1:]:
-            out = out.add(p)
-        return out
+        return Coefficient.sum_over_dens(ctx, parts)
 
     def eval_numeric(self, coord_values, param_values: dict):
         """Evaluate at numeric coordinates (scalars or numpy arrays)."""

@@ -18,7 +18,15 @@ from blocksep.models import Hierarchy, Model2F11, Zero
 from blocksep.opalg import DiffOp
 from blocksep.relations import (Acomm, Comm, ConstRef, Fixed, OpRef, ParamRef, Prod, Scalar,
                                 Sum)
-from blocksep.ring import Coefficient, Poly
+from blocksep.ring import Coefficient, Poly, den_product
+
+
+def coefficient_mul(a: Coefficient, b: Coefficient) -> Coefficient:
+    """The normal form of the product of two coefficients."""
+    a.ctx.check_same(b.ctx)
+    if a.is_zero() or b.is_zero():
+        return Coefficient(a.ctx, a.ctx.zero_poly(), ())
+    return Coefficient.make(a.ctx, a.num.mul(b.num), den_product(a.den, b.den))
 
 
 def apply_coefficient(op: DiffOp, c: Coefficient) -> Coefficient:
@@ -34,13 +42,13 @@ def apply_coefficient(op: DiffOp, c: Coefficient) -> Coefficient:
         for i, e in enumerate(alpha):
             for _ in range(e):
                 cur = cur.deriv(i)
-        out = out.add(ca.mul(cur))
+        out = out.add(coefficient_mul(ca, cur))
     return out
 
 
 def termwise_product(a: DiffOp, b: DiffOp):
     """Leibniz product a o b normalized term by term: each term through
-    Coefficient mul and scale, each output key accumulated with
+    ``coefficient_mul`` and Coefficient scale, each output key accumulated with
     Coefficient.add.  Also says whether some key cancelled to zero along
     the way."""
     out = {}
@@ -55,7 +63,7 @@ def termwise_product(a: DiffOp, b: DiffOp):
                 binom = 1
                 for k, g in zip(alpha, gamma):
                     binom *= math.comb(k, g)
-                coef = ca.mul(dcb).scale(binom)
+                coef = coefficient_mul(ca, dcb).scale(binom)
                 if coef.is_zero():
                     continue
                 key = tuple(g + e for g, e in zip(gamma, beta))

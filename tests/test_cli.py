@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, reports, schema validation, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -256,6 +257,28 @@ def test_report_determinism():
     r1 = run_verify(dict(config))
     r2 = run_verify(dict(config))
     assert serialize(r1, drop_runtime=True) == serialize(r2, drop_runtime=True)
+
+
+# SHA-256 of each symbolic report without its runtime_info; the golden digests
+# of perfbench/golden.json cover other catalogs and block configurations
+PINNED_REPORTS = [
+    ("negative-controls", [2, 2],
+     "7bd96c85dc5a07d0d55d890ff5ee31cea70f6837c0e3b2be397de499b20f5a35"),
+    ("negative-controls", [1, 1],
+     "716214cbcb367e7147019549b50fd1062b37b2de0a03c22cc21f4ddc01170a79"),
+    ("gauge", [2, 2, 2], "880204564c5a50625a20a2235bea4a0e7012f64a7fefc83d14fb758cec03c58c"),
+    ("oscillator", [1, 1, 1], "24ae25ee869ee2971b527fe56ceae6ffd6f6a5c05e7b4a765870f5c886f0563b"),
+    ("coulomb", [1, 2, 2], "fed0eb66ea3f1374abbe5d9a6108df58a752038f133ff7bc13c82a86f33e5ea5"),
+    ("coulomb-erratum-wrong", [1, 2, 1],
+     "69f460be67b5e9995274474a880c3acd4f2b96c488e2fa16aab6a8159128c47c"),
+]
+
+
+@pytest.mark.parametrize("catalog, blocks, digest", PINNED_REPORTS,
+                         ids=[f"{c}-{','.join(map(str, b))}" for c, b, _ in PINNED_REPORTS])
+def test_symbolic_report_matches_its_pinned_digest(catalog, blocks, digest):
+    report = run_verify({"catalog": catalog, "mode": "symbolic", "blocks": blocks})
+    assert hashlib.sha256(serialize(report, drop_runtime=True).encode()).hexdigest() == digest
 
 
 def test_numeric_mode_report(runner, tmp_path):

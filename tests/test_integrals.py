@@ -6,10 +6,10 @@ import pytest
 
 from blocksep.errors import InvalidIntegralError
 from blocksep.integrals import (
+    IntegralName,
     build_integral,
     conjugate_by_transposition,
     enumerate_integrals,
-    name_from_string,
     structural_constants,
 )
 from blocksep.models import (
@@ -26,14 +26,14 @@ from blocksep.opalg import DiffOp, angular_momentum, angular_momentum_squared_su
 from blocksep.ring import Coefficient
 
 
-def sym(name, spec, ctx):
-    return build_integral(name_from_string(name), spec, ctx).symbolic(spec)
+def sym(spec, ctx, kind, *indices):
+    return build_integral(IntegralName(kind, *indices), spec, ctx).symbolic(spec)
 
 
 def test_T_is_L2_minus_constant():
     spec = oscillator_spec([2, 1])
     ctx = operator_context(spec)
-    T1 = sym("T[1]", spec, ctx)
+    T1 = sym(spec, ctx, "T", 1)
     L2 = angular_momentum_squared_sum(ctx, [0, 1])
     expect = L2.sub(DiffOp.from_poly(ctx, ctx.param("beta1")))
     assert T1 == expect
@@ -43,7 +43,7 @@ def test_Z2_display_on_1_1():
     """Z[2] on [1,1] = L_12^2 - (x1^2+x2^2)(b1/x1^2 + b2/x2^2)."""
     spec = oscillator_spec([1, 1])
     ctx = operator_context(spec)
-    Z2 = sym("Z[2]", spec, ctx)
+    Z2 = sym(spec, ctx, "Z", 2)
     L12 = angular_momentum(ctx, 0, 1)
     S = ctx.sum_of_squares([0, 1])
     b1 = Coefficient.from_poly(ctx, ctx.param("beta1")).div_poly(ctx.x(0, 2))
@@ -56,29 +56,29 @@ def test_Z2_display_on_1_1():
 def test_G_top_equals_T():
     spec = oscillator_spec([3, 2])
     ctx = operator_context(spec)
-    assert sym("G[1,3]", spec, ctx) == sym("T[1]", spec, ctx)
+    assert sym(spec, ctx, "G", 1, 3) == sym(spec, ctx, "T", 1)
     # definitional alias Z[1] = T[1], including on a 1-block leading partition
-    assert sym("Z[1]", spec, ctx) == sym("T[1]", spec, ctx)
+    assert sym(spec, ctx, "Z", 1) == sym(spec, ctx, "T", 1)
     spec12 = oscillator_spec([1, 2])
     ctx12 = operator_context(spec12)
-    assert sym("Z[1]", spec12, ctx12) == sym("T[1]", spec12, ctx12)
+    assert sym(spec12, ctx12, "Z", 1) == sym(spec12, ctx12, "T", 1)
 
 
 def test_coulomb_J_bottom_is_block_L2():
     spec = coulomb_spec([2, 2])
     ctx = operator_context(spec)
-    J3 = sym("J[3]", spec, ctx)
+    J3 = sym(spec, ctx, "J", 3)
     assert J3 == angular_momentum_squared_sum(ctx, [2, 3])
-    assert J3 == sym("T[2]", spec, ctx)
-    assert sym("Z[2]", spec, ctx) == sym("Y[1]", spec, ctx)
+    assert J3 == sym(spec, ctx, "T", 2)
+    assert sym(spec, ctx, "Z", 2) == sym(spec, ctx, "Y", 1)
 
 
 def test_coulomb_Y_and_J_at_the_end_of_their_ranges():
     """Y[N] = L^2_N and J[D] = 0 are the general formulas at p = N and p = D."""
     spec = coulomb_spec([2, 2])
     ctx = operator_context(spec)
-    assert sym("Y[2]", spec, ctx) == angular_momentum_squared_sum(ctx, [2, 3])
-    assert sym("J[4]", spec, ctx).is_zero()
+    assert sym(spec, ctx, "Y", 2) == angular_momentum_squared_sum(ctx, [2, 3])
+    assert sym(spec, ctx, "J", 4).is_zero()
 
 
 def test_integral_count_oscillator():
@@ -104,14 +104,14 @@ def test_structural_constants_2_2():
 def test_index_range_errors():
     spec = oscillator_spec([2, 2])
     ctx = operator_context(spec)
-    for bad in ("Z[5]", "G[1,1]", "G[1,5]", "H[3]", "T[0]"):
+    for bad in (("Z", 5), ("G", 1, 1), ("G", 1, 5), ("H", 3), ("T", 0)):
         with pytest.raises(InvalidIntegralError):
-            build_integral(name_from_string(bad), spec, ctx)
+            build_integral(IntegralName(*bad), spec, ctx)
     cspec = coulomb_spec([2, 2])
     cctx = operator_context(cspec)
-    for bad in ("X[1]", "S[4]", "Y[0]", "Y[3]", "J[2]", "J[5]"):
+    for bad in (("X", 1), ("S", 4), ("Y", 0), ("Y", 3), ("J", 2), ("J", 5)):
         with pytest.raises(InvalidIntegralError):
-            build_integral(name_from_string(bad), cspec, cctx)
+            build_integral(IntegralName(*bad), cspec, cctx)
 
 
 def test_all_oscillator_integrals_commute_with_H():
@@ -137,13 +137,13 @@ def test_sigma_conjugation_claims():
     """sigma_jD maps X[D] to X[j] and fixes Y[1] and the Hamiltonian."""
     spec = coulomb_spec([2, 2])
     ctx = operator_context(spec)
-    XD = build_integral(name_from_string("X[4]"), spec, ctx)
+    XD = build_integral(IntegralName("X", 4), spec, ctx)
     for j in (3, 4):
         conj = conjugate_by_transposition(XD, j, spec, ctx).symbolic(spec)
-        assert conj == sym(f"X[{j}]", spec, ctx)
-    Y1 = build_integral(name_from_string("Y[1]"), spec, ctx)
-    assert conjugate_by_transposition(Y1, 3, spec, ctx).symbolic(spec) == sym("Y[1]", spec, ctx)
-    Hraw = build_integral(name_from_string("Hcoul"), spec, ctx)
+        assert conj == sym(spec, ctx, "X", j)
+    Y1 = build_integral(IntegralName("Y", 1), spec, ctx)
+    assert conjugate_by_transposition(Y1, 3, spec, ctx).symbolic(spec) == sym(spec, ctx, "Y", 1)
+    Hraw = build_integral(IntegralName("Hcoul"), spec, ctx)
     assert conjugate_by_transposition(Hraw, 3, spec, ctx).symbolic(spec) == build_hamiltonian(
         spec, ctx
     )
@@ -159,7 +159,7 @@ def test_sigma_S_closed_form():
     ctx = operator_context(spec)
     D = 4
     j = 3
-    got = sym(f"sigmaS[{j}]", spec, ctx)
+    got = sym(spec, ctx, "sigmaS", j)
     # (r^2 - x_j^2)(sum_i d_i^2 - d_j^2) - (E - x_j d_j)^2 - (D-3)(E - x_j d_j)
     #   - (r^2 - x_j^2) * sum_a g_a / r_a^2
     from blocksep.opalg import euler_operator, laplacian
@@ -180,16 +180,16 @@ def test_inner_G_on_a_three_block_sees_no_constant_potential():
     the sub-chain of G[1,2], so G[1,2] is the bare partial Casimir."""
     spec = oscillator_spec([3])
     ctx = operator_context(spec)
-    G = sym("G[1,2]", spec, ctx)
+    G = sym(spec, ctx, "G", 1, 2)
     assert G == angular_momentum_squared_sum(ctx, [0, 1])
-    for other in ("H[1]", "T[1]"):
-        assert G.commutator(sym(other, spec, ctx)).is_zero(), other
+    for other in ("H", "T"):
+        assert G.commutator(sym(spec, ctx, other, 1)).is_zero(), other
 
 
 def test_inner_G_on_hierarchy_potentials():
     inner = oscillator_spec([3], (model2_potential(3, 5, 1),), omega2=1)
-    raw = build_integral(name_from_string("G[1,2]"), inner, operator_context(inner))
+    raw = build_integral(IntegralName("G", 1, 2), inner, operator_context(inner))
     assert len(raw.attachments) == 1  # the innermost level lies inside the sub-chain
     outer = oscillator_spec([3], (Hierarchy((Zero(), Constant(Fraction(2)))),), omega2=1)
     with pytest.raises(InvalidIntegralError, match="outside the sub-chain"):
-        build_integral(name_from_string("G[1,2]"), outer, operator_context(outer))
+        build_integral(IntegralName("G", 1, 2), outer, operator_context(outer))

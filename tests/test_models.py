@@ -32,7 +32,7 @@ from blocksep.models import (
 )
 from blocksep.opalg import DiffOp, laplacian
 from blocksep.ring import Coefficient
-from oracles import eval_angular_potential, formal_transpose
+from oracles import coefficient_mul, eval_angular_potential, formal_transpose
 
 
 def test_free_oscillator_1_1():
@@ -69,7 +69,8 @@ def test_coulomb_1_1_1():
     S = ctx.sum_of_squares(range(3))
     inv_r = Coefficient.from_poly(ctx, ctx.radical_poly()).div_poly(S)
     eta = Coefficient.from_poly(ctx, ctx.param("eta"))
-    expect = laplacian(ctx, range(3)).neg().sub(DiffOp.from_coefficient(ctx, eta.mul(inv_r)))
+    coulomb = DiffOp.from_coefficient(ctx, coefficient_mul(eta, inv_r))
+    expect = laplacian(ctx, range(3)).neg().sub(coulomb)
     for i, name in enumerate(("alpha1", "alpha2")):
         c = Coefficient.from_poly(ctx, ctx.param(name)).div_poly(ctx.x(i, 2))
         expect = expect.add(DiffOp.from_coefficient(ctx, c))

@@ -28,7 +28,8 @@ from blocksep.numerics import (
     sample_points,
 )
 from blocksep.opalg import DiffOp
-from blocksep.relations import OperatorEnv, oscillator_quadratic_relations, coulomb_yx_relations
+from blocksep.relations import (OperatorEnv, catalog_negative_controls, coulomb_yx_relations,
+                                oscillator_quadratic_relations)
 from blocksep.ring import Context
 
 
@@ -121,7 +122,7 @@ def test_symbolic_zero_implies_numeric_small():
 @pytest.mark.slow
 def test_coulomb_yx_numeric_agreement():
     spec = coulomb_spec([2, 2], (Constant(1),), eta=2)
-    rels = coulomb_yx_relations(spec)
+    rels = coulomb_yx_relations(spec, 4)  # the un-conjugated triple, j = D
     rel2 = next(r for r in rels if r.name.endswith("-2"))
     env = NumericEnv(OperatorEnv.for_model(spec), {}, FDScheme(extended=True))
     st = relation_residual_numeric(rel2, env, probes=1, points_per_probe=3, seed=9)
@@ -160,9 +161,9 @@ def test_leibniz_numeric_consistency():
 
 def test_perturbed_relation_flags_large_residual():
     spec = oscillator_spec([2, 2], (Constant(1), Constant(2)), omega2=1)
-    bad = oscillator_quadratic_relations(spec, 2, perturb_8_to_7=True)
-    rel = next(r for r in bad if r.expectation == "nonzero")
-    env = NumericEnv(OperatorEnv.for_model(spec), {}, FDScheme(extended=True))
+    rel, env = catalog_negative_controls(spec).pairs[1]
+    assert rel.name == "osc-alg-l2-ZY-negative" and rel.expectation == "nonzero"
+    env = NumericEnv(env, {}, FDScheme(extended=True))
     st = relation_residual_numeric(rel, env, probes=2, points_per_probe=5, seed=5)
     assert st.max_relative > 1e-2
 
@@ -186,21 +187,21 @@ def test_apply_on_grid_is_exact_on_a_larger_grid(extended, R):
     """Cropping before differentiating changes no bit: the output of radius R
     equals the cropped output of a grid of radius R + k."""
     from blocksep.numerics import _crop, apply_on_grid
-    from blocksep.integrals import name_from_string
+    from blocksep.integrals import IntegralName
 
     scheme = FDScheme(extended=extended)
     big_radius = R + 4 + 2  # every operator below has margin 4
     spec, _, x, big = _model2_grid(big_radius, scheme)
     env = NumericEnv(OperatorEnv.for_model(spec), {"w2": 1.0}, scheme)
-    for name in ("Z[2]", "H[2]", "Hsum[2]"):
-        nop = env.operator(name_from_string(name))
+    for kind in ("Z", "H", "Hsum"):
+        nop = env.operator(IntegralName(kind, 2))
         m = nop.margin
         assert m == 4
         want = apply_on_grid(nop, _crop(big, big_radius, [R + m] * 3), x, scheme.h, R + m, scheme)
         for k in (1, 2):
             values = _crop(big, big_radius, [R + m + k] * 3)
             got = apply_on_grid(nop, values, x, scheme.h, R + m + k, scheme)
-            assert np.array_equal(_crop(got, R + k, [R] * 3), want), (name, k)
+            assert np.array_equal(_crop(got, R + k, [R] * 3), want), (kind, k)
 
 
 def test_eval_tree_on_grid_is_exact_on_a_larger_grid():
@@ -229,11 +230,11 @@ def test_eval_tree_on_grid_is_exact_on_a_larger_grid():
 def test_fixed_node_compiled_once_per_relation(monkeypatch):
     """A Fixed leaf is compiled once per residual evaluation, not at every point."""
     from blocksep import numerics
-    from blocksep.integrals import name_from_string
+    from blocksep.integrals import IntegralName
     from blocksep.relations import Fixed, OpRef, Prod, Relation, Scalar, Sum
 
     spec = oscillator_spec([2, 2], (Constant(1), Constant(2)), omega2=1)
-    name = name_from_string("Z[2]")
+    name = IntegralName("Z", 2)
     env = OperatorEnv.for_model(spec)
     fixed = Fixed(env.operator(name))
     rel = Relation("Z-minus-fixed-Z", Sum((OpRef(name), Prod((Scalar(-1), fixed)))))

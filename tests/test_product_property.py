@@ -1,5 +1,5 @@
 """Property tests for the exact product over two and three coordinates,
-with and without the norm radical r: radical reduction in ``Coefficient.mul``; the Leibniz
+with and without the norm radical r: radical reduction in ``Coefficient.make``; the Leibniz
 product of ``DiffOp`` against the application oracle, a term-by-term
 reference and sympy; ``DiffOp.compose`` (product, commutator and
 anticommutator) against two whole products and sympy; associativity, the
@@ -19,8 +19,8 @@ st = hypothesis.strategies
 
 from blocksep.opalg import DiffOp  # noqa: E402
 from blocksep.ring import Coefficient, Context, Poly  # noqa: E402
-from oracles import (apply_coefficient, formal_transpose, termwise_product,  # noqa: E402
-                     two_product_composition)
+from oracles import (apply_coefficient, coefficient_mul, formal_transpose,  # noqa: E402
+                     termwise_product, two_product_composition)
 
 PROPERTY = hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
 
@@ -76,7 +76,7 @@ def test_radical_reduction_is_multiplicative(data, a, b):
     def make(poly, e):
         return Coefficient.make(ctx, poly.mul(Poly.var(ctx.nvars, ctx.norm_slot, e)))
 
-    assert make(p, a).mul(make(q, b)) == make(p.mul(q), a + b)
+    assert coefficient_mul(make(p, a), make(q, b)) == make(p.mul(q), a + b)
 
 
 @pytest.mark.parametrize("ctx", [R2, R3], ids=["2d", "3d"])

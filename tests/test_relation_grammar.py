@@ -45,7 +45,8 @@ def operand(term, strength) -> str:
 
 
 LEAVES = st.one_of(
-    st.sampled_from(["T[1]", "H[1]", "H[2]", "G[1,2]"]).map(lambda t: (t, op(t), ATOM)),
+    st.sampled_from([("T[1]", op("T", 1)), ("H[1]", op("H", 1)), ("H[2]", op("H", 2)),
+                     ("G[1,2]", op("G", 1, 2))]).map(lambda leaf: (*leaf, ATOM)),
     st.just(("w2", par("w2"), ATOM)),
     st.integers(0, 5).map(lambda n: (str(n), num(n), ATOM)),
     st.tuples(st.integers(1, 7), st.integers(1, 7)).map(

