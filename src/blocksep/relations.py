@@ -337,17 +337,21 @@ def flatten_operators(ops: list) -> list:
 
 
 def decompose_residual(residual: DiffOp, basis: dict):
-    """Write residual = sum c_b * basis_b exactly; None when not in the span."""
+    """Write residual = sum c_b * basis_b exactly; None when not in the span.
+
+    One sparse row per (derivative, monomial) key, in sorted key order:
+    column j holds basis j's entry and the last column the residual's.  The
+    residual is outside the span exactly when that column is a pivot of the
+    row-reduced system; otherwise the pivot rows carry the coefficients.
+    """
     names = list(basis)
-    vecs = flatten_operators([residual] + [basis[n] for n in names])
-    rvec, bvecs = vecs[0], vecs[1:]
-    keys = sorted(set().union(rvec, *bvecs)) if bvecs else sorted(rvec)
-    rows = [[bv.get(k, Fraction(0)) for bv in bvecs] + [rvec.get(k, Fraction(0))] for k in keys]
-    pivots = row_reduce(rows, len(names))
-    if any(row[-1] != 0 for row in rows[len(pivots):]):
+    vecs = flatten_operators([basis[n] for n in names] + [residual])
+    rhs = len(names)
+    keys = sorted(set().union(*vecs))
+    pivots = row_reduce({j: vec[k] for j, vec in enumerate(vecs) if k in vec} for k in keys)
+    if rhs in pivots:
         return None
-    sol = {names[c]: row[-1] for c, row in zip(pivots, rows)}
-    return {n: sol[n] for n in names if sol.get(n, 0) != 0}
+    return {names[c]: Fraction(row[rhs]) for c, row in sorted(pivots.items()) if rhs in row}
 
 
 # -- catalog: two-coordinate seed system ------------------------------------------

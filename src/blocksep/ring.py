@@ -86,31 +86,44 @@ def den_product(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(exps.items()))
 
 
-def row_reduce(rows: list, ncols: int) -> list:
-    """Gauss–Jordan elimination of ``rows`` in place over the first ``ncols``
-    columns; returns the pivot columns, in order.
+def row_reduce(rows) -> dict:
+    """The reduced row echelon form of the span of ``rows``, exact and sparse.
 
-    Each column's pivot is the first nonzero entry at or below the current
-    row, swapped up and scaled to one by ``Fraction(1, pv)`` (``v / pv`` on
-    two ints would be a float); every other row is then cleared in that
-    column.  Entries past ``ncols`` (a right-hand side) ride along.
+    Each row is a dict column -> nonzero rational; the result maps each pivot
+    column to its pivot row, which is 1 at its pivot and absent at every
+    other pivot, with values in the form of :func:`_exact`.  Rows arrive one
+    at a time.  An incoming row is cleared at every held pivot in one pass,
+    since a held row is zero at the others.  A nonzero remainder is divided
+    by its entry at its lowest column, and that column is cleared from the
+    held rows.  The RREF of a row space is unique, so the result does not
+    depend on row order and equals column-order Gauss–Jordan.
     """
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
+    held: dict = {}
+    for row in rows:
+        row = dict(row)
+        for c, prow in held.items():
+            if c in row:
+                _sub_multiple(row, row[c], prow)
+        if not row:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = Fraction(1, rows[r][c])
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return pivots
+        lead = min(row)
+        pv = row[lead]
+        row = {k: _div(v, pv) for k, v in row.items()}
+        for prow in held.values():
+            if lead in prow:
+                _sub_multiple(prow, prow[lead], row)
+        held[lead] = row
+    return held
+
+
+def _sub_multiple(row: dict, f, prow: dict) -> None:
+    """row -= f * prow in place, dropping the entries that cancel."""
+    for k, v in prow.items():
+        w = row.get(k, 0) - f * v
+        if w:
+            row[k] = _exact(w)
+        else:
+            del row[k]
 
 
 def _terms_desc(p: "Poly") -> list:

@@ -123,16 +123,16 @@ def x1_jacobi_coefficients(n: int, alpha: Fraction, beta: Fraction) -> tuple:
         dq = q.deriv_slot(0)
         columns.append(a2.mul(dq.deriv_slot(0)).add(a1.mul(dq)).add(a0.mul(q)).terms)
 
-    rows = [[col.get(k, 0) for col in columns] for k in sorted(set().union(*columns))]
-    pivots = row_reduce(rows, n + 1)
+    keys = sorted(set().union(*columns))
+    pivots = row_reduce({m: col[k] for m, col in enumerate(columns) if k in col} for k in keys)
     free = [c for c in range(n + 1) if c not in pivots]
     if len(free) != 1:
         raise InadmissibleParametersError(
             f"no unique degree-{n} polynomial eigenfunction for alpha={alpha}, beta={beta}"
         )
     q = Poly.var(1, 0, free[0])
-    for c, row in zip(pivots, rows):
-        q = q.sub(Poly.var(1, 0, c).scale(row[free[0]]))
+    for c, row in pivots.items():
+        q = q.sub(Poly.var(1, 0, c).scale(row.get(free[0], 0)))
     if (n,) not in q.terms:
         raise InadmissibleParametersError("nullspace vector has degree below n")
     q = q.normalized_integer()  # primitive integers, positive leading coefficient

@@ -142,6 +142,29 @@ def substitute_params(x, bindings: dict):
     return Coefficient.make(ctx, num, x.den)
 
 
+def reference_row_reduce(rows: list, ncols: int) -> list:
+    """Column-order Gauss-Jordan over dense rows, in place, over the first
+    ``ncols`` columns; returns the pivot columns in order.  Entries past
+    ``ncols`` (a right-hand side) ride along.  This is the elimination loop
+    blocksep ran before its sparse ``ring.row_reduce``."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = Fraction(1, rows[r][c])
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
 def _level_value(level, phi) -> float:
     if isinstance(level, Model2F11):
         return level.value_at_s(math.sin(3 * phi))

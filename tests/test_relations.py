@@ -283,9 +283,15 @@ def test_nonzero_user_relation_reports_residual():
     # B = 2 A is dependent: pivots run in column order, so A and C carry the residual
     ({"x1": 1, "x2": 1}, {"A": {"x1": 1}, "B": {"x1": 2}, "C": {"x2": 1}},
      {"A": Fraction(1), "C": Fraction(1)}),
-], ids=["pivot-3", "dependent-basis"])
+    ({}, {}, {}),
+    ({"x1": 1}, {}, None),
+    # the x2 key sorts before the x1 key, so the out-of-span row comes first
+    ({"x1": 4, "x2": 1}, {"A": {"x1": 2}}, None),
+], ids=["pivot-3", "dependent-basis", "empty-basis-zero", "empty-basis-nonzero",
+        "out-of-span-key-first"])
 def test_decompose_residual_non_unit_pivot_is_exact(residual, basis, expect):
-    """Exact Fraction coefficients, never floats; a dependent basis keeps column-order pivots."""
+    """Exact Fraction coefficients, never floats; a dependent basis keeps
+    column-order pivots; None when the residual is outside the span."""
     from blocksep.opalg import DiffOp
     from blocksep.relations import decompose_residual
     from blocksep.ring import Context
@@ -299,6 +305,9 @@ def test_decompose_residual_non_unit_pivot_is_exact(residual, basis, expect):
         return DiffOp.from_poly(ctx, out)
 
     sol = decompose_residual(linear(residual), {k: linear(v) for k, v in basis.items()})
+    if expect is None:
+        assert sol is None
+        return
     assert sol == expect
     assert list(sol) == list(expect)
     assert all(isinstance(v, Fraction) for v in sol.values())

@@ -1,5 +1,5 @@
 """Property tests for ``Poly.exact_div`` against the plain quadratic division,
-and for ``row_reduce`` against the elimination loop it replaced.
+and for ``row_reduce`` against the dense elimination loop it replaced.
 
 Polynomials run over four coordinates, one parameter and the norm slot r;
 divisors are shaped like the denominator atoms the ring divides by: single
@@ -17,6 +17,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from blocksep.ring import Coefficient, Context, Poly, row_reduce  # noqa: E402
+from oracles import reference_row_reduce  # noqa: E402
 
 NX = 4
 N = NX + 2  # coordinates, one parameter, the norm radical r
@@ -120,12 +121,13 @@ mixed_polys = st.dictionaries(monomials, mixed_coefficients, min_size=1, max_siz
 )
 
 
-def stored_form(p: Poly) -> bool:
+def stored_value(c) -> bool:
     """No zero, no float; an int when integral and a Fraction only otherwise."""
-    return all(
-        c and (type(c) is int or (type(c) is Fraction and c.denominator != 1))
-        for c in p.terms.values()
-    )
+    return bool(c) and (type(c) is int or (type(c) is Fraction and c.denominator != 1))
+
+
+def stored_form(p: Poly) -> bool:
+    return all(map(stored_value, p.terms.values()))
 
 
 def as_fractions(p: Poly) -> Poly:
@@ -190,56 +192,68 @@ def test_coefficient_ops_stay_exact(name, p, den, d, i):
     assert (got.num, got.den) == (want.num, want.den)
 
 
-# -- row_reduce: one exact Gauss-Jordan for residual decomposition and the X1 nullspace
+# -- row_reduce: one sparse exact RREF for residual decomposition and the X1 nullspace
 
 
-def reference_row_reduce(rows, ncols):
-    """The elimination loop of ``decompose_residual`` before ``row_reduce``."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        inv = Fraction(1, pv)
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return pivots
+def sparse(row: list) -> dict:
+    return {c: v for c, v in enumerate(row) if v != 0}
+
+
+def leading_column(row: list) -> int:
+    return next((c for c, v in enumerate(row) if v != 0), len(row))
 
 
 @st.composite
 def matrices(draw):
-    """Up to 8 rows over 1-5 columns plus maybe a right-hand side; some rows
-    combine earlier ones (rank deficiency) and some columns are all zero."""
-    ncols = draw(st.integers(1, 5))
+    """Up to 30 rows over 1-8 columns plus maybe a right-hand side.  Some rows
+    combine earlier ones (tall and rank-deficient), some columns are all
+    zero, and the rows may come with descending leading columns, so that
+    each new pivot lies left of those already held and clears them."""
+    ncols = draw(st.integers(1, 8))
     width = ncols + draw(st.integers(0, 1))
     zero_columns = draw(st.sets(st.integers(0, width - 1), max_size=2))
-    entries = st.one_of(st.just(0), mixed_coefficients)
+    entries = st.one_of(st.just(0), st.just(0), mixed_coefficients)
     rows = []
-    for _ in range(draw(st.integers(0, 8))):
+    for _ in range(draw(st.integers(0, 30))):
         if len(rows) >= 2 and draw(st.booleans()):
             a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
             f, g = draw(mixed_coefficients), draw(mixed_coefficients)
             rows.append([f * x + g * y for x, y in zip(a, b)])
         else:
             rows.append([0 if c in zero_columns else draw(entries) for c in range(width)])
-    return rows, ncols
+    if draw(st.booleans()):
+        rows.sort(key=leading_column, reverse=True)
+    return rows, ncols, width
 
 
 @PROPERTY
 @hypothesis.given(matrices())
 def test_row_reduce_matches_reference(case):
-    rows, ncols = case
-    want = [list(row) for row in rows]
-    want_pivots = reference_row_reduce(want, ncols)
-    got = [list(row) for row in rows]
-    assert row_reduce(got, ncols) == want_pivots
+    """The pivot rows equal column-order Gauss-Jordan's; with a right-hand
+    side, that column is a pivot exactly when the system is inconsistent."""
+    rows, ncols, width = case
+    dense = [list(row) for row in rows]
+    pivots = reference_row_reduce(dense, ncols)
+    want = {c: sparse(row) for c, row in zip(pivots, dense)}
+    given = [sparse(row) for row in rows]
+    got = row_reduce(given)
+    assert given == [sparse(row) for row in rows]
+    assert all(stored_value(v) for row in got.values() for v in row.values())
+    if width == ncols:
+        assert got == want
+        return
+    inconsistent = any(row[ncols] != 0 for row in dense[len(pivots):])
+    assert (ncols in got) == inconsistent
+    if inconsistent:
+        want = {c: {k: v for k, v in row.items() if k != ncols} for c, row in want.items()}
+        want[ncols] = {ncols: 1}
     assert got == want
-    assert not any(isinstance(v, float) for row in got for v in row)
+
+
+@PROPERTY
+@hypothesis.given(matrices(), st.data())
+def test_row_reduce_ignores_row_order(case, data):
+    """The RREF of a row space is unique, so shuffled rows give the same dict."""
+    rows = [sparse(row) for row in case[0]]
+    shuffled = data.draw(st.permutations(rows))
+    assert row_reduce(shuffled) == row_reduce(rows)

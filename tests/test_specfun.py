@@ -38,6 +38,7 @@ from blocksep.spectra import (
     lambda_chain,
     oscillator_spectrum_row,
 )
+from oracles import reference_row_reduce
 
 
 def test_laguerre_low_degrees():
@@ -87,6 +88,45 @@ def test_x1_degree_and_uniqueness():
     assert x1_jacobi_coefficients(3, alpha, beta) == (43, 54, -246, 68)
     v = x1_jacobi(1, alpha, beta, Fraction(1, 2))
     assert isinstance(v, Fraction)
+
+
+def _x1_reference_coefficients(n, alpha, beta):
+    """The X1 nullspace vector re-derived apart from ``ring``: the angular
+    equation of ``x1_jacobi_coefficients`` in sympy, solved by the dense
+    column-order elimination oracle."""
+    sympy = pytest.importorskip("sympy")
+    s = sympy.Symbol("s")
+    a, b = sympy.Rational(alpha), sympy.Rational(beta)
+    A, B = sympy.Rational(3, 2) * (a + b + 1), sympy.Rational(3, 2) * (b - a)
+    E = (A + 3 * (n - 1)) ** 2
+    delta, u, one_m_s2 = 2 * A - 3 - 2 * B * s, (2 * B - (2 * A + 3) * s) / 3, 1 - s**2
+    a2 = one_m_s2 * delta**2
+    a1 = 4 * B * one_m_s2 * delta + u * delta**2
+    a0 = (8 * B**2 * one_m_s2 + 2 * B * u * delta + (E - A**2) / 9 * delta**2
+          - 2 * (2 * A - 3) * delta + 2 * ((2 * A - 3) ** 2 - 4 * B**2))
+    columns = [sympy.Poly(a2 * sympy.diff(s**m, s, 2) + a1 * sympy.diff(s**m, s) + a0 * s**m, s)
+               for m in range(n + 1)]
+    rows = [[Fraction(int(c.p), int(c.q)) for c in (col.coeff_monomial(s**k) for col in columns)]
+            for k in range(max(col.degree() for col in columns) + 1)]
+    pivots = reference_row_reduce(rows, n + 1)
+    (free,) = [c for c in range(n + 1) if c not in pivots]
+    vec = [Fraction(0)] * (n + 1)
+    vec[free] = Fraction(1)
+    for c, row in zip(pivots, rows):
+        vec[c] = -row[free]
+    scale = math.lcm(*(v.denominator for v in vec))
+    ints = [int(v * scale) for v in vec]
+    g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return tuple(v // g for v in ints)
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (Fraction(1, 2), Fraction(7, 6)), (Fraction(0), Fraction(1)),
+    (Fraction(3, 2), Fraction(-1, 2)), (Fraction(-1, 3), Fraction(2, 5)),
+])
+def test_x1_coefficients_match_dense_elimination(alpha, beta):
+    for n in range(1, 9):
+        assert x1_jacobi_coefficients(n, alpha, beta) == _x1_reference_coefficients(n, alpha, beta)
 
 
 def test_x1_admissibility():
