@@ -15,11 +15,12 @@ commutator or anticommutator in one such pass.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import cache
 from math import comb
 
-from .ring import Coefficient, Context, Poly, _deglex, _mono_add, den_product
+from .ring import Coefficient, Context, Poly, den_product
 
 
 def _submonomials(alpha: tuple):
@@ -173,7 +174,7 @@ class DiffOp:
             return "0"
         ctx = self.ctx
         lines = []
-        for alpha in sorted(self.terms, key=_deglex):
+        for alpha in sorted(self.terms, key=lambda a: (sum(a), a)):
             ds = []
             for i, e in enumerate(alpha):
                 if not e:
@@ -231,8 +232,8 @@ class LinearCombination:
                 for beta in b.terms:
                     dcb = iter_deriv(beta, delta)
                     if not dcb.is_zero():
-                        self._put(_mono_add(gamma, beta), den_product(ca.den, dcb.den),
-                                  num_a.mul(dcb.num))
+                        key = tuple(map(operator.add, gamma, beta))
+                        self._put(key, den_product(ca.den, dcb.den), num_a.mul(dcb.num))
 
     def result(self) -> "DiffOp":
         out = {}

@@ -680,20 +680,25 @@ def _erratum_relations(env: OperatorEnv) -> list:
 
 
 def _central_diagnoser(atom_trees: dict):
-    """Diagnoser expressing a residual over products of central elements."""
+    """Diagnoser expressing a residual over products of central elements; the
+    products are built once per env and shared by every reading over it."""
+    bases: dict = {}  # OperatorEnv -> {product name: DiffOp}
 
     def diagnose(residual: DiffOp, env: OperatorEnv) -> str:
-        atoms = {k: eval_node(t, env) for k, t in atom_trees.items()}
-        names = list(atoms)
-        basis = {}
-        for i, a in enumerate(names):
-            for b in names[i:]:
-                if a == "1" and b == "1":
-                    basis["1"] = atoms["1"]
-                elif a == "1":
-                    basis[b] = atoms[b]
-                else:
-                    basis[f"{a}*{b}"] = atoms[a].mul(atoms[b])
+        basis = bases.get(env)
+        if basis is None:
+            atoms = {k: eval_node(t, env) for k, t in atom_trees.items()}
+            names = list(atoms)
+            basis = {}
+            for i, a in enumerate(names):
+                for b in names[i:]:
+                    if a == "1" and b == "1":
+                        basis["1"] = atoms["1"]
+                    elif a == "1":
+                        basis[b] = atoms[b]
+                    else:
+                        basis[f"{a}*{b}"] = atoms[a].mul(atoms[b])
+            bases[env] = basis
         sol = decompose_residual(residual, basis)
         if sol is None:
             return "residual not spanned by central-element products"

@@ -11,8 +11,9 @@ plain callables on Cartesian coordinates; all downstream checks are
 normalization independent (operator residuals and ratios).
 
 Every spectral number the assembly uses (gamma, kappa, the tower roots and
-the energies) is float() of an exact value from :mod:`spectra`, which also
-defines :class:`EigenfunctionSpec`; this module re-exports it.
+the energies) comes from :mod:`spectra` as a float, and every value computed
+here is a float; :mod:`spectra` also defines :class:`EigenfunctionSpec`,
+which this module re-exports.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .models import OSCILLATOR, Hierarchy, is_model2_tower
 from .ring import Poly, row_reduce
 from .spectra import (
     EigenfunctionSpec,
-    _coulomb_energies,
     block_gammas,
+    coulomb_energies,
     omega_value,
     oscillator_energy_oracle,
     trig_roots,
@@ -72,11 +73,6 @@ def jacobi(n: int, alpha, beta, x):
         d = 2 * (k + alpha - 1) * (k + beta - 1) * (2 * k + alpha + beta)
         prev, cur = cur, ((b + c * x) * cur - d * prev) / a
     return cur
-
-
-def chebyshev_t(n: int, x):
-    """T_n up to normalization (Jacobi with alpha = beta = -1/2)."""
-    return jacobi(n, Fraction(-1, 2), Fraction(-1, 2), x)
 
 
 # -- exceptional family -------------------------------------------------------------
@@ -140,21 +136,14 @@ def x1_jacobi_coefficients(n: int, alpha: Fraction, beta: Fraction) -> tuple:
 
 
 def x1_jacobi(n: int, alpha, beta, x):
-    """Value of the degree-n exceptional Jacobi polynomial at x."""
+    """Value of the degree-n exceptional Jacobi polynomial at x: exact at a
+    Fraction, from float coefficients at anything else."""
     coeffs = x1_jacobi_coefficients(n, Fraction(alpha), Fraction(beta))
-    if isinstance(x, np.ndarray):
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        for c in reversed(coeffs):
-            out = out * x + float(c)
-        return out
-    if isinstance(x, Fraction):
-        out = Fraction(0)
-        for c in reversed(coeffs):
-            out = out * x + c
-        return out
-    out = 0.0
+    if not isinstance(x, Fraction):
+        coeffs = [float(c) for c in coeffs]
+    out = 0
     for c in reversed(coeffs):
-        out = out * x + float(c)
+        out = out * x + c
     return out
 
 
@@ -185,12 +174,12 @@ def model2_angular_factor(A: Fraction, B: Fraction, J1: int):
 
 def oscillator_energy(es: EigenfunctionSpec) -> float:
     """Eigenvalue of the assembled oscillator eigenfunction."""
-    return float(oscillator_energy_oracle(es)) * omega_value(es.model)
+    return oscillator_energy_oracle(es) * omega_value(es.model)
 
 
 def coulomb_energy_value(es: EigenfunctionSpec) -> float:
     """Eigenvalue of the assembled Coulomb eigenfunction."""
-    return _coulomb_energies(es)[1]
+    return coulomb_energies(es)[1]
 
 
 # -- assembly ---------------------------------------------------------------------------
@@ -210,13 +199,8 @@ def _zonal_harmonic(d: int, l: int, ys):
     """Rotation-axis harmonic of degree l depending on the last angle only."""
     if d == 1 or l == 0:
         return np.ones_like(ys[0])
-    s = _block_subnorms(ys)
-    r = s[-1]
-    c = ys[-1] / r
-    if d == 2:
-        return chebyshev_t(l, c)
     a = (d - 3) / 2.0
-    return jacobi(l, a, a, c)
+    return jacobi(l, a, a, ys[-1] / _block_subnorms(ys)[-1])
 
 
 def _model2_block_factor(lvl, Js, ys):
@@ -253,7 +237,7 @@ def assemble_eigenfunction(es: EigenfunctionSpec):
         raise InadmissibleParametersError(
             "closed-form eigenfunctions need a trigonometric innermost level and Zero above"
         )
-    gammas = [float(g) for g in block_gammas(es)]
+    gammas = block_gammas(es)
     if model.family == OSCILLATOR:
         omega = omega_value(model)
 
@@ -275,7 +259,7 @@ def assemble_eigenfunction(es: EigenfunctionSpec):
         return psi
 
     # coulomb family
-    _, E, _, kappa = _coulomb_energies(es)
+    _, E, _, kappa = coulomb_energies(es)
     sqrtE = math.sqrt(-E)
     N = part.N
     N_r = es.radial[0]

@@ -1,19 +1,21 @@
-"""Eigenfunction quantum numbers and the exact spectral chain.
+"""Eigenfunction quantum numbers and the spectral chain.
 
 The paper's spectra come from one separation-of-variables chain: quantum
 numbers give each block's angular eigenvalue lambda, lambda gives gamma, the
 gammas give kappa (Coulomb), and those give the energy.  This module writes
-that chain once, exactly: :func:`lambda_chain`, :func:`trig_roots`,
+that chain once: :func:`lambda_chain`, :func:`trig_roots`,
 :func:`block_gammas` and the energy functions below; the eigenfunction
 assembly in :mod:`specfun` takes every number it needs from here.
 
 Energies are reported in two forms: the printed closed formula and the
 oracle value carried by the assembled eigenfunctions (equivalently the
-per-block 1D eigensolver).  For the oscillator the two differ by an exact
-factor of 2 (the printed formula matches a half-convention Hamiltonian);
-both are always reported and the ratio is asserted exactly.  Exact sums of
-square roots are handled by :class:`SqrtSum`, which suffices because every
-identity in play is linear in the radicals sqrt(1 + 4 lambda).
+per-block 1D eigensolver).  Each is affine in the sum of the block gammas,
+so it is held as an exact form (a, b) with rational a and b, which reads
+a + b * sum(gamma).  Verdicts compare forms: the oscillator's oracle is
+exactly twice its printed value (the printed formula matches a
+half-convention Hamiltonian), and the Coulomb kappa meets the printed
+denominator as 2 (N_r + kappa).  Values are float(a) + b * sum(gamma), with
+each gamma a float.
 """
 
 from __future__ import annotations
@@ -108,95 +110,6 @@ def omega_value(model: ModelSpec) -> float:
     return math.sqrt(_positive_float(model.omega2, "omega^2"))
 
 
-def _square_free(n: int):
-    """n = s^2 * m with m square free; returns (s, m).
-
-    Trial division stops once d^3 exceeds the cofactor, whose prime factors
-    are then at least d: at most two, so it is square free or a prime squared.
-    """
-    s, m, d = 1, 1, 2
-    while d * d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        s *= d ** (e // 2)
-        if e % 2:
-            m *= d
-        d += 1
-    if n > 1 and (r := math.isqrt(n)) * r == n:
-        return s * r, m
-    return s, m * n
-
-
-class SqrtSum:
-    """Exact value sum_m c_m sqrt(m) with square-free integer radicands.
-
-    Invariant: the keys of ``terms`` are square free and no value is zero.
-    The constructor stores ``terms`` as given, so a caller passes a fresh
-    dict that keeps the invariant; only :meth:`sqrt_of` factors a radicand,
-    and ``add`` and ``scale`` combine square-free terms without factoring.
-    """
-
-    def __init__(self, terms: dict | None = None):
-        self.terms: dict = terms or {}
-
-    def _accumulate(self, m: int, c: Fraction):
-        cur = self.terms.get(m, Fraction(0)) + c
-        if cur:
-            self.terms[m] = cur
-        else:
-            self.terms.pop(m, None)
-
-    @staticmethod
-    def rational(c) -> "SqrtSum":
-        return SqrtSum({1: Fraction(c)} if c else {})
-
-    @staticmethod
-    def sqrt_of(value: Fraction) -> "SqrtSum":
-        """sqrt(p/q) = sqrt(p q) / q, exact; p and q are coprime, so they
-        are factored apart and their square-free parts multiply."""
-        value = Fraction(value)
-        if value < 0:
-            raise InadmissibleParametersError(f"negative radicand {value}")
-        if value == 0:
-            return SqrtSum()
-        sp, mp = _square_free(value.numerator)
-        sq, mq = _square_free(value.denominator)
-        return SqrtSum({mp * mq: Fraction(sp * sq, value.denominator)})
-
-    def add(self, other: "SqrtSum") -> "SqrtSum":
-        out = SqrtSum(dict(self.terms))
-        for m, c in other.terms.items():
-            out._accumulate(m, c)
-        return out
-
-    def scale(self, c) -> "SqrtSum":
-        c = Fraction(c)
-        return SqrtSum({m: v * c for m, v in self.terms.items()} if c else {})
-
-    def sub(self, other: "SqrtSum") -> "SqrtSum":
-        return self.add(other.scale(-1))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, SqrtSum) and self.terms == other.terms
-
-    def __float__(self):
-        return float(sum(float(c) * math.sqrt(m) for m, c in self.terms.items()))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for m in sorted(self.terms):
-            c = self.terms[m]
-            bits.append(str(c) if m == 1 else f"{c}*sqrt({m})")
-        return " + ".join(bits)
-
-
 # -- angular eigenvalue chains ------------------------------------------------------
 
 
@@ -270,47 +183,41 @@ def _lambda_chain_numeric(pot: Hierarchy, d: int, angular) -> float:
     return alpha
 
 
-def _half_root(q: EigenfunctionSpec, i: int) -> SqrtSum:
-    """sqrt(1 + 4 lambda + (d-1)(d-3)) / 2 for block i, exactly: gamma for
-    the Coulomb family, gamma - 1/2 for the oscillator."""
-    d = q.model.partition.block_sizes[i]
-    lam = lambda_chain(q._potential(i), d, q.angular[i])
-    if not isinstance(lam, Fraction):
-        lam = Fraction(lam).limit_denominator(10**12)
-    disc = 1 + 4 * lam + (d - 1) * (d - 3)
-    if disc < 0:
-        raise InadmissibleParametersError(f"negative discriminant in block {i + 1}")
-    return SqrtSum.sqrt_of(disc).scale(Fraction(1, 2))
-
-
 def block_gammas(q: EigenfunctionSpec) -> list:
-    """gamma of every block, exactly: 1/2 plus the half root for the
-    oscillator, the half root alone for the Coulomb family."""
-    roots = [_half_root(q, i) for i in range(q.model.partition.N)]
-    if q.model.family == OSCILLATOR:
-        return [SqrtSum.rational(Fraction(1, 2)).add(r) for r in roots]
-    return roots
+    """gamma of every block as a float: sqrt(disc) / 2, plus 1/2 for the
+    oscillator, where disc = 1 + 4 lambda + (d-1)(d-3) is exact whenever
+    lambda is, so a negative discriminant is refused exactly."""
+    shift = 0.5 if q.model.family == OSCILLATOR else 0.0
+    gammas = []
+    for i, d in enumerate(q.model.partition.block_sizes):
+        disc = 1 + 4 * lambda_chain(q._potential(i), d, q.angular[i]) + (d - 1) * (d - 3)
+        if disc < 0:
+            raise InadmissibleParametersError(f"negative discriminant in block {i + 1}")
+        gammas.append(shift + math.sqrt(disc) / 2)
+    return gammas
+
+
+def _value(form: tuple, gamma_sum: float) -> float:
+    """The energy form (a, b), which reads a + b * sum(gamma), as a float."""
+    a, b = form
+    return float(a) + b * gamma_sum
 
 
 # -- oscillator spectra ------------------------------------------------------------
 
 
 def _oscillator_energies(q: EigenfunctionSpec) -> tuple:
-    """(paper, oracle) in units of omega, from one gamma per block."""
+    """(paper, oracle) forms in units of omega: 2 sum k + N/2 + sum gamma and
+    sum (4k + 2 gamma + 1)."""
     if q.model.family != OSCILLATOR:
         raise InvalidPartitionError("oscillator formula needs an oscillator model")
-    part = q.model.partition
-    paper = SqrtSum.rational(2 * sum(q.radial) + Fraction(part.N, 2))
-    oracle = SqrtSum.rational(sum(4 * k + 1 for k in q.radial))
-    for gamma in block_gammas(q):
-        paper = paper.add(gamma)
-        oracle = oracle.add(gamma.scale(2))
-    return paper, oracle
+    k, N = sum(q.radial), q.model.partition.N
+    return (2 * k + Fraction(N, 2), 1), (4 * k + N, 2)
 
 
-def oscillator_energy_oracle(q: EigenfunctionSpec) -> SqrtSum:
+def oscillator_energy_oracle(q: EigenfunctionSpec) -> float:
     """Eigenfunction/eigensolver value, in units of omega: sum (4k + 2 gamma + 1)."""
-    return _oscillator_energies(q)[1]
+    return _value(_oscillator_energies(q)[1], sum(block_gammas(q)))
 
 
 @dataclass
@@ -334,41 +241,46 @@ class SpectrumResult:
 def oscillator_spectrum_row(q: EigenfunctionSpec) -> SpectrumResult:
     omega = omega_value(q.model)
     paper, oracle = _oscillator_energies(q)
+    gamma_sum = sum(block_gammas(q))
+    paper_value, oracle_value = _value(paper, gamma_sum), _value(oracle, gamma_sum)
     return SpectrumResult(
         labels={"k": list(q.radial), "l": [a if isinstance(a, int) else list(a) for a in q.angular]},
-        paper_value=float(paper) * omega,
-        oracle_value=float(oracle) * omega,
-        ratio_oracle_over_paper=float(oracle) / float(paper),
-        exact_ratio_2=paper.scale(2).sub(oracle).is_zero(),
+        paper_value=paper_value * omega,
+        oracle_value=oracle_value * omega,
+        ratio_oracle_over_paper=oracle_value / paper_value,
+        exact_ratio_2=(2 * paper[0], 2 * paper[1]) == oracle,
     )
 
 
 # -- coulomb spectra ------------------------------------------------------------------
 
 
-def _coulomb_energies(q: EigenfunctionSpec) -> tuple:
-    """(printed energy, oracle energy, denominator identity holds, kappa) from
-    one gamma per block: kappa = 2 sum J + N - 1/2 + sum gamma, the printed
-    denominator is 2 N_r + 4 sum J + 2N - 1 + 2 sum gamma, and the identity,
-    checked exactly, is that 2 (N_r + kappa) equals it."""
+def _coulomb_forms(q: EigenfunctionSpec) -> tuple:
+    """(kappa, printed denominator) forms: 2 sum J + N - 1/2 + sum gamma and
+    2 N_r + 4 sum J + 2N - 1 + 2 sum gamma."""
     if q.model.family != COULOMB:
         raise InvalidPartitionError("coulomb formula needs a coulomb model")
+    J, N = sum(q.hyper_J), q.model.partition.N
+    return (2 * J + N - Fraction(1, 2), 1), (2 * q.radial[0] + 4 * J + 2 * N - 1, 2)
+
+
+def coulomb_energies(q: EigenfunctionSpec) -> tuple:
+    """(printed energy, oracle energy, denominator identity holds, kappa).  The
+    identity, decided on the forms, is that 2 (N_r + kappa) equals the printed
+    denominator."""
+    kappa, den = _coulomb_forms(q)
     eta2 = _positive_float(q.model.eta, "eta", power=2)
-    part = q.model.partition
-    kappa = SqrtSum.rational(2 * sum(q.hyper_J) + part.N - Fraction(1, 2))
-    den = SqrtSum.rational(2 * q.radial[0] + 4 * sum(q.hyper_J) + 2 * part.N - 1)
-    for gamma in block_gammas(q):
-        kappa, den = kappa.add(gamma), den.add(gamma.scale(2))
-    identity = kappa.add(SqrtSum.rational(q.radial[0])).scale(2).sub(den).is_zero()
-    den = float(den)
+    N_r = q.radial[0]
+    identity = (2 * (N_r + kappa[0]), 2 * kappa[1]) == den
+    gamma_sum = sum(block_gammas(q))
+    den, kappa = _value(den, gamma_sum), _value(kappa, gamma_sum)
     if den == 0:
         raise InadmissibleParametersError("zero spectral denominator")
-    kappa = float(kappa)
-    return -eta2 / den**2, -eta2 / (4.0 * (q.radial[0] + kappa) ** 2), identity, kappa
+    return -eta2 / den**2, -eta2 / (4.0 * (N_r + kappa) ** 2), identity, kappa
 
 
 def coulomb_spectrum_row(q: EigenfunctionSpec) -> SpectrumResult:
-    value, oracle, identity, _ = _coulomb_energies(q)
+    value, oracle, identity, _ = coulomb_energies(q)
     return SpectrumResult(
         labels={
             "N_r": q.radial[0],

@@ -281,6 +281,27 @@ def test_symbolic_report_matches_its_pinned_digest(catalog, blocks, digest):
     assert hashlib.sha256(serialize(report, drop_runtime=True).encode()).hexdigest() == digest
 
 
+# SHA-256 of each spectrum report without its runtime_info, in the form
+# serialize(..., drop_runtime=True) writes
+PINNED_SPECTRA = [
+    (["--family", "oscillator", "--blocks", "2,2,2", "--kmax", "2", "--lmax", "2"],
+     "532f5ade9e8d56098a4b0503e7bfffabc830b9d2fe3ec835864e94b1962fce57"),
+    (["--family", "coulomb", "--blocks", "2,3,2", "--nrmax", "2", "--jmax", "1", "--lmax", "2"],
+     "7c26794e69a039abf326cd99febedc93eb0e17b5ccf7fc39fcf28037a7948d8f"),
+]
+
+
+@pytest.mark.parametrize("args, digest", PINNED_SPECTRA, ids=["oscillator-2,2,2", "coulomb-2,3,2"])
+def test_spectrum_report_matches_its_pinned_digest(runner, tmp_path, args, digest):
+    out = tmp_path / "spectrum.json"
+    res = runner.invoke(main, ["spectrum", *args, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    doc = json.loads(out.read_text())
+    doc.pop("runtime_info")
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_numeric_mode_report(runner, tmp_path):
     out = tmp_path / "num.json"
     res = runner.invoke(

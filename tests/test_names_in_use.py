@@ -10,6 +10,9 @@ definition.  Dunder names are exempt, and so are CLI commands, which their
 group's ``@main.command()`` decorator registers.  The check goes by name
 alone, so it cannot tell apart a name that two classes share: a use of
 ``mul`` on Poly or on DiffOp keeps every ``mul`` method alive.
+
+A single-underscore name is private to its module: no module of the
+package imports one from another.
 """
 
 import ast
@@ -60,3 +63,14 @@ def test_every_definition_is_used_outside_itself():
               for qualname, node in _definitions(tree)
               if not _exempt(node) and used[node.name] - _names(node)[node.name] <= 0]
     assert not unused, "defined but never used: " + ", ".join(unused)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "blocksep"
+                                                     or node.module.startswith("blocksep.")):
+                private += [f"{path.name}: {alias.name} from {node.module}" for alias in node.names
+                            if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert not private, "private names imported: " + ", ".join(private)

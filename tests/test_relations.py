@@ -120,6 +120,25 @@ def test_coulomb_zy_recorded_with_diagnosis():
         assert "central elements" in o.note
 
 
+def test_central_diagnoser_builds_its_basis_once_per_env(monkeypatch):
+    """The readings of a group share one diagnoser, which builds the central
+    products once over each env and reuses them for every later reading."""
+    from blocksep import relations
+
+    bases = []
+    original = relations.decompose_residual
+    monkeypatch.setattr(relations, "decompose_residual",
+                        lambda residual, basis: bases.append(basis) or original(residual, basis))
+    spec = coulomb_spec([1, 1, 1])
+    rs = build_catalog("coulomb-zy", spec)
+    notes = [o.note for o in verify_symbolic(rs)]
+    assert len(bases) == 3 and all(b is bases[0] for b in bases)
+    rel, _ = rs.pairs[0]
+    cold = OperatorEnv.for_model(spec)
+    assert rel.diagnose(eval_node(rel.expr, cold), cold) in notes[0]
+    assert bases[-1] is not bases[0] and list(bases[-1]) == list(bases[0])
+
+
 def test_coulomb_sj_recorded():
     rs = build_catalog("coulomb-sj", coulomb_spec([1, 1, 2]))
     ocs = outcomes_by_name(verify_symbolic(rs))

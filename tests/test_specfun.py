@@ -32,7 +32,6 @@ from blocksep.specfun import (
     x1_jacobi_coefficients,
 )
 from blocksep.spectra import (
-    SqrtSum,
     block_gammas,
     coulomb_spectrum_row,
     lambda_chain,
@@ -191,6 +190,15 @@ def test_free_oscillator_eigenfunction_shape():
     assert got == pytest.approx(expect, rel=1e-12)
 
 
+def test_assembled_eigenfunction_is_float64_on_arrays():
+    """A d = 2 harmonic goes through the float Jacobi recurrence, so psi on
+    numpy arrays stays float64 rather than becoming an object array."""
+    spec = oscillator_spec([2, 2], (Constant(Fraction(1)), Constant(Fraction(2))), omega2=1)
+    es = EigenfunctionSpec(spec, angular=(1, 0), radial=(0, 1))
+    coords = [np.linspace(0.1, 0.9, 5) + k for k in range(4)]
+    assert assemble_eigenfunction(es)(coords).dtype == np.float64
+
+
 def _h_over_psi_stats(spec, es, n_points=10, seed=3, numeric=False):
     psi = assemble_eigenfunction(es)
     scheme = FDScheme(h=4e-3)
@@ -245,7 +253,7 @@ def test_model2_oscillator_2_1_residual(es, energy, rel):
 def test_coulomb_2_2_residual_and_energy():
     spec = coulomb_spec([2, 2], (Constant(Fraction(1)),), eta=2)
     es = EigenfunctionSpec(spec, angular=(0, 0), radial=(0,), hyper_J=(0,))
-    assert block_gammas(es) == [SqrtSum.rational(1), SqrtSum()]
+    assert block_gammas(es) == [1.0, 0.0]
     assert coulomb_energy_value(es) == pytest.approx(-4.0 / 25.0)
     mean, spread = _h_over_psi_stats(spec, es)
     assert spread < 1e-6
@@ -265,7 +273,7 @@ def test_coulomb_theta_equation_eigenvalues():
     eigenvalues kappa_i^2 - (i-1)^2/4."""
     spec = coulomb_spec([2, 2], (Constant(Fraction(1)),), eta=2)
     es = EigenfunctionSpec(spec, angular=(0, 0), radial=(0,), hyper_J=(1,))
-    g1, g2 = (float(g) for g in block_gammas(es))
+    g1, g2 = block_gammas(es)
     J1 = es.hyper_J[0]
     kappa0 = g1
     kappa1 = 2 * J1 + 1 + g1 + g2

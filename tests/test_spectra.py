@@ -1,8 +1,6 @@
-"""Closed-form spectra: exact radical identities and oracle agreement."""
+"""Closed-form spectra: exact energy forms and oracle agreement."""
 
 import itertools
-import math
-import time
 from fractions import Fraction
 
 import pytest
@@ -20,22 +18,11 @@ from blocksep import spectra
 from blocksep.numerics import Eigensolve1DProblem, eigensolve_1d
 from blocksep.specfun import EigenfunctionSpec
 from blocksep.spectra import (
-    SqrtSum,
     coulomb_spectrum_row,
     lambda_chain,
     oscillator_energy_oracle,
     oscillator_spectrum_row,
 )
-
-
-def test_sqrtsum_arithmetic():
-    a = SqrtSum.sqrt_of(Fraction(8))  # 2 sqrt(2)
-    assert a.terms == {2: Fraction(2)}
-    b = SqrtSum.sqrt_of(Fraction(9))  # rational 3
-    assert b == SqrtSum.rational(3)
-    c = SqrtSum.sqrt_of(Fraction(1, 2))  # sqrt(2)/2
-    assert a.add(c.scale(-4)).is_zero()
-    assert float(SqrtSum.sqrt_of(Fraction(5))) == pytest.approx(math.sqrt(5))
 
 
 def test_lambda_chain_closed_forms():
@@ -62,7 +49,7 @@ def test_oscillator_energy_examples():
     spec = oscillator_spec([1, 1], (Zero(), Zero()), omega2=1)
     q = EigenfunctionSpec(spec, angular=(0, 0), radial=(0, 0))
     assert oscillator_spectrum_row(q).paper_value == pytest.approx(3.0)
-    assert float(oscillator_energy_oracle(q)) == pytest.approx(6.0)
+    assert oscillator_energy_oracle(q) == pytest.approx(6.0)
     q1 = EigenfunctionSpec(spec, angular=(0, 0), radial=(1, 0))
     assert oscillator_spectrum_row(q1).paper_value == pytest.approx(5.0)
 
@@ -70,7 +57,7 @@ def test_oscillator_energy_examples():
     q22 = EigenfunctionSpec(spec22, angular=(0, 0), radial=(0, 0))
     # gamma_i = 1/2 at the boundary discriminant: paper 2, oracle 4
     assert oscillator_spectrum_row(q22).paper_value == pytest.approx(2.0)
-    assert float(oscillator_energy_oracle(q22)) == pytest.approx(4.0)
+    assert oscillator_energy_oracle(q22) == pytest.approx(4.0)
 
 
 def test_ratio_paper_oracle_exactly_two():
@@ -95,7 +82,7 @@ def test_degeneracy_depends_on_total_k():
     for k1 in range(4):
         for k2 in range(4 - k1):
             q = EigenfunctionSpec(spec, angular=(0, 0), radial=(k1, k2))
-            values.setdefault(k1 + k2, set()).add(round(float(oscillator_energy_oracle(q)), 10))
+            values.setdefault(k1 + k2, set()).add(round(oscillator_energy_oracle(q), 10))
     for total, vals in values.items():
         assert len(vals) == 1, (total, vals)
 
@@ -105,7 +92,7 @@ def test_energy_monotone_in_k():
     prev = None
     for k in range(4):
         q = EigenfunctionSpec(spec, angular=(0, 0), radial=(k, 0))
-        val = float(oscillator_energy_oracle(q))
+        val = oscillator_energy_oracle(q)
         if prev is not None:
             assert val > prev
         prev = val
@@ -122,7 +109,7 @@ def test_oracle_matches_eigensolver_per_block():
             Eigensolve1DProblem(lambda r, c=c: r**2 + c / r**2, L=14.0, n_eigenvalues=k + 1)
         )
         total += vals[k]
-    assert total == pytest.approx(float(oscillator_energy_oracle(q)), rel=1e-6)
+    assert total == pytest.approx(oscillator_energy_oracle(q), rel=1e-6)
 
 
 def test_coulomb_hydrogen_degenerate_case():
@@ -156,47 +143,24 @@ def test_coulomb_example_energy_value():
     assert coulomb_spectrum_row(q).paper_value == pytest.approx(-4.0 / 25.0)
 
 
+def test_energy_forms_hold_only_exact_rationals():
+    """The verdicts compare forms (a, b), read a + b sum(gamma), so no float
+    may enter them, not even from a block whose lambda is a float."""
+    hierarchy = Hierarchy((Zero(), Constant(Fraction(2))))
+    osc = oscillator_spec([2, 3], (Constant(Fraction(1, 3)), hierarchy), omega2=2)
+    coul = coulomb_spec([3, 2], (model2_potential(3, 4, 1),), eta=2)
+    osc_q = EigenfunctionSpec(osc, angular=(1, (0, 1)), radial=(1, 2))
+    coul_q = EigenfunctionSpec(coul, angular=((1, 1), 0), radial=(1,), hyper_J=(1,))
+    forms = [*spectra._oscillator_energies(osc_q), *spectra._coulomb_forms(coul_q)]
+    assert forms == [(7, 1), (14, 2), (Fraction(7, 2), 1), (9, 2)]
+    assert all(type(v) in (int, Fraction) for form in forms for v in form)
+
+
 def test_negative_discriminant_raises():
     spec = oscillator_spec([2, 1], (Constant(Fraction(-10)), Zero()), omega2=1)
     q = EigenfunctionSpec(spec, angular=(0, 0), radial=(0, 0))
     with pytest.raises(InadmissibleParametersError):
         oscillator_energy_oracle(q)
-
-
-def test_square_free_matches_brute_force():
-    limit = 10**5
-    root = [1] * limit  # largest s with s^2 dividing n
-    for s in range(2, math.isqrt(limit) + 1):
-        for n in range(s * s, limit, s * s):
-            root[n] = s
-    for n in range(1, limit):
-        assert spectra._square_free(n) == (root[n], n // root[n] ** 2), n
-    p, q, r = 10007, 999983, 1000003
-    for n, expect in ((p * p, (p, 1)), (q * q, (q, 1)), (p * q, (1, p * q)), (q * r, (1, q * r)),
-                      (p * p * q, (p, q)), (q * q * p, (q, p)), (r * r * q, (r, q)),
-                      (10009 * p * q, (1, 10009 * p * q)), (4 * 9 * q * q * r, (6 * q, r))):
-        assert spectra._square_free(n) == expect, n
-
-
-def test_sqrt_of_float_derived_fraction_is_fast():
-    x = 2.718281828459045
-    start = time.perf_counter()
-    root = SqrtSum.sqrt_of(Fraction(x).limit_denominator(10**12))
-    assert time.perf_counter() - start < 1.0
-    assert float(root) == pytest.approx(math.sqrt(x), rel=1e-12)
-
-
-def test_add_and_scale_do_not_factor(monkeypatch):
-    three = SqrtSum.rational(3)
-    a = SqrtSum.sqrt_of(Fraction(8)).add(three)
-    b = SqrtSum.sqrt_of(Fraction(1, 2))
-    calls = []
-    original = spectra._square_free
-    monkeypatch.setattr(spectra, "_square_free", lambda n: calls.append(n) or original(n))
-    assert a.add(b.scale(-4)) == three
-    assert a.sub(a).is_zero() and a.scale(0).is_zero()
-    assert a.scale(Fraction(1, 2)).terms == {2: Fraction(1), 1: Fraction(3, 2)}
-    assert calls == []
 
 
 def test_spectrum_row_solves_each_block_once(monkeypatch):
