@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import click
 
-from .errors import BlocksepError, ConfigError
+from .errors import BlocksepError, ConfigError, ExponentOverflowError
 from .models import (
     COULOMB,
     OSCILLATOR,
@@ -137,12 +137,15 @@ def run_verify(config: dict) -> VerificationReport:
     # more workers than cores or relations only cost start-up: fork starts them all at once
     jobs = max(1, min(config.get("jobs", 1), os.cpu_count() or 1, len(rs.pairs)))
     if mode in ("symbolic", "both"):
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init,
-                                     initargs=(config,)) as pool:
-                items = settle_groups(list(pool.map(_worker_verify, range(len(rs.pairs)))))
-        else:
-            items = verify_symbolic(rs)
+        try:
+            if jobs > 1:
+                with ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init,
+                                         initargs=(config,)) as pool:
+                    items = settle_groups(list(pool.map(_worker_verify, range(len(rs.pairs)))))
+            else:
+                items = verify_symbolic(rs)
+        except ExponentOverflowError as exc:
+            raise ConfigError(f"{_source(config)}: {exc}") from exc
         report.items.extend(items)
         _check_evaluated(items, config)
         # before the numeric pass, which cannot change this verdict

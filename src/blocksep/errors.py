@@ -17,6 +17,10 @@ class ContextMismatchError(BlocksepError):
     """Operands built over different operator contexts."""
 
 
+class ExponentOverflowError(BlocksepError):
+    """A monomial's degree exceeds what a packed exponent field holds."""
+
+
 class UndeclaredParameterError(BlocksepError):
     """A parameter name is not declared in the context."""
 

@@ -136,28 +136,22 @@ class DiffOp:
         ctx = self.ctx
         if i == j:
             return self
-
-        def swap_mono(m: tuple) -> tuple:
-            lst = list(m)
-            lst[i], lst[j] = lst[j], lst[i]
-            return tuple(lst)
-
         out = {}
         for alpha, c in self.terms.items():
-            num = Poly(c.num.n, {swap_mono(m): v for m, v in c.num.terms.items()})
+            num = c.num.swap_slots(i, j)
             den = {}
             for aid, e in c.den:
-                ap = ctx.atom_by_id(aid).poly
-                sp = Poly(ap.n, {swap_mono(m): v for m, v in ap.terms.items()})
+                sp = ctx.atom_by_id(aid).poly.swap_slots(i, j)
                 scale, factors = ctx.den_factors(sp)
                 for aid2, e2 in factors.items():
                     den[aid2] = den.get(aid2, 0) + e * e2
                 if scale != 1:
                     num = num.scale(Fraction(1) / scale**e)
             nc = Coefficient.make(ctx, num, den)
-            key = swap_mono(alpha)
+            key = list(alpha)
+            key[i], key[j] = alpha[j], alpha[i]
             if not nc.is_zero():
-                out[key] = nc
+                out[tuple(key)] = nc
         return DiffOp(ctx, out)
 
     # -- display --------------------------------------------------------------

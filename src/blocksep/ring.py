@@ -18,6 +18,17 @@ atoms the callers divide by (single coordinates and block norms), which
 are irreducible over Q, so cancellation by repeated exact division is
 complete.
 
+A monomial over n slots is one packed ``int`` (Monagan and Pearce, CASC
+2007): n + 1 fields of ``W`` bits, the total degree in the top field, then
+slot 0, slot 1 and so on down to the last slot (r, when there is one) in the
+lowest.  Integer order is then deglex order ``(sum(m), m)``.  The top bit of
+each field is a guard bit that no exponent reaches, so no field carries into
+the next: a product's key is the sum of its factors', a quotient's their
+difference, and d divides m exactly when ``m - d`` has no guard bit set.
+Every exponent is at most the degree, so a product or new monomial whose
+degree reaches its guard bit raises ``ExponentOverflowError`` instead of
+wrapping; no quotient or remainder outgrows the dividend's degree.
+
 Rational numbers are held as ``int`` when integral and as ``Fraction``
 only otherwise, so the inner loops run on machine-backed integers.  Every
 entry point (constructors, scaling, division, substitution) brings its
@@ -31,9 +42,11 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import add, le, neg, sub
 
-from .errors import ContextMismatchError, UndeclaredParameterError
+from .errors import ContextMismatchError, ExponentOverflowError, UndeclaredParameterError
+
+W = 16  # bits per exponent field, its top bit the guard bit
+_MASK = (1 << W) - 1
 
 
 def _exact(c):
@@ -53,25 +66,35 @@ def _div(a, b):
     return _exact(Fraction(a) / b)
 
 
-def _mono_add(a: tuple, b: tuple) -> tuple:
-    return tuple(map(add, a, b))
+def _shift(n: int, slot: int) -> int:
+    """The bit offset of ``slot``'s field in an n-slot key."""
+    return W * (n - 1 - slot)
 
 
-def _mono_sub(a: tuple, b: tuple) -> tuple:
-    return tuple(map(sub, a, b))
+def _unit(n: int, slot: int) -> int:
+    """The key of the monomial of degree one in ``slot``."""
+    return 1 << W * n | 1 << _shift(n, slot)
 
 
-def _mono_divides(d: tuple, m: tuple) -> bool:
-    return all(map(le, d, m))
+def _checked(key: int, n: int) -> int:
+    """``key``, unless its degree field has reached its guard bit."""
+    if key >> W * n + W - 1:
+        raise ExponentOverflowError(
+            f"a monomial's degree exceeds {(1 << W - 1) - 1}, the exponent limit of the ring")
+    return key
 
 
-def _deglex_heap_key(m: tuple) -> tuple:
-    """Min-heap entry that pops monomials in descending deglex order."""
-    return (-sum(m), tuple(map(neg, m)), m)
+def pack(exps) -> int:
+    """The key of the monomial with the exponent tuple ``exps``."""
+    key = sum(exps)
+    for e in exps:
+        key = key << W | e
+    return _checked(key, len(exps))
 
 
-def _deglex(m: tuple):
-    return (sum(m), m)
+def unpack(n: int, key: int) -> tuple:
+    """The exponent tuple of an n-slot key."""
+    return tuple(key >> _shift(n, slot) & _MASK for slot in range(n))
 
 
 def den_product(a: tuple, b: tuple) -> tuple:
@@ -127,25 +150,26 @@ def _sub_multiple(row: dict, f, prow: dict) -> None:
 
 
 def _terms_desc(p: "Poly") -> list:
-    """The terms of ``p`` in descending deglex order; a key that orders polynomials."""
-    return sorted(p.terms.items(), key=lambda t: _deglex(t[0]), reverse=True)
+    """Terms of ``p``, deglex-descending, with exponent tuples; a key that orders polynomials."""
+    return [(unpack(p.n, m), c) for m, c in sorted(p.terms.items(), reverse=True)]
 
 
 class Poly:
     """Immutable sparse polynomial with exact rational coefficients.
 
     A coefficient is an ``int`` when it is integral and a ``Fraction`` only
-    otherwise; no zero coefficient is stored.  Exponent vectors run over a
-    fixed slot space; the surrounding context decides which slots are
+    otherwise; no zero coefficient is stored.  Monomials are packed keys over
+    ``n`` slots; the surrounding context decides which slots are
     coordinates, parameters, or the norm radical.
     """
 
-    __slots__ = ("n", "terms", "_hash")
+    __slots__ = ("n", "terms", "_hash", "_factors")
 
     def __init__(self, n: int, terms: dict):
         self.n = n
         self.terms = terms
         self._hash = None
+        self._factors = None  # the unpacked terms, on the first eval_numeric
 
     @staticmethod
     def zero(n: int) -> "Poly":
@@ -154,23 +178,22 @@ class Poly:
     @staticmethod
     def const(n: int, c) -> "Poly":
         c = _exact(c)
-        return Poly(n, {} if c == 0 else {(0,) * n: c})
+        return Poly(n, {} if c == 0 else {0: c})
 
     @staticmethod
     def var(n: int, slot: int, exp: int = 1) -> "Poly":
-        mono = tuple(exp if i == slot else 0 for i in range(n))
-        return Poly(n, {mono: 1})
+        return Poly(n, {_checked(exp * _unit(n, slot), n): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_const(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and sum(next(iter(self.terms))) == 0)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def const_value(self):
         if not self.terms:
             return 0
-        return self.terms[(0,) * self.n]
+        return self.terms[0]
 
     def add(self, other: "Poly") -> "Poly":
         if not other.terms:
@@ -203,10 +226,12 @@ class Poly:
     def mul(self, other: "Poly") -> "Poly":
         if not self.terms or not other.terms:
             return Poly.zero(self.n)
+        # the largest product key has the largest degree
+        _checked(max(self.terms) + max(other.terms), self.n)
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _mono_add(m1, m2)
+                m = m1 + m2
                 nc = out.get(m, 0) + c1 * c2
                 if nc:
                     out[m] = nc
@@ -219,11 +244,12 @@ class Poly:
 
     def deriv_slot(self, slot: int) -> "Poly":
         """Formal partial derivative treating every slot as independent."""
+        shift, step = _shift(self.n, slot), _unit(self.n, slot)
         out = {}
         for m, c in self.terms.items():
-            e = m[slot]
+            e = m >> shift & _MASK
             if e:
-                m2 = tuple(v - 1 if i == slot else v for i, v in enumerate(m))
+                m2 = m - step
                 nc = out.get(m2, 0) + c * e
                 if nc:
                     out[m2] = nc if type(nc) is int else _exact(nc)
@@ -233,13 +259,24 @@ class Poly:
 
     def select_slot(self, slot: int, exp: int) -> "Poly":
         """Sub-polynomial of terms whose exponent in ``slot`` equals ``exp``."""
-        return Poly(self.n, {m: c for m, c in self.terms.items() if m[slot] == exp})
+        shift = _shift(self.n, slot)
+        return Poly(self.n, {m: c for m, c in self.terms.items() if m >> shift & _MASK == exp})
 
     def max_exp(self, slot: int) -> int:
-        return max((m[slot] for m in self.terms), default=0)
+        shift = _shift(self.n, slot)
+        return max((m >> shift & _MASK for m in self.terms), default=0)
+
+    def swap_slots(self, i: int, j: int) -> "Poly":
+        """The polynomial with the exponents of slots i and j exchanged."""
+        si, sj = _shift(self.n, i), _shift(self.n, j)
+        out = {}
+        for m, c in self.terms.items():
+            d = (m >> si & _MASK) - (m >> sj & _MASK)
+            out[m - (d << si) + (d << sj)] = c
+        return Poly(self.n, out)
 
     def leading(self):
-        m = max(self.terms, key=_deglex)
+        m = max(self.terms)
         return m, self.terms[m]
 
     def exact_div(self, d: "Poly"):
@@ -253,44 +290,47 @@ class Poly:
         ``len(d) - 1`` coefficient updates of each step.  A one-term divisor
         takes a single pass that shifts every exponent.  Division stops with
         None at the first leading monomial that ``d``'s leading monomial
-        does not divide.
+        does not divide, which sets a guard bit of their difference.
         """
         if self.is_zero():
             return self
         if d.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         dm, dc = d.leading()
+        # the guard bit of each of the n + 1 fields
+        guard = ((1 << W * (self.n + 1)) - 1) // _MASK << W - 1
         # atoms have unit coefficients: skip dividing by dc == 1, and
         # subtract rc * (c2 / dc) == q * c2 without a product when c2 == dc
         unit = dc == 1
         if len(d.terms) == 1:
             out = {}
             for m, c in self.terms.items():
-                if not _mono_divides(dm, m):
+                qm = m - dm
+                if qm & guard:
                     return None
-                out[_mono_sub(m, dm)] = c if unit else _div(c, dc)
-            return Poly(self.n, {m: out[m] for m in sorted(out, key=_deglex, reverse=True)})
+                out[qm] = c if unit else _div(c, dc)
+            return Poly(self.n, {m: out[m] for m in sorted(out, reverse=True)})
         rest = [(m2, None if c2 == dc else _div(c2, dc)) for m2, c2 in d.terms.items() if m2 != dm]
         rem = dict(self.terms)
-        heap = [_deglex_heap_key(m) for m in rem]
+        heap = [-m for m in rem]  # a min-heap of -m pops the deglex-largest m
         heapify(heap)
         out = {}
         while heap:
-            rm = heappop(heap)[2]
+            rm = -heappop(heap)
             rc = rem.pop(rm, None)
             if rc is None:
                 continue  # cancelled after it was pushed
-            if not _mono_divides(dm, rm):
+            qm = rm - dm
+            if qm & guard:
                 return None
-            qm = _mono_sub(rm, dm)
             out[qm] = (rc if type(rc) is int else _exact(rc)) if unit else _div(rc, dc)
             for m2, ratio in rest:
                 t = rc if ratio is None else rc * ratio
-                mm = _mono_add(qm, m2)
+                mm = qm + m2
                 old = rem.get(mm)
                 if old is None:
                     rem[mm] = -t
-                    heappush(heap, _deglex_heap_key(mm))
+                    heappush(heap, -mm)
                 else:
                     nc = old - t
                     if nc:
@@ -300,13 +340,14 @@ class Poly:
         return Poly(self.n, out)
 
     def eval_numeric(self, values):
-        """Evaluate at numeric slot values (scalars or numpy arrays)."""
+        """Evaluate at numeric slot values (scalars or numpy arrays); unpacks once."""
+        if self._factors is None:
+            self._factors = [(float(c), [(s, e) for s, e in enumerate(unpack(self.n, m)) if e])
+                             for m, c in self.terms.items()]
         total = 0.0
-        for m, c in self.terms.items():
-            term = float(c)
-            for slot, e in enumerate(m):
-                if e:
-                    term = term * values[slot] ** e
+        for term, factors in self._factors:
+            for slot, e in factors:
+                term = term * values[slot] ** e
             total = total + term
         return total
 
@@ -415,11 +456,7 @@ class Context:
         return powers[e]
 
     def sum_of_squares(self, indices) -> Poly:
-        terms = {}
-        for i in indices:
-            mono = tuple(2 if k == i else 0 for k in range(self.nvars))
-            terms[mono] = 1
-        return Poly(self.nvars, terms)
+        return Poly(self.nvars, {2 * _unit(self.nvars, i): 1 for i in indices})
 
     # -- denominator atoms --------------------------------------------------
 
@@ -459,7 +496,7 @@ class Context:
         if len(poly.terms) == 1:
             mono, c = poly.leading()
             factors: dict = {}
-            for slot, e in enumerate(mono):
+            for slot, e in enumerate(unpack(self.nvars, mono)):
                 if not e:
                     continue
                 if slot >= self.nx:
@@ -490,9 +527,10 @@ class Context:
         if s is None or p.max_exp(s) < 2:
             return p
         total = Poly.zero(self.nvars)
+        step = _unit(self.nvars, s)
         for m, c in p.terms.items():
-            e = m[s]
-            base = Poly(self.nvars, {m[:s] + (e % 2,): c})  # r is the last slot
+            e = m & _MASK  # r is the last slot
+            base = Poly(self.nvars, {m - (e - e % 2) * step: c})
             total = total.add(base.mul(self.norm_square(e // 2)) if e >= 2 else base)
         # |x|^2 has no r, so one pass suffices
         return total
@@ -514,10 +552,10 @@ class Context:
         if p.is_zero():
             return "0"
         bits = []
-        for m in sorted(p.terms, key=_deglex, reverse=True):
+        for m in sorted(p.terms, reverse=True):
             c = p.terms[m]
             factors = []
-            for slot, e in enumerate(m):
+            for slot, e in enumerate(unpack(p.n, m)):
                 if e == 1:
                     factors.append(self.slot_name(slot))
                 elif e > 1:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InadmissibleParametersError
 from .models import OSCILLATOR, Hierarchy, is_model2_tower
-from .ring import Poly, row_reduce
+from .ring import Poly, pack, row_reduce
 from .spectra import (
     EigenfunctionSpec,
     block_gammas,
@@ -129,10 +129,10 @@ def x1_jacobi_coefficients(n: int, alpha: Fraction, beta: Fraction) -> tuple:
     q = Poly.var(1, 0, free[0])
     for c, row in pivots.items():
         q = q.sub(Poly.var(1, 0, c).scale(row.get(free[0], 0)))
-    if (n,) not in q.terms:
+    if pack((n,)) not in q.terms:
         raise InadmissibleParametersError("nullspace vector has degree below n")
     q = q.normalized_integer()  # primitive integers, positive leading coefficient
-    return tuple(q.terms.get((m,), 0) for m in range(n + 1))
+    return tuple(q.terms.get(pack((m,)), 0) for m in range(n + 1))
 
 
 def x1_jacobi(n: int, alpha, beta, x):

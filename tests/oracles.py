@@ -18,7 +18,7 @@ from blocksep.models import Hierarchy, Model2F11, Zero
 from blocksep.opalg import DiffOp
 from blocksep.relations import (Acomm, Comm, ConstRef, Fixed, OpRef, ParamRef, Prod, Scalar,
                                 Sum)
-from blocksep.ring import Coefficient, Poly, den_product
+from blocksep.ring import Coefficient, Poly, den_product, pack, unpack
 
 
 def coefficient_mul(a: Coefficient, b: Coefficient) -> Coefficient:
@@ -136,8 +136,9 @@ def substitute_params(x, bindings: dict):
         slot = ctx._param_slots[name]
         out = ctx.zero_poly()
         for m, c in num.terms.items():
-            rest = m[:slot] + (0,) + m[slot + 1:]
-            out = out.add(Poly(num.n, {rest: c}).scale(Fraction(value) ** m[slot]))
+            exps = unpack(num.n, m)
+            rest = pack(exps[:slot] + (0,) + exps[slot + 1:])
+            out = out.add(Poly(num.n, {rest: c}).scale(Fraction(value) ** exps[slot]))
         num = out
     return Coefficient.make(ctx, num, x.den)
 

@@ -218,7 +218,7 @@ def test_criterion_10_exceptional_layer():
 
 def test_criterion_11_engine_properties():
     from blocksep.opalg import DiffOp, angular_momentum
-    from blocksep.ring import Coefficient, Context, Poly
+    from blocksep.ring import Coefficient, Context, Poly, pack
 
     ok = True
     # associativity and Jacobi, 200 randomized cases each (exact)
@@ -239,7 +239,7 @@ def test_criterion_11_engine_properties():
             c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
             if not c:
                 continue
-            coef = Coefficient.make(ctx, Poly(ctx.nvars, {tuple(mono): c}))
+            coef = Coefficient.make(ctx, Poly(ctx.nvars, {pack(mono): c}))
             op = op.add(DiffOp(ctx, {tuple(alpha): coef}))
         return op
 

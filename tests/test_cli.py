@@ -198,6 +198,24 @@ def test_model2_potential_has_no_symbolic_run(runner, tmp_path, monkeypatch, mod
         assert "summary: 3/3 passed" in res.output
 
 
+def test_exponent_overflow_exit_two(runner, monkeypatch):
+    """A monomial past the ring's exponent limit ends the run with a one-line
+    config error, never a wrong monomial or a traceback.  Fields narrowed to
+    three bits hold degrees up to 3, which the oscillator algebra exceeds."""
+    from blocksep import ring
+    from blocksep.errors import ExponentOverflowError
+
+    monkeypatch.setattr(ring, "W", 3)
+    monkeypatch.setattr(ring, "_MASK", 7)
+    message = "a monomial's degree exceeds 3, the exponent limit of the ring"
+    with pytest.raises(ConfigError, match=message) as info:
+        run_verify({"catalog": "oscillator-algebra", "blocks": [2, 2]})
+    assert isinstance(info.value.__cause__, ExponentOverflowError)
+    res = runner.invoke(main, ["verify", "--catalog", "oscillator-algebra", "--blocks", "2,2"])
+    assert res.exit_code == 2, res.output
+    assert res.output == f"config error: catalog 'oscillator-algebra': {message}\n"
+
+
 @pytest.mark.parametrize("config, args", [
     ({"catalog": "proposition-A"}, ["--blocks", "2,2"]),
     ({"catalog": "proposition-A", "model": {

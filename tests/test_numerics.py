@@ -279,6 +279,45 @@ def test_numeric_run_builds_and_compiles_each_integral_once(monkeypatch):
     assert len(built) >= 3 and [id(op) for op in raws] == [id(op) for op in built]
 
 
+def test_coefficient_values_equal_a_tuple_exponent_evaluation():
+    """Coefficient.eval_numeric gives the bits of a term-by-term evaluation
+    over exponent tuples in the same multiplication order, on its first call,
+    which unpacks the monomials, and on the next, which reuses them.  The
+    coefficients are those of a Coulomb model with a model2 block; the X
+    integrals hold r.  With eta = 3 some coefficients are not powers of two,
+    so another order of the factors changes the bits."""
+    from blocksep.integrals import enumerate_integrals
+    from blocksep.ring import unpack
+
+    spec = coulomb_spec([2, 2], (model2_potential(2, 4, 1),), eta=3)
+    env = OperatorEnv.for_model(spec)
+    ctx = env.ctx
+    coefs = []
+    for name in enumerate_integrals(spec):
+        raw = env.raw(name)
+        coefs += [*raw.base.terms.values(), *(att.coef for att in raw.attachments)]
+    assert any(not c.num.select_slot(ctx.norm_slot, 1).is_zero() for c in coefs)
+
+    def tuple_value(p, values):
+        total = 0.0
+        for m, c in p.terms.items():
+            term = float(c)
+            for slot, e in enumerate(unpack(p.n, m)):
+                if e:
+                    term = term * values[slot] ** e
+            total = total + term
+        return total
+
+    coords = list(np.random.default_rng(7).uniform(0.3, 1.5, size=(ctx.nx, 16)))
+    values = coords + [sum(v**2 for v in coords) ** 0.5]
+    for c in coefs:
+        want = tuple_value(c.num, values)
+        for aid, e in c.den:
+            want = want / tuple_value(ctx.atom_by_id(aid).poly, values) ** e
+        for _ in range(2):
+            assert np.array_equal(c.eval_numeric(coords, {}), want)
+
+
 def test_eigensolver_calibration():
     for c, gamma in ((0.0, 1.0), (2.0, 2.0), (15.0 / 4.0, 2.5)):
         prob = Eigensolve1DProblem(lambda r, c=c: r**2 + c / r**2, L=14.0, n_eigenvalues=4)

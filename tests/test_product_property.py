@@ -18,7 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from blocksep.opalg import DiffOp  # noqa: E402
-from blocksep.ring import Coefficient, Context, Poly  # noqa: E402
+from blocksep.ring import Coefficient, Context, Poly, pack, unpack  # noqa: E402
 from oracles import (apply_coefficient, coefficient_mul, formal_transpose,  # noqa: E402
                      termwise_product, two_product_composition)
 
@@ -41,7 +41,7 @@ def monomials(ctx, r_exps=st.just(0)):
     """c x^m r^e with |m| <= 2; a context without r takes no r_exps."""
     r_exps = r_exps.map(lambda e: (e,)) if ctx.norm_slot is not None else st.just(())
     return st.tuples(indices(ctx.nx), r_exps, coefficients).map(
-        lambda t: Poly(ctx.nvars, {t[0] + t[1]: 1}).scale(t[2]))
+        lambda t: Poly(ctx.nvars, {pack(t[0] + t[1]): 1}).scale(t[2]))
 
 
 def polys(ctx):
@@ -132,7 +132,7 @@ def _to_sympy(sp, coef, xs, r):
 
     def poly(p):
         return sum(sp.Rational(c.numerator, c.denominator)
-                   * sp.Mul(*(v**e for v, e in zip((*xs, r), m)))
+                   * sp.Mul(*(v**e for v, e in zip((*xs, r), unpack(p.n, m))))
                    for m, c in p.terms.items())
 
     den = sp.Mul(*(poly(ctx.atom_by_id(aid).poly) ** e for aid, e in coef.den))

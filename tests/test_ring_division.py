@@ -16,7 +16,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from blocksep.ring import Coefficient, Context, Poly, row_reduce  # noqa: E402
+from blocksep.ring import Coefficient, Context, Poly, pack, row_reduce, unpack  # noqa: E402
 from oracles import reference_row_reduce  # noqa: E402
 
 NX = 4
@@ -27,16 +27,18 @@ PROPERTY = hypothesis.settings(derandomize=True, max_examples=150, deadline=None
 
 
 def quadratic_exact_div(p: Poly, d: Poly):
-    """Reference: rescan the remainder for its deglex-leading term each step."""
+    """Reference on exponent tuples: rescan the remainder for its
+    deglex-leading term each step."""
 
     def deglex(m):
         return (sum(m), m)
 
     if not p.terms:
         return p
-    dm = max(d.terms, key=deglex)
-    dc = d.terms[dm]
-    rem = dict(p.terms)
+    dterms = {unpack(d.n, m): c for m, c in d.terms.items()}
+    dm = max(dterms, key=deglex)
+    dc = dterms[dm]
+    rem = {unpack(p.n, m): c for m, c in p.terms.items()}
     out = {}
     while rem:
         rm = max(rem, key=deglex)
@@ -45,14 +47,14 @@ def quadratic_exact_div(p: Poly, d: Poly):
         q = Fraction(rem[rm]) / dc
         qm = tuple(a - b for a, b in zip(rm, dm))
         out[qm] = out.get(qm, Fraction(0)) + q
-        for m2, c2 in d.terms.items():
+        for m2, c2 in dterms.items():
             mm = tuple(a + b for a, b in zip(qm, m2))
             nc = rem.get(mm, Fraction(0)) - q * c2
             if nc:
                 rem[mm] = nc
             else:
                 rem.pop(mm, None)
-    return Poly(p.n, out)
+    return Poly(p.n, {pack(m): c for m, c in out.items()})
 
 
 coefficients = st.builds(
@@ -61,7 +63,7 @@ coefficients = st.builds(
     st.integers(1, 6),
 )
 monomials = st.tuples(*(st.integers(0, e) for e in MAX_EXP))
-polys = st.dictionaries(monomials, coefficients, min_size=1, max_size=8).map(
+polys = st.dictionaries(monomials.map(pack), coefficients, min_size=1, max_size=8).map(
     lambda terms: Poly(N, terms)
 )
 
@@ -76,8 +78,8 @@ def atoms(draw):
         return Poly.var(N, i).scale(scale)
     support = draw(st.sets(st.integers(0, NX - 1), min_size=2, max_size=NX))
     weighted = draw(st.booleans())
-    terms = {tuple(2 if k == i else 0 for k in range(N)): draw(coefficients) if weighted else scale
-             for i in sorted(support)}
+    terms = {pack(tuple(2 if k == i else 0 for k in range(N))):
+             draw(coefficients) if weighted else scale for i in sorted(support)}
     return Poly(N, terms)
 
 
@@ -92,9 +94,9 @@ def test_exact_div_round_trip(p, d):
 def test_exact_div_non_multiple_is_none(p, d, m, c):
     # a monomial free of d's variables is never a multiple of d, so adding it
     # to a multiple of d leaves a non-multiple
-    support = {i for m2 in d.terms for i, e in enumerate(m2) if e}
+    support = {i for m2 in d.terms for i, e in enumerate(unpack(N, m2)) if e}
     m = tuple(0 if i in support else e for i, e in enumerate(m))
-    assert p.mul(d).add(Poly(N, {m: c})).exact_div(d) is None
+    assert p.mul(d).add(Poly(N, {pack(m): c})).exact_div(d) is None
 
 
 @PROPERTY
@@ -116,7 +118,7 @@ def test_exact_div_matches_quadratic_reference(p, d, multiple):
 mixed_coefficients = st.one_of(st.integers(-9, 9).filter(bool), coefficients).map(
     lambda c: c if isinstance(c, int) or c.denominator != 1 else c.numerator
 )
-mixed_polys = st.dictionaries(monomials, mixed_coefficients, min_size=1, max_size=8).map(
+mixed_polys = st.dictionaries(monomials.map(pack), mixed_coefficients, min_size=1, max_size=8).map(
     lambda terms: Poly(N, terms)
 )
 
