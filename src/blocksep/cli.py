@@ -345,10 +345,10 @@ def verify(catalog, blocks, mode, seed, tol, out_path, jobs, config_path, relati
 @main.command()
 @click.option("--family", type=click.Choice([OSCILLATOR, COULOMB]), required=True)
 @click.option("--blocks", type=str, required=True)
-@click.option("--kmax", type=int, default=2, help="max radial number per block")
-@click.option("--lmax", type=int, default=1, help="max harmonic degree per block")
-@click.option("--nrmax", type=int, default=2, help="max N_r (coulomb)")
-@click.option("--jmax", type=int, default=1, help="max inter-block number (coulomb)")
+@click.option("--kmax", type=click.IntRange(0), default=2, help="max radial number per block")
+@click.option("--lmax", type=click.IntRange(0), default=1, help="max harmonic degree per block")
+@click.option("--nrmax", type=click.IntRange(0), default=2, help="max N_r (coulomb)")
+@click.option("--jmax", type=click.IntRange(0), default=1, help="max inter-block number (coulomb)")
 @click.option("--omega2", type=str, default="1")
 @click.option("--eta", type=str, default="2")
 @click.option("--out", "out_path", type=str, default=None)
@@ -451,10 +451,14 @@ def eigencheck(family, blocks, quantum, potentials, omega2, eta, tol,
         H = H.symbolic(spec)
     H = compile_operator(H, spec, {}, scheme)
     vals = []
-    for x in pts:
-        hv = apply_numeric(H, psi, x, scheme)
-        pv = float(psi([np.array(v) for v in x]))
-        vals.append(hv / pv)
+    try:
+        for x in pts:
+            hv, pv = apply_numeric(H, psi, x, scheme), float(psi([np.array(v) for v in x]))
+            if pv == 0 or not math.isfinite(pv):
+                raise ConfigError(f"psi is {pv} at the sample point {[float(v) for v in x]}")
+            vals.append(hv / pv)
+    except BlocksepError as exc:
+        _fail(exc)
     arr = np.array(vals)
     spread = float(arr.std() / abs(arr.mean()))
     agree = abs(float(arr.mean()) - expect) / max(1.0, abs(expect))

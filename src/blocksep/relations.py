@@ -137,6 +137,18 @@ def acomm(a, b) -> Acomm:
 
 
 @dataclass(frozen=True)
+class Image:
+    """Marks a relation as the tree of relation ``source`` with each left integral
+    of ``leaves`` replaced by its right one.  A swap of coordinate slots is an
+    algebra automorphism and the normal form is unique, so if the swap maps each
+    left integral onto its right one, it maps the source's residual onto this one."""
+
+    source: str
+    slots: tuple  # (i, j), 0-based
+    leaves: tuple  # (IntegralName, IntegralName) pairs
+
+
+@dataclass(frozen=True)
 class Relation:
     name: str
     expr: object  # tree expected to reduce to zero
@@ -144,6 +156,7 @@ class Relation:
     group: str | None = None  # reading-group id for record items
     note: str = ""
     diagnose: object = None  # optional callable(residual, env) -> str
+    image: Image | None = None  # set when the relation is another's transposed image
 
 
 @dataclass
@@ -256,15 +269,26 @@ def eval_node(node, env: OperatorEnv) -> DiffOp:
 # -- verification -----------------------------------------------------------------
 
 
-def verify_relation(rel: Relation, env: OperatorEnv) -> ReportItem:
+def verify_relation(rel: Relation, env: OperatorEnv, memo: dict | None = None) -> ReportItem:
+    """Reduce one relation.  ``memo`` holds the residuals of image sources: an
+    image whose source is on file is transported if the swap maps each of its
+    integral pairs, and reduced directly otherwise."""
     item = ReportItem(rel.name, "relation", "symbolic", "zero", None,
                       expectation=rel.expectation, group=rel.group, note=rel.note)
+    im = rel.image
+    source = memo.get((im.source, env)) if im and memo else None
     try:
-        residual = eval_node(rel.expr, env)
+        if source is not None and all(env.operator(a).swap_coordinates(*im.slots) == env.operator(b)
+                                      for a, b in im.leaves):
+            residual = source.swap_coordinates(*im.slots)
+        else:
+            residual = eval_node(rel.expr, env)
     except (InvalidIntegralError, InapplicableRelationError,
             UnsupportedSymbolicPotentialError) as exc:
         item.status, item.note = "inapplicable", str(exc)
         return item
+    if memo is not None and (rel.name, env) in memo:
+        memo[rel.name, env] = residual
     if residual.is_zero():
         item.passed = rel.expectation != "nonzero"
         return item
@@ -279,8 +303,10 @@ def verify_relation(rel: Relation, env: OperatorEnv) -> ReportItem:
 
 
 def verify_symbolic(rs: RelationSet) -> list[ReportItem]:
-    """Run every relation in its own environment; then settle reading groups."""
-    return settle_groups([verify_relation(rel, env) for rel, env in rs.pairs])
+    """Run every relation in its own environment, in report order, each image
+    by transport once its source is reduced; then settle reading groups."""
+    memo = {(rel.image.source, env): None for rel, env in rs.pairs if rel.image is not None}
+    return settle_groups([verify_relation(rel, env, memo) for rel, env in rs.pairs])
 
 
 def settle_groups(items: list) -> list:
@@ -587,16 +613,25 @@ def _xw_display(spec: ModelSpec, j: int, sigma):
 
 
 def coulomb_yx_relations(spec: ModelSpec, j: int):
-    """The X/W triple at X[j]; j = D is the un-conjugated display."""
+    """The X/W triple at X[j]; j = D is the un-conjugated display, and at j < D
+    each relation is the x_j <-> x_D image of its j = D one."""
     D = spec.partition.D
     X, Y1 = op("X", j), op("Y", 1)
     W = comm(Y1, X)
     tag = f"coul-yx-j{j}"
+    leaves = tuple((IntegralName(k, D), IntegralName(k, j)) for k in ("X", "sigmaS"))
+    leaves += ((Y1.name,) * 2, (IntegralName("Hcoul"),) * 2)
+
+    def image(k):
+        return Image(f"coul-yx-j{D}-{k}", (j - 1, D - 1), leaves) if j < D else None
+
     return [
-        Relation(f"{tag}-1-def", sub(comm(Y1, X), W), note="defining relation for W"),
+        Relation(f"{tag}-1-def", sub(comm(Y1, X), W), note="defining relation for W",
+                 image=image("1-def")),
         Relation(f"{tag}-2", sub(comm(Y1, W), add(neg(mul(num(2), acomm(Y1, X))),
-                                                   mul(num((D - 1) * (D - 3)), X)))),
-        Relation(f"{tag}-3", _xw_display(spec, j, op("sigmaS", j))),
+                                                   mul(num((D - 1) * (D - 3)), X))),
+                 image=image(2)),
+        Relation(f"{tag}-3", _xw_display(spec, j, op("sigmaS", j)), image=image(3)),
     ]
 
 

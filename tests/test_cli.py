@@ -287,6 +287,9 @@ PINNED_REPORTS = [
     ("gauge", [2, 2, 2], "880204564c5a50625a20a2235bea4a0e7012f64a7fefc83d14fb758cec03c58c"),
     ("oscillator", [1, 1, 1], "24ae25ee869ee2971b527fe56ceae6ffd6f6a5c05e7b4a765870f5c886f0563b"),
     ("coulomb", [1, 2, 2], "fed0eb66ea3f1374abbe5d9a6108df58a752038f133ff7bc13c82a86f33e5ea5"),
+    # two X/W triples each that serial runs transport from the j = D one
+    ("coulomb", [1, 3], "45b5ee6ee4748246e007d86f30f9b9a63fee45576043dccb306b9299beac0278"),
+    ("coulomb", [2, 3], "7e42d8dc2fdd1df36be9ab7cf45d984bfe3fbbd1371e5a7ba1d036057473760d"),
     ("coulomb-erratum-wrong", [1, 2, 1],
      "69f460be67b5e9995274474a880c3acd4f2b96c488e2fa16aab6a8159128c47c"),
 ]
@@ -359,6 +362,8 @@ def test_mode_both_carries_both_item_sets(runner, tmp_path):
     pytest.param({"catalog": "coulomb-zy"}, [1, 1, 1], id="coulomb-zy"),
     # brackets shared between relations
     pytest.param({"catalog": "oscillator"}, [2, 2], id="oscillator"),
+    # serial runs transport the j < D X/W triples; workers reduce them directly
+    pytest.param({"catalog": "coulomb"}, [1, 3], id="coulomb"),
     # workers read the file again
     pytest.param({"relation_file": "REL"}, [2, 2], id="relation-file"),
 ])
@@ -581,6 +586,49 @@ def test_eigencheck_points_must_be_positive(runner, points):
                                "--quantum", _OSC_GROUND, "--points", points])
     assert res.exit_code == 2, res.output
     assert "--points" in res.output
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["--family", "oscillator", "--blocks", "2",
+                  "--quantum", '{"angular": [0], "radial": [0]}', "--omega2", "1e8"],
+                 id="oscillator-omega2-1e8"),
+    pytest.param(["--family", "coulomb", "--blocks", "2,2",
+                  "--quantum", '{"angular": [0, 0], "radial": [0], "hyper_J": [0]}',
+                  "--eta", "1e6"], id="coulomb-eta-1e6"),
+])
+def test_eigencheck_psi_underflow_exit_two(runner, args):
+    """psi underflows to 0 at a sample point: a config error naming the point."""
+    res = runner.invoke(main, ["eigencheck"] + args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), repr(res.exception)
+    assert "config error: psi is 0.0 at the sample point [" in res.output
+
+
+def test_eigencheck_numeric_error_exit_two(runner, monkeypatch):
+    from blocksep import numerics
+    from blocksep.errors import EvaluationSingularityError
+
+    def failing(*args):
+        raise EvaluationSingularityError("stencil touches a singular plane")
+
+    monkeypatch.setattr(numerics, "apply_numeric", failing)
+    res = runner.invoke(main, ["eigencheck", "--family", "oscillator", "--blocks", "2,2",
+                               "--quantum", _OSC_GROUND])
+    assert res.exit_code == 2, res.output
+    assert "config error: stencil touches a singular plane" in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["--family", "oscillator", "--blocks", "2", "--kmax", "-1"],
+    ["--family", "oscillator", "--blocks", "2", "--lmax", "-1"],
+    ["--family", "coulomb", "--blocks", "2,2", "--nrmax", "-1"],
+    ["--family", "coulomb", "--blocks", "2,2", "--jmax", "-1"],
+], ids=["kmax", "lmax", "nrmax", "jmax"])
+def test_spectrum_negative_range_exit_two(runner, args):
+    """A negative range would leave no rows, and 0/0 rows is not a pass."""
+    res = runner.invoke(main, ["spectrum"] + args)
+    assert res.exit_code == 2, res.output
+    assert f"Invalid value for '{args[-2]}'" in res.output
 
 
 def test_build_catalog_gauge_all_levels():

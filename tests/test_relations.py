@@ -12,7 +12,10 @@ from blocksep.integrals import IntegralName
 from blocksep.models import coulomb_spec, oscillator_spec
 from blocksep.relations import (
     MAX_NESTING,
+    Image,
     OperatorEnv,
+    Relation,
+    RelationSet,
     build_catalog,
     catalog_gauge_identities,
     catalog_negative_controls,
@@ -21,6 +24,7 @@ from blocksep.relations import (
     comm,
     eval_node,
     op,
+    over,
     parse_relation_file,
     parse_relation_line,
     verify_relation,
@@ -104,6 +108,92 @@ def test_coulomb_erratum_control_2_2():
     ocs = verify_symbolic(rs)
     assert len(ocs) == 1
     assert ocs[0].status == "residual" and ocs[0].passed
+
+
+TRANSPORT_BLOCKS = [[1, 3], [2, 2], [1, 1, 2], [2, 3]]
+
+
+@pytest.mark.parametrize("blocks", TRANSPORT_BLOCKS,
+                         ids=[",".join(map(str, b)) for b in TRANSPORT_BLOCKS])
+def test_transported_residual_equals_direct_reduction(blocks):
+    """Each j < D X/W relation is the image of its j = D relation: the swap maps
+    every integral pair, and the swapped residual of the source equals by
+    to_text() a direct reduction in a cold env; so does the nonzero W."""
+    spec = coulomb_spec(blocks)
+    rs = build_catalog("coulomb-yx", spec)
+    env = rs.pairs[0][1]
+    source = {rel.name: rel for rel in rs.relations}
+    images = [rel for rel in rs.relations if rel.image is not None]
+    D = spec.partition.D
+    assert len(images) == 3 * (spec.partition.block_sizes[-1] - 1)
+    for rel in images:
+        slots = rel.image.slots
+        assert all(env.operator(a).swap_coordinates(*slots) == env.operator(b)
+                   for a, b in rel.image.leaves), rel.name
+        moved = eval_node(source[rel.image.source].expr, env).swap_coordinates(*slots)
+        assert moved.to_text() == eval_node(rel.expr, OperatorEnv.for_model(spec)).to_text()
+    for i, j in {rel.image.slots for rel in images}:
+        W = eval_node(comm(op("Y", 1), op("X", D)), env).swap_coordinates(i, j)
+        direct = eval_node(comm(op("Y", 1), op("X", i + 1)), OperatorEnv.for_model(spec))
+        assert not W.is_zero() and W.to_text() == direct.to_text()
+
+
+def _reduced_roots(monkeypatch) -> list:
+    """Every tree node that eval_node is called on from now on."""
+    from blocksep import relations
+
+    nodes, original = [], relations.eval_node
+    monkeypatch.setattr(relations, "eval_node",
+                        lambda node, env: nodes.append(node) or original(node, env))
+    return nodes
+
+
+def test_verify_symbolic_transports_every_image(monkeypatch):
+    """No j < D X/W relation is reduced, and each item equals a direct reduction's."""
+    rs = build_catalog("coulomb-yx", coulomb_spec([1, 3]))
+    env = rs.pairs[0][1]
+    nodes = _reduced_roots(monkeypatch)
+    items = verify_symbolic(rs)
+    images = [rel for rel in rs.relations if rel.image is not None]
+    assert len(images) == 6 and not any(n is rel.expr for n in nodes for rel in images)
+    monkeypatch.undo()
+    for rel, item in zip(rs.relations, items):
+        if rel.image is not None:
+            assert item.to_json() == verify_relation(rel, env).to_json()
+
+
+def test_nonzero_residual_transports_as_its_direct_reduction(monkeypatch):
+    spec = coulomb_spec([2, 3])
+    leaves = ((IntegralName("X", 5), IntegralName("X", 4)), (IntegralName("Y", 1),) * 2)
+    src = Relation("W[5]", comm(op("Y", 1), op("X", 5)))
+    img = Relation("W[4]", comm(op("Y", 1), op("X", 4)), image=Image("W[5]", (3, 4), leaves))
+    nodes = _reduced_roots(monkeypatch)
+    _, moved = verify_symbolic(RelationSet("w", over(OperatorEnv.for_model(spec), [src, img])))
+    assert not any(n is img.expr for n in nodes)
+    monkeypatch.undo()
+    direct = verify_relation(img, OperatorEnv.for_model(spec))
+    assert moved.status == "residual" and moved.to_json() == direct.to_json()
+
+
+def test_broken_premise_falls_back_to_direct_reduction(monkeypatch):
+    """An X[3] built without its transposition makes coul-sigma-X[3] a residual;
+    the j = 3 triple is then reduced directly, and its third display, which a
+    transport would have proved, no longer vanishes."""
+    from blocksep import relations
+
+    real = relations.build_integral
+    monkeypatch.setattr(relations, "build_integral", lambda name, spec, ctx: real(
+        IntegralName("X", 4) if name == IntegralName("X", 3) else name, spec, ctx))
+    rs = build_catalog("coulomb-yx", coulomb_spec([2, 2]))
+    env = rs.pairs[0][1]
+    nodes = _reduced_roots(monkeypatch)
+    ocs = outcomes_by_name(verify_symbolic(rs))
+    assert ocs["coul-sigma-X[3]"].status == "residual"
+    assert ocs["coul-yx-j4-3"].status == "zero" and ocs["coul-yx-j3-3"].status == "residual"
+    for rel in rs.relations:
+        if rel.image is not None:
+            assert any(n is rel.expr for n in nodes), rel.name
+            assert ocs[rel.name].to_json() == verify_relation(rel, env).to_json()
 
 
 def test_coulomb_zy_recorded_with_diagnosis():
