@@ -37,7 +37,7 @@ from .relations import (
     over,
     parse_relation_file,
     settle_groups,
-    verify_relation,
+    verify_in_order,
     verify_symbolic,
 )
 
@@ -119,8 +119,8 @@ def _worker_init(config: dict):
     _WORKER_STATE["rs"] = _relation_set(config, _verify_model(config))
 
 
-def _worker_verify(index: int):
-    return verify_relation(*_WORKER_STATE["rs"].pairs[index])
+def _worker_verify(indices: list):
+    return verify_in_order([_WORKER_STATE["rs"].pairs[i] for i in indices])
 
 
 def run_verify(config: dict) -> VerificationReport:
@@ -134,14 +134,19 @@ def run_verify(config: dict) -> VerificationReport:
     if not rs.pairs:
         raise ConfigError(f"{_source(config)} has no relations on this model")
 
-    # more workers than cores or relations only cost start-up: fork starts them all at once
+    # more workers than cores or relation groups only cost start-up: fork starts them all at once
     jobs = max(1, min(config.get("jobs", 1), os.cpu_count() or 1, len(rs.pairs)))
     if mode in ("symbolic", "both"):
         try:
             if jobs > 1:
-                with ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init,
-                                         initargs=(config,)) as pool:
-                    items = settle_groups(list(pool.map(_worker_verify, range(len(rs.pairs)))))
+                groups: dict = {}  # an image goes with its source, so a worker transports it
+                for i, (rel, env) in enumerate(rs.pairs):
+                    groups.setdefault((getattr(rel.image, "source", rel.name), env), []).append(i)
+                with ProcessPoolExecutor(max_workers=min(jobs, len(groups)),
+                                         initializer=_worker_init, initargs=(config,)) as pool:
+                    done = zip(itertools.chain(*groups.values()),
+                               itertools.chain(*pool.map(_worker_verify, groups.values())))
+                    items = settle_groups([item for _, item in sorted(done)])
             else:
                 items = verify_symbolic(rs)
         except ExponentOverflowError as exc:

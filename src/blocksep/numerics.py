@@ -4,12 +4,15 @@ Operators act on scalar fields through central-difference stencils composed
 axis by axis on a local tensor grid around the evaluation point, so nested
 applications (commutators, operator products) reuse the same probe values.
 Evaluation is demand-driven: a relation's residual needs only the center
-value of its tree, and each subtree and each operator term gets only the
-grid points its parent's result needs, that result's radius plus the stencil
-margin it consumes.  Stencils and coefficient products act point by point,
-so no value depends on how far the grid around it extends, and the cropping
-changes no bit of any result.  Residuals are normalized by the largest
-intermediate magnitude to absorb the cancellation inherent in double
+value of its tree, and each subtree and each operator term gets only the grid
+points its parent's result needs, that result's radius plus the stencil
+margin it consumes.  Stencils and coefficient products act point by point, so
+no value depends on how far the grid around it extends, and the cropping
+changes no bit of any result.  A stencil pass is one ``np.vecdot`` of the
+weights with a window view of each point's samples along the axis, a
+contraction per point; on longdouble, which numeric verification uses, each
+sum runs in order from the first offset.  Residuals are normalized by the
+largest intermediate magnitude to absorb the cancellation inherent in double
 commutators of fourth-order products.
 """
 
@@ -83,6 +86,12 @@ def central_weights(m: int, order: int) -> tuple:
     s = (order + m - 1) // 2 if m % 2 else (order + m) // 2 - 1
     w = fornberg_weights(m, range(-s, s + 1))
     return s, tuple(float(v) for v in w)
+
+
+@lru_cache(maxsize=None)
+def _weight_array(m: int, order: int, dtype) -> np.ndarray:
+    """The weights of ``central_weights`` as an array of ``dtype``."""
+    return np.array(central_weights(m, order)[1], dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -210,20 +219,12 @@ def _axis_coords(x0, h, radius, dim, dtype=np.float64):
 def _stencil_axis(values: np.ndarray, axis: int, m: int, h: float, scheme: FDScheme):
     if m == 0:
         return values
-    s, w = central_weights(m, scheme.order)
-    length = values.shape[axis] - 2 * s
-    out = tmp = None
-    for j, wj in enumerate(w):
-        if wj == 0.0:
-            continue
-        sl = [slice(None)] * values.ndim
-        sl[axis] = slice(j, j + length)
-        if out is None:
-            out = values[tuple(sl)] * wj
-            tmp = np.empty_like(out)
-        else:
-            np.multiply(values[tuple(sl)], wj, out=tmp)
-            out += tmp
+    w = _weight_array(m, scheme.order, values.dtype)
+    shape = list(values.shape)
+    shape[axis] -= len(w) - 1
+    windows = np.lib.stride_tricks.as_strided(
+        values, (*shape, len(w)), (*values.strides, values.strides[axis]), writeable=False)
+    out = np.vecdot(windows, w)
     out /= h**m
     return out
 

@@ -302,11 +302,15 @@ def verify_relation(rel: Relation, env: OperatorEnv, memo: dict | None = None) -
     return item
 
 
+def verify_in_order(pairs) -> list[ReportItem]:
+    """Verify the pairs in order, each image by transport once its source is reduced."""
+    memo = {(rel.image.source, env): None for rel, env in pairs if rel.image is not None}
+    return [verify_relation(rel, env, memo) for rel, env in pairs]
+
+
 def verify_symbolic(rs: RelationSet) -> list[ReportItem]:
-    """Run every relation in its own environment, in report order, each image
-    by transport once its source is reduced; then settle reading groups."""
-    memo = {(rel.image.source, env): None for rel, env in rs.pairs if rel.image is not None}
-    return settle_groups([verify_relation(rel, env, memo) for rel, env in rs.pairs])
+    """``verify_in_order`` in report order; then settle reading groups."""
+    return settle_groups(verify_in_order(rs.pairs))
 
 
 def settle_groups(items: list) -> list:

@@ -1,11 +1,11 @@
 """Reference implementations the tests check blocksep against.
 
 Each oracle is written apart from the code it checks and uses only the
-public ring, operator, model and relation-tree API (``substitute_params``
-also reads the context's parameter slots), so a fault in the Leibniz
-product, the relation evaluator, the Cartesian potential evaluator or the
-report writer does not also hide in its oracle.  None of this runs in
-production.
+public ring, operator, model, relation-tree and stencil-weight API
+(``substitute_params`` also reads the context's parameter slots), so a fault
+in the Leibniz product, the relation evaluator, the stencil pass, the
+Cartesian potential evaluator or the report writer does not also hide in its
+oracle.  None of this runs in production.
 """
 
 import itertools
@@ -14,7 +14,10 @@ import math
 from fractions import Fraction
 from importlib import resources
 
+import numpy as np
+
 from blocksep.models import Hierarchy, Model2F11, Zero
+from blocksep.numerics import central_weights
 from blocksep.opalg import DiffOp
 from blocksep.relations import (Acomm, Comm, ConstRef, Fixed, OpRef, ParamRef, Prod, Scalar,
                                 Sum)
@@ -164,6 +167,31 @@ def reference_row_reduce(rows: list, ncols: int) -> list:
         pivots.append(c)
         r += 1
     return pivots
+
+
+def stencil_axis_reference(values, axis: int, m: int, h: float, order: int):
+    """The m-th central difference of ``values`` along ``axis`` at every point
+    with a full stencil, as one multiply-add over a shifted slice per nonzero
+    weight, in offset order.  This is the stencil pass blocksep ran before its
+    strided contraction."""
+    if m == 0:
+        return values
+    s, w = central_weights(m, order)
+    length = values.shape[axis] - 2 * s
+    out = tmp = None
+    for j, wj in enumerate(w):
+        if wj == 0.0:
+            continue
+        sl = [slice(None)] * values.ndim
+        sl[axis] = slice(j, j + length)
+        if out is None:
+            out = values[tuple(sl)] * wj
+            tmp = np.empty_like(out)
+        else:
+            np.multiply(values[tuple(sl)], wj, out=tmp)
+            out += tmp
+    out /= h**m
+    return out
 
 
 def _level_value(level, phi) -> float:

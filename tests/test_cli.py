@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -14,7 +15,7 @@ import blocksep
 from blocksep import cli
 from blocksep.cli import build_catalog, load_config, main, run_verify
 from blocksep.errors import ConfigError
-from blocksep.models import oscillator_spec
+from blocksep.models import Zero, model2_potential, oscillator_spec, spec_to_json
 from blocksep.report import serialize
 from oracles import validate_report
 
@@ -302,6 +303,28 @@ def test_symbolic_report_matches_its_pinned_digest(catalog, blocks, digest):
     assert hashlib.sha256(serialize(report, drop_runtime=True).encode()).hexdigest() == digest
 
 
+# SHA-256 of each numeric report without its runtime_info: residuals in x87
+# extended precision, recorded before the stencil pass became one contraction
+PINNED_NUMERIC = [
+    pytest.param({"catalog": "oscillator-algebra", "params": {"w2": 1.0}, "model": spec_to_json(
+        oscillator_spec([2, 1], (model2_potential(2, 4, 1), Zero())))},
+        "75a692b417c433f04763bd95a7097b339fd0d6d9b219a5eef71842f0b7475a7e",
+        id="oscillator-algebra-model2-2,1"),
+    pytest.param({"catalog": "negative-controls", "blocks": [1, 2]},
+                 "499942fce7d945d0ef674278439eeba6b8d81a5b0bb09c87f102a3307906340e",
+                 id="negative-controls-1,2"),
+]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                    reason="the digests are of x87 80-bit longdouble residuals")
+@pytest.mark.parametrize("source, digest", PINNED_NUMERIC)
+def test_numeric_report_matches_its_pinned_digest(source, digest):
+    config = {"mode": "numeric", "probes": 2, "points": 3, "seed": 7} | source
+    report = run_verify(config)
+    assert hashlib.sha256(serialize(report, drop_runtime=True).encode()).hexdigest() == digest
+
+
 # SHA-256 of each spectrum report without its runtime_info, in the form
 # serialize(..., drop_runtime=True) writes
 PINNED_SPECTRA = [
@@ -362,8 +385,9 @@ def test_mode_both_carries_both_item_sets(runner, tmp_path):
     pytest.param({"catalog": "coulomb-zy"}, [1, 1, 1], id="coulomb-zy"),
     # brackets shared between relations
     pytest.param({"catalog": "oscillator"}, [2, 2], id="oscillator"),
-    # serial runs transport the j < D X/W triples; workers reduce them directly
+    # j < D X/W triples, each transported by the worker that reduces its j = D source
     pytest.param({"catalog": "coulomb"}, [1, 3], id="coulomb"),
+    pytest.param({"catalog": "coulomb"}, [2, 2], id="coulomb-2,2"),
     # workers read the file again
     pytest.param({"relation_file": "REL"}, [2, 2], id="relation-file"),
 ])
@@ -406,6 +430,43 @@ def test_jobs_clamped_to_cpus_and_relations(monkeypatch, jobs, expect):
     report = run_verify(config)
     assert len(report.items) == 3
     assert started == expect
+
+
+class InProcessPool:
+    """A ProcessPoolExecutor stand-in that runs the initializer and the work here."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("blocks", [[1, 3], [2, 2]])
+def test_jobs_workers_transport_each_image(monkeypatch, blocks):
+    """Each j < D X/W display goes to the worker of its j = D source, which
+    transports it: no image tree reaches eval_node, and the report is the
+    serial one."""
+    from blocksep import relations
+
+    config = {"command": "verify", "catalog": "coulomb", "blocks": blocks, "mode": "symbolic"}
+    serial = [item.to_json() for item in run_verify(dict(config)).items]
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli, "_WORKER_STATE", {})
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    nodes, original = [], relations.eval_node
+    monkeypatch.setattr(relations, "eval_node",
+                        lambda node, env: nodes.append(node) or original(node, env))
+    parallel = run_verify(dict(config) | {"jobs": 2})
+    images = [rel for rel, _ in cli._WORKER_STATE["rs"].pairs if rel.image is not None]
+    assert images and not any(n is rel.expr for n in nodes for rel in images)
+    assert [item.to_json() for item in parallel.items] == serial
 
 
 def test_gauge_numeric_reports_table_envs_inapplicable(runner, tmp_path):

@@ -19,6 +19,7 @@ from blocksep.numerics import (
     NumericEnv,
     ProbeFunction,
     _ring_eigenvalues,
+    _stencil_axis,
     apply_numeric,
     central_weights,
     eigensolve_1d,
@@ -31,6 +32,7 @@ from blocksep.opalg import DiffOp
 from blocksep.relations import (OperatorEnv, catalog_negative_controls, coulomb_yx_relations,
                                 oscillator_quadratic_relations)
 from blocksep.ring import Context
+from oracles import stencil_axis_reference
 
 
 def test_fornberg_weights_first_derivative():
@@ -202,6 +204,52 @@ def test_apply_on_grid_is_exact_on_a_larger_grid(extended, R):
             values = _crop(big, big_radius, [R + m + k] * 3)
             got = apply_on_grid(nop, values, x, scheme.h, R + m + k, scheme)
             assert np.array_equal(_crop(got, R + k, [R] * 3), want), (kind, k)
+
+
+def test_stencil_pass_matches_the_shifted_slice_loop():
+    """One stencil pass against the loop over shifted slices it replaced, on
+    cropped inputs of 1 to 4 dimensions, strided or in Fortran order: bit-equal
+    on longdouble, within a few ulp of the sum of its terms' magnitudes on
+    float64, and in both dtypes the same on a crop as the crop of the pass
+    over the whole array."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        order = data.draw(st.sampled_from((4, 6, 8)))
+        m = data.draw(st.integers(1, 4))
+        ndim = data.draw(st.integers(1, 4))
+        axis = data.draw(st.integers(0, ndim - 1))
+        s, w = central_weights(m, order)
+        sizes = [data.draw(st.integers(1, 4)) + (2 * s if k == axis else 0) for k in range(ndim)]
+        lo = [data.draw(st.integers(0, 2)) for _ in range(ndim)]
+        full = [n + a + data.draw(st.integers(0, 2)) for n, a in zip(sizes, lo)]
+        layout = data.draw(st.sampled_from(("C", "F", "strided")))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        scheme, h = FDScheme(order=order), 1e-2
+        for dtype in (np.longdouble, np.float64):
+            big = rng.standard_normal([*full[:-1], 2 * full[-1]]).astype(dtype)
+            if dtype is np.longdouble:  # use every significand bit
+                big += rng.standard_normal(big.shape).astype(dtype) * dtype(2.0**-60)
+            big = {"C": big[..., : full[-1]], "strided": big[..., ::2],
+                   "F": np.asfortranarray(big[..., : full[-1]])}[layout]
+            values = big[tuple(slice(a, a + n) for a, n in zip(lo, sizes))]
+            got = _stencil_axis(values, axis, m, h, scheme)
+            want = stencil_axis_reference(values, axis, m, h, order)
+            assert got.dtype == dtype and got.shape == want.shape
+            if dtype is np.longdouble:
+                assert np.array_equal(got, want)
+            else:
+                n = got.shape[axis]
+                scale = sum(abs(wj) * np.abs(np.take(values, range(j, j + n), axis=axis))
+                            for j, wj in enumerate(w)) / h**m
+                assert np.all(np.abs(got - want) <= 4 * np.finfo(dtype).eps * scale)
+            whole = _stencil_axis(big, axis, m, h, scheme)
+            assert np.array_equal(got, whole[tuple(slice(a, a + n) for a, n in zip(lo, got.shape))])
+
+    check()
 
 
 def test_eval_tree_on_grid_is_exact_on_a_larger_grid():
