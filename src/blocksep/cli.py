@@ -195,6 +195,9 @@ def _verify_numeric(rs: RelationSet, config: dict) -> list:
             )
         except ConfigError as exc:
             raise ConfigError(f"fd_step {scheme.h:g} is too large for {rel.name}: {exc}") from exc
+        except OverflowError as exc:
+            raise ConfigError(f"{rel.name}: a value of the relation or its model is beyond "
+                              "the float range") from exc
         except BlocksepError as exc:
             items.append(
                 ReportItem(rel.name, "relation", "numeric", "inapplicable", None,
@@ -448,15 +451,11 @@ def eigencheck(family, blocks, quantum, potentials, omega2, eta, tol,
                                             "seed": seed})
         pts = sample_points(spec, points_per_check, np.random.default_rng(seed),
                             margin_extent=extent, guards=model_point_guards(spec, extent))
-    except BlocksepError as exc:
-        _fail(exc)
-    ctx = operator_context(spec)
-    H = build_hamiltonian_raw(spec, ctx)
-    if spec.is_symbolic():
-        H = H.symbolic(spec)
-    H = compile_operator(H, spec, {}, scheme)
-    vals = []
-    try:
+        H = build_hamiltonian_raw(spec, operator_context(spec))
+        if spec.is_symbolic():
+            H = H.symbolic(spec)
+        H = compile_operator(H, spec, {}, scheme)
+        vals = []
         for x in pts:
             hv, pv = apply_numeric(H, psi, x, scheme), float(psi([np.array(v) for v in x]))
             if pv == 0 or not math.isfinite(pv):
@@ -464,6 +463,8 @@ def eigencheck(family, blocks, quantum, potentials, omega2, eta, tol,
             vals.append(hv / pv)
     except BlocksepError as exc:
         _fail(exc)
+    except OverflowError:
+        _fail(ConfigError("a value of the model is beyond the float range"))
     arr = np.array(vals)
     spread = float(arr.std() / abs(arr.mean()))
     agree = abs(float(arr.mean()) - expect) / max(1.0, abs(expect))

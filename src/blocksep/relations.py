@@ -10,6 +10,13 @@ normal form; the outcome is exact.  Three expectation kinds appear:
                reading groups (printed form plus plausible emendations) and
                the group passes when at least one constructible reading
                reduces to zero, with every outcome reported.
+
+A display is written as the paper prints it, with ``+ - *`` on tree nodes and
+``Comm``/``Acomm`` for brackets: ``8 * Z * H - 8 * Acomm(Z, H2) - 16 * H2``.
+A number becomes a ``Scalar``; a ``Sum`` or ``Prod`` on the left of ``+`` or
+``*`` is extended, so a chain of terms is one ``Sum``, and ``Sum((a, b))``
+writes a sum ``a`` that stays one term.  ``-x`` is ``(-1) * x``, so
+``-(2 * x)`` and ``-2 * x`` are different trees of the same operator.
 """
 
 from __future__ import annotations
@@ -46,50 +53,69 @@ from .ring import Coefficient, Context, row_reduce
 # -- expression trees -----------------------------------------------------------
 
 
+class Node:
+    """A relation-tree node; ``+ - *`` build trees as the module docstring says."""
+
+    def __add__(self, other) -> "Sum":
+        return Sum((self.terms if isinstance(self, Sum) else (self,)) + (num(other),))
+
+    def __sub__(self, other) -> "Sum":
+        return self + -num(other)
+
+    def __neg__(self) -> "Prod":
+        return Prod((Scalar(Fraction(-1)), self))
+
+    def __mul__(self, other) -> "Prod":
+        return Prod((self.factors if isinstance(self, Prod) else (self,)) + (num(other),))
+
+    def __rmul__(self, other) -> "Prod":
+        return Prod((num(other), self))
+
+
 @dataclass(frozen=True)
-class OpRef:
+class OpRef(Node):
     name: IntegralName
 
 
 @dataclass(frozen=True)
-class Scalar:
+class Scalar(Node):
     value: Fraction
 
 
 @dataclass(frozen=True)
-class ParamRef:
+class ParamRef(Node):
     name: str
 
 
 @dataclass(frozen=True)
-class ConstRef:
+class ConstRef(Node):
     kind: str  # "N" | "M" | "U"
     p: int
 
 
 @dataclass(frozen=True)
-class Sum:
+class Sum(Node):
     terms: tuple
 
 
 @dataclass(frozen=True)
-class Prod:
+class Prod(Node):
     factors: tuple
 
 
 @dataclass(frozen=True)
-class Comm:
+class Comm(Node):
     a: object
     b: object
 
 
 @dataclass(frozen=True)
-class Acomm:
+class Acomm(Node):
     a: object
     b: object
 
 
-class Fixed:
+class Fixed(Node):
     """Leaf carrying an operator that was already built outside the tree."""
 
     def __init__(self, diffop: DiffOp):
@@ -100,40 +126,9 @@ def op(kind: str, *indices: int) -> OpRef:
     return OpRef(IntegralName(kind, *indices))
 
 
-def num(v) -> Scalar:
-    return Scalar(Fraction(v))
-
-
-def par(name: str) -> ParamRef:
-    return ParamRef(name)
-
-
-def sc(kind: str, p: int) -> ConstRef:
-    return ConstRef(kind, p)
-
-
-def add(*terms) -> Sum:
-    return Sum(tuple(terms))
-
-
-def neg(t) -> Prod:
-    return Prod((Scalar(Fraction(-1)), t))
-
-
-def sub(a, b) -> Sum:
-    return Sum((a, neg(b)))
-
-
-def mul(*factors) -> Prod:
-    return Prod(tuple(factors))
-
-
-def comm(a, b) -> Comm:
-    return Comm(a, b)
-
-
-def acomm(a, b) -> Acomm:
-    return Acomm(a, b)
+def num(v) -> Node:
+    """A node as it is; a number as its ``Scalar``."""
+    return v if isinstance(v, Node) else Scalar(Fraction(v))
 
 
 @dataclass(frozen=True)
@@ -420,24 +415,15 @@ def proposition_env() -> OperatorEnv:
 def _seed_rhs(g1, g2, w2) -> tuple:
     """Right-hand sides of [Z,Y] and [H2,Y] in the seed algebra, over trees
     g1, g2, w2 for the singular couplings and omega^2."""
-    rhs2 = add(
-        mul(num(8), op("Z"), op("H")),
-        neg(mul(num(8), acomm(op("Z"), op("H2")))),
-        mul(num(8), add(g1, neg(g2), num(1)), op("H")),
-        neg(mul(num(16), op("H2"))),
-    )
-    rhs3 = add(
-        neg(mul(num(8), op("H"), op("H2"))),
-        mul(num(8), op("H2"), op("H2")),
-        neg(mul(num(16), w2, op("Z"))),
-        neg(mul(num(8), w2, add(mul(num(2), g1), mul(num(2), g2), num(-1)))),
-    )
+    Z, H, H2 = op("Z"), op("H"), op("H2")
+    rhs2 = 8 * Z * H - 8 * Acomm(Z, H2) + 8 * Sum((g1, -g2, num(1))) * H - 16 * H2
+    rhs3 = -(8 * H * H2) + 8 * H2 * H2 - 16 * w2 * Z - 8 * w2 * (2 * g1 + 2 * g2 + -1)
     return rhs2, rhs3
 
 
 def catalog_proposition_A() -> RelationSet:
     env = proposition_env()
-    rhs2, rhs3 = _seed_rhs(par("g1"), par("g2"), par("w2"))
+    rhs2, rhs3 = _seed_rhs(ParamRef("g1"), ParamRef("g2"), ParamRef("w2"))
     # second printed form of Z: r^2 Laplacian - Euler^2 - (g1/x^2 + g2/y^2) r^2
     ctx = env.ctx
     r2 = ctx.sum_of_squares([0, 1])
@@ -446,11 +432,10 @@ def catalog_proposition_A() -> RelationSet:
     alt = DiffOp.from_poly(ctx, r2).mul(laplacian(ctx, [0, 1])).sub(E.mul(E))
     alt = alt.sub(DiffOp.from_coefficient(ctx, pot))
     rels = [
-        Relation("prop-A-1-def", sub(comm(op("Z"), op("H2")), op("Y")),
-                 note="defining relation for Y"),
-        Relation("prop-A-2", sub(comm(op("Z"), op("Y")), rhs2)),
-        Relation("prop-A-3", sub(comm(op("H2"), op("Y")), rhs3)),
-        Relation("prop-A-Z-second-form", sub(op("Z"), Fixed(alt)),
+        Relation("prop-A-1-def", Comm(op("Z"), op("H2")) - op("Y"), note="defining relation for Y"),
+        Relation("prop-A-2", Comm(op("Z"), op("Y")) - rhs2),
+        Relation("prop-A-3", Comm(op("H2"), op("Y")) - rhs3),
+        Relation("prop-A-Z-second-form", op("Z") - Fixed(alt),
                  note="the two printed forms of Z coincide"),
     ]
     return RelationSet("proposition-A", over(env, rels))
@@ -467,43 +452,17 @@ def _integrals(spec: ModelSpec, kind: str) -> list:
 
 def _zshift(spec: ModelSpec, l: int):
     """Z_l - (D_l-2)^2/4, the shifted Casimir of level l."""
-    return sub(op("Z", l), num(Fraction(spec.partition.offsets[l] - 2, 1) ** 2 / 4))
+    return op("Z", l) - Fraction(spec.partition.offsets[l] - 2, 1) ** 2 / 4
 
 
 def _block_rhs(Z, Hsum, Hl, Zprev, Tl, w2, Dlm1: int, dl: int) -> tuple:
     """Right-hand sides of [Z_l,Y_l] and [H_l,Y_l] as printed for the block
     algebra at level l, over trees for the shifted Z_l - (D_l-2)^2/4, H_1+..+H_l,
     H_l, Z_{l-1}, T_l and omega^2."""
-    rhs2 = add(
-        mul(num(8), Z, Hsum),
-        neg(mul(num(8), acomm(Z, Hl))),
-        mul(
-            num(8),
-            add(neg(Zprev), Tl, num(Fraction((Dlm1 - 2) ** 2, 4) - Fraction((dl - 2) ** 2, 4) + 1)),
-            Hsum,
-        ),
-        neg(mul(num(16), Hl)),
-    )
-    rhs3 = add(
-        neg(mul(num(8), Hsum, Hl)),
-        mul(num(8), Hl, Hl),
-        neg(mul(num(16), w2, Z)),
-        neg(
-            mul(
-                num(8),
-                w2,
-                add(
-                    mul(num(-2), Zprev),
-                    mul(num(-2), Tl),
-                    num(
-                        Fraction((Dlm1 - 1) * (Dlm1 - 3), 2)
-                        + Fraction((dl - 1) * (dl - 3), 2)
-                        - 1
-                    ),
-                ),
-            )
-        ),
-    )
+    c2 = Fraction((Dlm1 - 2) ** 2, 4) - Fraction((dl - 2) ** 2, 4) + 1
+    c3 = Fraction((Dlm1 - 1) * (Dlm1 - 3), 2) + Fraction((dl - 1) * (dl - 3), 2) - 1
+    rhs2 = 8 * Z * Hsum - 8 * Acomm(Z, Hl) + 8 * (-Zprev + Tl + c2) * Hsum - 16 * Hl
+    rhs3 = -(8 * Hsum * Hl) + 8 * Hl * Hl - 16 * w2 * Z - 8 * w2 * (-2 * Zprev + -2 * Tl + c3)
     return rhs2, rhs3
 
 
@@ -513,21 +472,21 @@ def oscillator_quadratic_relations(spec: ModelSpec, l: int):
     if not 2 <= l <= part.N:
         raise InapplicableRelationError(f"level l={l} needs 2 <= l <= N={part.N}")
     Zl, Hl = op("Z", l), op("H", l)
-    Yl = comm(Zl, Hl)
-    w2 = par(spec.omega2) if isinstance(spec.omega2, str) else num(spec.omega2)
+    Yl = Comm(Zl, Hl)
+    w2 = ParamRef(spec.omega2) if isinstance(spec.omega2, str) else num(spec.omega2)
     rhs2, rhs3 = _block_rhs(_zshift(spec, l), op("Hsum", l), Hl, op("Z", l - 1), op("T", l), w2,
                             part.offsets[l - 1], part.block_sizes[l - 1])
     tag = f"osc-alg-l{l}"
     return [
-        Relation(f"{tag}-def", sub(comm(Zl, Hl), Yl), note="defining relation for Y_l"),
-        Relation(f"{tag}-ZY", sub(comm(Zl, Yl), rhs2)),
-        Relation(f"{tag}-HY", sub(comm(Hl, Yl), rhs3)),
+        Relation(f"{tag}-def", Comm(Zl, Hl) - Yl, note="defining relation for Y_l"),
+        Relation(f"{tag}-ZY", Comm(Zl, Yl) - rhs2),
+        Relation(f"{tag}-HY", Comm(Hl, Yl) - rhs3),
     ]
 
 
 def _commutators(tag: str, pairs) -> list:
     """The relation [a, b] = 0, named ``tag-[a,b]``, of each pair of integral names."""
-    return [Relation(f"{tag}-[{a},{b}]", comm(OpRef(a), OpRef(b))) for a, b in pairs]
+    return [Relation(f"{tag}-[{a},{b}]", Comm(OpRef(a), OpRef(b))) for a, b in pairs]
 
 
 def oscillator_commutativity_relations(env: OperatorEnv):
@@ -569,16 +528,16 @@ def catalog_gauge_identities(spec: ModelSpec, l: int) -> RelationSet:
     env = _seed_env(
         ctx, ctx.const_poly(g1).sub(ctx.param("zc")), ctx.const_poly(g2).sub(ctx.param("tc")), tag
     )
-    zc, tc, w2 = par("zc"), par("tc"), par("w2")
-    seed2, seed3 = _seed_rhs(add(neg(zc), num(g1)), add(neg(tc), num(g2)), w2)
+    zc, tc, w2 = ParamRef("zc"), ParamRef("tc"), ParamRef("w2")
+    seed2, seed3 = _seed_rhs(-zc + g1, -tc + g2, w2)
     # Z_l - (D_l-2)^2/4 -> Z, Hsum[l] -> H, H_l -> H2, Z_{l-1} -> zc, T_l -> tc
     block2, block3 = _block_rhs(op("Z"), op("H"), op("H2"), zc, tc, w2, Dlm1, dl)
     rels = (
-        Relation(f"{tag}-seed-2", sub(comm(op("Z"), op("Y")), seed2)),
-        Relation(f"{tag}-seed-3", sub(comm(op("H2"), op("Y")), seed3)),
-        Relation(f"{tag}-match-2", sub(seed2, block2),
+        Relation(f"{tag}-seed-2", Comm(op("Z"), op("Y")) - seed2),
+        Relation(f"{tag}-seed-3", Comm(op("H2"), op("Y")) - seed3),
+        Relation(f"{tag}-match-2", Sum((seed2, -block2)),
                  note="seed RHS equals block-algebra RHS term by term"),
-        Relation(f"{tag}-match-3", sub(seed3, block3),
+        Relation(f"{tag}-match-3", Sum((seed3, -block3)),
                  note="seed RHS equals block-algebra RHS term by term"),
     )
     return RelationSet(tag, over(env, rels))
@@ -597,7 +556,7 @@ def catalog_gauge(spec: ModelSpec) -> RelationSet:
 def _tshift(spec: ModelSpec, p: int):
     """-T_p + (d_p-1)(d_p-3)/4, the central combination of block p."""
     dp = spec.partition.block_sizes[p - 1]
-    return add(neg(op("T", p)), num(Fraction((dp - 1) * (dp - 3), 4)))
+    return -op("T", p) + Fraction((dp - 1) * (dp - 3), 4)
 
 
 def _xw_display(spec: ModelSpec, j: int, sigma):
@@ -606,14 +565,10 @@ def _xw_display(spec: ModelSpec, j: int, sigma):
     part = spec.partition
     N, D = part.N, part.D
     X, Y1, H = op("X", j), op("Y", 1), op("Hcoul")
-    eta = par(spec.eta) if isinstance(spec.eta, str) else num(spec.eta)
-    return sub(comm(X, comm(Y1, X)), add(
-        mul(num(2), X, X),
-        neg(mul(num(8), sub(sigma, sc("U", D - 1)), H)),
-        mul(num(16), sub(Y1, sc("M", 1)), H),
-        neg(mul(num(2 * (N + part.block_sizes[-1] - 2) ** 2), H)),
-        neg(mul(num(2), eta, eta)),
-    ))
+    eta = ParamRef(spec.eta) if isinstance(spec.eta, str) else num(spec.eta)
+    return Comm(X, Comm(Y1, X)) - (2 * X * X - 8 * (sigma - ConstRef("U", D - 1)) * H
+                                   + 16 * (Y1 - ConstRef("M", 1)) * H
+                                   - 2 * (N + part.block_sizes[-1] - 2) ** 2 * H - 2 * eta * eta)
 
 
 def coulomb_yx_relations(spec: ModelSpec, j: int):
@@ -621,7 +576,7 @@ def coulomb_yx_relations(spec: ModelSpec, j: int):
     each relation is the x_j <-> x_D image of its j = D one."""
     D = spec.partition.D
     X, Y1 = op("X", j), op("Y", 1)
-    W = comm(Y1, X)
+    W = Comm(Y1, X)
     tag = f"coul-yx-j{j}"
     leaves = tuple((IntegralName(k, D), IntegralName(k, j)) for k in ("X", "sigmaS"))
     leaves += ((Y1.name,) * 2, (IntegralName("Hcoul"),) * 2)
@@ -630,10 +585,9 @@ def coulomb_yx_relations(spec: ModelSpec, j: int):
         return Image(f"coul-yx-j{D}-{k}", (j - 1, D - 1), leaves) if j < D else None
 
     return [
-        Relation(f"{tag}-1-def", sub(comm(Y1, X), W), note="defining relation for W",
+        Relation(f"{tag}-1-def", Comm(Y1, X) - W, note="defining relation for W",
                  image=image("1-def")),
-        Relation(f"{tag}-2", sub(comm(Y1, W), add(neg(mul(num(2), acomm(Y1, X))),
-                                                   mul(num((D - 1) * (D - 3)), X))),
+        Relation(f"{tag}-2", Comm(Y1, W) - (-(2 * Acomm(Y1, X)) + (D - 1) * (D - 3) * X),
                  image=image(2)),
         Relation(f"{tag}-3", _xw_display(spec, j, op("sigmaS", j)), image=image(3)),
     ]
@@ -705,7 +659,7 @@ def _yx_catalog(env: OperatorEnv) -> list:
 def _sigma_claim(env: OperatorEnv, label: str, name: IntegralName, j: int, image, note: str):
     """The claim that the x_j <-> x_D transposition maps the integral ``name`` to ``image``."""
     conjugated = conjugate_by_transposition(env.raw(name), j, env.spec, env.ctx).symbolic(env.spec)
-    return Relation(label, sub(Fixed(conjugated), image), note=note)
+    return Relation(label, Fixed(conjugated) - image, note=note)
 
 
 def _erratum_relations(env: OperatorEnv) -> list:
@@ -750,7 +704,7 @@ def _central_diagnoser(atom_trees: dict):
 def _readings(group: str, lhs, readings, diagnose) -> list:
     """The record relations lhs - rhs of one reading group, one for each
     (name suffix, rhs, note) of ``readings``."""
-    return [Relation(group + suffix, sub(lhs, rhs), expectation="record", group=group,
+    return [Relation(group + suffix, lhs - rhs, expectation="record", group=group,
                      note=note, diagnose=diagnose) for suffix, rhs, note in readings]
 
 
@@ -761,59 +715,34 @@ def coulomb_zy_relations(spec: ModelSpec, p: int):
     dN = part.block_sizes[-1]
     if not 2 <= p <= N - 1:
         raise InapplicableRelationError(f"zy relations need 2 <= p <= N-1, got p={p}")
-    Zp = sub(op("Z", p), sc("N", p))
-    Zpm1 = sub(op("Z", p - 1), sc("N", p - 1))
-    Yp = sub(op("Y", p), sc("M", p))
-    Yp1 = sub(op("Y", p + 1), sc("M", p + 1))
-    Y1 = sub(op("Y", 1), sc("M", 1))
+    Zp = op("Z", p) - ConstRef("N", p)
+    Zpm1 = op("Z", p - 1) - ConstRef("N", p - 1)
+    Yp = op("Y", p) - ConstRef("M", p)
+    Yp1 = op("Y", p + 1) - ConstRef("M", p + 1)
+    Y1 = op("Y", 1) - ConstRef("M", 1)
     Ts = _tshift(spec, p)
-    inner = comm(op("Z", p), op("Y", p))
+    inner = Comm(op("Z", p), op("Y", p))
     diagnose = _central_diagnoser(
         {"Zp": Zp, "Yp": Yp, "Y1": Y1, "Zm": Zpm1, "Yn": Yp1, "Ts": Ts, "1": num(1)}
     )
     big_bracket = num((p - 2) * (N + dN - 1) - p * p + p + 4)
-    rhs1 = add(
-        neg(mul(num(8), Zp, Zp)),
-        neg(mul(num(8), acomm(Zp, Yp))),
-        neg(mul(num(4), add(big_bracket, mul(num(2), Ts)), Zp)),
-        mul(num(4 * (N + dN - p) * (N + dN - p - 4)), Yp),
-        mul(num(8), add(Y1, Zpm1), Zp),
-        neg(mul(num(4), add(num(N + dN - p - 4), mul(num(2), Ts)), Y1)),
-        neg(
-            mul(
-                num(4),
-                add(num((N + dN - p - 1) * (N + dN - p - 4)), neg(mul(num(2), Ts))),
-                Zpm1,
-            )
-        ),
-        mul(num(4 * (N + dN - p) * (N + dN - 5)), Ts),
-        mul(num(4 * (p - 1) * (N + dN - p)), Yp1),
-        neg(mul(num(8), Y1, Yp1)),
-        mul(num(8), Zp, Yp1),
-        mul(num(8), Zpm1, Yp1),
-    )
-    rels = _readings(f"coul-zy-p{p}-ZZY", comm(op("Z", p), inner),
+    n = N + dN - p  # the display's N + d_N - p
+    rhs1 = (-(8 * Zp * Zp) - 8 * Acomm(Zp, Yp) - 4 * (big_bracket + 2 * Ts) * Zp
+            + 4 * n * (n - 4) * Yp + 8 * Sum((Y1, Zpm1)) * Zp - 4 * (num(n - 4) + 2 * Ts) * Y1
+            - 4 * (num((n - 1) * (n - 4)) - 2 * Ts) * Zpm1 + 4 * n * (N + dN - 5) * Ts
+            + 4 * (p - 1) * n * Yp1 - 8 * Y1 * Yp1 + 8 * Zp * Yp1 + 8 * Zpm1 * Yp1)
+    rels = _readings(f"coul-zy-p{p}-ZZY", Comm(op("Z", p), inner),
                      [("", rhs1, "printed display")], diagnose)
 
     def rhs2(second_line_target):
-        return add(
-            mul(num(8), Yp, Yp),
-            mul(num(8), acomm(Zp, Yp)),
-            neg(mul(num(4 * p * (p - 4)), Zp)),
-            mul(num(4), add(big_bracket, mul(num(2), Ts)), second_line_target),
-            neg(mul(num(8), Zpm1, Yp)),
-            neg(mul(num(8), Y1, Yp)),
-            mul(num(4), add(num(p - 4), mul(num(2), Ts)), Y1),
-            mul(num(8), Zpm1, Y1),
-            neg(mul(num(4 * p * (N + dN - p - 1)), Zpm1)),
-            neg(mul(num(4 * p * (N + dN - 5)), Ts)),
-            mul(num(4), add(num((p - 4) * (p - 1)), neg(mul(num(2), Ts))), Yp1),
-            neg(mul(num(8), Zpm1, Yp1)),
-            neg(mul(num(8), Yp1, Yp)),
-        )
+        return (8 * Yp * Yp + 8 * Acomm(Zp, Yp) - 4 * p * (p - 4) * Zp
+                + 4 * (big_bracket + 2 * Ts) * second_line_target - 8 * Zpm1 * Yp - 8 * Y1 * Yp
+                + 4 * (num(p - 4) + 2 * Ts) * Y1 + 8 * Zpm1 * Y1 - 4 * p * (n - 1) * Zpm1
+                - 4 * p * (N + dN - 5) * Ts + 4 * (num((p - 4) * (p - 1)) - 2 * Ts) * Yp1
+                - 8 * Zpm1 * Yp1 - 8 * Yp1 * Yp)
 
-    return rels + _readings(f"coul-zy-p{p}-YZY", comm(op("Y", p), inner), [
-        ("-printed", rhs2(sub(op("Y", 1), sc("M", p))),
+    return rels + _readings(f"coul-zy-p{p}-YZY", Comm(op("Y", p), inner), [
+        ("-printed", rhs2(op("Y", 1) - ConstRef("M", p)),
          "printed second line ends with (Y_1 - M_p)"),
         ("-emended", rhs2(Yp), "reading with (Y_p - M_p) in the second line"),
     ], diagnose)
@@ -829,57 +758,38 @@ def coulomb_sj_relations(spec: ModelSpec, p: int):
             f"sj relations need n_(N-1)+1 <= p <= D-1, got p={p}"
         )
     q = p + N + dN - D
-    Sp = sub(op("S", p), sc("U", p))
-    Spm1 = sub(op("S", p - 1), sc("U", p - 1))
+    Sp = op("S", p) - ConstRef("U", p)
+    Spm1 = op("S", p - 1) - ConstRef("U", p - 1)
     Jp = op("J", p)
     Jp1 = op("J", p + 1)
-    Y1 = sub(op("Y", 1), sc("M", 1))
-    inner = comm(op("S", p), op("J", p))
+    Y1 = op("Y", 1) - ConstRef("M", 1)
+    inner = Comm(op("S", p), op("J", p))
     bracket = num((q - 3) * (N + dN - 1) - (q - 1) ** 2 + q + 3)
     diagnose = _central_diagnoser(
         {"Sp": Sp, "Jp": Jp, "Y1": Y1, "Sm": Spm1, "Jn": Jp1, "1": num(1)}
     )
+    m = D - p  # the display's D - p
 
     def rhs1(y_target, z_term):
-        return add(
-            neg(mul(num(8), Sp, Sp)),
-            neg(mul(num(8), acomm(Sp, Jp))),
-            neg(mul(num(4), bracket, Sp)),
-            mul(num(4 * (D - p + 1) * (D - p - 3)), Jp),
-            mul(num(8), add(Y1, Spm1), Sp),
-            neg(mul(num(4 * (D - p - 3)), Y1)),
-            neg(mul(num(4 * (D - p) * (D - p - 3)), Spm1)),
-            mul(num(4 * (q - 2) * (D - p + 1)), Jp1),
-            neg(mul(num(8), Y1, Jp1)),
-            mul(num(8), Sp, y_target),
-            mul(num(8), z_term, Jp1),
-        )
+        return (-(8 * Sp * Sp) - 8 * Acomm(Sp, Jp) - 4 * bracket * Sp + 4 * (m + 1) * (m - 3) * Jp
+                + 8 * Sum((Y1, Spm1)) * Sp - 4 * (m - 3) * Y1 - 4 * m * (m - 3) * Spm1
+                + 4 * (q - 2) * (m + 1) * Jp1 - 8 * Y1 * Jp1 + 8 * Sp * y_target + 8 * z_term * Jp1)
 
-    rels = _readings(f"coul-sj-p{p}-SSJ", comm(op("S", p), inner), [
-        ("-printed", rhs1(op("Y", p + 1), sub(op("Z", p - 1), sc("N", p - 1))),
+    rels = _readings(f"coul-sj-p{p}-SSJ", Comm(op("S", p), inner), [
+        ("-printed", rhs1(op("Y", p + 1), op("Z", p - 1) - ConstRef("N", p - 1)),
          "printed display mixes Y[p+1] and Z[p-1] into the coordinate chain"),
         ("-emended", rhs1(Jp1, Spm1),
          "coordinate-chain reading: J[p+1] for Y[p+1], S[p-1]-U[p-1] for Z[p-1]-N[p-1]"),
     ], diagnose)
 
     def rhs2(target):
-        return add(
-            mul(num(8), Jp, Jp),
-            mul(num(8), acomm(Sp, Jp)),
-            neg(mul(num(4 * (q - 1) * (q - 5)), Sp)),
-            mul(num(4), bracket, target),
-            neg(mul(num(8), Spm1, Jp)),
-            neg(mul(num(8), Y1, Jp)),
-            mul(num(4 * (q - 5)), Y1),
-            mul(num(8), Spm1, Y1),
-            neg(mul(num(4 * (q - 1) * (D - p)), Spm1)),
-            mul(num(4 * (q - 5) * (q - 2)), Jp1),
-            neg(mul(num(8), Spm1, Jp1)),
-            neg(mul(num(8), Jp1, Jp)),
-        )
+        return (8 * Jp * Jp + 8 * Acomm(Sp, Jp) - 4 * (q - 1) * (q - 5) * Sp + 4 * bracket * target
+                - 8 * Spm1 * Jp - 8 * Y1 * Jp + 4 * (q - 5) * Y1 + 8 * Spm1 * Y1
+                - 4 * (q - 1) * m * Spm1 + 4 * (q - 5) * (q - 2) * Jp1
+                - 8 * Spm1 * Jp1 - 8 * Jp1 * Jp)
 
-    return rels + _readings(f"coul-sj-p{p}-JSJ", comm(Jp, inner), [
-        ("-printed", rhs2(sub(op("Y", p), sc("M", p))), "printed display carries (Y_p - M_p)"),
+    return rels + _readings(f"coul-sj-p{p}-JSJ", Comm(Jp, inner), [
+        ("-printed", rhs2(op("Y", p) - ConstRef("M", p)), "printed display carries (Y_p - M_p)"),
         ("-emended", rhs2(Jp), "reading with J_p in place of (Y_p - M_p)"),
     ], diagnose)
 
@@ -906,7 +816,7 @@ def _sj_relations(env: OperatorEnv) -> list:
 def _control(rel: Relation, delta, note: str) -> Relation:
     """The negative control ``rel-negative``: ``rel`` perturbed by the tree
     ``delta``, so that it must not reduce to zero."""
-    return Relation(f"{rel.name}-negative", add(rel.expr, delta), expectation="nonzero", note=note)
+    return Relation(f"{rel.name}-negative", Sum((rel.expr, delta)), expectation="nonzero", note=note)
 
 
 def catalog_negative_controls(spec: ModelSpec | None = None) -> RelationSet:
@@ -919,7 +829,7 @@ def catalog_negative_controls(spec: ModelSpec | None = None) -> RelationSet:
     _, zy, _ = oscillator_quadratic_relations(spec, 2)
     return RelationSet("negative-controls", (
         (_control(prop3, num(1), "constant +1 injected; must not reduce to zero"), prop_env),
-        (_control(zy, mul(_zshift(spec, 2), op("Hsum", 2)), "coefficient 8 perturbed to 7"),
+        (_control(zy, _zshift(spec, 2) * op("Hsum", 2), "coefficient 8 perturbed to 7"),
          OperatorEnv.for_model(spec)),
     ))
 
@@ -1022,7 +932,7 @@ def _relation_tree(body: str, param_names) -> object:
         depth += 1
         if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
             terms = ((op_, convert(t, depth)) for op_, t in chain(node, (ast.Add, ast.Sub)))
-            return Sum(tuple(neg(t) if isinstance(op_, ast.Sub) else t for op_, t in terms))
+            return Sum(tuple(-t if isinstance(op_, ast.Sub) else t for op_, t in terms))
         if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
             factors = []
             for op_, f in chain(node, (ast.Mult, ast.Div)):
@@ -1038,7 +948,7 @@ def _relation_tree(body: str, param_names) -> object:
                 factors.append(Scalar(last.value / n))
             return factors[0] if len(factors) == 1 else Prod(tuple(factors))
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            return neg(convert(node.operand, depth))
+            return -convert(node.operand, depth)
         if isinstance(node, (ast.List, ast.Set)) and len(node.elts) == 2:
             a, b = (convert(e, depth) for e in node.elts)
             return Comm(a, b) if isinstance(node, ast.List) else Acomm(a, b)
@@ -1066,7 +976,7 @@ def _relation_tree(body: str, param_names) -> object:
         return convert(top, 0)
     if len(top.ops) != 1 or not isinstance(top.ops[0], ast.Eq):
         raise RelationSyntaxError("one '==' at most, and no other comparison")
-    return sub(convert(top.left, 0), convert(top.comparators[0], 0))
+    return Sum((convert(top.left, 0), -convert(top.comparators[0], 0)))
 
 
 def parse_relation_line(line: str, param_names=()) -> Relation | None:

@@ -827,6 +827,43 @@ def test_relation_file_deep_nesting_exit_two(tmp_path, line):
     assert "Traceback" not in res.stderr and len(res.stderr) < 200
 
 
+_HUGE = "1" + "0" * 400  # beyond the float range
+
+
+@pytest.mark.parametrize("files, args", [
+    pytest.param({"big.rel": f"big: {_HUGE}*H[1] - {_HUGE}*H[1]\n"},
+                 ["verify", "--relation-file", "big.rel", "--blocks", "2", "--mode", "numeric"],
+                 id="relation-file-scalar"),
+    pytest.param({"big.json": json.dumps({
+        "catalog": "oscillator-algebra", "mode": "numeric", "probes": 1, "points": 1,
+        "model": {"family": "oscillator", "blocks": [1, 1], "omega2": "1e400"}})},
+        ["verify", "--config", "big.json"], id="config-omega2"),
+    pytest.param({}, ["eigencheck", "--family", "oscillator", "--blocks", "2",
+                      "--quantum", '{"angular":[0],"radial":[0]}',
+                      "--potentials", '[{"kind":"constant","value":"1e400"}]'],
+                 id="eigencheck-constant-potential"),
+])
+def test_value_beyond_the_float_range_exit_two(tmp_path, files, args):
+    """A value that exact arithmetic holds but a float cannot is a config
+    error in numeric mode and in eigencheck, never a traceback."""
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    src = os.path.dirname(os.path.dirname(blocksep.__file__))
+    res = subprocess.run([sys.executable, "-m", "blocksep.cli", *args], cwd=tmp_path,
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("config error:") and "beyond the float range" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_symbolic_mode_holds_a_value_beyond_the_float_range():
+    config = {"catalog": "oscillator-algebra", "mode": "symbolic",
+              "model": {"family": "oscillator", "blocks": [1, 1], "omega2": "1e400"}}
+    report = run_verify(config)
+    assert [item.passed for item in report.items] == [True] * 3
+
+
 def test_verify_runs_without_test_extras():
     """verify needs only the runtime dependencies pyproject.toml declares."""
     code = ("import sys\n"

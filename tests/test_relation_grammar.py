@@ -17,18 +17,14 @@ st = hypothesis.strategies
 
 from blocksep.models import oscillator_spec  # noqa: E402
 from blocksep.relations import (  # noqa: E402
+    Acomm,
+    Comm,
     OperatorEnv,
-    acomm,
-    add,
-    comm,
+    ParamRef,
     eval_node,
-    mul,
-    neg,
     num,
     op,
-    par,
     parse_relation_line,
-    sub,
 )
 
 SPEC = oscillator_spec([2, 2])
@@ -47,7 +43,7 @@ def operand(term, strength) -> str:
 LEAVES = st.one_of(
     st.sampled_from([("T[1]", op("T", 1)), ("H[1]", op("H", 1)), ("H[2]", op("H", 2)),
                      ("G[1,2]", op("G", 1, 2))]).map(lambda leaf: (*leaf, ATOM)),
-    st.just(("w2", par("w2"), ATOM)),
+    st.just(("w2", ParamRef("w2"), ATOM)),
     st.integers(0, 5).map(lambda n: (str(n), num(n), ATOM)),
     st.tuples(st.integers(1, 7), st.integers(1, 7)).map(
         lambda pq: (f"{pq[0]}/{pq[1]}", num(Fraction(*pq)), PRODUCT)
@@ -59,18 +55,18 @@ def extend(terms):
     pairs = st.tuples(terms, terms)
     return st.one_of(
         pairs.map(lambda ab: (f"{operand(ab[0], SUM)} + {operand(ab[1], SUM)}",
-                              add(ab[0][1], ab[1][1]), SUM)),
+                              ab[0][1] + ab[1][1], SUM)),
         pairs.map(lambda ab: (f"{operand(ab[0], SUM)} - {operand(ab[1], PRODUCT)}",
-                              sub(ab[0][1], ab[1][1]), SUM)),
+                              ab[0][1] - ab[1][1], SUM)),
         pairs.map(lambda ab: (f"{operand(ab[0], PRODUCT)} * {operand(ab[1], PRODUCT)}",
-                              mul(ab[0][1], ab[1][1]), PRODUCT)),
+                              ab[0][1] * ab[1][1], PRODUCT)),
         st.tuples(terms, st.integers(1, 5)).map(
             lambda an: (f"{operand(an[0], PRODUCT)} / {an[1]}",
-                        mul(an[0][1], num(Fraction(1, an[1]))), PRODUCT)
+                        an[0][1] * Fraction(1, an[1]), PRODUCT)
         ),
-        terms.map(lambda a: (f"-{operand(a, NEGATION)}", neg(a[1]), NEGATION)),
-        pairs.map(lambda ab: (f"[{ab[0][0]}, {ab[1][0]}]", comm(ab[0][1], ab[1][1]), ATOM)),
-        pairs.map(lambda ab: (f"{{{ab[0][0]}, {ab[1][0]}}}", acomm(ab[0][1], ab[1][1]), ATOM)),
+        terms.map(lambda a: (f"-{operand(a, NEGATION)}", -a[1], NEGATION)),
+        pairs.map(lambda ab: (f"[{ab[0][0]}, {ab[1][0]}]", Comm(ab[0][1], ab[1][1]), ATOM)),
+        pairs.map(lambda ab: (f"{{{ab[0][0]}, {ab[1][0]}}}", Acomm(ab[0][1], ab[1][1]), ATOM)),
         terms.map(lambda a: (f"({a[0]})", a[1], ATOM)),
     )
 

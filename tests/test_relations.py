@@ -12,18 +12,23 @@ from blocksep.integrals import IntegralName
 from blocksep.models import coulomb_spec, oscillator_spec
 from blocksep.relations import (
     MAX_NESTING,
+    Acomm,
+    Comm,
     Image,
+    Prod,
+    Scalar,
+    Sum,
     OperatorEnv,
     Relation,
     RelationSet,
     build_catalog,
     catalog_gauge_identities,
     catalog_negative_controls,
-    acomm,
     catalog_proposition_A,
-    comm,
     eval_node,
+    num,
     op,
+    oscillator_quadratic_relations,
     over,
     parse_relation_file,
     parse_relation_line,
@@ -133,8 +138,8 @@ def test_transported_residual_equals_direct_reduction(blocks):
         moved = eval_node(source[rel.image.source].expr, env).swap_coordinates(*slots)
         assert moved.to_text() == eval_node(rel.expr, OperatorEnv.for_model(spec)).to_text()
     for i, j in {rel.image.slots for rel in images}:
-        W = eval_node(comm(op("Y", 1), op("X", D)), env).swap_coordinates(i, j)
-        direct = eval_node(comm(op("Y", 1), op("X", i + 1)), OperatorEnv.for_model(spec))
+        W = eval_node(Comm(op("Y", 1), op("X", D)), env).swap_coordinates(i, j)
+        direct = eval_node(Comm(op("Y", 1), op("X", i + 1)), OperatorEnv.for_model(spec))
         assert not W.is_zero() and W.to_text() == direct.to_text()
 
 
@@ -165,8 +170,8 @@ def test_verify_symbolic_transports_every_image(monkeypatch):
 def test_nonzero_residual_transports_as_its_direct_reduction(monkeypatch):
     spec = coulomb_spec([2, 3])
     leaves = ((IntegralName("X", 5), IntegralName("X", 4)), (IntegralName("Y", 1),) * 2)
-    src = Relation("W[5]", comm(op("Y", 1), op("X", 5)))
-    img = Relation("W[4]", comm(op("Y", 1), op("X", 4)), image=Image("W[5]", (3, 4), leaves))
+    src = Relation("W[5]", Comm(op("Y", 1), op("X", 5)))
+    img = Relation("W[4]", Comm(op("Y", 1), op("X", 4)), image=Image("W[5]", (3, 4), leaves))
     nodes = _reduced_roots(monkeypatch)
     _, moved = verify_symbolic(RelationSet("w", over(OperatorEnv.for_model(spec), [src, img])))
     assert not any(n is img.expr for n in nodes)
@@ -378,6 +383,30 @@ def test_parse_nesting_bound():
         parse_relation_line("-" * (MAX_NESTING + 1) + "H[1]")
 
 
+def test_node_operators_build_the_prefix_shapes():
+    """A Sum or Prod on the left is extended, anything else is nested, and a
+    number becomes a Scalar."""
+    a, b, c, x = op("H", 1), op("H", 2), op("T", 1), op("Z", 2)
+    assert 8 * a * b == Prod((Scalar(Fraction(8)), a, b))
+    assert a + b + c == Sum((a, b, c))
+    assert a + (b + c) == Sum((a, Sum((b, c))))
+    assert a - b == Sum((a, -b)) and -b == Prod((Scalar(Fraction(-1)), b))
+    assert -2 * x == Prod((Scalar(Fraction(-2)), x))
+    assert -(2 * x) == Prod((Scalar(Fraction(-1)), Prod((Scalar(Fraction(2)), x))))
+    assert -2 * x != -(2 * x)
+    assert x * Fraction(1, 2) == Prod((x, Scalar(Fraction(1, 2))))
+    assert num(x) is x and num(3) == Scalar(Fraction(3))
+
+
+def test_block_display_typed_as_a_line_is_the_catalog_tree():
+    """[Z_2, Y_2] of the oscillator 2,2 as the paper prints it."""
+    _, zy, _ = oscillator_quadratic_relations(oscillator_spec([2, 2]), 2)
+    line = ("[Z[2], [Z[2], H[2]]] - (8*(Z[2] - 1)*Hsum[2] - 8*{Z[2] - 1, H[2]}"
+            " + 8*(-Z[1] + T[2] + 1)*Hsum[2] - 16*H[2])")
+    assert zy.name == "osc-alg-l2-ZY"
+    assert parse_relation_line(line).expr == zy.expr
+
+
 def test_nonzero_user_relation_reports_residual():
     spec = oscillator_spec([1, 1])
     env = OperatorEnv.for_model(spec)
@@ -424,13 +453,13 @@ def test_decompose_residual_non_unit_pivot_is_exact(residual, basis, expect):
 
 def test_equal_brackets_share_one_memo_entry():
     env = OperatorEnv.for_model(oscillator_spec([2, 2]))
-    first = comm(op("Z", 2), op("H", 1))
-    second = comm(op("Z", 2), op("H", 1))  # built apart, equal as frozen nodes
+    first = Comm(op("Z", 2), op("H", 1))
+    second = Comm(op("Z", 2), op("H", 1))  # built apart, equal as frozen nodes
     assert first is not second
     got = eval_node(first, env)
     assert eval_node(second, env) is got
     assert len(env.brackets) == 1
-    eval_node(acomm(op("Z", 2), op("H", 1)), env)
+    eval_node(Acomm(op("Z", 2), op("H", 1)), env)
     assert len(env.brackets) == 2
 
 
