@@ -25,7 +25,7 @@ from .models import (  # noqa: F401
     operator_context,
     oscillator_spec,
 )
-from .integrals import IntegralName, build_integral, structural_constants  # noqa: F401
+from .integrals import IntegralName, build_integral, structural_constant  # noqa: F401
 from .relations import OperatorEnv, verify_symbolic  # noqa: F401
 from .specfun import assemble_eigenfunction  # noqa: F401
 from .spectra import EigenfunctionSpec  # noqa: F401

@@ -106,7 +106,7 @@ def _relation_set(config: dict, spec: ModelSpec | None) -> RelationSet:
             return build_catalog(config["catalog"], spec)
         with open(path) as fh:
             rels = parse_relation_file(fh.read(), param_names=spec.param_names())
-        return RelationSet("relation-file", over(OperatorEnv.for_model(spec), rels))
+        return RelationSet(over(OperatorEnv.for_model(spec), rels))
     except (OSError, UnicodeError, BlocksepError) as exc:
         # an unreadable file, a malformed line, a catalog the model cannot carry
         raise ConfigError(str(exc)) from exc
@@ -437,6 +437,10 @@ def eigencheck(family, blocks, quantum, potentials, omega2, eta, tol,
         load_config(None, {"tol": tol, "seed": seed})
         spec = _command_model(family, blocks, potentials, omega2, eta)
         qn = _from_input(json.loads, quantum)
+        if not (isinstance(qn, dict) and all(isinstance(v, list) for v in qn.values())
+                and {"angular", "radial"} <= set(qn) <= {"angular", "radial", "hyper_J"}):
+            raise ConfigError('--quantum must be an object of lists "angular" and "radial" '
+                              'and, optionally, "hyper_J"')
         es = _from_input(lambda: EigenfunctionSpec(
             spec,
             angular=tuple(tuple(a) if isinstance(a, list) else a for a in qn["angular"]),

@@ -3,29 +3,28 @@
 Names use 1-based indices matching the CLI syntax ("H[2]", "G[1,2]", ...).
 Oscillator family:
 
-    H[i]      block Hamiltonian, i in [1, N]
-    T[i]      L^2_i - f_i, i in [1, N]
-    G[i,j]    partial angular Casimir of block i, j in [n_{i-1}+2, n_i]
-    Z[l]      cross-block Casimir, l in [2, N]
+    H[i]      block Hamiltonian of block i
+    T[i]      L^2_i - f_i, the angular Casimir of block i
+    G[i,j]    partial angular Casimir of block i over its coordinates up to x_j
+    Z[l]      cross-block Casimir of blocks 1..l
     Hsum[l]   H[1] + ... + H[l]
     Hfull     the full Hamiltonian
 
 Coulomb family adds:
 
-    X[i]      first-order-type integral, i in [n_{N-1}+1, D]
-    S[l]      coordinate-truncated Casimir, l in [n_{N-1}+1, D-1]
-    Y[p]      trailing-block Casimir, p in [1, N-1]
-    J[p]      trailing coordinate Casimir, p in [n_{N-1}+1, D-1]
+    Hcoul     the full Hamiltonian
+    X[i]      first-order-type integral of a coordinate x_i of the last block
+    S[l]      coordinate-truncated Casimir of x_1..x_l
+    Y[p]      trailing-block Casimir of blocks p..N
+    J[p]      trailing coordinate Casimir of x_p..x_D
     sigmaS[j] S[D-1] conjugated by the x_j <-> x_D transposition
 
 Every integral but the Hamiltonians, X and sigmaS is one Casimir: L^2 over
 a coordinate chain minus r^2 of the chain times f_b / r_b^2 for the
-potential blocks it carries; at the end of their ranges this gives
-Y[N] = L^2_N and J[D] = 0.  Boundary aliases honored by the builder:
-Z[1] = T[1], and for the Coulomb family Z[N] = Y[1].  Structural constants
-extend to the indices the relation displays need (Nc at p-1 = 1, Mc at
-p+1 = N, Uc and S one step below their declared ranges) via the same closed
-formulas with empty sums dropping out.
+potential blocks it carries.  ``_index_ranges`` gives each one-index kind
+the range ``enumerate_integrals`` lists and the range ``build_integral``
+accepts; G and sigmaS check their own indices.  Boundary aliases honored by
+the builder: Z[1] = T[1], and for the Coulomb family Z[N] = Y[1].
 """
 
 from __future__ import annotations
@@ -57,58 +56,47 @@ class IntegralName:
     i: int | None = None
     j: int | None = None
 
-    def __str__(self):
-        if self.kind == "G":
-            return f"G[{self.i},{self.j}]"
-        if self.i is None:
-            return self.kind
-        return f"{self.kind}[{self.i}]"
+    def __str__(self):  # OperatorEnv caches under it, so it shows every index given
+        if self.j is not None:
+            return f"{self.kind}[{self.i},{self.j}]"
+        return self.kind if self.i is None else f"{self.kind}[{self.i}]"
 
 
-# -- structural constants --------------------------------------------------------
+_COULOMB_KINDS = ("Hcoul", "X", "S", "Y", "J", "sigmaS")
+_KINDS = ("Hfull", "Hsum", "H", "T", "G", "Z") + _COULOMB_KINDS
+# the kinds enumerate_integrals lists for each family, in its order
+_LISTED = {OSCILLATOR: ("H", "G", "Z"), COULOMB: ("T", "Z", "X", "S", "Y", "J")}
 
 
-@dataclass(frozen=True)
-class StructuralConstants:
-    """The three rational families entering the Coulomb quadratic relations."""
-
-    spec: ModelSpec
-
-    def _half_sum(self, blocks) -> Fraction:
-        return sum((Fraction(self.spec.partition.block_sizes[i] - 1, 2) for i in blocks), Fraction(0))
-
-    def N(self, p: int) -> Fraction:
-        """Declared for p in [2, N-1]; the same formula extends to p = 1."""
-        part = self.spec.partition
-        if not 1 <= p <= part.N:
-            raise InvalidIntegralError(f"Nc index {p} out of range")
-        dsum = sum(part.block_sizes[:p])
-        sig = self._half_sum(range(p))
-        return (dsum - 2) * sig - sig * sig
-
-    def M(self, p: int) -> Fraction:
-        """Declared for p in [1, N-1]; extends to p = N with empty sums."""
-        part = self.spec.partition
-        if not 1 <= p <= part.N:
-            raise InvalidIntegralError(f"Mc index {p} out of range")
-        dsum = sum(part.block_sizes[p - 1 :])
-        sig = self._half_sum(range(p - 1, part.N - 1))
-        return (dsum - 2) * sig - sig * sig
-
-    def U(self, p: int) -> Fraction:
-        """Declared for p in [n_{N-1}+1, D-1]; the formula is used one step
-        below for the S[p-1] boundary terms."""
-        part = self.spec.partition
-        if not 2 <= p <= part.D:
-            raise InvalidIntegralError(f"Uc index {p} out of range")
-        sig = self._half_sum(range(part.N - 1))
-        return (p - 2) * sig - sig * sig
+def _index_ranges(spec: ModelSpec) -> dict:
+    """kind -> (first, last, lowest, highest) of each one-index kind:
+    ``enumerate_integrals`` lists first..last, and ``build_integral`` accepts
+    lowest..highest, which is wider where a relation display uses the formula
+    past the declared end: S down to 2, Y[N] = L^2 of the last block, J[D] = 0."""
+    part = spec.partition
+    N, D = part.N, part.D
+    tail = part.offsets[N - 1] + 1  # the first coordinate of the last block
+    z = N if spec.family == OSCILLATOR else N - 1  # the coulomb Z[N] is Y[1]
+    return {"Hsum": (1, N, 1, N), "H": (1, N, 1, N), "T": (1, N, 1, N), "Z": (2, z, 2, z),
+            "X": (tail, D, tail, D), "S": (tail, D - 1, 2, D - 1), "Y": (1, N - 1, 1, N),
+            "J": (tail, D - 1, tail, D)}
 
 
-def structural_constants(spec: ModelSpec) -> StructuralConstants:
-    if spec.partition.N < 2:
-        raise InvalidIntegralError("structural constants need N >= 2")
-    return StructuralConstants(spec)
+def structural_constant(spec: ModelSpec, kind: str, p: int) -> Fraction:
+    """Nc[p], Mc[p] or Uc[p] (kind N, M or U) of the Coulomb quadratic relations:
+    (x - 2) s - s^2, where s sums (d_b - 1)/2 over blocks b, with x = d_1+..+d_p
+    and b in 1..p for Nc, x = d_p+..+d_N and b in p..N-1 for Mc, x = p and b in
+    1..N-1 for Uc.  The displays also use Nc[1], Mc[N] and Uc one step lower, just
+    past the declared ranges [2, N-1], [1, N-1] and [n_{N-1}+1, D-1]."""
+    sizes = spec.partition.block_sizes
+    N = len(sizes)
+    lowest, highest = (2, sum(sizes)) if kind == "U" else (1, N)
+    if not lowest <= p <= highest:
+        raise InvalidIntegralError(f"{kind}c index {p} out of range")
+    x, blocks = {"N": (sum(sizes[:p]), range(p)), "M": (sum(sizes[p - 1:]), range(p - 1, N - 1)),
+                 "U": (p, range(N - 1))}[kind]
+    s = sum((Fraction(sizes[b] - 1, 2) for b in blocks), Fraction(0))
+    return (x - 2) * s - s * s
 
 
 # -- builders ---------------------------------------------------------------------
@@ -123,37 +111,54 @@ def _casimir(ctx: Context, spec: ModelSpec, idx, blocks) -> RawOperator:
 
 
 def build_integral(name: IntegralName, spec: ModelSpec, ctx: Context) -> RawOperator:
-    """Construct the named integral; raises InvalidIntegralError out of range."""
+    """Construct the named integral; raises InvalidIntegralError for an unknown
+    kind, a wrong number of indices or an index out of range."""
+    kind = name.kind
+    if kind not in _KINDS:
+        raise InvalidIntegralError(f"unknown integral kind {kind!r}")
+    indices = [v for v in (name.i, name.j) if v is not None]
+    count = {"Hfull": 0, "Hcoul": 0, "G": 2}.get(kind, 1)
+    if len(indices) != count:
+        takes = ("no index", "one index", "two indices")[count]
+        raise InvalidIntegralError(f"{kind} takes {takes}, not {len(indices)}")
+    if kind in _COULOMB_KINDS and spec.family != COULOMB:
+        raise InvalidIntegralError(f"{kind} integrals belong to the coulomb family")
     part = spec.partition
     N, D = part.N, part.D
-    kind = name.kind
+    i = indices[0] if indices else None
+    if kind == "Z" and (i == 1 or (i == N and spec.family == COULOMB)):
+        return build_integral(IntegralName("T" if i == 1 else "Y", 1), spec, ctx)
+    ranges = _index_ranges(spec)
+    if kind in ranges:
+        _, last, lowest, highest = ranges[kind]
+        if not lowest <= i <= highest:
+            raise InvalidIntegralError(f"{kind} index {i} out of [{lowest},{last}]")
 
-    if kind == "Hfull" or (kind == "Hcoul" and spec.family == COULOMB):
+    if kind in ("Hfull", "Hcoul"):
         return build_hamiltonian_raw(spec, ctx)
-
     if kind == "Hsum":
-        l = name.i
-        if not 1 <= l <= N:
-            raise InvalidIntegralError(f"Hsum index {l} out of [1,{N}]")
         out = RawOperator(DiffOp.zero(ctx), ())
-        for b in range(l):
+        for b in range(i):
             out = out.plus(block_hamiltonian_raw(spec, ctx, b))
         return out
-
     if kind == "H":
-        i = name.i
-        if not 1 <= i <= N:
-            raise InvalidIntegralError(f"H index {i} out of [1,{N}]")
         return block_hamiltonian_raw(spec, ctx, i - 1)
-
     if kind == "T":
-        i = name.i
-        if not 1 <= i <= N:
-            raise InvalidIntegralError(f"T index {i} out of [1,{N}]")
         return _casimir(ctx, spec, part.block_range(i - 1), (i - 1,))
+    if kind == "Z":
+        return _casimir(ctx, spec, range(part.offsets[i]), range(i))
+    if kind == "S":
+        return _casimir(ctx, spec, range(i), range(N - 1))
+    if kind == "Y":
+        return _casimir(ctx, spec, range(part.offsets[i - 1], D), range(i - 1, N - 1))
+    if kind == "J":
+        return _casimir(ctx, spec, range(i - 1, D), ())
+    if kind == "sigmaS":
+        op = build_integral(IntegralName("S", D - 1), spec, ctx)
+        return conjugate_by_transposition(op, i, spec, ctx)
 
     if kind == "G":
-        i, j = name.i, name.j
+        i, j = indices
         if not 1 <= i <= N:
             raise InvalidIntegralError(f"G block {i} out of [1,{N}]")
         lo = part.offsets[i - 1] + 1  # 1-based first coordinate of block i
@@ -173,70 +178,17 @@ def build_integral(name: IntegralName, spec: ModelSpec, ctx: Context) -> RawOper
                 )
         return _casimir(ctx, spec, range(lo - 1, j), blocks)
 
-    if kind == "Z":
-        l = name.i
-        if l == 1:
-            return build_integral(IntegralName("T", 1), spec, ctx)
-        if spec.family == OSCILLATOR:
-            if not 2 <= l <= N:
-                raise InvalidIntegralError(f"Z index {l} out of [2,{N}]")
-        else:
-            if l == N:  # paper-level alias Z[N] = Y[1]
-                return build_integral(IntegralName("Y", 1), spec, ctx)
-            if not 2 <= l <= N - 1:
-                raise InvalidIntegralError(f"Z index {l} out of [2,{N - 1}]")
-        return _casimir(ctx, spec, range(0, part.offsets[l]), range(l))
-
-    if spec.family != COULOMB:
-        raise InvalidIntegralError(f"{kind} integrals belong to the coulomb family")
-
-    if kind == "X":
-        i = name.i
-        if not part.offsets[N - 1] + 1 <= i <= D:
-            raise InvalidIntegralError(f"X index {i} out of [{part.offsets[N - 1] + 1},{D}]")
-        i0 = i - 1
-        base = DiffOp.zero(ctx)
-        for a0 in range(D):
-            if a0 == i0:
-                continue
-            L = angular_momentum(ctx, i0, a0)
-            pa = DiffOp.partial(ctx, a0)
-            base = base.add(L.anticommutator(pa))
-        eta_x_rho = model_value(ctx, spec.eta).mul(ctx.x(i0)).mul(ctx.radical_poly())
-        eta_term = Coefficient.from_poly(ctx, eta_x_rho).div_poly(ctx.sum_of_squares(range(D)))
-        base = base.add(DiffOp.from_coefficient(ctx, eta_term))
-        mult = ctx.x(i0).scale(-2)
-        atts = tuple(potential_term(ctx, spec, b, mult) for b in range(N - 1))
-        return RawOperator(base, atts)
-
-    if kind == "S":
-        l = name.i
-        # declared range [n_{N-1}+1, D-1]; the relation displays also use the
-        # formula one step lower, down to l = 2
-        if not 2 <= l <= D - 1:
-            raise InvalidIntegralError(f"S index {l} out of [2,{D - 1}]")
-        return _casimir(ctx, spec, range(0, l), range(N - 1))
-
-    if kind == "Y":
-        p = name.i
-        # declared range [1, N-1]; at p = N the formula is L^2 of the last block
-        if not 1 <= p <= N:
-            raise InvalidIntegralError(f"Y index {p} out of [1,{N - 1}]")
-        return _casimir(ctx, spec, range(part.offsets[p - 1], D), range(p - 1, N - 1))
-
-    if kind == "J":
-        p = name.i
-        # declared range [n_{N-1}+1, D-1]; at p = D the pair sum is empty
-        if not part.offsets[N - 1] + 1 <= p <= D:
-            raise InvalidIntegralError(f"J index {p} out of [{part.offsets[N - 1] + 1},{D - 1}]")
-        return _casimir(ctx, spec, range(p - 1, D), ())
-
-    if kind == "sigmaS":
-        j = name.i
-        op = build_integral(IntegralName("S", D - 1), spec, ctx)
-        return conjugate_by_transposition(op, j, spec, ctx)
-
-    raise InvalidIntegralError(f"unknown integral kind {kind!r}")
+    # X[i]
+    i0 = i - 1
+    base = DiffOp.zero(ctx)
+    for a0 in range(D):
+        if a0 != i0:
+            base = base.add(angular_momentum(ctx, i0, a0).anticommutator(DiffOp.partial(ctx, a0)))
+    eta_x_rho = model_value(ctx, spec.eta).mul(ctx.x(i0)).mul(ctx.radical_poly())
+    eta_term = Coefficient.from_poly(ctx, eta_x_rho).div_poly(ctx.sum_of_squares(range(D)))
+    base = base.add(DiffOp.from_coefficient(ctx, eta_term))
+    mult = ctx.x(i0).scale(-2)
+    return RawOperator(base, tuple(potential_term(ctx, spec, b, mult) for b in range(N - 1)))
 
 
 def conjugate_by_transposition(op: RawOperator, j: int, spec: ModelSpec, ctx: Context) -> RawOperator:
@@ -267,20 +219,13 @@ def conjugate_by_transposition(op: RawOperator, j: int, spec: ModelSpec, ctx: Co
 def enumerate_integrals(spec: ModelSpec) -> list[IntegralName]:
     """The independent integral list; the oscillator family counts D + N - 1."""
     part = spec.partition
-    N, D = part.N, part.D
+    ranges = _index_ranges(spec)
     names: list[IntegralName] = []
-    if spec.family == OSCILLATOR:
-        names.extend(IntegralName("H", i) for i in range(1, N + 1))
-        for i in range(1, N + 1):
-            lo = part.offsets[i - 1] + 1
-            hi = part.offsets[i]
-            names.extend(IntegralName("G", i, j) for j in range(lo + 1, hi + 1))
-        names.extend(IntegralName("Z", l) for l in range(2, N + 1))
-        return names
-    names.extend(IntegralName("T", i) for i in range(1, N + 1))
-    names.extend(IntegralName("Z", l) for l in range(2, N))
-    names.extend(IntegralName("X", i) for i in range(part.offsets[N - 1] + 1, D + 1))
-    names.extend(IntegralName("S", l) for l in range(part.offsets[N - 1] + 1, D))
-    names.extend(IntegralName("Y", p) for p in range(1, N))
-    names.extend(IntegralName("J", p) for p in range(part.offsets[N - 1] + 1, D))
+    for kind in _LISTED[spec.family]:
+        if kind == "G":  # G[i,j] for each block i and each j past its first coordinate
+            names += [IntegralName("G", i, j) for i in range(1, part.N + 1)
+                      for j in range(part.offsets[i - 1] + 2, part.offsets[i] + 1)]
+        else:
+            first, last, _, _ = ranges[kind]
+            names += [IntegralName(kind, i) for i in range(first, last + 1)]
     return names

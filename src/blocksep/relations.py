@@ -34,7 +34,7 @@ from .integrals import (
     build_integral,
     conjugate_by_transposition,
     enumerate_integrals,
-    structural_constants,
+    structural_constant,
 )
 from .models import (
     COULOMB,
@@ -156,7 +156,6 @@ class Relation:
 
 @dataclass
 class RelationSet:
-    name: str
     pairs: tuple  # (Relation, OperatorEnv) in report order
 
     @property
@@ -176,10 +175,9 @@ class OperatorEnv:
     """Resolves integral names and structural constants over one context: the
     integrals of a model, or a fixed table of operators."""
 
-    def __init__(self, ctx: Context, spec=None, constants=None, label: str = "", table=()):
+    def __init__(self, ctx: Context, spec=None, label: str = "", table=()):
         self.ctx = ctx
         self.spec = spec  # the model behind the operators; None for a table env
-        self._constants = constants
         self._cache: dict = dict(table)  # str(name) -> DiffOp
         self._raw: dict = {}
         self.brackets: dict = {}  # Comm/Acomm node -> its value here; nodes are frozen
@@ -187,8 +185,7 @@ class OperatorEnv:
 
     @staticmethod
     def for_model(spec: ModelSpec) -> "OperatorEnv":
-        consts = structural_constants(spec) if spec.partition.N >= 2 else None
-        return OperatorEnv(operator_context(spec), spec, consts,
+        return OperatorEnv(operator_context(spec), spec,
                            f"{spec.family}{spec.partition.block_sizes}")
 
     @staticmethod
@@ -214,9 +211,9 @@ class OperatorEnv:
         return got
 
     def constant(self, kind: str, p: int) -> Fraction:
-        if self._constants is None:
+        if self.spec is None or self.spec.partition.N < 2:
             raise InapplicableRelationError("no structural constants in this environment")
-        return {"N": self._constants.N, "M": self._constants.M, "U": self._constants.U}[kind](p)
+        return structural_constant(self.spec, kind, p)
 
 
 def eval_node(node, env: OperatorEnv) -> DiffOp:
@@ -438,7 +435,7 @@ def catalog_proposition_A() -> RelationSet:
         Relation("prop-A-Z-second-form", op("Z") - Fixed(alt),
                  note="the two printed forms of Z coincide"),
     ]
-    return RelationSet("proposition-A", over(env, rels))
+    return RelationSet(over(env, rels))
 
 
 # -- catalog: oscillator family -----------------------------------------------------
@@ -540,14 +537,14 @@ def catalog_gauge_identities(spec: ModelSpec, l: int) -> RelationSet:
         Relation(f"{tag}-match-3", Sum((seed3, -block3)),
                  note="seed RHS equals block-algebra RHS term by term"),
     )
-    return RelationSet(tag, over(env, rels))
+    return RelationSet(over(env, rels))
 
 
 def catalog_gauge(spec: ModelSpec) -> RelationSet:
     """The gauge identities of every level l = 2..N."""
     levels = (z.i for z in _integrals(spec, "Z"))
     pairs = tuple(p for l in levels for p in catalog_gauge_identities(spec, l).pairs)
-    return RelationSet("gauge", pairs)
+    return RelationSet(pairs)
 
 
 # -- catalog: coulomb family ------------------------------------------------------------
@@ -827,7 +824,7 @@ def catalog_negative_controls(spec: ModelSpec | None = None) -> RelationSet:
         spec = oscillator_spec([2, 2])
     _, _, (prop3, prop_env), _ = catalog_proposition_A().pairs
     _, zy, _ = oscillator_quadratic_relations(spec, 2)
-    return RelationSet("negative-controls", (
+    return RelationSet((
         (_control(prop3, num(1), "constant +1 injected; must not reduce to zero"), prop_env),
         (_control(zy, _zshift(spec, 2) * op("Hsum", 2), "coefficient 8 perturbed to 7"),
          OperatorEnv.for_model(spec)),
@@ -873,7 +870,7 @@ def build_catalog(name: str, spec: ModelSpec | None) -> RelationSet:
     if callable(build):
         return build(spec)
     env = OperatorEnv.for_model(spec)
-    return RelationSet(name, over(env, [rel for make in build for rel in make(env)]))
+    return RelationSet(over(env, [rel for make in build for rel in make(env)]))
 
 
 # -- relation file grammar -----------------------------------------------------------

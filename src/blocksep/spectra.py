@@ -68,7 +68,7 @@ class EigenfunctionSpec:
             if len(self.hyper_J) != part.N - 1:
                 raise InadmissibleParametersError(f"need {part.N - 1} inter-block numbers")
         for v in self.radial + self.hyper_J:
-            if not isinstance(v, int) or v < 0:
+            if type(v) is not int or v < 0:  # a JSON true is no quantum number
                 raise InadmissibleParametersError("quantum numbers are non-negative integers")
         for i, a in enumerate(self.angular):
             d = part.block_sizes[i]
@@ -78,10 +78,10 @@ class EigenfunctionSpec:
                     raise InadmissibleParametersError(
                         f"block {i + 1} needs a tuple of {d - 1} angular numbers"
                     )
-                if not all(isinstance(v, int) and v >= 0 for v in a):
+                if not all(type(v) is int and v >= 0 for v in a):
                     raise InadmissibleParametersError("angular numbers are non-negative ints")
             else:
-                if not isinstance(a, int) or a < 0:
+                if type(a) is not int or a < 0:
                     raise InadmissibleParametersError("harmonic degree must be a non-negative int")
                 if d == 1 and a != 0:
                     raise InadmissibleParametersError("size-1 blocks admit only l = 0")

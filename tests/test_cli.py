@@ -641,6 +641,36 @@ def test_eigencheck_bad_quantum_exit_two(runner, args):
     assert "config error:" in res.output
 
 
+_QUANTUM_RULE = '--quantum must be an object of lists "angular" and "radial"'
+_OSC_CONSTANTS = ["--family", "oscillator", "--blocks", "2,2", "--potentials",
+                  '[{"kind":"constant","value":"1"},{"kind":"constant","value":"2"}]']
+
+
+@pytest.mark.parametrize("args, quantum, message", [
+    (_OSC_CONSTANTS, '{"angular":[true,0],"radial":[0,1]}',
+     "harmonic degree must be a non-negative int"),
+    (_OSC_CONSTANTS, '{"angular":[1,0],"radial":[0,true]}',
+     "quantum numbers are non-negative integers"),
+    (["--family", "coulomb", "--blocks", "2,2"], '{"angular":[0,0],"radial":[0],"hyper_J":[true]}',
+     "quantum numbers are non-negative integers"),
+    (["--family", "oscillator", "--blocks", "2", "--potentials",
+      '[{"kind": "model2", "A": "4", "B": "1"}]'], '{"angular":[[true]],"radial":[0]}',
+     "angular numbers are non-negative ints"),
+    (_OSC_CONSTANTS, '{"angular":[1,0],"radial":[0,1],"hyperJ":[3]}', _QUANTUM_RULE),
+    (_OSC_CONSTANTS, "[1,2]", _QUANTUM_RULE),
+    (_OSC_CONSTANTS, '"x"', _QUANTUM_RULE),
+    (_OSC_CONSTANTS, '{"angular":[1,0]}', _QUANTUM_RULE),
+    (_OSC_CONSTANTS, '{"angular":1,"radial":[0,1]}', _QUANTUM_RULE),
+])
+def test_eigencheck_quantum_is_checked_like_a_config(runner, args, quantum, message):
+    """A boolean is no quantum number, and --quantum is an object of lists with
+    no other key; anything else is a config error that states the rule."""
+    res = runner.invoke(main, ["eigencheck", *args, "--quantum", quantum])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), repr(res.exception)
+    assert f"config error: {message}" in res.output
+
+
 @pytest.mark.parametrize("points", ["0", "-1"])
 def test_eigencheck_points_must_be_positive(runner, points):
     res = runner.invoke(main, ["eigencheck", "--family", "oscillator", "--blocks", "2,2",
@@ -795,16 +825,36 @@ def test_relation_file_bad_token_exit_two(runner, tmp_path, line, message):
     assert f"line 2: {message}" in res.output
 
 
+_COULOMB_22 = ["--blocks", "2,2", "--config", "coulomb.json"]  # coulomb.json in tmp_path
+
+
 @pytest.mark.parametrize("line, args, message", [
-    ("Q[1] == 0", ["--blocks", "2,2"], "Q integrals belong to the coulomb family"),
+    ("Q[1] == 0", ["--blocks", "2,2"], "unknown integral kind 'Q'"),
+    ("Q[1] == 0", _COULOMB_22, "unknown integral kind 'Q'"),
+    ("[X[3], H[1]]", ["--blocks", "2,2"], "X integrals belong to the coulomb family"),
     ("H[9] == 0", ["--blocks", "2,2"], "H index 9 out of [1,2]"),
     # a model of one block has no structural constants, in either mode
     ("Nc[1] * H[1]", ["--blocks", "2"], "no structural constants"),
     ("Nc[1] * H[1]", ["--blocks", "2", "--mode", "numeric"], "no structural constants"),
+    # a wrong number of indices, in either mode
+    *((line, [*args, "--mode", mode], message) for mode in ("symbolic", "numeric")
+      for line, args, message in (
+          ("[H, H[1]]", ["--blocks", "2,2"], "H takes one index, not 0"),
+          ("[Z, H[1]]", ["--blocks", "2,2"], "Z takes one index, not 0"),
+          ("[Hsum, H[1]]", ["--blocks", "2,2"], "Hsum takes one index, not 0"),
+          ("[G[1], H[1]]", ["--blocks", "2,2"], "G takes two indices, not 1"),
+          ("[H[1,2], H[1]]", ["--blocks", "2,2"], "H takes one index, not 2"),
+          ("[Hfull[2], H[1]]", ["--blocks", "2,2"], "Hfull takes no index, not 1"),
+          ("[X, H[1]]", _COULOMB_22, "X takes one index, not 0"),
+          ("[sigmaS, H[1]]", _COULOMB_22, "sigmaS takes one index, not 0"),
+      )),
 ])
 def test_relation_file_unknown_integral_exit_two(runner, tmp_path, line, args, message):
     bad = tmp_path / "bad.rel"
     bad.write_text(f"ok: [H[1], T[1]]\ntypo: {line}\n")
+    (tmp_path / "coulomb.json").write_text(json.dumps(
+        {"family": "coulomb", "params": {"alpha1": 1.0, "eta": 2.0}, "probes": 1, "points": 1}))
+    args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
     res = runner.invoke(main, ["verify", "--relation-file", str(bad), *args])
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit), repr(res.exception)

@@ -10,11 +10,12 @@ from blocksep.integrals import (
     build_integral,
     conjugate_by_transposition,
     enumerate_integrals,
-    structural_constants,
+    structural_constant,
 )
 from blocksep.models import (
     Constant,
     Hierarchy,
+    RawOperator,
     Zero,
     build_hamiltonian,
     coulomb_spec,
@@ -92,13 +93,11 @@ def test_integral_count_oscillator():
 
 def test_structural_constants_2_2():
     spec = coulomb_spec([2, 2])
-    sc = structural_constants(spec)
-    assert sc.M(1) == Fraction(3, 4)
-    assert sc.U(3) == Fraction(1, 4)
+    assert structural_constant(spec, "M", 1) == Fraction(3, 4)
+    assert structural_constant(spec, "U", 3) == Fraction(1, 4)
     spec3 = coulomb_spec([1, 1, 1])
-    sc3 = structural_constants(spec3)
-    assert sc3.N(2) == 0
-    assert sc3.M(3) == 0  # empty sums at the boundary
+    assert structural_constant(spec3, "N", 2) == 0
+    assert structural_constant(spec3, "M", 3) == 0  # empty sums at the boundary
 
 
 def test_index_range_errors():
@@ -112,6 +111,30 @@ def test_index_range_errors():
     for bad in (("X", 1), ("S", 4), ("Y", 0), ("Y", 3), ("J", 2), ("J", 5)):
         with pytest.raises(InvalidIntegralError):
             build_integral(IntegralName(*bad), cspec, cctx)
+
+
+def test_build_integral_returns_an_operator_or_refuses():
+    """Any kind with 0 to 2 indices in -1..D+2, on any model, builds a
+    RawOperator or raises InvalidIntegralError, never another exception."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    kinds = ("H", "Hsum", "T", "G", "Z", "X", "S", "Y", "J", "sigmaS", "Hfull", "Hcoul", "Q")
+    models = [(spec, operator_context(spec)) for make in (oscillator_spec, coulomb_spec)
+              for spec in map(make, ([1], [2, 2], [1, 3], [2, 1, 2]))]
+
+    @hypothesis.settings(derandomize=True, max_examples=300, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        spec, ctx = data.draw(st.sampled_from(models))
+        kind = data.draw(st.sampled_from(kinds))
+        indices = data.draw(st.lists(st.integers(-1, spec.partition.D + 2), max_size=2))
+        try:
+            got = build_integral(IntegralName(kind, *indices), spec, ctx)
+        except InvalidIntegralError:
+            return
+        assert isinstance(got, RawOperator)
+
+    check()
 
 
 def test_all_oscillator_integrals_commute_with_H():

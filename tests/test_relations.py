@@ -173,7 +173,7 @@ def test_nonzero_residual_transports_as_its_direct_reduction(monkeypatch):
     src = Relation("W[5]", Comm(op("Y", 1), op("X", 5)))
     img = Relation("W[4]", Comm(op("Y", 1), op("X", 4)), image=Image("W[5]", (3, 4), leaves))
     nodes = _reduced_roots(monkeypatch)
-    _, moved = verify_symbolic(RelationSet("w", over(OperatorEnv.for_model(spec), [src, img])))
+    _, moved = verify_symbolic(RelationSet(over(OperatorEnv.for_model(spec), [src, img])))
     assert not any(n is img.expr for n in nodes)
     monkeypatch.undo()
     direct = verify_relation(img, OperatorEnv.for_model(spec))
