@@ -72,13 +72,14 @@ def _index_ranges(spec: ModelSpec) -> dict:
     """kind -> (first, last, lowest, highest) of each one-index kind:
     ``enumerate_integrals`` lists first..last, and ``build_integral`` accepts
     lowest..highest, which is wider where a relation display uses the formula
-    past the declared end: S down to 2, Y[N] = L^2 of the last block, J[D] = 0."""
+    past the declared end: S down to 2, Y[N] = L^2 of the last block, J[D] = 0.
+    The listed S starts at 2 as well; only on one block is tail below 2."""
     part = spec.partition
     N, D = part.N, part.D
     tail = part.offsets[N - 1] + 1  # the first coordinate of the last block
     z = N if spec.family == OSCILLATOR else N - 1  # the coulomb Z[N] is Y[1]
     return {"Hsum": (1, N, 1, N), "H": (1, N, 1, N), "T": (1, N, 1, N), "Z": (2, z, 2, z),
-            "X": (tail, D, tail, D), "S": (tail, D - 1, 2, D - 1), "Y": (1, N - 1, 1, N),
+            "X": (tail, D, tail, D), "S": (max(tail, 2), D - 1, 2, D - 1), "Y": (1, N - 1, 1, N),
             "J": (tail, D - 1, tail, D)}
 
 

@@ -10,14 +10,15 @@ purely syntactic check.
 Normalization happens once per output key of a product, a bracket or a
 relation's ``Sum``: a :class:`LinearCombination` collects the unnormalized
 Leibniz numerators of every term, and ``DiffOp.compose`` builds a product,
-commutator or anticommutator in one such pass.
+commutator or anticommutator in one such pass.  The derivatives the Leibniz
+rule takes of a right operand's coefficients are kept on that operand
+(``DiffOp.jets``), and each coefficient derivative in the context's table.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import cache
 from math import comb
 
 from .ring import Coefficient, Context, Poly, den_product
@@ -44,11 +45,12 @@ def _multi_binom(alpha: tuple, gamma: tuple) -> int:
 class DiffOp:
     """Normal-form differential operator over a shared context."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "terms", "jets")
 
     def __init__(self, ctx: Context, terms: dict):
         self.ctx = ctx
         self.terms = terms  # alpha tuple (len ctx.nx) -> Coefficient, no zeros
+        self.jets: dict = {}  # (beta, delta) -> d^delta of the coefficient at beta
 
     # -- constructors --------------------------------------------------------
 
@@ -119,6 +121,17 @@ class DiffOp:
 
     def anticommutator(self, other: "DiffOp") -> "DiffOp":
         return self.compose(other, 1)
+
+    def jet(self, beta: tuple, delta: tuple) -> Coefficient:
+        """d^delta applied to the coefficient at key beta, kept in ``jets``."""
+        if not any(delta):
+            return self.terms[beta]
+        c = self.jets.get((beta, delta))
+        if c is None:
+            i = next(k for k, v in enumerate(delta) if v)
+            lower = delta[:i] + (delta[i] - 1,) + delta[i + 1:]
+            c = self.jets[beta, delta] = self.jet(beta, lower).deriv(i)
+        return c
 
     # -- predicates and transforms ----------------------------------------------
 
@@ -208,15 +221,6 @@ class LinearCombination:
         gamma = alpha terms a_alpha b_beta d^(alpha+beta), which cancel in a commutator."""
         self.ctx.check_same(a.ctx)
         self.ctx.check_same(b.ctx)
-
-        @cache
-        def iter_deriv(beta, delta):
-            """d^delta applied to b's coefficient at key beta."""
-            if not any(delta):
-                return b.terms[beta]
-            i = next(k for k, v in enumerate(delta) if v)
-            return iter_deriv(beta, delta[:i] + (delta[i] - 1,) + delta[i + 1:]).deriv(i)
-
         for alpha, ca in a.terms.items():
             for gamma in _submonomials(alpha):
                 if skip_top and gamma == alpha:
@@ -224,7 +228,7 @@ class LinearCombination:
                 delta = tuple(x - g for x, g in zip(alpha, gamma))
                 num_a = ca.num.scale(scale * _multi_binom(alpha, gamma))
                 for beta in b.terms:
-                    dcb = iter_deriv(beta, delta)
+                    dcb = b.jet(beta, delta)
                     if not dcb.is_zero():
                         key = tuple(map(operator.add, gamma, beta))
                         self._put(key, den_product(ca.den, dcb.den), num_a.mul(dcb.num))

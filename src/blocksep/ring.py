@@ -401,7 +401,8 @@ class Atom:
 
 
 class Context:
-    """Slot layout and registries shared by all operators of a computation.
+    """Slot layout and registries (denominator atoms, coefficient
+    derivatives) shared by all operators of a computation.
 
     Slots are ordered coordinates, then parameters, then (with
     ``norm_radical``) the norm r = |x|, printed ``r``.  Two operators
@@ -420,6 +421,7 @@ class Context:
                              if norm_radical else None)
         self._atoms: dict = {}
         self._atom_list: list = []
+        self._derivs: dict = {}  # (Coefficient, slot) -> its derivative, see Coefficient.deriv
         self._param_slots = {p: self.nx + i for i, p in enumerate(self.param_names)}
 
     # -- polynomial constructors ------------------------------------------
@@ -668,6 +670,15 @@ class Coefficient:
         return Coefficient.make(self.ctx, self.num.scale(_div(1, scale)), den)
 
     def deriv(self, i: int) -> "Coefficient":
+        """Derivative with respect to coordinate i, read from the context's
+        table, so equal coefficients are differentiated once per context."""
+        table = self.ctx._derivs
+        d = table.get((self, i))
+        if d is None:
+            d = table[self, i] = self._deriv(i)
+        return d
+
+    def _deriv(self, i: int) -> "Coefficient":
         """Derivative with respect to coordinate i, radical-aware; its parts
         are summed over one denominator and normalized once."""
         ctx = self.ctx

@@ -12,7 +12,8 @@ from blocksep.opalg import (
     laplacian,
 )
 from blocksep.ring import Coefficient, Context
-from oracles import formal_transpose, substitute_params
+from oracles import (apply_coefficient, formal_transpose, substitute_params, termwise_product,
+                     two_product_composition)
 
 
 @pytest.fixture
@@ -161,3 +162,24 @@ def test_to_text_golden_with_radical():
     )
     op = DiffOp.from_coefficient(ctx, inv_r).neg()
     assert op.to_text() == "1 :: (-eta*r) / [(x1^2 + x2^2)]"
+
+
+def test_jets_stay_with_their_operand(ctx2r):
+    """One left operator composed with two right operands that have the same
+    keys and different coefficients, in turn and again: every product and
+    commutator equals the oracles', so the derivatives one operand keeps in
+    its ``jets`` never serve the other."""
+    ctx = ctx2r
+    r, x1, x2 = ctx.radical_poly(), ctx.x(0), ctx.x(1)
+    a = laplacian(ctx, [0, 1]).add(DiffOp.from_poly(ctx, x1).mul(DiffOp.partial(ctx, 1)))
+    b1 = DiffOp(ctx, {(1, 0): Coefficient.from_poly(ctx, r), (0, 0): Coefficient.from_poly(ctx, x2.mul(x2))})
+    b2 = DiffOp(ctx, {(1, 0): Coefficient.from_poly(ctx, x1.mul(x1).mul(x1)),
+                      (0, 0): Coefficient.from_poly(ctx, r).div_poly(x2)})
+    g = Coefficient.from_poly(ctx, x1.mul(x2).add(r))
+    for b in (b1, b2, b1, b2):
+        ab = a.mul(b)
+        assert ab == termwise_product(a, b)[0]
+        assert apply_coefficient(ab, g) == apply_coefficient(a, apply_coefficient(b, g))
+        assert a.commutator(b) == two_product_composition(a, b, -1)
+    shared = b1.jets.keys() & b2.jets.keys()
+    assert shared and all(b1.jets[k] != b2.jets[k] for k in shared)

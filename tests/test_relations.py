@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from blocksep.cli import main
 from blocksep.errors import (BlocksepError, ConfigError, InapplicableRelationError,
                              RelationSyntaxError)
-from blocksep.integrals import IntegralName
+from blocksep.integrals import IntegralName, enumerate_integrals
 from blocksep.models import coulomb_spec, oscillator_spec
 from blocksep.relations import (
     MAX_NESTING,
@@ -246,6 +246,15 @@ def test_coulomb_commutativity_catalog():
     rs = build_catalog("coulomb-commutativity", coulomb_spec([2, 2]))
     ocs = verify_symbolic(rs)
     assert ocs and all(o.status == "zero" for o in ocs)
+
+
+def test_one_block_coulomb_lists_no_S1():
+    """On one block the S list starts at 2, where build_integral starts it,
+    so the commutativity catalog has no inapplicable S[1] item."""
+    spec = coulomb_spec([2])
+    assert [str(n) for n in enumerate_integrals(spec)] == ["T[1]", "X[1]", "X[2]", "J[1]"]
+    ocs = verify_symbolic(build_catalog("coulomb-commutativity", spec))
+    assert len(ocs) == 4 and all(o.status == "zero" and o.passed for o in ocs)
 
 
 @pytest.mark.slow

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from blocksep.errors import UndeclaredParameterError
-from blocksep.ring import Coefficient, Context, Poly
+from blocksep.ring import Coefficient, Context, Poly, pack
 from oracles import coefficient_mul, substitute_params
 
 
@@ -157,3 +157,74 @@ def test_reduction_order_confluence(ctx2r):
     b = coefficient_mul(Coefficient.make(ctx, rho), Coefficient.make(ctx, rho.mul(rho)))
     c = coefficient_mul(Coefficient.make(ctx, rho.mul(rho)), Coefficient.make(ctx, rho))
     assert a == b == c
+
+
+def _carry(c: Coefficient, ctx: Context) -> Coefficient:
+    """``c`` over ``ctx``, a context of the same slots, its atoms found by their polynomials."""
+    den = sorted((ctx.atom_and_scale(c.ctx.atom_by_id(aid).poly)[0].aid, e) for aid, e in c.den)
+    return Coefficient(ctx, c.num, tuple(den))
+
+
+def test_derivative_is_read_from_the_context_table(ctx2r):
+    ctx = ctx2r
+    c = Coefficient.from_poly(ctx, ctx.x(0, 2).mul(ctx.radical_poly())).div_poly(ctx.x(1))
+    for i in range(ctx.nx):
+        assert c.deriv(i) is c.deriv(i)
+
+
+def test_equal_coefficients_in_another_term_order_share_a_derivative(ctx2r):
+    """The table returns the derivative of the first equal coefficient it
+    saw; it is the derivative a fresh context computes for the other one."""
+    ctx = ctx2r
+    num = ctx.x(0, 3).add(ctx.x(1).mul(ctx.radical_poly())).add(ctx.param("beta"))
+    a = Coefficient.from_poly(ctx, num).div_poly(ctx.sum_of_squares([0, 1]))
+    b = Coefficient(ctx, Poly(ctx.nvars, dict(reversed(a.num.terms.items()))), a.den)
+    assert a == b and list(a.num.terms) != list(b.num.terms)
+    for i in range(ctx.nx):
+        first = b.deriv(i)
+        fresh = Context(ctx.var_names, ctx.param_names, norm_radical=True)
+        cold = _carry(a, fresh)._deriv(i)
+        assert a.deriv(i) is first
+        assert first == _carry(cold, ctx) and first.to_text() == cold.to_text()
+
+
+def test_table_derivative_equals_a_cold_one():
+    """Over random coefficients, with and without r and denominators, the
+    derivative read from a context that has differentiated an equal
+    coefficient (its terms in reverse order) equals the one a fresh context
+    computes, by == and by to_text()."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    names = ("x1", "x2", "x3")
+    warm = {radical: Context(names, ("beta",), norm_radical=radical) for radical in (False, True)}
+    divisors = {"x1": lambda ctx: ctx.x(0), "x2^2": lambda ctx: ctx.x(1, 2),
+                "x1^2 + x2^2": lambda ctx: ctx.sum_of_squares([0, 1]),
+                "|x|^2": lambda ctx: ctx.sum_of_squares(range(3))}
+
+    def build(ctx, terms, dens):
+        num = ctx.zero_poly()
+        for e, v in terms:  # in order, so a reversed list gives reversed terms
+            num = num.add(Poly(ctx.nvars, {pack(e): 1}).scale(v))
+        c = Coefficient.make(ctx, num)
+        for d in dens:
+            c = c.div_poly(divisors[d](ctx))
+        return c
+
+    values = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 5]), st.integers(1, 3))
+
+    @hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
+    @hypothesis.given(st.data(), st.booleans(), st.lists(st.sampled_from(sorted(divisors)), max_size=2),
+                      st.integers(0, 2))
+    def check(data, radical, dens, i):
+        ctx = warm[radical]
+        exps = st.tuples(*[st.integers(0, 2)] * 3, st.integers(0, 1), *[st.integers(0, 2)] * radical)
+        terms = list(data.draw(st.dictionaries(exps, values, min_size=1, max_size=4)).items())
+        c, twin = build(ctx, terms, dens), build(ctx, terms[::-1], dens)
+        assert c == twin
+        twin.deriv(i)
+        got = c.deriv(i)
+        cold = build(Context(names, ("beta",), norm_radical=radical), terms, dens).deriv(i)
+        assert got == _carry(cold, ctx)
+        assert got.to_text() == cold.to_text()
+
+    check()
