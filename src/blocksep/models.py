@@ -4,16 +4,17 @@ A model is a partition plus one angular potential per block (the Coulomb
 family carries none on the last block).  Every operator of the catalog uses
 the block potentials only through multiplication terms C(x) * f_i(angles),
 so builders return a :class:`RawOperator` holding an exact derivative part
-plus such attachments.  With zero/constant potentials the attachments fold
-into the exact operator; otherwise they turn into numeric evaluators of the
-block's Cartesian coordinates (:func:`potential_cartesian_evaluator`), which
-need no angles.
+plus such attachments.  With constant potentials (Zero among them) the
+attachments fold into the exact operator; otherwise they turn into numeric
+evaluators of the block's Cartesian coordinates
+(:func:`potential_cartesian_evaluator`), which need no angles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import (
     EvaluationSingularityError,
@@ -29,12 +30,6 @@ from .ring import Coefficient, Context, Poly
 
 
 @dataclass(frozen=True)
-class Zero:
-    def __repr__(self):
-        return "Zero()"
-
-
-@dataclass(frozen=True)
 class Constant:
     """Constant potential; value is a rational or a declared parameter name."""
 
@@ -43,6 +38,17 @@ class Constant:
     def __post_init__(self):
         if not isinstance(self.value, (str, int, Fraction)):
             object.__setattr__(self, "value", Fraction(self.value))
+
+
+@dataclass(frozen=True)
+class Zero(Constant):
+    """The zero Constant.  It keeps its own repr, its JSON kind and its
+    equality: Zero() != Constant(0)."""
+
+    value: object = field(default=0, init=False)
+
+    def __repr__(self):
+        return "Zero()"
 
 
 @dataclass(frozen=True)
@@ -80,7 +86,7 @@ class Model2F11:
 class Hierarchy:
     """Nested potential levels, innermost first; depth must be d_i - 1.
 
-    Each level is Zero, Constant, or (innermost level only) Model2F11.
+    Each level is a Constant, or (innermost level only) Model2F11.
     """
 
     levels: tuple
@@ -92,18 +98,18 @@ class Hierarchy:
                 raise InvalidPartitionError(
                     "Model2F11 is only allowed at the innermost hierarchy level"
                 )
-            if not isinstance(lvl, (Zero, Constant, Model2F11)):
+            if not isinstance(lvl, (Constant, Model2F11)):
                 raise InvalidPartitionError(f"unsupported hierarchy level {lvl!r}")
 
 
-AngularPotential = object  # Zero | Constant | Hierarchy | Model2F11
+AngularPotential = object  # Constant | Hierarchy | Model2F11
 
 
-def _guard_nonzero(values, message, tol=1e-12):
+def _guard_nonzero(values, message):
     import numpy as np
 
     arr = np.asarray(values)
-    if np.any(np.abs(arr) < tol):
+    if np.any(np.abs(arr) < 1e-12):
         raise EvaluationSingularityError(message)
 
 
@@ -124,10 +130,6 @@ def is_model2_tower(pot) -> bool:
         and isinstance(pot.levels[0], Model2F11)
         and all(isinstance(l, Zero) for l in pot.levels[1:])
     )
-
-
-def is_symbolic_potential(pot) -> bool:
-    return isinstance(pot, (Zero, Constant))
 
 
 # -- model specification -------------------------------------------------------
@@ -164,7 +166,7 @@ class ModelSpec:
                     raise InvalidPartitionError(
                         f"hierarchy depth {len(pot.levels)} != {d - 1} for block {i + 1}"
                     )
-            elif not isinstance(pot, (Zero, Constant)):
+            elif not isinstance(pot, Constant):
                 raise InvalidPartitionError(f"unsupported potential {pot!r}")
 
     @property
@@ -172,7 +174,7 @@ class ModelSpec:
         return len(self.potentials)
 
     def is_symbolic(self) -> bool:
-        return all(is_symbolic_potential(p) for p in self.potentials)
+        return all(isinstance(p, Constant) for p in self.potentials)
 
     def param_names(self) -> tuple:
         names = []
@@ -242,13 +244,11 @@ class RawOperator:
     attachments: tuple = ()
 
     def symbolic(self, spec: ModelSpec) -> DiffOp:
-        """Fold attachments using zero/constant potential values."""
+        """Fold attachments using constant potential values; a zero adds no term."""
         ctx = self.base.ctx
         out = self.base
         for att in self.attachments:
             pot = spec.potentials[att.block]
-            if isinstance(pot, Zero):
-                continue
             if not isinstance(pot, Constant):
                 raise UnsupportedSymbolicPotentialError(
                     f"block {att.block + 1} potential {pot!r} has no exact Cartesian form"
@@ -288,10 +288,8 @@ def block_hamiltonian_raw(spec: ModelSpec, ctx: Context, i: int) -> RawOperator:
     return _hamiltonian_raw(spec, ctx, spec.partition.block_range(i), (i,))
 
 
-def build_hamiltonian(spec: ModelSpec, ctx: Context | None = None) -> DiffOp:
-    """The full Hamiltonian as an exact DiffOp; zero or constant potentials only."""
-    if ctx is None:
-        ctx = operator_context(spec)
+def build_hamiltonian(spec: ModelSpec, ctx: Context) -> DiffOp:
+    """The full Hamiltonian as an exact DiffOp; constant potentials only."""
     return build_hamiltonian_raw(spec, ctx).symbolic(spec)
 
 
@@ -301,12 +299,16 @@ def build_hamiltonian(spec: ModelSpec, ctx: Context | None = None) -> DiffOp:
 def potential_cartesian_evaluator(spec: ModelSpec, i: int, params: dict | None = None):
     """Vectorized f_i as a function of the block's Cartesian coordinates.
 
-    Uses the nested sub-norms s_k^2 = y_1^2 + ... + y_k^2 of the block, so no
-    inverse trigonometry is needed:  sin^2(phi_j) = s_j^2 / s_{j+1}^2 and
-    sin(phi_1) = y_1 / s_2.  Symbolic constants resolve through ``params``.
+    Every potential is read as a tower of levels, innermost first; a bare
+    Constant is a one-level tower.  The innermost value is the constant, or
+    Model2F11 at sin(3 phi_1), and each level j above gives
+    c_j + value / sin^2(phi_j).  The nested sub-norms
+    s_k^2 = y_1^2 + ... + y_k^2 of the block give sin^2(phi_j) = s_j^2 / s_{j+1}^2
+    and sin(phi_1) = y_1 / s_2, so no inverse trigonometry is needed.
+    Symbolic constants resolve through ``params``.
     """
     pot = spec.potentials[i]
-    d = spec.partition.block_sizes[i]
+    levels = pot.levels if isinstance(pot, Hierarchy) else (pot,)
     params = params or {}
 
     def const_value(node):
@@ -323,40 +325,19 @@ def potential_cartesian_evaluator(spec: ModelSpec, i: int, params: dict | None =
 
         ys = [np.asarray(y) for y in block_coords]
         ys = [y.astype(float) if y.dtype.kind != "f" else y for y in ys]
-        if isinstance(pot, Zero):
-            return np.zeros(np.broadcast(*ys).shape) if len(ys) > 1 else np.zeros_like(ys[0])
-        if isinstance(pot, Constant):
-            shape = np.broadcast(*ys).shape if len(ys) > 1 else ys[0].shape
-            return np.full(shape, const_value(pot))
-        # hierarchy: running sub-norms
-        s2 = [None] * (d + 1)  # s2[k] = |first k coords|^2
-        acc = np.zeros_like(ys[0])
-        for k in range(1, d + 1):
-            acc = acc + ys[k - 1] ** 2
-            s2[k] = acc.copy() if hasattr(acc, "copy") else acc
-        levels = pot.levels
-        lvl0 = levels[0]
-        if isinstance(lvl0, Model2F11):
-            _guard_nonzero(s2[2], "innermost sub-norm vanishes")
-            sin_phi1 = ys[0] / np.sqrt(s2[2])
-            s3 = 3 * sin_phi1 - 4 * sin_phi1**3
-            value = lvl0.value_at_s(s3)
-        elif isinstance(lvl0, Zero):
-            value = np.zeros_like(ys[0])
+        s2 = list(accumulate(y**2 for y in ys))  # s2[k] = s_{k+1}^2
+        inner = levels[0]
+        if isinstance(inner, Model2F11):
+            _guard_nonzero(s2[1], "innermost sub-norm vanishes")
+            sin_phi1 = ys[0] / np.sqrt(s2[1])
+            value = inner.value_at_s(3 * sin_phi1 - 4 * sin_phi1**3)
         else:
-            value = np.full_like(ys[0], const_value(lvl0))
-        for j in range(1, d - 1):
-            # sin^2(phi_{j+1}) = s2[j+1] / s2[j+2]
-            sin2 = s2[j + 1] / s2[j + 2]
+            value = np.full(np.broadcast(*ys).shape, const_value(inner))
+        for j, lvl in enumerate(levels[1:], start=1):
+            sin2 = s2[j] / s2[j + 1]  # sin^2(phi_{j+1})
             if np.any((np.abs(sin2) < 1e-14) & (np.abs(value) > 0)):
                 raise EvaluationSingularityError("sin(phi) = 0 with nonzero inner potential")
-            lvl = levels[j]
-            base = (
-                np.zeros_like(ys[0])
-                if isinstance(lvl, Zero)
-                else np.full_like(ys[0], const_value(lvl))
-            )
-            value = base + value / sin2
+            value = const_value(lvl) + value / sin2
         return value
 
     return evaluate

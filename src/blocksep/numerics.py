@@ -453,14 +453,16 @@ def model_point_guards(spec: ModelSpec, margin_extent: float):
     return guards
 
 
-def sample_points(spec: ModelSpec, count: int, rng, delta: float = 0.05,
-                  margin_extent: float = 0.2, guards=()):
+_DELTA = 0.05  # the gap every grid box keeps from a coordinate hyperplane
+
+
+def sample_points(spec: ModelSpec, count: int, rng, margin_extent: float, guards=()):
     """Seeded admissible points: every coordinate bounded away from zero by
-    delta plus the local grid extent, with random signs; rejection sampling
+    _DELTA plus the local grid extent, with random signs; rejection sampling
     keeps the stream deterministic for a fixed generator state.  Magnitudes
-    stay below 1.45, so an extent of 1.45 - delta - 0.05 or more is a
+    stay below 1.45, so an extent of 1.45 - _DELTA - 0.05 or more is a
     ConfigError."""
-    lo = max(0.35, delta + margin_extent + 0.05)
+    lo = max(0.35, _DELTA + margin_extent + 0.05)
     if lo >= 1.45:
         raise ConfigError(f"a grid of extent {margin_extent:g} needs coordinate magnitudes "
                           f"in [{lo:g}, 1.45), which is empty")

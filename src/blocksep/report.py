@@ -17,7 +17,7 @@ from . import __version__
 @dataclass
 class ReportItem:
     name: str
-    kind: str  # relation | alias | spectrum | eigencheck
+    kind: str  # relation | spectrum | eigencheck
     mode: str  # symbolic | numeric
     status: str  # zero | residual | inapplicable | ok | fail
     passed: bool | None

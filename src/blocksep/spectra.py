@@ -116,26 +116,15 @@ def omega_value(model: ModelSpec) -> float:
 def lambda_chain(pot, d: int, angular):
     """Angular eigenvalue of [-L^2 + f] for one block.
 
-    Exact (Fraction) for zero/constant potentials and for the trigonometric
-    tower; constant hierarchies fall back to the eigensolver chain and return
-    a float.  ``angular`` is the harmonic degree, or the per-level tuple for
-    hierarchies.
+    Exact for a Constant, l(l + d - 2) + value at harmonic degree l, and for
+    the trigonometric tower; any other tower runs the eigensolver chain and
+    returns a float.  ``angular`` is the harmonic degree, or the per-level
+    tuple for a tower, as :class:`EigenfunctionSpec` has checked it.
     """
-    if isinstance(pot, (Zero, Constant)):
-        if not isinstance(angular, int) or angular < 0:
-            raise InadmissibleParametersError("harmonic degree must be a non-negative int")
-        if d == 1 and angular != 0:
-            raise InadmissibleParametersError("size-1 blocks admit only l = 0")
-        beta = Fraction(0)
-        if isinstance(pot, Constant):
-            if isinstance(pot.value, str):
-                raise InadmissibleParametersError("lambda chain needs numeric constants")
-            beta = Fraction(pot.value)
-        return Fraction(angular * (angular + d - 2)) + beta
-    if not isinstance(pot, Hierarchy):
-        raise InadmissibleParametersError(f"unsupported potential {pot!r}")
-    if not isinstance(angular, tuple) or len(angular) != d - 1:
-        raise InadmissibleParametersError(f"need {d - 1} per-level numbers")
+    if isinstance(pot, Constant):
+        if isinstance(pot.value, str):
+            raise InadmissibleParametersError("lambda chain needs numeric constants")
+        return Fraction(angular * (angular + d - 2)) + pot.value
     if is_model2_tower(pot):
         return trig_roots(pot.levels[0].A, angular)[-1] ** 2 - Fraction((d - 2) ** 2, 4)
     return _lambda_chain_numeric(pot, d, angular)
@@ -161,18 +150,13 @@ def _lambda_chain_numeric(pot: Hierarchy, d: int, angular) -> float:
     stride = 2 if isinstance(lvl0, Model2F11) else 1
     if isinstance(lvl0, Model2F11):
         alpha = float((Fraction(lvl0.A) + 3 * m) ** 2)
-    elif isinstance(lvl0, (Zero, Constant)):
-        c = 0.0 if isinstance(lvl0, Zero) else float(lvl0.value)
+    else:
+        c = float(lvl0.value)
         # closed level-1 values m^2 + c; the periodic solver re-derives them
         vals = eigensolve_periodic(lambda phi: c + 0.0 * phi, n_eigenvalues=2 * m + 2)
         alpha = vals[2 * m] if m else vals[0]
-    else:
-        raise InadmissibleParametersError(f"unsupported innermost level {lvl0!r}")
     for j in range(2, d):
-        lvl = pot.levels[j - 1]
-        if isinstance(lvl, Model2F11):
-            raise InadmissibleParametersError("trigonometric levels only sit innermost")
-        c = 0.0 if isinstance(lvl, Zero) else float(lvl.value)
+        c = float(pot.levels[j - 1].value)
         k = angular[j - 1]
         vals = eigensolve_weighted_polar(
             lambda t, c=c, a=alpha: c + a / np.sin(t) ** 2,

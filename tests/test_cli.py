@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ import blocksep
 from blocksep import cli
 from blocksep.cli import build_catalog, load_config, main, run_verify
 from blocksep.errors import ConfigError
-from blocksep.models import Zero, model2_potential, oscillator_spec, spec_to_json
+from blocksep.models import (Constant, Hierarchy, Model2F11, Zero, model2_potential, oscillator_spec,
+                             spec_to_json)
 from blocksep.report import serialize
 from oracles import validate_report
 
@@ -321,6 +323,18 @@ PINNED_NUMERIC = [
     pytest.param({"catalog": "coulomb-commutativity", "blocks": [1, 2], "seed": 5},
                  "71f5e21d487cd5f63a33c38e4b34f16a52a023ade6fa48aeb12d1e1f4964495f",
                  id="coulomb-commutativity-1,2"),
+    # towers of constant levels over a Zero or a Constant block, and a model2 level
+    # under a constant one; recorded before one level loop came to evaluate every
+    # potential.  The six G[1,2] items of each are inapplicable by design.
+    pytest.param({"catalog": "oscillator-commutativity", "params": {"w2": 1.0}, "model": spec_to_json(
+        oscillator_spec([3, 1], (Hierarchy((Constant(Fraction(1, 3)), Constant(2))), Zero())))},
+        "984a3a66417ee431b0e4ea8a065b15d4886b8ea29d82ee809d6dc187153f076e",
+        id="oscillator-commutativity-constant-tower-3,1"),
+    pytest.param({"catalog": "oscillator-commutativity", "params": {"w2": 1.0}, "model": spec_to_json(
+        oscillator_spec([3, 1], (Hierarchy((Model2F11(4, 1), Constant(Fraction(5, 7)))),
+                                 Constant(Fraction(3, 2)))))},
+        "d38d3ba441e7bed2143fb4d5ca41647e0d953637c4ce6cdf668c5f5c79357ec6",
+        id="oscillator-commutativity-model2-tower-3,1"),
 ]
 
 

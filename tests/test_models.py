@@ -155,22 +155,45 @@ def test_hierarchy_singularity_guard():
         potential_cartesian_evaluator(spec, 0)([np.array(0.0), np.array(0.0), np.array(1.0)])
 
 
-def test_cartesian_evaluator_matches_angle_recursion():
+@pytest.mark.parametrize("d, pot", [
+    (3, Hierarchy((Constant(Fraction(2)), Constant(Fraction(5))))),
+    (3, Hierarchy((Model2F11(4, 1), Constant(Fraction(5, 7))))),
+    (4, Hierarchy((Constant(Fraction(1, 3)), Zero(), Constant(Fraction(2))))),
+    (1, Zero()),
+    (1, Constant(Fraction(3, 2))),
+], ids=["constant-tower-3", "model2-under-constant-3", "constant-tower-4", "zero-1", "constant-1"])
+def test_cartesian_evaluator_matches_angle_recursion(d, pot):
+    """A size-1 block has no angle; the recursion reads its one level at a
+    dummy angle, which a constant ignores."""
     rng = random.Random(11)
-    spec = oscillator_spec([3, 1], (Hierarchy((Constant(Fraction(2)), Constant(Fraction(5)))), Zero()))
+    spec = oscillator_spec([d, 1], (pot, Zero()))
     f = potential_cartesian_evaluator(spec, 0)
     for _ in range(25):
-        phi1 = rng.uniform(0, 2 * math.pi)
-        phi2 = rng.uniform(0.2, math.pi - 0.2)
+        phis = [rng.uniform(0, 2 * math.pi)]
+        phis += [rng.uniform(0.2, math.pi - 0.2) for _ in range(d - 2)]
         r = rng.uniform(0.5, 2.0)
-        y = (
-            r * math.sin(phi2) * math.sin(phi1),
-            r * math.sin(phi2) * math.cos(phi1),
-            r * math.cos(phi2),
-        )
-        via_cart = f([np.array(v) for v in y])
-        via_ang = eval_angular_potential(spec.potentials[0], (phi1, phi2))
+        # y_1, y_2 = s_2 (sin, cos)(phi_1); s_k = s_{k+1} sin(phi_k), y_{k+1} = s_{k+1} cos(phi_k)
+        y = [math.sin(phis[0]), math.cos(phis[0])] if d > 1 else [1.0]
+        for phi in phis[1:]:
+            y = [v * math.sin(phi) for v in y] + [math.cos(phi)]
+        via_cart = f([np.array(r * v) for v in y])
+        via_ang = eval_angular_potential(pot, phis)
         assert float(via_cart) == pytest.approx(via_ang, rel=1e-12)
+
+
+def test_zero_is_the_zero_constant():
+    """Zero folds like Constant(0) yet keeps its identity, repr and JSON kind."""
+    assert isinstance(Zero(), Constant) and Zero().value == 0
+    assert Zero() != Constant(0) and Zero() == Zero()
+    assert repr(Zero()) == "Zero()"
+    assert repr(model2_potential(3, 4, 1)) == (
+        "Hierarchy(levels=(Model2F11(A=Fraction(4, 1), B=Fraction(1, 1)), Zero()))")
+    spec = oscillator_spec([2, 1], (Zero(), Zero()))
+    assert spec_to_json(spec)["potentials"] == [{"kind": "zero"}] * 2
+    assert spec_from_json(spec_to_json(spec)) == spec
+    ctx = operator_context(spec)
+    zeros = oscillator_spec([2, 1], (Constant(0), Constant(0)))
+    assert build_hamiltonian(spec, ctx) == build_hamiltonian(zeros, ctx)
 
 
 def test_symbolic_numeric_agreement_constant():
