@@ -109,7 +109,7 @@ def _guard_nonzero(values, message):
     import numpy as np
 
     arr = np.asarray(values)
-    if np.any(np.abs(arr) < 1e-12):
+    if not np.all(np.abs(arr) >= 1e-12):  # a NaN is singular too
         raise EvaluationSingularityError(message)
 
 
@@ -334,10 +334,11 @@ def potential_cartesian_evaluator(spec: ModelSpec, i: int, params: dict | None =
         else:
             value = np.full(np.broadcast(*ys).shape, const_value(inner))
         for j, lvl in enumerate(levels[1:], start=1):
-            sin2 = s2[j] / s2[j + 1]  # sin^2(phi_{j+1})
-            if np.any((np.abs(sin2) < 1e-14) & (np.abs(value) > 0)):
+            with np.errstate(invalid="ignore"):  # 0/0 where s_{j+1} = 0: NaN, refused below
+                sin2 = s2[j] / s2[j + 1]  # sin^2(phi_{j+1})
+            if np.any(np.isnan(sin2) | ((np.abs(sin2) < 1e-14) & (np.abs(value) > 0))):
                 raise EvaluationSingularityError("sin(phi) = 0 with nonzero inner potential")
-            value = const_value(lvl) + value / sin2
+            value = const_value(lvl) + value / np.where(value == 0, 1.0, sin2)  # 0 where sin = 0
         return value
 
     return evaluate

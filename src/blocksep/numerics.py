@@ -11,8 +11,13 @@ no value depends on how far the grid around it extends, and the cropping
 changes no bit of any result.  A stencil pass is one ``np.vecdot`` of the
 weights with a window view of each point's samples along the axis, a
 contraction per point; on longdouble, which numeric verification uses, each
-sum runs in order from the first offset.  Residuals are normalized by the
-largest intermediate magnitude to absorb the cancellation inherent in double
+sum runs in order from the first offset.  Each compiled term carries a plan
+(its coefficient key, the crop its half widths need, its nonzero-order
+passes).  While a relation is evaluated at one point, each coordinate mesh
+and coefficient array is computed once per output radius, into a table that
+lives only for that evaluation; an entry is what a fresh evaluation would
+compute, so no bit changes.  Residuals are normalized by the largest
+intermediate magnitude to absorb the cancellation inherent in double
 commutators of fourth-order products.
 """
 
@@ -160,8 +165,17 @@ class ProbeFunction:
 
 @dataclass(frozen=True)
 class NumericTerm:
+    """c(x) d^alpha with its plan: ``key`` names the coefficient array (the
+    coefficient with its term order, which fixes its rounding, and the block
+    of a potential attachment); ``crop`` slices an input of the operator's
+    margin beyond the output down to this term's stencil half width on each
+    axis; ``passes`` lists the (axis, m) with m > 0."""
+
     alpha: tuple
     coef_fn: object  # callable(list of coordinate arrays) -> array
+    key: object
+    crop: tuple
+    passes: tuple
 
 
 @dataclass(frozen=True)
@@ -172,16 +186,16 @@ class NumericOperator:
 
 def compile_operator(op, spec: ModelSpec | None, params: dict, scheme: FDScheme) -> NumericOperator:
     """DiffOp or RawOperator -> evaluable terms with bound parameter values."""
-    terms = []
     if isinstance(op, RawOperator):
         base, attachments = op.base, op.attachments
     else:
         base, attachments = op, ()
+    parts = []  # (alpha, coefficient function, key)
     for alpha, coef in base.terms.items():
         def make(coef=coef):
             return lambda coords: coef.eval_numeric(coords, params)
 
-        terms.append(NumericTerm(alpha, make()))
+        parts.append((alpha, make(), (coef, tuple(coef.num.terms))))
     zero_alpha = (0,) * base.ctx.nx
     for att in attachments:
         f_eval = potential_cartesian_evaluator(spec, att.block, params)
@@ -194,11 +208,13 @@ def compile_operator(op, spec: ModelSpec | None, params: dict, scheme: FDScheme)
 
             return fn
 
-        terms.append(NumericTerm(zero_alpha, make_att()))
-    margin = max(
-        (max(scheme.half_width(m) for m in t.alpha) if sum(t.alpha) else 0 for t in terms),
-        default=0,
-    )
+        parts.append((zero_alpha, make_att(), (att.coef, tuple(att.coef.num.terms), att.block)))
+    margin = max((scheme.half_width(m) for alpha, _, _ in parts for m in alpha), default=0)
+    terms = []
+    for alpha, coef_fn, key in parts:
+        crop = tuple(slice(margin - s, s - margin or None) for s in map(scheme.half_width, alpha))
+        passes = tuple((axis, m) for axis, m in enumerate(alpha) if m)
+        terms.append(NumericTerm(alpha, coef_fn, key, crop, passes))
     return NumericOperator(tuple(terms), margin)
 
 
@@ -217,8 +233,7 @@ def _axis_coords(x0, h, radius, dim, dtype=np.float64):
 
 
 def _stencil_axis(values: np.ndarray, axis: int, m: int, h: float, scheme: FDScheme):
-    if m == 0:
-        return values
+    """The m-th derivative (m >= 1) along ``axis`` at every point with a full stencil."""
     w = _weight_array(m, scheme.order, values.dtype)
     shape = list(values.shape)
     shape[axis] -= len(w) - 1
@@ -239,24 +254,37 @@ def _crop(values: np.ndarray, radius: int, halves) -> np.ndarray:
 
 
 def apply_on_grid(nop: NumericOperator, values: np.ndarray, x0, h: float, radius: int,
-                  scheme: FDScheme) -> np.ndarray:
+                  scheme: FDScheme, table: dict | None = None) -> np.ndarray:
     """Apply an operator to samples on the grid x0 + h*[-radius, radius]^dim.
 
     The output has radius ``radius - nop.margin``.  Each term differentiates
     only the samples that output needs: the input is cropped, axis by axis,
-    to the output radius plus the term's stencil half width on that axis.
+    to the output radius plus the term's stencil half width on that axis,
+    and only its passes with m > 0 run.
+
+    The coordinate meshes and each term's coefficient array come from
+    ``table``, keyed by the output radius and by (term key, output radius),
+    and are computed on first use.  A table serves one point in one env and
+    dtype, so an entry is the array a fresh evaluation would compute; no one
+    writes into it, and no output bit changes.
     """
     dim = values.ndim
     r_out = radius - nop.margin
     if r_out < 0:
         raise ValueError("grid too small for requested application")
-    coords = _axis_coords(x0, h, r_out, dim, values.dtype.type)
+    table = {} if table is None else table
+    coords = table.get(r_out)
+    if coords is None:
+        coords = table[r_out] = _axis_coords(x0, h, r_out, dim, values.dtype.type)
     total = np.zeros((2 * r_out + 1,) * dim, dtype=values.dtype)
     for term in nop.terms:
-        arr = _crop(values, radius, [r_out + scheme.half_width(m) for m in term.alpha])
-        for axis, m in enumerate(term.alpha):
+        arr = values[term.crop]
+        for axis, m in term.passes:
             arr = _stencil_axis(arr, axis, m, h, scheme)
-        total += term.coef_fn(coords) * arr
+        c = table.get((term.key, r_out))
+        if c is None:
+            c = table[term.key, r_out] = term.coef_fn(coords)
+        total += c * arr
     return total
 
 
@@ -358,9 +386,12 @@ def eval_tree_on_grid(node, env: NumericEnv, values, x0, radius, magnitudes: lis
     operator applied again to the same array, as the inner and outer
     commutator of [Z, [Z, H]] both apply Z to the field, is read from
     ``applied``, which one top-level call shares with all its recursive
-    calls; results are therefore shared, and no caller writes into one.  The
-    center value of every operator leaf and product is appended to
-    ``magnitudes``.
+    calls; results are therefore shared, and no caller writes into one.
+    ``applied`` is also ``apply_on_grid``'s table of coordinate meshes and
+    coefficient arrays: a top-level call covers one probe at one point in one
+    env, so each is computed once per output radius there and holds what a
+    fresh evaluation would.  The center value of every operator leaf and
+    product is appended to ``magnitudes``.
     """
 
     def record(arr):
@@ -373,7 +404,8 @@ def eval_tree_on_grid(node, env: NumericEnv, values, x0, radius, magnitudes: lis
     if nop is not None:
         key = (id(nop), id(values))
         if key not in applied:  # storing the input keeps its id from being reused
-            applied[key] = values, apply_on_grid(nop, values, x0, env.scheme.h, radius, env.scheme)
+            applied[key] = values, apply_on_grid(nop, values, x0, env.scheme.h, radius,
+                                                 env.scheme, applied)
         return record(applied[key][1]), radius - margin
     if scalar is not None:
         return values * scalar, radius

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -153,6 +154,37 @@ def test_hierarchy_singularity_guard():
     spec = oscillator_spec([3, 1], (Hierarchy((Constant(Fraction(1)), Zero())), Zero()))
     with pytest.raises(EvaluationSingularityError):  # y1 = y2 = 0: sin(phi_2) = 0
         potential_cartesian_evaluator(spec, 0)([np.array(0.0), np.array(0.0), np.array(1.0)])
+
+
+@pytest.mark.parametrize("pot", [
+    Hierarchy((Constant(Fraction(1)), Constant(Fraction(2)))),
+    Hierarchy((Zero(), Constant(Fraction(2)))),
+], ids=["constant-inner", "zero-inner"])
+def test_hierarchy_guard_refuses_the_block_origin(pot):
+    """At y = 0 every sub-norm vanishes, so sin^2(phi_2) = 0/0 is a NaN: the
+    evaluator refuses the point, also inside an array, and numpy stays quiet."""
+    f = potential_cartesian_evaluator(oscillator_spec([3, 1], (pot, Zero())), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for y in ([np.array(0.0)] * 3, [np.array([0.0, 0.5])] * 3):
+            with pytest.raises(EvaluationSingularityError):
+                f(y)
+
+
+def test_zero_inner_level_adds_nothing_where_sin_vanishes():
+    """A zero inner level contributes 0 / sin^2 = 0 even where sin(phi_2) = 0,
+    quietly, so the tower is its outer constant there."""
+    pot = Hierarchy((Zero(), Constant(Fraction(2))))
+    f = potential_cartesian_evaluator(oscillator_spec([3, 1], (pot, Zero())), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = f([np.array([0.0, 0.3]), np.array([0.0, -0.4]), np.array([1.0, 0.5])])
+    assert got.tolist() == [2.0, 2.0]
+
+
+def test_nonzero_guard_refuses_a_nan():
+    with pytest.raises(EvaluationSingularityError):
+        Model2F11(4, 1).value_at_s(np.array([0.1, np.nan]))
 
 
 @pytest.mark.parametrize("d, pot", [

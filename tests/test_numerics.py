@@ -275,6 +275,168 @@ def test_eval_tree_on_grid_is_exact_on_a_larger_grid():
     assert len(results[0][1]) > 10
 
 
+def _criterion_7_env(scheme):
+    spec = oscillator_spec([2, 1], (model2_potential(2, 4, 1), Zero()))
+    return spec, NumericEnv(OperatorEnv.for_model(spec), {"w2": 1.0}, scheme)
+
+
+@pytest.mark.parametrize("extended", [False, True], ids=["float64", "longdouble"])
+def test_point_tables_stay_with_their_point(extended):
+    """Each relation evaluated at two points in a row through one env equals,
+    bit for bit, its evaluation through a fresh env at each point: no
+    coordinate mesh or coefficient array outlives the point it was made at."""
+    from blocksep.numerics import _axis_coords, eval_tree_on_grid
+
+    scheme = FDScheme(extended=extended)
+    spec, shared = _criterion_7_env(scheme)
+    probe = ProbeFunction.from_seed(3, 3)
+    points = sample_points(spec, 2, np.random.default_rng(3), margin_extent=0.2)
+    for rel in oscillator_quadratic_relations(spec, 2):
+        margin = shared.compiled(rel.expr)[0]
+        for x in points:
+            values = probe(_axis_coords(x, scheme.h, margin, 3, scheme.dtype))
+            runs = []
+            for env in (shared, NumericEnv(shared.env, {"w2": 1.0}, scheme)):
+                mags: list = []
+                out, _ = eval_tree_on_grid(rel.expr, env, values, x, margin, mags)
+                runs.append((out, mags))
+            (out, mags), (fresh_out, fresh_mags) = runs
+            assert out.dtype == scheme.dtype and np.array_equal(out, fresh_out), (rel.name, x)
+            assert mags == fresh_mags, (rel.name, x)
+
+
+def test_one_coefficient_at_two_output_radii_has_two_entries():
+    """One table serves applications at two radii: each coefficient gets an
+    entry per output radius, and each output equals a fresh-table one."""
+    from blocksep.integrals import IntegralName
+    from blocksep.numerics import _crop, apply_on_grid
+
+    scheme = FDScheme(extended=True)
+    spec, _, x, big = _model2_grid(10, scheme)
+    env = NumericEnv(OperatorEnv.for_model(spec), {"w2": 1.0}, scheme)
+    nop = env.operator(IntegralName("H", 2))
+    assert nop.margin == 4
+    table: dict = {}
+    for radius in (10, 6):
+        values = _crop(big, 10, [radius] * 3)
+        got = apply_on_grid(nop, values, x, scheme.h, radius, scheme, table)
+        assert np.array_equal(got, apply_on_grid(nop, values, x, scheme.h, radius, scheme))
+    keys = {t.key for t in nop.terms}
+    assert set(table) == {6, 2} | {(k, r) for k in keys for r in (6, 2)}
+    for k in keys:
+        assert table[k, 6] is not table[k, 2]
+
+
+def test_attachment_and_bare_coefficient_keep_their_own_entries():
+    """A potential attachment c(x) f(y) and a bare multiplication by the same
+    c(x) share a table without reading each other's array, in either order."""
+    from blocksep.models import build_hamiltonian_raw, operator_context
+    from blocksep.numerics import _crop, apply_on_grid, compile_operator
+
+    scheme = FDScheme(extended=True)
+    spec, _, x, big = _model2_grid(6, scheme)
+    ctx = operator_context(spec)
+    H = build_hamiltonian_raw(spec, ctx)
+    att = H.attachments[0]
+    nops = [compile_operator(op, spec, {"w2": 1.0}, scheme)
+            for op in (H, DiffOp.from_coefficient(ctx, att.coef))]
+    assert len({t.key for t in nops[0].terms} & {t.key for t in nops[1].terms}) == 0
+    fresh = [apply_on_grid(nop, big, x, scheme.h, 6, scheme) for nop in nops]
+    for order in ((0, 1), (1, 0)):
+        table: dict = {}
+        for i in order:
+            assert np.array_equal(apply_on_grid(nops[i], big, x, scheme.h, 6, scheme, table),
+                                  fresh[i]), order
+
+
+def test_equal_coefficients_in_another_term_order_keep_their_own_entries():
+    """Equal coefficients whose terms sit in another order sum them in another
+    order, so each keeps its entry and its own rounding."""
+    from fractions import Fraction
+
+    from blocksep.numerics import _axis_coords, apply_on_grid, compile_operator
+    from blocksep.ring import Coefficient, Poly
+
+    ctx = Context(("x1", "x2"))
+    x1, x2 = ctx.x(0), ctx.x(1)
+    num = (x1.mul(x1).mul(x1).scale(Fraction(1, 3)).add(x2.mul(x2).scale(Fraction(7, 11)))
+           .add(x1.mul(x2).scale(Fraction(5, 13))).add(ctx.const_poly(Fraction(1, 7))))
+    coef = Coefficient.from_poly(ctx, num)
+    flipped = Coefficient(ctx, Poly(num.n, dict(reversed(list(coef.num.terms.items())))), coef.den)
+    assert coef == flipped
+    scheme, x, R = FDScheme(), (0.7, -0.4), 6
+    values = np.cos(sum(np.broadcast_arrays(*_axis_coords(x, scheme.h, R, 2))))
+    nops = [compile_operator(DiffOp.from_coefficient(ctx, c), None, {}, scheme)
+            for c in (coef, flipped)]
+    fresh = [apply_on_grid(nop, values, x, scheme.h, R, scheme) for nop in nops]
+    assert not np.array_equal(*fresh)  # the two orders round differently somewhere
+    table: dict = {}
+    for nop, want in zip(nops, fresh):
+        assert np.array_equal(apply_on_grid(nop, values, x, scheme.h, R, scheme, table), want)
+
+
+def test_each_coefficient_once_per_point_and_only_nonzero_passes(monkeypatch):
+    """On the criterion 7 model, every top-level evaluation (one relation, one
+    probe, one point) evaluates each (coefficient key, output radius) at most
+    once, and every stencil pass has m >= 1, one per nonzero order of each
+    applied term."""
+    import dataclasses
+
+    from blocksep import numerics
+
+    real_compile, real_apply = numerics.compile_operator, numerics.apply_on_grid
+    real_stencil, real_eval = numerics._stencil_axis, numerics.eval_tree_on_grid
+    seen, depth = [], [0]
+    counts = {"evaluations": 0, "passes": 0, "planned": 0, "points": 0}
+
+    def counting_compile(*args):
+        nop = real_compile(*args)
+
+        def counted(term):
+            def fn(coords):
+                radius = coords[0].shape[0] // 2
+                assert (term.key, radius) not in seen[-1]
+                seen[-1].add((term.key, radius))
+                counts["evaluations"] += 1
+                return term.coef_fn(coords)
+
+            return dataclasses.replace(term, coef_fn=fn)
+
+        return dataclasses.replace(nop, terms=tuple(counted(t) for t in nop.terms))
+
+    def counting_apply(nop, *args):
+        counts["planned"] += sum(1 for t in nop.terms for m in t.alpha if m)
+        return real_apply(nop, *args)
+
+    def counting_stencil(values, axis, m, h, scheme):
+        assert m >= 1
+        counts["passes"] += 1
+        return real_stencil(values, axis, m, h, scheme)
+
+    def counting_eval(*args):
+        if not depth[0]:
+            seen.append(set())
+            counts["points"] += 1
+        depth[0] += 1
+        try:
+            return real_eval(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(numerics, "compile_operator", counting_compile)
+    monkeypatch.setattr(numerics, "apply_on_grid", counting_apply)
+    monkeypatch.setattr(numerics, "_stencil_axis", counting_stencil)
+    monkeypatch.setattr(numerics, "eval_tree_on_grid", counting_eval)
+    spec, env = _criterion_7_env(FDScheme(extended=True))
+    rels = oscillator_quadratic_relations(spec, 2)
+    for rel in rels:
+        st = relation_residual_numeric(rel, env, probes=1, points_per_probe=2, seed=3)
+        assert st.max_relative < 1e-5
+    assert counts["points"] == 2 * len(rels)
+    assert counts["passes"] == counts["planned"] > 0
+    assert 0 < counts["evaluations"] == sum(len(s) for s in seen)
+
+
 def test_fixed_node_compiled_once_per_relation(monkeypatch):
     """A Fixed leaf is compiled once per residual evaluation, not at every point."""
     from blocksep import numerics
