@@ -178,6 +178,10 @@ def _verify_numeric(rs: RelationSet, config: dict) -> list:
     scheme = FDScheme(order=config.get("fd_order", 8), h=config.get("fd_step", 1e-2),
                       extended=True)
     tol = config.get("tol", 1e-5)
+    peers: dict = {}  # the relations each OperatorEnv's numeric view evaluates, in order
+    for rel, env in rs.pairs:
+        if rel.expectation != "record":
+            peers.setdefault(env, []).append(rel)
     nenvs: dict = {}  # the numeric view of each OperatorEnv, built on first use
     items = []
     for rel, env in rs.pairs:
@@ -185,7 +189,7 @@ def _verify_numeric(rs: RelationSet, config: dict) -> list:
             continue
         try:
             if env not in nenvs:
-                nenvs[env] = NumericEnv(env, config.get("params") or {}, scheme)
+                nenvs[env] = NumericEnv(env, config.get("params") or {}, scheme, peers[env])
             stats = relation_residual_numeric(
                 rel,
                 nenvs[env],

@@ -13,12 +13,14 @@ weights with a window view of each point's samples along the axis, a
 contraction per point; on longdouble, which numeric verification uses, each
 sum runs in order from the first offset.  Each compiled term carries a plan
 (its coefficient key, the crop its half widths need, its nonzero-order
-passes).  While a relation is evaluated at one point, each coordinate mesh
-and coefficient array is computed once per output radius, into a table that
-lives only for that evaluation; an entry is what a fresh evaluation would
-compute, so no bit changes.  Residuals are normalized by the largest
-intermediate magnitude to absorb the cancellation inherent in double
-commutators of fourth-order products.
+passes).  Relations of one env with the same margin sample the same points
+with the same probes, so the first residual call of such a group evaluates
+every member point by point: at each point the members share one probe grid
+and one table of operator applications, coordinate meshes and coefficient
+arrays, which is dropped after that point.  An entry is what a fresh
+evaluation at that point would compute, so no bit changes.  Residuals are
+normalized by the largest intermediate magnitude to absorb the cancellation
+inherent in double commutators of fourth-order products.
 """
 
 from __future__ import annotations
@@ -308,9 +310,15 @@ def apply_numeric(op, f, x, scheme: FDScheme = FDScheme(), spec: ModelSpec | Non
 
 class NumericEnv:
     """Numeric view of a model's OperatorEnv: its integrals compiled to grid
-    operators at bound parameter values, its structural constants as floats."""
+    operators at bound parameter values, its structural constants as floats.
 
-    def __init__(self, env: OperatorEnv, params: dict, scheme: FDScheme):
+    ``peers`` are the relations a run will evaluate through this env, in
+    order.  The first ``relation_residual_numeric`` call of a sampling group
+    evaluates the group's pending peers with it; each peer's stats, or the
+    exception it raised, waits in ``outcomes`` until the peer's own call
+    takes it."""
+
+    def __init__(self, env: OperatorEnv, params: dict, scheme: FDScheme, peers=()):
         if env.spec is None:
             raise InapplicableRelationError(
                 f"numeric mode needs a model; {env.label} is an operator table")
@@ -325,6 +333,9 @@ class NumericEnv:
         self.scheme = scheme
         self._cache: dict = {}
         self._nodes: dict = {}
+        self.pending = list(peers)
+        # (id(peer), probes, points, seed) -> (peer, which keeps its id, and its stats or exception)
+        self.outcomes: dict = {}
 
     def operator(self, name) -> NumericOperator:
         key = str(name)
@@ -388,10 +399,12 @@ def eval_tree_on_grid(node, env: NumericEnv, values, x0, radius, magnitudes: lis
     ``applied``, which one top-level call shares with all its recursive
     calls; results are therefore shared, and no caller writes into one.
     ``applied`` is also ``apply_on_grid``'s table of coordinate meshes and
-    coefficient arrays: a top-level call covers one probe at one point in one
-    env, so each is computed once per output radius there and holds what a
+    coefficient arrays.  It serves one point in one env for every relation of
+    a sampling group, which all start from the same probe grid there, so each
+    entry is computed once per output radius at that point and holds what a
     fresh evaluation would.  The center value of every operator leaf and
-    product is appended to ``magnitudes``.
+    product this call evaluates, shared or not, is appended to
+    ``magnitudes``.
     """
 
     def record(arr):
@@ -513,35 +526,76 @@ def sample_points(spec: ModelSpec, count: int, rng, margin_extent: float, guards
     return points
 
 
+def _has_margin(env: NumericEnv, rel: Relation, margin: int) -> bool:
+    try:
+        return env.compiled(rel.expr)[0] == margin
+    except Exception:  # the relation's own call raises this again
+        return False
+
+
 def relation_residual_numeric(rel: Relation, env: NumericEnv, probes: int,
                               points_per_probe: int, seed: int) -> ResidualStats:
     """Evaluate (LHS - RHS) f at seeded probe/point pairs.
 
     The relative residual at a point is |value| / (1 + max intermediate
     magnitude across the tree evaluation); reported are max and median.
+
+    The pending peers of ``env`` with the margin of ``rel`` sample the same
+    points with the same probes, so they are evaluated here too, after
+    ``rel`` at each point and from the same probe grid and table.  A peer
+    that raises leaves the group; its exception, like each other peer's
+    stats, is kept on ``env`` for the peer's own call.  If ``rel`` raises,
+    the peers stay pending.
     """
+    sampling = (probes, points_per_probe, seed)
+    _, outcome = env.outcomes.pop((id(rel), *sampling), (rel, None))
+    if isinstance(outcome, Exception):
+        raise outcome
+    if outcome is not None:
+        return outcome
+    env.pending = [peer for peer in env.pending if peer is not rel]
     spec, scheme = env.spec, env.scheme
     margin = env.compiled(rel.expr)[0]
+    group = {id(rel): rel}
+    for peer in env.pending:
+        if id(peer) not in group and _has_margin(env, peer, margin):
+            group[id(peer)] = peer
     rng = np.random.default_rng(seed)
     D = spec.partition.D
-    rels = []
     extent = margin * scheme.h
     pts = sample_points(spec, probes * points_per_probe, rng, margin_extent=extent,
                         guards=model_point_guards(spec, extent))
     dtype = scheme.dtype
+    samples: dict = {key: [] for key in group}  # relative residuals, or what a peer raised
     for pi in range(probes):
         probe = ProbeFunction.from_seed(D, seed, pi)
         for qi in range(points_per_probe):
             x = pts[pi * points_per_probe + qi]
             coords = _axis_coords(x, scheme.h, margin, D, dtype)
             values = probe(coords)  # broadcasts the axes: same values, fewer operations
-            mags: list = []
-            out, _ = eval_tree_on_grid(rel.expr, env, values, x, margin, mags)
-            center = float(out.reshape(-1)[out.size // 2])
-            denom = 1.0 + (max(mags) if mags else 0.0)
-            rels.append(abs(center) / denom)
-    arr = np.array(rels)
-    return ResidualStats(float(arr.max()), float(np.median(arr)), len(rels))
+            applied: dict = {}  # this point's table, for every member
+            for key, member in group.items():
+                if not isinstance(samples[key], list):
+                    continue
+                mags: list = []
+                try:
+                    out, _ = eval_tree_on_grid(member.expr, env, values, x, margin, mags, applied)
+                except Exception as exc:
+                    if member is rel:
+                        raise
+                    samples[key] = exc
+                    continue
+                center = float(out.reshape(-1)[out.size // 2])
+                denom = 1.0 + (max(mags) if mags else 0.0)
+                samples[key].append(abs(center) / denom)
+    outcomes = {key: got if isinstance(got, Exception)
+                else ResidualStats(float(np.max(got)), float(np.median(got)), len(got))
+                for key, got in samples.items()}
+    env.pending = [peer for peer in env.pending if id(peer) not in group]
+    for key, member in group.items():
+        if member is not rel:
+            env.outcomes[(key, *sampling)] = member, outcomes[key]
+    return outcomes[id(rel)]
 
 
 # -- 1D eigensolver oracle ---------------------------------------------------------------

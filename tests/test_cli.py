@@ -347,6 +347,101 @@ def test_numeric_report_matches_its_pinned_digest(source, digest):
     assert hashlib.sha256(serialize(report, drop_runtime=True).encode()).hexdigest() == digest
 
 
+def _items_digest(items) -> str:
+    return hashlib.sha256(json.dumps([i.to_json() for i in items], sort_keys=True).encode()).hexdigest()
+
+
+# Relation files in numeric mode on [2,2] at probes 2, points 3, seed 5, where
+# relations of one margin share their sample points.  Each ends as it did when
+# every relation was sampled on its own: with the same config error, naming
+# the same relation, or with report items of the SHA-256 recorded then.
+_GOOD_FILE = "ok-1: [Z[2], T[2]]\nok-2: [T[2], Z[2]]\nsmall: G[1,2] - T[1]\nok-3: [Z[2], Hsum[2]] + [Hsum[2], Z[2]]\n"
+MIXED_FILES = [
+    # H[2] holds omega2 = 1e400, so `big` raises at the first point, a peer of ok-1
+    pytest.param("ok-1: [Z[2], T[2]]\nbig: [Z[2], H[2]] - [Z[2], H[2]]\nok-2: [T[2], Z[2]]\n",
+                 {"model": {"family": "oscillator", "blocks": [2, 2], "omega2": "1e400"}},
+                 ("error", "big: a value of the relation or its model is beyond the float range"),
+                 id="overflow-at-a-point"),
+    pytest.param("ok-1: [Z[2], T[2]]\ntypo: [H[9], Z[2]]\nok-2: [T[2], Z[2]]\n", {},
+                 ("error", "relation typo: H index 9 out of [1,2]"), id="fails-to-compile"),
+    pytest.param("small: G[1,2] - T[1]\nwide-1: [Z[2], T[2]]\nwide-2: [T[2], Z[2]]\n",
+                 {"fd_step": 0.2}, ("error", "fd_step 0.2 is too large for wide-1: a grid of extent "
+                                    "1.6 needs coordinate magnitudes in [1.7, 1.45), which is empty"),
+                 id="grid-too-wide"),
+    pytest.param(_GOOD_FILE, {},
+                 ("items", "ddae8b4102e56fc6608adb0d8333f597281a3085a31a931ddf69c5857363ac1d"),
+                 id="good"),
+]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                    reason="the pinned digest is of x86 extended-precision residuals")
+@pytest.mark.parametrize("text, extra, outcome", MIXED_FILES)
+def test_relation_file_with_a_raising_relation_ends_as_before(tmp_path, text, extra, outcome):
+    rel = tmp_path / "mixed.rel"
+    rel.write_text(text)
+    config = {"relation_file": str(rel), "blocks": [2, 2], "mode": "numeric", "probes": 2,
+              "points": 3, "seed": 5} | extra
+    kind, want = outcome
+    if kind == "items":
+        assert _items_digest(run_verify(config).items) == want
+    else:
+        with pytest.raises(ConfigError) as exc:
+            run_verify(config)
+        assert str(exc.value) == want
+
+
+def _mixed_relation_set(first_raises: bool):
+    """Relations of one env on [2,2]: most of margin 8, one of which raises at
+    its first point (a Fixed leaf whose coefficient holds an unbound parameter
+    q) and one whose tree fails to compile, plus a record and one of margin 4."""
+    from blocksep.integrals import IntegralName
+    from blocksep.opalg import DiffOp
+    from blocksep.relations import Comm, Fixed, OperatorEnv, OpRef, ParamRef, Relation, RelationSet
+    from blocksep.ring import Coefficient, Context
+
+    spec = oscillator_spec([2, 2], (Constant(1), Constant(2)), omega2=1)
+    env = OperatorEnv.for_model(spec)
+    Z, Hs, T1, T2, G = (OpRef(IntegralName(*n)) for n in
+                        (("Z", 2), ("Hsum", 2), ("T", 1), ("T", 2), ("G", 1, 2)))
+    ctx = Context(("x1", "x2", "x3", "x4"), param_names=("q",))
+    q_op = DiffOp.from_coefficient(ctx, Coefficient.from_poly(ctx, ctx.x(0)))
+    raising = Relation("unbound-q-at-a-point", Comm(Z, Hs) + Fixed(q_op))
+    rels = [
+        Relation("lead", Comm(Z, Hs)),
+        Relation("record", Comm(Z, Hs), expectation="record"),
+        Relation("unbound-param", Comm(Z, Hs) + ParamRef("nope")),
+        Relation("peer", Comm(Hs, Z)),
+        Relation("other-margin", G - T1),
+        Relation("nonzero-peer", Comm(Z, T2) + Hs, expectation="nonzero"),
+    ]
+    rels.insert(0 if first_raises else 1, raising)
+    return RelationSet(tuple((r, env) for r in rels))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                    reason="the pinned digest is of x86 extended-precision residuals")
+@pytest.mark.parametrize("first_raises, digest", [
+    (False, "555d3426298e0a0efae7deed600516a1f02455f0fb79bc68bb4518de7d3ec96f"),
+    (True, "10db9c4702ec40521a9655e27529b198496ed3134fb25c15d09ce972ddb98652"),
+], ids=["peer-raises", "lead-raises"])
+def test_grouped_numeric_items_equal_each_relation_alone(first_raises, digest):
+    """A peer that raises at a point is reported inapplicable with its own
+    note, a lead that raises leaves its peers to their own calls, and a tree
+    that fails to compile stays out of the group: the items equal those of
+    each relation sampled alone, and their SHA-256 recorded before relations
+    shared sample points."""
+    from blocksep.relations import RelationSet
+
+    config = {"probes": 2, "points": 3, "seed": 5}
+    rs = _mixed_relation_set(first_raises)
+    items = cli._verify_numeric(rs, config)
+    alone = [item for pair in rs.pairs for item in cli._verify_numeric(RelationSet((pair,)), config)]
+    assert [i.to_json() for i in items] == [i.to_json() for i in alone]
+    assert [i.status for i in items].count("inapplicable") == 2
+    assert _items_digest(items) == digest
+
+
 # SHA-256 of each spectrum report without its runtime_info, in the form
 # serialize(..., drop_runtime=True) writes
 PINNED_SPECTRA = [

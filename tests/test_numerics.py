@@ -12,6 +12,7 @@ from blocksep.models import (
     coulomb_spec,
     model2_potential,
     oscillator_spec,
+    spec_to_json,
 )
 from blocksep.numerics import (
     Eigensolve1DProblem,
@@ -487,6 +488,161 @@ def test_numeric_run_builds_and_compiles_each_integral_once(monkeypatch):
     assert len(report.items) == 3 and all(item.passed for item in report.items)
     raws = [op for op in compiled if isinstance(op, RawOperator)]
     assert len(built) >= 3 and [id(op) for op in raws] == [id(op) for op in built]
+
+
+def _outcome(call):
+    """The stats a residual call returns, or the type and text of what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_CRITERION_7_SPEC = oscillator_spec([2, 1], (model2_potential(2, 4, 1), Zero()))
+
+
+@pytest.mark.parametrize("extended", [False, True], ids=["float64", "longdouble"])
+@pytest.mark.parametrize("catalog, spec", [
+    ("oscillator-algebra", _CRITERION_7_SPEC),
+    ("oscillator-commutativity", oscillator_spec([2, 2])),
+], ids=["criterion-7", "commutativity-2,2"])
+def test_grouped_stats_equal_each_relation_alone(extended, catalog, spec):
+    """Each relation's stats from a run whose envs know their relations, so
+    that relations of one margin share probe grids and point tables, equal
+    its stats from a fresh env that samples it alone, float for float; on
+    longdouble, run_verify's report holds the same stats."""
+    from blocksep.cli import build_catalog, run_verify
+    from blocksep.numerics import ResidualStats
+
+    scheme, sampling = FDScheme(extended=extended), (2, 2, 7)
+    pairs = [(rel, env) for rel, env in build_catalog(catalog, spec).pairs
+             if rel.expectation != "record"]
+    peers: dict = {}
+    for rel, env in pairs:
+        peers.setdefault(env, []).append(rel)
+    nenvs = {env: NumericEnv(env, {"w2": 1.0}, scheme, rels) for env, rels in peers.items()}
+    waiting = 0
+    alone = {}
+    for rel, env in pairs:
+        grouped = _outcome(lambda: relation_residual_numeric(rel, nenvs[env], *sampling))
+        waiting = max(waiting, len(nenvs[env].outcomes))
+        alone[rel.name] = _outcome(lambda: relation_residual_numeric(
+            rel, NumericEnv(env, {"w2": 1.0}, scheme), *sampling))
+        assert grouped == alone[rel.name], rel.name
+    assert waiting > 0  # some relation was sampled with a peer
+    assert all(not n.pending and not n.outcomes for n in nenvs.values())
+    if extended:
+        report = run_verify({"catalog": catalog, "model": spec_to_json(spec), "mode": "numeric",
+                             "params": {"w2": 1.0}, "probes": 2, "points": 2, "seed": 7})
+        for item in report.items:
+            if item.residual is not None:
+                assert ResidualStats(**item.residual) == alone[item.name.removesuffix("[numeric]")]
+
+
+@pytest.mark.parametrize("raiser", [0, 1], ids=["lead", "peer"])
+def test_a_relation_raising_at_its_fourth_point_ends_as_alone(monkeypatch, raiser):
+    """A relation whose Fixed leaf raises at the fourth of six points: as a
+    peer it leaves the group and its own call raises the same error; as the
+    lead it raises at once and its peers stay pending for their own calls.
+    Every outcome equals that of the relation sampled alone."""
+    import dataclasses
+    from fractions import Fraction
+
+    from blocksep import numerics
+    from blocksep.errors import EvaluationSingularityError
+    from blocksep.integrals import IntegralName
+    from blocksep.relations import Comm, Fixed, OpRef, Relation
+    from blocksep.ring import Coefficient
+
+    spec = oscillator_spec([2, 2], (Constant(1), Constant(2)), omega2=1)
+    env = OperatorEnv.for_model(spec)
+    Z, Hs = OpRef(IntegralName("Z", 2)), OpRef(IntegralName("Hsum", 2))
+    marker = DiffOp.from_coefficient(env.ctx, Coefficient.const(env.ctx, Fraction(7, 3)))
+    real = numerics.compile_operator
+
+    def compile_raising(op, *args):
+        nop = real(op, *args)
+        if op is not marker:
+            return nop
+        term, = nop.terms
+        centers: list = []
+
+        def fn(coords):
+            center = tuple(float(c.reshape(-1)[c.size // 2]) for c in coords)
+            if center not in centers:
+                centers.append(center)
+            if len(centers) == 4:
+                raise EvaluationSingularityError("the fourth point")
+            return term.coef_fn(coords)
+
+        return dataclasses.replace(nop, terms=(dataclasses.replace(term, coef_fn=fn),))
+
+    monkeypatch.setattr(numerics, "compile_operator", compile_raising)
+    rels = [Relation("lead", Comm(Z, Hs)), Relation("peer", Comm(Hs, Z)),
+            Relation("other-margin", Z - Z)]
+    rels.insert(raiser, Relation("raises", Comm(Z, Hs) + Fixed(marker), expectation="nonzero"))
+    scheme, sampling = FDScheme(extended=True), (2, 3, 5)
+    shared = NumericEnv(env, {}, scheme, rels)
+    for i, rel in enumerate(rels):
+        got = _outcome(lambda: relation_residual_numeric(rel, shared, *sampling))
+        if i == 0 and raiser == 0:
+            assert [p.name for p in shared.pending] == ["lead", "peer", "other-margin"]
+            assert not shared.outcomes
+        assert got == _outcome(lambda: relation_residual_numeric(
+            rel, NumericEnv(env, {}, scheme), *sampling)), rel.name
+        if rel.name == "raises":
+            assert got == (EvaluationSingularityError, "the fourth point")
+
+
+_NUM_RESIDUAL = {"catalog": "oscillator-algebra", "model": spec_to_json(_CRITERION_7_SPEC),
+                 "params": {"w2": 1.0}, "mode": "numeric"}
+
+
+def test_run_verify_calls_the_residual_through_cli_once_per_relation(monkeypatch):
+    """The per-item clock of a numeric benchmark wraps relation_residual_numeric
+    as the cli module holds it: run_verify calls it once per relation that is
+    not a record, in report order."""
+    from blocksep import cli
+
+    calls = []
+    real = cli.relation_residual_numeric
+
+    def spy(rel, *args, **kwargs):
+        calls.append(rel.name)
+        return real(rel, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "relation_residual_numeric", spy)
+    for source in (_NUM_RESIDUAL, {"catalog": "coulomb", "blocks": [1, 2], "mode": "numeric"}):
+        calls.clear()
+        report = cli.run_verify(source | {"probes": 1, "points": 2, "seed": 3})
+        rels = cli.build_catalog(source["catalog"], cli._verify_model(source)).relations
+        assert calls == [rel.name for rel in rels if rel.expectation != "record"]
+        assert calls == [item.name.removesuffix("[numeric]") for item in report.items]
+
+
+def test_relations_of_one_margin_share_probe_grids_and_applications(monkeypatch):
+    """On the criterion 7 benchmark config (probes 5, points 10) the two
+    relations of margin 12 share each probe grid and every operator
+    application to it: 100 probe evaluations, not 150, and 1,550
+    applications, not 1,750."""
+    from blocksep import cli, numerics
+
+    counts = {"probe": 0, "apply": 0}
+    real_call, real_apply = ProbeFunction.__call__, numerics.apply_on_grid
+
+    def counting_call(self, coords):
+        counts["probe"] += 1
+        return real_call(self, coords)
+
+    def counting_apply(*args):
+        counts["apply"] += 1
+        return real_apply(*args)
+
+    monkeypatch.setattr(ProbeFunction, "__call__", counting_call)
+    monkeypatch.setattr(numerics, "apply_on_grid", counting_apply)
+    report = cli.run_verify(_NUM_RESIDUAL | {"probes": 5, "points": 10, "seed": 3})
+    assert [item.residual["samples"] for item in report.items] == [50] * 3
+    assert counts == {"probe": 100, "apply": 1550}
 
 
 def test_coefficient_values_equal_a_tuple_exponent_evaluation():
