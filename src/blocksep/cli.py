@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 
 import click
 
@@ -221,7 +222,7 @@ def _verify_numeric(rs: RelationSet, config: dict) -> list:
                 status=status,
                 passed=ok,
                 expectation=rel.expectation,
-                residual=stats.to_json(),
+                residual=asdict(stats),
             )
         )
     return items
@@ -391,7 +392,7 @@ def spectrum(family, blocks, kmax, lmax, nrmax, jmax, omega2, eta, out_path):
             report.add(ReportItem(
                 name=f"{label} l={list(ls)}", kind="spectrum", mode="numeric",
                 status="ok" if row.exact_ratio_2 else "fail",
-                passed=row.exact_ratio_2, data=row.to_json()))
+                passed=row.exact_ratio_2, data=asdict(row)))
     except BlocksepError as exc:
         _fail(exc)
     _finish(report, out_path, _spectrum_table(rows, family))
@@ -405,7 +406,7 @@ def _spectrum_table(rows, family) -> str:
     )
     lines = [head]
     for r in rows:
-        label = json.dumps(r.labels, sort_keys=True)
+        label = json.dumps(r.quantum_numbers, sort_keys=True)
         mark = f"{r.ratio_oracle_over_paper:8.4f}" if family == OSCILLATOR else (
             "exact" if r.exact_ratio_2 else "BROKEN").rjust(8)
         lines.append(f"{label:32s} {r.paper_value:14.8f} {r.oracle_value:14.8f} {mark}")

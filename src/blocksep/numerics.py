@@ -3,6 +3,9 @@
 Operators act on scalar fields through central-difference stencils composed
 axis by axis on a local tensor grid around the evaluation point, so nested
 applications (commutators, operator products) reuse the same probe values.
+Each stencil's weights are solved exactly from their moment system by
+``ring.row_reduce``, the package's one exact linear solver, and rounded once
+to float.
 Evaluation is demand-driven: a relation's residual needs only the center
 value of its tree, and each subtree and each operator term gets only the grid
 points its parent's result needs, that result's radius plus the stencil
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -53,33 +55,10 @@ from .relations import (
     Scalar,
     Sum,
 )
+from .ring import row_reduce
 
 
 # -- stencil weights -------------------------------------------------------------
-
-
-def fornberg_weights(m: int, offsets) -> list:
-    """Exact weights for the m-th derivative at 0 from the given offsets."""
-    x = [Fraction(o) for o in offsets]
-    n = len(x)
-    d = [[[Fraction(0)] * (m + 1) for _ in range(n)] for _ in range(n)]
-    d[0][0][0] = Fraction(1)
-    c1 = Fraction(1)
-    for i in range(1, n):
-        c2 = Fraction(1)
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            for k in range(min(i, m) + 1):
-                prev = d[i - 1][j][k]
-                prev_k = d[i - 1][j][k - 1] if k else Fraction(0)
-                d[i][j][k] = (x[i] * prev - k * prev_k) / c3
-        for k in range(min(i, m) + 1):
-            prev = d[i - 1][i - 1][k]
-            prev_k = d[i - 1][i - 1][k - 1] if k else Fraction(0)
-            d[i][i][k] = (c1 / c2) * (k * prev_k - x[i - 1] * prev)
-        c1 = c2
-    return [d[n - 1][j][m] for j in range(n)]
 
 
 @lru_cache(maxsize=None)
@@ -87,12 +66,19 @@ def central_weights(m: int, order: int) -> tuple:
     """(half width s, float weights on offsets -s..s) for derivative m.
 
     Symmetric stencils sized so the truncation order equals ``order``
-    exactly: 2s+1-m for odd m, 2s+2-m for even m (parity bonus)."""
+    exactly: 2s+1-m for odd m, 2s+2-m for even m (parity bonus).  The exact
+    weights w_j are the unique solution of the moment system
+    sum_j w_j j^k = m! [k = m] for k = 0..2s, a Vandermonde system that
+    ``ring.row_reduce`` brings to the identity: w_j is pivot row j's entry in
+    the right-hand column."""
     if m == 0:
         return 0, (1.0,)
     s = (order + m - 1) // 2 if m % 2 else (order + m) // 2 - 1
-    w = fornberg_weights(m, range(-s, s + 1))
-    return s, tuple(float(v) for v in w)
+    rhs = 2 * s + 1  # column j holds offset j - s, column rhs the right-hand side
+    moments = [{j: (j - s) ** k for j in range(rhs) if j != s or k == 0} for k in range(rhs)]
+    moments[m][rhs] = math.factorial(m)
+    pivots = row_reduce(moments)
+    return s, tuple(float(pivots[j].get(rhs, 0)) for j in range(rhs))
 
 
 @lru_cache(maxsize=None)
@@ -454,13 +440,6 @@ class ResidualStats:
     max_relative: float
     median_relative: float
     samples: int
-
-    def to_json(self):
-        return {
-            "max_relative": self.max_relative,
-            "median_relative": self.median_relative,
-            "samples": self.samples,
-        }
 
 
 def model_point_guards(spec: ModelSpec, margin_extent: float):

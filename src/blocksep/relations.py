@@ -614,6 +614,9 @@ def _yx_catalog(env: OperatorEnv) -> list:
     spec, part = env.spec, env.spec.partition
     if part.N < 2:
         raise InapplicableRelationError("yx catalog needs N >= 2")
+    if part.D < 3:
+        raise InapplicableRelationError(
+            f"yx catalog needs D >= 3 for S[D-1]; the model has D = {part.D}")
     if not spec.is_symbolic():
         raise InapplicableRelationError("symbolic yx catalog needs zero/constant potentials")
     xs = [x.i for x in _integrals(spec, "X")]  # the last block's coordinates, up to D
@@ -681,11 +684,9 @@ def _central_diagnoser(atom_trees: dict):
             names = list(atoms)
             basis = {}
             for i, a in enumerate(names):
-                for b in names[i:]:
-                    if a == "1" and b == "1":
+                for b in names[i:]:  # "1" is the last atom, so it pairs only with itself
+                    if a == "1":
                         basis["1"] = atoms["1"]
-                    elif a == "1":
-                        basis[b] = atoms[b]
                     else:
                         basis[f"{a}*{b}"] = atoms[a].mul(atoms[b])
             bases[env] = basis

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from . import __version__
 
@@ -28,24 +28,9 @@ class ReportItem:
     data: dict | None = None
 
     def to_json(self) -> dict:
-        out = {
-            "name": self.name,
-            "kind": self.kind,
-            "mode": self.mode,
-            "status": self.status,
-            "passed": self.passed,
-        }
-        if self.expectation:
-            out["expectation"] = self.expectation
-        if self.group:
-            out["group"] = self.group
-        if self.note:
-            out["note"] = self.note
-        if self.residual:
-            out["residual"] = self.residual
-        if self.data:
-            out["data"] = self.data
-        return out
+        """Every field without a default, and each defaulted field that is set."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.default is MISSING or getattr(self, f.name)}
 
 
 @dataclass

@@ -245,17 +245,9 @@ class Poly:
     def deriv_slot(self, slot: int) -> "Poly":
         """Formal partial derivative treating every slot as independent."""
         shift, step = _shift(self.n, slot), _unit(self.n, slot)
-        out = {}
-        for m, c in self.terms.items():
-            e = m >> shift & _MASK
-            if e:
-                m2 = m - step
-                nc = out.get(m2, 0) + c * e
-                if nc:
-                    out[m2] = nc if type(nc) is int else _exact(nc)
-                else:
-                    out.pop(m2, None)
-        return Poly(self.n, out)
+        # m -> m - e_slot is one-to-one and c * e != 0, so no term collides or cancels
+        return Poly(self.n, {m - step: c * e if type(c) is int else _exact(c * e)
+                             for m, c in self.terms.items() if (e := m >> shift & _MASK)})
 
     def select_slot(self, slot: int, exp: int) -> "Poly":
         """Sub-polynomial of terms whose exponent in ``slot`` equals ``exp``."""

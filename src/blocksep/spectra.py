@@ -206,20 +206,11 @@ def oscillator_energy_oracle(q: EigenfunctionSpec) -> float:
 
 @dataclass
 class SpectrumResult:
-    labels: dict
+    quantum_numbers: dict
     paper_value: float
     oracle_value: float
     ratio_oracle_over_paper: float
     exact_ratio_2: bool
-
-    def to_json(self):
-        return {
-            "quantum_numbers": self.labels,
-            "paper_value": self.paper_value,
-            "oracle_value": self.oracle_value,
-            "ratio_oracle_over_paper": self.ratio_oracle_over_paper,
-            "exact_ratio_2": self.exact_ratio_2,
-        }
 
 
 def oscillator_spectrum_row(q: EigenfunctionSpec) -> SpectrumResult:
@@ -228,7 +219,7 @@ def oscillator_spectrum_row(q: EigenfunctionSpec) -> SpectrumResult:
     gamma_sum = sum(block_gammas(q))
     paper_value, oracle_value = _value(paper, gamma_sum), _value(oracle, gamma_sum)
     return SpectrumResult(
-        labels={"k": list(q.radial), "l": [a if isinstance(a, int) else list(a) for a in q.angular]},
+        quantum_numbers={"k": list(q.radial), "l": [a if isinstance(a, int) else list(a) for a in q.angular]},
         paper_value=paper_value * omega,
         oracle_value=oracle_value * omega,
         ratio_oracle_over_paper=oracle_value / paper_value,
@@ -266,7 +257,7 @@ def coulomb_energies(q: EigenfunctionSpec) -> tuple:
 def coulomb_spectrum_row(q: EigenfunctionSpec) -> SpectrumResult:
     value, oracle, identity, _ = coulomb_energies(q)
     return SpectrumResult(
-        labels={
+        quantum_numbers={
             "N_r": q.radial[0],
             "J": list(q.hyper_J),
             "l": [a if isinstance(a, int) else list(a) for a in q.angular],

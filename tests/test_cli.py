@@ -69,6 +69,25 @@ def test_missing_blocks_exit_two(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    pytest.param(["--catalog", "oscillator", "--blocks", "x"], "bad --blocks value 'x'",
+                 id="blocks-not-a-number"),
+    pytest.param(["--catalog", "oscillator", "--blocks", ","], "empty --blocks value",
+                 id="blocks-empty"),
+    pytest.param(["--blocks", "2,2"], "verify needs a catalog name or a relation file",
+                 id="no-catalog-no-relation-file"),
+    pytest.param(["--config", "missing.json"], "cannot read config", id="config-missing"),
+    pytest.param(["--config", "broken.json"], "cannot read config", id="config-not-json"),
+])
+def test_unusable_verify_input_exit_two(runner, tmp_path, args, message):
+    (tmp_path / "broken.json").write_text('{"catalog": ')
+    args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+    res = runner.invoke(main, ["verify", *args])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), repr(res.exception)
+    assert f"config error: {message}" in res.output
+
+
 def test_config_file_unknown_field_rejected(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"catalog": "proposition-A", "bogus": 1}))
@@ -615,7 +634,7 @@ def test_negative_controls_numeric_notes_the_table_env(runner, tmp_path):
 def test_coulomb_catalog_on_one_dimensional_blocks_exit_two(runner, catalog):
     res = runner.invoke(main, ["verify", "--catalog", catalog, "--blocks", "1,1"])
     assert res.exit_code == 2
-    assert "config error: S index 1 out of [2,1]" in res.output
+    assert "config error: yx catalog needs D >= 3 for S[D-1]; the model has D = 2" in res.output
 
 
 @pytest.mark.parametrize("catalog", cli.CATALOG_NAMES)
@@ -887,6 +906,22 @@ def test_run_that_checks_nothing_exit_two(runner, tmp_path, text, args, message)
     res = runner.invoke(main, ["verify", *args])
     assert res.exit_code == 2, res.output
     assert "config error:" in res.output and message in res.output
+
+
+@pytest.mark.parametrize("line, extra", [
+    # a bare structural constant in a bracket: eval_node's ConstRef leaf
+    pytest.param("[Nc[2], Hcoul]", {"family": "coulomb", "blocks": [1, 1, 2]}, id="bare-constant"),
+    # a Sum of scalars only, which the numeric path folds to one number
+    pytest.param("H[1] * (2 - 1) - H[1]", {"blocks": [2, 2]}, id="scalar-sum"),
+])
+def test_relation_file_scalar_leaves_both_modes(tmp_path, line, extra):
+    rel = tmp_path / "user.rel"
+    rel.write_text(f"c: {line}\n")
+    report = run_verify({"relation_file": str(rel), "mode": "both", "probes": 1, "points": 2}
+                        | extra)
+    assert [(i.name, i.status, i.passed) for i in report.items] == [
+        ("c", "zero", True), ("c[numeric]", "zero", True)]
+    assert report.items[1].residual["max_relative"] == 0.0
 
 
 @pytest.mark.parametrize("mode, expect", [

@@ -1,6 +1,7 @@
 """Finite-difference application, residual sampling, eigensolver oracle."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from blocksep.numerics import (
     central_weights,
     eigensolve_1d,
     eigensolve_periodic,
-    fornberg_weights,
     relation_residual_numeric,
     sample_points,
 )
@@ -33,14 +33,34 @@ from blocksep.opalg import DiffOp
 from blocksep.relations import (OperatorEnv, catalog_negative_controls, coulomb_yx_relations,
                                 oscillator_quadratic_relations)
 from blocksep.ring import Context
-from oracles import stencil_axis_reference
+from oracles import reference_row_reduce, stencil_axis_reference
 
 
-def test_fornberg_weights_first_derivative():
-    w = fornberg_weights(1, (-1, 0, 1))
-    assert [float(v) for v in w] == [-0.5, 0.0, 0.5]
-    w2 = fornberg_weights(2, (-1, 0, 1))
-    assert [float(v) for v in w2] == [1.0, -2.0, 1.0]
+def test_central_weights_three_point():
+    assert central_weights(1, 2) == (1, (-0.5, 0.0, 0.5))
+    assert central_weights(2, 2) == (1, (1.0, -2.0, 1.0))
+
+
+def test_central_weights_order_eight_classic():
+    """The classic eighth-order central weights for the first and second derivative."""
+    first = [Fraction(4, 5), Fraction(-1, 5), Fraction(4, 105), Fraction(-1, 280)]
+    second = [Fraction(8, 5), Fraction(-1, 5), Fraction(8, 315), Fraction(-1, 560)]
+    assert central_weights(1, 8) == (4, tuple(map(float, [-w for w in first[::-1]] + [0] + first)))
+    assert central_weights(2, 8) == (4, tuple(map(float, second[::-1] + [Fraction(-205, 72)]
+                                                  + second)))
+
+
+@pytest.mark.parametrize("order", [4, 6, 8])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_central_weights_match_a_dense_moment_solve(m, order):
+    """The weights solve sum_j w_j j^k = m! [k = m], k = 0..2s, on offsets -s..s;
+    a dense Gauss-Jordan of that system gives the same floats."""
+    s, w = central_weights(m, order)
+    offsets = range(-s, s + 1)
+    rows = [[Fraction(j) ** k for j in offsets] + [Fraction(math.factorial(m) if k == m else 0)]
+            for k in range(2 * s + 1)]
+    assert reference_row_reduce(rows, 2 * s + 1) == list(range(2 * s + 1))
+    assert w == tuple(float(row[-1]) for row in rows)
 
 
 def test_central_weights_sum():
