@@ -83,7 +83,7 @@ def _source(config: dict) -> str:
 
 def _verify_model(config: dict) -> ModelSpec | None:
     """The config ``model``, else the ``--blocks`` model of the catalog's family
-    (of ``family`` for a relation file); None for a model-free catalog."""
+    (of ``family`` for a relation file); None for a catalog with a model of its own."""
     path, catalog = config.get("relation_file"), config.get("catalog")
     given = config.get("model") is not None or config.get("blocks") is not None
     if given and not path and catalog == "proposition-A":
@@ -107,7 +107,7 @@ def _relation_set(config: dict, spec: ModelSpec | None) -> RelationSet:
             return build_catalog(config["catalog"], spec)
         with open(path) as fh:
             rels = parse_relation_file(fh.read(), param_names=spec.param_names())
-        return RelationSet(over(OperatorEnv.for_model(spec), rels))
+        return RelationSet(over(OperatorEnv(spec), rels))
     except (OSError, UnicodeError, BlocksepError) as exc:
         # an unreadable file, a malformed line, a catalog the model cannot carry
         raise ConfigError(str(exc)) from exc
@@ -134,6 +134,10 @@ def run_verify(config: dict) -> VerificationReport:
     rs = _relation_set(config, spec)
     if not rs.pairs:
         raise ConfigError(f"{_source(config)} has no relations on this model")
+    declared = {name for _, env in rs.pairs for name in env.spec.param_names()}
+    undeclared = sorted(set(config.get("params") or ()) - declared)
+    if undeclared:
+        raise ConfigError(f"params {undeclared} name no parameter of {_source(config)}")
 
     # more workers than cores or relation groups only cost start-up: fork starts them all at once
     jobs = max(1, min(config.get("jobs", 1), os.cpu_count() or 1, len(rs.pairs)))
@@ -161,6 +165,9 @@ def run_verify(config: dict) -> VerificationReport:
         items = _verify_numeric(rs, config)
         report.items.extend(items)
         _check_evaluated(items, config)
+        if mode == "numeric" and items and all(item.status == "inapplicable" for item in items):
+            raise ConfigError(f"{_source(config)} has no relation this model can evaluate: "
+                              f"{items[0].note}")
     if not report.items:
         raise ConfigError(f"{_source(config)} has only record displays, which numeric mode skips")
     return report

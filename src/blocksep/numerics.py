@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    InapplicableRelationError,
     OracleUnconvergedError,
     SingularPointError,
     UndeclaredParameterError,
@@ -305,9 +304,6 @@ class NumericEnv:
     takes it."""
 
     def __init__(self, env: OperatorEnv, params: dict, scheme: FDScheme, peers=()):
-        if env.spec is None:
-            raise InapplicableRelationError(
-                f"numeric mode needs a model; {env.label} is an operator table")
         self.env = env
         self.spec = env.spec
         # parameters left unbound take defaults; ``params`` overrides them by name
@@ -316,6 +312,9 @@ class NumericEnv:
             if name.startswith(("beta", "alpha")):
                 self.params[name] = float(name[-1]) if name[-1].isdigit() else 1.0
         self.params.update(params)
+        unbound = [name for name in env.spec.param_names() if name not in self.params]
+        if unbound:  # the couplings g1, g2 of the planar model have no default
+            raise UndeclaredParameterError(f"no numeric value bound for {unbound[0]!r}")
         self.scheme = scheme
         self._cache: dict = {}
         self._nodes: dict = {}
@@ -517,7 +516,8 @@ def relation_residual_numeric(rel: Relation, env: NumericEnv, probes: int,
     """Evaluate (LHS - RHS) f at seeded probe/point pairs.
 
     The relative residual at a point is |value| / (1 + max intermediate
-    magnitude across the tree evaluation); reported are max and median.
+    magnitude across the tree evaluation); reported are max and median.  A
+    value or scale beyond the float range raises OverflowError.
 
     The pending peers of ``env`` with the margin of ``rel`` sample the same
     points with the same probes, so they are evaluated here too, after
@@ -559,13 +559,15 @@ def relation_residual_numeric(rel: Relation, env: NumericEnv, probes: int,
                 mags: list = []
                 try:
                     out, _ = eval_tree_on_grid(member.expr, env, values, x, margin, mags, applied)
+                    center = float(out.reshape(-1)[out.size // 2])
+                    denom = 1.0 + max(mags, default=0.0)
+                    if not (math.isfinite(center) and math.isfinite(denom)):
+                        raise OverflowError(f"a value of {member.name} is not finite")
                 except Exception as exc:
                     if member is rel:
                         raise
                     samples[key] = exc
                     continue
-                center = float(out.reshape(-1)[out.size // 2])
-                denom = 1.0 + (max(mags) if mags else 0.0)
                 samples[key].append(abs(center) / denom)
     outcomes = {key: got if isinstance(got, Exception)
                 else ResidualStats(float(np.max(got)), float(np.median(got)), len(got))

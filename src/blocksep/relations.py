@@ -39,15 +39,16 @@ from .integrals import (
 from .models import (
     COULOMB,
     OSCILLATOR,
+    Constant,
     ModelSpec,
     RawOperator,
     operator_context,
     oscillator_spec,
     potential_term,
 )
-from .opalg import DiffOp, LinearCombination, angular_momentum, euler_operator, laplacian
+from .opalg import DiffOp, LinearCombination, euler_operator, laplacian
 from .report import ReportItem
-from .ring import Coefficient, Context, row_reduce
+from .ring import row_reduce
 
 
 # -- expression trees -----------------------------------------------------------
@@ -172,32 +173,19 @@ def over(env: "OperatorEnv", rels) -> tuple:
 
 
 class OperatorEnv:
-    """Resolves integral names and structural constants over one context: the
-    integrals of a model, or a fixed table of operators."""
+    """Resolves integral names and structural constants over the context of one model."""
 
-    def __init__(self, ctx: Context, spec=None, label: str = "", table=()):
-        self.ctx = ctx
-        self.spec = spec  # the model behind the operators; None for a table env
-        self._cache: dict = dict(table)  # str(name) -> DiffOp
+    def __init__(self, spec: ModelSpec):
+        self.spec = spec
+        self.ctx = operator_context(spec)
+        self._cache: dict = {}  # str(name) -> DiffOp
         self._raw: dict = {}
         self.brackets: dict = {}  # Comm/Acomm node -> its value here; nodes are frozen
-        self.label = label
-
-    @staticmethod
-    def for_model(spec: ModelSpec) -> "OperatorEnv":
-        return OperatorEnv(operator_context(spec), spec,
-                           f"{spec.family}{spec.partition.block_sizes}")
-
-    @staticmethod
-    def from_table(ctx: Context, table: dict, label: str = "") -> "OperatorEnv":
-        return OperatorEnv(ctx, label=label, table=table)
 
     def operator(self, name: IntegralName) -> DiffOp:
         key = str(name)
         got = self._cache.get(key)
         if got is None:
-            if self.spec is None:
-                raise InvalidIntegralError(f"unknown operator {key!r} in {self.label or 'table env'}")
             got = self._cache[key] = self.raw(name).symbolic(self.spec)
         return got
 
@@ -211,7 +199,7 @@ class OperatorEnv:
         return got
 
     def constant(self, kind: str, p: int) -> Fraction:
-        if self.spec is None or self.spec.partition.N < 2:
+        if self.spec.partition.N < 2:
             raise InapplicableRelationError("no structural constants in this environment")
         return structural_constant(self.spec, kind, p)
 
@@ -379,60 +367,37 @@ def decompose_residual(residual: DiffOp, basis: dict):
 # -- catalog: two-coordinate seed system ------------------------------------------
 
 
-def _singular(ctx: Context, g, k: int) -> Coefficient:
-    """g / x_k^2 for a polynomial g."""
-    return Coefficient.from_poly(ctx, g).div_poly(ctx.x(k, 2))
-
-
-def _seed_env(ctx: Context, g1, g2, label: str) -> OperatorEnv:
-    """Planar singular oscillator H = H1 + H2 over the two coordinates of ctx:
-    H_k = -d_k^2 + w2 x_k^2 + g_k / x_k^2 for polynomials g1, g2, with
-    Z = L^2 - (g1/x^2 + g2/y^2)(x^2 + y^2) and Y = [Z, H2]."""
-    w2 = ctx.param("w2")
-    f1, f2 = _singular(ctx, g1, 0), _singular(ctx, g2, 1)
-    H1, H2 = (
-        DiffOp.partial(ctx, k, 2)
-        .neg()
-        .add(DiffOp.from_poly(ctx, w2.mul(ctx.x(k, 2))))
-        .add(DiffOp.from_coefficient(ctx, f))
-        for k, f in ((0, f1), (1, f2))
-    )
-    L = angular_momentum(ctx, 0, 1)
-    Z = L.mul(L).sub(DiffOp.from_coefficient(ctx, f1.add(f2).mul_poly(ctx.sum_of_squares([0, 1]))))
-    table = {"H": H1.add(H2), "H1": H1, "H2": H2, "Z": Z, "Y": Z.commutator(H2)}
-    return OperatorEnv.from_table(ctx, table, label=label)
-
-
-def proposition_env() -> OperatorEnv:
-    """Planar singular oscillator with parameters g1, g2 and w2 = omega^2."""
-    ctx = Context(("x", "y"), ("g1", "g2", "w2"))
-    return _seed_env(ctx, ctx.param("g1"), ctx.param("g2"), "proposition-A")
+# Proposition A's planar singular oscillator is the oscillator model on blocks
+# 1,1 with couplings g1, g2: its H[1], H[2], Hsum[2] and Z[2] are the printed H1,
+# H2, H = H1 + H2 and Z = L^2 - (g1/x^2 + g2/y^2)(x^2 + y^2), and Y = [Z, H2].
+PLANAR = oscillator_spec([1, 1], (Constant("g1"), Constant("g2")))
+_Z, _H, _H2 = op("Z", 2), op("Hsum", 2), op("H", 2)
+_Y = Comm(_Z, _H2)
 
 
 def _seed_rhs(g1, g2, w2) -> tuple:
     """Right-hand sides of [Z,Y] and [H2,Y] in the seed algebra, over trees
     g1, g2, w2 for the singular couplings and omega^2."""
-    Z, H, H2 = op("Z"), op("H"), op("H2")
-    rhs2 = 8 * Z * H - 8 * Acomm(Z, H2) + 8 * Sum((g1, -g2, num(1))) * H - 16 * H2
-    rhs3 = -(8 * H * H2) + 8 * H2 * H2 - 16 * w2 * Z - 8 * w2 * (2 * g1 + 2 * g2 + -1)
+    rhs2 = 8 * _Z * _H - 8 * Acomm(_Z, _H2) + 8 * Sum((g1, -g2, num(1))) * _H - 16 * _H2
+    rhs3 = -(8 * _H * _H2) + 8 * _H2 * _H2 - 16 * w2 * _Z - 8 * w2 * (2 * g1 + 2 * g2 + -1)
     return rhs2, rhs3
 
 
 def catalog_proposition_A() -> RelationSet:
-    env = proposition_env()
+    env = OperatorEnv(PLANAR)
     rhs2, rhs3 = _seed_rhs(ParamRef("g1"), ParamRef("g2"), ParamRef("w2"))
     # second printed form of Z: r^2 Laplacian - Euler^2 - (g1/x^2 + g2/y^2) r^2
     ctx = env.ctx
     r2 = ctx.sum_of_squares([0, 1])
     E = euler_operator(ctx, [0, 1])
-    pot = _singular(ctx, ctx.param("g1"), 0).add(_singular(ctx, ctx.param("g2"), 1)).mul_poly(r2)
+    pot = RawOperator(DiffOp.zero(ctx), tuple(potential_term(ctx, PLANAR, b, r2) for b in (0, 1)))
     alt = DiffOp.from_poly(ctx, r2).mul(laplacian(ctx, [0, 1])).sub(E.mul(E))
-    alt = alt.sub(DiffOp.from_coefficient(ctx, pot))
+    alt = alt.sub(pot.symbolic(PLANAR))
     rels = [
-        Relation("prop-A-1-def", Comm(op("Z"), op("H2")) - op("Y"), note="defining relation for Y"),
-        Relation("prop-A-2", Comm(op("Z"), op("Y")) - rhs2),
-        Relation("prop-A-3", Comm(op("H2"), op("Y")) - rhs3),
-        Relation("prop-A-Z-second-form", op("Z") - Fixed(alt),
+        Relation("prop-A-1-def", Comm(_Z, _H2) - _Y, note="defining relation for Y"),
+        Relation("prop-A-2", Comm(_Z, _Y) - rhs2),
+        Relation("prop-A-3", Comm(_H2, _Y) - rhs3),
+        Relation("prop-A-Z-second-form", _Z - Fixed(alt),
                  note="the two printed forms of Z coincide"),
     ]
     return RelationSet(over(env, rels))
@@ -510,34 +475,31 @@ def _algebra_relations(env: OperatorEnv) -> list:
 
 
 def catalog_gauge_identities(spec: ModelSpec, l: int) -> RelationSet:
-    """The seed algebra over the two radii of level l (of blocks 1..l-1 and
-    of block l), with the central elements Z_{l-1} and T_l as parameters zc,
-    tc, reproduces the printed block algebra coefficients identically."""
+    """The seed algebra over the planar model, whose two radii stand for those
+    of blocks 1..l-1 and of block l: with the central elements Z_{l-1} and T_l
+    written as zc = c1 - g1 and tc = c2 - g2, it reproduces the printed block
+    algebra coefficients identically."""
     part = spec.partition
     if not 2 <= l <= part.N:
         raise InapplicableRelationError(f"gauge level l={l} out of range")
     Dlm1 = part.offsets[l - 1]
     dl = part.block_sizes[l - 1]
-    g1 = Fraction((Dlm1 - 1) * (Dlm1 - 3), 4)
-    g2 = Fraction((dl - 1) * (dl - 3), 4)
-    ctx = Context(("rp", "rl"), ("zc", "tc", "w2"))
+    g1, g2, w2 = ParamRef("g1"), ParamRef("g2"), ParamRef("w2")
+    zc = num(Fraction((Dlm1 - 1) * (Dlm1 - 3), 4)) - g1
+    tc = num(Fraction((dl - 1) * (dl - 3), 4)) - g2
     tag = f"gauge-l{l}"
-    env = _seed_env(
-        ctx, ctx.const_poly(g1).sub(ctx.param("zc")), ctx.const_poly(g2).sub(ctx.param("tc")), tag
-    )
-    zc, tc, w2 = ParamRef("zc"), ParamRef("tc"), ParamRef("w2")
-    seed2, seed3 = _seed_rhs(-zc + g1, -tc + g2, w2)
-    # Z_l - (D_l-2)^2/4 -> Z, Hsum[l] -> H, H_l -> H2, Z_{l-1} -> zc, T_l -> tc
-    block2, block3 = _block_rhs(op("Z"), op("H"), op("H2"), zc, tc, w2, Dlm1, dl)
+    seed2, seed3 = _seed_rhs(g1, g2, w2)
+    # Z_l - (D_l-2)^2/4 -> Z, Hsum[l] -> H, H_l -> H2
+    block2, block3 = _block_rhs(_Z, _H, _H2, zc, tc, w2, Dlm1, dl)
     rels = (
-        Relation(f"{tag}-seed-2", Comm(op("Z"), op("Y")) - seed2),
-        Relation(f"{tag}-seed-3", Comm(op("H2"), op("Y")) - seed3),
+        Relation(f"{tag}-seed-2", Comm(_Z, _Y) - seed2),
+        Relation(f"{tag}-seed-3", Comm(_H2, _Y) - seed3),
         Relation(f"{tag}-match-2", Sum((seed2, -block2)),
                  note="seed RHS equals block-algebra RHS term by term"),
         Relation(f"{tag}-match-3", Sum((seed3, -block3)),
                  note="seed RHS equals block-algebra RHS term by term"),
     )
-    return RelationSet(over(env, rels))
+    return RelationSet(over(OperatorEnv(PLANAR), rels))
 
 
 def catalog_gauge(spec: ModelSpec) -> RelationSet:
@@ -828,7 +790,7 @@ def catalog_negative_controls(spec: ModelSpec | None = None) -> RelationSet:
     return RelationSet((
         (_control(prop3, num(1), "constant +1 injected; must not reduce to zero"), prop_env),
         (_control(zy, _zshift(spec, 2) * op("Hsum", 2), "coefficient 8 perturbed to 7"),
-         OperatorEnv.for_model(spec)),
+         OperatorEnv(spec)),
     ))
 
 
@@ -870,7 +832,7 @@ def build_catalog(name: str, spec: ModelSpec | None) -> RelationSet:
         raise ConfigError(f"catalog {name!r} is written for the {family} family, not {spec.family}")
     if callable(build):
         return build(spec)
-    env = OperatorEnv.for_model(spec)
+    env = OperatorEnv(spec)
     return RelationSet(over(env, [rel for make in build for rel in make(env)]))
 
 

@@ -146,6 +146,22 @@ def substitute_params(x, bindings: dict):
     return Coefficient.make(ctx, num, x.den)
 
 
+def planar_seed_operators(ctx) -> tuple:
+    """Proposition A's printed H1, H2, H and Z over a context of two coordinates
+    with parameters w2, g1 and g2: H_k = -d_k^2 + w2 x_k^2 + g_k / x_k^2,
+    H = H1 + H2 and Z = L^2 - (g1/x1^2 + g2/x2^2)(x1^2 + x2^2), with
+    L = x1 d_2 - x2 d_1 built from its derivatives."""
+    f = [Coefficient.from_poly(ctx, ctx.param(f"g{k + 1}")).div_poly(ctx.x(k, 2)) for k in (0, 1)]
+    H1, H2 = (DiffOp.partial(ctx, k, 2).neg()
+              .add(DiffOp.from_poly(ctx, ctx.param("w2").mul(ctx.x(k, 2))))
+              .add(DiffOp.from_coefficient(ctx, f[k])) for k in (0, 1))
+    L = DiffOp.from_poly(ctx, ctx.x(0)).mul(DiffOp.partial(ctx, 1))
+    L = L.sub(DiffOp.from_poly(ctx, ctx.x(1)).mul(DiffOp.partial(ctx, 0)))
+    r2 = ctx.x(0, 2).add(ctx.x(1, 2))
+    Z = L.mul(L).sub(DiffOp.from_coefficient(ctx, f[0].add(f[1]).mul_poly(r2)))
+    return H1, H2, H1.add(H2), Z
+
+
 def reference_row_reduce(rows: list, ncols: int) -> list:
     """Column-order Gauss-Jordan over dense rows, in place, over the first
     ``ncols`` columns; returns the pivot columns in order.  Entries past

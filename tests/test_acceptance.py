@@ -125,7 +125,7 @@ def test_criterion_7_universality_numeric():
     rels = oscillator_quadratic_relations(spec, 2)
 
     def residual(rel):  # in an environment of its own, so nothing carries over
-        env = NumericEnv(OperatorEnv.for_model(spec), {"w2": 1.0}, FDScheme(extended=True))
+        env = NumericEnv(OperatorEnv(spec), {"w2": 1.0}, FDScheme(extended=True))
         return relation_residual_numeric(rel, env, probes=5, points_per_probe=10, seed=42)
 
     worst = 0.0

@@ -244,7 +244,7 @@ def test_exponent_overflow_exit_two(runner, monkeypatch):
         "family": "coulomb", "blocks": [1, 2], "potentials": [{"kind": "zero"}], "eta": "2"}}, []),
 ], ids=["blocks", "config-model"])
 def test_proposition_A_rejects_a_model(runner, tmp_path, config, args):
-    """proposition-A runs on its own operator table; a model given to it would be
+    """proposition-A runs on its own planar model; a model given to it would be
     echoed in the report without ever running, so it is a config error."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -302,6 +302,9 @@ def test_report_determinism():
 # SHA-256 of each symbolic report without its runtime_info; the golden digests
 # of perfbench/golden.json cover other catalogs and block configurations
 PINNED_REPORTS = [
+    # both recorded while the seed algebra ran on an operator table of its own
+    ("proposition-A", None, "c0baf9549f4cfeb1b2b5334341c77d477d0f41571bac434259bc227427354097"),
+    ("gauge", [1, 1, 1], "8bff2e8459aeea51100570ab7779a3ebc19ce4deb8422c4dfc1897e902a286a7"),
     ("negative-controls", [2, 2],
      "7bd96c85dc5a07d0d55d890ff5ee31cea70f6837c0e3b2be397de499b20f5a35"),
     ("negative-controls", [1, 1],
@@ -318,7 +321,8 @@ PINNED_REPORTS = [
 
 
 @pytest.mark.parametrize("catalog, blocks, digest", PINNED_REPORTS,
-                         ids=[f"{c}-{','.join(map(str, b))}" for c, b, _ in PINNED_REPORTS])
+                         ids=[c if b is None else f"{c}-{','.join(map(str, b))}"
+                              for c, b, _ in PINNED_REPORTS])
 def test_symbolic_report_matches_its_pinned_digest(catalog, blocks, digest):
     report = run_verify({"catalog": catalog, "mode": "symbolic", "blocks": blocks})
     assert hashlib.sha256(serialize(report, drop_runtime=True).encode()).hexdigest() == digest
@@ -332,8 +336,10 @@ PINNED_NUMERIC = [
         oscillator_spec([2, 1], (model2_potential(2, 4, 1), Zero())))},
         "75a692b417c433f04763bd95a7097b339fd0d6d9b219a5eef71842f0b7475a7e",
         id="oscillator-algebra-model2-2,1"),
+    # re-pinned when the seed control came to run on the planar model: its note
+    # names the unbound coupling g1, and no other byte changed
     pytest.param({"catalog": "negative-controls", "blocks": [1, 2]},
-                 "499942fce7d945d0ef674278439eeba6b8d81a5b0bb09c87f102a3307906340e",
+                 "2a8cfd9d02e18e1ee1b96ef539b11aabc7e3ef40e230c8df23abaf63055754e2",
                  id="negative-controls-1,2"),
     # a coulomb-family model, whose Hcoul and X coefficients carry the norm radical
     # r; recorded before Coefficient.deriv came to read the derivative of an equal
@@ -420,7 +426,7 @@ def _mixed_relation_set(first_raises: bool):
     from blocksep.ring import Coefficient, Context
 
     spec = oscillator_spec([2, 2], (Constant(1), Constant(2)), omega2=1)
-    env = OperatorEnv.for_model(spec)
+    env = OperatorEnv(spec)
     Z, Hs, T1, T2, G = (OpRef(IntegralName(*n)) for n in
                         (("Z", 2), ("Hsum", 2), ("T", 1), ("T", 2), ("G", 1, 2)))
     ctx = Context(("x1", "x2", "x3", "x4"), param_names=("q",))
@@ -514,8 +520,8 @@ def test_mode_both_carries_both_item_sets(runner, tmp_path):
 
 @pytest.mark.parametrize("source, blocks", [
     pytest.param({"catalog": "oscillator-algebra"}, [1, 1], id="oscillator-algebra"),
-    pytest.param({"catalog": "gauge"}, [1, 1, 1], id="gauge"),  # one table env per level
-    # table and model envs
+    pytest.param({"catalog": "gauge"}, [1, 1, 1], id="gauge"),  # one planar env per level
+    # the planar env and a block model's env
     pytest.param({"catalog": "negative-controls"}, [2, 2], id="negative-controls"),
     # reading groups; two-atom denominators
     pytest.param({"catalog": "coulomb-zy"}, [1, 1, 1], id="coulomb-zy"),
@@ -605,20 +611,38 @@ def test_jobs_workers_transport_each_image(monkeypatch, blocks):
     assert [item.to_json() for item in parallel.items] == serial
 
 
-def test_gauge_numeric_reports_table_envs_inapplicable(runner, tmp_path):
-    out = tmp_path / "gauge.json"
+def test_gauge_numeric_needs_the_planar_couplings(runner, tmp_path):
+    """The gauge levels run on the planar model, whose couplings g1, g2 have no
+    default: unbound, numeric mode evaluates nothing, a config error; bound, it
+    checks every level."""
     res = runner.invoke(main, ["verify", "--catalog", "gauge", "--blocks", "1,1,1",
-                               "--mode", "numeric", "--out", str(out)])
+                               "--mode", "numeric"])
+    assert res.exit_code == 2, res.output
+    assert res.output == ("config error: catalog 'gauge' has no relation this model can "
+                          "evaluate: no numeric value bound for 'g1'\n")
+    cfg, out = tmp_path / "couplings.json", tmp_path / "gauge.json"
+    cfg.write_text(json.dumps({"params": {"g1": 1.0, "g2": 2.0}}))
+    res = runner.invoke(main, ["verify", "--catalog", "gauge", "--blocks", "1,1,1",
+                               "--mode", "numeric", "--config", str(cfg), "--out", str(out)])
     assert res.exit_code == 0, res.output
     items = json.loads(out.read_text())["items"]
     assert len(items) == 8
-    for item in items:
-        level = item["name"].split("-")[1]  # gauge-l2-seed-2 -> l2
-        assert item["status"] == "inapplicable" and item["passed"] is None
-        assert f"gauge-{level} is an operator table" in item["note"]
+    assert all(i["status"] == "zero" and i["passed"] for i in items)
 
 
-def test_negative_controls_numeric_notes_the_table_env(runner, tmp_path):
+def test_proposition_A_both_modes_keep_the_symbolic_verdict(runner, tmp_path):
+    """In --mode both the symbolic pass evaluated something, so numeric items
+    left inapplicable by the unbound couplings do not make a config error."""
+    out = tmp_path / "prop.json"
+    res = runner.invoke(main, ["verify", "--catalog", "proposition-A", "--mode", "both",
+                               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    items = json.loads(out.read_text())["items"]
+    assert [i["status"] for i in items] == ["zero"] * 4 + ["inapplicable"] * 4
+    assert {i["note"] for i in items[4:]} == {"no numeric value bound for 'g1'"}
+
+
+def test_negative_controls_numeric_notes_the_unbound_coupling(runner, tmp_path):
     out = tmp_path / "neg.json"
     res = runner.invoke(main, ["verify", "--catalog", "negative-controls", "--blocks", "1,1",
                                "--mode", "numeric", "--out", str(out)])
@@ -626,8 +650,55 @@ def test_negative_controls_numeric_notes_the_table_env(runner, tmp_path):
     items = {i["name"]: i for i in json.loads(out.read_text())["items"]}
     prop = items["prop-A-3-negative"]
     assert prop["status"] == "inapplicable"
-    assert prop["note"] == "numeric mode needs a model; proposition-A is an operator table"
+    assert prop["note"] == "no numeric value bound for 'g1'"
     assert items["osc-alg-l2-ZY-negative[numeric]"]["status"] == "residual"
+
+
+def test_numeric_run_that_evaluates_nothing_exit_two(runner, tmp_path):
+    """A model2 potential with 2A - 3 = 0 leaves no admissible point, so every
+    item is inapplicable: a numeric-only run that checked nothing is a config
+    error naming the first item's note."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"catalog": "oscillator-algebra", "mode": "numeric", "probes": 1,
+                               "points": 1, "model": spec_to_json(oscillator_spec(
+                                   [2, 2], (model2_potential(2, Fraction(3, 2), 0), Zero())))}))
+    res = runner.invoke(main, ["verify", "--config", str(cfg)])
+    assert res.exit_code == 2, res.output
+    assert res.output == ("config error: catalog 'oscillator-algebra' has no relation this model "
+                          "can evaluate: admissible-point sampling keeps rejecting\n")
+
+
+@pytest.mark.parametrize("params", [{"w": 7.0}, {"w2": 1.0, "g1": 1.0}])
+def test_params_naming_no_model_parameter_exit_two(runner, tmp_path, params):
+    """A params name that no model of the run declares would leave its default
+    in place unnoticed, so it is a config error."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"catalog": "oscillator-algebra", "blocks": [2, 1],
+                               "mode": "numeric", "probes": 1, "points": 2, "params": params}))
+    res = runner.invoke(main, ["verify", "--config", str(cfg)])
+    assert res.exit_code == 2, res.output
+    bad = sorted(set(params) - {"w2"})
+    assert res.output == (f"config error: params {bad} name no parameter of catalog "
+                          "'oscillator-algebra'\n")
+
+
+@pytest.mark.parametrize("lines", [["a: [Hcoul, X[2]]"], ["z: [Y[1], Y[1]]", "a: [Hcoul, X[2]]"]],
+                         ids=["alone", "peer"])
+def test_non_finite_numeric_residual_exit_two(runner, tmp_path, lines):
+    """eta^2 overflows float64 inside the coefficient values without raising;
+    the non-finite value is a config error, never a NaN in the report, also
+    for a relation sampled as the peer of another."""
+    rel, cfg = tmp_path / "user.rel", tmp_path / "cfg.json"
+    rel.write_text("\n".join(lines) + "\n")
+    cfg.write_text(json.dumps({"family": "coulomb", "blocks": [1, 1], "mode": "numeric",
+                               "params": {"eta": 1e200}}))
+    out = tmp_path / "report.json"
+    res = runner.invoke(main, ["verify", "--config", str(cfg), "--relation-file", str(rel),
+                               "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert res.output == ("config error: a: a value of the relation or its model is beyond "
+                          "the float range\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("catalog", ["coulomb", "coulomb-yx"])

@@ -136,7 +136,7 @@ def test_symbolic_zero_implies_numeric_small():
     """Relations proved exactly zero stay below 1e-6 numerically."""
     spec = oscillator_spec([2, 2], (Constant(1), Constant(2)), omega2=1)
     rels = oscillator_quadratic_relations(spec, 2)
-    env = NumericEnv(OperatorEnv.for_model(spec), {}, FDScheme(extended=True))
+    env = NumericEnv(OperatorEnv(spec), {}, FDScheme(extended=True))
     for rel in rels[1:]:
         st = relation_residual_numeric(rel, env, probes=2, points_per_probe=5, seed=5)
         assert st.max_relative < 1e-6, (rel.name, st)
@@ -147,7 +147,7 @@ def test_coulomb_yx_numeric_agreement():
     spec = coulomb_spec([2, 2], (Constant(1),), eta=2)
     rels = coulomb_yx_relations(spec, 4)  # the un-conjugated triple, j = D
     rel2 = next(r for r in rels if r.name.endswith("-2"))
-    env = NumericEnv(OperatorEnv.for_model(spec), {}, FDScheme(extended=True))
+    env = NumericEnv(OperatorEnv(spec), {}, FDScheme(extended=True))
     st = relation_residual_numeric(rel2, env, probes=1, points_per_probe=3, seed=9)
     assert st.max_relative < 1e-6
 
@@ -215,7 +215,7 @@ def test_apply_on_grid_is_exact_on_a_larger_grid(extended, R):
     scheme = FDScheme(extended=extended)
     big_radius = R + 4 + 2  # every operator below has margin 4
     spec, _, x, big = _model2_grid(big_radius, scheme)
-    env = NumericEnv(OperatorEnv.for_model(spec), {"w2": 1.0}, scheme)
+    env = NumericEnv(OperatorEnv(spec), {"w2": 1.0}, scheme)
     for kind in ("Z", "H", "Hsum"):
         nop = env.operator(IntegralName(kind, 2))
         m = nop.margin
@@ -281,7 +281,7 @@ def test_eval_tree_on_grid_is_exact_on_a_larger_grid():
     scheme = FDScheme(extended=True)
     spec, rels, x, big = _model2_grid(12 + 3, scheme)
     rel = next(r for r in rels if r.name == "osc-alg-l2-ZY")
-    env = NumericEnv(OperatorEnv.for_model(spec), {"w2": 1.0}, scheme)
+    env = NumericEnv(OperatorEnv(spec), {"w2": 1.0}, scheme)
     margin = env.compiled(rel.expr)[0]
     assert margin == 12
     results = []
@@ -298,7 +298,7 @@ def test_eval_tree_on_grid_is_exact_on_a_larger_grid():
 
 def _criterion_7_env(scheme):
     spec = oscillator_spec([2, 1], (model2_potential(2, 4, 1), Zero()))
-    return spec, NumericEnv(OperatorEnv.for_model(spec), {"w2": 1.0}, scheme)
+    return spec, NumericEnv(OperatorEnv(spec), {"w2": 1.0}, scheme)
 
 
 @pytest.mark.parametrize("extended", [False, True], ids=["float64", "longdouble"])
@@ -334,7 +334,7 @@ def test_one_coefficient_at_two_output_radii_has_two_entries():
 
     scheme = FDScheme(extended=True)
     spec, _, x, big = _model2_grid(10, scheme)
-    env = NumericEnv(OperatorEnv.for_model(spec), {"w2": 1.0}, scheme)
+    env = NumericEnv(OperatorEnv(spec), {"w2": 1.0}, scheme)
     nop = env.operator(IntegralName("H", 2))
     assert nop.margin == 4
     table: dict = {}
@@ -466,7 +466,7 @@ def test_fixed_node_compiled_once_per_relation(monkeypatch):
 
     spec = oscillator_spec([2, 2], (Constant(1), Constant(2)), omega2=1)
     name = IntegralName("Z", 2)
-    env = OperatorEnv.for_model(spec)
+    env = OperatorEnv(spec)
     fixed = Fixed(env.operator(name))
     rel = Relation("Z-minus-fixed-Z", Sum((OpRef(name), Prod((Scalar(-1), fixed)))))
     compiled = []
@@ -575,7 +575,7 @@ def test_a_relation_raising_at_its_fourth_point_ends_as_alone(monkeypatch, raise
     from blocksep.ring import Coefficient
 
     spec = oscillator_spec([2, 2], (Constant(1), Constant(2)), omega2=1)
-    env = OperatorEnv.for_model(spec)
+    env = OperatorEnv(spec)
     Z, Hs = OpRef(IntegralName("Z", 2)), OpRef(IntegralName("Hsum", 2))
     marker = DiffOp.from_coefficient(env.ctx, Coefficient.const(env.ctx, Fraction(7, 3)))
     real = numerics.compile_operator
@@ -676,7 +676,7 @@ def test_coefficient_values_equal_a_tuple_exponent_evaluation():
     from blocksep.ring import unpack
 
     spec = coulomb_spec([2, 2], (model2_potential(2, 4, 1),), eta=3)
-    env = OperatorEnv.for_model(spec)
+    env = OperatorEnv(spec)
     ctx = env.ctx
     coefs = []
     for name in enumerate_integrals(spec):

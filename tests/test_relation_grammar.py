@@ -28,7 +28,7 @@ from blocksep.relations import (  # noqa: E402
 )
 
 SPEC = oscillator_spec([2, 2])
-ENV = OperatorEnv.for_model(SPEC)
+ENV = OperatorEnv(SPEC)
 PROPERTY = hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
 
 # binding strength of a rendered term: a weaker operand is parenthesized

@@ -35,7 +35,7 @@ from blocksep.relations import (
     verify_relation,
     verify_symbolic,
 )
-from oracles import eval_termwise, substitute_params
+from oracles import eval_termwise, planar_seed_operators, substitute_params
 
 
 def outcomes_by_name(ocs):
@@ -81,6 +81,47 @@ def test_gauge_identities_l2():
     for sizes in ([1, 2], [2, 2], [1, 1]):
         rs = catalog_gauge_identities(oscillator_spec(sizes), 2)
         assert all(o.status == "zero" for o in verify_symbolic(rs))
+
+
+def test_planar_model_carries_the_printed_seed_operators():
+    """proposition-A and the gauge levels run on the oscillator model on blocks
+    1,1 with couplings g1, g2: its H[1], H[2], Hsum[2] and Z[2] are the printed
+    seed operators, written out apart from the model builders."""
+    (_, env), *_ = catalog_proposition_A().pairs
+    assert env.spec.param_names() == ("w2", "g1", "g2")
+    names = [IntegralName("H", 1), IntegralName("H", 2), IntegralName("Hsum", 2),
+             IntegralName("Z", 2)]
+    for name, printed in zip(names, planar_seed_operators(env.ctx)):
+        assert env.operator(name) == printed, name
+    for _, gauge_env in catalog_gauge_identities(oscillator_spec([2, 3, 2]), 3).pairs:
+        assert gauge_env.spec == env.spec
+
+
+def test_seed_display_plus_a_product_is_refuted():
+    """[Z, Y] = its printed right-hand side plus Z[2] Hsum[2] does not reduce to zero."""
+    rs = catalog_proposition_A()
+    (rel, env), = [(r, e) for r, e in rs.pairs if r.name == "prop-A-2"]
+    perturbed = Relation("prop-A-2-plus-ZH", Sum((rel.expr, op("Z", 2) * op("Hsum", 2))),
+                         expectation="nonzero")
+    item = verify_relation(perturbed, env)
+    assert item.status == "residual" and item.passed
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_gauge_match_with_a_shifted_dimension_is_refuted(monkeypatch, l):
+    """Built with D_{l-1} + 1 in the block-algebra coefficients, both gauge
+    matches at level l of [2,3,2] leave a residual; the seed relations, which
+    do not read D_{l-1}, still reduce to zero."""
+    from blocksep import relations
+
+    real = relations._block_rhs
+    monkeypatch.setattr(relations, "_block_rhs",
+                        lambda *args: real(*args[:-2], args[-2] + 1, args[-1]))
+    items = {o.name: o for o in verify_symbolic(catalog_gauge_identities(
+        oscillator_spec([2, 3, 2]), l))}
+    for k in (2, 3):
+        assert items[f"gauge-l{l}-match-{k}"].status == "residual"
+        assert items[f"gauge-l{l}-seed-{k}"].status == "zero"
 
 
 def test_gauge_rejects_bad_level():
@@ -136,10 +177,10 @@ def test_transported_residual_equals_direct_reduction(blocks):
         assert all(env.operator(a).swap_coordinates(*slots) == env.operator(b)
                    for a, b in rel.image.leaves), rel.name
         moved = eval_node(source[rel.image.source].expr, env).swap_coordinates(*slots)
-        assert moved.to_text() == eval_node(rel.expr, OperatorEnv.for_model(spec)).to_text()
+        assert moved.to_text() == eval_node(rel.expr, OperatorEnv(spec)).to_text()
     for i, j in {rel.image.slots for rel in images}:
         W = eval_node(Comm(op("Y", 1), op("X", D)), env).swap_coordinates(i, j)
-        direct = eval_node(Comm(op("Y", 1), op("X", i + 1)), OperatorEnv.for_model(spec))
+        direct = eval_node(Comm(op("Y", 1), op("X", i + 1)), OperatorEnv(spec))
         assert not W.is_zero() and W.to_text() == direct.to_text()
 
 
@@ -173,10 +214,10 @@ def test_nonzero_residual_transports_as_its_direct_reduction(monkeypatch):
     src = Relation("W[5]", Comm(op("Y", 1), op("X", 5)))
     img = Relation("W[4]", Comm(op("Y", 1), op("X", 4)), image=Image("W[5]", (3, 4), leaves))
     nodes = _reduced_roots(monkeypatch)
-    _, moved = verify_symbolic(RelationSet(over(OperatorEnv.for_model(spec), [src, img])))
+    _, moved = verify_symbolic(RelationSet(over(OperatorEnv(spec), [src, img])))
     assert not any(n is img.expr for n in nodes)
     monkeypatch.undo()
-    direct = verify_relation(img, OperatorEnv.for_model(spec))
+    direct = verify_relation(img, OperatorEnv(spec))
     assert moved.status == "residual" and moved.to_json() == direct.to_json()
 
 
@@ -229,7 +270,7 @@ def test_central_diagnoser_builds_its_basis_once_per_env(monkeypatch):
     notes = [o.note for o in verify_symbolic(rs)]
     assert len(bases) == 3 and all(b is bases[0] for b in bases)
     rel, _ = rs.pairs[0]
-    cold = OperatorEnv.for_model(spec)
+    cold = OperatorEnv(spec)
     assert rel.diagnose(eval_node(rel.expr, cold), cold) in notes[0]
     assert bases[-1] is not bases[0] and list(bases[-1]) == list(bases[0])
 
@@ -273,11 +314,11 @@ def test_parameter_substitution_commutes_with_construction():
     from blocksep.relations import eval_node, op
 
     sym_spec = oscillator_spec([1, 2])
-    sym_env = OperatorEnv.for_model(sym_spec)
+    sym_env = OperatorEnv(sym_spec)
     num_spec = oscillator_spec(
         [1, 2], (Constant(Fraction(3, 4)), Constant(Fraction(2))), omega2=Fraction(1)
     )
-    num_env = OperatorEnv.for_model(num_spec)
+    num_env = OperatorEnv(num_spec)
     for name in (("Z", 2), ("T", 1), ("Hfull",)):
         sym = substitute_params(
             eval_node(op(*name), sym_env),
@@ -317,7 +358,7 @@ def test_umbrella_catalog_joins_its_parts_in_one_env(umbrella, parts, spec):
 
 def test_parse_and_verify_user_relation():
     spec = oscillator_spec([2, 2])
-    env = OperatorEnv.for_model(spec)
+    env = OperatorEnv(spec)
     rel = parse_relation_line("my-check: [Z[2], Hsum[2]]", param_names=("w2",))
     assert rel.name == "my-check"
     assert eval_node(rel.expr, env).is_zero()
@@ -325,14 +366,14 @@ def test_parse_and_verify_user_relation():
 
 def test_parse_equation_form():
     spec = oscillator_spec([2, 2])
-    env = OperatorEnv.for_model(spec)
+    env = OperatorEnv(spec)
     rel = parse_relation_line("alias: G[1,2] == T[1]")
     assert eval_node(rel.expr, env).is_zero()
 
 
 def test_parse_scalars_and_anticommutator():
     spec = oscillator_spec([1, 1])
-    env = OperatorEnv.for_model(spec)
+    env = OperatorEnv(spec)
     text = """
     # two lines, one comment
     a: {T[1], H[1]} - T[1]*H[1] - H[1]*T[1]
@@ -346,14 +387,14 @@ def test_parse_scalars_and_anticommutator():
 
 def test_parse_structural_constants():
     spec = coulomb_spec([2, 2])
-    env = OperatorEnv.for_model(spec)
+    env = OperatorEnv(spec)
     rel = parse_relation_line("c: Mc[1] - 3/4")
     assert eval_node(rel.expr, env).is_zero()
 
 
 def test_parse_param_reference():
     spec = oscillator_spec([1, 1])
-    env = OperatorEnv.for_model(spec)
+    env = OperatorEnv(spec)
     rel = parse_relation_line("p: w2*H[1] - w2*H[1]", param_names=("w2",))
     assert eval_node(rel.expr, env).is_zero()
 
@@ -377,7 +418,7 @@ def test_parse_rejects_python_outside_the_grammar(line):
 
 
 def test_parse_division_by_an_integer_anywhere():
-    env = OperatorEnv.for_model(oscillator_spec([1, 1]))
+    env = OperatorEnv(oscillator_spec([1, 1]))
     for line in ("H[1]/2 - 1/2*H[1]", "1/2/3 - 1/6", "-(T[1] + H[1])/4 + T[1]/4 + 1/4*H[1]"):
         assert eval_node(parse_relation_line(line).expr, env).is_zero(), line
     with pytest.raises(RelationSyntaxError, match="not an integer"):
@@ -385,7 +426,7 @@ def test_parse_division_by_an_integer_anywhere():
 
 
 def test_parse_nesting_bound():
-    env = OperatorEnv.for_model(oscillator_spec([1, 1]))
+    env = OperatorEnv(oscillator_spec([1, 1]))
     deepest = parse_relation_line("-" * MAX_NESTING + "H[1]")
     assert eval_node(deepest.expr, env) == env.operator(IntegralName("H", 1))
     with pytest.raises(RelationSyntaxError, match=f"deeper than {MAX_NESTING}"):
@@ -418,7 +459,7 @@ def test_block_display_typed_as_a_line_is_the_catalog_tree():
 
 def test_nonzero_user_relation_reports_residual():
     spec = oscillator_spec([1, 1])
-    env = OperatorEnv.for_model(spec)
+    env = OperatorEnv(spec)
     rel = parse_relation_line("n: [T[1], H[1]] + 1")
     res = eval_node(rel.expr, env)
     assert not res.is_zero()
@@ -461,7 +502,7 @@ def test_decompose_residual_non_unit_pivot_is_exact(residual, basis, expect):
 
 
 def test_equal_brackets_share_one_memo_entry():
-    env = OperatorEnv.for_model(oscillator_spec([2, 2]))
+    env = OperatorEnv(oscillator_spec([2, 2]))
     first = Comm(op("Z", 2), op("H", 1))
     second = Comm(op("Z", 2), op("H", 1))  # built apart, equal as frozen nodes
     assert first is not second
@@ -475,12 +516,12 @@ def test_equal_brackets_share_one_memo_entry():
 def test_warm_memo_matches_a_cold_env():
     spec = oscillator_spec([2, 2])
     rels = build_catalog("oscillator", spec).relations
-    warm = OperatorEnv.for_model(spec)
+    warm = OperatorEnv(spec)
     for rel in rels:
         eval_node(rel.expr, warm)
     assert warm.brackets
     for rel in rels:
-        cold = OperatorEnv.for_model(spec)
+        cold = OperatorEnv(spec)
         assert eval_node(rel.expr, warm).to_text() == eval_node(rel.expr, cold).to_text(), rel.name
 
 
@@ -514,7 +555,7 @@ def test_fused_sum_matches_termwise_evaluation(catalog, spec):
     (coulomb_spec([2, 2]), "consts: Mc[1]*Z[2]*H[1] - Nc[2]*[Z[2], H[1]]*Uc[3] + 3/4*Mc[1]"),
 ], ids=["zero-factor", "three-factors", "nested-minus", "top-level-product", "constants"])
 def test_fused_sum_matches_termwise_evaluation_on_parsed_lines(spec, line):
-    env = OperatorEnv.for_model(spec)
+    env = OperatorEnv(spec)
     rel = parse_relation_line(line, param_names=spec.param_names())
     got = eval_node(rel.expr, env)
     assert got.to_text() == eval_termwise(rel.expr, env).to_text()
