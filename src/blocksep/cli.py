@@ -38,7 +38,7 @@ from .relations import (
     over,
     parse_relation_file,
     settle_groups,
-    verify_in_order,
+    verify_relation,
     verify_symbolic,
 )
 
@@ -121,7 +121,7 @@ def _worker_init(config: dict):
 
 
 def _worker_verify(indices: list):
-    return verify_in_order([_WORKER_STATE["rs"].pairs[i] for i in indices])
+    return [verify_relation(*_WORKER_STATE["rs"].pairs[i]) for i in indices]
 
 
 def run_verify(config: dict) -> VerificationReport:

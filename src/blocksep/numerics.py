@@ -17,11 +17,12 @@ contraction per point; on longdouble, which numeric verification uses, each
 sum runs in order from the first offset.  Each compiled term carries a plan
 (its coefficient key, the crop its half widths need, its nonzero-order
 passes).  Relations of one env with the same margin sample the same points
-with the same probes, so the first residual call of such a group evaluates
-every member point by point: at each point the members share one probe grid
-and one table of operator applications, coordinate meshes and coefficient
-arrays, which is dropped after that point.  An entry is what a fresh
-evaluation at that point would compute, so no bit changes.  Residuals are
+with the same probes, a sampling group; the group's first residual call
+evaluates every member point by point and files each member's outcome in
+the env's table for that group.  At each point the members share one probe
+grid and one table of operator applications, coordinate meshes and
+coefficient arrays, which is dropped after that point.  An entry is what a
+fresh evaluation at that point would compute, so no bit changes.  Residuals are
 normalized by the largest intermediate magnitude to absorb the cancellation
 inherent in double commutators of fourth-order products.
 """
@@ -298,10 +299,11 @@ class NumericEnv:
     operators at bound parameter values, its structural constants as floats.
 
     ``peers`` are the relations a run will evaluate through this env, in
-    order.  The first ``relation_residual_numeric`` call of a sampling group
-    evaluates the group's pending peers with it; each peer's stats, or the
-    exception it raised, waits in ``outcomes`` until the peer's own call
-    takes it."""
+    order.  ``groups`` maps each sampling group, (margin, probes, points,
+    seed), to its table: id(member) -> (member, which keeps its id, and its
+    stats or the exception it raised).  The group's first
+    ``relation_residual_numeric`` call fills the table, and every call reads
+    its own entry."""
 
     def __init__(self, env: OperatorEnv, params: dict, scheme: FDScheme, peers=()):
         self.env = env
@@ -318,9 +320,8 @@ class NumericEnv:
         self.scheme = scheme
         self._cache: dict = {}
         self._nodes: dict = {}
-        self.pending = list(peers)
-        # (id(peer), probes, points, seed) -> (peer, which keeps its id, and its stats or exception)
-        self.outcomes: dict = {}
+        self.peers = tuple(peers)
+        self.groups: dict = {}
 
     def operator(self, name) -> NumericOperator:
         key = str(name)
@@ -519,64 +520,55 @@ def relation_residual_numeric(rel: Relation, env: NumericEnv, probes: int,
     magnitude across the tree evaluation); reported are max and median.  A
     value or scale beyond the float range raises OverflowError.
 
-    The pending peers of ``env`` with the margin of ``rel`` sample the same
-    points with the same probes, so they are evaluated here too, after
-    ``rel`` at each point and from the same probe grid and table.  A peer
-    that raises leaves the group; its exception, like each other peer's
-    stats, is kept on ``env`` for the peer's own call.  If ``rel`` raises,
-    the peers stay pending.
+    ``rel`` and the peers of ``env`` with its margin sample the same points
+    with the same probes.  Unless ``rel`` is in the table of that sampling
+    group, each member not yet there is evaluated here, point by point from
+    one probe grid and table; a member that raises leaves the evaluation, and
+    its exception is its entry.  ``rel``'s entry is returned or raised.
     """
-    sampling = (probes, points_per_probe, seed)
-    _, outcome = env.outcomes.pop((id(rel), *sampling), (rel, None))
-    if isinstance(outcome, Exception):
-        raise outcome
-    if outcome is not None:
-        return outcome
-    env.pending = [peer for peer in env.pending if peer is not rel]
     spec, scheme = env.spec, env.scheme
     margin = env.compiled(rel.expr)[0]
-    group = {id(rel): rel}
-    for peer in env.pending:
-        if id(peer) not in group and _has_margin(env, peer, margin):
-            group[id(peer)] = peer
-    rng = np.random.default_rng(seed)
-    D = spec.partition.D
-    extent = margin * scheme.h
-    pts = sample_points(spec, probes * points_per_probe, rng, margin_extent=extent,
-                        guards=model_point_guards(spec, extent))
-    dtype = scheme.dtype
-    samples: dict = {key: [] for key in group}  # relative residuals, or what a peer raised
-    for pi in range(probes):
-        probe = ProbeFunction.from_seed(D, seed, pi)
-        for qi in range(points_per_probe):
-            x = pts[pi * points_per_probe + qi]
-            coords = _axis_coords(x, scheme.h, margin, D, dtype)
-            values = probe(coords)  # broadcasts the axes: same values, fewer operations
-            applied: dict = {}  # this point's table, for every member
-            for key, member in group.items():
-                if not isinstance(samples[key], list):
-                    continue
-                mags: list = []
-                try:
-                    out, _ = eval_tree_on_grid(member.expr, env, values, x, margin, mags, applied)
-                    center = float(out.reshape(-1)[out.size // 2])
-                    denom = 1.0 + max(mags, default=0.0)
-                    if not (math.isfinite(center) and math.isfinite(denom)):
-                        raise OverflowError(f"a value of {member.name} is not finite")
-                except Exception as exc:
-                    if member is rel:
-                        raise
-                    samples[key] = exc
-                    continue
-                samples[key].append(abs(center) / denom)
-    outcomes = {key: got if isinstance(got, Exception)
-                else ResidualStats(float(np.max(got)), float(np.median(got)), len(got))
-                for key, got in samples.items()}
-    env.pending = [peer for peer in env.pending if id(peer) not in group]
-    for key, member in group.items():
-        if member is not rel:
-            env.outcomes[(key, *sampling)] = member, outcomes[key]
-    return outcomes[id(rel)]
+    table = env.groups.setdefault((margin, probes, points_per_probe, seed), {})
+    if id(rel) not in table:
+        group = {id(m): m for m in (rel, *env.peers)
+                 if id(m) not in table and (m is rel or _has_margin(env, m, margin))}
+        rng = np.random.default_rng(seed)
+        D = spec.partition.D
+        extent = margin * scheme.h
+        pts = sample_points(spec, probes * points_per_probe, rng, margin_extent=extent,
+                            guards=model_point_guards(spec, extent))
+        dtype = scheme.dtype
+        samples: dict = {key: [] for key in group}  # relative residuals, or what a member raised
+        for pi in range(probes):
+            probe = ProbeFunction.from_seed(D, seed, pi)
+            for qi in range(points_per_probe):
+                x = pts[pi * points_per_probe + qi]
+                coords = _axis_coords(x, scheme.h, margin, D, dtype)
+                values = probe(coords)  # broadcasts the axes: same values, fewer operations
+                applied: dict = {}  # this point's table, for every member
+                for key, member in group.items():
+                    if not isinstance(samples[key], list):
+                        continue
+                    mags: list = []
+                    try:
+                        out, _ = eval_tree_on_grid(member.expr, env, values, x, margin, mags,
+                                                   applied)
+                        center = float(out.reshape(-1)[out.size // 2])
+                        denom = 1.0 + max(mags, default=0.0)
+                        if not (math.isfinite(center) and math.isfinite(denom)):
+                            raise OverflowError(f"a value of {member.name} is not finite")
+                    except Exception as exc:
+                        samples[key] = exc
+                        continue
+                    samples[key].append(abs(center) / denom)
+        for key, got in samples.items():
+            if not isinstance(got, Exception):
+                got = ResidualStats(float(np.max(got)), float(np.median(got)), len(got))
+            table[key] = group[key], got
+    outcome = table[id(rel)][1]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 # -- 1D eigensolver oracle ---------------------------------------------------------------

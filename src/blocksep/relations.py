@@ -137,7 +137,7 @@ class Image:
     """Marks a relation as the tree of relation ``source`` with each left integral
     of ``leaves`` replaced by its right one.  A swap of coordinate slots is an
     algebra automorphism and the normal form is unique, so if the swap maps each
-    left integral onto its right one, it maps the source's residual onto this one."""
+    left integral onto its right one, this relation is zero where the source is."""
 
     source: str
     slots: tuple  # (i, j), 0-based
@@ -181,6 +181,7 @@ class OperatorEnv:
         self._cache: dict = {}  # str(name) -> DiffOp
         self._raw: dict = {}
         self.brackets: dict = {}  # Comm/Acomm node -> its value here; nodes are frozen
+        self.proved: set = set()  # names of the relations reduced to zero here
 
     def operator(self, name: IntegralName) -> DiffOp:
         key = str(name)
@@ -249,27 +250,24 @@ def eval_node(node, env: OperatorEnv) -> DiffOp:
 # -- verification -----------------------------------------------------------------
 
 
-def verify_relation(rel: Relation, env: OperatorEnv, memo: dict | None = None) -> ReportItem:
-    """Reduce one relation.  ``memo`` holds the residuals of image sources: an
-    image whose source is on file is transported if the swap maps each of its
-    integral pairs, and reduced directly otherwise."""
+def verify_relation(rel: Relation, env: OperatorEnv) -> ReportItem:
+    """Reduce one relation; an image whose source ``env`` has proved is zero
+    once the swap maps each of its integral pairs, and is reduced otherwise."""
     item = ReportItem(rel.name, "relation", "symbolic", "zero", None,
                       expectation=rel.expectation, group=rel.group, note=rel.note)
     im = rel.image
-    source = memo.get((im.source, env)) if im and memo else None
     try:
-        if source is not None and all(env.operator(a).swap_coordinates(*im.slots) == env.operator(b)
-                                      for a, b in im.leaves):
-            residual = source.swap_coordinates(*im.slots)
+        if im and im.source in env.proved and all(env.operator(a).swap_coordinates(*im.slots)
+                                                  == env.operator(b) for a, b in im.leaves):
+            residual = DiffOp.zero(env.ctx)
         else:
             residual = eval_node(rel.expr, env)
     except (InvalidIntegralError, InapplicableRelationError,
             UnsupportedSymbolicPotentialError) as exc:
         item.status, item.note = "inapplicable", str(exc)
         return item
-    if memo is not None and (rel.name, env) in memo:
-        memo[rel.name, env] = residual
     if residual.is_zero():
+        env.proved.add(rel.name)
         item.passed = rel.expectation != "nonzero"
         return item
     item.status = "residual"
@@ -282,15 +280,9 @@ def verify_relation(rel: Relation, env: OperatorEnv, memo: dict | None = None) -
     return item
 
 
-def verify_in_order(pairs) -> list[ReportItem]:
-    """Verify the pairs in order, each image by transport once its source is reduced."""
-    memo = {(rel.image.source, env): None for rel, env in pairs if rel.image is not None}
-    return [verify_relation(rel, env, memo) for rel, env in pairs]
-
-
 def verify_symbolic(rs: RelationSet) -> list[ReportItem]:
-    """``verify_in_order`` in report order; then settle reading groups."""
-    return settle_groups(verify_in_order(rs.pairs))
+    """Verify the pairs in report order; then settle reading groups."""
+    return settle_groups([verify_relation(rel, env) for rel, env in rs.pairs])
 
 
 def settle_groups(items: list) -> list:
@@ -474,7 +466,7 @@ def _algebra_relations(env: OperatorEnv) -> list:
 # -- catalog: gauge reduction ---------------------------------------------------------
 
 
-def catalog_gauge_identities(spec: ModelSpec, l: int) -> RelationSet:
+def gauge_relations(spec: ModelSpec, l: int) -> list:
     """The seed algebra over the planar model, whose two radii stand for those
     of blocks 1..l-1 and of block l: with the central elements Z_{l-1} and T_l
     written as zc = c1 - g1 and tc = c2 - g2, it reproduces the printed block
@@ -491,22 +483,20 @@ def catalog_gauge_identities(spec: ModelSpec, l: int) -> RelationSet:
     seed2, seed3 = _seed_rhs(g1, g2, w2)
     # Z_l - (D_l-2)^2/4 -> Z, Hsum[l] -> H, H_l -> H2
     block2, block3 = _block_rhs(_Z, _H, _H2, zc, tc, w2, Dlm1, dl)
-    rels = (
+    return [
         Relation(f"{tag}-seed-2", Comm(_Z, _Y) - seed2),
         Relation(f"{tag}-seed-3", Comm(_H2, _Y) - seed3),
         Relation(f"{tag}-match-2", Sum((seed2, -block2)),
                  note="seed RHS equals block-algebra RHS term by term"),
         Relation(f"{tag}-match-3", Sum((seed3, -block3)),
                  note="seed RHS equals block-algebra RHS term by term"),
-    )
-    return RelationSet(over(OperatorEnv(PLANAR), rels))
+    ]
 
 
 def catalog_gauge(spec: ModelSpec) -> RelationSet:
-    """The gauge identities of every level l = 2..N."""
-    levels = (z.i for z in _integrals(spec, "Z"))
-    pairs = tuple(p for l in levels for p in catalog_gauge_identities(spec, l).pairs)
-    return RelationSet(pairs)
+    """The gauge relations of every level l = 2..N, in one planar environment."""
+    rels = [r for z in _integrals(spec, "Z") for r in gauge_relations(spec, z.i)]
+    return RelationSet(over(OperatorEnv(PLANAR), rels))
 
 
 # -- catalog: coulomb family ------------------------------------------------------------

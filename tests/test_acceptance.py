@@ -32,7 +32,6 @@ from blocksep.numerics import (
 from blocksep.relations import (
     OperatorEnv,
     build_catalog,
-    catalog_gauge_identities,
     catalog_proposition_A,
     oscillator_quadratic_relations,
     verify_symbolic,
@@ -77,7 +76,7 @@ def test_criterion_3_oscillator_commutativity():
 def test_criterion_4_gauge_reduction():
     ok = True
     for sizes in ([1, 2], [2, 2]):
-        rs = catalog_gauge_identities(oscillator_spec(sizes), 2)
+        rs = build_catalog("gauge", oscillator_spec(sizes))
         ok = ok and all(o.status == "zero" for o in verify_symbolic(rs))
     report_line(4, ok, "seed relations under central-element substitution match the "
                        "block algebra exactly (l=2 on [1,2] and [2,2])")

@@ -451,11 +451,11 @@ def _mixed_relation_set(first_raises: bool):
     (True, "10db9c4702ec40521a9655e27529b198496ed3134fb25c15d09ce972ddb98652"),
 ], ids=["peer-raises", "lead-raises"])
 def test_grouped_numeric_items_equal_each_relation_alone(first_raises, digest):
-    """A peer that raises at a point is reported inapplicable with its own
-    note, a lead that raises leaves its peers to their own calls, and a tree
-    that fails to compile stays out of the group: the items equal those of
-    each relation sampled alone, and their SHA-256 recorded before relations
-    shared sample points."""
+    """A relation that raises at a point is reported inapplicable with its own
+    note, whether or not its call is its group's first, and a tree that fails
+    to compile stays out of the group: the items equal those of each relation
+    sampled alone, and their SHA-256 recorded before relations shared sample
+    points."""
     from blocksep.relations import RelationSet
 
     config = {"probes": 2, "points": 3, "seed": 5}
@@ -520,7 +520,7 @@ def test_mode_both_carries_both_item_sets(runner, tmp_path):
 
 @pytest.mark.parametrize("source, blocks", [
     pytest.param({"catalog": "oscillator-algebra"}, [1, 1], id="oscillator-algebra"),
-    pytest.param({"catalog": "gauge"}, [1, 1, 1], id="gauge"),  # one planar env per level
+    pytest.param({"catalog": "gauge"}, [1, 1, 1], id="gauge"),  # one planar env for both levels
     # the planar env and a block model's env
     pytest.param({"catalog": "negative-controls"}, [2, 2], id="negative-controls"),
     # reading groups; two-atom denominators

@@ -541,16 +541,15 @@ def test_grouped_stats_equal_each_relation_alone(extended, catalog, spec):
     for rel, env in pairs:
         peers.setdefault(env, []).append(rel)
     nenvs = {env: NumericEnv(env, {"w2": 1.0}, scheme, rels) for env, rels in peers.items()}
-    waiting = 0
     alone = {}
     for rel, env in pairs:
         grouped = _outcome(lambda: relation_residual_numeric(rel, nenvs[env], *sampling))
-        waiting = max(waiting, len(nenvs[env].outcomes))
         alone[rel.name] = _outcome(lambda: relation_residual_numeric(
             rel, NumericEnv(env, {"w2": 1.0}, scheme), *sampling))
         assert grouped == alone[rel.name], rel.name
-    assert waiting > 0  # some relation was sampled with a peer
-    assert all(not n.pending and not n.outcomes for n in nenvs.values())
+    tables = [table for n in nenvs.values() for table in n.groups.values()]
+    assert any(len(table) > 1 for table in tables)  # some relation was sampled with a peer
+    assert all(any(id(rel) in table for table in nenvs[env].groups.values()) for rel, env in pairs)
     if extended:
         report = run_verify({"catalog": catalog, "model": spec_to_json(spec), "mode": "numeric",
                              "params": {"w2": 1.0}, "probes": 2, "points": 2, "seed": 7})
@@ -561,9 +560,9 @@ def test_grouped_stats_equal_each_relation_alone(extended, catalog, spec):
 
 @pytest.mark.parametrize("raiser", [0, 1], ids=["lead", "peer"])
 def test_a_relation_raising_at_its_fourth_point_ends_as_alone(monkeypatch, raiser):
-    """A relation whose Fixed leaf raises at the fourth of six points: as a
-    peer it leaves the group and its own call raises the same error; as the
-    lead it raises at once and its peers stay pending for their own calls.
+    """A relation whose Fixed leaf raises at the fourth of six points leaves
+    the group, and its own call raises the same error; when its call is the
+    group's first, the table then holds its exception and its peers' stats.
     Every outcome equals that of the relation sampled alone."""
     import dataclasses
     from fractions import Fraction
@@ -571,6 +570,7 @@ def test_a_relation_raising_at_its_fourth_point_ends_as_alone(monkeypatch, raise
     from blocksep import numerics
     from blocksep.errors import EvaluationSingularityError
     from blocksep.integrals import IntegralName
+    from blocksep.numerics import ResidualStats
     from blocksep.relations import Comm, Fixed, OpRef, Relation
     from blocksep.ring import Coefficient
 
@@ -606,8 +606,11 @@ def test_a_relation_raising_at_its_fourth_point_ends_as_alone(monkeypatch, raise
     for i, rel in enumerate(rels):
         got = _outcome(lambda: relation_residual_numeric(rel, shared, *sampling))
         if i == 0 and raiser == 0:
-            assert [p.name for p in shared.pending] == ["lead", "peer", "other-margin"]
-            assert not shared.outcomes
+            (table,) = shared.groups.values()
+            filed = {member.name: outcome for member, outcome in table.values()}
+            assert isinstance(filed.pop("raises"), EvaluationSingularityError)
+            assert sorted(filed) == ["lead", "peer"]
+            assert all(isinstance(stats, ResidualStats) for stats in filed.values())
         assert got == _outcome(lambda: relation_residual_numeric(
             rel, NumericEnv(env, {}, scheme), *sampling)), rel.name
         if rel.name == "raises":

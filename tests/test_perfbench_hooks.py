@@ -1,5 +1,6 @@
-"""perfbench's layer hooks still find every package attribute they wrap, and
-the symbolic reports still match its golden digests.
+"""perfbench's layer hooks still find every package attribute they wrap, the
+symbolic reports still match its golden digests, and the oracle-eigen checks
+still hold at the seeds where they come closest to their bounds.
 
 ``perfbench/layers.py`` wraps package functions and methods by name, so a
 rename under ``src/`` would otherwise break only a traced benchmark run
@@ -70,3 +71,24 @@ def test_symbolic_reports_match_the_golden_digests(perfbench_modules):
     assert sorted(entries) == sorted(golden)
     for key, entry in entries.items():
         assert entry == golden[key], key
+
+
+# Seeds 0-19, and the two seeds of 0-299 where a Coulomb [2,2] eigencheck comes
+# closest to its criterion-9 bound: J = 1 at 0.755 of it at seed 89, and
+# N_r = 1, J = 1 at 0.436 at seed 233 (the oscillator checks stay at or below
+# 0.002 of theirs).
+ORACLE_SEEDS = (*range(20), 89, 233)
+
+
+def test_oracle_eigen_checks_hold_at_their_thinnest_seeds(perfbench_modules):
+    """Every oracle-eigen item passes its check at each of ORACLE_SEEDS.  A
+    coefficient's terms are summed in their stored order, so a change that
+    reorders them moves these floats and can tip a seed over the bound."""
+    workloads = perfbench_modules[2]
+    for seed in ORACLE_SEEDS:
+        state = workloads.setup_oracle("full", seed)
+        out = workloads.run_oracle(state)
+        items = workloads.check_oracle(state, out, [sec for _, sec, _ in out["results"]])
+        assert len(items) == 10
+        failed = [(item.name, item.detail) for item in items if not item.ok]
+        assert not failed, (seed, failed)

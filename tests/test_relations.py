@@ -11,6 +11,7 @@ from blocksep.errors import (BlocksepError, ConfigError, InapplicableRelationErr
 from blocksep.integrals import IntegralName, enumerate_integrals
 from blocksep.models import coulomb_spec, oscillator_spec
 from blocksep.relations import (
+    CATALOG_NAMES,
     MAX_NESTING,
     Acomm,
     Comm,
@@ -22,10 +23,11 @@ from blocksep.relations import (
     Relation,
     RelationSet,
     build_catalog,
-    catalog_gauge_identities,
+    catalog_family,
     catalog_negative_controls,
     catalog_proposition_A,
     eval_node,
+    gauge_relations,
     num,
     op,
     oscillator_quadratic_relations,
@@ -79,7 +81,7 @@ def test_oscillator_negative_control():
 
 def test_gauge_identities_l2():
     for sizes in ([1, 2], [2, 2], [1, 1]):
-        rs = catalog_gauge_identities(oscillator_spec(sizes), 2)
+        rs = build_catalog("gauge", oscillator_spec(sizes))  # N = 2: the level l = 2 alone
         assert all(o.status == "zero" for o in verify_symbolic(rs))
 
 
@@ -93,7 +95,7 @@ def test_planar_model_carries_the_printed_seed_operators():
              IntegralName("Z", 2)]
     for name, printed in zip(names, planar_seed_operators(env.ctx)):
         assert env.operator(name) == printed, name
-    for _, gauge_env in catalog_gauge_identities(oscillator_spec([2, 3, 2]), 3).pairs:
+    for _, gauge_env in build_catalog("gauge", oscillator_spec([2, 3, 2])).pairs:
         assert gauge_env.spec == env.spec
 
 
@@ -117,8 +119,7 @@ def test_gauge_match_with_a_shifted_dimension_is_refuted(monkeypatch, l):
     real = relations._block_rhs
     monkeypatch.setattr(relations, "_block_rhs",
                         lambda *args: real(*args[:-2], args[-2] + 1, args[-1]))
-    items = {o.name: o for o in verify_symbolic(catalog_gauge_identities(
-        oscillator_spec([2, 3, 2]), l))}
+    items = {o.name: o for o in verify_symbolic(build_catalog("gauge", oscillator_spec([2, 3, 2])))}
     for k in (2, 3):
         assert items[f"gauge-l{l}-match-{k}"].status == "residual"
         assert items[f"gauge-l{l}-seed-{k}"].status == "zero"
@@ -126,7 +127,7 @@ def test_gauge_match_with_a_shifted_dimension_is_refuted(monkeypatch, l):
 
 def test_gauge_rejects_bad_level():
     with pytest.raises(InapplicableRelationError):
-        catalog_gauge_identities(oscillator_spec([2, 2]), 5)
+        gauge_relations(oscillator_spec([2, 2]), 5)
     with pytest.raises(ConfigError, match="written for the oscillator family"):
         build_catalog("gauge", coulomb_spec([2, 2]))
 
@@ -208,17 +209,19 @@ def test_verify_symbolic_transports_every_image(monkeypatch):
             assert item.to_json() == verify_relation(rel, env).to_json()
 
 
-def test_nonzero_residual_transports_as_its_direct_reduction(monkeypatch):
+def test_image_of_a_nonzero_source_is_reduced_directly(monkeypatch):
+    """An env proves only what reduced to zero, so the image of the nonzero W
+    is reduced itself, to the item of a cold env."""
     spec = coulomb_spec([2, 3])
     leaves = ((IntegralName("X", 5), IntegralName("X", 4)), (IntegralName("Y", 1),) * 2)
     src = Relation("W[5]", Comm(op("Y", 1), op("X", 5)))
     img = Relation("W[4]", Comm(op("Y", 1), op("X", 4)), image=Image("W[5]", (3, 4), leaves))
     nodes = _reduced_roots(monkeypatch)
-    _, moved = verify_symbolic(RelationSet(over(OperatorEnv(spec), [src, img])))
-    assert not any(n is img.expr for n in nodes)
+    _, got = verify_symbolic(RelationSet(over(OperatorEnv(spec), [src, img])))
+    assert any(n is img.expr for n in nodes)
     monkeypatch.undo()
     direct = verify_relation(img, OperatorEnv(spec))
-    assert moved.status == "residual" and moved.to_json() == direct.to_json()
+    assert got.status == "residual" and got.to_json() == direct.to_json()
 
 
 def test_broken_premise_falls_back_to_direct_reduction(monkeypatch):
@@ -351,6 +354,18 @@ def test_umbrella_catalog_joins_its_parts_in_one_env(umbrella, parts, spec):
     assert [r.name for r in rs.relations] == [
         r.name for part in parts for r in build_catalog(part, spec).relations]
     assert len({id(env) for _, env in rs.pairs}) == 1
+
+
+@pytest.mark.parametrize("catalog", CATALOG_NAMES)
+def test_a_catalog_has_one_env_per_model(catalog):
+    """Relations share work through their env, so a catalog builds one env for
+    each model it runs on: the planar one for proposition-A and every gauge
+    level, that and the block model's for negative-controls."""
+    spec = (coulomb_spec if catalog_family(catalog) == "coulomb" else oscillator_spec)([1, 1, 2])
+    rs = build_catalog(catalog, spec)
+    envs = {id(env): env for _, env in rs.pairs}.values()
+    models = {env.spec for env in envs}
+    assert len(envs) == len(models) == (2 if catalog == "negative-controls" else 1)
 
 
 # -- relation-file grammar -------------------------------------------------------
