@@ -1,4 +1,4 @@
-"""Finite-difference application of operators and the 1D eigensolver oracle.
+"""Finite-difference application of operators, and the 1D grid eigensolvers.
 
 Operators act on scalar fields through central-difference stencils composed
 axis by axis on a local tensor grid around the evaluation point, so nested
@@ -25,6 +25,8 @@ coefficient arrays, which is dropped after that point.  An entry is what a
 fresh evaluation at that point would compute, so no bit changes.  Residuals are
 normalized by the largest intermediate magnitude to absorb the cancellation
 inherent in double commutators of fourth-order products.
+The 1D grid eigensolvers import scipy; no command runs them, and the tests
+and the benchmark check the closed forms of :mod:`spectra` against them.
 """
 
 from __future__ import annotations
@@ -571,7 +573,7 @@ def relation_residual_numeric(rel: Relation, env: NumericEnv, probes: int,
     return outcome
 
 
-# -- 1D eigensolver oracle ---------------------------------------------------------------
+# -- 1D grid eigensolvers ---------------------------------------------------------------
 
 
 @dataclass

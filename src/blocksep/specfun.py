@@ -2,13 +2,12 @@
 
 Laguerre and Jacobi values come from the standard three-term recurrences and
 stay exact on Fraction inputs.  The exceptional (X1-type) Jacobi polynomial
-of degree n is constructed as the one-dimensional nullspace of the linear
-system obtained by inserting a degree-n polynomial ansatz into the angular
-equation for the trigonometric potential, with the closed-form eigenvalue
-(A + 3(n-1))^2; the normalization is fixed by making the coefficient vector
-primitive with a positive leading entry.  Eigenfunctions are assembled as
-plain callables on Cartesian coordinates; all downstream checks are
-normalization independent (operator residuals and ratios).
+of degree n, in the angular eigenfunction of the trigonometric potential
+with eigenvalue (A + 3(n-1))^2, comes from its closed form in the Jacobi
+polynomials of degrees n-1 and n-2, built exactly by the same recurrence,
+and is made primitive with a positive leading entry.  Eigenfunctions are
+assembled as plain callables on Cartesian coordinates; all downstream
+checks are normalization independent (operator residuals and ratios).
 
 Every spectral number the assembly uses (gamma, kappa, the tower roots and
 the energies) comes from :mod:`spectra` as a float, and every value computed
@@ -26,14 +25,14 @@ import numpy as np
 
 from .errors import InadmissibleParametersError
 from .models import OSCILLATOR, Hierarchy, is_model2_tower
-from .ring import Poly, pack, row_reduce
+from .ring import Poly, pack
 from .spectra import (
     EigenfunctionSpec,
     block_gammas,
     coulomb_energies,
     omega_value,
     oscillator_energy_oracle,
-    trig_roots,
+    tower_roots,
 )
 
 
@@ -63,16 +62,34 @@ def jacobi(n: int, alpha, beta, x):
     prev = one
     cur = (alpha - beta) / 2 + (alpha + beta + 2) / 2 * x
     for k in range(2, n + 1):
-        a = 2 * k * (k + alpha + beta) * (2 * k + alpha + beta - 2)
-        if a == 0:
-            raise InadmissibleParametersError(
-                f"Jacobi recurrence degenerates at n={k} for alpha+beta={alpha + beta}"
-            )
-        b = (2 * k + alpha + beta - 1) * (alpha**2 - beta**2)
-        c = (2 * k + alpha + beta - 1) * (2 * k + alpha + beta) * (2 * k + alpha + beta - 2)
-        d = 2 * (k + alpha - 1) * (k + beta - 1) * (2 * k + alpha + beta)
+        a, b, c, d = _jacobi_step(k, alpha, beta)
         prev, cur = cur, ((b + c * x) * cur - d * prev) / a
     return cur
+
+
+def _jacobi_step(k: int, alpha, beta) -> tuple:
+    """(a, b, c, d) of the recurrence a P_k = (b + c x) P_{k-1} - d P_{k-2}."""
+    a = 2 * k * (k + alpha + beta) * (2 * k + alpha + beta - 2)
+    if a == 0:
+        raise InadmissibleParametersError(
+            f"Jacobi recurrence degenerates at n={k} for alpha+beta={alpha + beta}"
+        )
+    b = (2 * k + alpha + beta - 1) * (alpha**2 - beta**2)
+    c = (2 * k + alpha + beta - 1) * (2 * k + alpha + beta) * (2 * k + alpha + beta - 2)
+    d = 2 * (k + alpha - 1) * (k + beta - 1) * (2 * k + alpha + beta)
+    return a, b, c, d
+
+
+def _jacobi_polys(n: int, alpha: Fraction, beta: Fraction) -> list:
+    """P_0..P_n^(alpha, beta) as exact polynomials in one variable, by the
+    recurrence :func:`jacobi` evaluates."""
+    x = Poly.var(1, 0)
+    polys = [Poly.const(1, 1), x.scale((alpha + beta + 2) / 2).add(Poly.const(1, (alpha - beta) / 2))]
+    for k in range(2, n + 1):
+        a, b, c, d = _jacobi_step(k, alpha, beta)
+        step = x.scale(c).add(Poly.const(1, b)).mul(polys[-1]).sub(polys[-2].scale(d))
+        polys.append(step.scale(1 / a))
+    return polys[: n + 1]
 
 
 # -- exceptional family -------------------------------------------------------------
@@ -82,55 +99,25 @@ def jacobi(n: int, alpha, beta, x):
 def x1_jacobi_coefficients(n: int, alpha: Fraction, beta: Fraction) -> tuple:
     """Exact coefficient vector (c_0..c_n) of the degree-n exceptional polynomial.
 
-    With A = 3(alpha+beta+1)/2, B = 3(beta-alpha)/2, delta = 2A-3-2Bs and
-    u = (2B - (2A+3)s)/3, the angular equation in s = sin(3 phi) with
-    eigenvalue E = (A + 3(n-1))^2 is the identity a2 Q'' + a1 Q' + a0 Q = 0
-    below.  Column m of the linear system is that identity applied to s^m.
+    The closed form of Gomez-Ullate, Kamran and Milson (2009), with
+    P = P^(alpha, beta) and b = (beta + alpha)/(beta - alpha):
+    -(x - b) P_{n-1} / 2 + (b P_{n-1} - P_{n-2}) / (alpha + beta + 2n - 2),
+    where P_{-1} = 0, so that the second term is 1/(beta - alpha) at n = 1.
     """
     if n < 1:
         raise InadmissibleParametersError("the exceptional family starts at degree 1")
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
+    alpha, beta = Fraction(alpha), Fraction(beta)
     if alpha <= -1 or beta <= -1:
         raise InadmissibleParametersError("need alpha, beta > -1")
     if alpha == beta:
         raise InadmissibleParametersError("need alpha != beta (B would vanish)")
-    A = Fraction(3, 2) * (alpha + beta + 1)
-    B = Fraction(3, 2) * (beta - alpha)
-    E = (A + 3 * (n - 1)) ** 2
-
-    s = Poly.var(1, 0)
-    delta = Poly.const(1, 2 * A - 3).sub(s.scale(2 * B))
-    delta2 = delta.mul(delta)
-    one_m_s2 = Poly.const(1, 1).sub(s.mul(s))
-    u = Poly.const(1, 2 * B / 3).sub(s.scale((2 * A + 3) / 3))
-    a2 = one_m_s2.mul(delta2)
-    a1 = one_m_s2.mul(delta).scale(4 * B).add(u.mul(delta2))
-    a0 = (
-        one_m_s2.scale(8 * B * B)
-        .add(u.mul(delta).scale(2 * B))
-        .add(delta2.scale((E - A * A) / 9))
-        .add(delta.scale(-2 * (2 * A - 3)))
-        .add(Poly.const(1, 2 * ((2 * A - 3) ** 2 - 4 * B * B)))
-    )
-    columns = []
-    for m in range(n + 1):
-        q = Poly.var(1, 0, m)
-        dq = q.deriv_slot(0)
-        columns.append(a2.mul(dq.deriv_slot(0)).add(a1.mul(dq)).add(a0.mul(q)).terms)
-
-    keys = sorted(set().union(*columns))
-    pivots = row_reduce({m: col[k] for m, col in enumerate(columns) if k in col} for k in keys)
-    free = [c for c in range(n + 1) if c not in pivots]
-    if len(free) != 1:
-        raise InadmissibleParametersError(
-            f"no unique degree-{n} polynomial eigenfunction for alpha={alpha}, beta={beta}"
-        )
-    q = Poly.var(1, 0, free[0])
-    for c, row in pivots.items():
-        q = q.sub(Poly.var(1, 0, c).scale(row.get(free[0], 0)))
-    if pack((n,)) not in q.terms:
-        raise InadmissibleParametersError("nullspace vector has degree below n")
+    b = (beta + alpha) / (beta - alpha)
+    polys = _jacobi_polys(n - 1, alpha, beta)
+    if n == 1:  # the second term is b P_0 / (alpha + beta), 0/0 at alpha + beta = 0
+        tail = Poly.const(1, 1 / (beta - alpha))
+    else:
+        tail = polys[-1].scale(b).sub(polys[-2]).scale(1 / (alpha + beta + 2 * n - 2))
+    q = Poly.var(1, 0).sub(Poly.const(1, b)).mul(polys[-1]).scale(Fraction(-1, 2)).add(tail)
     q = q.normalized_integer()  # primitive integers, positive leading coefficient
     return tuple(q.terms.get(pack((m,)), 0) for m in range(n + 1))
 
@@ -203,16 +190,16 @@ def _zonal_harmonic(d: int, l: int, ys):
     return jacobi(l, a, a, ys[-1] / _block_subnorms(ys)[-1])
 
 
-def _model2_block_factor(lvl, Js, ys):
+def _model2_block_factor(pot, Js, ys):
     """Angular factor for a trigonometric block: h(phi_1) times the tower,
-    whose angle phi_a has Jacobi parameter r_{a-1} (spectra.trig_roots)."""
+    whose angle phi_a has Jacobi parameter r_{a-1} (spectra.tower_roots)."""
     d = len(ys)
     s = _block_subnorms(ys)
-    h = model2_angular_factor(lvl.A, lvl.B, Js[0])
+    h = model2_angular_factor(pot.levels[0].A, pot.levels[0].B, Js[0])
     sin_phi1 = ys[0] / s[1 if d > 1 else 0]
     s3 = 3 * sin_phi1 - 4 * sin_phi1**3
     out = h(s3)
-    roots = [float(r) for r in trig_roots(lvl.A, Js)]
+    roots = [float(r) for r in tower_roots(pot, Js)]
     for a in range(2, d):  # angles phi_2..phi_{d-1}
         c_prev = roots[a - 2]
         sin_pa = s[a - 1] / s[a]
@@ -225,7 +212,7 @@ def _model2_block_factor(lvl, Js, ys):
 def _block_angular_factor(es: EigenfunctionSpec, i: int, ys):
     pot = es._potential(i)
     if isinstance(pot, Hierarchy):
-        return _model2_block_factor(pot.levels[0], es.angular[i], ys)
+        return _model2_block_factor(pot, es.angular[i], ys)
     return _zonal_harmonic(len(ys), es.angular[i], ys)
 
 

@@ -3,9 +3,9 @@
 The paper's spectra come from one separation-of-variables chain: quantum
 numbers give each block's angular eigenvalue lambda, lambda gives gamma, the
 gammas give kappa (Coulomb), and those give the energy.  This module writes
-that chain once: :func:`lambda_chain`, :func:`trig_roots`,
-:func:`block_gammas` and the energy functions below; the eigenfunction
-assembly in :mod:`specfun` takes every number it needs from here.
+that chain once, each number by its closed form: :func:`lambda_chain`,
+:func:`tower_roots`, :func:`block_gammas` and the energy functions below;
+the eigenfunction assembly in :mod:`specfun` takes every number from here.
 
 Energies are reported in two forms: the printed closed formula and the
 oracle value carried by the assembled eigenfunctions (equivalently the
@@ -23,9 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-
-import numpy as np
 
 from .errors import InadmissibleParametersError, InvalidPartitionError
 from .models import (
@@ -36,7 +33,6 @@ from .models import (
     Model2F11,
     ModelSpec,
     Zero,
-    is_model2_tower,
 )
 
 
@@ -114,57 +110,49 @@ def omega_value(model: ModelSpec) -> float:
 
 
 def lambda_chain(pot, d: int, angular):
-    """Angular eigenvalue of [-L^2 + f] for one block.
-
-    Exact for a Constant, l(l + d - 2) + value at harmonic degree l, and for
-    the trigonometric tower; any other tower runs the eigensolver chain and
-    returns a float.  ``angular`` is the harmonic degree, or the per-level
-    tuple for a tower, as :class:`EigenfunctionSpec` has checked it.
-    """
+    """Angular eigenvalue of [-L^2 + f] for one block: l(l + d - 2) + value at
+    harmonic degree l for a Constant, r_{d-1}^2 - (d - 2)^2/4 for a tower
+    (:func:`tower_roots`), exact unless a root below the top is irrational.
+    ``angular`` is the harmonic degree, or the per-level tuple for a tower,
+    as :class:`EigenfunctionSpec` has checked it."""
     if isinstance(pot, Constant):
         if isinstance(pot.value, str):
             raise InadmissibleParametersError("lambda chain needs numeric constants")
         return Fraction(angular * (angular + d - 2)) + pot.value
-    if is_model2_tower(pot):
-        return trig_roots(pot.levels[0].A, angular)[-1] ** 2 - Fraction((d - 2) ** 2, 4)
-    return _lambda_chain_numeric(pot, d, angular)
+    square, _ = _tower_level(pot, angular, tower_roots(pot, angular[:-1]))
+    return square - Fraction((d - 2) ** 2, 4)
 
 
-def trig_roots(A, Js) -> list:
-    """Exact roots r_j = 2 (J_1 + .. + J_j) + (j - 1)/2 + A + J_1, j = 1..d-1,
-    of the trigonometric tower on a block of size d = len(Js) + 1: level j
+def tower_roots(pot: Hierarchy, Js) -> list:
+    """Roots r_1..r_k of the lowest k = len(Js) levels of a tower: level j
     has eigenvalue r_j^2 - (j - 1)^2/4, and r_{j-1} is the Jacobi parameter
-    of the angle above it."""
-    base = Fraction(A) + Js[0]
-    return [2 * total + Fraction(j, 2) + base for j, total in enumerate(accumulate(Js))]
+    of the angle above it.  r_1 = A + 3 J_1 on a trigonometric level, else
+    sqrt(J_1^2 + c_1); r_j = sqrt((r_{j-1} + s J_j + 1/2)^2 + c_j), s = 2 above
+    a trigonometric level (its tower counts only even states), else 1.  A root
+    is an exact Fraction when its radicand is a rational square, else a float."""
+    roots = []
+    for _ in Js:
+        roots.append(_tower_level(pot, Js, roots)[1])
+    return roots
 
 
-def _lambda_chain_numeric(pot: Hierarchy, d: int, angular) -> float:
-    """Eigensolver chain through the separated one-angle equations."""
-    from .numerics import eigensolve_periodic, eigensolve_weighted_polar
-
-    lvl0 = pot.levels[0]
-    m = angular[0]
-    # above a trigonometric level the tower (the closed form, the assembled psi)
-    # counts only the even states of each angle: the k-th is eigenvalue 2k
-    stride = 2 if isinstance(lvl0, Model2F11) else 1
-    if isinstance(lvl0, Model2F11):
-        alpha = float((Fraction(lvl0.A) + 3 * m) ** 2)
-    else:
-        c = float(lvl0.value)
-        # closed level-1 values m^2 + c; the periodic solver re-derives them
-        vals = eigensolve_periodic(lambda phi: c + 0.0 * phi, n_eigenvalues=2 * m + 2)
-        alpha = vals[2 * m] if m else vals[0]
-    for j in range(2, d):
-        c = float(pot.levels[j - 1].value)
-        k = angular[j - 1]
-        vals = eigensolve_weighted_polar(
-            lambda t, c=c, a=alpha: c + a / np.sin(t) ** 2,
-            weight_power=j - 1,
-            n_eigenvalues=stride * k + 1,
-        )
-        alpha = vals[stride * k]
-    return alpha
+def _tower_level(pot: Hierarchy, Js, below: list) -> tuple:
+    """(r_j^2, r_j) of level j = len(below) + 1 over the roots below it; a
+    negative r_j^2 is the level falling to the centre."""
+    lvl, J = pot.levels[len(below)], Js[len(below)]
+    if isinstance(lvl, Model2F11):
+        return (lvl.A + 3 * J) ** 2, lvl.A + 3 * J
+    if isinstance(lvl.value, str):
+        raise InadmissibleParametersError("lambda chain needs numeric constants")
+    stride = 2 if isinstance(pot.levels[0], Model2F11) else 1
+    square = (below[-1] + stride * J + Fraction(1, 2) if below else Fraction(J)) ** 2 + lvl.value
+    if square < 0:
+        raise InadmissibleParametersError(f"tower level {len(below) + 1} falls to the centre")
+    if isinstance(square, Fraction):
+        root = Fraction(math.isqrt(square.numerator), math.isqrt(square.denominator))
+        if root * root == square:
+            return square, root
+    return square, math.sqrt(square)
 
 
 def block_gammas(q: EigenfunctionSpec) -> list:

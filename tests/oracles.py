@@ -1,11 +1,12 @@
 """Reference implementations the tests check blocksep against.
 
 Each oracle is written apart from the code it checks and uses only the
-public ring, operator, model, relation-tree and stencil-weight API
-(``substitute_params`` also reads the context's parameter slots), so a fault
-in the Leibniz product, the relation evaluator, the stencil pass, the
-Cartesian potential evaluator or the report writer does not also hide in its
-oracle.  None of this runs in production.
+public ring, operator, model, relation-tree, stencil-weight and grid
+eigensolver API (``substitute_params`` also reads the context's parameter
+slots), so a fault in the Leibniz product, the relation evaluator, the
+stencil pass, the Cartesian potential evaluator, the closed-form spectra or
+the report writer does not also hide in its oracle.  None of this runs in
+production.
 """
 
 import itertools
@@ -17,7 +18,7 @@ from importlib import resources
 import numpy as np
 
 from blocksep.models import Hierarchy, Model2F11, Zero
-from blocksep.numerics import central_weights
+from blocksep.numerics import central_weights, eigensolve_periodic, eigensolve_weighted_polar
 from blocksep.opalg import DiffOp
 from blocksep.relations import (Acomm, Comm, ConstRef, Fixed, OpRef, ParamRef, Prod, Scalar,
                                 Sum)
@@ -224,6 +225,33 @@ def eval_angular_potential(pot, angles) -> float:
     for level, phi in zip(levels, angles, strict=True):
         value = _level_value(level, phi) + (value / math.sin(phi) ** 2 if value else 0.0)
     return value
+
+
+def eigensolver_lambda(pot: Hierarchy, d: int, angular) -> float:
+    """Angular eigenvalue of a tower by a chain of grid eigensolvers through
+    the separated one-angle equations, the reference for the closed-form
+    root recursion of ``spectra.tower_roots``."""
+    lvl0 = pot.levels[0]
+    m = angular[0]
+    # above a trigonometric level the tower (the closed form, the assembled psi)
+    # counts only the even states of each angle: the k-th is eigenvalue 2k
+    stride = 2 if isinstance(lvl0, Model2F11) else 1
+    if isinstance(lvl0, Model2F11):
+        alpha = float((lvl0.A + 3 * m) ** 2)
+    else:
+        c = float(lvl0.value)
+        vals = eigensolve_periodic(lambda phi: c + 0.0 * phi, n_eigenvalues=2 * m + 2)
+        alpha = vals[2 * m] if m else vals[0]
+    for j in range(2, d):
+        c = float(pot.levels[j - 1].value)
+        k = angular[j - 1]
+        vals = eigensolve_weighted_polar(
+            lambda t, c=c, a=alpha: c + a / np.sin(t) ** 2,
+            weight_power=j - 1,
+            n_eigenvalues=stride * k + 1,
+        )
+        alpha = vals[stride * k]
+    return alpha
 
 
 def validate_report(doc: dict):

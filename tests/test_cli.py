@@ -488,6 +488,30 @@ def test_spectrum_report_matches_its_pinned_digest(runner, tmp_path, args, diges
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# SHA-256 of each eigencheck report on a trigonometric tower without its
+# runtime_info: the X1-Jacobi polynomial at n = 1 with alpha + beta = 0
+# (A = 3/2) and a tower with a second angle (A = 4 on a 3-block)
+PINNED_EIGENCHECKS = [
+    (["--blocks", "2", "--potentials", '[{"kind":"model2","A":"3/2","B":"1"}]',
+      "--quantum", '{"angular":[[0]],"radial":[0]}'],
+     "b31b75bc4f61efec410939612f2b5f5ee467586fada4decf81aefdbf0392a684"),
+    (["--blocks", "3", "--potentials", '[{"kind":"model2","A":"4","B":"1"}]',
+      "--quantum", '{"angular":[[1,0]],"radial":[0]}'],
+     "116fd4c72d326d95f6f498849a5ed8cbb9be54519aa02592f62ee36ffb6479e2"),
+]
+
+
+@pytest.mark.parametrize("args, digest", PINNED_EIGENCHECKS, ids=["model2-A3/2-[2]", "model2-A4-[3]"])
+def test_eigencheck_report_matches_its_pinned_digest(runner, tmp_path, args, digest):
+    out = tmp_path / "eigencheck.json"
+    res = runner.invoke(main, ["eigencheck", "--family", "oscillator", *args, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    doc = json.loads(out.read_text())
+    doc.pop("runtime_info")
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_numeric_mode_report(runner, tmp_path):
     out = tmp_path / "num.json"
     res = runner.invoke(
@@ -1148,6 +1172,40 @@ def test_verify_runs_without_test_extras():
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert "prop-A-2" in res.stdout
+
+
+def test_no_scipy_at_run_time(tmp_path):
+    """verify in both modes, spectrum, eigencheck on a model2 tower and a
+    spectrum row on a constant tower import no scipy: only the grid
+    eigensolvers the tests check the closed forms against need it."""
+    commands = [
+        ["verify", "--catalog", "oscillator-algebra", "--blocks", "1,1", "--mode", "both"],
+        ["spectrum", "--family", "oscillator", "--blocks", "2,3", "--kmax", "1", "--lmax", "1"],
+        ["eigencheck", "--family", "oscillator", "--blocks", "3", "--points", "2",
+         "--potentials", '[{"kind":"model2","A":"4","B":"1"}]',
+         "--quantum", '{"angular":[[1,0]],"radial":[0]}'],
+    ]
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from blocksep.cli import main\n"
+        "from blocksep.models import Constant, Hierarchy, Zero, oscillator_spec\n"
+        "from blocksep.spectra import EigenfunctionSpec, oscillator_spectrum_row\n"
+        f"for args in {commands!r}:\n"
+        "    try:\n"
+        "        main(args)\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, (args, exc.code)\n"
+        "pot = Hierarchy((Constant(Fraction(1, 3)), Constant(Fraction(2))))\n"
+        "spec = oscillator_spec([3], (pot,), omega2=1)\n"
+        "assert oscillator_spectrum_row(EigenfunctionSpec(spec, angular=((1, 1),), radial=(0,))).exact_ratio_2\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(blocksep.__file__))
+    res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"
 
 
 def test_unnamed_relation_report_independent_of_hash_seed(tmp_path):

@@ -37,7 +37,7 @@ from blocksep.spectra import (
     lambda_chain,
     oscillator_spectrum_row,
 )
-from oracles import reference_row_reduce
+from oracles import eigensolver_lambda, reference_row_reduce
 
 
 def test_laguerre_low_degrees():
@@ -122,6 +122,7 @@ def _x1_reference_coefficients(n, alpha, beta):
 @pytest.mark.parametrize("alpha, beta", [
     (Fraction(1, 2), Fraction(7, 6)), (Fraction(0), Fraction(1)),
     (Fraction(3, 2), Fraction(-1, 2)), (Fraction(-1, 3), Fraction(2, 5)),
+    (Fraction(-1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(-1, 3)),  # alpha + beta = 0
 ])
 def test_x1_coefficients_match_dense_elimination(alpha, beta):
     for n in range(1, 9):
@@ -318,26 +319,32 @@ def test_symbolic_parameters_rejected_for_eigenfunctions():
 
 
 def test_closed_form_needs_a_model2_tower():
-    """Constants above a trigonometric innermost level have no closed form:
-    assembly refuses, while the lambda chain still solves them numerically."""
+    """Constants above a trigonometric innermost level have no closed-form
+    eigenfunction: assembly refuses, while the lambda chain's root recursion
+    still gives their eigenvalue exactly."""
     pot = Hierarchy((Model2F11(4, 1), Constant(Fraction(5))))
     spec = oscillator_spec([3], (pot,), omega2=1)
     es = EigenfunctionSpec(spec, angular=((1, 0),), radial=(0,))
     with pytest.raises(InadmissibleParametersError):
         assemble_eigenfunction(es)
-    assert lambda_chain(pot, 3, (1, 0)) == pytest.approx(61.0, rel=1e-6)
+    lam = lambda_chain(pot, 3, (1, 0))
+    assert type(lam) is Fraction and lam == 61  # (7 + 1/2)^2 + 5 - 1/4
 
 
 @pytest.mark.parametrize("d, Js, expect", [
     (3, (0, 1), 42), (3, (1, 1), 90), (3, (2, 1), 156), (3, (0, 2), 72), (4, (1, 1, 1), 143),
 ])
 def test_lambda_chain_counts_even_states_above_a_tower(d, Js, expect):
-    """Constant(0) above a trigonometric level is the Zero() tower: the numeric
-    chain takes the k-th even state of each angle, as the closed form does."""
+    """Constant(0) above a trigonometric level is the Zero() tower: the root
+    recursion takes the k-th even state of each angle above it, as the
+    eigensolver chain does, and gives the same exact value."""
     zero_above = Hierarchy((Model2F11(4, 1),) + (Zero(),) * (d - 2))
     constant_above = Hierarchy((Model2F11(4, 1),) + (Constant(Fraction(0)),) * (d - 2))
     assert lambda_chain(zero_above, d, Js) == expect
-    assert lambda_chain(constant_above, d, Js) == pytest.approx(expect, rel=1e-6)
+    assert type(lambda_chain(zero_above, d, Js)) is Fraction
+    assert lambda_chain(constant_above, d, Js) == expect
+    assert type(lambda_chain(constant_above, d, Js)) is Fraction
+    assert eigensolver_lambda(constant_above, d, Js) == pytest.approx(expect, rel=1e-6)
 
 
 _OSC_CONSTANTS = oscillator_spec([2, 2], (Constant(Fraction(1)), Constant(Fraction(2))), omega2=1)

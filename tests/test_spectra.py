@@ -9,6 +9,7 @@ from blocksep.errors import InadmissibleParametersError
 from blocksep.models import (
     Constant,
     Hierarchy,
+    Model2F11,
     Zero,
     coulomb_spec,
     model2_potential,
@@ -22,7 +23,10 @@ from blocksep.spectra import (
     lambda_chain,
     oscillator_energy_oracle,
     oscillator_spectrum_row,
+    tower_roots,
 )
+
+from oracles import eigensolver_lambda
 
 
 def test_lambda_chain_closed_forms():
@@ -35,14 +39,51 @@ def test_lambda_chain_closed_forms():
 
 
 def test_lambda_chain_numeric_matches_harmonics():
-    """Eigensolver chain reproduces l(l+1) + beta on a 3-block."""
+    """The tower's root recursion gives l(l+1) + beta on a 3-block exactly,
+    also where its top root is irrational, and the eigensolver chain agrees."""
     beta = Fraction(2)
     pot = Hierarchy((Zero(), Constant(beta)))
     for m, k in ((0, 0), (0, 1), (1, 0), (1, 1)):
         lam = lambda_chain(pot, 3, (m, k))
         l = m + k
-        expect = l * (l + 1) + float(beta)
-        assert lam == pytest.approx(expect, rel=1e-6), (m, k)
+        assert type(lam) is Fraction and lam == l * (l + 1) + beta, (m, k)
+        assert eigensolver_lambda(pot, 3, (m, k)) == pytest.approx(float(lam), rel=1e-6), (m, k)
+
+
+@pytest.mark.parametrize("levels, angular", [
+    ((Constant(Fraction(-1, 2)), Constant(Fraction(-1, 3))), (1, 2)),
+    ((Model2F11(4, 1), Constant(Fraction(5)), Constant(Fraction(-2))), (1, 1, 2)),
+    ((Constant(Fraction(1, 3)), Constant(Fraction(2)), Constant(Fraction(-1, 5))), (2, 1, 1)),
+], ids=["constants-irrational-root", "model2-under-constants", "constants-d4"])
+def test_lambda_chain_matches_the_eigensolver_chain(levels, angular):
+    """Every tower's closed form agrees with the grid eigensolvers at 1e-6,
+    where a root below the top is irrational and lambda a float."""
+    pot = Hierarchy(levels)
+    d = len(levels) + 1
+    lam = lambda_chain(pot, d, angular)
+    assert type(lam) is float
+    assert lam == pytest.approx(eigensolver_lambda(pot, d, angular), rel=1e-6)
+
+
+def test_tower_roots_are_exact_where_their_radicands_are_squares():
+    pot = Hierarchy((Model2F11(4, 1), Constant(Fraction(16))))
+    roots = tower_roots(pot, (1, 0))
+    assert roots == [7, Fraction(17, 2)]  # sqrt((7 + 1/2)^2 + 16)
+    assert all(type(r) is Fraction for r in roots)
+    assert lambda_chain(pot, 3, (1, 0)) == 72
+    irrational = tower_roots(Hierarchy((Constant(Fraction(-1, 2)), Zero())), (1, 0))
+    assert [type(r) for r in irrational] == [float, float]
+    assert irrational == [pytest.approx(0.5**0.5), pytest.approx(0.5**0.5 + 0.5)]
+
+
+@pytest.mark.parametrize("levels, angular", [
+    ((Constant(Fraction(-2)),), (1,)),
+    ((Zero(), Constant(Fraction(-10))), (0, 1)),
+    ((Zero(), Constant("b")), (0, 0)),
+], ids=["innermost-falls", "upper-falls", "symbolic-level"])
+def test_lambda_chain_refuses_a_level_that_falls_to_the_centre(levels, angular):
+    with pytest.raises(InadmissibleParametersError):
+        lambda_chain(Hierarchy(levels), len(levels) + 1, angular)
 
 
 def test_oscillator_energy_examples():
