@@ -113,19 +113,38 @@ def _relation_set(config: dict, spec: ModelSpec | None) -> RelationSet:
         raise ConfigError(str(exc)) from exc
 
 
+def _progress_lines():
+    """A progress callback for ``verify_relation`` that writes one stderr line
+    per relation: its name, status, wall seconds since the previous line (or
+    since this call) and the picture that proved it."""
+    import time
+
+    last = [time.perf_counter()]
+
+    def progress(item, picture):
+        now = time.perf_counter()
+        click.echo(f"{item.name} {item.status} {now - last[0]:.3f}s {picture}", err=True)
+        last[0] = now
+
+    return progress
+
+
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(config: dict):
+def _worker_init(config: dict, verbose: bool):
     _WORKER_STATE["rs"] = _relation_set(config, _verify_model(config))
+    _WORKER_STATE["verbose"] = verbose
 
 
 def _worker_verify(indices: list):
-    return [verify_relation(*_WORKER_STATE["rs"].pairs[i]) for i in indices]
+    progress = _progress_lines() if _WORKER_STATE["verbose"] else None
+    return [verify_relation(*_WORKER_STATE["rs"].pairs[i], progress) for i in indices]
 
 
-def run_verify(config: dict) -> VerificationReport:
-    """Verify the config's catalog or relation file in its mode."""
+def run_verify(config: dict, verbose: bool = False) -> VerificationReport:
+    """Verify the config's catalog or relation file in its mode; ``verbose``
+    writes a progress line per symbolic relation to stderr."""
     if not (config.get("catalog") or config.get("relation_file")):
         raise ConfigError("verify needs a catalog name or a relation file")
     spec = _verify_model(config)
@@ -148,12 +167,13 @@ def run_verify(config: dict) -> VerificationReport:
                 for i, (rel, env) in enumerate(rs.pairs):
                     groups.setdefault((getattr(rel.image, "source", rel.name), env), []).append(i)
                 with ProcessPoolExecutor(max_workers=min(jobs, len(groups)),
-                                         initializer=_worker_init, initargs=(config,)) as pool:
+                                         initializer=_worker_init,
+                                         initargs=(config, verbose)) as pool:
                     done = zip(itertools.chain(*groups.values()),
                                itertools.chain(*pool.map(_worker_verify, groups.values())))
                     items = settle_groups([item for _, item in sorted(done)])
             else:
-                items = verify_symbolic(rs)
+                items = verify_symbolic(rs, _progress_lines() if verbose else None)
         except ExponentOverflowError as exc:
             raise ConfigError(f"{_source(config)}: {exc}") from exc
         report.items.extend(items)
@@ -339,7 +359,9 @@ def main():
 @click.option("--config", "config_path", type=str, default=None)
 @click.option("--relation-file", type=str, default=None,
               help="verify user relations from a text file against --blocks model")
-def verify(catalog, blocks, mode, seed, tol, out_path, jobs, config_path, relation_file):
+@click.option("-v", "--verbose", is_flag=True,
+              help="one stderr line per symbolic relation: name, status, seconds, picture")
+def verify(catalog, blocks, mode, seed, tol, out_path, jobs, config_path, relation_file, verbose):
     """Verify a relation catalog exactly (and/or numerically)."""
     try:
         config = load_config(
@@ -356,7 +378,7 @@ def verify(catalog, blocks, mode, seed, tol, out_path, jobs, config_path, relati
             },
         )
         config["command"] = "verify"
-        report = run_verify(config)
+        report = run_verify(config, verbose)
     except ConfigError as exc:
         _fail(exc)
     _finish(report, config.get("out"))

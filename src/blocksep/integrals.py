@@ -47,7 +47,7 @@ from .models import (
     potential_term,
 )
 from .opalg import DiffOp, angular_momentum, angular_momentum_squared_sum
-from .ring import Coefficient, Context
+from .ring import Coefficient, Context, Poly
 
 
 @dataclass(frozen=True)
@@ -111,9 +111,58 @@ def _casimir(ctx: Context, spec: ModelSpec, idx, blocks) -> RawOperator:
     return RawOperator(angular_momentum_squared_sum(ctx, idx), atts)
 
 
+_CHAINS = ("T", "Z", "S", "Y", "J", "G")  # the kinds that are one Casimir
+
+
+def _chain(spec: ModelSpec, kind: str, i: int, j: int | None) -> tuple:
+    """(coordinates, potential blocks) of the Casimir kind[i] or G[i,j]."""
+    part = spec.partition
+    N, D = part.N, part.D
+    if kind == "T":
+        return part.block_range(i - 1), (i - 1,)
+    if kind == "Z":
+        return range(part.offsets[i]), range(i)
+    if kind == "S":
+        return range(i), range(N - 1)
+    if kind == "Y":
+        return range(part.offsets[i - 1], D), range(i - 1, N - 1)
+    if kind == "J":
+        return range(i - 1, D), ()
+    if not 1 <= i <= N:
+        raise InvalidIntegralError(f"G block {i} out of [1,{N}]")
+    lo = part.offsets[i - 1] + 1  # 1-based first coordinate of block i
+    hi = part.offsets[i]  # 1-based last coordinate
+    if not lo + 1 <= j <= hi:
+        raise InvalidIntegralError(f"G[{i},{j}] needs j in [{lo + 1},{hi}]")
+    blocks = (i - 1,)
+    if j < hi and i - 1 < spec.potential_blocks:
+        # the sub-chain lo..j sees only the potential levels inside it: a
+        # zero or constant potential is the outermost level, outside it
+        pot = spec.potentials[i - 1]
+        if not isinstance(pot, Hierarchy):
+            blocks = ()
+        elif not all(isinstance(level, Zero) for level in pot.levels[j - lo :]):
+            raise InvalidIntegralError(
+                f"G[{i},{j}] needs block {i}'s potential levels outside the sub-chain to vanish"
+            )
+    return range(lo - 1, j), blocks
+
+
+def _last_block(spec: ModelSpec, j: int):
+    """Refuse a transposition index j outside the last block."""
+    part = spec.partition
+    D = part.D
+    if not D - part.block_sizes[-1] + 1 <= j <= D:
+        raise InvalidIntegralError(
+            f"transposition index {j} outside the last block "
+            f"[{D - part.block_sizes[-1] + 1},{D}]"
+        )
+
+
 def build_integral(name: IntegralName, spec: ModelSpec, ctx: Context) -> RawOperator:
-    """Construct the named integral; raises InvalidIntegralError for an unknown
-    kind, a wrong number of indices or an index out of range."""
+    """Construct the named integral in ``ctx``, Cartesian or block-radial;
+    raises InvalidIntegralError for an unknown kind, a wrong number of
+    indices or an index out of range, in either picture."""
     kind = name.kind
     if kind not in _KINDS:
         raise InvalidIntegralError(f"unknown integral kind {kind!r}")
@@ -134,6 +183,9 @@ def build_integral(name: IntegralName, spec: ModelSpec, ctx: Context) -> RawOper
         _, last, lowest, highest = ranges[kind]
         if not lowest <= i <= highest:
             raise InvalidIntegralError(f"{kind} index {i} out of [{lowest},{last}]")
+    chain = _chain(spec, kind, i, name.j) if kind in _CHAINS else None
+    if isinstance(ctx, RadialContext):
+        return _radial_integral(kind, i, chain, spec, ctx)
 
     if kind in ("Hfull", "Hcoul"):
         return build_hamiltonian_raw(spec, ctx)
@@ -144,40 +196,11 @@ def build_integral(name: IntegralName, spec: ModelSpec, ctx: Context) -> RawOper
         return out
     if kind == "H":
         return block_hamiltonian_raw(spec, ctx, i - 1)
-    if kind == "T":
-        return _casimir(ctx, spec, part.block_range(i - 1), (i - 1,))
-    if kind == "Z":
-        return _casimir(ctx, spec, range(part.offsets[i]), range(i))
-    if kind == "S":
-        return _casimir(ctx, spec, range(i), range(N - 1))
-    if kind == "Y":
-        return _casimir(ctx, spec, range(part.offsets[i - 1], D), range(i - 1, N - 1))
-    if kind == "J":
-        return _casimir(ctx, spec, range(i - 1, D), ())
+    if chain is not None:
+        return _casimir(ctx, spec, *chain)
     if kind == "sigmaS":
         op = build_integral(IntegralName("S", D - 1), spec, ctx)
         return conjugate_by_transposition(op, i, spec, ctx)
-
-    if kind == "G":
-        i, j = indices
-        if not 1 <= i <= N:
-            raise InvalidIntegralError(f"G block {i} out of [1,{N}]")
-        lo = part.offsets[i - 1] + 1  # 1-based first coordinate of block i
-        hi = part.offsets[i]  # 1-based last coordinate
-        if not lo + 1 <= j <= hi:
-            raise InvalidIntegralError(f"G[{i},{j}] needs j in [{lo + 1},{hi}]")
-        blocks = (i - 1,)
-        if j < hi and i - 1 < spec.potential_blocks:
-            # the sub-chain lo..j sees only the potential levels inside it: a
-            # zero or constant potential is the outermost level, outside it
-            pot = spec.potentials[i - 1]
-            if not isinstance(pot, Hierarchy):
-                blocks = ()
-            elif not all(isinstance(level, Zero) for level in pot.levels[j - lo :]):
-                raise InvalidIntegralError(
-                    f"G[{i},{j}] needs block {i}'s potential levels outside the sub-chain to vanish"
-                )
-        return _casimir(ctx, spec, range(lo - 1, j), blocks)
 
     # X[i]
     i0 = i - 1
@@ -197,13 +220,8 @@ def conjugate_by_transposition(op: RawOperator, j: int, spec: ModelSpec, ctx: Co
 
     j must lie in the last block so that every block norm is invariant.
     """
-    part = spec.partition
-    D = part.D
-    if not D - part.block_sizes[-1] + 1 <= j <= D:
-        raise InvalidIntegralError(
-            f"transposition index {j} outside the last block "
-            f"[{D - part.block_sizes[-1] + 1},{D}]"
-        )
+    _last_block(spec, j)
+    D = spec.partition.D
     if j == D:
         return op
     base = op.base.swap_coordinates(j - 1, D - 1)
@@ -230,3 +248,171 @@ def enumerate_integrals(spec: ModelSpec) -> list[IntegralName]:
             first, last, _, _ = ranges[kind]
             names += [IntegralName(kind, i) for i in range(first, last + 1)]
     return names
+
+
+# -- the block-radial picture ------------------------------------------------------
+
+
+def _cuts(name: IntegralName) -> tuple:
+    """The 0-based coordinates where the integral starts a run of coordinates
+    inside a block: a sub-chain G[i,j] or S[l] ends before one, J[p] starts at
+    one, and X[i] and sigmaS[i] single out x_i."""
+    kind, i = name.kind, name.i
+    if kind == "G":
+        return (name.j,)
+    if kind == "S":
+        return (i,)
+    if kind == "J":
+        return (i - 1,)
+    if kind in ("X", "sigmaS"):
+        return (i - 1, i)
+    return ()
+
+
+def radial_groups(spec: ModelSpec, names) -> tuple:
+    """The coarsest partition of the coordinates into groups, each a run of one
+    block's coordinates, whose rotations commute with every integral of
+    ``names``: a block is cut wherever one of them starts a run inside it, and
+    a Hierarchy block, whose potential sees every angle, into single coordinates."""
+    part = spec.partition
+    cuts = {c for name in names for c in _cuts(name)}
+    groups = []
+    for b in range(part.N):
+        hierarchy = b < spec.potential_blocks and isinstance(spec.potentials[b], Hierarchy)
+        run = []
+        for a in part.block_range(b):
+            if run and (hierarchy or a in cuts):
+                groups.append(tuple(run))
+                run = []
+            run.append(a)
+        groups.append(tuple(run))
+    return tuple(groups)
+
+
+class RadialContext(Context):
+    """The block-radial picture of a model over a partition of its coordinates.
+
+    A group g of d_g >= 2 coordinates becomes one coordinate, its radius rho_g,
+    with a ring parameter l_g; a group of one coordinate stays that coordinate,
+    the case d = 1, l = 0.  The norm radical r keeps r^2 = |x|^2, the sum of
+    every rho_g^2.  The integrals are built from these pieces:
+
+    * r^2 of a group, rho_g^2, and the Euler operator E_g = rho_g d + l_g;
+    * the Laplacian Delta_g = d^2 + (d_g + 2 l_g - 1) / rho_g d;
+    * the sum of L_ab^2 over a < b in g, the scalar -l_g (l_g + d_g - 2);
+    * the sum over a in g, b in h of L_ab^2,
+      rho_g^2 Delta_h + rho_h^2 Delta_g - 2 E_g E_h - d_h E_g - d_g E_h.
+
+    Why this is exact.  Let h(x) be a product over the groups of harmonics of
+    degree l_g in each group's coordinates.  An operator that commutes with the
+    rotations of every group maps g(rho) h(x) to (O~ g)(rho) h(x), where O~ is
+    the operator the pieces above give it, and the image of a product is the
+    product of the images.  Every polynomial is a sum of such functions (the
+    Fischer decomposition in each group), and an operator that annihilates
+    every polynomial is zero.  So a relation of invariant leaves whose image is
+    zero with every l_g symbolic is zero; conversely a zero relation has a zero
+    image at every integer l_g, hence with l_g symbolic.  No float, sample or
+    probability enters either direction.
+    """
+
+    def __init__(self, spec: ModelSpec, groups: tuple):
+        self.groups = groups
+        self.group_of = {a: k for k, g in enumerate(groups) for a in g}
+        self.d = [len(g) for g in groups]
+        names = spec.param_names()
+        degrees = {}  # group -> the name of its l, which no model parameter has
+        for k, d in enumerate(self.d):
+            if d > 1:
+                degrees[k] = f"l{k + 1}"
+                while degrees[k] in names:
+                    degrees[k] += "'"
+        super().__init__([f"x{g[0] + 1}" if len(g) == 1 else f"rho{k + 1}"
+                          for k, g in enumerate(groups)],
+                         names + tuple(degrees.values()), norm_radical=spec.family == COULOMB)
+        self.l = [self.param(degrees[k]) if k in degrees else self.zero_poly()
+                  for k in range(len(groups))]
+
+    def span(self, idx) -> list:
+        """The groups whose coordinates are the coordinates idx."""
+        ks = sorted({self.group_of[a] for a in idx})
+        if sum(self.d[k] for k in ks) != len(idx):
+            raise InvalidIntegralError(f"the coordinates {list(idx)} cut a radial group")
+        return ks
+
+    def r2(self, idx) -> Poly:
+        return self.sum_of_squares(self.span(idx))
+
+    def euler(self, k: int) -> DiffOp:
+        return DiffOp.from_poly(self, self.x(k)).mul(DiffOp.partial(self, k)).add(
+            DiffOp.from_poly(self, self.l[k]))
+
+    def laplacian(self, k: int) -> DiffOp:
+        c = Coefficient.from_poly(self, self.l[k].scale(2).add(self.const_poly(self.d[k] - 1)))
+        return DiffOp.partial(self, k, 2).add(
+            DiffOp.from_coefficient(self, c.div_poly(self.x(k))).mul(DiffOp.partial(self, k)))
+
+    def casimir(self, idx) -> DiffOp:
+        """The sum of L_ab^2 over a < b in idx."""
+        ks = self.span(idx)
+        out = DiffOp.zero(self)
+        for n, g in enumerate(ks):
+            l, dg = self.l[g], self.d[g]
+            out = out.sub(DiffOp.from_poly(self, l.mul(l.add(self.const_poly(dg - 2)))))
+            for h in ks[n + 1:]:
+                Eg, Eh = self.euler(g), self.euler(h)
+                out = (out.add(DiffOp.from_poly(self, self.x(g, 2)).mul(self.laplacian(h)))
+                       .add(DiffOp.from_poly(self, self.x(h, 2)).mul(self.laplacian(g)))
+                       .sub(Eg.mul(Eh).scale(2)).sub(Eg.scale(self.d[h])).sub(Eh.scale(dg)))
+        return out
+
+
+def _radial_integral(kind: str, i: int | None, chain, spec: ModelSpec,
+                     ctx: RadialContext) -> RawOperator:
+    """The integral kind[i] in the block-radial picture; ``chain`` is the
+    (coordinates, blocks) of a Casimir."""
+    part = spec.partition
+    N, D = part.N, part.D
+    eta_r = model_value(ctx, spec.eta).mul(ctx.radical_poly()) if spec.family == COULOMB else None
+
+    def raw(base: DiffOp, multiplier: Poly, blocks) -> RawOperator:
+        """``base`` plus multiplier * f_b / r_b^2 for each potential block b in blocks."""
+        return RawOperator(base, tuple(
+            PotentialTerm(Coefficient.from_poly(ctx, multiplier).div_poly(
+                ctx.r2(part.block_range(b))), b) for b in blocks if b < spec.potential_blocks))
+
+    def hamiltonian(idx, blocks) -> RawOperator:
+        base = DiffOp.zero(ctx)
+        for k in ctx.span(idx):
+            base = base.sub(ctx.laplacian(k))
+        if spec.family == OSCILLATOR:
+            base = base.add(DiffOp.from_poly(ctx, model_value(ctx, spec.omega2).mul(ctx.r2(idx))))
+        return raw(base, ctx.const_poly(1), blocks)
+
+    if chain is not None:
+        idx, blocks = chain
+        return raw(ctx.casimir(idx), ctx.r2(idx).neg(), blocks)
+    if kind == "sigmaS":  # S[D-1] with x_i in place of x_D: the Casimir of all but x_i
+        _last_block(spec, i)
+        idx = [a for a in range(D) if a != i - 1]
+        return raw(ctx.casimir(idx), ctx.r2(idx).neg(), range(N - 1))
+    if kind == "H":
+        return hamiltonian(part.block_range(i - 1), (i - 1,))
+    if kind == "Hsum":
+        return hamiltonian(range(part.offsets[i]), range(i))
+    if kind in ("Hfull", "Hcoul"):
+        H = hamiltonian(range(D), range(N))
+        if spec.family == OSCILLATOR:
+            return H
+        coulomb = Coefficient.from_poly(ctx, eta_r).div_poly(ctx.r2(range(D)))
+        return RawOperator(H.base.sub(DiffOp.from_coefficient(ctx, coulomb)), H.attachments)
+    # X[i] = sum over a != i of {L_ia, d_a} + eta x_i r / |x|^2 - 2 x_i f_b / r_b^2: each
+    # group g but x_i's adds 2 x_i Delta_g - 2 d_i E_g - d_g d_i
+    (k,) = ctx.span([i - 1])
+    xk, dk = DiffOp.from_poly(ctx, ctx.x(k)), DiffOp.partial(ctx, k)
+    base = DiffOp.zero(ctx)
+    for g in range(len(ctx.groups)):
+        if g != k:
+            base = (base.add(xk.mul(ctx.laplacian(g)).scale(2)).sub(dk.mul(ctx.euler(g)).scale(2))
+                    .sub(dk.scale(ctx.d[g])))
+    eta_term = Coefficient.from_poly(ctx, eta_r.mul(ctx.x(k))).div_poly(ctx.r2(range(D)))
+    return raw(base.add(DiffOp.from_coefficient(ctx, eta_term)), ctx.x(k).scale(-2), range(N - 1))

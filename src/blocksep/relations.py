@@ -31,9 +31,11 @@ from .errors import (ConfigError, InapplicableRelationError, InvalidIntegralErro
                      RelationSyntaxError, UnsupportedSymbolicPotentialError)
 from .integrals import (
     IntegralName,
+    RadialContext,
     build_integral,
     conjugate_by_transposition,
     enumerate_integrals,
+    radial_groups,
     structural_constant,
 )
 from .models import (
@@ -173,15 +175,17 @@ def over(env: "OperatorEnv", rels) -> tuple:
 
 
 class OperatorEnv:
-    """Resolves integral names and structural constants over the context of one model."""
+    """Resolves integral names and structural constants over the context of one
+    model: its Cartesian context, or a block-radial one (``RadialContext``)."""
 
-    def __init__(self, spec: ModelSpec):
+    def __init__(self, spec: ModelSpec, ctx=None):
         self.spec = spec
-        self.ctx = operator_context(spec)
+        self.ctx = operator_context(spec) if ctx is None else ctx
         self._cache: dict = {}  # str(name) -> DiffOp
         self._raw: dict = {}
         self.brackets: dict = {}  # Comm/Acomm node -> its value here; nodes are frozen
         self.proved: set = set()  # names of the relations reduced to zero here
+        self.pictures: dict = {}  # radial groups -> the OperatorEnv of that picture
 
     def operator(self, name: IntegralName) -> DiffOp:
         key = str(name)
@@ -250,39 +254,98 @@ def eval_node(node, env: OperatorEnv) -> DiffOp:
 # -- verification -----------------------------------------------------------------
 
 
-def verify_relation(rel: Relation, env: OperatorEnv) -> ReportItem:
-    """Reduce one relation; an image whose source ``env`` has proved is zero
-    once the swap maps each of its integral pairs, and is reduced otherwise."""
+def _integral_names(node, env: OperatorEnv) -> list | None:
+    """The integral names of the tree's leaves; None when a leaf is Fixed.  Each
+    leaf is built in ``env`` in the order eval_node builds it, so a leaf that
+    env cannot build raises the error eval_node would raise."""
+    if isinstance(node, Fixed):
+        return None
+    if isinstance(node, OpRef):
+        env.operator(node.name)
+        return [node.name]
+    if isinstance(node, ParamRef):
+        env.ctx.param(node.name)
+    elif isinstance(node, ConstRef):
+        env.constant(node.kind, node.p)
+    if not isinstance(node, (Sum, Prod, Comm, Acomm)):
+        return []
+    names = []
+    for child in (node.terms if isinstance(node, Sum) else node.factors
+                  if isinstance(node, Prod) else (node.a, node.b)):
+        got = _integral_names(child, env)
+        if got is None:
+            return None
+        names += got
+    return names
+
+
+def radial_picture(expr, env: OperatorEnv) -> OperatorEnv | None:
+    """The env of the block-radial picture over the coarsest partition the
+    tree's leaves respect (``radial_groups``), which ``env`` keeps for every
+    relation on that partition; None when a leaf is Fixed.  A leaf that
+    ``env`` cannot build raises."""
+    names = _integral_names(expr, env)
+    if names is None:
+        return None
+    groups = radial_groups(env.spec, names)
+    renv = env.pictures.get(groups)
+    if renv is None:
+        renv = env.pictures[groups] = OperatorEnv(env.spec, RadialContext(env.spec, groups))
+    return renv
+
+
+def _radially_zero(expr, renv: OperatorEnv) -> bool:
+    """Whether the tree's image in the picture of ``renv`` reduces to zero."""
+    try:
+        return eval_node(expr, renv).is_zero()
+    except Exception:  # not proved here: the direct reduction gives the verdict, or raises
+        return False
+
+
+def verify_relation(rel: Relation, env: OperatorEnv, progress=None) -> ReportItem:
+    """Reduce one relation.  An image whose source ``env`` has proved is zero
+    once the swap maps each of its integral pairs.  A relation expected zero is
+    zero when its block-radial image is (see ``RadialContext``); any other
+    relation, and one whose image is not zero, is reduced directly, so every
+    residual in a report is Cartesian.  ``progress(item, picture)`` hears of
+    the item, with the picture that proved it: "radial" or "cartesian"."""
     item = ReportItem(rel.name, "relation", "symbolic", "zero", None,
                       expectation=rel.expectation, group=rel.group, note=rel.note)
+    picture = "cartesian"
     im = rel.image
     try:
         if im and im.source in env.proved and all(env.operator(a).swap_coordinates(*im.slots)
                                                   == env.operator(b) for a, b in im.leaves):
             residual = DiffOp.zero(env.ctx)
         else:
-            residual = eval_node(rel.expr, env)
+            renv = radial_picture(rel.expr, env) if rel.expectation == "zero" else None
+            if renv is not None and max(renv.ctx.d) > 1 and _radially_zero(rel.expr, renv):
+                residual, picture = DiffOp.zero(env.ctx), "radial"
+            else:
+                residual = eval_node(rel.expr, env)
     except (InvalidIntegralError, InapplicableRelationError,
             UnsupportedSymbolicPotentialError) as exc:
         item.status, item.note = "inapplicable", str(exc)
-        return item
-    if residual.is_zero():
-        env.proved.add(rel.name)
-        item.passed = rel.expectation != "nonzero"
-        return item
-    item.status = "residual"
-    item.passed = rel.expectation == "nonzero" if rel.expectation != "record" else None
-    item.residual = {"terms": residual.term_count(), "order": residual.order(),
-                     "leading": "; ".join(residual.to_text().splitlines()[:2])}
-    diag = rel.diagnose(residual, env) if rel.diagnose is not None else ""
-    if diag:
-        item.note = f"{item.note}; {diag}" if item.note else diag
+    else:
+        if residual.is_zero():
+            env.proved.add(rel.name)
+            item.passed = rel.expectation != "nonzero"
+        else:
+            item.status = "residual"
+            item.passed = rel.expectation == "nonzero" if rel.expectation != "record" else None
+            item.residual = {"terms": residual.term_count(), "order": residual.order(),
+                             "leading": "; ".join(residual.to_text().splitlines()[:2])}
+            diag = rel.diagnose(residual, env) if rel.diagnose is not None else ""
+            if diag:
+                item.note = f"{item.note}; {diag}" if item.note else diag
+    if progress is not None:
+        progress(item, picture)
     return item
 
 
-def verify_symbolic(rs: RelationSet) -> list[ReportItem]:
+def verify_symbolic(rs: RelationSet, progress=None) -> list[ReportItem]:
     """Verify the pairs in report order; then settle reading groups."""
-    return settle_groups([verify_relation(rel, env) for rel, env in rs.pairs])
+    return settle_groups([verify_relation(rel, env, progress) for rel, env in rs.pairs])
 
 
 def settle_groups(items: list) -> list:

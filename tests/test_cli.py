@@ -291,6 +291,34 @@ def test_symbolic_constant_inside_a_hierarchy_takes_its_default(runner, tmp_path
     assert all(i["status"] == "zero" and i["passed"] for i in items)
 
 
+def test_verbose_adds_only_a_stderr_line_per_symbolic_relation(runner, tmp_path):
+    """verify -v writes one stderr line per symbolic relation, in report order:
+    name, status, wall seconds and the picture that proved it.  stdout and the
+    report with runtime_info dropped are byte-identical to a run without -v."""
+    runs = []
+    out = tmp_path / "report.json"  # the report echoes the path
+    for flags in ([], ["-v"]):
+        res = runner.invoke(main, ["verify", "--catalog", "coulomb", "--blocks", "1,1,2",
+                                   "--out", str(out), *flags])
+        assert res.exit_code == 0, res.output
+        doc = json.loads(out.read_text())
+        doc.pop("runtime_info")
+        runs.append((res, json.dumps(doc, sort_keys=True)))
+    (quiet, quiet_doc), (verbose, verbose_doc) = runs
+    assert verbose.stdout == quiet.stdout and verbose_doc == quiet_doc
+    assert quiet.stderr == ""
+    lines = [line.split() for line in verbose.stderr.splitlines()]
+    items = json.loads(verbose_doc)["items"]
+    assert [(name, status) for name, status, _, _ in lines] == [
+        (item["name"], item["status"]) for item in items]
+    assert all(seconds.endswith("s") and float(seconds[:-1]) >= 0 for _, _, seconds, _ in lines)
+    pictures = {name: picture for name, _, _, picture in lines}
+    assert set(pictures.values()) == {"radial", "cartesian"}
+    # records and refuted relations are reduced directly, whatever their leaves
+    assert all(pictures[item["name"]] == "cartesian" for item in items
+               if item.get("expectation") == "record" or item["status"] != "zero")
+
+
 def test_report_determinism():
     config = {"command": "verify", "catalog": "oscillator-algebra", "blocks": [1, 2],
               "mode": "symbolic", "seed": 7}
@@ -360,6 +388,13 @@ PINNED_NUMERIC = [
                                  Constant(Fraction(3, 2)))))},
         "d38d3ba441e7bed2143fb4d5ca41647e0d953637c4ce6cdf668c5f5c79357ec6",
         id="oscillator-commutativity-model2-tower-3,1"),
+    # both passes, recorded before the symbolic pass came to prove these relations
+    # in the block-radial picture: the numeric pass still reads the Cartesian
+    # integrals the symbolic pass built, to the bit
+    pytest.param({"catalog": "oscillator", "blocks": [2, 2], "mode": "both",
+                  "params": {"w2": 1.0, "beta1": 0.5, "beta2": 0.75}},
+                 "88475ee014be5e39ed8dd05895d38fad4c692d77df33046654bcdca9c081e345",
+                 id="oscillator-both-2,2"),
 ]
 
 
