@@ -19,12 +19,16 @@ Coulomb family adds:
     J[p]      trailing coordinate Casimir of x_p..x_D
     sigmaS[j] S[D-1] conjugated by the x_j <-> x_D transposition
 
-Every integral but the Hamiltonians, X and sigmaS is one Casimir: L^2 over
-a coordinate chain minus r^2 of the chain times f_b / r_b^2 for the
-potential blocks it carries.  ``_index_ranges`` gives each one-index kind
-the range ``enumerate_integrals`` lists and the range ``build_integral``
-accepts; G and sigmaS check their own indices.  Boundary aliases honored by
-the builder: Z[1] = T[1], and for the Coulomb family Z[N] = Y[1].
+Every integral but the Hamiltonians and X is one Casimir: L^2 over a
+coordinate chain minus r^2 of the chain times f_b / r_b^2 for the potential
+blocks it carries; sigmaS[j] is the chain of every coordinate but x_j.
+``build_integral`` writes each integral once, from the pieces of its context
+(r^2, the Laplacian and L^2 of a coordinate set, X's term for one other
+slot), which ``RadialContext`` overrides for the block-radial picture.
+``_index_ranges`` gives each one-index kind the range ``enumerate_integrals``
+lists and the range ``build_integral`` accepts; G and sigmaS check their own
+indices, and sigmaS needs S[D-1].  Boundary aliases honored by the builder:
+Z[1] = T[1], and for the Coulomb family Z[N] = Y[1].
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .errors import InvalidIntegralError
 from .models import (
     COULOMB,
     OSCILLATOR,
+    CartesianContext,
     Hierarchy,
     ModelSpec,
     PotentialTerm,
@@ -46,7 +51,7 @@ from .models import (
     model_value,
     potential_term,
 )
-from .opalg import DiffOp, angular_momentum, angular_momentum_squared_sum
+from .opalg import DiffOp
 from .ring import Coefficient, Context, Poly
 
 
@@ -103,21 +108,26 @@ def structural_constant(spec: ModelSpec, kind: str, p: int) -> Fraction:
 # -- builders ---------------------------------------------------------------------
 
 
-def _casimir(ctx: Context, spec: ModelSpec, idx, blocks) -> RawOperator:
+def _casimir(ctx: CartesianContext, spec: ModelSpec, idx, blocks) -> RawOperator:
     """L^2 over the coordinates idx minus r_idx^2 f_b / r_b^2 for each
     potential block b in blocks."""
-    r2 = ctx.sum_of_squares(idx).neg()
+    r2 = ctx.r2(idx).neg()
     atts = tuple(potential_term(ctx, spec, b, r2) for b in blocks if b < spec.potential_blocks)
-    return RawOperator(angular_momentum_squared_sum(ctx, idx), atts)
+    return RawOperator(ctx.casimir(idx), atts)
 
 
-_CHAINS = ("T", "Z", "S", "Y", "J", "G")  # the kinds that are one Casimir
+_CHAINS = ("T", "Z", "S", "Y", "J", "G", "sigmaS")  # the kinds that are one Casimir
 
 
 def _chain(spec: ModelSpec, kind: str, i: int, j: int | None) -> tuple:
-    """(coordinates, potential blocks) of the Casimir kind[i] or G[i,j]."""
+    """(coordinates, potential blocks) of the Casimir kind[i] or G[i,j];
+    sigmaS[i], S[D-1] with x_i in place of x_D, is the chain of every
+    coordinate but x_i."""
     part = spec.partition
     N, D = part.N, part.D
+    if kind == "sigmaS":
+        _last_block(spec, i)
+        return [a for a in range(D) if a != i - 1], range(N - 1)
     if kind == "T":
         return part.block_range(i - 1), (i - 1,)
     if kind == "Z":
@@ -159,10 +169,10 @@ def _last_block(spec: ModelSpec, j: int):
         )
 
 
-def build_integral(name: IntegralName, spec: ModelSpec, ctx: Context) -> RawOperator:
-    """Construct the named integral in ``ctx``, Cartesian or block-radial;
-    raises InvalidIntegralError for an unknown kind, a wrong number of
-    indices or an index out of range, in either picture."""
+def build_integral(name: IntegralName, spec: ModelSpec, ctx: CartesianContext) -> RawOperator:
+    """Construct the named integral from the pieces of ``ctx``, Cartesian or
+    block-radial; raises InvalidIntegralError for an unknown kind, a wrong
+    number of indices or an index out of range."""
     kind = name.kind
     if kind not in _KINDS:
         raise InvalidIntegralError(f"unknown integral kind {kind!r}")
@@ -178,14 +188,12 @@ def build_integral(name: IntegralName, spec: ModelSpec, ctx: Context) -> RawOper
     i = indices[0] if indices else None
     if kind == "Z" and (i == 1 or (i == N and spec.family == COULOMB)):
         return build_integral(IntegralName("T" if i == 1 else "Y", 1), spec, ctx)
+    ranged, p = ("S", D - 1) if kind == "sigmaS" else (kind, i)  # sigmaS[j] needs S[D-1]
     ranges = _index_ranges(spec)
-    if kind in ranges:
-        _, last, lowest, highest = ranges[kind]
-        if not lowest <= i <= highest:
-            raise InvalidIntegralError(f"{kind} index {i} out of [{lowest},{last}]")
-    chain = _chain(spec, kind, i, name.j) if kind in _CHAINS else None
-    if isinstance(ctx, RadialContext):
-        return _radial_integral(kind, i, chain, spec, ctx)
+    if ranged in ranges:
+        _, last, lowest, highest = ranges[ranged]
+        if not lowest <= p <= highest:
+            raise InvalidIntegralError(f"{ranged} index {p} out of [{lowest},{last}]")
 
     if kind in ("Hfull", "Hcoul"):
         return build_hamiltonian_raw(spec, ctx)
@@ -196,22 +204,19 @@ def build_integral(name: IntegralName, spec: ModelSpec, ctx: Context) -> RawOper
         return out
     if kind == "H":
         return block_hamiltonian_raw(spec, ctx, i - 1)
-    if chain is not None:
-        return _casimir(ctx, spec, *chain)
-    if kind == "sigmaS":
-        op = build_integral(IntegralName("S", D - 1), spec, ctx)
-        return conjugate_by_transposition(op, i, spec, ctx)
+    if kind in _CHAINS:
+        return _casimir(ctx, spec, *_chain(spec, kind, i, name.j))
 
-    # X[i]
-    i0 = i - 1
+    # X[i]: X's term for each other slot, plus eta x_i r / |x|^2 - 2 x_i f_b / r_b^2
+    k = ctx.slot(i - 1)
     base = DiffOp.zero(ctx)
-    for a0 in range(D):
-        if a0 != i0:
-            base = base.add(angular_momentum(ctx, i0, a0).anticommutator(DiffOp.partial(ctx, a0)))
-    eta_x_rho = model_value(ctx, spec.eta).mul(ctx.x(i0)).mul(ctx.radical_poly())
-    eta_term = Coefficient.from_poly(ctx, eta_x_rho).div_poly(ctx.sum_of_squares(range(D)))
+    for s in range(ctx.nx):
+        if s != k:
+            base = base.add(ctx.x_term(k, s))
+    eta_x_rho = model_value(ctx, spec.eta).mul(ctx.x(k)).mul(ctx.radical_poly())
+    eta_term = Coefficient.from_poly(ctx, eta_x_rho).div_poly(ctx.r2(range(D)))
     base = base.add(DiffOp.from_coefficient(ctx, eta_term))
-    mult = ctx.x(i0).scale(-2)
+    mult = ctx.x(k).scale(-2)
     return RawOperator(base, tuple(potential_term(ctx, spec, b, mult) for b in range(N - 1)))
 
 
@@ -289,19 +294,21 @@ def radial_groups(spec: ModelSpec, names) -> tuple:
     return tuple(groups)
 
 
-class RadialContext(Context):
+class RadialContext(CartesianContext):
     """The block-radial picture of a model over a partition of its coordinates.
 
-    A group g of d_g >= 2 coordinates becomes one coordinate, its radius rho_g,
-    with a ring parameter l_g; a group of one coordinate stays that coordinate,
-    the case d = 1, l = 0.  The norm radical r keeps r^2 = |x|^2, the sum of
-    every rho_g^2.  The integrals are built from these pieces:
+    A group g of d_g >= 2 coordinates becomes one slot, its radius rho_g, with
+    a ring parameter l_g; a group of one coordinate stays that coordinate, the
+    case d = 1, l = 0.  The norm radical r keeps r^2 = |x|^2, the sum of every
+    rho_g^2.  With the Euler operator E_g = rho_g d + l_g of a group, the
+    pieces of the Cartesian context become, over the groups of a set:
 
-    * r^2 of a group, rho_g^2, and the Euler operator E_g = rho_g d + l_g;
-    * the Laplacian Delta_g = d^2 + (d_g + 2 l_g - 1) / rho_g d;
-    * the sum of L_ab^2 over a < b in g, the scalar -l_g (l_g + d_g - 2);
-    * the sum over a in g, b in h of L_ab^2,
-      rho_g^2 Delta_h + rho_h^2 Delta_g - 2 E_g E_h - d_h E_g - d_g E_h.
+    * r^2, the sum of rho_g^2;
+    * the Laplacian, the sum of Delta_g = d^2 + (d_g + 2 l_g - 1) / rho_g d;
+    * the sum of L_ab^2 over a < b: the scalar -l_g (l_g + d_g - 2) of each
+      group, and for each pair of groups g, h (a in g, b in h)
+      rho_g^2 Delta_h + rho_h^2 Delta_g - 2 E_g E_h - d_h E_g - d_g E_h;
+    * X's term at x_k for the group g, 2 x_k Delta_g - 2 d_k E_g - d_g d_k.
 
     Why this is exact.  Let h(x) be a product over the groups of harmonics of
     degree l_g in each group's coordinates.  An operator that commutes with the
@@ -339,6 +346,10 @@ class RadialContext(Context):
             raise InvalidIntegralError(f"the coordinates {list(idx)} cut a radial group")
         return ks
 
+    def slot(self, a: int) -> int:
+        (k,) = self.span([a])
+        return k
+
     def r2(self, idx) -> Poly:
         return self.sum_of_squares(self.span(idx))
 
@@ -346,13 +357,18 @@ class RadialContext(Context):
         return DiffOp.from_poly(self, self.x(k)).mul(DiffOp.partial(self, k)).add(
             DiffOp.from_poly(self, self.l[k]))
 
-    def laplacian(self, k: int) -> DiffOp:
+    def delta(self, k: int) -> DiffOp:
         c = Coefficient.from_poly(self, self.l[k].scale(2).add(self.const_poly(self.d[k] - 1)))
         return DiffOp.partial(self, k, 2).add(
             DiffOp.from_coefficient(self, c.div_poly(self.x(k))).mul(DiffOp.partial(self, k)))
 
+    def laplacian(self, idx) -> DiffOp:
+        out = DiffOp.zero(self)
+        for k in self.span(idx):
+            out = out.add(self.delta(k))
+        return out
+
     def casimir(self, idx) -> DiffOp:
-        """The sum of L_ab^2 over a < b in idx."""
         ks = self.span(idx)
         out = DiffOp.zero(self)
         for n, g in enumerate(ks):
@@ -360,59 +376,12 @@ class RadialContext(Context):
             out = out.sub(DiffOp.from_poly(self, l.mul(l.add(self.const_poly(dg - 2)))))
             for h in ks[n + 1:]:
                 Eg, Eh = self.euler(g), self.euler(h)
-                out = (out.add(DiffOp.from_poly(self, self.x(g, 2)).mul(self.laplacian(h)))
-                       .add(DiffOp.from_poly(self, self.x(h, 2)).mul(self.laplacian(g)))
+                out = (out.add(DiffOp.from_poly(self, self.x(g, 2)).mul(self.delta(h)))
+                       .add(DiffOp.from_poly(self, self.x(h, 2)).mul(self.delta(g)))
                        .sub(Eg.mul(Eh).scale(2)).sub(Eg.scale(self.d[h])).sub(Eh.scale(dg)))
         return out
 
-
-def _radial_integral(kind: str, i: int | None, chain, spec: ModelSpec,
-                     ctx: RadialContext) -> RawOperator:
-    """The integral kind[i] in the block-radial picture; ``chain`` is the
-    (coordinates, blocks) of a Casimir."""
-    part = spec.partition
-    N, D = part.N, part.D
-    eta_r = model_value(ctx, spec.eta).mul(ctx.radical_poly()) if spec.family == COULOMB else None
-
-    def raw(base: DiffOp, multiplier: Poly, blocks) -> RawOperator:
-        """``base`` plus multiplier * f_b / r_b^2 for each potential block b in blocks."""
-        return RawOperator(base, tuple(
-            PotentialTerm(Coefficient.from_poly(ctx, multiplier).div_poly(
-                ctx.r2(part.block_range(b))), b) for b in blocks if b < spec.potential_blocks))
-
-    def hamiltonian(idx, blocks) -> RawOperator:
-        base = DiffOp.zero(ctx)
-        for k in ctx.span(idx):
-            base = base.sub(ctx.laplacian(k))
-        if spec.family == OSCILLATOR:
-            base = base.add(DiffOp.from_poly(ctx, model_value(ctx, spec.omega2).mul(ctx.r2(idx))))
-        return raw(base, ctx.const_poly(1), blocks)
-
-    if chain is not None:
-        idx, blocks = chain
-        return raw(ctx.casimir(idx), ctx.r2(idx).neg(), blocks)
-    if kind == "sigmaS":  # S[D-1] with x_i in place of x_D: the Casimir of all but x_i
-        _last_block(spec, i)
-        idx = [a for a in range(D) if a != i - 1]
-        return raw(ctx.casimir(idx), ctx.r2(idx).neg(), range(N - 1))
-    if kind == "H":
-        return hamiltonian(part.block_range(i - 1), (i - 1,))
-    if kind == "Hsum":
-        return hamiltonian(range(part.offsets[i]), range(i))
-    if kind in ("Hfull", "Hcoul"):
-        H = hamiltonian(range(D), range(N))
-        if spec.family == OSCILLATOR:
-            return H
-        coulomb = Coefficient.from_poly(ctx, eta_r).div_poly(ctx.r2(range(D)))
-        return RawOperator(H.base.sub(DiffOp.from_coefficient(ctx, coulomb)), H.attachments)
-    # X[i] = sum over a != i of {L_ia, d_a} + eta x_i r / |x|^2 - 2 x_i f_b / r_b^2: each
-    # group g but x_i's adds 2 x_i Delta_g - 2 d_i E_g - d_g d_i
-    (k,) = ctx.span([i - 1])
-    xk, dk = DiffOp.from_poly(ctx, ctx.x(k)), DiffOp.partial(ctx, k)
-    base = DiffOp.zero(ctx)
-    for g in range(len(ctx.groups)):
-        if g != k:
-            base = (base.add(xk.mul(ctx.laplacian(g)).scale(2)).sub(dk.mul(ctx.euler(g)).scale(2))
-                    .sub(dk.scale(ctx.d[g])))
-    eta_term = Coefficient.from_poly(ctx, eta_r.mul(ctx.x(k))).div_poly(ctx.r2(range(D)))
-    return raw(base.add(DiffOp.from_coefficient(ctx, eta_term)), ctx.x(k).scale(-2), range(N - 1))
+    def x_term(self, k: int, s: int) -> DiffOp:
+        xk, dk = DiffOp.from_poly(self, self.x(k)), DiffOp.partial(self, k)
+        return (xk.mul(self.delta(s)).scale(2).sub(dk.mul(self.euler(s)).scale(2))
+                .sub(dk.scale(self.d[s])))

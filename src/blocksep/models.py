@@ -21,7 +21,7 @@ from .errors import (
     InvalidPartitionError,
     UnsupportedSymbolicPotentialError,
 )
-from .opalg import DiffOp, laplacian
+from .opalg import DiffOp, angular_momentum
 from .partition import Partition, make_partition
 from .ring import Coefficient, Context, Poly
 
@@ -206,11 +206,46 @@ def coulomb_spec(block_sizes, potentials=None, eta="eta") -> ModelSpec:
 # -- operator context ----------------------------------------------------------
 
 
-def operator_context(spec: ModelSpec) -> Context:
+class CartesianContext(Context):
+    """The Cartesian context of a model, one slot per coordinate, with the
+    pieces every integral is built from: r^2, the Laplacian and the sum of
+    L_ab^2 over a set of coordinates, and X's term for one other slot.  ``integrals.RadialContext`` overrides them for the
+    block-radial picture.  A coefficient's terms are summed in their stored
+    order, so these keep theirs."""
+
+    def slot(self, a: int) -> int:
+        """The slot that carries the coordinate x_a."""
+        return a
+
+    def r2(self, idx) -> Poly:
+        return self.sum_of_squares(idx)
+
+    def laplacian(self, idx) -> DiffOp:
+        out = DiffOp.zero(self)
+        for i in idx:
+            out = out.add(DiffOp.partial(self, i, 2))
+        return out
+
+    def casimir(self, idx) -> DiffOp:
+        """The sum of L_ab^2 over a < b in idx."""
+        idx = sorted(idx)
+        out = DiffOp.zero(self)
+        for p, a in enumerate(idx):
+            for b in idx[p + 1:]:
+                L = angular_momentum(self, a, b)
+                out = out.add(L.mul(L))
+        return out
+
+    def x_term(self, k: int, s: int) -> DiffOp:
+        """The term of X at the slot k for the slot s: {L_ks, d_s}."""
+        return angular_momentum(self, k, s).anticommutator(DiffOp.partial(self, s))
+
+
+def operator_context(spec: ModelSpec) -> CartesianContext:
     """Cartesian context for a model: D coordinates, declared parameters,
     and the full-norm radical when the Coulomb term needs it."""
     names = tuple(f"x{i + 1}" for i in range(spec.partition.D))
-    return Context(names, spec.param_names(), norm_radical=spec.family == COULOMB)
+    return CartesianContext(names, spec.param_names(), norm_radical=spec.family == COULOMB)
 
 
 # -- raw operators with potential attachments -----------------------------------
@@ -230,9 +265,10 @@ class PotentialTerm:
     block: int  # 0-based block index
 
 
-def potential_term(ctx: Context, spec: ModelSpec, block: int, multiplier: Poly) -> PotentialTerm:
+def potential_term(ctx: CartesianContext, spec: ModelSpec, block: int,
+                   multiplier: Poly) -> PotentialTerm:
     """The attachment multiplier * f_block / r_block^2."""
-    norm = ctx.sum_of_squares(spec.partition.block_range(block))
+    norm = ctx.r2(spec.partition.block_range(block))
     return PotentialTerm(Coefficient.from_poly(ctx, multiplier).div_poly(norm), block)
 
 
@@ -261,34 +297,33 @@ class RawOperator:
         return RawOperator(self.base.add(other.base), self.attachments + other.attachments)
 
 
-def _hamiltonian_raw(spec: ModelSpec, ctx: Context, idx, blocks) -> RawOperator:
+def _hamiltonian_raw(spec: ModelSpec, ctx: CartesianContext, idx, blocks) -> RawOperator:
     """-laplacian over the coordinates idx, plus omega^2 r_idx^2 for the
     oscillator, plus f_b / r_b^2 for each potential block b in blocks."""
-    base = laplacian(ctx, idx).neg()
+    base = ctx.laplacian(idx).neg()
     if spec.family == OSCILLATOR:
-        r2 = ctx.sum_of_squares(idx)
-        base = base.add(DiffOp.from_poly(ctx, model_value(ctx, spec.omega2).mul(r2)))
+        base = base.add(DiffOp.from_poly(ctx, model_value(ctx, spec.omega2).mul(ctx.r2(idx))))
     one = ctx.const_poly(1)
     atts = tuple(potential_term(ctx, spec, b, one) for b in blocks if b < spec.potential_blocks)
     return RawOperator(base, atts)
 
 
-def build_hamiltonian_raw(spec: ModelSpec, ctx: Context) -> RawOperator:
+def build_hamiltonian_raw(spec: ModelSpec, ctx: CartesianContext) -> RawOperator:
     D = spec.partition.D
     H = _hamiltonian_raw(spec, ctx, range(D), range(spec.potential_blocks))
     if spec.family == COULOMB:
         eta_rho = model_value(ctx, spec.eta).mul(ctx.radical_poly())
-        coulomb = Coefficient.from_poly(ctx, eta_rho).div_poly(ctx.sum_of_squares(range(D)))
+        coulomb = Coefficient.from_poly(ctx, eta_rho).div_poly(ctx.r2(range(D)))
         H = RawOperator(H.base.sub(DiffOp.from_coefficient(ctx, coulomb)), H.attachments)
     return H
 
 
-def block_hamiltonian_raw(spec: ModelSpec, ctx: Context, i: int) -> RawOperator:
+def block_hamiltonian_raw(spec: ModelSpec, ctx: CartesianContext, i: int) -> RawOperator:
     """H_i = -laplacian_i + omega^2 r_i^2 + f_i / r_i^2 (oscillator blocks)."""
     return _hamiltonian_raw(spec, ctx, spec.partition.block_range(i), (i,))
 
 
-def build_hamiltonian(spec: ModelSpec, ctx: Context) -> DiffOp:
+def build_hamiltonian(spec: ModelSpec, ctx: CartesianContext) -> DiffOp:
     """The full Hamiltonian as an exact DiffOp; constant potentials only."""
     return build_hamiltonian_raw(spec, ctx).symbolic(spec)
 

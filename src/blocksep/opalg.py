@@ -258,25 +258,6 @@ def _unit(ctx: Context, i: int) -> tuple:
     return tuple(1 if k == i else 0 for k in range(ctx.nx))
 
 
-def angular_momentum_squared_sum(ctx: Context, indices) -> DiffOp:
-    """sum_{a<b in indices} L_ab^2."""
-    idx = sorted(indices)
-    out = DiffOp.zero(ctx)
-    for p in range(len(idx)):
-        for q in range(p + 1, len(idx)):
-            L = angular_momentum(ctx, idx[p], idx[q])
-            out = out.add(L.mul(L))
-    return out
-
-
-def laplacian(ctx: Context, indices) -> DiffOp:
-    out = {}
-    for i in indices:
-        alpha = tuple(2 if k == i else 0 for k in range(ctx.nx))
-        out[alpha] = Coefficient.const(ctx, 1)
-    return DiffOp(ctx, out)
-
-
 def euler_operator(ctx: Context, indices) -> DiffOp:
     out = DiffOp.zero(ctx)
     for i in indices:

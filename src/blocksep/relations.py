@@ -48,7 +48,7 @@ from .models import (
     oscillator_spec,
     potential_term,
 )
-from .opalg import DiffOp, LinearCombination, euler_operator, laplacian
+from .opalg import DiffOp, LinearCombination, euler_operator
 from .report import ReportItem
 from .ring import row_reduce
 
@@ -308,7 +308,7 @@ def verify_relation(rel: Relation, env: OperatorEnv, progress=None) -> ReportIte
     zero when its block-radial image is (see ``RadialContext``); any other
     relation, and one whose image is not zero, is reduced directly, so every
     residual in a report is Cartesian.  ``progress(item, picture)`` hears of
-    the item, with the picture that proved it: "radial" or "cartesian"."""
+    the item, with how it was settled: "transport", "radial" or "cartesian"."""
     item = ReportItem(rel.name, "relation", "symbolic", "zero", None,
                       expectation=rel.expectation, group=rel.group, note=rel.note)
     picture = "cartesian"
@@ -316,7 +316,7 @@ def verify_relation(rel: Relation, env: OperatorEnv, progress=None) -> ReportIte
     try:
         if im and im.source in env.proved and all(env.operator(a).swap_coordinates(*im.slots)
                                                   == env.operator(b) for a, b in im.leaves):
-            residual = DiffOp.zero(env.ctx)
+            residual, picture = DiffOp.zero(env.ctx), "transport"
         else:
             renv = radial_picture(rel.expr, env) if rel.expectation == "zero" else None
             if renv is not None and max(renv.ctx.d) > 1 and _radially_zero(rel.expr, renv):
@@ -443,10 +443,10 @@ def catalog_proposition_A() -> RelationSet:
     rhs2, rhs3 = _seed_rhs(ParamRef("g1"), ParamRef("g2"), ParamRef("w2"))
     # second printed form of Z: r^2 Laplacian - Euler^2 - (g1/x^2 + g2/y^2) r^2
     ctx = env.ctx
-    r2 = ctx.sum_of_squares([0, 1])
+    r2 = ctx.r2([0, 1])
     E = euler_operator(ctx, [0, 1])
     pot = RawOperator(DiffOp.zero(ctx), tuple(potential_term(ctx, PLANAR, b, r2) for b in (0, 1)))
-    alt = DiffOp.from_poly(ctx, r2).mul(laplacian(ctx, [0, 1])).sub(E.mul(E))
+    alt = DiffOp.from_poly(ctx, r2).mul(ctx.laplacian([0, 1])).sub(E.mul(E))
     alt = alt.sub(pot.symbolic(PLANAR))
     rels = [
         Relation("prop-A-1-def", Comm(_Z, _H2) - _Y, note="defining relation for Y"),
@@ -614,8 +614,8 @@ def correction_closed_form(spec: ModelSpec, env: OperatorEnv, j: int, literal: b
     part = spec.partition
     D = part.D
     ctx = env.ctx
-    r2m = ctx.sum_of_squares(range(D)).sub(ctx.x(j - 1, 2))
-    lap = laplacian(ctx, range(D)).sub(DiffOp.partial(ctx, j - 1, 2))
+    r2m = ctx.r2(range(D)).sub(ctx.x(j - 1, 2))
+    lap = ctx.laplacian(range(D)).sub(DiffOp.partial(ctx, j - 1, 2))
     E = euler_operator(ctx, range(D))
     E = E.sub(DiffOp.partial(ctx, j - 1) if literal else euler_operator(ctx, [j - 1]))
     out = DiffOp.from_poly(ctx, r2m).mul(lap).sub(E.mul(E)).sub(E.scale(D - 3))
@@ -679,9 +679,14 @@ def _sigma_claim(env: OperatorEnv, label: str, name: IntegralName, j: int, image
 
 def _erratum_relations(env: OperatorEnv) -> list:
     """The third X/W display with Z[N-1], as the corrected erratum reads it,
-    in place of the conjugated S[D-1]."""
+    in place of the conjugated S[D-1]; refused on a last block of one
+    coordinate, where Z[N-1] is S[D-1] and the display holds."""
     part = env.spec.partition
-    j = part.D - 1 if part.block_sizes[-1] >= 2 else part.D
+    if part.block_sizes[-1] < 2:
+        raise InapplicableRelationError(
+            "the erratum control needs a last block of two or more coordinates: "
+            "on one, Z[N-1] is S[D-1] and the display holds")
+    j = part.D - 1
     note = "substituting Z[N-1] for the conjugated S[D-1] (the corrected erratum) must fail"
     return [Relation(f"coul-yx-j{j}-erratum-wrong-3", _xw_display(env.spec, j, op("Z", part.N - 1)),
                      expectation="nonzero", note=note)]

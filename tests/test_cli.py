@@ -293,8 +293,9 @@ def test_symbolic_constant_inside_a_hierarchy_takes_its_default(runner, tmp_path
 
 def test_verbose_adds_only_a_stderr_line_per_symbolic_relation(runner, tmp_path):
     """verify -v writes one stderr line per symbolic relation, in report order:
-    name, status, wall seconds and the picture that proved it.  stdout and the
-    report with runtime_info dropped are byte-identical to a run without -v."""
+    name, status, wall seconds and how it was settled: in the radial picture,
+    by transport from its j = D display, or in the Cartesian one.  stdout and
+    the report with runtime_info dropped are byte-identical to a run without -v."""
     runs = []
     out = tmp_path / "report.json"  # the report echoes the path
     for flags in ([], ["-v"]):
@@ -313,7 +314,8 @@ def test_verbose_adds_only_a_stderr_line_per_symbolic_relation(runner, tmp_path)
         (item["name"], item["status"]) for item in items]
     assert all(seconds.endswith("s") and float(seconds[:-1]) >= 0 for _, _, seconds, _ in lines)
     pictures = {name: picture for name, _, _, picture in lines}
-    assert set(pictures.values()) == {"radial", "cartesian"}
+    assert set(pictures.values()) == {"radial", "cartesian", "transport"}
+    assert all(pictures[f"coul-yx-j3-{k}"] == "transport" for k in ("1-def", "2", "3"))
     # records and refuted relations are reduced directly, whatever their leaves
     assert all(pictures[item["name"]] == "cartesian" for item in items
                if item.get("expectation") == "record" or item["status"] != "zero")
@@ -343,8 +345,6 @@ PINNED_REPORTS = [
     # two X/W triples each that serial runs transport from the j = D one
     ("coulomb", [1, 3], "45b5ee6ee4748246e007d86f30f9b9a63fee45576043dccb306b9299beac0278"),
     ("coulomb", [2, 3], "7e42d8dc2fdd1df36be9ab7cf45d984bfe3fbbd1371e5a7ba1d036057473760d"),
-    ("coulomb-erratum-wrong", [1, 2, 1],
-     "69f460be67b5e9995274474a880c3acd4f2b96c488e2fa16aab6a8159128c47c"),
 ]
 
 
@@ -354,6 +354,15 @@ PINNED_REPORTS = [
 def test_symbolic_report_matches_its_pinned_digest(catalog, blocks, digest):
     report = run_verify({"catalog": catalog, "mode": "symbolic", "blocks": blocks})
     assert hashlib.sha256(serialize(report, drop_runtime=True).encode()).hexdigest() == digest
+
+
+def test_erratum_control_on_a_last_block_of_one_exit_two(runner):
+    """On a last block of one coordinate Z[N-1] is S[D-1], so the erratum
+    display holds and cannot serve as a control: the catalog refuses it."""
+    res = runner.invoke(main, ["verify", "--catalog", "coulomb-erratum-wrong", "--blocks", "1,2,1"])
+    assert res.exit_code == 2, res.output
+    assert res.output == ("config error: the erratum control needs a last block of two or more "
+                          "coordinates: on one, Z[N-1] is S[D-1] and the display holds\n")
 
 
 # SHA-256 of each numeric report without its runtime_info: residuals in x87

@@ -31,7 +31,7 @@ from blocksep.models import (
     spec_from_json,
     spec_to_json,
 )
-from blocksep.opalg import DiffOp, laplacian
+from blocksep.opalg import DiffOp
 from blocksep.ring import Coefficient
 from oracles import coefficient_mul, eval_angular_potential, formal_transpose
 
@@ -40,7 +40,7 @@ def test_free_oscillator_1_1():
     spec = oscillator_spec([1, 1], (Zero(), Zero()), omega2=1)
     ctx = operator_context(spec)
     H = build_hamiltonian(spec, ctx)
-    expect = laplacian(ctx, range(2)).neg().add(
+    expect = ctx.laplacian(range(2)).neg().add(
         DiffOp.from_poly(ctx, ctx.sum_of_squares(range(2)))
     )
     assert H == expect
@@ -52,7 +52,7 @@ def test_model1_oscillator_2_2():
     H = build_hamiltonian(spec, ctx)
     S1 = ctx.sum_of_squares([0, 1])
     S2 = ctx.sum_of_squares([2, 3])
-    expect = laplacian(ctx, range(4)).neg()
+    expect = ctx.laplacian(range(4)).neg()
     expect = expect.add(DiffOp.from_poly(ctx, ctx.param("w2").mul(ctx.sum_of_squares(range(4)))))
     expect = expect.add(
         DiffOp.from_coefficient(ctx, Coefficient.from_poly(ctx, ctx.param("beta1")).div_poly(S1))
@@ -71,7 +71,7 @@ def test_coulomb_1_1_1():
     inv_r = Coefficient.from_poly(ctx, ctx.radical_poly()).div_poly(S)
     eta = Coefficient.from_poly(ctx, ctx.param("eta"))
     coulomb = DiffOp.from_coefficient(ctx, coefficient_mul(eta, inv_r))
-    expect = laplacian(ctx, range(3)).neg().sub(coulomb)
+    expect = ctx.laplacian(range(3)).neg().sub(coulomb)
     for i, name in enumerate(("alpha1", "alpha2")):
         c = Coefficient.from_poly(ctx, ctx.param(name)).div_poly(ctx.x(i, 2))
         expect = expect.add(DiffOp.from_coefficient(ctx, c))

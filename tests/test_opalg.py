@@ -5,12 +5,8 @@ examples.  Randomized properties of the product are in
 import pytest
 
 from blocksep.errors import ContextMismatchError
-from blocksep.opalg import (
-    DiffOp,
-    angular_momentum,
-    angular_momentum_squared_sum,
-    laplacian,
-)
+from blocksep.models import CartesianContext
+from blocksep.opalg import DiffOp, angular_momentum
 from blocksep.ring import Coefficient, Context
 from oracles import (apply_coefficient, formal_transpose, substitute_params, termwise_product,
                      two_product_composition)
@@ -18,12 +14,12 @@ from oracles import (apply_coefficient, formal_transpose, substitute_params, ter
 
 @pytest.fixture
 def ctx3():
-    return Context(("x1", "x2", "x3"))
+    return CartesianContext(("x1", "x2", "x3"))
 
 
 @pytest.fixture
 def ctx2r():
-    return Context(("x1", "x2"), norm_radical=True)
+    return CartesianContext(("x1", "x2"), norm_radical=True)
 
 
 def test_weyl_relation(ctx3):
@@ -85,8 +81,8 @@ def test_so3_closure(ctx3):
 def test_L2_commutes_with_own_radius():
     """[L^2_block, r_block^2] = 0 for 2- and 3-coordinate blocks."""
     for d in (2, 3):
-        ctx = Context(tuple(f"x{i+1}" for i in range(d)))
-        L2 = angular_momentum_squared_sum(ctx, range(d))
+        ctx = CartesianContext(tuple(f"x{i+1}" for i in range(d)))
+        L2 = ctx.casimir(range(d))
         r2 = DiffOp.from_poly(ctx, ctx.sum_of_squares(range(d)))
         assert L2.commutator(r2).is_zero()
 
@@ -119,7 +115,7 @@ def test_substitute_params_operator():
 
 
 def test_formal_transpose_involution(ctx3):
-    lap = laplacian(ctx3, range(3))
+    lap = ctx3.laplacian(range(3))
     assert formal_transpose(lap) == lap
     d1 = DiffOp.partial(ctx3, 0)
     assert formal_transpose(d1) == d1.neg()
@@ -132,7 +128,7 @@ def test_swap_coordinates(ctx3):
 
 
 def test_to_text_deterministic(ctx3):
-    op = laplacian(ctx3, range(3)).neg().add(
+    op = ctx3.laplacian(range(3)).neg().add(
         DiffOp.from_poly(ctx3, ctx3.sum_of_squares(range(3)))
     )
     txt = op.to_text()
@@ -171,7 +167,7 @@ def test_jets_stay_with_their_operand(ctx2r):
     its ``jets`` never serve the other."""
     ctx = ctx2r
     r, x1, x2 = ctx.radical_poly(), ctx.x(0), ctx.x(1)
-    a = laplacian(ctx, [0, 1]).add(DiffOp.from_poly(ctx, x1).mul(DiffOp.partial(ctx, 1)))
+    a = ctx.laplacian([0, 1]).add(DiffOp.from_poly(ctx, x1).mul(DiffOp.partial(ctx, 1)))
     b1 = DiffOp(ctx, {(1, 0): Coefficient.from_poly(ctx, r), (0, 0): Coefficient.from_poly(ctx, x2.mul(x2))})
     b2 = DiffOp(ctx, {(1, 0): Coefficient.from_poly(ctx, x1.mul(x1).mul(x1)),
                       (0, 0): Coefficient.from_poly(ctx, r).div_poly(x2)})

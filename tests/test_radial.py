@@ -158,7 +158,7 @@ CROSS_CHECKS = [
     ("oscillator-algebra", [3, 3]), ("proposition-A", None), ("oscillator-algebra", [1, 1]),
     ("gauge", [1, 1, 1]), ("negative-controls", [2, 2]), ("negative-controls", [1, 1]),
     ("gauge", [2, 2, 2]), ("oscillator", [1, 1, 1]), ("coulomb", [1, 2, 2]), ("coulomb", [1, 3]),
-    ("coulomb", [2, 3]), ("coulomb-erratum-wrong", [1, 2, 1]), ("oscillator", [2, 3]),
+    ("coulomb", [2, 3]), ("oscillator", [2, 3]),
     ("coulomb", [2, 2, 2]),
 ]
 
@@ -176,8 +176,7 @@ def test_reduced_and_direct_verdicts_agree(catalog, blocks):
     """A relation expected zero that has a radial group reduces to zero in the
     reduced picture exactly when it does directly, in an env of its own.  So
     does a negative control or the erratum display, forced through the reduced
-    picture even with no radial group: each is nonzero there, but for the
-    erratum display on 1,2,1, where Z[N-1] is S[D-1] and both pictures give zero."""
+    picture even with no radial group: each is nonzero there."""
     rs = build_catalog(catalog, _spec(catalog, blocks))
     for rel, env in rs.pairs:
         if rel.expectation == "record":
@@ -191,7 +190,7 @@ def test_reduced_and_direct_verdicts_agree(catalog, blocks):
         direct = eval_node(rel.expr, OperatorEnv(env.spec))
         assert reduced.is_zero() == direct.is_zero(), rel.name
         if control:
-            assert not reduced.is_zero() or blocks == [1, 2, 1], rel.name
+            assert not reduced.is_zero(), rel.name
 
 
 def test_a_control_fails_in_every_partition_of_its_display():
