@@ -43,7 +43,6 @@ from .models import (
     CartesianContext,
     Hierarchy,
     ModelSpec,
-    PotentialTerm,
     RawOperator,
     Zero,
     block_hamiltonian_raw,
@@ -52,7 +51,7 @@ from .models import (
     potential_term,
 )
 from .opalg import DiffOp
-from .ring import Coefficient, Context, Poly
+from .ring import Coefficient, Poly
 
 
 @dataclass(frozen=True)
@@ -218,26 +217,6 @@ def build_integral(name: IntegralName, spec: ModelSpec, ctx: CartesianContext) -
     base = base.add(DiffOp.from_coefficient(ctx, eta_term))
     mult = ctx.x(k).scale(-2)
     return RawOperator(base, tuple(potential_term(ctx, spec, b, mult) for b in range(N - 1)))
-
-
-def conjugate_by_transposition(op: RawOperator, j: int, spec: ModelSpec, ctx: Context) -> RawOperator:
-    """sigma_jD o op o sigma_jD^{-1}: swap coordinates x_j and x_D.
-
-    j must lie in the last block so that every block norm is invariant.
-    """
-    _last_block(spec, j)
-    D = spec.partition.D
-    if j == D:
-        return op
-    base = op.base.swap_coordinates(j - 1, D - 1)
-    atts = []
-    for att in op.attachments:
-        swapped = DiffOp.from_coefficient(ctx, att.coef).swap_coordinates(j - 1, D - 1)
-        if swapped.is_zero():
-            continue
-        coef = swapped.terms[(0,) * ctx.nx]
-        atts.append(PotentialTerm(coef, att.block))
-    return RawOperator(base, tuple(atts))
 
 
 def enumerate_integrals(spec: ModelSpec) -> list[IntegralName]:

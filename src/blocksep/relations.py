@@ -33,7 +33,6 @@ from .integrals import (
     IntegralName,
     RadialContext,
     build_integral,
-    conjugate_by_transposition,
     enumerate_integrals,
     radial_groups,
     structural_constant,
@@ -254,25 +253,19 @@ def eval_node(node, env: OperatorEnv) -> DiffOp:
 # -- verification -----------------------------------------------------------------
 
 
-def _integral_names(node, env: OperatorEnv) -> list | None:
-    """The integral names of the tree's leaves; None when a leaf is Fixed.  Each
-    leaf is built in ``env`` in the order eval_node builds it, so a leaf that
-    env cannot build raises the error eval_node would raise."""
+def _integral_names(node) -> list | None:
+    """The integral names of the tree's leaves in the order eval_node reads
+    them; None when a leaf is Fixed.  Nothing is built or checked."""
     if isinstance(node, Fixed):
         return None
     if isinstance(node, OpRef):
-        env.operator(node.name)
         return [node.name]
-    if isinstance(node, ParamRef):
-        env.ctx.param(node.name)
-    elif isinstance(node, ConstRef):
-        env.constant(node.kind, node.p)
     if not isinstance(node, (Sum, Prod, Comm, Acomm)):
         return []
     names = []
     for child in (node.terms if isinstance(node, Sum) else node.factors
                   if isinstance(node, Prod) else (node.a, node.b)):
-        got = _integral_names(child, env)
+        got = _integral_names(child)
         if got is None:
             return None
         names += got
@@ -282,9 +275,9 @@ def _integral_names(node, env: OperatorEnv) -> list | None:
 def radial_picture(expr, env: OperatorEnv) -> OperatorEnv | None:
     """The env of the block-radial picture over the coarsest partition the
     tree's leaves respect (``radial_groups``), which ``env`` keeps for every
-    relation on that partition; None when a leaf is Fixed.  A leaf that
-    ``env`` cannot build raises."""
-    names = _integral_names(expr, env)
+    relation on that partition; None when a leaf is Fixed.  No leaf is built,
+    so a name that no env can build may raise anything here."""
+    names = _integral_names(expr)
     if names is None:
         return None
     groups = radial_groups(env.spec, names)
@@ -294,21 +287,25 @@ def radial_picture(expr, env: OperatorEnv) -> OperatorEnv | None:
     return renv
 
 
-def _radially_zero(expr, renv: OperatorEnv) -> bool:
-    """Whether the tree's image in the picture of ``renv`` reduces to zero."""
+def _radially_zero(expr, env: OperatorEnv) -> bool:
+    """Whether the tree is zero because its image in its block-radial picture
+    is, where a group has two or more coordinates."""
     try:
-        return eval_node(expr, renv).is_zero()
+        renv = radial_picture(expr, env)
+        return renv is not None and max(renv.ctx.d) > 1 and eval_node(expr, renv).is_zero()
     except Exception:  # not proved here: the direct reduction gives the verdict, or raises
         return False
 
 
 def verify_relation(rel: Relation, env: OperatorEnv, progress=None) -> ReportItem:
-    """Reduce one relation.  An image whose source ``env`` has proved is zero
-    once the swap maps each of its integral pairs.  A relation expected zero is
-    zero when its block-radial image is (see ``RadialContext``); any other
-    relation, and one whose image is not zero, is reduced directly, so every
-    residual in a report is Cartesian.  ``progress(item, picture)`` hears of
-    the item, with how it was settled: "transport", "radial" or "cartesian"."""
+    """Reduce one relation, building only what the proof reads.  An image
+    whose source ``env`` has proved is zero once the swap maps each of its
+    integral pairs.  A relation expected zero is zero when its block-radial
+    image is (see ``RadialContext``), and then builds no integral in ``env``.
+    Any other relation, and one whose image is not zero, is reduced directly,
+    so every residual and every inapplicable note in a report is Cartesian.
+    ``progress(item, picture)`` hears of the item, with how it was settled:
+    "transport", "radial" or "cartesian"."""
     item = ReportItem(rel.name, "relation", "symbolic", "zero", None,
                       expectation=rel.expectation, group=rel.group, note=rel.note)
     picture = "cartesian"
@@ -317,12 +314,10 @@ def verify_relation(rel: Relation, env: OperatorEnv, progress=None) -> ReportIte
         if im and im.source in env.proved and all(env.operator(a).swap_coordinates(*im.slots)
                                                   == env.operator(b) for a, b in im.leaves):
             residual, picture = DiffOp.zero(env.ctx), "transport"
+        elif rel.expectation == "zero" and _radially_zero(rel.expr, env):
+            residual, picture = DiffOp.zero(env.ctx), "radial"
         else:
-            renv = radial_picture(rel.expr, env) if rel.expectation == "zero" else None
-            if renv is not None and max(renv.ctx.d) > 1 and _radially_zero(rel.expr, renv):
-                residual, picture = DiffOp.zero(env.ctx), "radial"
-            else:
-                residual = eval_node(rel.expr, env)
+            residual = eval_node(rel.expr, env)
     except (InvalidIntegralError, InapplicableRelationError,
             UnsupportedSymbolicPotentialError) as exc:
         item.status, item.note = "inapplicable", str(exc)
@@ -442,12 +437,7 @@ def catalog_proposition_A() -> RelationSet:
     env = OperatorEnv(PLANAR)
     rhs2, rhs3 = _seed_rhs(ParamRef("g1"), ParamRef("g2"), ParamRef("w2"))
     # second printed form of Z: r^2 Laplacian - Euler^2 - (g1/x^2 + g2/y^2) r^2
-    ctx = env.ctx
-    r2 = ctx.r2([0, 1])
-    E = euler_operator(ctx, [0, 1])
-    pot = RawOperator(DiffOp.zero(ctx), tuple(potential_term(ctx, PLANAR, b, r2) for b in (0, 1)))
-    alt = DiffOp.from_poly(ctx, r2).mul(ctx.laplacian([0, 1])).sub(E.mul(E))
-    alt = alt.sub(pot.symbolic(PLANAR))
+    alt = _dilation_form(PLANAR, env.ctx, [0, 1], euler_operator(env.ctx, [0, 1]))
     rels = [
         Relation("prop-A-1-def", Comm(_Z, _H2) - _Y, note="defining relation for Y"),
         Relation("prop-A-2", Comm(_Z, _Y) - rhs2),
@@ -605,22 +595,30 @@ def coulomb_yx_relations(spec: ModelSpec, j: int):
     ]
 
 
+def _dilation_form(spec: ModelSpec, ctx, idx, E: DiffOp) -> DiffOp:
+    """The second printed form of the Casimir over the coordinates idx, with
+    the Euler operator E: r^2 Laplacian - E^2 - (|idx| - 2) E, minus
+    r^2 f_b / r_b^2 for each potential block b, all over idx."""
+    r2 = ctx.r2(idx)
+    out = DiffOp.from_poly(ctx, r2).mul(ctx.laplacian(idx))
+    out = out.sub(E.mul(E)).sub(E.scale(len(idx) - 2))
+    terms = tuple(potential_term(ctx, spec, b, r2) for b in range(spec.potential_blocks))
+    return out.sub(RawOperator(DiffOp.zero(ctx), terms).symbolic(spec))
+
+
 def correction_closed_form(spec: ModelSpec, env: OperatorEnv, j: int, literal: bool) -> DiffOp:
     """The dilation form display of sigma_jD S[D-1] sigma_jD^{-1}.
 
-    The printed display carries a bare d_j inside the dilation bracket;
-    ``literal=False`` uses the dimensionally consistent reading x_j d_j.
+    The printed display carries a bare d_j inside the dilation bracket, so
+    its Euler operator is E - d_j; ``literal=False`` uses the dimensionally
+    consistent reading x_j d_j, the Euler operator of every coordinate but x_j.
     """
-    part = spec.partition
-    D = part.D
+    D = spec.partition.D
     ctx = env.ctx
-    r2m = ctx.r2(range(D)).sub(ctx.x(j - 1, 2))
-    lap = ctx.laplacian(range(D)).sub(DiffOp.partial(ctx, j - 1, 2))
-    E = euler_operator(ctx, range(D))
-    E = E.sub(DiffOp.partial(ctx, j - 1) if literal else euler_operator(ctx, [j - 1]))
-    out = DiffOp.from_poly(ctx, r2m).mul(lap).sub(E.mul(E)).sub(E.scale(D - 3))
-    terms = tuple(potential_term(ctx, spec, b, r2m) for b in range(part.N - 1))
-    return out.sub(RawOperator(DiffOp.zero(ctx), terms).symbolic(spec))
+    idx = [a for a in range(D) if a != j - 1]
+    E = (euler_operator(ctx, range(D)).sub(DiffOp.partial(ctx, j - 1)) if literal
+         else euler_operator(ctx, idx))
+    return _dilation_form(spec, ctx, idx, E)
 
 
 def _yx_catalog(env: OperatorEnv) -> list:
@@ -672,8 +670,9 @@ def _yx_catalog(env: OperatorEnv) -> list:
 
 
 def _sigma_claim(env: OperatorEnv, label: str, name: IntegralName, j: int, image, note: str):
-    """The claim that the x_j <-> x_D transposition maps the integral ``name`` to ``image``."""
-    conjugated = conjugate_by_transposition(env.raw(name), j, env.spec, env.ctx).symbolic(env.spec)
+    """The claim that the x_j <-> x_D transposition maps the integral ``name`` to
+    ``image``: the swap the transport checks, of the symbolic integral."""
+    conjugated = env.operator(name).swap_coordinates(j - 1, env.spec.partition.D - 1)
     return Relation(label, Fixed(conjugated) - image, note=note)
 
 

@@ -397,9 +397,9 @@ PINNED_NUMERIC = [
                                  Constant(Fraction(3, 2)))))},
         "d38d3ba441e7bed2143fb4d5ca41647e0d953637c4ce6cdf668c5f5c79357ec6",
         id="oscillator-commutativity-model2-tower-3,1"),
-    # both passes, recorded before the symbolic pass came to prove these relations
-    # in the block-radial picture: the numeric pass still reads the Cartesian
-    # integrals the symbolic pass built, to the bit
+    # both passes, recorded while the symbolic pass built every leaf in the
+    # Cartesian context; it now proves these relations in the block-radial
+    # picture and builds none there, and the numeric pass builds what it reads
     pytest.param({"catalog": "oscillator", "blocks": [2, 2], "mode": "both",
                   "params": {"w2": 1.0, "beta1": 0.5, "beta2": 0.75}},
                  "88475ee014be5e39ed8dd05895d38fad4c692d77df33046654bcdca9c081e345",
@@ -1138,6 +1138,16 @@ _COULOMB_22 = ["--blocks", "2,2", "--config", "coulomb.json"]  # coulomb.json in
           ("[Hfull[2], H[1]]", ["--blocks", "2,2"], "Hfull takes no index, not 1"),
           ("[X, H[1]]", _COULOMB_22, "X takes one index, not 0"),
           ("[sigmaS, H[1]]", _COULOMB_22, "sigmaS takes one index, not 0"),
+      )),
+    # index-less leaves that the block-radial picture cannot place: the direct
+    # reduction still names the first leaf it cannot build
+    *((line, [*args, "--mode", mode], message) for mode in ("symbolic", "numeric")
+      for args in (["--blocks", "1,2"], ["--blocks", "1,2", "--config", "coulomb.json"])
+      for line, message in (
+          ("X == 0", "X takes one index, not 0"),
+          ("S == 0", "S takes one index, not 0"),
+          ("[J, H[1]]", "J takes one index, not 0"),
+          ("[sigmaS, Hcoul]", "sigmaS takes one index, not 0"),
       )),
 ])
 def test_relation_file_unknown_integral_exit_two(runner, tmp_path, line, args, message):

@@ -13,7 +13,6 @@ from blocksep.integrals import (
     IntegralName,
     RadialContext,
     build_integral,
-    conjugate_by_transposition,
     enumerate_integrals,
     structural_constant,
 )
@@ -162,21 +161,19 @@ def test_all_coulomb_integrals_commute_with_H():
 
 
 def test_sigma_conjugation_claims():
-    """sigma_jD maps X[D] to X[j] and fixes Y[1] and the Hamiltonian."""
+    """sigma_jD maps X[D] to X[j] and fixes Y[1] and the Hamiltonian; sigmaS[j]
+    refuses a j outside the last block."""
     spec = coulomb_spec([2, 2])
     ctx = operator_context(spec)
-    XD = build_integral(IntegralName("X", 4), spec, ctx)
+    XD = sym(spec, ctx, "X", 4)
     for j in (3, 4):
-        conj = conjugate_by_transposition(XD, j, spec, ctx).symbolic(spec)
-        assert conj == sym(spec, ctx, "X", j)
-    Y1 = build_integral(IntegralName("Y", 1), spec, ctx)
-    assert conjugate_by_transposition(Y1, 3, spec, ctx).symbolic(spec) == sym(spec, ctx, "Y", 1)
-    Hraw = build_integral(IntegralName("Hcoul"), spec, ctx)
-    assert conjugate_by_transposition(Hraw, 3, spec, ctx).symbolic(spec) == build_hamiltonian(
-        spec, ctx
-    )
-    with pytest.raises(InvalidIntegralError):
-        conjugate_by_transposition(XD, 2, spec, ctx)
+        assert XD.swap_coordinates(j - 1, 3) == sym(spec, ctx, "X", j)
+    Y1 = sym(spec, ctx, "Y", 1)
+    assert Y1.swap_coordinates(2, 3) == Y1
+    H = build_hamiltonian(spec, ctx)
+    assert H.swap_coordinates(2, 3) == H
+    with pytest.raises(InvalidIntegralError, match="outside the last block"):
+        sym(spec, ctx, "sigmaS", 2)
 
 
 def test_sigma_S_closed_form():
@@ -332,14 +329,11 @@ def test_radial_pieces_of_single_coordinates_are_the_cartesian_ones(spec):
 @pytest.mark.parametrize("blocks", [[2, 3], [1, 2, 2, 2]], ids=["2,3", "1,2,2,2"])
 def test_sigma_S_is_the_conjugated_S(blocks):
     """sigmaS[j], the Casimir of every coordinate but x_j, is S[D-1] conjugated
-    by the x_j <-> x_D transposition, for every j of the last block."""
+    by the x_j <-> x_D transposition, for every j of the last block; each
+    earlier block's own alpha_b keeps the folded potentials apart."""
     spec = coulomb_spec(blocks)
     ctx = operator_context(spec)
     D = spec.partition.D
-    S = build_integral(IntegralName("S", D - 1), spec, ctx)
+    S = sym(spec, ctx, "S", D - 1)
     for j in range(D - blocks[-1] + 1, D + 1):
-        got = build_integral(IntegralName("sigmaS", j), spec, ctx)
-        expect = conjugate_by_transposition(S, j, spec, ctx)
-        assert got.base == expect.base, j
-        assert [(a.block, a.coef) for a in got.attachments] == [
-            (a.block, a.coef) for a in expect.attachments], j
+        assert sym(spec, ctx, "sigmaS", j) == S.swap_coordinates(j - 1, D - 1), j

@@ -12,7 +12,9 @@ alone, so it cannot tell apart a name that two classes share: a use of
 ``mul`` on Poly or on DiffOp keeps every ``mul`` method alive.
 
 A single-underscore name is private to its module: no module of the
-package imports one from another.
+package imports one from another.  And every name a module imports is used
+in it, except in ``__init__.py`` and on a line marked ``# noqa: F401``,
+which re-export the name.
 """
 
 import ast
@@ -74,3 +76,22 @@ def test_no_module_imports_a_private_name_of_another():
                 private += [f"{path.name}: {alias.name} from {node.module}" for alias in node.names
                             if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert not private, "private names imported: " + ", ".join(private)
+
+
+def test_every_imported_name_is_used_in_its_module():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines, tree = text.splitlines(), ast.parse(text)
+        used = _names(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if not used[bound] and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.name}: {bound}")
+    assert not unused, "imported but never used: " + ", ".join(unused)

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from blocksep.cli import main
 from blocksep.errors import (BlocksepError, ConfigError, InapplicableRelationError,
                              RelationSyntaxError)
-from blocksep.integrals import IntegralName, enumerate_integrals
+from blocksep.integrals import IntegralName, RadialContext, enumerate_integrals
 from blocksep.models import coulomb_spec, oscillator_spec
 from blocksep.relations import (
     CATALOG_NAMES,
@@ -243,6 +243,25 @@ def test_broken_premise_falls_back_to_direct_reduction(monkeypatch):
         if rel.image is not None:
             assert any(n is rel.expr for n in nodes), rel.name
             assert ocs[rel.name].to_json() == verify_relation(rel, env).to_json()
+
+
+@pytest.mark.parametrize("catalog, blocks", [("oscillator-algebra", [3, 3]), ("oscillator", [2, 2])])
+def test_a_proof_in_the_picture_builds_no_cartesian_integral(monkeypatch, catalog, blocks):
+    """Every relation here is proved in the block-radial picture, which builds
+    each integral it reads in its own context and none in the Cartesian one."""
+    from blocksep import relations
+
+    real, contexts, pictures = relations.build_integral, [], []
+
+    def recording(name, spec, ctx):
+        contexts.append(type(ctx))
+        return real(name, spec, ctx)
+
+    monkeypatch.setattr(relations, "build_integral", recording)
+    items = verify_symbolic(build_catalog(catalog, oscillator_spec(blocks)),
+                            lambda item, picture: pictures.append(picture))
+    assert all(item.passed for item in items) and set(pictures) == {"radial"}
+    assert contexts and set(contexts) == {RadialContext}
 
 
 def test_coulomb_zy_recorded_with_diagnosis():
