@@ -24,7 +24,8 @@ coordinate chain minus r^2 of the chain times f_b / r_b^2 for the potential
 blocks it carries; sigmaS[j] is the chain of every coordinate but x_j.
 ``build_integral`` writes each integral once, from the pieces of its context
 (r^2, the Laplacian and L^2 of a coordinate set, X's term for one other
-slot), which ``RadialContext`` overrides for the block-radial picture.
+slot): the Cartesian context or a block-radial picture over coarser groups
+(``models.RadialContext``, whose groups ``radial_groups`` gives).
 ``_index_ranges`` gives each one-index kind the range ``enumerate_integrals``
 lists and the range ``build_integral`` accepts; G and sigmaS check their own
 indices, and sigmaS needs S[D-1].  Boundary aliases honored by the builder:
@@ -40,9 +41,9 @@ from .errors import InvalidIntegralError
 from .models import (
     COULOMB,
     OSCILLATOR,
-    CartesianContext,
     Hierarchy,
     ModelSpec,
+    RadialContext,
     RawOperator,
     Zero,
     block_hamiltonian_raw,
@@ -51,7 +52,7 @@ from .models import (
     potential_term,
 )
 from .opalg import DiffOp
-from .ring import Coefficient, Poly
+from .ring import Coefficient
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ def structural_constant(spec: ModelSpec, kind: str, p: int) -> Fraction:
 # -- builders ---------------------------------------------------------------------
 
 
-def _casimir(ctx: CartesianContext, spec: ModelSpec, idx, blocks) -> RawOperator:
+def _casimir(ctx: RadialContext, spec: ModelSpec, idx, blocks) -> RawOperator:
     """L^2 over the coordinates idx minus r_idx^2 f_b / r_b^2 for each
     potential block b in blocks."""
     r2 = ctx.r2(idx).neg()
@@ -168,7 +169,7 @@ def _last_block(spec: ModelSpec, j: int):
         )
 
 
-def build_integral(name: IntegralName, spec: ModelSpec, ctx: CartesianContext) -> RawOperator:
+def build_integral(name: IntegralName, spec: ModelSpec, ctx: RadialContext) -> RawOperator:
     """Construct the named integral from the pieces of ``ctx``, Cartesian or
     block-radial; raises InvalidIntegralError for an unknown kind, a wrong
     number of indices or an index out of range."""
@@ -271,96 +272,3 @@ def radial_groups(spec: ModelSpec, names) -> tuple:
             run.append(a)
         groups.append(tuple(run))
     return tuple(groups)
-
-
-class RadialContext(CartesianContext):
-    """The block-radial picture of a model over a partition of its coordinates.
-
-    A group g of d_g >= 2 coordinates becomes one slot, its radius rho_g, with
-    a ring parameter l_g; a group of one coordinate stays that coordinate, the
-    case d = 1, l = 0.  The norm radical r keeps r^2 = |x|^2, the sum of every
-    rho_g^2.  With the Euler operator E_g = rho_g d + l_g of a group, the
-    pieces of the Cartesian context become, over the groups of a set:
-
-    * r^2, the sum of rho_g^2;
-    * the Laplacian, the sum of Delta_g = d^2 + (d_g + 2 l_g - 1) / rho_g d;
-    * the sum of L_ab^2 over a < b: the scalar -l_g (l_g + d_g - 2) of each
-      group, and for each pair of groups g, h (a in g, b in h)
-      rho_g^2 Delta_h + rho_h^2 Delta_g - 2 E_g E_h - d_h E_g - d_g E_h;
-    * X's term at x_k for the group g, 2 x_k Delta_g - 2 d_k E_g - d_g d_k.
-
-    Why this is exact.  Let h(x) be a product over the groups of harmonics of
-    degree l_g in each group's coordinates.  An operator that commutes with the
-    rotations of every group maps g(rho) h(x) to (O~ g)(rho) h(x), where O~ is
-    the operator the pieces above give it, and the image of a product is the
-    product of the images.  Every polynomial is a sum of such functions (the
-    Fischer decomposition in each group), and an operator that annihilates
-    every polynomial is zero.  So a relation of invariant leaves whose image is
-    zero with every l_g symbolic is zero; conversely a zero relation has a zero
-    image at every integer l_g, hence with l_g symbolic.  No float, sample or
-    probability enters either direction.
-    """
-
-    def __init__(self, spec: ModelSpec, groups: tuple):
-        self.groups = groups
-        self.group_of = {a: k for k, g in enumerate(groups) for a in g}
-        self.d = [len(g) for g in groups]
-        names = spec.param_names()
-        degrees = {}  # group -> the name of its l, which no model parameter has
-        for k, d in enumerate(self.d):
-            if d > 1:
-                degrees[k] = f"l{k + 1}"
-                while degrees[k] in names:
-                    degrees[k] += "'"
-        super().__init__([f"x{g[0] + 1}" if len(g) == 1 else f"rho{k + 1}"
-                          for k, g in enumerate(groups)],
-                         names + tuple(degrees.values()), norm_radical=spec.family == COULOMB)
-        self.l = [self.param(degrees[k]) if k in degrees else self.zero_poly()
-                  for k in range(len(groups))]
-
-    def span(self, idx) -> list:
-        """The groups whose coordinates are the coordinates idx."""
-        ks = sorted({self.group_of[a] for a in idx})
-        if sum(self.d[k] for k in ks) != len(idx):
-            raise InvalidIntegralError(f"the coordinates {list(idx)} cut a radial group")
-        return ks
-
-    def slot(self, a: int) -> int:
-        (k,) = self.span([a])
-        return k
-
-    def r2(self, idx) -> Poly:
-        return self.sum_of_squares(self.span(idx))
-
-    def euler(self, k: int) -> DiffOp:
-        return DiffOp.from_poly(self, self.x(k)).mul(DiffOp.partial(self, k)).add(
-            DiffOp.from_poly(self, self.l[k]))
-
-    def delta(self, k: int) -> DiffOp:
-        c = Coefficient.from_poly(self, self.l[k].scale(2).add(self.const_poly(self.d[k] - 1)))
-        return DiffOp.partial(self, k, 2).add(
-            DiffOp.from_coefficient(self, c.div_poly(self.x(k))).mul(DiffOp.partial(self, k)))
-
-    def laplacian(self, idx) -> DiffOp:
-        out = DiffOp.zero(self)
-        for k in self.span(idx):
-            out = out.add(self.delta(k))
-        return out
-
-    def casimir(self, idx) -> DiffOp:
-        ks = self.span(idx)
-        out = DiffOp.zero(self)
-        for n, g in enumerate(ks):
-            l, dg = self.l[g], self.d[g]
-            out = out.sub(DiffOp.from_poly(self, l.mul(l.add(self.const_poly(dg - 2)))))
-            for h in ks[n + 1:]:
-                Eg, Eh = self.euler(g), self.euler(h)
-                out = (out.add(DiffOp.from_poly(self, self.x(g, 2)).mul(self.delta(h)))
-                       .add(DiffOp.from_poly(self, self.x(h, 2)).mul(self.delta(g)))
-                       .sub(Eg.mul(Eh).scale(2)).sub(Eg.scale(self.d[h])).sub(Eh.scale(dg)))
-        return out
-
-    def x_term(self, k: int, s: int) -> DiffOp:
-        xk, dk = DiffOp.from_poly(self, self.x(k)), DiffOp.partial(self, k)
-        return (xk.mul(self.delta(s)).scale(2).sub(dk.mul(self.euler(s)).scale(2))
-                .sub(dk.scale(self.d[s])))

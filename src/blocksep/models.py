@@ -18,10 +18,11 @@ from itertools import accumulate
 
 from .errors import (
     EvaluationSingularityError,
+    InvalidIntegralError,
     InvalidPartitionError,
     UnsupportedSymbolicPotentialError,
 )
-from .opalg import DiffOp, angular_momentum
+from .opalg import DiffOp
 from .partition import Partition, make_partition
 from .ring import Coefficient, Context, Poly
 
@@ -206,46 +207,132 @@ def coulomb_spec(block_sizes, potentials=None, eta="eta") -> ModelSpec:
 # -- operator context ----------------------------------------------------------
 
 
-class CartesianContext(Context):
-    """The Cartesian context of a model, one slot per coordinate, with the
-    pieces every integral is built from: r^2, the Laplacian and the sum of
-    L_ab^2 over a set of coordinates, and X's term for one other slot.  ``integrals.RadialContext`` overrides them for the
-    block-radial picture.  A coefficient's terms are summed in their stored
-    order, so these keep theirs."""
+class RadialContext(Context):
+    """The block-radial picture of a model over a partition of its
+    coordinates, with the pieces every integral is built from.
+
+    A group g of d_g >= 2 coordinates becomes one slot, its radius rho_g, with
+    a ring parameter l_g; a group of one coordinate stays that coordinate, the
+    case d = 1, l = 0, so the picture over single coordinates
+    (``operator_context``) is the model's Cartesian context.  The norm radical
+    r keeps r^2 = |x|^2, the sum of every rho_g^2.  With the Euler operator
+    E_g = rho_g d + l_g and Delta_g = d^2 + (d_g + 2 l_g - 1) / rho_g d of a
+    group, the pieces over the groups of a set of coordinates are:
+
+    * r^2, the sum of rho_g^2;
+    * the Laplacian, the sum of Delta_g, and the Euler operator, the sum of E_g;
+    * the sum of L_ab^2 over a < b: the scalar -l_g (l_g + d_g - 2) of each
+      group, and for each pair of groups g < h (a in g, b in h)
+      -d_h E_g + rho_g^2 Delta_h - 2 E_g E_h - d_g E_h + rho_h^2 Delta_g;
+    * X's term at x_k for the group s, 2 x_k Delta_s - 2 d_k E_s - d_s d_k,
+      which is {L_ks, d_s} for a single coordinate s.
+
+    A coefficient's terms are summed in their stored order, and its atoms
+    divided out in id order, so over single coordinates the pieces keep the
+    order of the Cartesian products they equal (the pair terms above come in
+    the order of the keys of L_ab L_ab), and Delta_g builds no zero term.
+
+    Why the picture is exact.  Let h(x) be a product over the groups of
+    harmonics of degree l_g in each group's coordinates.  An operator that
+    commutes with the rotations of every group maps g(rho) h(x) to
+    (O~ g)(rho) h(x), where O~ is the operator the pieces above give it, and
+    the image of a product is the product of the images.  Every polynomial is
+    a sum of such functions (the Fischer decomposition in each group), and an
+    operator that annihilates every polynomial is zero.  So a relation of
+    invariant leaves whose image is zero with every l_g symbolic is zero;
+    conversely a zero relation has a zero image at every integer l_g, hence
+    with l_g symbolic.  No float, sample or probability enters either
+    direction.
+    """
+
+    def __init__(self, spec: ModelSpec, groups: tuple):
+        self.group_of = {a: k for k, g in enumerate(groups) for a in g}
+        self.d = [len(g) for g in groups]
+        names = spec.param_names()
+        degrees = {}  # group -> the name of its l, which no model parameter has
+        for k, d in enumerate(self.d):
+            if d > 1:
+                degrees[k] = f"l{k + 1}"
+                while degrees[k] in names:
+                    degrees[k] += "'"
+        super().__init__([f"x{g[0] + 1}" if len(g) == 1 else f"rho{k + 1}"
+                          for k, g in enumerate(groups)],
+                         names + tuple(degrees.values()), norm_radical=spec.family == COULOMB)
+        self.l = [self.param(degrees[k]) if k in degrees else self.zero_poly()
+                  for k in range(len(groups))]
+        self._euler: dict = {}  # group -> E_g, built once
+        self._delta: dict = {}  # group -> Delta_g, built once
+
+    def span(self, idx) -> list:
+        """The groups whose coordinates are the coordinates idx."""
+        ks = sorted({self.group_of[a] for a in idx})
+        if sum(self.d[k] for k in ks) != len(idx):
+            raise InvalidIntegralError(f"the coordinates {list(idx)} cut a radial group")
+        return ks
 
     def slot(self, a: int) -> int:
         """The slot that carries the coordinate x_a."""
-        return a
+        (k,) = self.span([a])
+        return k
+
+    def _group_euler(self, k: int) -> DiffOp:
+        if k not in self._euler:
+            self._euler[k] = DiffOp.from_poly(self, self.x(k)).mul(DiffOp.partial(self, k)).add(
+                DiffOp.from_poly(self, self.l[k]))
+        return self._euler[k]
+
+    def _group_delta(self, k: int) -> DiffOp:
+        if k not in self._delta:
+            out = DiffOp.partial(self, k, 2)
+            c = self.l[k].scale(2).add(self.const_poly(self.d[k] - 1))
+            if not c.is_zero():
+                c = Coefficient.from_poly(self, c).div_poly(self.x(k))
+                out = out.add(DiffOp.from_coefficient(self, c).mul(DiffOp.partial(self, k)))
+            self._delta[k] = out
+        return self._delta[k]
 
     def r2(self, idx) -> Poly:
-        return self.sum_of_squares(idx)
+        return self.sum_of_squares(self.span(idx))
 
     def laplacian(self, idx) -> DiffOp:
         out = DiffOp.zero(self)
-        for i in idx:
-            out = out.add(DiffOp.partial(self, i, 2))
+        for k in self.span(idx):
+            out = out.add(self._group_delta(k))
+        return out
+
+    def euler(self, idx) -> DiffOp:
+        out = DiffOp.zero(self)
+        for k in self.span(idx):
+            out = out.add(self._group_euler(k))
         return out
 
     def casimir(self, idx) -> DiffOp:
         """The sum of L_ab^2 over a < b in idx."""
-        idx = sorted(idx)
+        ks = self.span(idx)
         out = DiffOp.zero(self)
-        for p, a in enumerate(idx):
-            for b in idx[p + 1:]:
-                L = angular_momentum(self, a, b)
-                out = out.add(L.mul(L))
+        for n, g in enumerate(ks):
+            l, dg = self.l[g], self.d[g]
+            out = out.sub(DiffOp.from_poly(self, l.mul(l.add(self.const_poly(dg - 2)))))
+            for h in ks[n + 1:]:
+                Eg, Eh = self._group_euler(g), self._group_euler(h)
+                out = (out.sub(Eg.scale(self.d[h]))
+                       .add(DiffOp.from_poly(self, self.x(g, 2)).mul(self._group_delta(h)))
+                       .sub(Eg.mul(Eh).scale(2)).sub(Eh.scale(dg))
+                       .add(DiffOp.from_poly(self, self.x(h, 2)).mul(self._group_delta(g))))
         return out
 
     def x_term(self, k: int, s: int) -> DiffOp:
-        """The term of X at the slot k for the slot s: {L_ks, d_s}."""
-        return angular_momentum(self, k, s).anticommutator(DiffOp.partial(self, s))
+        """The term of X at the slot k for the slot s."""
+        xk, dk = DiffOp.from_poly(self, self.x(k)), DiffOp.partial(self, k)
+        return (xk.mul(self._group_delta(s)).scale(2).sub(dk.mul(self._group_euler(s)).scale(2))
+                .sub(dk.scale(self.d[s])))
 
 
-def operator_context(spec: ModelSpec) -> CartesianContext:
-    """Cartesian context for a model: D coordinates, declared parameters,
-    and the full-norm radical when the Coulomb term needs it."""
-    names = tuple(f"x{i + 1}" for i in range(spec.partition.D))
-    return CartesianContext(names, spec.param_names(), norm_radical=spec.family == COULOMB)
+def operator_context(spec: ModelSpec) -> RadialContext:
+    """The context of a model's Cartesian operators, the picture whose groups
+    are its single coordinates: D coordinates, declared parameters, and the
+    full-norm radical when the Coulomb term needs it."""
+    return RadialContext(spec, tuple((a,) for a in range(spec.partition.D)))
 
 
 # -- raw operators with potential attachments -----------------------------------
@@ -265,7 +352,7 @@ class PotentialTerm:
     block: int  # 0-based block index
 
 
-def potential_term(ctx: CartesianContext, spec: ModelSpec, block: int,
+def potential_term(ctx: RadialContext, spec: ModelSpec, block: int,
                    multiplier: Poly) -> PotentialTerm:
     """The attachment multiplier * f_block / r_block^2."""
     norm = ctx.r2(spec.partition.block_range(block))
@@ -297,7 +384,7 @@ class RawOperator:
         return RawOperator(self.base.add(other.base), self.attachments + other.attachments)
 
 
-def _hamiltonian_raw(spec: ModelSpec, ctx: CartesianContext, idx, blocks) -> RawOperator:
+def _hamiltonian_raw(spec: ModelSpec, ctx: RadialContext, idx, blocks) -> RawOperator:
     """-laplacian over the coordinates idx, plus omega^2 r_idx^2 for the
     oscillator, plus f_b / r_b^2 for each potential block b in blocks."""
     base = ctx.laplacian(idx).neg()
@@ -308,7 +395,7 @@ def _hamiltonian_raw(spec: ModelSpec, ctx: CartesianContext, idx, blocks) -> Raw
     return RawOperator(base, atts)
 
 
-def build_hamiltonian_raw(spec: ModelSpec, ctx: CartesianContext) -> RawOperator:
+def build_hamiltonian_raw(spec: ModelSpec, ctx: RadialContext) -> RawOperator:
     D = spec.partition.D
     H = _hamiltonian_raw(spec, ctx, range(D), range(spec.potential_blocks))
     if spec.family == COULOMB:
@@ -318,12 +405,12 @@ def build_hamiltonian_raw(spec: ModelSpec, ctx: CartesianContext) -> RawOperator
     return H
 
 
-def block_hamiltonian_raw(spec: ModelSpec, ctx: CartesianContext, i: int) -> RawOperator:
+def block_hamiltonian_raw(spec: ModelSpec, ctx: RadialContext, i: int) -> RawOperator:
     """H_i = -laplacian_i + omega^2 r_i^2 + f_i / r_i^2 (oscillator blocks)."""
     return _hamiltonian_raw(spec, ctx, spec.partition.block_range(i), (i,))
 
 
-def build_hamiltonian(spec: ModelSpec, ctx: CartesianContext) -> DiffOp:
+def build_hamiltonian(spec: ModelSpec, ctx: RadialContext) -> DiffOp:
     """The full Hamiltonian as an exact DiffOp; constant potentials only."""
     return build_hamiltonian_raw(spec, ctx).symbolic(spec)
 

@@ -240,26 +240,3 @@ class LinearCombination:
             if not c.is_zero():
                 out[key] = c
         return DiffOp(self.ctx, out)
-
-
-# -- common geometric operators ------------------------------------------------
-
-
-def angular_momentum(ctx: Context, a: int, b: int) -> DiffOp:
-    """L_ab = x_a d_b - x_b d_a (zero when a == b)."""
-    if a == b:
-        return DiffOp.zero(ctx)
-    xa_db = DiffOp(ctx, {_unit(ctx, b): Coefficient.from_poly(ctx, ctx.x(a))})
-    xb_da = DiffOp(ctx, {_unit(ctx, a): Coefficient.from_poly(ctx, ctx.x(b))})
-    return xa_db.sub(xb_da)
-
-
-def _unit(ctx: Context, i: int) -> tuple:
-    return tuple(1 if k == i else 0 for k in range(ctx.nx))
-
-
-def euler_operator(ctx: Context, indices) -> DiffOp:
-    out = DiffOp.zero(ctx)
-    for i in indices:
-        out = out.add(DiffOp(ctx, {_unit(ctx, i): Coefficient.from_poly(ctx, ctx.x(i))}))
-    return out

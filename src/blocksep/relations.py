@@ -31,7 +31,6 @@ from .errors import (ConfigError, InapplicableRelationError, InvalidIntegralErro
                      RelationSyntaxError, UnsupportedSymbolicPotentialError)
 from .integrals import (
     IntegralName,
-    RadialContext,
     build_integral,
     enumerate_integrals,
     radial_groups,
@@ -42,12 +41,13 @@ from .models import (
     OSCILLATOR,
     Constant,
     ModelSpec,
+    RadialContext,
     RawOperator,
     operator_context,
     oscillator_spec,
     potential_term,
 )
-from .opalg import DiffOp, LinearCombination, euler_operator
+from .opalg import DiffOp, LinearCombination
 from .report import ReportItem
 from .ring import row_reduce
 
@@ -174,8 +174,10 @@ def over(env: "OperatorEnv", rels) -> tuple:
 
 
 class OperatorEnv:
-    """Resolves integral names and structural constants over the context of one
-    model: its Cartesian context, or a block-radial one (``RadialContext``)."""
+    """Resolves integral names and structural constants over one context of a
+    model (``RadialContext``): the picture over single coordinates, which is
+    its Cartesian context, by default, or a block-radial one over coarser
+    groups."""
 
     def __init__(self, spec: ModelSpec, ctx=None):
         self.spec = spec
@@ -437,7 +439,7 @@ def catalog_proposition_A() -> RelationSet:
     env = OperatorEnv(PLANAR)
     rhs2, rhs3 = _seed_rhs(ParamRef("g1"), ParamRef("g2"), ParamRef("w2"))
     # second printed form of Z: r^2 Laplacian - Euler^2 - (g1/x^2 + g2/y^2) r^2
-    alt = _dilation_form(PLANAR, env.ctx, [0, 1], euler_operator(env.ctx, [0, 1]))
+    alt = _dilation_form(PLANAR, env.ctx, [0, 1], env.ctx.euler([0, 1]))
     rels = [
         Relation("prop-A-1-def", Comm(_Z, _H2) - _Y, note="defining relation for Y"),
         Relation("prop-A-2", Comm(_Z, _Y) - rhs2),
@@ -616,8 +618,7 @@ def correction_closed_form(spec: ModelSpec, env: OperatorEnv, j: int, literal: b
     D = spec.partition.D
     ctx = env.ctx
     idx = [a for a in range(D) if a != j - 1]
-    E = (euler_operator(ctx, range(D)).sub(DiffOp.partial(ctx, j - 1)) if literal
-         else euler_operator(ctx, idx))
+    E = ctx.euler(range(D)).sub(DiffOp.partial(ctx, j - 1)) if literal else ctx.euler(idx)
     return _dilation_form(spec, ctx, idx, E)
 
 

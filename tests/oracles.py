@@ -128,6 +128,27 @@ def formal_transpose(op: DiffOp) -> DiffOp:
     return out
 
 
+def _first_order(ctx, i: int, coef: Poly) -> DiffOp:
+    """coef d_i."""
+    unit = tuple(1 if k == i else 0 for k in range(ctx.nx))
+    return DiffOp(ctx, {unit: Coefficient.from_poly(ctx, coef)})
+
+
+def angular_momentum(ctx, a: int, b: int) -> DiffOp:
+    """L_ab = x_a d_b - x_b d_a (zero when a == b)."""
+    if a == b:
+        return DiffOp.zero(ctx)
+    return _first_order(ctx, b, ctx.x(a)).sub(_first_order(ctx, a, ctx.x(b)))
+
+
+def euler_operator(ctx, indices) -> DiffOp:
+    """The sum of x_i d_i over the coordinates indices."""
+    out = DiffOp.zero(ctx)
+    for i in indices:
+        out = out.add(_first_order(ctx, i, ctx.x(i)))
+    return out
+
+
 def substitute_params(x, bindings: dict):
     """Bind parameters of a Coefficient, or of every coefficient of a DiffOp,
     to rational values; an operator term whose coefficient vanishes drops."""

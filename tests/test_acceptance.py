@@ -216,7 +216,8 @@ def test_criterion_10_exceptional_layer():
 
 
 def test_criterion_11_engine_properties():
-    from blocksep.opalg import DiffOp, angular_momentum
+    from blocksep.opalg import DiffOp
+    from oracles import angular_momentum
     from blocksep.ring import Coefficient, Context, Poly, pack
 
     ok = True

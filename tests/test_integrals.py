@@ -1,6 +1,6 @@
 """Integral builders: displays, counts, commutation with the Hamiltonian,
-the pinned refusals and term orders of the one builder, and the pieces of
-the block-radial picture against the Cartesian ones."""
+the pinned refusals, term orders and atom orders of the one builder, and the
+pieces of the operator context against the Cartesian operators."""
 
 import hashlib
 import json
@@ -11,7 +11,6 @@ import pytest
 from blocksep.errors import InvalidIntegralError
 from blocksep.integrals import (
     IntegralName,
-    RadialContext,
     build_integral,
     enumerate_integrals,
     structural_constant,
@@ -27,8 +26,10 @@ from blocksep.models import (
     operator_context,
     oscillator_spec,
 )
-from blocksep.opalg import DiffOp, angular_momentum
+from blocksep.opalg import DiffOp
+from blocksep.relations import OperatorEnv, _dilation_form, correction_closed_form
 from blocksep.ring import Coefficient, unpack
+from oracles import angular_momentum, euler_operator
 
 
 def sym(spec, ctx, kind, *indices):
@@ -187,8 +188,6 @@ def test_sigma_S_closed_form():
     got = sym(spec, ctx, "sigmaS", j)
     # (r^2 - x_j^2)(sum_i d_i^2 - d_j^2) - (E - x_j d_j)^2 - (D-3)(E - x_j d_j)
     #   - (r^2 - x_j^2) * sum_a g_a / r_a^2
-    from blocksep.opalg import euler_operator
-
     r2_minus = ctx.sum_of_squares(range(D)).sub(ctx.x(j - 1, 2))
     lap = ctx.laplacian(range(D)).sub(DiffOp.partial(ctx, j - 1, 2))
     E = euler_operator(ctx, range(D)).sub(
@@ -306,24 +305,89 @@ def test_cartesian_integrals_keep_their_stored_order(key):
     assert _digest(got) == STORED_ORDERS[key]
 
 
-@pytest.mark.parametrize("spec", [oscillator_spec([2, 2]), oscillator_spec([1, 2, 3]),
-                                  coulomb_spec([1, 1, 2]), coulomb_spec([2, 3])],
-                         ids=["oscillator-2,2", "oscillator-1,2,3", "coulomb-1,1,2", "coulomb-2,3"])
-def test_radial_pieces_of_single_coordinates_are_the_cartesian_ones(spec):
-    """A RadialContext whose groups are single coordinates has the Cartesian
-    slots, and its pieces are the case d = 1, l = 0: every integral, and every
-    refusal, is the Cartesian one as text."""
+SIGMA_STORED_ORDERS = {
+    "2,3": "4b384bbf16f96acef088aed092c83fa8edc4895107d40b326378945764425007",
+    "1,2,2": "e169aaf39ee06eb30f426033ce65d6454389a33fe8c160372f950ab44dbb26ae",
+    "1,1,2": "f8857e295028cc8f72eec183bafa9de34ba0538684b84defe4f147f6e792a47f",
+}
+
+
+@pytest.mark.parametrize("blocks", SIGMA_STORED_ORDERS)
+def test_sigma_S_keeps_its_stored_order(blocks):
+    """sigmaS[j < D], which the test above leaves out, keeps the stored order
+    of the Casimir of every coordinate but x_j, each built in a context of its
+    own."""
+    spec = coulomb_spec([int(b) for b in blocks.split(",")])
     D = spec.partition.D
-    cart, radial = operator_context(spec), RadialContext(spec, tuple((a,) for a in range(D)))
-    assert radial.var_names == cart.var_names and radial.param_names == cart.param_names
+    got = {j: _stored(build_integral(IntegralName("sigmaS", j), spec, operator_context(spec)))
+           for j in range(D - spec.partition.block_sizes[-1] + 1, D)}
+    assert _digest(got) == SIGMA_STORED_ORDERS[blocks]
 
-    def text(got):
-        return got if isinstance(got, str) else (
-            got.base.to_text(), [(att.block, att.coef.to_text()) for att in got.attachments])
 
+ATOM_ORDERS = {
+    "oscillator-2,2": "973c4a8d883634322e7883a4c12596ce6466a643543a8c107f91159ee5ed560d",
+    "oscillator-1,2,3": "96436799a08169572a134faaefbe37293f1ed98f1fbe296ee3c3e21f21b2c196",
+    "coulomb-1,1,2": "fc478a090f68f285f26717de321427a6b4da1bedb3436bfc3200c302c882fae3",
+    "coulomb-2,3": "01abc714dd50f0a2f2e9a0af7155e4dcdeeac7a58e3a231bd1b42ed469b1ffd8",
+    "coulomb-2,2,2": "c22d681cc6842cef327bafee98b774eafd797abd834675bfaf780584db2c5151",
+}
+
+
+@pytest.mark.parametrize("key", ATOM_ORDERS)
+def test_atoms_keep_their_registration_order(key):
+    """Numeric mode divides a coefficient by its atoms in id order, so one
+    context that builds every integral registers the same atoms, each with its
+    terms in their stored order, in the same order."""
+    family, blocks = key.split("-")
+    spec = (coulomb_spec if family == "coulomb" else oscillator_spec)(
+        [int(b) for b in blocks.split(",")])
+    ctx = operator_context(spec)
     for name in _every_name(spec):
-        expect = text(_build_or_refuse(name, spec, cart))
-        assert text(_build_or_refuse(name, spec, radial)) == expect, name
+        _build_or_refuse(name, spec, ctx)
+    atoms = []
+    while True:
+        try:
+            p = ctx.atom_by_id(len(atoms)).poly
+        except IndexError:
+            break
+        atoms.append([(unpack(p.n, m), str(v)) for m, v in p.terms.items()])
+    assert _digest(atoms) == ATOM_ORDERS[key]
+
+
+@pytest.mark.parametrize("spec", [oscillator_spec([1, 2, 3]), coulomb_spec([1, 1, 2]),
+                                  coulomb_spec([2, 3])],
+                         ids=["oscillator-1,2,3", "coulomb-1,1,2", "coulomb-2,3"])
+def test_pieces_of_the_operator_context_are_the_cartesian_operators(spec):
+    """The pieces the integrals are built from equal the Cartesian operators
+    built from the oracles: the Laplacian, the sum of d_a^2, and the Casimir,
+    the sum of L_ab^2, over every run of coordinates and every set of all
+    coordinates but one; X's term {L_ks, d_s} for every k != s; and the Euler
+    operator, the sum of x_a d_a, in both dilation forms of the conjugated S."""
+    ctx = operator_context(spec)
+    D = spec.partition.D
+    runs = [range(lo, hi) for lo in range(D) for hi in range(lo + 1, D + 1)]
+    for idx in runs + [[a for a in range(D) if a != j] for j in range(D)]:
+        lap, L2 = DiffOp.zero(ctx), DiffOp.zero(ctx)
+        for a in idx:
+            lap = lap.add(DiffOp.partial(ctx, a, 2))
+            for b in idx:
+                if a < b:
+                    L = angular_momentum(ctx, a, b)
+                    L2 = L2.add(L.mul(L))
+        assert ctx.laplacian(idx) == lap, list(idx)
+        assert ctx.casimir(idx) == L2, list(idx)
+    for k in range(D):
+        for s in range(D):
+            if k != s:
+                expect = angular_momentum(ctx, k, s).anticommutator(DiffOp.partial(ctx, s))
+                assert ctx.x_term(k, s) == expect, (k, s)
+    env = OperatorEnv(spec, ctx)
+    for j in range(1, D + 1):
+        idx = [a for a in range(D) if a != j - 1]
+        printed = euler_operator(ctx, range(D)).sub(DiffOp.partial(ctx, j - 1))
+        for literal, E in ((False, euler_operator(ctx, idx)), (True, printed)):
+            assert correction_closed_form(spec, env, j, literal) == _dilation_form(
+                spec, ctx, idx, E), (j, literal)
 
 
 @pytest.mark.parametrize("blocks", [[2, 3], [1, 2, 2, 2]], ids=["2,3", "1,2,2,2"])

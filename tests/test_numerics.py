@@ -154,7 +154,7 @@ def test_coulomb_yx_numeric_agreement():
 
 def test_leibniz_numeric_consistency():
     """Normal-ordered products agree with nested numeric application."""
-    from blocksep.opalg import angular_momentum
+    from oracles import angular_momentum
     from blocksep.ring import Coefficient, Context
 
     ctx = Context(("x1", "x2"))

@@ -5,21 +5,21 @@ examples.  Randomized properties of the product are in
 import pytest
 
 from blocksep.errors import ContextMismatchError
-from blocksep.models import CartesianContext
-from blocksep.opalg import DiffOp, angular_momentum
+from blocksep.models import coulomb_spec, operator_context, oscillator_spec
+from blocksep.opalg import DiffOp
 from blocksep.ring import Coefficient, Context
-from oracles import (apply_coefficient, formal_transpose, substitute_params, termwise_product,
-                     two_product_composition)
+from oracles import (angular_momentum, apply_coefficient, formal_transpose, substitute_params,
+                     termwise_product, two_product_composition)
 
 
 @pytest.fixture
 def ctx3():
-    return CartesianContext(("x1", "x2", "x3"))
+    return Context(("x1", "x2", "x3"))
 
 
 @pytest.fixture
 def ctx2r():
-    return CartesianContext(("x1", "x2"), norm_radical=True)
+    return Context(("x1", "x2"), norm_radical=True)
 
 
 def test_weyl_relation(ctx3):
@@ -81,7 +81,7 @@ def test_so3_closure(ctx3):
 def test_L2_commutes_with_own_radius():
     """[L^2_block, r_block^2] = 0 for 2- and 3-coordinate blocks."""
     for d in (2, 3):
-        ctx = CartesianContext(tuple(f"x{i+1}" for i in range(d)))
+        ctx = operator_context(oscillator_spec([d]))
         L2 = ctx.casimir(range(d))
         r2 = DiffOp.from_poly(ctx, ctx.sum_of_squares(range(d)))
         assert L2.commutator(r2).is_zero()
@@ -114,10 +114,11 @@ def test_substitute_params_operator():
     assert substitute_params(w2r2, {"w2": 1}) == DiffOp.from_poly(ctx, ctx.x(0, 2))
 
 
-def test_formal_transpose_involution(ctx3):
-    lap = ctx3.laplacian(range(3))
+def test_formal_transpose_involution():
+    ctx = operator_context(oscillator_spec([3]))
+    lap = ctx.laplacian(range(3))
     assert formal_transpose(lap) == lap
-    d1 = DiffOp.partial(ctx3, 0)
+    d1 = DiffOp.partial(ctx, 0)
     assert formal_transpose(d1) == d1.neg()
 
 
@@ -127,9 +128,10 @@ def test_swap_coordinates(ctx3):
     assert L12.swap_coordinates(0, 0) == L12
 
 
-def test_to_text_deterministic(ctx3):
-    op = ctx3.laplacian(range(3)).neg().add(
-        DiffOp.from_poly(ctx3, ctx3.sum_of_squares(range(3)))
+def test_to_text_deterministic():
+    ctx = operator_context(oscillator_spec([3]))
+    op = ctx.laplacian(range(3)).neg().add(
+        DiffOp.from_poly(ctx, ctx.sum_of_squares(range(3)))
     )
     txt = op.to_text()
     assert txt.splitlines()[0].startswith("1 ::")
@@ -160,12 +162,12 @@ def test_to_text_golden_with_radical():
     assert op.to_text() == "1 :: (-eta*r) / [(x1^2 + x2^2)]"
 
 
-def test_jets_stay_with_their_operand(ctx2r):
+def test_jets_stay_with_their_operand():
     """One left operator composed with two right operands that have the same
     keys and different coefficients, in turn and again: every product and
     commutator equals the oracles', so the derivatives one operand keeps in
     its ``jets`` never serve the other."""
-    ctx = ctx2r
+    ctx = operator_context(coulomb_spec([2]))
     r, x1, x2 = ctx.radical_poly(), ctx.x(0), ctx.x(1)
     a = ctx.laplacian([0, 1]).add(DiffOp.from_poly(ctx, x1).mul(DiffOp.partial(ctx, 1)))
     b1 = DiffOp(ctx, {(1, 0): Coefficient.from_poly(ctx, r), (0, 0): Coefficient.from_poly(ctx, x2.mul(x2))})

@@ -3,8 +3,9 @@ verdict of the reduced picture against the direct reduction."""
 
 import pytest
 
-from blocksep.integrals import IntegralName, RadialContext, enumerate_integrals, radial_groups
-from blocksep.models import Constant, Hierarchy, Zero, coulomb_spec, oscillator_spec
+from blocksep.integrals import IntegralName, enumerate_integrals, radial_groups
+from blocksep.models import (Constant, Hierarchy, RadialContext, Zero, coulomb_spec,
+                             oscillator_spec)
 from blocksep.relations import (OperatorEnv, build_catalog, catalog_negative_controls, eval_node,
                                 radial_picture)
 from blocksep.ring import unpack
