@@ -203,13 +203,7 @@ def _check_evaluated(items: list, config: dict):
 
 def _verify_numeric(rs: RelationSet, config: dict) -> list:
     """Numeric residual items for every relation of ``rs`` that is not a record."""
-    scheme = FDScheme(order=config.get("fd_order", 8), h=config.get("fd_step", 1e-2),
-                      extended=True)
     tol = config.get("tol", 1e-5)
-    peers: dict = {}  # the relations each OperatorEnv's numeric view evaluates, in order
-    for rel, env in rs.pairs:
-        if rel.expectation != "record":
-            peers.setdefault(env, []).append(rel)
     nenvs: dict = {}  # the numeric view of each OperatorEnv, built on first use
     items = []
     for rel, env in rs.pairs:
@@ -217,7 +211,7 @@ def _verify_numeric(rs: RelationSet, config: dict) -> list:
             continue
         try:
             if env not in nenvs:
-                nenvs[env] = NumericEnv(env, config.get("params") or {}, scheme, peers[env])
+                nenvs[env] = NumericEnv(env, config.get("params") or {})
             stats = relation_residual_numeric(
                 rel,
                 nenvs[env],
@@ -225,8 +219,6 @@ def _verify_numeric(rs: RelationSet, config: dict) -> list:
                 points_per_probe=config.get("points", 10),
                 seed=config.get("seed", 20240801),
             )
-        except ConfigError as exc:
-            raise ConfigError(f"fd_step {scheme.h:g} is too large for {rel.name}: {exc}") from exc
         except OverflowError as exc:
             raise ConfigError(f"{rel.name}: a value of the relation or its model is beyond "
                               "the float range") from exc
@@ -285,12 +277,11 @@ CONFIG_FIELDS = {
                "an object of finite numbers"),
     "seed": (lambda v: _integer(v) and 0 <= v < 2**64, "an integer in [0, 2**64)"),
     "tol": (lambda v: _finite(v) and v > 0, "a positive finite number"),
-    "fd_step": (lambda v: _finite(v) and v > 0, "a positive finite number"),
-    "fd_order": (lambda v: _integer(v) and v in (4, 6, 8), "4, 6 or 8"),
     "probes": (lambda v: _integer(v) and v >= 1, "a positive integer"),
     "points": (lambda v: _integer(v) and v >= 1, "a positive integer"),
     "jobs": (_integer, "an integer"),
 }
+REMOVED_FIELDS = ("fd_order", "fd_step")  # the stencil settings of numeric mode
 
 
 def load_config(path: str | None, overrides: dict) -> dict:
@@ -306,6 +297,10 @@ def load_config(path: str | None, overrides: dict) -> dict:
     for k, v in overrides.items():
         if v is not None:
             config[k] = v
+    removed = sorted(set(config) & set(REMOVED_FIELDS))
+    if removed:
+        raise ConfigError(f"config field {removed[0]} was removed: numeric mode differentiates "
+                          "Taylor jets exactly, with no finite-difference step or order")
     unknown = set(config) - set(CONFIG_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")

@@ -69,7 +69,7 @@ class Model2F11:
         object.__setattr__(self, "B", Fraction(self.B))
 
     def value_at_s(self, s):
-        """Evaluate at s = sin(3 phi); works on floats or numpy arrays."""
+        """Evaluate at s = sin(3 phi); works on floats, numpy arrays or jets."""
         A = float(self.A)
         B = float(self.B)
         cos2 = 1.0 - s * s
@@ -107,10 +107,12 @@ AngularPotential = object  # Constant | Hierarchy | Model2F11
 
 
 def _guard_nonzero(values, message):
+    """Refuse a field, a grid's or a jet's, whose value at a point is near zero."""
     import numpy as np
 
-    arr = np.asarray(values)
-    if not np.all(np.abs(arr) >= 1e-12):  # a NaN is singular too
+    from .jets import at_points
+
+    if not np.all(np.abs(at_points(values)) >= 1e-12):  # a NaN is singular too
         raise EvaluationSingularityError(message)
 
 
@@ -419,7 +421,8 @@ def build_hamiltonian(spec: ModelSpec, ctx: RadialContext) -> DiffOp:
 
 
 def potential_cartesian_evaluator(spec: ModelSpec, i: int, params: dict | None = None):
-    """Vectorized f_i as a function of the block's Cartesian coordinates.
+    """f_i as a function of the block's Cartesian coordinates: grid arrays or
+    jets (:mod:`jets`), with the guards read at each point.
 
     Every potential is read as a tower of levels, innermost first; a bare
     Constant is a one-level tower.  The innermost value is the constant, or
@@ -445,22 +448,25 @@ def potential_cartesian_evaluator(spec: ModelSpec, i: int, params: dict | None =
     def evaluate(block_coords):
         import numpy as np
 
-        ys = [np.asarray(y) for y in block_coords]
-        ys = [y.astype(float) if y.dtype.kind != "f" else y for y in ys]
-        s2 = list(accumulate(y**2 for y in ys))  # s2[k] = s_{k+1}^2
+        from .jets import Jet, at_points
+
+        s2 = list(accumulate(y**2 for y in block_coords))  # s2[k] = s_{k+1}^2
         inner = levels[0]
         if isinstance(inner, Model2F11):
             _guard_nonzero(s2[1], "innermost sub-norm vanishes")
-            sin_phi1 = ys[0] / np.sqrt(s2[1])
+            sin_phi1 = block_coords[0] / np.sqrt(s2[1])
             value = inner.value_at_s(3 * sin_phi1 - 4 * sin_phi1**3)
         else:
-            value = np.full(np.broadcast(*ys).shape, const_value(inner))
+            value = const_value(inner) + 0 * s2[-1]  # the constant at every point of the block
         for j, lvl in enumerate(levels[1:], start=1):
             with np.errstate(invalid="ignore"):  # 0/0 where s_{j+1} = 0: NaN, refused below
                 sin2 = s2[j] / s2[j + 1]  # sin^2(phi_{j+1})
-            if np.any(np.isnan(sin2) | ((np.abs(sin2) < 1e-14) & (np.abs(value) > 0))):
+            at_sin2, at_value = at_points(sin2), at_points(value)
+            if np.any(np.isnan(at_sin2) | ((np.abs(at_sin2) < 1e-14) & (np.abs(at_value) > 0))):
                 raise EvaluationSingularityError("sin(phi) = 0 with nonzero inner potential")
-            value = const_value(lvl) + value / np.where(value == 0, 1.0, sin2)  # 0 where sin = 0
+            if not isinstance(value, Jet):  # a zero value adds 0 where sin = 0, as on a grid
+                sin2 = np.where(value == 0, 1.0, sin2)  # it may; a jet's sample point may not
+            value = const_value(lvl) + value / sin2
         return value
 
     return evaluate

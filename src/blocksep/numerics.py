@@ -1,30 +1,31 @@
-"""Finite-difference application of operators, and the 1D grid eigensolvers.
+"""Numeric application of operators: Taylor jets for verification, stencils
+for eigenchecks and as the reference; and the 1D grid eigensolvers.
 
-Operators act on scalar fields through central-difference stencils composed
-axis by axis on a local tensor grid around the evaluation point, so nested
-applications (commutators, operator products) reuse the same probe values.
-Each stencil's weights are solved exactly from their moment system by
-``ring.row_reduce``, the package's one exact linear solver, and rounded once
-to float.
-Evaluation is demand-driven: a relation's residual needs only the center
-value of its tree, and each subtree and each operator term gets only the grid
-points its parent's result needs, that result's radius plus the stencil
-margin it consumes.  Stencils and coefficient products act point by point, so
-no value depends on how far the grid around it extends, and the cropping
-changes no bit of any result.  A stencil pass is one ``np.vecdot`` of the
-weights with a window view of each point's samples along the axis, a
-contraction per point; on longdouble, which numeric verification uses, each
-sum runs in order from the first offset.  Each compiled term carries a plan
-(its coefficient key, the crop its half widths need, its nonzero-order
-passes).  Relations of one env with the same margin sample the same points
-with the same probes, a sampling group; the group's first residual call
-evaluates every member point by point and files each member's outcome in
-the env's table for that group.  At each point the members share one probe
-grid and one table of operator applications, coordinate meshes and
-coefficient arrays, which is dropped after that point.  An entry is what a
-fresh evaluation at that point would compute, so no bit changes.  Residuals are
+``verify --mode numeric`` applies each relation tree to the jets
+(:mod:`jets`) of seeded probe functions, every sample point of a run at
+once.  A probe's jet has the degree of the tree's total order; each operator
+leaf applies its terms c d^alpha, with c's jet computed once per degree and
+sampling, and truncates its output to the degree its parent still needs,
+and the tree's value is the degree-0 coefficient.  Derivatives are exact, so
+a relation that holds comes out at rounding level.  The relations of one env
+share its sample points, probe jets, coefficient jets and operator
+applications through the env's table for their sampling.  Residuals are
 normalized by the largest intermediate magnitude to absorb the cancellation
 inherent in double commutators of fourth-order products.
+
+``eigencheck`` applies H by central-difference stencils composed axis by
+axis on a local tensor grid around each point, and ``eval_tree_on_grid``
+applies a relation tree so, as the reference the jets are checked against.
+Each stencil's weights are solved exactly from their moment system by
+``ring.row_reduce``, the package's one exact linear solver, and rounded once
+to float.  Each subtree and each operator term gets only the grid points its
+parent's result needs, that result's radius plus the stencil margin it
+consumes; stencils and coefficient products act point by point, so the
+cropping changes no bit of any result.  A stencil pass is one ``np.vecdot``
+of the weights with a window view of each point's samples along the axis; on
+longdouble each sum runs in order from the first offset.  Each compiled term
+carries a plan (its coefficient key, the crop its half widths need, its
+nonzero-order passes).
 The 1D grid eigensolvers import scipy; no command runs them, and the tests
 and the benchmark check the closed forms of :mod:`spectra` against them.
 """
@@ -43,6 +44,7 @@ from .errors import (
     SingularPointError,
     UndeclaredParameterError,
 )
+from .jets import Jet
 from .models import ModelSpec, RawOperator, potential_cartesian_evaluator
 from .relations import (
     Acomm,
@@ -135,8 +137,7 @@ class ProbeFunction:
         return ProbeFunction(center, scale, tuple(terms))
 
     def __call__(self, coords):
-        coords = [np.asarray(c) for c in coords]
-        coords = [c.astype(float) if c.dtype.kind != "f" else c for c in coords]
+        """The probe at coordinate arrays or jets."""
         q = 0.0
         for c, c0 in zip(coords, self.center):
             q = q + (c - c0) ** 2
@@ -172,6 +173,7 @@ class NumericTerm:
 class NumericOperator:
     terms: tuple
     margin: int  # stencil half-width budget per application
+    order: int  # the largest total order of a term
 
 
 def compile_operator(op, spec: ModelSpec | None, params: dict, scheme: FDScheme) -> NumericOperator:
@@ -200,12 +202,13 @@ def compile_operator(op, spec: ModelSpec | None, params: dict, scheme: FDScheme)
 
         parts.append((zero_alpha, make_att(), (att.coef, tuple(att.coef.num.terms), att.block)))
     margin = max((scheme.half_width(m) for alpha, _, _ in parts for m in alpha), default=0)
+    order = max((sum(alpha) for alpha, _, _ in parts), default=0)
     terms = []
     for alpha, coef_fn, key in parts:
         crop = tuple(slice(margin - s, s - margin or None) for s in map(scheme.half_width, alpha))
         passes = tuple((axis, m) for axis, m in enumerate(alpha) if m)
         terms.append(NumericTerm(alpha, coef_fn, key, crop, passes))
-    return NumericOperator(tuple(terms), margin)
+    return NumericOperator(tuple(terms), margin, order)
 
 
 # -- local grid application ----------------------------------------------------------
@@ -297,17 +300,13 @@ def apply_numeric(op, f, x, scheme: FDScheme = FDScheme(), spec: ModelSpec | Non
 
 
 class NumericEnv:
-    """Numeric view of a model's OperatorEnv: its integrals compiled to grid
-    operators at bound parameter values, its structural constants as floats.
+    """Numeric view of a model's OperatorEnv: its integrals compiled at bound
+    parameter values, its structural constants as floats, and one
+    :class:`Sampling` per (probes, points per probe, seed), the table its
+    relations share there.  ``scheme`` serves the stencil reference
+    ``eval_tree_on_grid`` alone."""
 
-    ``peers`` are the relations a run will evaluate through this env, in
-    order.  ``groups`` maps each sampling group, (margin, probes, points,
-    seed), to its table: id(member) -> (member, which keeps its id, and its
-    stats or the exception it raised).  The group's first
-    ``relation_residual_numeric`` call fills the table, and every call reads
-    its own entry."""
-
-    def __init__(self, env: OperatorEnv, params: dict, scheme: FDScheme, peers=()):
+    def __init__(self, env: OperatorEnv, params: dict, scheme: FDScheme = FDScheme()):
         self.env = env
         self.spec = env.spec
         # parameters left unbound take defaults; ``params`` overrides them by name
@@ -322,8 +321,7 @@ class NumericEnv:
         self.scheme = scheme
         self._cache: dict = {}
         self._nodes: dict = {}
-        self.peers = tuple(peers)
-        self.groups: dict = {}
+        self.samplings: dict = {}
 
     def operator(self, name) -> NumericOperator:
         key = str(name)
@@ -332,12 +330,19 @@ class NumericEnv:
                                                 self.scheme)
         return self._cache[key]
 
+    def sampling(self, probes: int, points_per_probe: int, seed: int) -> "Sampling":
+        key = (probes, points_per_probe, seed)
+        if key not in self.samplings:
+            self.samplings[key] = Sampling(self.spec, probes, points_per_probe, seed)
+        return self.samplings[key]
+
     def compiled(self, node) -> tuple:
-        """(margin, scalar, operator) of a tree node, worked out once per env.
+        """(margin, order, scalar, operator) of a tree node, worked out once per env.
 
         ``margin`` is the stencil half width the node consumes when applied
-        to a field; ``scalar`` is the value of a node without operators and
-        None otherwise; ``operator`` is the compiled operator of an OpRef or
+        to a field and ``order`` the number of derivatives it takes at most;
+        ``scalar`` is the value of a node without operators and None
+        otherwise; ``operator`` is the compiled operator of an OpRef or
         Fixed leaf and None otherwise."""
         got = self._nodes.get(id(node))
         if got is None:  # storing the node keeps its id from being reused
@@ -348,29 +353,30 @@ class NumericEnv:
         if isinstance(node, (OpRef, Fixed)):
             nop = (self.operator(node.name) if isinstance(node, OpRef)
                    else compile_operator(node.diffop, self.spec, self.params, self.scheme))
-            return nop.margin, None, nop
+            return nop.margin, nop.order, None, nop
         if isinstance(node, Scalar):
-            return 0, float(node.value), None
+            return 0, 0, float(node.value), None
         if isinstance(node, ParamRef):
             if node.name not in self.params:
                 raise UndeclaredParameterError(f"no numeric value bound for {node.name!r}")
-            return 0, float(self.params[node.name]), None
+            return 0, 0, float(self.params[node.name]), None
         if isinstance(node, ConstRef):
-            return 0, float(self.env.constant(node.kind, node.p)), None
+            return 0, 0, float(self.env.constant(node.kind, node.p)), None
         if isinstance(node, (Comm, Acomm)):
-            return self.compiled(node.a)[0] + self.compiled(node.b)[0], None, None
+            a, b = self.compiled(node.a), self.compiled(node.b)
+            return a[0] + b[0], a[1] + b[1], None, None
         if not isinstance(node, (Sum, Prod)):
             raise TypeError(f"unknown node {node!r}")
         parts = [self.compiled(t) for t in (node.terms if isinstance(node, Sum) else node.factors)]
-        if any(scalar is None for _, scalar, _ in parts):
-            margins = [margin for margin, _, _ in parts]
-            return (max(margins) if isinstance(node, Sum) else sum(margins)), None, None
+        if any(scalar is None for _, _, scalar, _ in parts):
+            combine = max if isinstance(node, Sum) else sum
+            return combine(p[0] for p in parts), combine(p[1] for p in parts), None, None
         if isinstance(node, Sum):
-            return 0, sum(scalar for _, scalar, _ in parts), None
+            return 0, 0, sum(scalar for _, _, scalar, _ in parts), None
         value = 1.0
-        for _, scalar, _ in parts:
+        for _, _, scalar, _ in parts:
             value *= scalar
-        return 0, value, None
+        return 0, 0, value, None
 
 
 def eval_tree_on_grid(node, env: NumericEnv, values, x0, radius, magnitudes: list,
@@ -387,10 +393,9 @@ def eval_tree_on_grid(node, env: NumericEnv, values, x0, radius, magnitudes: lis
     ``applied``, which one top-level call shares with all its recursive
     calls; results are therefore shared, and no caller writes into one.
     ``applied`` is also ``apply_on_grid``'s table of coordinate meshes and
-    coefficient arrays.  It serves one point in one env for every relation of
-    a sampling group, which all start from the same probe grid there, so each
-    entry is computed once per output radius at that point and holds what a
-    fresh evaluation would.  The center value of every operator leaf and
+    coefficient arrays.  It serves one point in one env, so each entry is
+    computed once per output radius at that point and holds what a fresh
+    evaluation would.  The center value of every operator leaf and
     product this call evaluates, shared or not, is appended to
     ``magnitudes``.
     """
@@ -401,7 +406,7 @@ def eval_tree_on_grid(node, env: NumericEnv, values, x0, radius, magnitudes: lis
         return arr
 
     applied = {} if applied is None else applied
-    margin, scalar, nop = env.compiled(node)
+    margin, _, scalar, nop = env.compiled(node)
     if nop is not None:
         key = (id(nop), id(values))
         if key not in applied:  # storing the input keeps its id from being reused
@@ -422,10 +427,10 @@ def eval_tree_on_grid(node, env: NumericEnv, values, x0, radius, magnitudes: lis
     if isinstance(node, Prod):
         arr, rad = values, radius
         for f in reversed(node.factors):
-            if env.compiled(f)[1] is None:
+            if env.compiled(f)[2] is None:
                 arr, rad = eval_tree_on_grid(f, env, arr, x0, rad, magnitudes, applied)
         for f in node.factors:
-            factor = env.compiled(f)[1]
+            factor = env.compiled(f)[2]
             if factor is not None:
                 arr = arr * factor
         return record(arr), rad
@@ -482,7 +487,7 @@ def model_point_guards(spec: ModelSpec, margin_extent: float):
 _DELTA = 0.05  # the gap every grid box keeps from a coordinate hyperplane
 
 
-def sample_points(spec: ModelSpec, count: int, rng, margin_extent: float, guards=()):
+def sample_points(spec: ModelSpec, count: int, rng, margin_extent: float = 0.0, guards=()):
     """Seeded admissible points: every coordinate bounded away from zero by
     _DELTA plus the local grid extent, with random signs; rejection sampling
     keeps the stream deterministic for a fixed generator state.  Magnitudes
@@ -507,70 +512,131 @@ def sample_points(spec: ModelSpec, count: int, rng, margin_extent: float, guards
     return points
 
 
-def _has_margin(env: NumericEnv, rel: Relation, margin: int) -> bool:
-    try:
-        return env.compiled(rel.expr)[0] == margin
-    except Exception:  # the relation's own call raises this again
-        return False
+class Sampling:
+    """The seeded sample points of one (probes, points per probe, seed) and
+    the jets the relations of one env share there, each made on first use:
+    the coordinates' and the probes' jets per degree, each coefficient's jet
+    per (term key, degree), and each operator application per (operator,
+    input jet, output degree).  Probe i serves points i * points_per_probe
+    onwards, as many as ``points_per_probe``."""
+
+    def __init__(self, spec: ModelSpec, probes: int, points_per_probe: int, seed: int):
+        D = spec.partition.D
+        pts = sample_points(spec, probes * points_per_probe, np.random.default_rng(seed),
+                            guards=model_point_guards(spec, 0.0))
+        self.points = np.array(pts).T  # one row of values per coordinate
+        self.probes = [ProbeFunction.from_seed(D, seed, i) for i in range(probes)]
+        self.per_probe = points_per_probe
+        self._coords: dict = {}
+        self._fields: dict = {}
+        self._coefficients: dict = {}
+        self.applied: dict = {}
+
+    def coordinates(self, degree: int) -> list:
+        if degree not in self._coords:
+            D = len(self.points)
+            self._coords[degree] = [Jet.variable(v, k, D, degree) for k, v in enumerate(self.points)]
+        return self._coords[degree]
+
+    def field(self, degree: int) -> Jet:
+        """The probes' jet to ``degree``, each probe at its own points."""
+        if degree not in self._fields:
+            n, coords = self.per_probe, self.coordinates(degree)
+            coef = np.concatenate([
+                probe([Jet(c.coef[:, i * n:(i + 1) * n], c.dim, degree) for c in coords]).coef
+                for i, probe in enumerate(self.probes)], axis=1)
+            self._fields[degree] = Jet(coef, len(coords), degree)
+        return self._fields[degree]
+
+    def coefficient(self, term: NumericTerm, degree: int):
+        """The jet of a term's coefficient to ``degree``, or its float if constant."""
+        key = (term.key, degree)
+        if key not in self._coefficients:
+            self._coefficients[key] = term.coef_fn(self.coordinates(degree))
+        return self._coefficients[key]
+
+
+def apply_on_jets(nop: NumericOperator, field: Jet, degree: int, sampling: Sampling) -> Jet:
+    """sum_a c_a d^a applied to ``field``, whose degree is at least ``degree``
+    plus the operator's order, to ``degree``."""
+    parts = [sampling.coefficient(t, degree) * field.derive(t.alpha, degree) for t in nop.terms]
+    return sum(parts[1:], parts[0]) if parts else 0.0 * field.truncate(degree)
+
+
+def eval_tree_on_jets(node, env: NumericEnv, sampling: Sampling, field: Jet, degree: int,
+                      magnitudes: np.ndarray) -> Jet:
+    """Apply the tree (as an operator) to ``field``, whose degree is at least
+    ``degree`` plus the node's order, and return the result to ``degree``.
+
+    Each subtree gets its output degree plus the order of the operators
+    still to be applied after it.  An operator application is read from the
+    sampling's table when the same operator was applied to the same jet, to
+    the same degree, before, as the inner and outer commutator of
+    [Z, [Z, H]] both apply Z to the field, or another relation of the env
+    did; no caller writes into a jet.  ``magnitudes`` is raised, point by
+    point, to the absolute value of every operator leaf and product this
+    call evaluates, shared or not."""
+
+    def record(jet):
+        np.maximum(magnitudes, np.abs(jet.coef[0]), out=magnitudes)
+        return jet
+
+    _, order, scalar, nop = env.compiled(node)
+    if nop is not None:
+        key = (id(nop), id(field), degree)
+        if key not in sampling.applied:  # storing the input keeps its id from being reused
+            sampling.applied[key] = field, apply_on_jets(nop, field, degree, sampling)
+        return record(sampling.applied[key][1])
+    if scalar is not None:
+        return field.truncate(degree) * scalar
+    if isinstance(node, Sum):
+        total = None
+        for t in node.terms:
+            part = eval_tree_on_jets(t, env, sampling, field, degree, magnitudes)
+            total = part if total is None else total + part
+        return total
+    if isinstance(node, Prod):
+        jet, rest = field, order
+        for f in reversed(node.factors):
+            f_order, factor = env.compiled(f)[1:3]
+            if factor is None:
+                rest -= f_order
+                jet = eval_tree_on_jets(f, env, sampling, jet, degree + rest, magnitudes)
+        for f in node.factors:
+            factor = env.compiled(f)[2]
+            if factor is not None:
+                jet = jet * factor
+        return record(jet)
+    a_order, b_order = env.compiled(node.a)[1], env.compiled(node.b)[1]
+    ab = eval_tree_on_jets(node.b, env, sampling, field, degree + a_order, magnitudes)
+    ab = eval_tree_on_jets(node.a, env, sampling, ab, degree, magnitudes)
+    ba = eval_tree_on_jets(node.a, env, sampling, field, degree + b_order, magnitudes)
+    ba = eval_tree_on_jets(node.b, env, sampling, ba, degree, magnitudes)
+    return ab - ba if isinstance(node, Comm) else ab + ba
 
 
 def relation_residual_numeric(rel: Relation, env: NumericEnv, probes: int,
                               points_per_probe: int, seed: int) -> ResidualStats:
-    """Evaluate (LHS - RHS) f at seeded probe/point pairs.
+    """Evaluate (LHS - RHS) f at seeded probe/point pairs, every point at once.
 
-    The relative residual at a point is |value| / (1 + max intermediate
-    magnitude across the tree evaluation); reported are max and median.  A
-    value or scale beyond the float range raises OverflowError.
-
-    ``rel`` and the peers of ``env`` with its margin sample the same points
-    with the same probes.  Unless ``rel`` is in the table of that sampling
-    group, each member not yet there is evaluated here, point by point from
-    one probe grid and table; a member that raises leaves the evaluation, and
-    its exception is its entry.  ``rel``'s entry is returned or raised.
+    The tree is applied to the probes' jet of the degree of its total order.
+    The relative residual at a point is |value| / (1 + the largest magnitude
+    there of any operator leaf or product of the tree); reported are max and
+    median.  A value or scale beyond the float range raises OverflowError.
+    The sample points and jets come from ``env``'s table for this sampling,
+    which the env's relations share, and each entry is what this relation
+    alone would compute.
     """
-    spec, scheme = env.spec, env.scheme
-    margin = env.compiled(rel.expr)[0]
-    table = env.groups.setdefault((margin, probes, points_per_probe, seed), {})
-    if id(rel) not in table:
-        group = {id(m): m for m in (rel, *env.peers)
-                 if id(m) not in table and (m is rel or _has_margin(env, m, margin))}
-        rng = np.random.default_rng(seed)
-        D = spec.partition.D
-        extent = margin * scheme.h
-        pts = sample_points(spec, probes * points_per_probe, rng, margin_extent=extent,
-                            guards=model_point_guards(spec, extent))
-        dtype = scheme.dtype
-        samples: dict = {key: [] for key in group}  # relative residuals, or what a member raised
-        for pi in range(probes):
-            probe = ProbeFunction.from_seed(D, seed, pi)
-            for qi in range(points_per_probe):
-                x = pts[pi * points_per_probe + qi]
-                coords = _axis_coords(x, scheme.h, margin, D, dtype)
-                values = probe(coords)  # broadcasts the axes: same values, fewer operations
-                applied: dict = {}  # this point's table, for every member
-                for key, member in group.items():
-                    if not isinstance(samples[key], list):
-                        continue
-                    mags: list = []
-                    try:
-                        out, _ = eval_tree_on_grid(member.expr, env, values, x, margin, mags,
-                                                   applied)
-                        center = float(out.reshape(-1)[out.size // 2])
-                        denom = 1.0 + max(mags, default=0.0)
-                        if not (math.isfinite(center) and math.isfinite(denom)):
-                            raise OverflowError(f"a value of {member.name} is not finite")
-                    except Exception as exc:
-                        samples[key] = exc
-                        continue
-                    samples[key].append(abs(center) / denom)
-        for key, got in samples.items():
-            if not isinstance(got, Exception):
-                got = ResidualStats(float(np.max(got)), float(np.median(got)), len(got))
-            table[key] = group[key], got
-    outcome = table[id(rel)][1]
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    order = env.compiled(rel.expr)[1]
+    sampling = env.sampling(probes, points_per_probe, seed)
+    magnitudes = np.zeros(probes * points_per_probe)
+    with np.errstate(all="ignore"):  # a value beyond the float range raises below
+        out = eval_tree_on_jets(rel.expr, env, sampling, sampling.field(order), 0, magnitudes)
+    value, denom = out.coef[0], 1.0 + magnitudes
+    if not (np.all(np.isfinite(value)) and np.all(np.isfinite(denom))):
+        raise OverflowError(f"a value of {rel.name} is not finite")
+    relative = np.abs(value) / denom
+    return ResidualStats(float(np.max(relative)), float(np.median(relative)), len(relative))
 
 
 # -- 1D grid eigensolvers ---------------------------------------------------------------

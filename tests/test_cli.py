@@ -113,7 +113,8 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("values", [
-    {"probes": 0}, {"points": 0}, {"fd_order": 5}, {"fd_step": 0}, {"tol": "x"},
+    # fd_order and fd_step were removed: a once valid value is an error too
+    {"probes": 0}, {"points": 0}, {"fd_order": 8}, {"fd_step": 1e-2}, {"tol": "x"},
     {"jobs": "two"}, {"kmax": 3},
     {"catalog": 5}, {"catalog": ["oscillator"]}, {"params": {"w2": "x"}},
     {"params": {"w2": True}}, {"params": {"w2": math.nan}}, {"params": [1]},
@@ -132,17 +133,19 @@ def test_bad_config_values_exit_two(runner, tmp_path, values):
     assert "config error:" in res.output
 
 
-def test_fd_step_too_large_for_the_sampling_box_exit_two(runner, tmp_path):
-    """A grid wider than the sampling box admits is a config error naming fd_step."""
+@pytest.mark.parametrize("key, value", [("fd_order", 8), ("fd_step", 0.2)])
+def test_removed_finite_difference_keys_exit_two(runner, tmp_path, key, value):
+    """Numeric mode has no stencil settings any more: a config that names one
+    is a config error that says the key was removed."""
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"catalog": "oscillator-algebra", "blocks": [2, 1],
-                                  "mode": "numeric", "fd_step": 0.2, "probes": 1,
-                                  "points": 2}))
+                                  "mode": "numeric", key: value, "probes": 1, "points": 2}))
     res = runner.invoke(main, ["verify", "--config", str(config)])
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
-    assert "config error:" in res.output
-    assert "fd_step 0.2" in res.output
+    assert res.output == (f"config error: config field {key} was removed: numeric mode "
+                          "differentiates Taylor jets exactly, with no finite-difference step "
+                          "or order\n")
 
 
 @pytest.mark.parametrize("config, args", [
@@ -365,50 +368,51 @@ def test_erratum_control_on_a_last_block_of_one_exit_two(runner):
                           "coordinates: on one, Z[N-1] is S[D-1] and the display holds\n")
 
 
-# SHA-256 of each numeric report without its runtime_info: residuals in x87
-# extended precision; the first two recorded before the stencil pass became
-# one contraction
+# The numeric digests are of float64 Taylor-jet residuals.  Every jet
+# operation is an IEEE sum, product, quotient or square root except exp, so
+# they hold where numpy's float64 exp gives the bits it gave where they were
+# recorded (its AVX-512 kernel, on x86-64); elsewhere they are skipped.
+_EXP_BITS = hashlib.sha256(np.exp(-np.linspace(0.0, 4.0, 4097)).tobytes()).hexdigest()
+JET_DIGESTS = pytest.mark.skipif(
+    _EXP_BITS != "18b4c31c437dd428dd1b6f900a945b60e4d4c09e3c7453f716e3a0bda1741c24",
+    reason="the digests are of numpy's float64 exp on another kernel")
+
+# SHA-256 of each numeric report without its runtime_info, recorded when
+# numeric mode came to evaluate on Taylor jets
 PINNED_NUMERIC = [
     pytest.param({"catalog": "oscillator-algebra", "params": {"w2": 1.0}, "model": spec_to_json(
         oscillator_spec([2, 1], (model2_potential(2, 4, 1), Zero())))},
-        "75a692b417c433f04763bd95a7097b339fd0d6d9b219a5eef71842f0b7475a7e",
+        "b395391aeac5568224692844b01e40a694c3a88ca4719fc7e241039d1a4fb3c6",
         id="oscillator-algebra-model2-2,1"),
-    # re-pinned when the seed control came to run on the planar model: its note
-    # names the unbound coupling g1, and no other byte changed
+    # the seed control runs on the planar model, and its note names the unbound
+    # coupling g1
     pytest.param({"catalog": "negative-controls", "blocks": [1, 2]},
-                 "2a8cfd9d02e18e1ee1b96ef539b11aabc7e3ef40e230c8df23abaf63055754e2",
+                 "7f89a68483962efb93e6c1980da54e643254156ab66358135d7f9eb34055ba03",
                  id="negative-controls-1,2"),
-    # a coulomb-family model, whose Hcoul and X coefficients carry the norm radical
-    # r; recorded before Coefficient.deriv came to read the derivative of an equal
-    # coefficient from a table, whose terms may sit in another order than a fresh
-    # derivative's, and a coefficient's terms are summed in their order
+    # a coulomb-family model, whose Hcoul and X coefficients carry the norm radical r
     pytest.param({"catalog": "coulomb-commutativity", "blocks": [1, 2], "seed": 5},
-                 "71f5e21d487cd5f63a33c38e4b34f16a52a023ade6fa48aeb12d1e1f4964495f",
+                 "fe3e43fff8672e079e7d7ccd7bb89188a5fd54de9af1640983f23d602088251e",
                  id="coulomb-commutativity-1,2"),
     # towers of constant levels over a Zero or a Constant block, and a model2 level
-    # under a constant one; recorded before one level loop came to evaluate every
-    # potential.  The six G[1,2] items of each are inapplicable by design.
+    # under a constant one.  The six G[1,2] items of each are inapplicable by design.
     pytest.param({"catalog": "oscillator-commutativity", "params": {"w2": 1.0}, "model": spec_to_json(
         oscillator_spec([3, 1], (Hierarchy((Constant(Fraction(1, 3)), Constant(2))), Zero())))},
-        "984a3a66417ee431b0e4ea8a065b15d4886b8ea29d82ee809d6dc187153f076e",
+        "d2280635e5774e20cc4f5bcc9faa1b68adce0f232757c2d299afd5ad7ccde51f",
         id="oscillator-commutativity-constant-tower-3,1"),
     pytest.param({"catalog": "oscillator-commutativity", "params": {"w2": 1.0}, "model": spec_to_json(
         oscillator_spec([3, 1], (Hierarchy((Model2F11(4, 1), Constant(Fraction(5, 7)))),
                                  Constant(Fraction(3, 2)))))},
-        "d38d3ba441e7bed2143fb4d5ca41647e0d953637c4ce6cdf668c5f5c79357ec6",
+        "f37778d5197a7ab5a4aff45c2cff4bd23348afcfd2ac704433e7923fb096fc16",
         id="oscillator-commutativity-model2-tower-3,1"),
-    # both passes, recorded while the symbolic pass built every leaf in the
-    # Cartesian context; it now proves these relations in the block-radial
-    # picture and builds none there, and the numeric pass builds what it reads
+    # both passes; the numeric pass builds what it reads
     pytest.param({"catalog": "oscillator", "blocks": [2, 2], "mode": "both",
                   "params": {"w2": 1.0, "beta1": 0.5, "beta2": 0.75}},
-                 "88475ee014be5e39ed8dd05895d38fad4c692d77df33046654bcdca9c081e345",
+                 "669b859179439186dc3e52b476855220c69decf018fee2f56619cf47b149334b",
                  id="oscillator-both-2,2"),
 ]
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
-                    reason="the digests are of x87 80-bit longdouble residuals")
+@JET_DIGESTS
 @pytest.mark.parametrize("source, digest", PINNED_NUMERIC)
 def test_numeric_report_matches_its_pinned_digest(source, digest):
     config = {"mode": "numeric", "probes": 2, "points": 3, "seed": 7} | source
@@ -421,12 +425,13 @@ def _items_digest(items) -> str:
 
 
 # Relation files in numeric mode on [2,2] at probes 2, points 3, seed 5, where
-# relations of one margin share their sample points.  Each ends as it did when
-# every relation was sampled on its own: with the same config error, naming
-# the same relation, or with report items of the SHA-256 recorded then.
+# the relations of one env share their sample points and jets.  Each ends as
+# it did when every relation was sampled on its own: with the same config
+# error, naming the same relation, or with report items of the SHA-256
+# recorded when numeric mode came to evaluate on Taylor jets.
 _GOOD_FILE = "ok-1: [Z[2], T[2]]\nok-2: [T[2], Z[2]]\nsmall: G[1,2] - T[1]\nok-3: [Z[2], Hsum[2]] + [Hsum[2], Z[2]]\n"
 MIXED_FILES = [
-    # H[2] holds omega2 = 1e400, so `big` raises at the first point, a peer of ok-1
+    # H[2] holds omega2 = 1e400, so `big` raises after ok-1 has sampled its env
     pytest.param("ok-1: [Z[2], T[2]]\nbig: [Z[2], H[2]] - [Z[2], H[2]]\nok-2: [T[2], Z[2]]\n",
                  {"model": {"family": "oscillator", "blocks": [2, 2], "omega2": "1e400"}},
                  ("error", "big: a value of the relation or its model is beyond the float range"),
@@ -434,17 +439,17 @@ MIXED_FILES = [
     pytest.param("ok-1: [Z[2], T[2]]\ntypo: [H[9], Z[2]]\nok-2: [T[2], Z[2]]\n", {},
                  ("error", "relation typo: H index 9 out of [1,2]"), id="fails-to-compile"),
     pytest.param("small: G[1,2] - T[1]\nwide-1: [Z[2], T[2]]\nwide-2: [T[2], Z[2]]\n",
-                 {"fd_step": 0.2}, ("error", "fd_step 0.2 is too large for wide-1: a grid of extent "
-                                    "1.6 needs coordinate magnitudes in [1.7, 1.45), which is empty"),
-                 id="grid-too-wide"),
+                 {"fd_step": 0.2}, ("error", "config field fd_step was removed: numeric mode "
+                                    "differentiates Taylor jets exactly, with no "
+                                    "finite-difference step or order"),
+                 id="removed-fd-step"),
     pytest.param(_GOOD_FILE, {},
-                 ("items", "ddae8b4102e56fc6608adb0d8333f597281a3085a31a931ddf69c5857363ac1d"),
+                 ("items", "525c5d8026ce9b313d65a7205302f215d21b310cca4fcb300a6c8e99560cc9ee"),
                  id="good"),
 ]
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
-                    reason="the pinned digest is of x86 extended-precision residuals")
+@JET_DIGESTS
 @pytest.mark.parametrize("text, extra, outcome", MIXED_FILES)
 def test_relation_file_with_a_raising_relation_ends_as_before(tmp_path, text, extra, outcome):
     rel = tmp_path / "mixed.rel"
@@ -453,17 +458,17 @@ def test_relation_file_with_a_raising_relation_ends_as_before(tmp_path, text, ex
               "points": 3, "seed": 5} | extra
     kind, want = outcome
     if kind == "items":
-        assert _items_digest(run_verify(config).items) == want
+        assert _items_digest(run_verify(load_config(None, config)).items) == want
     else:
         with pytest.raises(ConfigError) as exc:
-            run_verify(config)
+            run_verify(load_config(None, config))
         assert str(exc.value) == want
 
 
 def _mixed_relation_set(first_raises: bool):
-    """Relations of one env on [2,2]: most of margin 8, one of which raises at
+    """Relations of one env on [2,2]: most of order 4, one of which raises at
     its first point (a Fixed leaf whose coefficient holds an unbound parameter
-    q) and one whose tree fails to compile, plus a record and one of margin 4."""
+    q) and one whose tree fails to compile, plus a record and one of order 2."""
     from blocksep.integrals import IntegralName
     from blocksep.opalg import DiffOp
     from blocksep.relations import Comm, Fixed, OperatorEnv, OpRef, ParamRef, Relation, RelationSet
@@ -488,18 +493,17 @@ def _mixed_relation_set(first_raises: bool):
     return RelationSet(tuple((r, env) for r in rels))
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
-                    reason="the pinned digest is of x86 extended-precision residuals")
+@JET_DIGESTS
 @pytest.mark.parametrize("first_raises, digest", [
-    (False, "555d3426298e0a0efae7deed600516a1f02455f0fb79bc68bb4518de7d3ec96f"),
-    (True, "10db9c4702ec40521a9655e27529b198496ed3134fb25c15d09ce972ddb98652"),
+    (False, "02770cca44310edab375ba5b360a1ddaed3311ef7b74c79021be05cbb99df1ac"),
+    (True, "251850fdaeae2bb6320ee4b32e9048d60a032f7fa0375f5943b49b703f0af77d"),
 ], ids=["peer-raises", "lead-raises"])
 def test_grouped_numeric_items_equal_each_relation_alone(first_raises, digest):
     """A relation that raises at a point is reported inapplicable with its own
-    note, whether or not its call is its group's first, and a tree that fails
-    to compile stays out of the group: the items equal those of each relation
-    sampled alone, and their SHA-256 recorded before relations shared sample
-    points."""
+    note, whether or not its call is its env's first, and so is a tree that
+    fails to compile: the items equal those of each relation sampled alone,
+    and their SHA-256 is the one recorded when numeric mode came to evaluate
+    on Taylor jets."""
     from blocksep.relations import RelationSet
 
     config = {"probes": 2, "points": 3, "seed": 5}
@@ -755,7 +759,8 @@ def test_params_naming_no_model_parameter_exit_two(runner, tmp_path, params):
 def test_non_finite_numeric_residual_exit_two(runner, tmp_path, lines):
     """eta^2 overflows float64 inside the coefficient values without raising;
     the non-finite value is a config error, never a NaN in the report, also
-    for a relation sampled as the peer of another."""
+    for a relation sampled after another of its env, and numpy prints no
+    overflow warning: a fresh interpreter's stderr is the error line alone."""
     rel, cfg = tmp_path / "user.rel", tmp_path / "cfg.json"
     rel.write_text("\n".join(lines) + "\n")
     cfg.write_text(json.dumps({"family": "coulomb", "blocks": [1, 1], "mode": "numeric",
@@ -767,6 +772,12 @@ def test_non_finite_numeric_residual_exit_two(runner, tmp_path, lines):
     assert res.output == ("config error: a: a value of the relation or its model is beyond "
                           "the float range\n")
     assert not out.exists()
+    src = os.path.dirname(os.path.dirname(blocksep.__file__))
+    fresh = subprocess.run([sys.executable, "-m", "blocksep.cli", "verify", "--config", str(cfg),
+                            "--relation-file", str(rel)], env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, timeout=120)
+    assert fresh.returncode == 2 and "RuntimeWarning" not in fresh.stderr
+    assert fresh.stderr == res.output
 
 
 @pytest.mark.parametrize("catalog", ["coulomb", "coulomb-yx"])

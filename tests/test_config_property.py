@@ -38,8 +38,6 @@ README_RULES = {
     "params": lambda v: isinstance(v, dict) and all(_finite_number(x) for x in v.values()),
     "seed": lambda v: _json_integer(v) and 0 <= v <= 2**64 - 1,
     "tol": lambda v: _finite_number(v) and v > 0,
-    "fd_step": lambda v: _finite_number(v) and v > 0,
-    "fd_order": lambda v: _json_integer(v) and v in {4, 6, 8},
     "probes": lambda v: _json_integer(v) and v > 0,
     "points": lambda v: _json_integer(v) and v > 0,
     "jobs": _json_integer,
@@ -79,6 +77,17 @@ def _check(key, value):
 
 def test_the_table_is_the_documented_field_set():
     assert set(CONFIG_FIELDS) == set(README_RULES)
+
+
+def test_removed_fields_are_refused_with_any_value():
+    """fd_order and fd_step, the stencil settings numeric mode had, are
+    refused with a message that they were removed, whatever their value."""
+    for key in ("fd_order", "fd_step"):
+        for value in EDGES:
+            if value is None:
+                continue
+            with pytest.raises(ConfigError, match=f"config field {key} was removed"):
+                load_config(None, {key: value})
 
 
 def test_edge_values_of_every_field():

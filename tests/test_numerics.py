@@ -397,27 +397,29 @@ def test_equal_coefficients_in_another_term_order_keep_their_own_entries():
 
 
 def test_each_coefficient_once_per_point_and_only_nonzero_passes(monkeypatch):
-    """On the criterion 7 model, every top-level evaluation (one relation, one
-    probe, one point) evaluates each (coefficient key, output radius) at most
-    once, and every stencil pass has m >= 1, one per nonzero order of each
-    applied term."""
+    """On the criterion 7 model, the relations of one env evaluate each
+    (coefficient key, degree) once, at every sample point at once, and every
+    residual is at rounding level; the stencil reference differentiates each
+    applied term once per nonzero order, and never with m = 0."""
     import dataclasses
 
     from blocksep import numerics
+    from blocksep.numerics import _axis_coords, eval_tree_on_grid
 
     real_compile, real_apply = numerics.compile_operator, numerics.apply_on_grid
-    real_stencil, real_eval = numerics._stencil_axis, numerics.eval_tree_on_grid
-    seen, depth = [], [0]
-    counts = {"evaluations": 0, "passes": 0, "planned": 0, "points": 0}
+    real_stencil = numerics._stencil_axis
+    seen, counts = set(), {"evaluations": 0, "passes": 0, "planned": 0}
 
     def counting_compile(*args):
         nop = real_compile(*args)
 
         def counted(term):
             def fn(coords):
-                radius = coords[0].shape[0] // 2
-                assert (term.key, radius) not in seen[-1]
-                seen[-1].add((term.key, radius))
+                if isinstance(coords[0], np.ndarray):  # a grid of the reference
+                    return term.coef_fn(coords)
+                key = (term.key, coords[0].degree)
+                assert key not in seen and coords[0].coef.shape[1] == 2
+                seen.add(key)
                 counts["evaluations"] += 1
                 return term.coef_fn(coords)
 
@@ -434,28 +436,26 @@ def test_each_coefficient_once_per_point_and_only_nonzero_passes(monkeypatch):
         counts["passes"] += 1
         return real_stencil(values, axis, m, h, scheme)
 
-    def counting_eval(*args):
-        if not depth[0]:
-            seen.append(set())
-            counts["points"] += 1
-        depth[0] += 1
-        try:
-            return real_eval(*args)
-        finally:
-            depth[0] -= 1
-
     monkeypatch.setattr(numerics, "compile_operator", counting_compile)
     monkeypatch.setattr(numerics, "apply_on_grid", counting_apply)
     monkeypatch.setattr(numerics, "_stencil_axis", counting_stencil)
-    monkeypatch.setattr(numerics, "eval_tree_on_grid", counting_eval)
-    spec, env = _criterion_7_env(FDScheme(extended=True))
+    scheme = FDScheme(extended=True)
+    spec, env = _criterion_7_env(scheme)
     rels = oscillator_quadratic_relations(spec, 2)
     for rel in rels:
         st = relation_residual_numeric(rel, env, probes=1, points_per_probe=2, seed=3)
-        assert st.max_relative < 1e-5
-    assert counts["points"] == 2 * len(rels)
+        assert st.samples == 2 and st.max_relative < 1e-12
+    assert 0 < counts["evaluations"] == len(seen)
+    # every leaf has order 2 and every tree order 4 or 6, so a leaf's output
+    # degree is 0, 2 or 4
+    assert {degree for _, degree in seen} == {0, 2, 4}
+    assert counts["planned"] == 0  # no stencil in numeric verification
+    x = sample_points(spec, 1, np.random.default_rng(3), margin_extent=0.2)[0]
+    for rel in rels:
+        margin = env.compiled(rel.expr)[0]
+        values = ProbeFunction.from_seed(3, 3)(_axis_coords(x, scheme.h, margin, 3, scheme.dtype))
+        eval_tree_on_grid(rel.expr, env, values, x, margin, [])
     assert counts["passes"] == counts["planned"] > 0
-    assert 0 < counts["evaluations"] == sum(len(s) for s in seen)
 
 
 def test_fixed_node_compiled_once_per_relation(monkeypatch):
@@ -521,56 +521,55 @@ def _outcome(call):
 _CRITERION_7_SPEC = oscillator_spec([2, 1], (model2_potential(2, 4, 1), Zero()))
 
 
-@pytest.mark.parametrize("extended", [False, True], ids=["float64", "longdouble"])
 @pytest.mark.parametrize("catalog, spec", [
     ("oscillator-algebra", _CRITERION_7_SPEC),
     ("oscillator-commutativity", oscillator_spec([2, 2])),
 ], ids=["criterion-7", "commutativity-2,2"])
-def test_grouped_stats_equal_each_relation_alone(extended, catalog, spec):
-    """Each relation's stats from a run whose envs know their relations, so
-    that relations of one margin share probe grids and point tables, equal
-    its stats from a fresh env that samples it alone, float for float; on
-    longdouble, run_verify's report holds the same stats."""
+def test_grouped_stats_equal_each_relation_alone(catalog, spec):
+    """Each relation's stats through an env that its catalog's other
+    relations use too, so that they share sample points, probe jets,
+    coefficient jets and operator applications, equal its stats from a fresh
+    env that samples it alone, float for float; run_verify's report holds the
+    same stats."""
     from blocksep.cli import build_catalog, run_verify
     from blocksep.numerics import ResidualStats
 
-    scheme, sampling = FDScheme(extended=extended), (2, 2, 7)
+    sampling = (2, 2, 7)
     pairs = [(rel, env) for rel, env in build_catalog(catalog, spec).pairs
              if rel.expectation != "record"]
-    peers: dict = {}
+    nenvs = {env: NumericEnv(env, {"w2": 1.0}) for _, env in pairs}
+    alone, fresh_applications = {}, 0
     for rel, env in pairs:
-        peers.setdefault(env, []).append(rel)
-    nenvs = {env: NumericEnv(env, {"w2": 1.0}, scheme, rels) for env, rels in peers.items()}
-    alone = {}
-    for rel, env in pairs:
-        grouped = _outcome(lambda: relation_residual_numeric(rel, nenvs[env], *sampling))
-        alone[rel.name] = _outcome(lambda: relation_residual_numeric(
-            rel, NumericEnv(env, {"w2": 1.0}, scheme), *sampling))
-        assert grouped == alone[rel.name], rel.name
-    tables = [table for n in nenvs.values() for table in n.groups.values()]
-    assert any(len(table) > 1 for table in tables)  # some relation was sampled with a peer
-    assert all(any(id(rel) in table for table in nenvs[env].groups.values()) for rel, env in pairs)
-    if extended:
-        report = run_verify({"catalog": catalog, "model": spec_to_json(spec), "mode": "numeric",
-                             "params": {"w2": 1.0}, "probes": 2, "points": 2, "seed": 7})
-        for item in report.items:
-            if item.residual is not None:
-                assert ResidualStats(**item.residual) == alone[item.name.removesuffix("[numeric]")]
+        shared = _outcome(lambda: relation_residual_numeric(rel, nenvs[env], *sampling))
+        fresh = NumericEnv(env, {"w2": 1.0})
+        alone[rel.name] = _outcome(lambda: relation_residual_numeric(rel, fresh, *sampling))
+        assert shared == alone[rel.name], rel.name
+        fresh_applications += sum(len(s.applied) for s in fresh.samplings.values())
+    tables = [s for n in nenvs.values() for s in n.samplings.values()]
+    assert len(tables) == len(nenvs)  # every relation of an env samples the same points
+    assert sum(len(s.applied) for s in tables) < fresh_applications  # some were shared
+    report = run_verify({"catalog": catalog, "model": spec_to_json(spec), "mode": "numeric",
+                         "params": {"w2": 1.0}, "probes": 2, "points": 2, "seed": 7})
+    for item in report.items:
+        if item.residual is not None:
+            assert ResidualStats(**item.residual) == alone[item.name.removesuffix("[numeric]")]
 
 
 @pytest.mark.parametrize("raiser", [0, 1], ids=["lead", "peer"])
 def test_a_relation_raising_at_its_fourth_point_ends_as_alone(monkeypatch, raiser):
-    """A relation whose Fixed leaf raises at the fourth of six points leaves
-    the group, and its own call raises the same error; when its call is the
-    group's first, the table then holds its exception and its peers' stats.
-    Every outcome equals that of the relation sampled alone."""
+    """A relation whose Fixed leaf's coefficient refuses the fourth of six
+    sample points, as a potential's guard refuses a singular point, raises
+    that error from its own call, whether or not it is the first relation of
+    its env to be sampled; its peers' stats and its outcome equal those of
+    each relation sampled alone."""
     import dataclasses
     from fractions import Fraction
 
     from blocksep import numerics
     from blocksep.errors import EvaluationSingularityError
     from blocksep.integrals import IntegralName
-    from blocksep.numerics import ResidualStats
+    from blocksep.jets import at_points
+    from blocksep.numerics import ResidualStats, model_point_guards
     from blocksep.relations import Comm, Fixed, OpRef, Relation
     from blocksep.ring import Coefficient
 
@@ -578,6 +577,7 @@ def test_a_relation_raising_at_its_fourth_point_ends_as_alone(monkeypatch, raise
     env = OperatorEnv(spec)
     Z, Hs = OpRef(IntegralName("Z", 2)), OpRef(IntegralName("Hsum", 2))
     marker = DiffOp.from_coefficient(env.ctx, Coefficient.const(env.ctx, Fraction(7, 3)))
+    fourth = sample_points(spec, 6, np.random.default_rng(5), guards=model_point_guards(spec, 0.0))[3]
     real = numerics.compile_operator
 
     def compile_raising(op, *args):
@@ -585,13 +585,9 @@ def test_a_relation_raising_at_its_fourth_point_ends_as_alone(monkeypatch, raise
         if op is not marker:
             return nop
         term, = nop.terms
-        centers: list = []
 
         def fn(coords):
-            center = tuple(float(c.reshape(-1)[c.size // 2]) for c in coords)
-            if center not in centers:
-                centers.append(center)
-            if len(centers) == 4:
+            if fourth[0] in at_points(coords[0]):
                 raise EvaluationSingularityError("the fourth point")
             return term.coef_fn(coords)
 
@@ -599,22 +595,18 @@ def test_a_relation_raising_at_its_fourth_point_ends_as_alone(monkeypatch, raise
 
     monkeypatch.setattr(numerics, "compile_operator", compile_raising)
     rels = [Relation("lead", Comm(Z, Hs)), Relation("peer", Comm(Hs, Z)),
-            Relation("other-margin", Z - Z)]
+            Relation("other-order", Z - Z)]
     rels.insert(raiser, Relation("raises", Comm(Z, Hs) + Fixed(marker), expectation="nonzero"))
-    scheme, sampling = FDScheme(extended=True), (2, 3, 5)
-    shared = NumericEnv(env, {}, scheme, rels)
-    for i, rel in enumerate(rels):
+    sampling = (2, 3, 5)
+    shared = NumericEnv(env, {})
+    for rel in rels:
         got = _outcome(lambda: relation_residual_numeric(rel, shared, *sampling))
-        if i == 0 and raiser == 0:
-            (table,) = shared.groups.values()
-            filed = {member.name: outcome for member, outcome in table.values()}
-            assert isinstance(filed.pop("raises"), EvaluationSingularityError)
-            assert sorted(filed) == ["lead", "peer"]
-            assert all(isinstance(stats, ResidualStats) for stats in filed.values())
         assert got == _outcome(lambda: relation_residual_numeric(
-            rel, NumericEnv(env, {}, scheme), *sampling)), rel.name
+            rel, NumericEnv(env, {}), *sampling)), rel.name
         if rel.name == "raises":
             assert got == (EvaluationSingularityError, "the fourth point")
+        else:
+            assert isinstance(got, ResidualStats) and got.max_relative < 1e-12
 
 
 _NUM_RESIDUAL = {"catalog": "oscillator-algebra", "model": spec_to_json(_CRITERION_7_SPEC),
@@ -643,15 +635,17 @@ def test_run_verify_calls_the_residual_through_cli_once_per_relation(monkeypatch
         assert calls == [item.name.removesuffix("[numeric]") for item in report.items]
 
 
-def test_relations_of_one_margin_share_probe_grids_and_applications(monkeypatch):
-    """On the criterion 7 benchmark config (probes 5, points 10) the two
-    relations of margin 12 share each probe grid and every operator
-    application to it: 100 probe evaluations, not 150, and 1,550
-    applications, not 1,750."""
+def test_relations_of_one_env_share_probe_jets_and_applications(monkeypatch):
+    """On the criterion 7 benchmark config (probes 5, points 10) the three
+    relations share one set of sample points: each probe is evaluated once
+    per degree (4 and 6), and each operator application to a shared jet
+    once: 30 applications, not the 35 of each relation alone, and no
+    stencil."""
     from blocksep import cli, numerics
 
-    counts = {"probe": 0, "apply": 0}
-    real_call, real_apply = ProbeFunction.__call__, numerics.apply_on_grid
+    counts = {"probe": 0, "apply": 0, "grid": 0}
+    real_call, real_apply = ProbeFunction.__call__, numerics.apply_on_jets
+    real_grid = numerics.apply_on_grid
 
     def counting_call(self, coords):
         counts["probe"] += 1
@@ -661,11 +655,16 @@ def test_relations_of_one_margin_share_probe_grids_and_applications(monkeypatch)
         counts["apply"] += 1
         return real_apply(*args)
 
+    def counting_grid(*args):
+        counts["grid"] += 1
+        return real_grid(*args)
+
     monkeypatch.setattr(ProbeFunction, "__call__", counting_call)
-    monkeypatch.setattr(numerics, "apply_on_grid", counting_apply)
+    monkeypatch.setattr(numerics, "apply_on_jets", counting_apply)
+    monkeypatch.setattr(numerics, "apply_on_grid", counting_grid)
     report = cli.run_verify(_NUM_RESIDUAL | {"probes": 5, "points": 10, "seed": 3})
     assert [item.residual["samples"] for item in report.items] == [50] * 3
-    assert counts == {"probe": 100, "apply": 1550}
+    assert counts == {"probe": 10, "apply": 30, "grid": 0}
 
 
 def test_coefficient_values_equal_a_tuple_exponent_evaluation():
@@ -705,6 +704,55 @@ def test_coefficient_values_equal_a_tuple_exponent_evaluation():
             want = want / tuple_value(ctx.atom_by_id(aid).poly, values) ** e
         for _ in range(2):
             assert np.array_equal(c.eval_numeric(coords, {}), want)
+
+
+_REFERENCE_CONFIGS = [
+    pytest.param({"catalog": "oscillator-algebra", "model": spec_to_json(_CRITERION_7_SPEC),
+                  "params": {"w2": 1.0}}, id="oscillator-algebra-model2-2,1"),
+    pytest.param({"catalog": "oscillator", "blocks": [2, 2],
+                  "params": {"w2": 1.0, "beta1": 0.5, "beta2": 0.75}}, id="oscillator-2,2"),
+    pytest.param({"catalog": "coulomb-commutativity", "blocks": [1, 2]},
+                 id="coulomb-commutativity-1,2"),
+    pytest.param({"catalog": "coulomb-yx", "blocks": [2, 2]}, id="coulomb-yx-2,2"),
+]
+
+
+@pytest.mark.parametrize("source", _REFERENCE_CONFIGS)
+def test_jets_agree_with_the_stencil_reference(source):
+    """Each relation's value at each sample point, from jets, agrees with the
+    order-8 longdouble stencil reference (eval_tree_on_grid) to 1e-5 of the
+    residual's denominator there; a point whose grid box the model's guards
+    refuse is left out.  Every relation expected zero has a jet residual of
+    at most 1e-12."""
+    from blocksep import cli
+    from blocksep.numerics import (_axis_coords, eval_tree_on_grid, eval_tree_on_jets,
+                                   model_point_guards)
+
+    scheme = FDScheme(order=8, extended=True)
+    spec = cli._verify_model(source)
+    pairs = [(rel, env) for rel, env in cli.build_catalog(source["catalog"], spec).pairs
+             if rel.expectation != "record"]
+    for rel, env in pairs:
+        nenv = NumericEnv(env, source.get("params", {}), scheme)
+        margin, order = nenv.compiled(rel.expr)[:2]
+        guards = model_point_guards(env.spec, margin * scheme.h)
+        sampling = nenv.sampling(2, 3, 7)
+        mags = np.zeros(6)
+        jets = eval_tree_on_jets(rel.expr, nenv, sampling, sampling.field(order), 0, mags)
+        checked = 0
+        for p in range(6):
+            x = tuple(float(v) for v in sampling.points[:, p])
+            if not all(g(x) for g in guards):
+                continue
+            probe = sampling.probes[p // sampling.per_probe]
+            values = probe(_axis_coords(x, scheme.h, margin, len(x), scheme.dtype))
+            out, _ = eval_tree_on_grid(rel.expr, nenv, values, x, margin, [])
+            grid = float(out.reshape(-1)[out.size // 2])
+            assert abs(jets.coef[0, p] - grid) <= 1e-5 * (1 + mags[p]), (rel.name, p)
+            checked += 1
+        assert checked >= 2, rel.name
+        if rel.expectation == "zero":
+            assert relation_residual_numeric(rel, nenv, 2, 3, 7).max_relative <= 1e-12, rel.name
 
 
 def test_eigensolver_calibration():
