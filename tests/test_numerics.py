@@ -521,27 +521,29 @@ def _outcome(call):
 _CRITERION_7_SPEC = oscillator_spec([2, 1], (model2_potential(2, 4, 1), Zero()))
 
 
+@pytest.mark.parametrize("extended", [False, True], ids=["float64", "longdouble"])
 @pytest.mark.parametrize("catalog, spec", [
     ("oscillator-algebra", _CRITERION_7_SPEC),
     ("oscillator-commutativity", oscillator_spec([2, 2])),
 ], ids=["criterion-7", "commutativity-2,2"])
-def test_grouped_stats_equal_each_relation_alone(catalog, spec):
+def test_grouped_stats_equal_each_relation_alone(extended, catalog, spec):
     """Each relation's stats through an env that its catalog's other
     relations use too, so that they share sample points, probe jets,
     coefficient jets and operator applications, equal its stats from a fresh
     env that samples it alone, float for float; run_verify's report holds the
-    same stats."""
+    same stats.  The envs carry a float64 or a longdouble stencil scheme,
+    which serves the stencil reference alone and so changes no jet stat."""
     from blocksep.cli import build_catalog, run_verify
     from blocksep.numerics import ResidualStats
 
-    sampling = (2, 2, 7)
+    scheme, sampling = FDScheme(extended=extended), (2, 2, 7)
     pairs = [(rel, env) for rel, env in build_catalog(catalog, spec).pairs
              if rel.expectation != "record"]
-    nenvs = {env: NumericEnv(env, {"w2": 1.0}) for _, env in pairs}
+    nenvs = {env: NumericEnv(env, {"w2": 1.0}, scheme) for _, env in pairs}
     alone, fresh_applications = {}, 0
     for rel, env in pairs:
         shared = _outcome(lambda: relation_residual_numeric(rel, nenvs[env], *sampling))
-        fresh = NumericEnv(env, {"w2": 1.0})
+        fresh = NumericEnv(env, {"w2": 1.0}, scheme)
         alone[rel.name] = _outcome(lambda: relation_residual_numeric(rel, fresh, *sampling))
         assert shared == alone[rel.name], rel.name
         fresh_applications += sum(len(s.applied) for s in fresh.samplings.values())
