@@ -8,11 +8,20 @@ lexicographic order, which does not depend on K, so a jet of lower degree is
 a prefix of the rows and truncation is a slice (Griewank and Walther,
 *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).
 
-Arithmetic acts on every point at once, element by element.  A product sums
-the pairs of factor rows of each output row in one fixed order, the first
-factor's row ascending, through index tables built on first use per (D, K);
-no reduction and no BLAS call takes part, so a point's coefficients do not
-depend on which other points, or how many, share the batch.  Reciprocals,
+Arithmetic acts on every point at once, element by element.  A product
+gathers every pair of factor rows i, j whose multi-indices sum to an output
+row's and multiplies them in one step, laid out rank-major: rank r holds the
+r-th pair, by i, of every output with more than r pairs.  With the outputs
+ordered by pair count, most first, rank r's outputs are a prefix of that
+order, so each rank is added with one slice, and one gather puts the
+outputs back in row order.  Each output thus sums its pairs in sequence,
+the pair (0, o) first and then i ascending, one addition per rank, the same
+additions in the same order whatever the layout; no reduction and no BLAS
+call takes part, so a point's coefficients do not depend on which other
+points, or how many, share the batch.  The index tables are built by numpy
+on first use per (D, K): each multi-index coded as an integer in base K + 1,
+so codes add as the multi-indices do, each output found by a sorted search
+of its code, and the pairs ordered by one lexsort.  Reciprocals,
 real powers and exp sum their Taylor series in the deviation from the value
 at the point by Horner's rule.  ``np.exp`` and ``np.sqrt`` take a jet, so a
 formula written for numpy arrays runs on jets as it stands; any other numpy
@@ -43,24 +52,33 @@ def _positions(dim: int, degree: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _product_table(dim: int, degree: int) -> tuple:
-    """The pairs (o, i, j) of output row o and factor rows i, j whose
-    multi-indices sum to o's, by rank: rank r holds the r-th pair of each
-    output that has one, each output's pairs ordered by i.  Rank 0, the pair
-    (o, 0, o) of every output, is left out."""
-    pos = _positions(dim, degree)
-    rows = list(pos)
-    count = [0] * len(rows)
-    ranks: list = []
-    for i, a in enumerate(rows):
-        for j, b in enumerate(rows):
-            if sum(a) + sum(b) > degree:
-                break  # the rows run by degree
-            o = pos[tuple(x + y for x, y in zip(a, b))]
-            if count[o] == len(ranks):
-                ranks.append([])
-            ranks[count[o]].append((o, i, j))
-            count[o] += 1
-    return tuple(tuple(np.array(col) for col in zip(*rank)) for rank in ranks[1:])
+    """The pairs of factor rows i, j whose multi-indices sum to an output
+    row's, rank-major: rank r holds the r-th pair, by i, of each output with
+    more than r pairs, the outputs ordered by pair count, most first, so that
+    rank r's outputs are a prefix of that order.  Returned are i and j, the
+    (start, size) of each rank after rank 0 (whose size is the row count),
+    and each output row's place in that order."""
+    rows = np.array(list(_positions(dim, degree)))
+    # base degree + 1: the codes of two rows of total degree <= degree add
+    # without a carry to the code of their sum
+    code = rows @ (degree + 1) ** np.arange(dim)
+    row_degree = rows.sum(axis=1)
+    blocks = []
+    for d in range(degree + 1):  # i of degree d pairs with every row of degree <= degree - d
+        i, j = np.flatnonzero(row_degree == d), np.arange(comb(dim + degree - d, dim))
+        blocks.append((np.repeat(i, len(j)), np.tile(j, len(i))))
+    i, j = (np.concatenate(col) for col in zip(*blocks))
+    sorter = np.argsort(code)
+    o = sorter[np.searchsorted(code, code[i] + code[j], sorter=sorter)]
+    by_output = np.lexsort((i, o))
+    count = np.bincount(o)
+    rank = np.empty_like(o)
+    rank[by_output] = np.arange(len(o)) - (np.cumsum(count) - count)[o[by_output]]
+    place = np.argsort(np.argsort(-count, kind="stable"))
+    layout = np.lexsort((place[o], rank))
+    sizes = np.bincount(rank)
+    starts = np.cumsum(sizes) - sizes
+    return i[layout], j[layout], tuple(zip(starts[1:].tolist(), sizes[1:].tolist())), place
 
 
 @lru_cache(maxsize=None)
@@ -151,10 +169,13 @@ class Jet:
         if not isinstance(other, Jet):
             return self._like(self.coef * other)
         a, b, degree = self._common(other)
-        out = b * a[0]  # rank 0: the pair (0, o) of every output o
-        for o, i, j in _product_table(self.dim, degree):
-            out[o] += a[i] * b[j]
-        return self._like(out, degree)
+        i, j, ranks, place = _product_table(self.dim, degree)
+        pairs = a.take(i, axis=0)
+        pairs *= b.take(j, axis=0)
+        out = pairs[:len(place)]  # rank 0: the pair (0, o) of every output o
+        for start, size in ranks:
+            out[:size] += pairs[start:start + size]
+        return self._like(out.take(place, axis=0), degree)
 
     __rmul__ = __mul__
 

@@ -636,7 +636,16 @@ def relation_residual_numeric(rel: Relation, env: NumericEnv, probes: int,
     if not (np.all(np.isfinite(value)) and np.all(np.isfinite(denom))):
         raise OverflowError(f"a value of {rel.name} is not finite")
     relative = np.abs(value) / denom
-    return ResidualStats(float(np.max(relative)), float(np.median(relative)), len(relative))
+    return ResidualStats(*_max_and_median(relative), len(relative))
+
+
+def _max_and_median(values: np.ndarray) -> tuple:
+    """np.max and np.median of finite values, bit for bit, from one sort:
+    np.median would import numpy.ma in every fresh run."""
+    ordered = np.sort(values)
+    n = len(ordered)
+    middle = ordered[n // 2] if n % 2 else (ordered[n // 2 - 1] + ordered[n // 2]) / 2
+    return float(ordered[-1]), float(middle)
 
 
 # -- 1D grid eigensolvers ---------------------------------------------------------------

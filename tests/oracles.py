@@ -3,10 +3,10 @@
 Each oracle is written apart from the code it checks and uses only the
 public ring, operator, model, relation-tree, stencil-weight and grid
 eigensolver API (``substitute_params`` also reads the context's parameter
-slots), so a fault in the Leibniz product, the relation evaluator, the
-stencil pass, the Cartesian potential evaluator, the closed-form spectra or
-the report writer does not also hide in its oracle.  None of this runs in
-production.
+slots; the jet references read the jets' row order), so a fault in the
+Leibniz product, the relation evaluator, the stencil pass, the jet product,
+the Cartesian potential evaluator, the closed-form spectra or the report
+writer does not also hide in its oracle.  None of this runs in production.
 """
 
 import itertools
@@ -17,6 +17,7 @@ from importlib import resources
 
 import numpy as np
 
+from blocksep.jets import Jet, _positions
 from blocksep.models import Hierarchy, Model2F11, Zero
 from blocksep.numerics import central_weights, eigensolve_periodic, eigensolve_weighted_polar
 from blocksep.opalg import DiffOp
@@ -229,6 +230,41 @@ def stencil_axis_reference(values, axis: int, m: int, h: float, order: int):
             np.multiply(values[tuple(sl)], wj, out=tmp)
             out += tmp
     out /= h**m
+    return out
+
+
+def reference_product_table(dim: int, degree: int) -> list:
+    """The pairs (o, i, j) of output row o and factor rows i, j of a jet
+    product whose multi-indices sum to o's, by a double loop over the rows,
+    by rank: rank r holds the r-th pair of each output that has one, each
+    output's pairs ordered by i.  Rank 0 is the pair (o, 0, o) of every
+    output."""
+    pos = _positions(dim, degree)
+    rows = list(pos)
+    count = [0] * len(rows)
+    ranks: list = []
+    for i, a in enumerate(rows):
+        for j, b in enumerate(rows):
+            if sum(a) + sum(b) > degree:
+                break  # the rows run by degree
+            o = pos[tuple(x + y for x, y in zip(a, b))]
+            if count[o] == len(ranks):
+                ranks.append([])
+            ranks[count[o]].append((o, i, j))
+            count[o] += 1
+    return ranks
+
+
+def reference_jet_product(a: Jet, b: Jet) -> np.ndarray:
+    """The coefficients of the product of two jets, rank by rank: each rank
+    adds its pairs to their outputs with one fancy-indexed sum, so every
+    output sums its pairs in sequence, the first factor's row ascending."""
+    degree = min(a.degree, b.degree)
+    x, y = a.truncate(degree).coef, b.truncate(degree).coef
+    out = y * x[0]  # rank 0: the pair (0, o) of every output o
+    for rank in reference_product_table(a.dim, degree)[1:]:
+        o, i, j = (np.array(col) for col in zip(*rank))
+        out[o] += x[i] * y[j]
     return out
 
 

@@ -1273,6 +1273,25 @@ def test_no_scipy_at_run_time(tmp_path):
     assert res.stdout.splitlines()[-1] == "[]"
 
 
+def test_numeric_verify_imports_no_numpy_ma(tmp_path):
+    """A numeric verify in a fresh interpreter leaves numpy.ma unloaded: the
+    residual's median is taken without np.median, which imports it."""
+    code = (
+        "import sys\n"
+        "from blocksep.cli import main\n"
+        "try:\n"
+        "    main(['verify', '--catalog', 'oscillator-algebra', '--blocks', '2,1', '--mode', 'numeric'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(blocksep.__file__))
+    res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"
+
+
 def test_unnamed_relation_report_independent_of_hash_seed(tmp_path):
     rel = tmp_path / "user.rel"
     rel.write_text("[Z[2], Hsum[2]]\nG[1,2] == T[1]\n")

@@ -669,6 +669,23 @@ def test_relations_of_one_env_share_probe_jets_and_applications(monkeypatch):
     assert counts == {"probe": 10, "apply": 30, "grid": 0}
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 49, 50, 199])
+def test_max_and_median_are_numpys_bit_for_bit(n):
+    """The residual's max and median equal np.max and np.median bit for bit
+    on one and two values and on odd and even lengths, magnitudes 1e-300 to
+    1e300, with ties."""
+    from blocksep.numerics import _max_and_median
+
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        values = 10.0 ** rng.uniform(-300, 300, size=n) * rng.uniform(1, 10, size=n)
+        if n > 2:
+            values[rng.integers(n)] = values[rng.integers(n)]
+        got = _max_and_median(values)
+        assert [v.hex() for v in got] == [float(np.max(values)).hex(),
+                                          float(np.median(values)).hex()]
+
+
 def test_coefficient_values_equal_a_tuple_exponent_evaluation():
     """Coefficient.eval_numeric gives the bits of a term-by-term evaluation
     over exponent tuples in the same multiplication order, on its first call,
