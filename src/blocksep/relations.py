@@ -152,7 +152,9 @@ class Relation:
     expectation: str = "zero"  # zero | nonzero | record
     group: str | None = None  # reading-group id for record items
     note: str = ""
-    diagnose: object = None  # optional callable(residual, env) -> str
+    # the central atoms (name, tree), "1" last, over whose products a
+    # residual is written exactly; () when none is declared
+    basis: tuple = ()
     image: Image | None = None  # set when the relation is another's transposed image
 
 
@@ -187,6 +189,7 @@ class OperatorEnv:
         self.brackets: dict = {}  # Comm/Acomm node -> its value here; nodes are frozen
         self.proved: set = set()  # names of the relations reduced to zero here
         self.pictures: dict = {}  # radial groups -> the OperatorEnv of that picture
+        self.products: dict = {}  # central basis -> {product name: DiffOp} here
 
     def operator(self, name: IntegralName) -> DiffOp:
         key = str(name)
@@ -332,8 +335,8 @@ def verify_relation(rel: Relation, env: OperatorEnv, progress=None) -> ReportIte
             item.passed = rel.expectation == "nonzero" if rel.expectation != "record" else None
             item.residual = {"terms": residual.term_count(), "order": residual.order(),
                              "leading": "; ".join(residual.to_text().splitlines()[:2])}
-            diag = rel.diagnose(residual, env) if rel.diagnose is not None else ""
-            if diag:
+            if rel.basis:
+                diag = central_diagnosis(residual, rel.basis, env)
                 item.note = f"{item.note}; {diag}" if item.note else diag
     if progress is not None:
         progress(item, picture)
@@ -414,6 +417,28 @@ def decompose_residual(residual: DiffOp, basis: dict):
     if rhs in pivots:
         return None
     return {names[c]: Fraction(row[rhs]) for c, row in sorted(pivots.items()) if rhs in row}
+
+
+def central_diagnosis(residual: DiffOp, basis: tuple, env: OperatorEnv) -> str:
+    """The residual written exactly over the products a <= b of the central
+    atoms ``basis``; ``env`` builds those products once and keeps them for
+    every reading over it."""
+    products = env.products.get(basis)
+    if products is None:
+        atoms = [(name, eval_node(tree, env)) for name, tree in basis]
+        products = {}
+        for i, (a, x) in enumerate(atoms):
+            for b, y in atoms[i:]:  # "1" is the last atom, so it pairs only with itself
+                if a == "1":
+                    products["1"] = x
+                else:
+                    products[f"{a}*{b}"] = x.mul(y)
+        env.products[basis] = products
+    sol = decompose_residual(residual, products)
+    if sol is None:
+        return "residual not spanned by central-element products"
+    body = " + ".join(f"({v})*{k}" for k, v in sol.items())
+    return f"residual = {body} over shifted central elements"
 
 
 # -- catalog: two-coordinate seed system ------------------------------------------
@@ -692,38 +717,11 @@ def _erratum_relations(env: OperatorEnv) -> list:
                      expectation="nonzero", note=note)]
 
 
-def _central_diagnoser(atom_trees: dict):
-    """Diagnoser expressing a residual over products of central elements; the
-    products are built once per env and shared by every reading over it."""
-    bases: dict = {}  # OperatorEnv -> {product name: DiffOp}
-
-    def diagnose(residual: DiffOp, env: OperatorEnv) -> str:
-        basis = bases.get(env)
-        if basis is None:
-            atoms = {k: eval_node(t, env) for k, t in atom_trees.items()}
-            names = list(atoms)
-            basis = {}
-            for i, a in enumerate(names):
-                for b in names[i:]:  # "1" is the last atom, so it pairs only with itself
-                    if a == "1":
-                        basis["1"] = atoms["1"]
-                    else:
-                        basis[f"{a}*{b}"] = atoms[a].mul(atoms[b])
-            bases[env] = basis
-        sol = decompose_residual(residual, basis)
-        if sol is None:
-            return "residual not spanned by central-element products"
-        body = " + ".join(f"({v})*{k}" for k, v in sol.items())
-        return f"residual = {body} over shifted central elements"
-
-    return diagnose
-
-
-def _readings(group: str, lhs, readings, diagnose) -> list:
+def _readings(group: str, lhs, readings, basis: tuple) -> list:
     """The record relations lhs - rhs of one reading group, one for each
-    (name suffix, rhs, note) of ``readings``."""
+    (name suffix, rhs, note) of ``readings``, diagnosed over ``basis``."""
     return [Relation(group + suffix, lhs - rhs, expectation="record", group=group,
-                     note=note, diagnose=diagnose) for suffix, rhs, note in readings]
+                     note=note, basis=basis) for suffix, rhs, note in readings]
 
 
 def coulomb_zy_relations(spec: ModelSpec, p: int):
@@ -740,9 +738,8 @@ def coulomb_zy_relations(spec: ModelSpec, p: int):
     Y1 = op("Y", 1) - ConstRef("M", 1)
     Ts = _tshift(spec, p)
     inner = Comm(op("Z", p), op("Y", p))
-    diagnose = _central_diagnoser(
-        {"Zp": Zp, "Yp": Yp, "Y1": Y1, "Zm": Zpm1, "Yn": Yp1, "Ts": Ts, "1": num(1)}
-    )
+    basis = (("Zp", Zp), ("Yp", Yp), ("Y1", Y1), ("Zm", Zpm1), ("Yn", Yp1), ("Ts", Ts),
+             ("1", num(1)))
     big_bracket = num((p - 2) * (N + dN - 1) - p * p + p + 4)
     n = N + dN - p  # the display's N + d_N - p
     rhs1 = (-(8 * Zp * Zp) - 8 * Acomm(Zp, Yp) - 4 * (big_bracket + 2 * Ts) * Zp
@@ -750,7 +747,7 @@ def coulomb_zy_relations(spec: ModelSpec, p: int):
             - 4 * (num((n - 1) * (n - 4)) - 2 * Ts) * Zpm1 + 4 * n * (N + dN - 5) * Ts
             + 4 * (p - 1) * n * Yp1 - 8 * Y1 * Yp1 + 8 * Zp * Yp1 + 8 * Zpm1 * Yp1)
     rels = _readings(f"coul-zy-p{p}-ZZY", Comm(op("Z", p), inner),
-                     [("", rhs1, "printed display")], diagnose)
+                     [("", rhs1, "printed display")], basis)
 
     def rhs2(second_line_target):
         return (8 * Yp * Yp + 8 * Acomm(Zp, Yp) - 4 * p * (p - 4) * Zp
@@ -763,7 +760,7 @@ def coulomb_zy_relations(spec: ModelSpec, p: int):
         ("-printed", rhs2(op("Y", 1) - ConstRef("M", p)),
          "printed second line ends with (Y_1 - M_p)"),
         ("-emended", rhs2(Yp), "reading with (Y_p - M_p) in the second line"),
-    ], diagnose)
+    ], basis)
 
 
 def coulomb_sj_relations(spec: ModelSpec, p: int):
@@ -783,9 +780,7 @@ def coulomb_sj_relations(spec: ModelSpec, p: int):
     Y1 = op("Y", 1) - ConstRef("M", 1)
     inner = Comm(op("S", p), op("J", p))
     bracket = num((q - 3) * (N + dN - 1) - (q - 1) ** 2 + q + 3)
-    diagnose = _central_diagnoser(
-        {"Sp": Sp, "Jp": Jp, "Y1": Y1, "Sm": Spm1, "Jn": Jp1, "1": num(1)}
-    )
+    basis = (("Sp", Sp), ("Jp", Jp), ("Y1", Y1), ("Sm", Spm1), ("Jn", Jp1), ("1", num(1)))
     m = D - p  # the display's D - p
 
     def rhs1(y_target, z_term):
@@ -798,7 +793,7 @@ def coulomb_sj_relations(spec: ModelSpec, p: int):
          "printed display mixes Y[p+1] and Z[p-1] into the coordinate chain"),
         ("-emended", rhs1(Jp1, Spm1),
          "coordinate-chain reading: J[p+1] for Y[p+1], S[p-1]-U[p-1] for Z[p-1]-N[p-1]"),
-    ], diagnose)
+    ], basis)
 
     def rhs2(target):
         return (8 * Jp * Jp + 8 * Acomm(Sp, Jp) - 4 * (q - 1) * (q - 5) * Sp + 4 * bracket * target
@@ -809,7 +804,7 @@ def coulomb_sj_relations(spec: ModelSpec, p: int):
     return rels + _readings(f"coul-sj-p{p}-JSJ", Comm(Jp, inner), [
         ("-printed", rhs2(op("Y", p) - ConstRef("M", p)), "printed display carries (Y_p - M_p)"),
         ("-emended", rhs2(Jp), "reading with J_p in place of (Y_p - M_p)"),
-    ], diagnose)
+    ], basis)
 
 
 def coulomb_commutativity_relations(env: OperatorEnv):

@@ -15,6 +15,10 @@ A single-underscore name is private to its module: no module of the
 package imports one from another.  And every name a module imports is used
 in it, except in ``__init__.py`` and on a line marked ``# noqa: F401``,
 which re-export the name.
+
+Work is shared through an environment or a context, which owns its tables:
+no function binds an empty dict that a function or lambda nested in it then
+writes into, a cache whose lifetime no caller can see.
 """
 
 import ast
@@ -95,3 +99,52 @@ def test_every_imported_name_is_used_in_its_module():
                 if not used[bound] and "# noqa: F401" not in lines[alias.lineno - 1]:
                     unused.append(f"{path.name}: {bound}")
     assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_SCOPES = (*_FUNCTIONS, ast.Lambda)
+
+
+def _own_nodes(func):
+    """The nodes of ``func``'s body outside the functions and lambdas nested in it."""
+    todo = list(func.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _is_empty_dict(node) -> bool:
+    return (isinstance(node, ast.Dict) and not node.keys) or (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "dict" and not node.args and not node.keywords)
+
+
+def _closure_caches(func) -> set:
+    """The empty dicts ``func`` binds that a function or lambda nested in it
+    writes into, by item assignment, ``setdefault`` or ``update``."""
+    own = list(_own_nodes(func))
+    empty = {target.id for node in own if isinstance(node, (ast.Assign, ast.AnnAssign))
+             and node.value is not None and _is_empty_dict(node.value)
+             for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+             if isinstance(target, ast.Name)}
+    written = set()
+    for inner in (node for scope in own if isinstance(scope, _SCOPES) for node in ast.walk(scope)):
+        if isinstance(inner, ast.Subscript) and isinstance(inner.ctx, ast.Store):
+            target = inner.value
+        elif isinstance(inner, ast.Call) and isinstance(inner.func, ast.Attribute) \
+                and inner.func.attr in ("setdefault", "update", "__setitem__"):
+            target = inner.func.value
+        else:
+            continue
+        if isinstance(target, ast.Name):
+            written.add(target.id)
+    return empty & written
+
+
+def test_no_function_keeps_a_cache_in_a_closure():
+    caches = [f"{path.stem}.{func.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+              for func in ast.walk(ast.parse(path.read_text()))
+              if isinstance(func, _FUNCTIONS) for name in sorted(_closure_caches(func))]
+    assert not caches, "caches held by closures: " + ", ".join(caches)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from blocksep.errors import OracleUnconvergedError
+from blocksep.jets import Jet
 from blocksep.models import (
     Constant,
     Zero,
@@ -20,6 +21,7 @@ from blocksep.numerics import (
     FDScheme,
     NumericEnv,
     ProbeFunction,
+    Sampling,
     _ring_eigenvalues,
     _stencil_axis,
     apply_numeric,
@@ -326,56 +328,61 @@ def test_point_tables_stay_with_their_point(extended):
             assert mags == fresh_mags, (rel.name, x)
 
 
-def test_one_coefficient_at_two_output_radii_has_two_entries():
-    """One table serves applications at two radii: each coefficient gets an
-    entry per output radius, and each output equals a fresh-table one."""
-    from blocksep.integrals import IntegralName
-    from blocksep.numerics import _crop, apply_on_grid
+def _values(got):
+    """A coefficient's values: its jet's coefficients, or the float of a constant."""
+    return got.coef if isinstance(got, Jet) else np.asarray(got)
 
-    scheme = FDScheme(extended=True)
-    spec, _, x, big = _model2_grid(10, scheme)
-    env = NumericEnv(OperatorEnv(spec), {"w2": 1.0}, scheme)
+
+def test_one_coefficient_at_two_degrees_has_two_entries():
+    """One sampling serves coefficients at two degrees: each coefficient gets
+    an entry per degree, and each equals a fresh sampling's one."""
+    from blocksep.integrals import IntegralName
+
+    spec, env = _criterion_7_env(FDScheme(extended=True))
     nop = env.operator(IntegralName("H", 2))
-    assert nop.margin == 4
-    table: dict = {}
-    for radius in (10, 6):
-        values = _crop(big, 10, [radius] * 3)
-        got = apply_on_grid(nop, values, x, scheme.h, radius, scheme, table)
-        assert np.array_equal(got, apply_on_grid(nop, values, x, scheme.h, radius, scheme))
+    assert nop.order == 2
+    sampling = Sampling(spec, 1, 2, 3)
+    for degree in (2, 0):
+        for term in nop.terms:
+            got = sampling.coefficient(term, degree)
+            assert np.array_equal(_values(got),
+                                  _values(Sampling(spec, 1, 2, 3).coefficient(term, degree)))
     keys = {t.key for t in nop.terms}
-    assert set(table) == {6, 2} | {(k, r) for k in keys for r in (6, 2)}
+    assert set(sampling._coefficients) == {(k, d) for k in keys for d in (2, 0)}
+    assert set(sampling._coords) == {2, 0}
     for k in keys:
-        assert table[k, 6] is not table[k, 2]
+        assert sampling._coefficients[k, 2] is not sampling._coefficients[k, 0]
 
 
 def test_attachment_and_bare_coefficient_keep_their_own_entries():
     """A potential attachment c(x) f(y) and a bare multiplication by the same
-    c(x) share a table without reading each other's array, in either order."""
+    c(x) share a sampling without reading each other's entry, in either order."""
     from blocksep.models import build_hamiltonian_raw, operator_context
-    from blocksep.numerics import _crop, apply_on_grid, compile_operator
+    from blocksep.numerics import apply_on_jets, compile_operator
 
     scheme = FDScheme(extended=True)
-    spec, _, x, big = _model2_grid(6, scheme)
+    spec, _ = _criterion_7_env(scheme)
     ctx = operator_context(spec)
     H = build_hamiltonian_raw(spec, ctx)
     att = H.attachments[0]
     nops = [compile_operator(op, spec, {"w2": 1.0}, scheme)
             for op in (H, DiffOp.from_coefficient(ctx, att.coef))]
     assert len({t.key for t in nops[0].terms} & {t.key for t in nops[1].terms}) == 0
-    fresh = [apply_on_grid(nop, big, x, scheme.h, 6, scheme) for nop in nops]
+
+    def apply(nop, sampling):
+        return apply_on_jets(nop, sampling.field(nop.order + 2), 2, sampling).coef
+
+    fresh = [apply(nop, Sampling(spec, 1, 2, 3)) for nop in nops]
     for order in ((0, 1), (1, 0)):
-        table: dict = {}
+        sampling = Sampling(spec, 1, 2, 3)
         for i in order:
-            assert np.array_equal(apply_on_grid(nops[i], big, x, scheme.h, 6, scheme, table),
-                                  fresh[i]), order
+            assert np.array_equal(apply(nops[i], sampling), fresh[i]), order
 
 
 def test_equal_coefficients_in_another_term_order_keep_their_own_entries():
     """Equal coefficients whose terms sit in another order sum them in another
     order, so each keeps its entry and its own rounding."""
-    from fractions import Fraction
-
-    from blocksep.numerics import _axis_coords, apply_on_grid, compile_operator
+    from blocksep.numerics import compile_operator
     from blocksep.ring import Coefficient, Poly
 
     ctx = Context(("x1", "x2"))
@@ -385,15 +392,15 @@ def test_equal_coefficients_in_another_term_order_keep_their_own_entries():
     coef = Coefficient.from_poly(ctx, num)
     flipped = Coefficient(ctx, Poly(num.n, dict(reversed(list(coef.num.terms.items())))), coef.den)
     assert coef == flipped
-    scheme, x, R = FDScheme(), (0.7, -0.4), 6
-    values = np.cos(sum(np.broadcast_arrays(*_axis_coords(x, scheme.h, R, 2))))
-    nops = [compile_operator(DiffOp.from_coefficient(ctx, c), None, {}, scheme)
-            for c in (coef, flipped)]
-    fresh = [apply_on_grid(nop, values, x, scheme.h, R, scheme) for nop in nops]
+    spec, degree = oscillator_spec([2]), 2
+    terms = [compile_operator(DiffOp.from_coefficient(ctx, c), None, {}, FDScheme()).terms[0]
+             for c in (coef, flipped)]
+    fresh = [Sampling(spec, 2, 5, 3).coefficient(t, degree).coef for t in terms]
     assert not np.array_equal(*fresh)  # the two orders round differently somewhere
-    table: dict = {}
-    for nop, want in zip(nops, fresh):
-        assert np.array_equal(apply_on_grid(nop, values, x, scheme.h, R, scheme, table), want)
+    sampling = Sampling(spec, 2, 5, 3)
+    for term, want in zip(terms, fresh):
+        assert np.array_equal(sampling.coefficient(term, degree).coef, want)
+    assert len(sampling._coefficients) == 2
 
 
 def test_each_coefficient_once_per_point_and_only_nonzero_passes(monkeypatch):

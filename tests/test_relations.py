@@ -280,8 +280,8 @@ def test_coulomb_zy_recorded_with_diagnosis():
 
 
 def test_central_diagnoser_builds_its_basis_once_per_env(monkeypatch):
-    """The readings of a group share one diagnoser, which builds the central
-    products once over each env and reuses them for every later reading."""
+    """The readings of a group share one basis, whose central products the
+    env builds once and reuses for every later reading."""
     from blocksep import relations
 
     bases = []
@@ -292,10 +292,33 @@ def test_central_diagnoser_builds_its_basis_once_per_env(monkeypatch):
     rs = build_catalog("coulomb-zy", spec)
     notes = [o.note for o in verify_symbolic(rs)]
     assert len(bases) == 3 and all(b is bases[0] for b in bases)
-    rel, _ = rs.pairs[0]
+    rel, env = rs.pairs[0]
+    assert list(env.products) == [rel.basis] and env.products[rel.basis] is bases[0]
     cold = OperatorEnv(spec)
-    assert rel.diagnose(eval_node(rel.expr, cold), cold) in notes[0]
+    assert relations.central_diagnosis(eval_node(rel.expr, cold), rel.basis, cold) in notes[0]
     assert bases[-1] is not bases[0] and list(bases[-1]) == list(bases[0])
+
+
+def test_readings_of_two_builds_are_equal_and_share_one_basis_per_env(monkeypatch):
+    """Two builds of the reading catalogs give equal relations, hashing
+    equal; verified in one env, each basis's products are built once and
+    kept under one entry.  (On coulomb 1,1,1 coulomb-sj has no readings.)"""
+    from blocksep import relations
+
+    bases = []
+    original = relations.decompose_residual
+    monkeypatch.setattr(relations, "decompose_residual",
+                        lambda residual, basis: bases.append(basis) or original(residual, basis))
+    spec = coulomb_spec([1, 1, 2])
+    first, second = ([rel for catalog in ("coulomb-zy", "coulomb-sj")
+                      for rel in build_catalog(catalog, spec).relations] for _ in range(2))
+    assert first == second and [hash(r) for r in first] == [hash(r) for r in second]
+    env = OperatorEnv(spec)
+    items = verify_symbolic(RelationSet(over(env, first + second)))
+    assert [i.note for i in items[:len(first)]] == [i.note for i in items[len(first):]]
+    assert len(env.products) == 2 == len({rel.basis for rel in first})
+    assert len({id(b) for b in bases}) == 2
+    assert all(any(b is p for p in env.products.values()) for b in bases)
 
 
 def test_coulomb_sj_recorded():
